@@ -4,8 +4,8 @@ explicit constructions, driven by JSON job files.
 The pipeline has four stages:
 
   1. Argument handling.  Three subcommands (curvature, verify,
-     construct) share the flags --out, --tol, --grid and
-     --paper-literal.
+     construct) share the flags --out, --tol and --grid; construct
+     alone takes --paper-literal, for the walker3 and walker4 families.
   2. Strict config reading.  Every key is checked by name and type;
      unknown or misplaced keys fail the run with exit code 2 and a
      message naming the offending field.  Nothing is silently ignored.
@@ -33,7 +33,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .curvature import covariant_hessian, curvature_from
+from .curvature import curvature_from
 from .errors import (
     ConfigError,
     ExpressionSyntaxError,
@@ -49,9 +49,8 @@ from .families import (
     Walker4Spec,
     WarpedProductSpec,
     assemble_warped_metric,
-    grw_lambda_map,
     grw_potential_field,
-    grw_system_residual,
+    grw_samples,
     walker3_construct,
     walker3_metric,
     walker4_construct,
@@ -59,7 +58,7 @@ from .families import (
 )
 from .grids import grid_points
 from .metrics import MetricField, flat_metric, metric_at, sphere_metric
-from .soliton import SolitonData, classify, infer_lambda, residual_report
+from .soliton import LambdaEstimate, PointGeometry, classify, point_geometry
 
 __all__ = ["main"]
 
@@ -488,36 +487,29 @@ def _cmd_curvature(cfg: dict, args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_summary(metric: MetricField, potential: ScalarField,
-                    constants: dict[str, float], pts: np.ndarray,
-                    tolerance: float, out_path: str | None) -> int:
-    mu = constants.get("mu", 0.0)
-    estimate = infer_lambda(metric, potential, pts, mu)
-    lam = constants.get("lambda", estimate.value)
-    soliton = SolitonData(potential, lam, mu)
-    report = residual_report(metric, soliton, pts, tolerance)
-    rows = []
-    for index, p in enumerate(pts):
-        data = metric_at(metric, p)
-        curv = curvature_from(data)
-        residual_max = float(np.abs(report.residual_grids[index]).max())
-        hess = covariant_hessian(potential, data, curv.gamma)
-        lap = float(np.einsum("ij,ij->", data.g_inv, hess))
-        rows.append(list(p) + [residual_max, curv.scalar, lap,
-                               estimate.samples[index]])
-    header = list(metric.chart) + [
-        "residual_max", "tau", "lap_potential", "lambda_point"
-    ]
-    passed = report.passed and estimate.spread <= tolerance
+def _verdict(lam: float, spread: float, worst: float,
+             worst_point: Sequence[float], tolerance: float) -> int:
+    """Print the PASS/FAIL line and return the exit code."""
+    passed = worst <= tolerance and spread <= tolerance
     if passed:
         print(f"PASS lambda={_fmt(lam)} class={classify(lam, tolerance)}")
     else:
-        print(
-            f"FAIL max_residual={_fmt(report.max_abs)} "
-            f"at {_fmt_point(report.worst_point)}"
-        )
-    _emit_csv(out_path, [], header, rows)
+        print(f"FAIL max_residual={_fmt(worst)} at {_fmt_point(worst_point)}")
     return 0 if passed else 1
+
+
+def _check(job: _Job,
+           geometry: PointGeometry) -> tuple[LambdaEstimate, np.ndarray, int]:
+    """Check the soliton equation with the job's constants and print the
+    verdict.  Returns the lambda estimate, the largest residual entry
+    at each point, and the exit code."""
+    mu = job.constants.get("mu", 0.0)
+    estimate = geometry.lambda_estimate(mu)
+    lam = job.constants.get("lambda", estimate.value)
+    report = geometry.residual_report(lam, mu, job.tolerance)
+    code = _verdict(lam, estimate.spread, report.max_abs, report.worst_point,
+                    job.tolerance)
+    return estimate, np.abs(report.residual_grids).max(axis=(1, 2)), code
 
 
 def _cmd_verify(cfg: dict, args: argparse.Namespace) -> int:
@@ -528,9 +520,16 @@ def _cmd_verify(cfg: dict, args: argparse.Namespace) -> int:
     potential = _parse_field(job.potential_src, chart, "potential")
     ranges = _resolve_ranges(chart, job.grid_cfg, job.defaults, args.grid)
     pts = grid_points(chart, ranges)
-    return _verify_summary(
-        job.metric, potential, job.constants, pts, job.tolerance, args.out
-    )
+    geometry = point_geometry(job.metric, potential, pts)
+    estimate, residual_max, code = _check(job, geometry)
+    rows = [
+        list(p) + [residual_max[i], geometry.scal[i], geometry.lap[i],
+                   estimate.samples[i]]
+        for i, p in enumerate(pts)
+    ]
+    header = list(chart) + ["residual_max", "tau", "lap_potential", "lambda_point"]
+    _emit_csv(args.out, [], header, rows)
+    return code
 
 
 def _construct_walker3(job: _Job, args: argparse.Namespace) -> int:
@@ -545,27 +544,11 @@ def _construct_walker3(job: _Job, args: argparse.Namespace) -> int:
     metric = walker3_metric(Walker3Spec(q))
     pts = grid_points(chart, ranges)
     comments = [f"#f={f}", f"#metric_function={q}"]
-    mu = job.constants.get("mu", 0.0)
-    estimate = infer_lambda(metric, f, pts, mu)
-    lam = job.constants.get("lambda", estimate.value)
-    report = residual_report(metric, SolitonData(f, lam, mu), pts, job.tolerance)
-    rows = []
-    for index, p in enumerate(pts):
-        rows.append(list(p) + [
-            f(p), q(p),
-            float(np.abs(report.residual_grids[index]).max()),
-        ])
+    _, residual_max, code = _check(job, point_geometry(metric, f, pts))
+    rows = [list(p) + [f(p), q(p), residual_max[i]] for i, p in enumerate(pts)]
     header = list(chart) + ["f", "metric_function", "residual_max"]
-    passed = report.passed and estimate.spread <= job.tolerance
-    if passed:
-        print(f"PASS lambda={_fmt(lam)} class={classify(lam, job.tolerance)}")
-    else:
-        print(
-            f"FAIL max_residual={_fmt(report.max_abs)} "
-            f"at {_fmt_point(report.worst_point)}"
-        )
     _emit_csv(args.out, comments, header, rows)
-    return 0 if passed else 1
+    return code
 
 
 def _construct_walker4(job: _Job, args: argparse.Namespace) -> int:
@@ -583,28 +566,11 @@ def _construct_walker4(job: _Job, args: argparse.Namespace) -> int:
         f"#tprofile_slope=0.5*(({spec.warping})*({spec.c0:.12g}*t"
         f"+{spec.c1:.12g})+{spec.c0:.12g}*I(t))",
     ]
-    mu = job.constants.get("mu", 0.0)
-    estimate = infer_lambda(job.metric, f, pts, mu)
-    lam = job.constants.get("lambda", estimate.value)
-    report = residual_report(
-        job.metric, SolitonData(f, lam, mu), pts, job.tolerance
-    )
-    rows = []
-    for index, p in enumerate(pts):
-        rows.append(list(p) + [
-            f(p), float(np.abs(report.residual_grids[index]).max()),
-        ])
+    _, residual_max, code = _check(job, point_geometry(job.metric, f, pts))
+    rows = [list(p) + [f(p), residual_max[i]] for i, p in enumerate(pts)]
     header = list(chart) + ["f", "residual_max"]
-    passed = report.passed and estimate.spread <= job.tolerance
-    if passed:
-        print(f"PASS lambda={_fmt(lam)} class={classify(lam, job.tolerance)}")
-    else:
-        print(
-            f"FAIL max_residual={_fmt(report.max_abs)} "
-            f"at {_fmt_point(report.worst_point)}"
-        )
     _emit_csv(args.out, comments, header, rows)
-    return 0 if passed else 1
+    return code
 
 
 def _construct_grw(job: _Job, args: argparse.Namespace) -> int:
@@ -621,17 +587,16 @@ def _construct_grw(job: _Job, args: argparse.Namespace) -> int:
     fiber_names = [name for name in chart if name != time_var]
     fiber_point = [ranges[name][0] for name in fiber_names]
     t_samples = np.linspace(t_lo, t_hi, t_count)
-    lam_values = np.array([
-        grw_lambda_map(spec, potential, t, fiber_point) for t in t_samples
-    ])
+    samples = grw_samples(spec, job.metric, potential, t_samples, fiber_point)
+    lam_values = np.array([sample.lambda_map() for sample in samples])
     lam_hat = float(lam_values.mean())
     lam = job.constants.get("lambda", lam_hat)
     spread = float(np.max(np.abs(lam_values - lam_hat)))
     rows = []
     worst = 0.0
     worst_t = t_samples[0]
-    for t in t_samples:
-        r1, r2, r3 = grw_system_residual(spec, potential, lam, t, fiber_point)
+    for t, sample in zip(t_samples, samples):
+        r1, r2, r3 = sample.residual(lam)
         size = max(abs(r1), abs(r2), abs(r3))
         if size > worst:
             worst, worst_t = size, t
@@ -641,15 +606,9 @@ def _construct_grw(job: _Job, args: argparse.Namespace) -> int:
         f"#t0={_fmt(t0)}",
     ]
     header = [time_var, "potential", "r1", "r2", "r3"]
-    passed = worst <= job.tolerance and spread <= job.tolerance
-    if passed:
-        print(f"PASS lambda={_fmt(lam)} class={classify(lam, job.tolerance)}")
-    else:
-        print(
-            f"FAIL max_residual={_fmt(worst)} at {_fmt_point([worst_t])}"
-        )
+    code = _verdict(lam, spread, worst, [worst_t], job.tolerance)
     _emit_csv(args.out, comments, header, rows)
-    return 0 if passed else 1
+    return code
 
 
 def _cmd_construct(cfg: dict, args: argparse.Namespace) -> int:
@@ -659,6 +618,8 @@ def _cmd_construct(cfg: dict, args: argparse.Namespace) -> int:
     if job.family == "walker4":
         return _construct_walker4(job, args)
     if job.family == "grw":
+        if args.paper_literal:
+            raise ConfigError("--paper-literal has no variant for family 'grw'")
         return _construct_grw(job, args)
     raise ConfigError(f"family {job.family!r} has no construction")
 
@@ -696,10 +657,11 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="override the config tolerance")
         cmd.add_argument("--grid", type=int,
                          help="override the per-axis sample count")
-        cmd.add_argument("--paper-literal", action="store_true",
-                         dest="paper_literal",
-                         help="use the uncorrected construction variant "
-                              "(expected to fail verification)")
+        if name == "construct":
+            cmd.add_argument("--paper-literal", action="store_true",
+                             dest="paper_literal",
+                             help="use the uncorrected walker3 or walker4 "
+                                  "construction (expected to fail verification)")
     return parser
 
 

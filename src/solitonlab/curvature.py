@@ -31,24 +31,26 @@ __all__ = [
     "curvature_from",
     "curvature_at",
     "covariant_hessian",
+    "covariant_hessian_from",
     "gradient_and_norm",
     "laplace_beltrami",
 ]
 
 
-def _christoffel_T(dg: np.ndarray) -> np.ndarray:
+def _christoffel_parts(data: MetricAtPoint) -> tuple[np.ndarray, np.ndarray]:
     # T[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij with dg[k, i, j] = d_k g_ij.
-    return (
+    dg = data.dg
+    T = (
         np.einsum("ijl->ijl", dg)
         + np.einsum("jil->ijl", dg)
         - np.einsum("lij->ijl", dg)
     )
+    return T, 0.5 * np.einsum("kl,ijl->kij", data.g_inv, T)
 
 
 def christoffel(data: MetricAtPoint) -> np.ndarray:
     """Christoffel symbols gamma[k, i, j] at the evaluated point."""
-    T = _christoffel_T(data.dg)
-    return 0.5 * np.einsum("kl,ijl->kij", data.g_inv, T)
+    return _christoffel_parts(data)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,12 +66,10 @@ class CurvatureAtPoint:
 
 def curvature_from(data: MetricAtPoint) -> CurvatureAtPoint:
     ginv = data.g_inv
-    dg = data.dg
     d2g = data.d2g
-    T = _christoffel_T(dg)
-    gamma = 0.5 * np.einsum("kl,ijl->kij", ginv, T)
+    T, gamma = _christoffel_parts(data)
     # d_i g^{lm} = -g^{la} (d_i g_ab) g^{bm}
-    dginv = -np.einsum("la,iab,bm->ilm", ginv, dg, ginv)
+    dginv = -np.einsum("la,iab,bm->ilm", ginv, data.dg, ginv)
     # dT[i, j, k, m] = d_i (d_j g_km + d_k g_jm - d_m g_jk)
     dT = (
         np.einsum("ijkm->ijkm", d2g)
@@ -96,13 +96,20 @@ def curvature_at(metric: MetricField, point: Sequence[float]) -> CurvatureAtPoin
     return curvature_from(metric_at(metric, point))
 
 
+def covariant_hessian_from(gradient: np.ndarray, hessian: np.ndarray,
+                           gamma: np.ndarray) -> np.ndarray:
+    """Hess(f)_ij = d_i d_j f - Gamma^k_ij d_k f from the coordinate
+    gradient and hessian of f."""
+    return hessian - np.einsum("kij,k->ij", gamma, gradient)
+
+
 def covariant_hessian(field: ScalarField, data: MetricAtPoint,
                       gamma: np.ndarray | None = None) -> np.ndarray:
     """Hess(f)_ij = d_i d_j f - Gamma^k_ij d_k f at the evaluated point."""
     if gamma is None:
         gamma = christoffel(data)
     jet = eval_jet2(field, data.point)
-    return jet.hessian - np.einsum("kij,k->ij", gamma, jet.gradient)
+    return covariant_hessian_from(jet.gradient, jet.hessian, gamma)
 
 
 def gradient_and_norm(field: ScalarField, data: MetricAtPoint) -> tuple[np.ndarray, float]:

@@ -26,13 +26,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .autodiff import eval_jet2
-from .curvature import christoffel, covariant_hessian, curvature_from
+from .curvature import (
+    christoffel,
+    covariant_hessian_from,
+    curvature_from,
+    laplace_beltrami,
+)
 from .errors import (
     DomainError,
     NonPositiveEtaPrimeError,
@@ -63,6 +68,8 @@ __all__ = [
     "assemble_warped_metric",
     "grw_potential",
     "grw_potential_field",
+    "GRWSample",
+    "grw_samples",
     "grw_system_residual",
     "grw_lambda_map",
     "static_system_residual",
@@ -322,13 +329,50 @@ def grw_potential_field(spec: GRWSpec, alpha: float, t0: float,
     return ScalarField((spec.time_var,), node)
 
 
-def _grw_scalar_curvature(spec: GRWSpec, t: float,
-                          fiber_point: Sequence[float] | None) -> float:
-    metric = assemble_warped_metric(spec, check_points=[[t]])
+class GRWSample(NamedTuple):
+    """The reduced cosmological system at one time: scalar curvature of
+    the product metric, phi', phi'', the warping w and w'."""
+
+    scal: float
+    d1: float
+    d2: float
+    w: float
+    dw: float
+
+    def lambda_map(self) -> float:
+        return self.scal - self.dw * self.d1 / self.w
+
+    def residual(self, lam: float) -> tuple[float, float, float]:
+        r1 = self.d2 + (self.scal - lam)
+        r2 = self.dw * self.d1 - (self.scal - lam) * self.w
+        r3 = self.w * self.d2 + self.dw * self.d1
+        return r1, r2, r3
+
+
+def grw_samples(spec: GRWSpec, metric: MetricField, potential: ScalarField,
+                times: Sequence[float],
+                fiber_point: Sequence[float] | None = None,
+                ) -> list[GRWSample]:
+    """The reduced system at each time on ``metric``, the product metric
+    of ``spec``, which the caller assembles once.  The warping must be
+    positive at every time; the fiber point defaults to the origin."""
+    samples = []
+    for t in times:
+        _check_positive(spec.warping, [[t]], "warping")
+        samples.append(_grw_sample(spec, metric, potential, t, fiber_point))
+    return samples
+
+
+def _grw_sample(spec: GRWSpec, metric: MetricField, potential: ScalarField,
+                t: float, fiber_point: Sequence[float] | None) -> GRWSample:
     if fiber_point is None:
         fiber_point = np.zeros(spec.fiber.dimension)
     point = np.concatenate([[t], np.asarray(fiber_point, dtype=float)])
-    return curvature_from(metric_at(metric, point)).scalar
+    scal = curvature_from(metric_at(metric, point)).scalar
+    jet_p = eval_jet2(potential, (t,))
+    jet_w = eval_jet2(spec.warping, (t,))
+    return GRWSample(scal, float(jet_p.gradient[0]), float(jet_p.hessian[0, 0]),
+                     jet_w.value, float(jet_w.gradient[0]))
 
 
 def grw_system_residual(spec: GRWSpec, potential: ScalarField, lam: float,
@@ -344,15 +388,8 @@ def grw_system_residual(spec: GRWSpec, potential: ScalarField, lam: float,
     The scalar curvature comes from the assembled product metric at
     (t, fiber_point); the fiber point defaults to the origin.
     """
-    scal = _grw_scalar_curvature(spec, t, fiber_point)
-    jet_p = eval_jet2(potential, (t,))
-    jet_w = eval_jet2(spec.warping, (t,))
-    d1, d2 = float(jet_p.gradient[0]), float(jet_p.hessian[0, 0])
-    w, dw = jet_w.value, float(jet_w.gradient[0])
-    r1 = d2 + (scal - lam)
-    r2 = dw * d1 - (scal - lam) * w
-    r3 = w * d2 + dw * d1
-    return r1, r2, r3
+    metric = assemble_warped_metric(spec, check_points=[[t]])
+    return _grw_sample(spec, metric, potential, t, fiber_point).residual(lam)
 
 
 def grw_lambda_map(spec: GRWSpec, potential: ScalarField, t: float,
@@ -360,10 +397,8 @@ def grw_lambda_map(spec: GRWSpec, potential: ScalarField, t: float,
     """The constant the fiber equation of the reduced system forces at
     time t: scal - w' phi' / w.  Constancy over t is what makes the
     construction consistent."""
-    scal = _grw_scalar_curvature(spec, t, fiber_point)
-    jet_p = eval_jet2(potential, (t,))
-    jet_w = eval_jet2(spec.warping, (t,))
-    return scal - float(jet_w.gradient[0]) * float(jet_p.gradient[0]) / jet_w.value
+    metric = assemble_warped_metric(spec, check_points=[[t]])
+    return _grw_sample(spec, metric, potential, t, fiber_point).lambda_map()
 
 
 # =====================================================================
@@ -397,7 +432,7 @@ def static_system_residual(spec: StaticSpec, potential: ScalarField,
     gamma = christoffel(data)
     jet_phi = eval_jet2(potential, p)
     jet_lapse = eval_jet2(spec.lapse, p)
-    hess = jet_phi.hessian - np.einsum("kij,k->ij", gamma, jet_phi.gradient)
+    hess = covariant_hessian_from(jet_phi.gradient, jet_phi.hessian, gamma)
     pairing = float(np.einsum(
         "ij,i,j->", data.g_inv, jet_phi.gradient, jet_lapse.gradient
     ))
@@ -689,10 +724,6 @@ def laplacian_report(metric: MetricField, f: ScalarField,
     """Laplacian of f sampled over points, with the spread about the
     mean; the explicit constructions make it constant."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    values = np.empty(pts.shape[0])
-    for row, point in enumerate(pts):
-        data = metric_at(metric, point)
-        hess = covariant_hessian(f, data)
-        values[row] = float(np.einsum("ij,ij->", data.g_inv, hess))
+    values = np.array([laplace_beltrami(f, metric_at(metric, p)) for p in pts])
     mean = float(values.mean())
     return LaplacianReport(values, mean, float(np.max(np.abs(values - mean))))

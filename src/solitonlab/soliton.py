@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import eval_jet2
-from .curvature import christoffel, curvature_from
+from .curvature import christoffel, covariant_hessian_from, curvature_from
 from .errors import NonPositiveWarpingError
 from .expressions import Const, ScalarField, mul, neg
 from .expressions import call as _call
@@ -41,6 +41,8 @@ from .metrics import MetricField, metric_at
 
 __all__ = [
     "SolitonData",
+    "PointGeometry",
+    "point_geometry",
     "gys_residual",
     "gqy_residual",
     "theta_substitution",
@@ -76,20 +78,86 @@ class SolitonData:
 
 
 # ---------------------------------------------------------------------
+# The geometry pass
+# ---------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class PointGeometry:
+    """What the soliton equation needs at each point of a set: the
+    metric and its inverse, the scalar curvature, and the potential's
+    gradient, covariant hessian and laplacian, stacked along a leading
+    point axis.  Riemann and the second metric derivatives are not
+    kept."""
+
+    points: np.ndarray
+    g: np.ndarray
+    g_inv: np.ndarray
+    scal: np.ndarray
+    dphi: np.ndarray
+    hess: np.ndarray
+    lap: np.ndarray
+
+    def residuals(self, lam: float, mu: float) -> np.ndarray:
+        """Hess(phi) - (scal - lam) g - mu dphi (x) dphi at every point."""
+        res = self.hess - (self.scal - lam)[:, None, None] * self.g
+        if mu != 0.0:
+            res = res - mu * (self.dphi[:, :, None] * self.dphi[:, None, :])
+        return res
+
+    def lambda_estimate(self, mu: float) -> LambdaEstimate:
+        """See infer_lambda."""
+        norm2 = np.array([np.einsum("ij,i,j->", gi, d, d)
+                          for gi, d in zip(self.g_inv, self.dphi)])
+        samples = self.scal - (self.lap - mu * norm2) / self.g.shape[1]
+        value = float(samples.mean())
+        spread = float(np.max(np.abs(samples - value)))
+        return LambdaEstimate(value, spread, samples)
+
+    def residual_report(self, lam: float, mu: float,
+                        tol: float) -> ResidualReport:
+        """See residual_report."""
+        if tol <= 0.0:
+            raise ValueError("tolerance must be positive")
+        grids = self.residuals(lam, mu)
+        per_point = np.abs(grids).max(axis=(1, 2))
+        worst = int(np.argmax(per_point))
+        max_abs = float(per_point[worst])
+        return ResidualReport(
+            points=self.points,
+            residual_grids=grids,
+            max_abs=max_abs,
+            mean_abs=float(per_point.mean()),
+            passed=max_abs <= tol,
+            worst_point=self.points[worst].copy(),
+        )
+
+
+def point_geometry(metric: MetricField, potential: ScalarField,
+                   points: Sequence[Sequence[float]]) -> PointGeometry:
+    """One metric_at -> curvature_from -> potential jet pass per point."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[0] == 0:
+        raise ValueError("the geometry pass needs at least one point")
+    rows = []
+    for point in pts:
+        data = metric_at(metric, point)
+        curv = curvature_from(data)
+        jet = eval_jet2(potential, data.point)
+        hess = covariant_hessian_from(jet.gradient, jet.hessian, curv.gamma)
+        lap = np.einsum("ij,ij->", data.g_inv, hess)
+        rows.append((data.g, data.g_inv, curv.scalar, jet.gradient, hess, lap))
+    return PointGeometry(pts, *(np.array(column) for column in zip(*rows)))
+
+
+# ---------------------------------------------------------------------
 # Residuals
 # ---------------------------------------------------------------------
 
 def gqy_residual(metric: MetricField, soliton: SolitonData,
                  point: Sequence[float]) -> np.ndarray:
     """Hess(phi) - (scal - lam) g - mu dphi (x) dphi at one point."""
-    data = metric_at(metric, point)
-    curv = curvature_from(data)
-    jet = eval_jet2(soliton.potential, data.point)
-    hess = jet.hessian - np.einsum("kij,k->ij", curv.gamma, jet.gradient)
-    res = hess - (curv.scalar - soliton.lam) * data.g
-    if soliton.mu != 0.0:
-        res = res - soliton.mu * np.outer(jet.gradient, jet.gradient)
-    return res
+    geometry = point_geometry(metric, soliton.potential, [point])
+    return geometry.residuals(soliton.lam, soliton.mu)[0]
 
 
 def gys_residual(metric: MetricField, soliton: SolitonData,
@@ -142,8 +210,8 @@ def theta_check(metric: MetricField, soliton: SolitonData,
     curv = curvature_from(data)
     jet_phi = eval_jet2(soliton.potential, data.point)
     jet_th = eval_jet2(theta, data.point)
-    hess_phi = jet_phi.hessian - np.einsum("kij,k->ij", curv.gamma, jet_phi.gradient)
-    hess_th = jet_th.hessian - np.einsum("kij,k->ij", curv.gamma, jet_th.gradient)
+    hess_phi = covariant_hessian_from(jet_phi.gradient, jet_phi.hessian, curv.gamma)
+    hess_th = covariant_hessian_from(jet_th.gradient, jet_th.hessian, curv.gamma)
     theta_res = hess_th + (jet_th.value / m) * (curv.scalar - soliton.lam) * data.g
     identity_res = (
         hess_phi
@@ -174,22 +242,7 @@ def infer_lambda(metric: MetricField, potential: ScalarField,
     a genuine soliton the samples are constant; ``spread`` is the
     largest deviation from their mean and doubles as a structure check.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] == 0:
-        raise ValueError("lambda inference needs at least one point")
-    n = metric.dimension
-    samples = np.empty(pts.shape[0])
-    for row, point in enumerate(pts):
-        data = metric_at(metric, point)
-        curv = curvature_from(data)
-        jet = eval_jet2(potential, data.point)
-        hess = jet.hessian - np.einsum("kij,k->ij", curv.gamma, jet.gradient)
-        lap = float(np.einsum("ij,ij->", data.g_inv, hess))
-        norm2 = float(np.einsum("ij,i,j->", data.g_inv, jet.gradient, jet.gradient))
-        samples[row] = curv.scalar - (lap - mu * norm2) / n
-    value = float(samples.mean())
-    spread = float(np.max(np.abs(samples - value)))
-    return LambdaEstimate(value, spread, samples)
+    return point_geometry(metric, potential, points).lambda_estimate(mu)
 
 
 def classify(lam: float, tol: float = 1e-8) -> str:
@@ -220,27 +273,8 @@ def residual_report(metric: MetricField, soliton: SolitonData,
                     tol: float) -> ResidualReport:
     """Residual grid at every point; pass iff the largest entry is
     within tol.  mean_abs averages the per-point max norms."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] == 0:
-        raise ValueError("residual report needs at least one point")
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
-    n = metric.dimension
-    grids = np.empty((pts.shape[0], n, n))
-    per_point = np.empty(pts.shape[0])
-    for row, point in enumerate(pts):
-        grids[row] = gqy_residual(metric, soliton, point)
-        per_point[row] = np.max(np.abs(grids[row]))
-    worst = int(np.argmax(per_point))
-    max_abs = float(per_point[worst])
-    return ResidualReport(
-        points=pts,
-        residual_grids=grids,
-        max_abs=max_abs,
-        mean_abs=float(per_point.mean()),
-        passed=max_abs <= tol,
-        worst_point=pts[worst].copy(),
-    )
+    geometry = point_geometry(metric, soliton.potential, points)
+    return geometry.residual_report(soliton.lam, soliton.mu, tol)
 
 
 # ---------------------------------------------------------------------
@@ -338,9 +372,8 @@ def warped_conditions_check(
         gamma_b = christoffel(base_data)
         jet_th = eval_jet2(theta, full_point)
         grad_th = jet_th.gradient[:dim_base]
-        hess_th = (
-            jet_th.hessian[:dim_base, :dim_base]
-            - np.einsum("kij,k->ij", gamma_b, grad_th)
+        hess_th = covariant_hessian_from(
+            grad_th, jet_th.hessian[:dim_base, :dim_base], gamma_b
         )
         jet_b = eval_jet2(warping, x)
         pairing = float(np.einsum("ij,i,j->", base_data.g_inv, grad_th, jet_b.gradient))

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from solitonlab.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -259,3 +261,22 @@ def test_tol_flag_tightens_verification(tmp_path, capsys):
         str(tmp_path / "tight.csv"),
     )
     assert code_tight == 1
+
+
+def test_paper_literal_is_rejected_by_curvature_and_verify(capsys):
+    for command, name in (("verify", "grw_gqy_verify"),
+                          ("curvature", "sphere_curvature")):
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"{CONFIGS}/{name}.json", "--paper-literal"])
+        assert exc.value.code == 2
+        assert "--paper-literal" in capsys.readouterr().err
+
+
+def test_paper_literal_is_rejected_by_the_grw_construction(tmp_path, capsys):
+    code, stdout, stderr = run(
+        capsys, "construct", f"{CONFIGS}/grw_construct.json",
+        "--paper-literal", "--out", str(tmp_path / "grw.csv"),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "--paper-literal" in stderr
