@@ -9,6 +9,13 @@ independent cross-check, not as a fallback.
 
 The hessian produced by eval_jet2 is symmetric bit-for-bit: every rule
 below fills H[i, j] and H[j, i] from the same commutative float sums.
+
+Domain rules, shared with plain evaluation where a value exists:
+
+    exp(x)    DomainError for x > log(DBL_MAX) (EXP_ARG_MAX) in both
+    ln(x)     DomainError for x <= 0 in both
+    sqrt(x)   plain evaluation accepts x >= 0 (sqrt(0) = 0); the jet
+              needs x > 0, since the first derivative is infinite at 0
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .expressions import (
     Call,
     Const,
     Div,
+    EXP_ARG_MAX,
     External,
     Mul,
     Neg,
@@ -76,7 +84,7 @@ def _recip_jet(b: Jet2) -> Jet2:
 def _call_jet(func: str, u: Jet2) -> Jet2:
     x = u.value
     if func == "exp":
-        if x > 709.0:
+        if x > EXP_ARG_MAX:
             raise DomainError("overflow in exp")
         e = np.exp(x)
         return _chain(u, e, e, e)

@@ -34,6 +34,7 @@ supplied chart is an UnknownVariableError.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
@@ -151,6 +152,9 @@ Node = Union[Const, Var, Neg, Add, Sub, Mul, Div, Pow, Call, External]
 
 FUNCTION_NAMES = ("exp", "ln", "sin", "cos", "sqrt")
 
+# exp(x) is finite exactly when x <= log(DBL_MAX); both evaluators cut here.
+EXP_ARG_MAX = math.log(sys.float_info.max)
+
 ZERO = Const(0.0)
 ONE = Const(1.0)
 
@@ -259,14 +263,13 @@ _CALL_TABLE: dict[str, Callable[[float], float]] = {
 
 
 def _call_value(func: str, x: float) -> float:
+    if func == "exp" and x > EXP_ARG_MAX:
+        raise DomainError("overflow in exp")
     if func == "ln" and x <= 0.0:
         raise DomainError("ln of a non-positive argument")
     if func == "sqrt" and x < 0.0:
         raise DomainError("sqrt of a negative argument")
-    try:
-        return _CALL_TABLE[func](x)
-    except OverflowError as exc:
-        raise DomainError(f"overflow in {func}") from exc
+    return _CALL_TABLE[func](x)
 
 
 def call(func: str, arg: Node) -> Node:

@@ -12,7 +12,12 @@ For each family this module provides the metric assembly, the reduced
 equation system its soliton condition induces, closed-form hessian and
 laplacian tables evaluated straight from jets (cross-checks for the
 generic curvature pipeline), and the explicit potential constructions,
-including the quadrature-backed profiles.
+including the quadrature-backed profiles.  For general warped products
+it checks the base/fiber conditions a coupled soliton imposes.
+
+The reduced systems, the warped-product conditions and the laplacian
+report read their geometry from the one pass, soliton.point_geometry;
+the closed-form tables read jets only, so they stay independent of it.
 
 Two construction formulas circulate in slightly different forms; both
 variants are implemented.  The default is the one that satisfies the
@@ -24,7 +29,7 @@ literal 3d hessian yy-row, which drops two correction terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -32,12 +37,6 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .autodiff import eval_jet2
-from .curvature import (
-    christoffel,
-    covariant_hessian_from,
-    curvature_from,
-    laplace_beltrami,
-)
 from .errors import (
     DomainError,
     NonPositiveEtaPrimeError,
@@ -55,8 +54,9 @@ from .expressions import (
     mul,
     neg,
 )
-from .metrics import MetricField, metric_at
+from .metrics import MetricField
 from .quadrature import adaptive_simpson
+from .soliton import SolitonData, point_geometry, theta_substitution
 
 __all__ = [
     "WarpedProductSpec",
@@ -73,6 +73,8 @@ __all__ = [
     "grw_system_residual",
     "grw_lambda_map",
     "static_system_residual",
+    "WarpedConditions",
+    "warped_conditions_check",
     "walker3_metric",
     "walker3_closed_forms",
     "walker3_pde_residual",
@@ -355,24 +357,24 @@ def grw_samples(spec: GRWSpec, metric: MetricField, potential: ScalarField,
                 ) -> list[GRWSample]:
     """The reduced system at each time on ``metric``, the product metric
     of ``spec``, which the caller assembles once.  The warping must be
-    positive at every time; the fiber point defaults to the origin."""
-    samples = []
-    for t in times:
-        _check_positive(spec.warping, [[t]], "warping")
-        samples.append(_grw_sample(spec, metric, potential, t, fiber_point))
-    return samples
+    positive at every time; the fiber point defaults to the origin.
 
-
-def _grw_sample(spec: GRWSpec, metric: MetricField, potential: ScalarField,
-                t: float, fiber_point: Sequence[float] | None) -> GRWSample:
+    One geometry pass over the points (t, fiber_point) gives scal,
+    phi' and phi''; Gamma^k_tt vanishes on -dt^2 + w^2 g_F, so the
+    covariant tt entry is the plain second derivative.
+    """
+    _check_positive(spec.warping, np.reshape(times, (-1, 1)), "warping")
     if fiber_point is None:
         fiber_point = np.zeros(spec.fiber.dimension)
-    point = np.concatenate([[t], np.asarray(fiber_point, dtype=float)])
-    scal = curvature_from(metric_at(metric, point)).scalar
-    jet_p = eval_jet2(potential, (t,))
-    jet_w = eval_jet2(spec.warping, (t,))
-    return GRWSample(scal, float(jet_p.gradient[0]), float(jet_p.hessian[0, 0]),
-                     jet_w.value, float(jet_w.gradient[0]))
+    points = [[t, *fiber_point] for t in times]
+    geometry = point_geometry(metric, potential.with_chart(metric.chart), points)
+    samples = []
+    for t, scal, dphi, hess in zip(times, geometry.scal, geometry.dphi,
+                                   geometry.hess):
+        jet_w = eval_jet2(spec.warping, (t,))
+        samples.append(GRWSample(float(scal), float(dphi[0]), float(hess[0, 0]),
+                                 jet_w.value, float(jet_w.gradient[0])))
+    return samples
 
 
 def grw_system_residual(spec: GRWSpec, potential: ScalarField, lam: float,
@@ -389,7 +391,7 @@ def grw_system_residual(spec: GRWSpec, potential: ScalarField, lam: float,
     (t, fiber_point); the fiber point defaults to the origin.
     """
     metric = assemble_warped_metric(spec, check_points=[[t]])
-    return _grw_sample(spec, metric, potential, t, fiber_point).residual(lam)
+    return grw_samples(spec, metric, potential, [t], fiber_point)[0].residual(lam)
 
 
 def grw_lambda_map(spec: GRWSpec, potential: ScalarField, t: float,
@@ -398,7 +400,7 @@ def grw_lambda_map(spec: GRWSpec, potential: ScalarField, t: float,
     time t: scal - w' phi' / w.  Constancy over t is what makes the
     construction consistent."""
     metric = assemble_warped_metric(spec, check_points=[[t]])
-    return _grw_sample(spec, metric, potential, t, fiber_point).lambda_map()
+    return grw_samples(spec, metric, potential, [t], fiber_point)[0].lambda_map()
 
 
 # =====================================================================
@@ -414,9 +416,10 @@ def static_system_residual(spec: StaticSpec, potential: ScalarField,
         r2 = Hess_F(phi) - (scal - lam) g_F
         r3 = Lap_F(phi) - (s / lapse) g_F(grad phi, grad lapse)
 
-    The potential lives on the fiber chart; the scalar curvature comes
-    from the assembled static metric (time-independent by construction,
-    evaluated at time 0).
+    The potential lives on the fiber chart.  Everything is read from
+    two fiber passes, one for the potential and one for the lapse; the
+    static scalar curvature is scal_F - 2 Lap_F(lapse) / lapse (O'Neill,
+    Semi-Riemannian Geometry, 7.43, with a one-dimensional time fiber).
     """
     p = np.asarray(fiber_point, dtype=float)
     lapse_value = spec.lapse(p)
@@ -426,21 +429,14 @@ def static_system_residual(spec: StaticSpec, potential: ScalarField,
         )
     if potential.chart != spec.fiber.chart:
         raise ValueError("potential must live on the fiber chart")
-    metric = assemble_warped_metric(spec)
-    scal = curvature_from(metric_at(metric, np.concatenate([[0.0], p]))).scalar
-    data = metric_at(spec.fiber, p)
-    gamma = christoffel(data)
-    jet_phi = eval_jet2(potential, p)
-    jet_lapse = eval_jet2(spec.lapse, p)
-    hess = covariant_hessian_from(jet_phi.gradient, jet_phi.hessian, gamma)
-    pairing = float(np.einsum(
-        "ij,i,j->", data.g_inv, jet_phi.gradient, jet_lapse.gradient
-    ))
-    lap = float(np.einsum("ij,ij->", data.g_inv, hess))
+    phi = point_geometry(spec.fiber, potential, [p])
+    lapse = point_geometry(spec.fiber, spec.lapse, [p])
+    scal = float(phi.scal[0] - 2.0 * lapse.lap[0] / lapse_value)
+    pairing = float(np.einsum("ij,i,j->", phi.g_inv[0], phi.dphi[0], lapse.dphi[0]))
     s = spec.fiber.dimension
     r1 = pairing - (scal - lam) * lapse_value
-    r2 = hess - (scal - lam) * data.g
-    r3 = lap - (s / lapse_value) * pairing
+    r2 = phi.hess[0] - (scal - lam) * phi.g[0]
+    r3 = float(phi.lap[0]) - (s / lapse_value) * pairing
     return r1, r2, r3
 
 
@@ -723,7 +719,112 @@ def laplacian_report(metric: MetricField, f: ScalarField,
                      points: Sequence[Sequence[float]]) -> LaplacianReport:
     """Laplacian of f sampled over points, with the spread about the
     mean; the explicit constructions make it constant."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    values = np.array([laplace_beltrami(f, metric_at(metric, p)) for p in pts])
+    values = point_geometry(metric, f, points).lap
     mean = float(values.mean())
     return LaplacianReport(values, mean, float(np.max(np.abs(values - mean))))
+
+
+# =====================================================================
+# Warped-product conditions
+# =====================================================================
+
+@dataclass(frozen=True, eq=False)
+class WarpedConditions:
+    """Residuals of the base/fiber conditions a coupled soliton imposes
+    on a warped product.
+
+    fiber_dependence      largest fiber-direction derivative of phi
+    pairing_gap           largest |g_B(grad theta, grad b) - (lam - scal) b theta / m|
+    base_hessian_gap      largest entry of Hess_B(theta) - (theta/m)(lam - scal) g_B
+    fiber_scalar_spread   spread of the fiber scalar-curvature samples
+    pairing_min_abs       smallest |g_B(grad theta, grad b)| seen, reported
+                          so callers can judge the non-orthogonality
+                          requirement at their sample points
+    """
+
+    fiber_dependence: float
+    pairing_gap: float
+    base_hessian_gap: float
+    fiber_scalar_spread: float
+    pairing_min_abs: float
+
+    def max_gap(self) -> float:
+        return max(
+            self.fiber_dependence,
+            self.pairing_gap,
+            self.base_hessian_gap,
+            self.fiber_scalar_spread,
+        )
+
+
+def warped_conditions_check(
+    base: MetricField,
+    fiber: MetricField,
+    warping: ScalarField,
+    soliton: SolitonData,
+    base_points: Sequence[Sequence[float]],
+    fiber_points: Sequence[Sequence[float]],
+) -> WarpedConditions:
+    """Check the warped-product conditions at sampled points.
+
+    The product metric g_B + warping^2 g_F is assembled on the chart
+    base.chart + fiber.chart and its scalar curvature enters the
+    right-hand sides.  Conditions, with theta = exp(-mu phi), m = 1/mu:
+
+      1. phi has no fiber dependence (every base x fiber pairing);
+      2. g_B(grad theta, grad b) = (lam - scal) b theta / m;
+      3. Hess_B(theta) = (theta/m)(lam - scal) g_B;
+      4. the fiber scalar curvature is constant over fiber_points.
+
+    Conditions 2 and 3 come from one pass of theta over the product
+    points (x, y0), y0 the first fiber point.  The base block of the
+    product's g, g^-1 and covariant hessian is the base data, because
+    Gamma^a_ij vanishes for a fiber index a and base indices i, j.
+    """
+    if soliton.mu == 0.0:
+        raise ValueError("warped conditions need a nonzero coupling")
+    m = 1.0 / soliton.mu
+    base_pts = np.atleast_2d(np.asarray(base_points, dtype=float))
+    fiber_pts = np.atleast_2d(np.asarray(fiber_points, dtype=float))
+    if base_pts.shape[0] == 0 or fiber_pts.shape[0] == 0:
+        raise ValueError("warped conditions need base and fiber points")
+    metric = assemble_warped_metric(WarpedProductSpec(base, fiber, warping),
+                                    check_points=base_pts)
+    if soliton.potential.chart != metric.chart:
+        raise ValueError("potential must live on the product chart")
+    nb = base.dimension
+
+    # 1. fiber independence of phi, over all pairings
+    fiber_dependence = 0.0
+    for x in base_pts:
+        for y in fiber_pts:
+            jet = eval_jet2(soliton.potential, np.concatenate([x, y]))
+            slope = float(np.max(np.abs(jet.gradient[nb:])))
+            fiber_dependence = max(fiber_dependence, slope)
+
+    # 2 and 3, along the base with the fiber block pinned
+    theta = theta_substitution(soliton.potential, soliton.mu)
+    full_pts = [np.concatenate([x, fiber_pts[0]]) for x in base_pts]
+    geometry = point_geometry(metric, theta, full_pts)
+    theta_values = np.array([theta(p) for p in full_pts])
+    jets_b = [eval_jet2(warping, x) for x in base_pts]
+    rhs = (soliton.lam - geometry.scal) * theta_values / m
+    pairing = np.einsum("pij,pi,pj->p", geometry.g_inv[:, :nb, :nb],
+                        geometry.dphi[:, :nb], [jet.gradient for jet in jets_b])
+    pairing_gap = np.abs(pairing - rhs * [jet.value for jet in jets_b]).max()
+    base_hessian_gap = np.abs(
+        geometry.hess[:, :nb, :nb] - rhs[:, None, None] * geometry.g[:, :nb, :nb]
+    ).max()
+
+    # 4. fiber scalar-curvature constancy
+    fiber_scal = point_geometry(fiber, constant_field(fiber.chart, 0.0),
+                                fiber_pts).scal
+    spread = float(np.max(np.abs(fiber_scal - fiber_scal.mean())))
+
+    return WarpedConditions(
+        fiber_dependence=fiber_dependence,
+        pairing_gap=float(pairing_gap),
+        base_hessian_gap=float(base_hessian_gap),
+        fiber_scalar_spread=spread,
+        pairing_min_abs=float(np.abs(pairing).min()),
+    )

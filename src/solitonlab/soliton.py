@@ -19,9 +19,9 @@ and, with no soliton assumption at all, the two hessians satisfy
     Hess(phi) = (1/m) dphi (x) dphi - (m/theta) Hess(theta).
 
 theta_check exposes both facts as residual matrices.  The module also
-provides lambda inference from the traced equation, classification,
-residual summaries over point sets, and the base/fiber conditions that
-characterize these solitons on warped products.
+provides lambda inference from the traced equation, classification and
+residual summaries over point sets.  All of them, and every reduced
+system in ``families``, read the one geometry pass, point_geometry.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import eval_jet2
-from .curvature import christoffel, covariant_hessian_from, curvature_from
-from .errors import NonPositiveWarpingError
+from .curvature import covariant_hessian_from, curvature_from
 from .expressions import Const, ScalarField, mul, neg
 from .expressions import call as _call
 from .metrics import MetricField, metric_at
@@ -53,8 +52,6 @@ __all__ = [
     "classify",
     "ResidualReport",
     "residual_report",
-    "WarpedConditions",
-    "warped_conditions_check",
 ]
 
 
@@ -275,126 +272,3 @@ def residual_report(metric: MetricField, soliton: SolitonData,
     within tol.  mean_abs averages the per-point max norms."""
     geometry = point_geometry(metric, soliton.potential, points)
     return geometry.residual_report(soliton.lam, soliton.mu, tol)
-
-
-# ---------------------------------------------------------------------
-# Warped-product conditions
-# ---------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class WarpedConditions:
-    """Residuals of the base/fiber conditions a coupled soliton imposes
-    on a warped product.
-
-    fiber_dependence      largest fiber-direction derivative of phi
-    pairing_gap           largest |g_B(grad theta, grad b) - (lam - scal) b theta / m|
-    base_hessian_gap      largest entry of Hess_B(theta) - (theta/m)(lam - scal) g_B
-    fiber_scalar_spread   spread of the fiber scalar-curvature samples
-    pairing_min_abs       smallest |g_B(grad theta, grad b)| seen, reported
-                          so callers can judge the non-orthogonality
-                          requirement at their sample points
-    """
-
-    fiber_dependence: float
-    pairing_gap: float
-    base_hessian_gap: float
-    fiber_scalar_spread: float
-    pairing_min_abs: float
-
-    def max_gap(self) -> float:
-        return max(
-            self.fiber_dependence,
-            self.pairing_gap,
-            self.base_hessian_gap,
-            self.fiber_scalar_spread,
-        )
-
-
-def warped_conditions_check(
-    base: MetricField,
-    fiber: MetricField,
-    warping: ScalarField,
-    soliton: SolitonData,
-    base_points: Sequence[Sequence[float]],
-    fiber_points: Sequence[Sequence[float]],
-) -> WarpedConditions:
-    """Check the warped-product conditions at sampled points.
-
-    The product metric g_B + warping^2 g_F is assembled on the chart
-    base.chart + fiber.chart and its scalar curvature enters the
-    right-hand sides.  Conditions, with theta = exp(-mu phi), m = 1/mu:
-
-      1. phi has no fiber dependence (every base x fiber pairing);
-      2. g_B(grad theta, grad b) = (lam - scal) b theta / m;
-      3. Hess_B(theta) = (theta/m)(lam - scal) g_B;
-      4. the fiber scalar curvature is constant over fiber_points.
-
-    Conditions 2 and 3 run along base_points with the fiber block
-    pinned to the first fiber point.
-    """
-    from .families import WarpedProductSpec, assemble_warped_metric
-
-    if soliton.mu == 0.0:
-        raise ValueError("warped conditions need a nonzero coupling")
-    m = 1.0 / soliton.mu
-    base_pts = np.atleast_2d(np.asarray(base_points, dtype=float))
-    fiber_pts = np.atleast_2d(np.asarray(fiber_points, dtype=float))
-    if base_pts.shape[0] == 0 or fiber_pts.shape[0] == 0:
-        raise ValueError("warped conditions need base and fiber points")
-    for x in base_pts:
-        if warping(x) <= 0.0:
-            raise NonPositiveWarpingError(
-                f"warping is not positive at base point {x.tolist()}"
-            )
-    metric = assemble_warped_metric(WarpedProductSpec(base, fiber, warping))
-    dim_base = base.dimension
-    if soliton.potential.chart != metric.chart:
-        raise ValueError("potential must live on the product chart")
-    theta = theta_substitution(soliton.potential, soliton.mu)
-
-    # 1. fiber independence of phi, over all pairings
-    fiber_dependence = 0.0
-    for x in base_pts:
-        for y in fiber_pts:
-            jet = eval_jet2(soliton.potential, np.concatenate([x, y]))
-            slope = float(np.max(np.abs(jet.gradient[dim_base:])))
-            fiber_dependence = max(fiber_dependence, slope)
-
-    # 2 and 3, along the base with the fiber block pinned
-    y0 = fiber_pts[0]
-    pairing_gap = 0.0
-    base_hessian_gap = 0.0
-    pairing_min = np.inf
-    for x in base_pts:
-        full_point = np.concatenate([x, y0])
-        scal = curvature_from(metric_at(metric, full_point)).scalar
-        base_data = metric_at(base, x)
-        gamma_b = christoffel(base_data)
-        jet_th = eval_jet2(theta, full_point)
-        grad_th = jet_th.gradient[:dim_base]
-        hess_th = covariant_hessian_from(
-            grad_th, jet_th.hessian[:dim_base, :dim_base], gamma_b
-        )
-        jet_b = eval_jet2(warping, x)
-        pairing = float(np.einsum("ij,i,j->", base_data.g_inv, grad_th, jet_b.gradient))
-        pairing_min = min(pairing_min, abs(pairing))
-        want = (soliton.lam - scal) * jet_b.value * jet_th.value / m
-        pairing_gap = max(pairing_gap, abs(pairing - want))
-        hess_want = (jet_th.value / m) * (soliton.lam - scal) * base_data.g
-        base_hessian_gap = max(
-            base_hessian_gap, float(np.max(np.abs(hess_th - hess_want)))
-        )
-
-    # 4. fiber scalar-curvature constancy
-    fiber_scal = np.empty(fiber_pts.shape[0])
-    for row, y in enumerate(fiber_pts):
-        fiber_scal[row] = curvature_from(metric_at(fiber, y)).scalar
-    spread = float(np.max(np.abs(fiber_scal - fiber_scal.mean())))
-
-    return WarpedConditions(
-        fiber_dependence=fiber_dependence,
-        pairing_gap=pairing_gap,
-        base_hessian_gap=base_hessian_gap,
-        fiber_scalar_spread=spread,
-        pairing_min_abs=float(pairing_min),
-    )

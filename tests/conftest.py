@@ -10,7 +10,12 @@ curvature pipelines are never asked to confirm themselves:
     scalar curvature from plain finite differences of metric values,
     with explicit index loops.  It never touches the jet evaluator or
     the einsum pipeline.
+
+count_calls counts the calls of one library function for the
+call-count tests.
 """
+
+import sys
 
 import numpy as np
 
@@ -157,3 +162,21 @@ def fd_curvature(metric, point, h=1e-5):
         for k in range(n):
             scalar += g_inv[j, k] * ricci[j, k]
     return gamma, riemann, ricci, scalar
+
+
+def count_calls(monkeypatch, module_name, func_name):
+    """Wrap a solitonlab function wherever a solitonlab module binds it."""
+    original = getattr(sys.modules[f"solitonlab.{module_name}"], func_name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    for key, module in list(sys.modules.items()):
+        if module is None or not (key == "solitonlab" or key.startswith("solitonlab.")):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counted)
+    return calls

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from solitonlab import DomainError, eval_jet2, finite_diff_jet2, parse_expression
-from solitonlab.expressions import External, ScalarField, Var
+from solitonlab.expressions import EXP_ARG_MAX, External, ScalarField, Var
 
 from conftest import random_field
 
@@ -100,6 +100,32 @@ def test_jet_domain_errors():
     k = parse_expression("exp(u)", CHART)
     with pytest.raises(DomainError):
         eval_jet2(k, (1.0e4, 1.0, 1.0))
+
+
+def test_exp_overflows_at_one_threshold_in_both_evaluators():
+    f = parse_expression("exp(u)", CHART)
+    for x in (709.5, EXP_ARG_MAX):
+        value = f((x, 1.0, 1.0))
+        assert np.isfinite(value)
+        assert abs(eval_jet2(f, (x, 1.0, 1.0)).value - value) <= 1e-15 * value
+    for x in (709.9, np.nextafter(EXP_ARG_MAX, np.inf)):
+        with pytest.raises(DomainError, match="overflow in exp"):
+            f((x, 1.0, 1.0))
+        with pytest.raises(DomainError, match="overflow in exp"):
+            eval_jet2(f, (x, 1.0, 1.0))
+
+
+def test_ln_and_sqrt_at_zero_in_both_evaluators():
+    ln_u = parse_expression("ln(u)", CHART)
+    with pytest.raises(DomainError, match="non-positive"):
+        ln_u((0.0, 1.0, 1.0))
+    with pytest.raises(DomainError, match="non-positive"):
+        eval_jet2(ln_u, (0.0, 1.0, 1.0))
+    # sqrt(0) has a value, but its first derivative is infinite.
+    sqrt_u = parse_expression("sqrt(u)", CHART)
+    assert sqrt_u((0.0, 1.0, 1.0)) == 0.0
+    with pytest.raises(DomainError):
+        eval_jet2(sqrt_u, (0.0, 1.0, 1.0))
 
 
 def test_external_node_requires_two_derivatives():

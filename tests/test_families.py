@@ -8,18 +8,23 @@ quadrature-backed potentials are checked against hand-integrable
 warpings.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from solitonlab import (
     DomainError,
+    MetricField,
     NonPositiveEtaPrimeError,
     NonPositiveWarpingError,
     SolitonData,
+    christoffel,
     constant_field,
     coordinate_field,
     covariant_hessian,
     curvature_at,
+    eval_jet2,
     exp as field_exp,
     flat_metric,
     infer_lambda,
@@ -28,13 +33,16 @@ from solitonlab import (
     parse_expression,
     residual_report,
     sphere_metric,
+    theta_substitution,
 )
+from solitonlab.curvature import covariant_hessian_from
 from solitonlab.families import (
     GRWSpec,
     StaticSpec,
     Walker3Construction,
     Walker3Spec,
     Walker4Spec,
+    WarpedConditions,
     WarpedProductSpec,
     assemble_warped_metric,
     grw_lambda_map,
@@ -51,9 +59,10 @@ from solitonlab.families import (
     walker4_construct,
     walker4_metric,
     walker4_pde_residual,
+    warped_conditions_check,
 )
 
-from conftest import random_field
+from conftest import count_calls, random_field
 
 
 # ---------------------------------------------------------------
@@ -293,6 +302,30 @@ def test_static_trace_identity_on_arbitrary_data():
             trace_r2 = float(np.einsum("ij,ij->", data.g_inv, r2))
             lapse_value = spec.lapse(point)
             assert abs(r3 - (trace_r2 - (s / lapse_value) * r1)) < 1e-9
+
+
+def test_static_system_assembles_no_product_metric(monkeypatch):
+    calls = count_calls(monkeypatch, "families", "assemble_warped_metric")
+    spec = _static_instance()
+    potential = coordinate_field(("x1", "x2"), "x1")
+    for point in ((0.3, -0.5), (-0.2, 0.4)):
+        static_system_residual(spec, potential, -2.0, point)
+    assert len(calls) == 0
+
+
+def test_static_scalar_curvature_matches_the_generic_pipeline():
+    # With phi = 0 and lam = 0, r1 = -scal * lapse; the curved fiber
+    # makes both scal_F and Lap_F(lapse) nonzero.  The assembled static
+    # metric through the generic pipeline is the oracle.
+    fiber = sphere_metric(1.5)
+    lapse = parse_expression("2 + cos(u)*sin(v)", fiber.chart)
+    spec = StaticSpec(lapse, fiber)
+    metric = assemble_warped_metric(spec)
+    zero = constant_field(fiber.chart, 0.0)
+    for point in ((0.7, 0.4), (1.9, -1.1)):
+        r1, _, _ = static_system_residual(spec, zero, 0.0, point)
+        want = curvature_at(metric, (0.0, *point)).scalar
+        assert abs(-r1 / lapse(point) - want) < 1e-10
 
 
 def test_static_system_rejects_non_positive_lapse():
@@ -548,3 +581,62 @@ def test_laplacian_report_flags_non_constant_laplacians():
     report2 = laplacian_report(metric, g, [(0.0, 0.0), (1.0, 2.0)])
     assert abs(report2.mean - 4.0) < 1e-12
     assert report2.max_deviation < 1e-12
+
+
+# ---------------------------------------------------------------
+# warped-product conditions
+# ---------------------------------------------------------------
+
+def test_warped_conditions_on_a_curved_base_match_a_base_chart_reference():
+    # Non-constant, non-diagonal base metric, so Gamma_B is nonzero and
+    # the base block of the product pass is really put to the test.
+    base = MetricField.from_rows(
+        ("x", "y"),
+        [["2 + x^2", "0.5*x*y"], ["0.5*x*y", "1 + y^2 + 0.3*sin(x)"]],
+        "++",
+    )
+    fiber = sphere_metric(1.0, ("u", "v"))
+    warping = parse_expression("1.5 + 0.3*x - 0.2*x*y", base.chart)
+    chart = base.chart + fiber.chart
+    potential = parse_expression("0.4*x + 0.2*y^2 + 0.1*sin(u)", chart)
+    soliton = SolitonData(potential, 0.3, mu=0.5)
+    base_pts = np.array([(0.5, -0.4), (-0.6, 0.7), (0.2, 0.9)])
+    fiber_pts = np.array([(0.8, 0.3), (1.4, -0.6)])
+    got = warped_conditions_check(base, fiber, warping, soliton,
+                                  base_pts, fiber_pts)
+
+    metric = assemble_warped_metric(WarpedProductSpec(base, fiber, warping))
+    theta = theta_substitution(potential, soliton.mu)
+    m = 1.0 / soliton.mu
+    pairings, pairing_gaps, hessian_gaps = [], [], []
+    for x in base_pts:
+        full = np.concatenate([x, fiber_pts[0]])
+        scal = curvature_at(metric, full).scalar
+        base_data = metric_at(base, x)
+        gamma_b = christoffel(base_data)
+        assert np.abs(gamma_b).max() > 0.05
+        jet_th = eval_jet2(theta, full)
+        hess_th = covariant_hessian_from(jet_th.gradient[:2],
+                                         jet_th.hessian[:2, :2], gamma_b)
+        jet_b = eval_jet2(warping, x)
+        pairing = float(base_data.g_inv @ jet_th.gradient[:2] @ jet_b.gradient)
+        pairings.append(abs(pairing))
+        pairing_gaps.append(abs(
+            pairing - (soliton.lam - scal) * jet_b.value * jet_th.value / m))
+        hessian_gaps.append(np.abs(
+            hess_th - (jet_th.value / m) * (soliton.lam - scal) * base_data.g
+        ).max())
+    fiber_scal = np.array([curvature_at(fiber, y).scalar for y in fiber_pts])
+    want = WarpedConditions(
+        fiber_dependence=max(
+            np.abs(eval_jet2(potential, np.concatenate([x, y])).gradient[2:]).max()
+            for x in base_pts for y in fiber_pts
+        ),
+        pairing_gap=max(pairing_gaps),
+        base_hessian_gap=max(hessian_gaps),
+        fiber_scalar_spread=np.abs(fiber_scal - fiber_scal.mean()).max(),
+        pairing_min_abs=min(pairings),
+    )
+    for item in dataclasses.fields(WarpedConditions):
+        assert abs(getattr(got, item.name) - getattr(want, item.name)) < 1e-10, item.name
+    assert want.pairing_gap > 0.01 and want.base_hessian_gap > 0.01

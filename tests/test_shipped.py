@@ -6,12 +6,13 @@ as first benchmarked; every refactor must reproduce them exactly.
 
 import hashlib
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
 from solitonlab.cli import main
+
+from conftest import count_calls
 
 ROOT = Path(__file__).resolve().parent.parent
 REFS = json.loads((ROOT / "bench" / "shipped_refs.json").read_text(encoding="utf-8"))
@@ -33,27 +34,9 @@ def test_shipped_config_reproduces_its_reference(ref, tmp_path, capsys,
     assert hashlib.sha256(data).hexdigest() == ref["csv_sha256"]
 
 
-def _count_calls(monkeypatch, module_name, func_name):
-    """Wrap a solitonlab function wherever a solitonlab module binds it."""
-    original = getattr(sys.modules[f"solitonlab.{module_name}"], func_name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return original(*args, **kwargs)
-
-    for key, module in list(sys.modules.items()):
-        if module is None or not (key == "solitonlab" or key.startswith("solitonlab.")):
-            continue
-        for attr, value in list(vars(module).items()):
-            if value is original:
-                monkeypatch.setattr(module, attr, counted)
-    return calls
-
-
 def test_verify_evaluates_the_metric_once_per_grid_point(tmp_path, capsys,
                                                          monkeypatch):
-    calls = _count_calls(monkeypatch, "metrics", "metric_at")
+    calls = count_calls(monkeypatch, "metrics", "metric_at")
     code = main(["verify", str(ROOT / "configs" / "grw_gqy_verify.json"),
                  "--out", str(tmp_path / "gqy.csv")])
     assert code == 0
@@ -62,7 +45,7 @@ def test_verify_evaluates_the_metric_once_per_grid_point(tmp_path, capsys,
 
 def test_grw_construct_assembles_its_product_metric_once(tmp_path, capsys,
                                                          monkeypatch):
-    calls = _count_calls(monkeypatch, "families", "assemble_warped_metric")
+    calls = count_calls(monkeypatch, "families", "assemble_warped_metric")
     code = main(["construct", str(ROOT / "configs" / "grw_construct.json"),
                  "--out", str(tmp_path / "grw.csv")])
     assert code == 0
