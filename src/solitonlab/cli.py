@@ -477,12 +477,9 @@ def _cmd_curvature(cfg: dict, args: argparse.Namespace) -> int:
     header = list(chart) + ["tau"] + [
         f"ricci_{chart[i]}_{chart[j]}" for i in range(n) for j in range(i, n)
     ]
-    rows = []
-    for p in pts:
-        curv = curvature_from(metric_at(job.metric, p))
-        row = list(p) + [curv.scalar]
-        row.extend(curv.ricci[i, j] for i in range(n) for j in range(i, n))
-        rows.append(row)
+    curv = curvature_from(metric_at(job.metric, pts))
+    upper = np.triu_indices(n)
+    rows = np.column_stack([pts, curv.scalar, curv.ricci[:, upper[0], upper[1]]])
     _emit_csv(args.out, [], header, rows)
     return 0
 

@@ -11,7 +11,10 @@ Conventions used throughout the package:
     Lap f        = g^{ij} Hess(f)_ij
 
 Array layouts match the formulas: gamma[k, i, j], riemann[l, k, i, j],
-ricci[j, k].
+ricci[j, k].  Every contraction is a leading-axis ('...') einsum, so
+the same code serves the data of one point and metric data stacked
+over P points (see metrics.metric_at), which adds a leading point axis
+to every array and turns the scalar curvature into a (P,) array.
 """
 
 from __future__ import annotations
@@ -41,11 +44,16 @@ def _christoffel_parts(data: MetricAtPoint) -> tuple[np.ndarray, np.ndarray]:
     # T[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij with dg[k, i, j] = d_k g_ij.
     dg = data.dg
     T = (
-        np.einsum("ijl->ijl", dg)
-        + np.einsum("jil->ijl", dg)
-        - np.einsum("lij->ijl", dg)
+        np.einsum("...ijl->...ijl", dg)
+        + np.einsum("...jil->...ijl", dg)
+        - np.einsum("...lij->...ijl", dg)
     )
-    return T, 0.5 * np.einsum("kl,ijl->kij", data.g_inv, T)
+    return T, 0.5 * np.einsum("...kl,...ijl->...kij", data.g_inv, T)
+
+
+def _scalar_or_stack(value: np.ndarray) -> float | np.ndarray:
+    """A float for the data of one point, the (P,) array for a stack."""
+    return float(value) if value.ndim == 0 else value
 
 
 def christoffel(data: MetricAtPoint) -> np.ndarray:
@@ -55,13 +63,14 @@ def christoffel(data: MetricAtPoint) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CurvatureAtPoint:
-    """Christoffel symbols and curvature tensors at one point."""
+    """Christoffel symbols and curvature tensors at one point, or with
+    a leading point axis for stacked metric data."""
 
     metric_data: MetricAtPoint
     gamma: np.ndarray
     riemann: np.ndarray
     ricci: np.ndarray
-    scalar: float
+    scalar: float | np.ndarray
 
 
 def curvature_from(data: MetricAtPoint) -> CurvatureAtPoint:
@@ -69,26 +78,26 @@ def curvature_from(data: MetricAtPoint) -> CurvatureAtPoint:
     d2g = data.d2g
     T, gamma = _christoffel_parts(data)
     # d_i g^{lm} = -g^{la} (d_i g_ab) g^{bm}
-    dginv = -np.einsum("la,iab,bm->ilm", ginv, data.dg, ginv)
+    dginv = -np.einsum("...la,...iab,...bm->...ilm", ginv, data.dg, ginv)
     # dT[i, j, k, m] = d_i (d_j g_km + d_k g_jm - d_m g_jk)
     dT = (
-        np.einsum("ijkm->ijkm", d2g)
-        + np.einsum("ikjm->ijkm", d2g)
-        - np.einsum("imjk->ijkm", d2g)
+        np.einsum("...ijkm->...ijkm", d2g)
+        + np.einsum("...ikjm->...ijkm", d2g)
+        - np.einsum("...imjk->...ijkm", d2g)
     )
     # dgamma[i, l, j, k] = d_i gamma^l_jk
     dgamma = 0.5 * (
-        np.einsum("ilm,jkm->iljk", dginv, T)
-        + np.einsum("lm,ijkm->iljk", ginv, dT)
+        np.einsum("...ilm,...jkm->...iljk", dginv, T)
+        + np.einsum("...lm,...ijkm->...iljk", ginv, dT)
     )
     riemann = (
-        np.einsum("iljk->lkij", dgamma)
-        - np.einsum("jlik->lkij", dgamma)
-        + np.einsum("lim,mjk->lkij", gamma, gamma)
-        - np.einsum("ljm,mik->lkij", gamma, gamma)
+        np.einsum("...iljk->...lkij", dgamma)
+        - np.einsum("...jlik->...lkij", dgamma)
+        + np.einsum("...lim,...mjk->...lkij", gamma, gamma)
+        - np.einsum("...ljm,...mik->...lkij", gamma, gamma)
     )
-    ricci = np.einsum("ijik->jk", riemann)
-    scalar = float(np.einsum("jk,jk->", ginv, ricci))
+    ricci = np.einsum("...ijik->...jk", riemann)
+    scalar = _scalar_or_stack(np.einsum("...jk,...jk->...", ginv, ricci))
     return CurvatureAtPoint(data, gamma, riemann, ricci, scalar)
 
 
@@ -100,7 +109,7 @@ def covariant_hessian_from(gradient: np.ndarray, hessian: np.ndarray,
                            gamma: np.ndarray) -> np.ndarray:
     """Hess(f)_ij = d_i d_j f - Gamma^k_ij d_k f from the coordinate
     gradient and hessian of f."""
-    return hessian - np.einsum("kij,k->ij", gamma, gradient)
+    return hessian - np.einsum("...kij,...k->...ij", gamma, gradient)
 
 
 def covariant_hessian(field: ScalarField, data: MetricAtPoint,
@@ -112,19 +121,19 @@ def covariant_hessian(field: ScalarField, data: MetricAtPoint,
     return covariant_hessian_from(jet.gradient, jet.hessian, gamma)
 
 
-def gradient_and_norm(field: ScalarField, data: MetricAtPoint) -> tuple[np.ndarray, float]:
+def gradient_and_norm(field: ScalarField, data: MetricAtPoint,
+                      ) -> tuple[np.ndarray, float | np.ndarray]:
     """Raised gradient g^{ij} d_j f and squared length g^{ij} d_i f d_j f.
 
     The squared length can be negative on an indefinite metric.
     """
-    jet = eval_jet2(field, data.point)
-    df = jet.gradient
-    raised = data.g_inv @ df
-    return raised, float(df @ raised)
+    df = eval_jet2(field, data.point).gradient
+    raised = np.einsum("...ij,...j->...i", data.g_inv, df)
+    return raised, _scalar_or_stack(np.einsum("...i,...i->...", df, raised))
 
 
 def laplace_beltrami(field: ScalarField, data: MetricAtPoint,
-                     gamma: np.ndarray | None = None) -> float:
+                     gamma: np.ndarray | None = None) -> float | np.ndarray:
     """Metric trace of the covariant hessian."""
     hess = covariant_hessian(field, data, gamma)
-    return float(np.einsum("ij,ij->", data.g_inv, hess))
+    return _scalar_or_stack(np.einsum("...ij,...ij->...", data.g_inv, hess))

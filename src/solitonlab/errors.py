@@ -7,9 +7,21 @@ does exactly that to map failures onto exit codes).
 
 from __future__ import annotations
 
+from typing import Callable, Sequence, TypeVar
+
+_T = TypeVar("_T")
+
 
 class SolitonLabError(Exception):
-    """Base class for all errors raised by solitonlab."""
+    """Base class for all errors raised by solitonlab.
+
+    ``index`` is set when a check over a stack of points fails: it is
+    the position of the bad point in that stack (see in_grid_order).
+    """
+
+    def __init__(self, *args: object, index: int | None = None) -> None:
+        super().__init__(*args)
+        self.index = index
 
 
 class ExpressionSyntaxError(SolitonLabError):
@@ -71,3 +83,20 @@ class QuadratureFailureError(SolitonLabError):
 class ConfigError(SolitonLabError):
     """A CLI job description is malformed: unknown family, missing or
     ill-typed keys, unusable grid."""
+
+
+def in_grid_order(run: Callable[[Sequence], _T], points: Sequence) -> _T:
+    """``run(points)`` on a stack of points, failing as a point-by-point
+    loop would.
+
+    A stacked check that fails reports its own first bad point, at
+    stack index i.  A check run later may fail at an earlier point, so
+    ``run`` is retried on the points before i; the error raised is the
+    one a loop over the points, every check at each, meets first.
+    """
+    try:
+        return run(points)
+    except SolitonLabError as exc:
+        if exc.index:
+            in_grid_order(run, points[:exc.index])
+        raise

@@ -231,15 +231,17 @@ def neg(arg: Node) -> Node:
 
 def _pow_value(base: float, exponent: float) -> float:
     if float(exponent).is_integer():
-        k = int(exponent)
-        if base == 0.0 and k < 0:
+        exponent = int(exponent)
+        if base == 0.0 and exponent < 0:
             raise DomainError("zero raised to a negative power")
-        return base ** k
-    if base < 0.0:
+    elif base < 0.0:
         raise DomainError("fractional power of a negative base")
-    if base == 0.0 and exponent < 0.0:
+    elif base == 0.0 and exponent < 0.0:
         raise DomainError("zero raised to a negative power")
-    return base ** exponent
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise DomainError("overflow in power") from None
 
 
 def pow_(base: Node, exponent: float) -> Node:

@@ -368,13 +368,10 @@ def grw_samples(spec: GRWSpec, metric: MetricField, potential: ScalarField,
         fiber_point = np.zeros(spec.fiber.dimension)
     points = [[t, *fiber_point] for t in times]
     geometry = point_geometry(metric, potential.with_chart(metric.chart), points)
-    samples = []
-    for t, scal, dphi, hess in zip(times, geometry.scal, geometry.dphi,
-                                   geometry.hess):
-        jet_w = eval_jet2(spec.warping, (t,))
-        samples.append(GRWSample(float(scal), float(dphi[0]), float(hess[0, 0]),
-                                 jet_w.value, float(jet_w.gradient[0])))
-    return samples
+    jet_w = eval_jet2(spec.warping, np.reshape(times, (-1, 1)))
+    columns = (geometry.scal, geometry.dphi[:, 0], geometry.hess[:, 0, 0],
+               jet_w.value, jet_w.gradient[:, 0])
+    return [GRWSample(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def grw_system_residual(spec: GRWSpec, potential: ScalarField, lam: float,
@@ -795,23 +792,20 @@ def warped_conditions_check(
     nb = base.dimension
 
     # 1. fiber independence of phi, over all pairings
-    fiber_dependence = 0.0
-    for x in base_pts:
-        for y in fiber_pts:
-            jet = eval_jet2(soliton.potential, np.concatenate([x, y]))
-            slope = float(np.max(np.abs(jet.gradient[nb:])))
-            fiber_dependence = max(fiber_dependence, slope)
+    pairs = [np.concatenate([x, y]) for x in base_pts for y in fiber_pts]
+    jet = eval_jet2(soliton.potential, pairs)
+    fiber_dependence = float(np.max(np.abs(jet.gradient[:, nb:])))
 
     # 2 and 3, along the base with the fiber block pinned
     theta = theta_substitution(soliton.potential, soliton.mu)
     full_pts = [np.concatenate([x, fiber_pts[0]]) for x in base_pts]
     geometry = point_geometry(metric, theta, full_pts)
     theta_values = np.array([theta(p) for p in full_pts])
-    jets_b = [eval_jet2(warping, x) for x in base_pts]
+    jet_b = eval_jet2(warping, base_pts)
     rhs = (soliton.lam - geometry.scal) * theta_values / m
     pairing = np.einsum("pij,pi,pj->p", geometry.g_inv[:, :nb, :nb],
-                        geometry.dphi[:, :nb], [jet.gradient for jet in jets_b])
-    pairing_gap = np.abs(pairing - rhs * [jet.value for jet in jets_b]).max()
+                        geometry.dphi[:, :nb], jet_b.gradient)
+    pairing_gap = np.abs(pairing - rhs * jet_b.value).max()
     base_hessian_gap = np.abs(
         geometry.hess[:, :nb, :nb] - rhs[:, None, None] * geometry.g[:, :nb, :nb]
     ).max()

@@ -4,7 +4,9 @@ A MetricField stores the matrix of component fields g_ij together with
 the declared signature.  metric_at evaluates everything a curvature
 computation needs at one point: g, its inverse, first and second
 coordinate derivatives of g, and the determinant, with hard failures
-on near-singular matrices and on signature disagreement.
+on near-singular matrices and on signature disagreement.  Given a
+(P, n) stack of points it fills the same data with a leading point
+axis from one jet walk per component over the whole stack.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .autodiff import eval_jet2
-from .errors import SignatureMismatchError, SingularMetricError
+from .errors import SignatureMismatchError, SingularMetricError, in_grid_order
 from .expressions import ScalarField, constant_field, parse_expression
 
 __all__ = [
@@ -113,7 +115,9 @@ class MetricAtPoint:
     """Pointwise data of a metric: value, inverse, derivatives.
 
     Index layout: ``dg[k, i, j]`` is the k-th coordinate derivative of
-    g_ij and ``d2g[k, l, i, j]`` the (k, l) second derivative.
+    g_ij and ``d2g[k, l, i, j]`` the (k, l) second derivative.  Data
+    for a stack of P points carries a leading point axis on every
+    field: ``point`` (P, n), ``g`` (P, n, n), ..., ``det`` (P,).
     """
 
     point: np.ndarray
@@ -121,40 +125,59 @@ class MetricAtPoint:
     g_inv: np.ndarray
     dg: np.ndarray
     d2g: np.ndarray
-    det: float
+    det: float | np.ndarray
+
+
+def _metric_stack(metric: MetricField, points: np.ndarray) -> MetricAtPoint:
+    p, n = points.shape
+    g = np.zeros((p, n, n))
+    dg = np.zeros((p, n, n, n))
+    d2g = np.zeros((p, n, n, n, n))
+    for i in range(n):
+        for j in range(i, n):
+            jet = eval_jet2(metric.components[i][j], points)
+            g[:, i, j] = g[:, j, i] = jet.value
+            dg[:, :, i, j] = dg[:, :, j, i] = jet.gradient
+            d2g[:, :, :, i, j] = d2g[:, :, :, j, i] = jet.hessian
+    det = np.linalg.det(g)
+    singular = np.abs(det) < DET_CUTOFF
+    eigs = np.linalg.eigvalsh(g)
+    negatives = np.sum(eigs < 0.0, axis=1)
+    positives = np.sum(eigs > 0.0, axis=1)
+    want_neg = sum(1 for s in metric.signature if s < 0)
+    want_pos = len(metric.signature) - want_neg
+    mismatched = (negatives != want_neg) | (positives != want_pos)
+    bad = singular | mismatched
+    if bad.any():
+        k = int(np.argmax(bad))
+        at = points[k].tolist()
+        if singular[k]:
+            raise SingularMetricError(
+                f"metric is singular at {at} (det = {det[k]:.3e})", index=k
+            )
+        raise SignatureMismatchError(
+            f"metric at {at} has {negatives[k]} negative and {positives[k]} "
+            f"positive directions, declared signature {metric.signature}",
+            index=k,
+        )
+    return MetricAtPoint(points, g, np.linalg.inv(g), dg, d2g, det)
 
 
 def metric_at(metric: MetricField, point: Sequence[float]) -> MetricAtPoint:
+    """Metric data at ``point`` (n,), or stacked over the rows of a
+    (P, n) array of points: one jet walk per component for the whole
+    stack, then det, eigvalsh and inv on the stacked matrices.  A
+    singular or wrongly signed matrix names its first point in grid
+    order."""
     n = metric.dimension
     p = np.asarray(point, dtype=float)
-    if p.shape != (n,):
+    if p.ndim not in (1, 2) or p.shape[-1] != n or p.size == 0:
         raise ValueError(f"point has shape {p.shape}, chart has {n} names")
-    g = np.zeros((n, n))
-    dg = np.zeros((n, n, n))
-    d2g = np.zeros((n, n, n, n))
-    for i in range(n):
-        for j in range(i, n):
-            jet = eval_jet2(metric.components[i][j], p)
-            g[i, j] = g[j, i] = jet.value
-            dg[:, i, j] = dg[:, j, i] = jet.gradient
-            d2g[:, :, i, j] = d2g[:, :, j, i] = jet.hessian
-    det = float(np.linalg.det(g))
-    if abs(det) < DET_CUTOFF:
-        raise SingularMetricError(
-            f"metric is singular at {p.tolist()} (det = {det:.3e})"
-        )
-    eigs = np.linalg.eigvalsh(g)
-    negatives = int(np.sum(eigs < 0.0))
-    positives = int(np.sum(eigs > 0.0))
-    want_neg = sum(1 for s in metric.signature if s < 0)
-    want_pos = len(metric.signature) - want_neg
-    if negatives != want_neg or positives != want_pos:
-        raise SignatureMismatchError(
-            f"metric at {p.tolist()} has {negatives} negative and {positives} "
-            f"positive directions, declared signature {metric.signature}"
-        )
-    g_inv = np.linalg.inv(g)
-    return MetricAtPoint(p, g, g_inv, dg, d2g, det)
+    data = in_grid_order(lambda q: _metric_stack(metric, q), np.atleast_2d(p))
+    if p.ndim == 2:
+        return data
+    return MetricAtPoint(p, data.g[0], data.g_inv[0], data.dg[0], data.d2g[0],
+                         float(data.det[0]))
 
 
 def flat_metric(chart: Sequence[str], signature: str | None = None) -> MetricField:

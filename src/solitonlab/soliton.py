@@ -34,6 +34,7 @@ import numpy as np
 
 from .autodiff import eval_jet2
 from .curvature import covariant_hessian_from, curvature_from
+from .errors import in_grid_order
 from .expressions import Const, ScalarField, mul, neg
 from .expressions import call as _call
 from .metrics import MetricField, metric_at
@@ -103,8 +104,8 @@ class PointGeometry:
 
     def lambda_estimate(self, mu: float) -> LambdaEstimate:
         """See infer_lambda."""
-        norm2 = np.array([np.einsum("ij,i,j->", gi, d, d)
-                          for gi, d in zip(self.g_inv, self.dphi)])
+        norm2 = np.einsum("...ij,...i,...j->...", self.g_inv, self.dphi,
+                          self.dphi)
         samples = self.scal - (self.lap - mu * norm2) / self.g.shape[1]
         value = float(samples.mean())
         spread = float(np.max(np.abs(samples - value)))
@@ -129,21 +130,26 @@ class PointGeometry:
         )
 
 
+def _geometry(metric: MetricField, potential: ScalarField,
+              points: np.ndarray) -> PointGeometry:
+    data = metric_at(metric, points)
+    curv = curvature_from(data)
+    jet = eval_jet2(potential, points)
+    hess = covariant_hessian_from(jet.gradient, jet.hessian, curv.gamma)
+    lap = np.einsum("...ij,...ij->...", data.g_inv, hess)
+    return PointGeometry(points, data.g, data.g_inv, curv.scalar,
+                         jet.gradient, hess, lap)
+
+
 def point_geometry(metric: MetricField, potential: ScalarField,
                    points: Sequence[Sequence[float]]) -> PointGeometry:
-    """One metric_at -> curvature_from -> potential jet pass per point."""
+    """metric_at -> curvature_from -> potential jet, each once over the
+    whole stack of points.  An error names the first bad point in grid
+    order, whichever stage finds it."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 0:
         raise ValueError("the geometry pass needs at least one point")
-    rows = []
-    for point in pts:
-        data = metric_at(metric, point)
-        curv = curvature_from(data)
-        jet = eval_jet2(potential, data.point)
-        hess = covariant_hessian_from(jet.gradient, jet.hessian, curv.gamma)
-        lap = np.einsum("ij,ij->", data.g_inv, hess)
-        rows.append((data.g, data.g_inv, curv.scalar, jet.gradient, hess, lap))
-    return PointGeometry(pts, *(np.array(column) for column in zip(*rows)))
+    return in_grid_order(lambda q: _geometry(metric, potential, q), pts)
 
 
 # ---------------------------------------------------------------------

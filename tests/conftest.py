@@ -11,8 +11,8 @@ curvature pipelines are never asked to confirm themselves:
     with explicit index loops.  It never touches the jet evaluator or
     the einsum pipeline.
 
-count_calls counts the calls of one library function for the
-call-count tests.
+count_calls records the positional arguments of every call of one
+library function for the call-count tests.
 """
 
 import sys
@@ -170,7 +170,7 @@ def count_calls(monkeypatch, module_name, func_name):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(None)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for key, module in list(sys.modules.items()):

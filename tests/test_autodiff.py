@@ -8,6 +8,7 @@ them is the core correctness check for every derivative downstream.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from solitonlab import DomainError, eval_jet2, finite_diff_jet2, parse_expression
 from solitonlab.expressions import EXP_ARG_MAX, External, ScalarField, Var
@@ -128,6 +129,36 @@ def test_ln_and_sqrt_at_zero_in_both_evaluators():
         eval_jet2(sqrt_u, (0.0, 1.0, 1.0))
 
 
+def test_fractional_powers_at_zero_in_both_evaluators():
+    # 0^c = 0 for c > 0, but a derivative of u^c is infinite at 0 for
+    # fractional c below 2; above 2 the whole jet vanishes there.
+    at_zero = (0.0, 1.0, 1.0)
+    for source in ("u^0.5", "u^1.5"):
+        f = parse_expression(source, CHART)
+        assert f(at_zero) == 0.0
+        with pytest.raises(DomainError,
+                           match=r"^fractional power jet needs a positive base"):
+            eval_jet2(f, at_zero)
+    f = parse_expression("u^2.5", CHART)
+    assert f(at_zero) == 0.0
+    jet = eval_jet2(f, at_zero)
+    assert jet.value == 0.0
+    assert not jet.gradient.any() and not jet.hessian.any()
+    g = parse_expression("u^(-0.5)", CHART)
+    with pytest.raises(DomainError, match="zero raised to a negative power"):
+        g(at_zero)
+    with pytest.raises(DomainError, match="zero raised to a negative power"):
+        eval_jet2(g, at_zero)
+
+
+def test_power_overflow_is_a_domain_error_in_both_evaluators():
+    f = parse_expression("u^3", CHART)
+    with pytest.raises(DomainError, match="overflow in power"):
+        f((1.0e200, 1.0, 1.0))
+    with pytest.raises(DomainError, match="overflow in power"):
+        eval_jet2(f, (1.0e200, 1.0, 1.0))
+
+
 def test_external_node_requires_two_derivatives():
     profile = External("prof", (np.sin, np.cos), Var("u"))
     field = ScalarField(("u",), profile)
@@ -158,3 +189,45 @@ def test_repeated_subtrees_are_evaluated_once():
     e = np.exp(0.2)
     assert abs(jet.value - 2 * e * e) < 1e-14
     assert abs(jet.gradient[0] - 2 * e * e) < 1e-13
+
+
+def _generated_trees():
+    """Expression sources over CHART that stay inside every domain:
+    denominators, ln and fractional-power bases are kept away from 0."""
+    leaves = st.one_of(
+        st.sampled_from(CHART),
+        st.floats(-2.0, 2.0).map(lambda c: f"{c:.3f}"),
+    )
+
+    def extend(inner):
+        pairs = st.tuples(inner, inner)
+        return st.one_of(
+            st.tuples(st.sampled_from("+-*"), inner, inner).map(
+                lambda t: f"({t[1]} {t[0]} {t[2]})"),
+            pairs.map(lambda t: f"({t[0]}) / (2 + sin({t[1]}))"),
+            st.tuples(st.sampled_from(("exp", "sin", "cos")), inner).map(
+                lambda t: f"{t[0]}(0.4*({t[1]}))"),
+            st.tuples(st.sampled_from(("0.5", "1.5", "(-0.5)", "3")), inner).map(
+                lambda t: f"(1.2 + ({t[1]})^2)^{t[0]}"),
+            inner.map(lambda a: f"ln(1.2 + ({a})^2)"),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(_generated_trees(),
+       st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3))
+def test_jets_match_finite_differences_on_generated_trees(source, point):
+    field = parse_expression(source, CHART)
+    jet = eval_jet2(field, point)
+    scale = max(1.0, abs(jet.value), np.abs(jet.gradient).max(),
+                np.abs(jet.hessian).max())
+    assume(scale <= 100.0)
+    fd = finite_diff_jet2(field, point, h=1e-4)
+    err = max(
+        abs(fd.value - jet.value),
+        np.abs(fd.gradient - jet.gradient).max(),
+        np.abs(fd.hessian - jet.hessian).max(),
+    )
+    assert err <= 1e-8 + 1e-6 * scale

@@ -1,4 +1,4 @@
-"""Shipped configs: byte-identical output and one geometry pass per point.
+"""Shipped configs: byte-identical output and one geometry pass per grid.
 
 The references in bench/shipped_refs.json were recorded from the code
 as first benchmarked; every refactor must reproduce them exactly.
@@ -8,6 +8,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from solitonlab.cli import main
@@ -34,13 +35,22 @@ def test_shipped_config_reproduces_its_reference(ref, tmp_path, capsys,
     assert hashlib.sha256(data).hexdigest() == ref["csv_sha256"]
 
 
-def test_verify_evaluates_the_metric_once_per_grid_point(tmp_path, capsys,
-                                                         monkeypatch):
+def test_verify_evaluates_the_metric_once_over_the_grid(tmp_path, capsys,
+                                                        monkeypatch):
     calls = count_calls(monkeypatch, "metrics", "metric_at")
     code = main(["verify", str(ROOT / "configs" / "grw_gqy_verify.json"),
                  "--out", str(tmp_path / "gqy.csv")])
     assert code == 0
-    assert len(calls) == 5 ** 4
+    assert [np.shape(args[1]) for args in calls] == [(5 ** 4, 4)]
+
+
+def test_curvature_evaluates_the_metric_once_over_the_grid(tmp_path, capsys,
+                                                           monkeypatch):
+    calls = count_calls(monkeypatch, "metrics", "metric_at")
+    code = main(["curvature", str(ROOT / "configs" / "sphere_curvature.json"),
+                 "--out", str(tmp_path / "sphere.csv")])
+    assert code == 0
+    assert [np.shape(args[1]) for args in calls] == [(5 * 5, 2)]
 
 
 def test_grw_construct_assembles_its_product_metric_once(tmp_path, capsys,
