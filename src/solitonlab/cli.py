@@ -4,8 +4,9 @@ explicit constructions, driven by JSON job files.
 The pipeline has four stages:
 
   1. Argument handling.  Three subcommands (curvature, verify,
-     construct) share the flags --out, --tol and --grid; construct
-     alone takes --paper-literal, for the walker3 and walker4 families.
+     construct) share the flags --out and --grid; verify and construct
+     also take --tol, and construct alone takes --paper-literal, for
+     the walker3 and walker4 families.
   2. Strict config reading.  Every key is checked by name and type;
      unknown or misplaced keys fail the run with exit code 2 and a
      message naming the offending field.  Nothing is silently ignored.
@@ -279,6 +280,12 @@ class _Job:
 def _build_job(cfg: dict, command: str, tol_flag: float | None) -> _Job:
     cfg = dict(cfg)
     family = _as_str(_take(cfg, "family", "", required=True), "family")
+    if command == "curvature":
+        for key in ("tolerance", "potential"):
+            if key in cfg:
+                raise ConfigError(
+                    f"curvature checks no potential; remove {key!r}"
+                )
     tolerance = _as_number(
         _take(cfg, "tolerance", "", default=DEFAULT_TOLERANCE), "tolerance"
     )
@@ -469,7 +476,7 @@ def _emit_csv(out_path: str | None, comments: Sequence[str],
 
 
 def _cmd_curvature(cfg: dict, args: argparse.Namespace) -> int:
-    job = _build_job(cfg, "curvature", args.tol)
+    job = _build_job(cfg, "curvature", None)
     chart = job.metric.chart
     ranges = _resolve_ranges(chart, job.grid_cfg, job.defaults, args.grid)
     pts = grid_points(chart, ranges)
@@ -650,8 +657,9 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("config", help="path to a JSON job file")
         cmd.add_argument("--out", help="write the CSV report to this path")
-        cmd.add_argument("--tol", type=float,
-                         help="override the config tolerance")
+        if name != "curvature":
+            cmd.add_argument("--tol", type=float,
+                             help="override the config tolerance")
         cmd.add_argument("--grid", type=int,
                          help="override the per-axis sample count")
         if name == "construct":

@@ -29,12 +29,12 @@ literal 3d hessian yy-row, which drops two correction terms.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .autodiff import eval_jet2
 from .errors import (
@@ -613,8 +613,10 @@ def walker4_pde_residual(spec: Walker4Spec, f: ScalarField,
 @dataclass(frozen=True, eq=False)
 class QuadratureProfile:
     """A function of one variable known through quadrature: tabulated
-    values with monotone cubic interpolation, plus derivative callables
-    taken from the defining relation rather than from the table."""
+    values with monotone cubic interpolation (PCHIP: Fritsch-Carlson
+    interior slopes, Moler's one-sided end rule; see ``_pchip``), plus
+    derivative callables taken from the defining relation rather than
+    from the table."""
 
     name: str
     funcs: tuple[Callable[[float], float], ...]
@@ -631,6 +633,72 @@ class QuadratureProfile:
         return float(self.funcs[2](float(t)))
 
 
+def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """Moler's one-sided three-point end slope (``pchiptx``), clipped so
+    the end interval keeps the shape of the data."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(knots: Sequence[float],
+           values: Sequence[float]) -> Callable[[float], float]:
+    """Monotone piecewise cubic Hermite interpolant through the table.
+
+    Interior slopes are the weighted harmonic means of the adjacent
+    secants, zero where the secants change sign or vanish (Fritsch &
+    Carlson, SIAM J. Numer. Anal. 17, 1980; Fritsch & Butland, SIAM
+    J. Sci. Stat. Comput. 5, 1984); end slopes follow
+    ``_pchip_end_slope``; two knots give the secant line.  The slopes,
+    the cubic coefficients and the evaluation keep the operation order
+    of the reference interpolant in ``tests/test_pchip.py``, so the
+    values agree with it bit for bit.  The returned callable
+    extrapolates with the end cubics; interval i holds
+    knots[i] <= t < knots[i+1], the last one also its right end.
+    """
+    x = np.asarray(knots, dtype=np.float64)
+    y = np.asarray(values, dtype=np.float64)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError("pchip needs a 1-d table with one value per knot")
+    if len(x) < 2:
+        raise ValueError("pchip needs at least 2 knots")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("pchip knots and values must be finite")
+    h = np.diff(x)
+    if np.any(h <= 0):
+        raise ValueError("pchip knots must be strictly increasing")
+    m = (y[1:] - y[:-1]) / h
+    d = np.full_like(y, m[0])
+    if len(x) > 2:
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        flat = ((np.sign(m[1:]) != np.sign(m[:-1]))
+                | (m[1:] == 0) | (m[:-1] == 0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    coeffs = list(zip((t / h).tolist(), ((m - d[:-1]) / h - t).tolist(),
+                      d[:-1].tolist(), y[:-1].tolist()))
+    xs = x.tolist()
+    last = len(xs) - 2
+
+    def spline(tv: float) -> float:
+        i = min(max(bisect_right(xs, tv) - 1, 0), last)
+        c3, c2, c1, c0 = coeffs[i]
+        s = tv - xs[i]
+        # Power sums from +0.0, not Horner: the reference rounds, and
+        # signs a zero result, in this order.
+        return 0.0 + c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
+
+    return spline
+
+
 def walker4_construct(spec: Walker4Spec,
                       paper_literal: bool = False,
                       interval: tuple[float, float] = (-1.5, 1.5),
@@ -644,7 +712,8 @@ def walker4_construct(spec: Walker4Spec,
     where the profile solves 2 tpart' = w(t) (c0 t + c1) + c0 I(t) with
     I the running integral of the warping from t0.  The profile value
     is a cumulative quadrature table on ``knots`` points of
-    ``interval`` with monotone cubic interpolation; its first and
+    ``interval`` with monotone cubic interpolation (PCHIP: Fritsch &
+    Carlson's slopes, Moler's ``pchiptx`` end rule); its first and
     second derivatives come from the defining relation, so jets of f
     carry no interpolation noise.
 
@@ -676,7 +745,7 @@ def walker4_construct(spec: Walker4Spec,
         table[i] = table[i - 1] + adaptive_simpson(
             slope, grid[i - 1], grid[i], tol=tol
         )
-    spline = PchipInterpolator(grid, table)
+    spline = _pchip(grid, table)
 
     def value(tv: float) -> float:
         if tv < lo - 1e-9 or tv > hi + 1e-9:

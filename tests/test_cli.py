@@ -280,3 +280,22 @@ def test_paper_literal_is_rejected_by_the_grw_construction(tmp_path, capsys):
     assert code == 2
     assert stdout == ""
     assert "--paper-literal" in stderr
+
+
+def test_tol_flag_is_rejected_by_curvature(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["curvature", f"{CONFIGS}/flat_curvature.json", "--tol", "5"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("tolerance", 5.0),
+                                        ("potential", "a")])
+def test_curvature_rejects_tolerance_and_potential_keys(tmp_path, capsys,
+                                                        key, value):
+    cfg = json.loads((CONFIGS / "flat_curvature.json").read_text())
+    cfg[key] = value
+    code, stdout, stderr = run(capsys, "curvature", write_config(tmp_path, cfg))
+    assert code == 2
+    assert stdout == ""
+    assert f"'{key}'" in stderr
