@@ -280,12 +280,14 @@ class _Job:
 def _build_job(cfg: dict, command: str, tol_flag: float | None) -> _Job:
     cfg = dict(cfg)
     family = _as_str(_take(cfg, "family", "", required=True), "family")
+    constants = _constants_from_config(cfg.get("constants"), "constants")
     if command == "curvature":
-        for key in ("tolerance", "potential"):
+        for key in ("tolerance", "potential", "constants"):
             if key in cfg:
                 raise ConfigError(
                     f"curvature checks no potential; remove {key!r}"
                 )
+    cfg.pop("constants", None)
     tolerance = _as_number(
         _take(cfg, "tolerance", "", default=DEFAULT_TOLERANCE), "tolerance"
     )
@@ -293,7 +295,6 @@ def _build_job(cfg: dict, command: str, tol_flag: float | None) -> _Job:
         tolerance = tol_flag
     if tolerance <= 0.0:
         raise ConfigError("tolerance must be positive")
-    constants = _constants_from_config(_take(cfg, "constants", ""), "constants")
     potential_src = _take(cfg, "potential", "")
     if potential_src is not None:
         potential_src = _as_str(potential_src, "potential")

@@ -9,7 +9,10 @@ This module is the foundation of the package.  It provides:
   2. smart constructors that fold the obvious algebraic identities so
      that derivatives stay readable;
   3. exact symbolic differentiation;
-  4. plain float evaluation with explicit domain checking;
+  4. plain float evaluation with explicit domain checking: a field is
+     compiled, on its first evaluation, into a Python function of the
+     chart coordinates whose values and errors are those of a
+     node-by-node walk;
   5. a recursive-descent parser for the grammar below, reporting the
      character offset of any failure;
   6. a precedence-aware pretty printer whose output re-parses to an
@@ -36,6 +39,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence, Union
 
 from .errors import DomainError, ExpressionSyntaxError, UnknownVariableError
@@ -375,46 +379,82 @@ def differentiate(node: Node, var: str) -> Node:
 # =====================================================================
 
 def evaluate(node: Node, env: Mapping[str, float]) -> float:
-    out = _evaluate(node, env, {})
-    if not math.isfinite(out):
-        raise DomainError("expression evaluated to a non-finite value")
-    return out
+    chart = tuple(env)
+    return _compile(node, chart)(*(env[name] for name in chart))
 
 
-def _evaluate(node: Node, env: Mapping[str, float], memo: dict[int, float]) -> float:
-    key = id(node)
-    if key in memo:
-        return memo[key]
-    if isinstance(node, Const):
-        out = node.value
-    elif isinstance(node, Var):
-        try:
-            out = float(env[node.name])
-        except KeyError:
-            raise UnknownVariableError(node.name) from None
-    elif isinstance(node, Neg):
-        out = -_evaluate(node.arg, env, memo)
-    elif isinstance(node, Add):
-        out = _evaluate(node.left, env, memo) + _evaluate(node.right, env, memo)
-    elif isinstance(node, Sub):
-        out = _evaluate(node.left, env, memo) - _evaluate(node.right, env, memo)
-    elif isinstance(node, Mul):
-        out = _evaluate(node.left, env, memo) * _evaluate(node.right, env, memo)
-    elif isinstance(node, Div):
-        den = _evaluate(node.den, env, memo)
-        if den == 0.0:
-            raise DomainError("division by zero")
-        out = _evaluate(node.num, env, memo) / den
-    elif isinstance(node, Pow):
-        out = _pow_value(_evaluate(node.base, env, memo), node.exponent)
-    elif isinstance(node, Call):
-        out = _call_value(node.func, _evaluate(node.arg, env, memo))
-    elif isinstance(node, External):
-        out = float(node.funcs[0](_evaluate(node.arg, env, memo)))
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-    memo[key] = out
-    return out
+_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*"}
+
+
+def _compile(root: Node, chart: Sequence[str]) -> Callable[..., float]:
+    """A Python function of the chart coordinates that evaluates ``root``.
+
+    The generated body holds one local per distinct node (shared
+    subtrees are keyed by identity), assigned in the order of a
+    depth-first walk with a quotient's denominator before its
+    numerator.  Values and errors are therefore those of evaluating
+    the tree node by node.  Only generated names, operators and
+    function-name literals enter the source; constants, exponents and
+    profile callables are bound through the scope dict, so every float
+    keeps its exact bits.
+    """
+    params = [f"x{i}" for i in range(len(chart))]
+    param_of = dict(zip(chart, params))
+    scope: dict[str, object] = {
+        "DomainError": DomainError,
+        "_call_value": _call_value,
+        "_isfinite": math.isfinite,
+        "_pow_value": _pow_value,
+    }
+    lines = [f"    {p} = float({p})" for p in params]
+    local_of: dict[int, str] = {}
+
+    def bind(value: object) -> str:
+        name = f"k{len(scope)}"
+        scope[name] = value
+        return name
+
+    def visit(node: Node) -> str:
+        key = id(node)
+        if key in local_of:
+            return local_of[key]
+        if isinstance(node, Const):
+            expr = bind(node.value)
+        elif isinstance(node, Var):
+            if node.name not in param_of:
+                raise UnknownVariableError(node.name)
+            expr = param_of[node.name]
+        elif isinstance(node, Neg):
+            expr = "-" + visit(node.arg)
+        elif isinstance(node, (Add, Sub, Mul)):
+            left = visit(node.left)
+            expr = f"{left} {_BINARY_OPS[type(node)]} {visit(node.right)}"
+        elif isinstance(node, Div):
+            den = visit(node.den)
+            lines.append(f"    if {den} == 0.0:")
+            lines.append("        raise DomainError('division by zero')")
+            expr = f"{visit(node.num)} / {den}"
+        elif isinstance(node, Pow):
+            expr = f"_pow_value({visit(node.base)}, {bind(node.exponent)})"
+        elif isinstance(node, Call):
+            expr = f"_call_value({node.func!r}, {visit(node.arg)})"
+        elif isinstance(node, External):
+            expr = f"float({bind(node.funcs[0])}({visit(node.arg)}))"
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        local = f"v{len(local_of)}"
+        lines.append(f"    {local} = {expr}")
+        local_of[key] = local
+        return local
+
+    out = visit(root)
+    lines.append(f"    if not _isfinite({out}):")
+    lines.append("        raise DomainError('expression evaluated to a non-finite value')")
+    lines.append(f"    return {out}")
+    exec("def field(" + ", ".join(params) + "):\n" + "\n".join(lines), scope)
+    # Taking the function out of its own globals leaves no reference
+    # cycle, so reference counting frees it along with its field.
+    return scope.pop("field")
 
 
 # =====================================================================
@@ -643,7 +683,9 @@ class ScalarField:
 
     ``chart`` fixes the coordinate names and their order; evaluation
     takes points as sequences in that order.  Arithmetic between fields
-    requires identical charts.
+    requires identical charts.  The field is compiled into a Python
+    function on its first evaluation and keeps that function; its
+    values and errors are those of walking the tree node by node.
     """
 
     chart: tuple[str, ...]
@@ -661,8 +703,12 @@ class ScalarField:
             raise ValueError(
                 f"point has {len(point)} entries, chart has {len(self.chart)}"
             )
-        env = {name: float(v) for name, v in zip(self.chart, point)}
-        return evaluate(self.root, env)
+        return self.compiled(*point)
+
+    @cached_property
+    def compiled(self) -> Callable[..., float]:
+        """The field as a function taking one float per chart coordinate."""
+        return _compile(self.root, self.chart)
 
     # -- calculus -----------------------------------------------------
 

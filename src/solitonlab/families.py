@@ -285,7 +285,7 @@ def _static_metric(spec: StaticSpec) -> MetricField:
 # =====================================================================
 
 def _field_scalar(fn: ScalarField) -> Callable[[float], float]:
-    return lambda value: fn((value,))
+    return fn.compiled
 
 
 def grw_potential(spec: GRWSpec, alpha: float, t0: float, t: float,

@@ -299,3 +299,12 @@ def test_curvature_rejects_tolerance_and_potential_keys(tmp_path, capsys,
     assert code == 2
     assert stdout == ""
     assert f"'{key}'" in stderr
+
+
+def test_curvature_rejects_constants(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "flat_curvature.json").read_text())
+    cfg["constants"] = {"lambda": 5.0, "mu": 2.0}
+    code, stdout, stderr = run(capsys, "curvature", write_config(tmp_path, cfg))
+    assert code == 2
+    assert stdout == ""
+    assert "'constants'" in stderr

@@ -1,0 +1,200 @@
+"""The compiled scalar evaluator against an independent tree walker.
+
+reference() below walks the tree node by node with its own copy of the
+domain rules (division by zero, powers, exp/ln/sqrt, non-finite
+results).  It shares no code with solitonlab's evaluator, so agreement
+on random trees, bit for bit and error for error, is evidence rather
+than a restatement.
+"""
+
+import math
+import struct
+import sys
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from solitonlab import (
+    DomainError,
+    SolitonLabError,
+    UnknownVariableError,
+    parse_expression,
+)
+from solitonlab.expressions import (
+    Add,
+    Call,
+    Const,
+    Div,
+    External,
+    Mul,
+    Neg,
+    Pow,
+    ScalarField,
+    Sub,
+    Var,
+    evaluate,
+)
+
+CHART = ("x", "y")
+CONSTANTS = (0.0, -0.0, 1.0, -1.0, 0.5, 3.0, -2.5, 1e-300, 1e308)
+COORDINATES = (0.0, -0.0, 1.0, -1.0, 0.25, 2.0, -3.0, 700.0, 1e300)
+EXPONENTS = (2.0, 3.0, -1.0, -2.0, 0.5, 1.5, -0.5, 0.0)
+FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt")
+PROFILES = (math.atan, math.acos, lambda v: 1)
+
+
+def _ref_pow(base, exponent):
+    if exponent == int(exponent):
+        if base == 0.0 and exponent < 0.0:
+            raise DomainError("zero raised to a negative power")
+        exponent = int(exponent)
+    elif base < 0.0:
+        raise DomainError("fractional power of a negative base")
+    elif base == 0.0 and exponent < 0.0:
+        raise DomainError("zero raised to a negative power")
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise DomainError("overflow in power") from None
+
+
+def _ref_call(func, x):
+    if func == "exp":
+        if x > math.log(sys.float_info.max):
+            raise DomainError("overflow in exp")
+        return math.exp(x)
+    if func == "ln":
+        if x <= 0.0:
+            raise DomainError("ln of a non-positive argument")
+        return math.log(x)
+    if func == "sqrt":
+        if x < 0.0:
+            raise DomainError("sqrt of a negative argument")
+        return math.sqrt(x)
+    return {"sin": math.sin, "cos": math.cos}[func](x)
+
+
+def _walk(node, env, memo):
+    if id(node) in memo:
+        return memo[id(node)]
+    if isinstance(node, Const):
+        out = node.value
+    elif isinstance(node, Var):
+        out = env[node.name]
+    elif isinstance(node, Neg):
+        out = -_walk(node.arg, env, memo)
+    elif isinstance(node, Add):
+        out = _walk(node.left, env, memo) + _walk(node.right, env, memo)
+    elif isinstance(node, Sub):
+        out = _walk(node.left, env, memo) - _walk(node.right, env, memo)
+    elif isinstance(node, Mul):
+        out = _walk(node.left, env, memo) * _walk(node.right, env, memo)
+    elif isinstance(node, Div):
+        den = _walk(node.den, env, memo)
+        if den == 0.0:
+            raise DomainError("division by zero")
+        out = _walk(node.num, env, memo) / den
+    elif isinstance(node, Pow):
+        out = _ref_pow(_walk(node.base, env, memo), node.exponent)
+    elif isinstance(node, Call):
+        out = _ref_call(node.func, _walk(node.arg, env, memo))
+    else:
+        out = float(node.funcs[0](_walk(node.arg, env, memo)))
+    memo[id(node)] = out
+    return out
+
+
+def reference(node, env):
+    out = _walk(node, {k: float(v) for k, v in env.items()}, {})
+    if not math.isfinite(out):
+        raise DomainError("expression evaluated to a non-finite value")
+    return out
+
+
+def outcome(fn):
+    """The type and float64 bytes of fn(), or the type and message it
+    raised."""
+    try:
+        value = fn()
+        return type(value), struct.pack("<d", value)
+    except (SolitonLabError, ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def trees(draw):
+    """A random expression DAG: operands are drawn from every node built
+    so far, so subtrees are shared by identity."""
+    leaves = st.one_of(st.sampled_from(CONSTANTS).map(Const),
+                       st.sampled_from(CHART).map(Var))
+    pool = [draw(leaves), draw(leaves)]
+
+    def operand():
+        return pool[draw(st.integers(0, len(pool) - 1))]
+
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(
+            ("leaf", "neg", "add", "sub", "mul", "div", "pow", "call", "ext")))
+        if kind == "leaf":
+            node = draw(leaves)
+        elif kind == "neg":
+            node = Neg(operand())
+        elif kind in ("add", "sub", "mul", "div"):
+            cls = {"add": Add, "sub": Sub, "mul": Mul, "div": Div}[kind]
+            node = cls(operand(), operand())
+        elif kind == "pow":
+            node = Pow(operand(), draw(st.sampled_from(EXPONENTS)))
+        elif kind == "call":
+            node = Call(draw(st.sampled_from(FUNCTIONS)), operand())
+        else:
+            node = External("p", (draw(st.sampled_from(PROFILES)),), operand())
+        pool.append(node)
+    return pool[-1]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(trees(), st.sampled_from(COORDINATES), st.sampled_from(COORDINATES))
+def test_compiled_field_matches_the_reference_walk(root, x, y):
+    env = {"x": x, "y": y}
+    expected = outcome(lambda: reference(root, env))
+    assert outcome(lambda: ScalarField(CHART, root)((x, y))) == expected
+    assert outcome(lambda: evaluate(root, env)) == expected
+
+
+def test_denominator_is_evaluated_before_numerator():
+    field = parse_expression("ln(x)/(y - 1)", CHART)
+    with pytest.raises(DomainError, match="division by zero"):
+        field((-1.0, 1.0))
+    with pytest.raises(DomainError, match="ln of a non-positive argument"):
+        field((-1.0, 2.0))
+
+
+def test_shared_external_is_called_once_per_evaluation():
+    seen = []
+
+    def profile(v):
+        seen.append(v)
+        return 2.0 * v
+
+    shared = External("p", (profile,), Var("x"))
+    field = ScalarField(CHART, Mul(Add(shared, Var("y")), Neg(shared)))
+    assert field((1.5, 1.0)) == -12.0
+    assert seen == [1.5]
+    assert field((0.5, 0.0)) == -1.0
+    assert seen == [1.5, 0.5]
+
+
+def test_non_finite_result_raises():
+    field = parse_expression("x*y", CHART)
+    with pytest.raises(DomainError, match="non-finite"):
+        field((1e308, 10.0))
+
+
+def test_evaluate_with_a_missing_variable_raises():
+    with pytest.raises(UnknownVariableError, match="'y'"):
+        evaluate(Add(Var("x"), Var("y")), {"x": 1.0})
+
+
+def test_signed_zero_constant_keeps_its_sign():
+    assert struct.pack("<d", ScalarField(CHART, Const(-0.0))((1.0, 1.0))) \
+        == struct.pack("<d", -0.0)

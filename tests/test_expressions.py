@@ -1,21 +1,28 @@
 """Parsing, printing, algebraic simplification and symbolic derivatives."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from solitonlab import (
     DomainError,
     ExpressionSyntaxError,
     ScalarField,
+    SolitonLabError,
     UnknownVariableError,
     constant_field,
     coordinate_field,
     exp,
+    format_expression,
     ln,
     parse_expression,
     sin,
     sqrt,
 )
+
+from conftest import random_expression
 
 CHART = ("x", "y")
 
@@ -141,6 +148,28 @@ def test_printing_round_trip_preserves_values():
         for _ in range(10):
             p = rng.uniform(-1.5, 1.5, 2)
             assert abs(f(p) - g(p)) < 1e-14
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_formatted_trees_reparse_to_the_same_text_and_bits(seed):
+    rng = np.random.default_rng(seed)
+    try:
+        f = parse_expression(random_expression(rng, CHART, 4), CHART)
+    except SolitonLabError:
+        assume(False)
+    text = format_expression(f.root)
+    g = parse_expression(text, CHART)
+    assert format_expression(g.root) == text
+    for p in rng.uniform(-2.0, 2.0, (5, 2)):
+        assert _bits_or_error(f, p) == _bits_or_error(g, p)
+
+
+def _bits_or_error(field, point):
+    try:
+        return struct.pack("<d", field(point))
+    except SolitonLabError as exc:
+        return type(exc), str(exc)
 
 
 def test_derivative_of_polynomial():

@@ -60,3 +60,17 @@ def test_grw_construct_assembles_its_product_metric_once(tmp_path, capsys,
                  "--out", str(tmp_path / "grw.csv")])
     assert code == 0
     assert len(calls) == 1
+
+
+def test_walker4_construct_compiles_a_fixed_number_of_fields(tmp_path, capsys,
+                                                             monkeypatch):
+    config = str(ROOT / "configs" / "walker4_certified.json")
+    compiled = []
+    for grid in ("3", "5"):
+        calls = count_calls(monkeypatch, "expressions", "_compile")
+        code = main(["construct", config, "--grid", grid,
+                     "--out", str(tmp_path / f"walker4_{grid}.csv")])
+        assert code == 0
+        compiled.append(len(calls))
+        monkeypatch.undo()
+    assert compiled[0] == compiled[1] <= 3
