@@ -13,6 +13,22 @@ elementwise numpy arithmetic and the exp/ln/sin/cos/sqrt ufuncs round
 as their scalar forms do, and constant powers and External profiles,
 whose array forms would not, are evaluated point by point.
 
+walk_jets evaluates the jets of several fields on one chart, such as
+the components of a metric, by value numbering (Griewank and Walther,
+ch. 5-6): each structurally distinct subtree becomes one entry of a
+tape and is evaluated once, however many components and places within
+them it appears in.  A node's key is its kind, its payload and the
+numbers of its children, that is the identities of their jets, so
+equal keys mean equal computations on equal inputs.  Constants and
+exponents enter the key by their float64 bits, not by ==: 0.0 == -0.0,
+yet their bits differ, and so can the bits of what is computed from
+them (0.0 + -0.0 is 0.0, -0.0 + -0.0 is -0.0).  Keyed by bits, no two
+computations whose results could differ merge.  Variables and
+functions are keyed by name, and an External profile only by its own
+identity, since two profiles with one name may wrap different
+callables.  A merged subtree therefore has the bits a second walk of
+it would give.  eval_jet2 is the walk of one field.
+
 finite_diff_jet2 computes the same triple at one point from
 central-difference stencils on plain evaluations and shares no
 differentiation code with the jet walk; it exists as an independent
@@ -40,6 +56,7 @@ argument at [0.0, 1.0]".
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -63,7 +80,7 @@ from .expressions import (
     _pow_value,
 )
 
-__all__ = ["Jet2", "eval_jet2", "finite_diff_jet2"]
+__all__ = ["Jet2", "eval_jet2", "finite_diff_jet2", "walk_jets"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,63 +181,133 @@ def _external_jet(node: External, u: Jet2, points: np.ndarray) -> Jet2:
     return _chain(u, *_pointwise(lambda x: [f(x) for f in funcs], u.value, points))
 
 
-def _eval(node: Node, index: Mapping[str, int], points: np.ndarray,
-          memo: dict[int, Jet2]) -> Jet2:
-    key = id(node)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+_float_bits = struct.Struct("<d").pack
+
+
+def _node_jet(node: Node, args: list[Jet2], index: Mapping[str, int],
+              points: np.ndarray) -> Jet2:
+    """Jet of ``node`` given the jets of its children."""
     p, n = points.shape
     if isinstance(node, Const):
-        out = Jet2(np.full(p, float(node.value)), np.zeros((p, n)),
-                   np.zeros((p, n, n)))
-    elif isinstance(node, Var):
+        return Jet2(np.full(p, float(node.value)), np.zeros((p, n)),
+                    np.zeros((p, n, n)))
+    if isinstance(node, Var):
         k = index[node.name]
         grad = np.zeros((p, n))
         grad[:, k] = 1.0
-        out = Jet2(points[:, k].copy(), grad, np.zeros((p, n, n)))
-    elif isinstance(node, Neg):
-        u = _eval(node.arg, index, points, memo)
-        out = Jet2(-u.value, -u.gradient, -u.hessian)
-    elif isinstance(node, Add):
-        a = _eval(node.left, index, points, memo)
-        b = _eval(node.right, index, points, memo)
-        out = Jet2(a.value + b.value, a.gradient + b.gradient, a.hessian + b.hessian)
-    elif isinstance(node, Sub):
-        a = _eval(node.left, index, points, memo)
-        b = _eval(node.right, index, points, memo)
-        out = Jet2(a.value - b.value, a.gradient - b.gradient, a.hessian - b.hessian)
-    elif isinstance(node, Mul):
-        out = _mul_jets(
-            _eval(node.left, index, points, memo),
-            _eval(node.right, index, points, memo),
-        )
-    elif isinstance(node, Div):
-        out = _mul_jets(
-            _eval(node.num, index, points, memo),
-            _recip_jet(_eval(node.den, index, points, memo), points),
-        )
-    elif isinstance(node, Pow):
-        out = _pow_jet(_eval(node.base, index, points, memo), node.exponent,
-                       points)
+        return Jet2(points[:, k].copy(), grad, np.zeros((p, n, n)))
+    if isinstance(node, Neg):
+        (u,) = args
+        return Jet2(-u.value, -u.gradient, -u.hessian)
+    if isinstance(node, Add):
+        a, b = args
+        return Jet2(a.value + b.value, a.gradient + b.gradient, a.hessian + b.hessian)
+    if isinstance(node, Sub):
+        a, b = args
+        return Jet2(a.value - b.value, a.gradient - b.gradient, a.hessian - b.hessian)
+    if isinstance(node, Mul):
+        return _mul_jets(*args)
+    if isinstance(node, Div):
+        num, den = args
+        return _mul_jets(num, _recip_jet(den, points))
+    if isinstance(node, Pow):
+        return _pow_jet(args[0], node.exponent, points)
+    if isinstance(node, Call):
+        return _call_jet(node.func, args[0], points)
+    return _external_jet(node, args[0], points)
+
+
+def _number(node: Node, tape: list, by_id: dict[int, int],
+            by_key: dict[tuple, int]) -> int:
+    """The tape number of ``node``, appending its entry (after those of
+    its children) if no equal subtree is on the tape yet.
+
+    The key of a node is its kind, what it holds besides its children
+    (a constant or an exponent by its float64 bits, a variable or a
+    function by its name, an External by its own identity) and the
+    numbers of its children.
+    """
+    k = by_id.get(id(node))
+    if k is not None:
+        return k
+    if isinstance(node, (Add, Sub, Mul)):
+        args = (_number(node.left, tape, by_id, by_key),
+                _number(node.right, tape, by_id, by_key))
+        key = (type(node), *args)
     elif isinstance(node, Call):
-        out = _call_jet(node.func, _eval(node.arg, index, points, memo), points)
+        args = (_number(node.arg, tape, by_id, by_key),)
+        key = (Call, node.func, *args)
+    elif isinstance(node, Const):
+        args = ()
+        key = (Const, _float_bits(node.value))
+    elif isinstance(node, Var):
+        args = ()
+        key = (Var, node.name)
+    elif isinstance(node, Div):
+        args = (_number(node.num, tape, by_id, by_key),
+                _number(node.den, tape, by_id, by_key))
+        key = (Div, *args)
+    elif isinstance(node, Neg):
+        args = (_number(node.arg, tape, by_id, by_key),)
+        key = (Neg, *args)
+    elif isinstance(node, Pow):
+        args = (_number(node.base, tape, by_id, by_key),)
+        key = (Pow, _float_bits(node.exponent), *args)
     elif isinstance(node, External):
-        out = _external_jet(node, _eval(node.arg, index, points, memo), points)
+        args = (_number(node.arg, tape, by_id, by_key),)
+        key = (External, id(node), *args)
     else:
         raise TypeError(f"not an expression node: {node!r}")
-    memo[key] = out
-    return out
+    k = by_key.setdefault(key, len(tape))
+    if k == len(tape):
+        tape.append((node, args))
+    by_id[id(node)] = k
+    return k
 
 
-def _walk(field: ScalarField, points: np.ndarray) -> Jet2:
-    index = {name: i for i, name in enumerate(field.chart)}
-    jet = _eval(field.root, index, points, {})
-    finite = (np.isfinite(jet.value)
-              & np.isfinite(jet.gradient).all(axis=1)
-              & np.isfinite(jet.hessian).all(axis=(1, 2)))
-    _fail_at(~finite, "jet evaluation produced a non-finite value", points)
-    return jet
+def walk_jets(fields: Sequence[ScalarField], points: np.ndarray) -> list[Jet2]:
+    """Jets of ``fields``, which share one chart, over a (P, n) stack of
+    points, each structurally distinct subtree evaluated once.
+
+    The trees are first numbered into a tape: one entry per distinct
+    subtree (see _number for its key), in the order a depth-first walk
+    of the fields meets them.  The tape is then evaluated in that
+    order, and a jet is dropped as soon as its last user is evaluated,
+    so only jets still to be used are held.  Each field's jet is
+    checked for finite entries where its walk ends.  Errors name the
+    first bad point of the stack; in_grid_order turns that into the
+    first bad point in grid order.
+    """
+    chart = fields[0].chart
+    if any(field.chart != chart for field in fields):
+        raise ValueError("fields of one walk must share a chart")
+    tape: list[tuple[Node, tuple[int, ...]]] = []
+    by_id: dict[int, int] = {}
+    by_key: dict[tuple, int] = {}
+    roots, ends = [], []
+    for field in fields:
+        roots.append(_number(field.root, tape, by_id, by_key))
+        ends.append(len(tape))
+    uses = [0] * len(tape)
+    for k in [a for _, args in tape for a in args] + roots:
+        uses[k] += 1
+    index = {name: i for i, name in enumerate(chart)}
+    jets: list[Jet2 | None] = [None] * len(tape)
+    checked = 0
+    for k, (node, args) in enumerate(tape):
+        jets[k] = _node_jet(node, [jets[a] for a in args], index, points)
+        for a in args:
+            uses[a] -= 1
+            if not uses[a]:
+                jets[a] = None
+        while checked < len(fields) and ends[checked] == k + 1:
+            jet = jets[roots[checked]]
+            finite = (np.isfinite(jet.value)
+                      & np.isfinite(jet.gradient).all(axis=1)
+                      & np.isfinite(jet.hessian).all(axis=(1, 2)))
+            _fail_at(~finite, "jet evaluation produced a non-finite value", points)
+            checked += 1
+    return [jets[k] for k in roots]
 
 
 def eval_jet2(field: ScalarField, point: Sequence[float]) -> Jet2:
@@ -231,7 +318,7 @@ def eval_jet2(field: ScalarField, point: Sequence[float]) -> Jet2:
         raise ValueError(
             f"point has shape {p.shape}, chart has {len(field.chart)} names"
         )
-    jet = in_grid_order(lambda q: _walk(field, q), np.atleast_2d(p))
+    jet = in_grid_order(lambda q: walk_jets([field], q)[0], np.atleast_2d(p))
     if p.ndim == 2:
         return jet
     return Jet2(float(jet.value[0]), jet.gradient[0], jet.hessian[0])

@@ -57,7 +57,8 @@ class DomainError(SolitonLabError):
 
 
 class SingularMetricError(SolitonLabError):
-    """Metric determinant vanished (|det g| below cutoff) at a point."""
+    """Metric is singular at a point: its smallest |eigenvalue| is
+    below a fixed fraction of its largest."""
 
 
 class SignatureMismatchError(SolitonLabError):

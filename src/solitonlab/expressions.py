@@ -544,21 +544,23 @@ def _tokenize(source: str) -> list[_Token]:
             tokens.append(_Token("op", ch, i))
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
+        # isdecimal is the set of digits float() reads; isdigit would
+        # also take superscripts such as '²'.
+        if ch.isdecimal() or (ch == "." and i + 1 < n and source[i + 1].isdecimal()):
             start = i
-            while i < n and source[i].isdigit():
+            while i < n and source[i].isdecimal():
                 i += 1
             if i < n and source[i] == ".":
                 i += 1
-                while i < n and source[i].isdigit():
+                while i < n and source[i].isdecimal():
                     i += 1
             if i < n and source[i] in "eE":
                 j = i + 1
                 if j < n and source[j] in "+-":
                     j += 1
-                if j < n and source[j].isdigit():
+                if j < n and source[j].isdecimal():
                     i = j
-                    while i < n and source[i].isdigit():
+                    while i < n and source[i].isdecimal():
                         i += 1
                 else:
                     raise ExpressionSyntaxError("malformed number", start)

@@ -6,7 +6,12 @@ computation needs at one point: g, its inverse, first and second
 coordinate derivatives of g, and the determinant, with hard failures
 on near-singular matrices and on signature disagreement.  Given a
 (P, n) stack of points it fills the same data with a leading point
-axis from one jet walk per component over the whole stack.
+axis.  The n(n+1)/2 components are evaluated in one value-numbered
+jet walk over the whole stack (autodiff.walk_jets), so a subtree
+shared by several components, such as the warping factor of a warped
+product, is differentiated once per grid.  A matrix counts as singular
+where its smallest |eigenvalue| is a tiny fraction of its largest, a
+test that does not change when g is scaled.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .autodiff import eval_jet2
+from .autodiff import walk_jets
 from .errors import SignatureMismatchError, SingularMetricError, in_grid_order
 from .expressions import ScalarField, constant_field, parse_expression
 
@@ -27,11 +32,13 @@ __all__ = [
     "parse_signature",
     "flat_metric",
     "sphere_metric",
-    "DET_CUTOFF",
 ]
 
-# Below this |det g| the chart is treated as degenerate at the point.
-DET_CUTOFF = 1e-12
+# The chart is treated as degenerate at a point where the smallest
+# |eigenvalue| of g is at most this fraction of the largest, that is
+# where g's 2-norm condition number reaches 1e10.  A ratio, unlike a
+# cutoff on |det g|, does not change when g is scaled.
+RCOND_CUTOFF = 1e-10
 
 ComponentLike = Union[ScalarField, float, int, str]
 
@@ -86,6 +93,11 @@ class MetricField:
         rows: Sequence[Sequence[ComponentLike]],
         signature: str | Sequence[int],
     ) -> "MetricField":
+        """Metric from an n x n array of components: fields, numbers or
+        expression texts.  Each distinct text is parsed once, so
+        mirrored off-diagonal texts give one ScalarField.  The rows
+        must be symmetric: g_ij and g_ji are the same field, or fields
+        with equal trees; one object is stored per unordered pair."""
         chart_t = tuple(chart)
         n = len(chart_t)
         if len(rows) != n or any(len(r) != n for r in rows):
@@ -95,11 +107,21 @@ class MetricField:
         )
         if len(sig) != n or any(s not in (-1, 1) for s in sig):
             raise ValueError(f"signature {sig} does not fit dimension {n}")
-        fields = [[_as_field(chart_t, rows[i][j]) for j in range(n)] for i in range(n)]
+        parsed: dict[str, ScalarField] = {}
+
+        def field(value: ComponentLike) -> ScalarField:
+            if not isinstance(value, str):
+                return _as_field(chart_t, value)
+            if value not in parsed:
+                parsed[value] = _as_field(chart_t, value)
+            return parsed[value]
+
+        fields = [[field(rows[i][j]) for j in range(n)] for i in range(n)]
         # Store one object per unordered pair so g_ij and g_ji cannot drift.
         for i in range(n):
             for j in range(i + 1, n):
-                if fields[i][j].root != fields[j][i].root:
+                a, b = fields[i][j], fields[j][i]
+                if a is not b and a.root != b.root:
                     raise ValueError(
                         f"metric rows are not symmetric at ({i}, {j})"
                     )
@@ -130,18 +152,19 @@ class MetricAtPoint:
 
 def _metric_stack(metric: MetricField, points: np.ndarray) -> MetricAtPoint:
     p, n = points.shape
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    jets = walk_jets([metric.components[i][j] for i, j in pairs], points)
     g = np.zeros((p, n, n))
     dg = np.zeros((p, n, n, n))
     d2g = np.zeros((p, n, n, n, n))
-    for i in range(n):
-        for j in range(i, n):
-            jet = eval_jet2(metric.components[i][j], points)
-            g[:, i, j] = g[:, j, i] = jet.value
-            dg[:, :, i, j] = dg[:, :, j, i] = jet.gradient
-            d2g[:, :, :, i, j] = d2g[:, :, :, j, i] = jet.hessian
+    for (i, j), jet in zip(pairs, jets):
+        g[:, i, j] = g[:, j, i] = jet.value
+        dg[:, :, i, j] = dg[:, :, j, i] = jet.gradient
+        d2g[:, :, :, i, j] = d2g[:, :, :, j, i] = jet.hessian
     det = np.linalg.det(g)
-    singular = np.abs(det) < DET_CUTOFF
     eigs = np.linalg.eigvalsh(g)
+    size = np.abs(eigs)
+    singular = size.min(axis=1) <= RCOND_CUTOFF * size.max(axis=1)
     negatives = np.sum(eigs < 0.0, axis=1)
     positives = np.sum(eigs > 0.0, axis=1)
     want_neg = sum(1 for s in metric.signature if s < 0)
@@ -165,10 +188,10 @@ def _metric_stack(metric: MetricField, points: np.ndarray) -> MetricAtPoint:
 
 def metric_at(metric: MetricField, point: Sequence[float]) -> MetricAtPoint:
     """Metric data at ``point`` (n,), or stacked over the rows of a
-    (P, n) array of points: one jet walk per component for the whole
-    stack, then det, eigvalsh and inv on the stacked matrices.  A
-    singular or wrongly signed matrix names its first point in grid
-    order."""
+    (P, n) array of points: one value-numbered jet walk over all
+    components for the whole stack, then det, eigvalsh and inv on the
+    stacked matrices.  A singular or wrongly signed matrix names its
+    first point in grid order."""
     n = metric.dimension
     p = np.asarray(point, dtype=float)
     if p.ndim not in (1, 2) or p.shape[-1] != n or p.size == 0:

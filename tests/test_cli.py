@@ -187,6 +187,17 @@ def test_bad_expression_is_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_a_superscript_digit_is_exit_two_with_its_offset(tmp_path, capsys):
+    path = write_config(tmp_path, {
+        "family": "custom", "chart": ["x", "y"],
+        "metric": [["2\u00b2", "0"], ["0", "1"]], "signature": "++",
+    })
+    code, _, stderr = run(capsys, "curvature", path)
+    assert code == 2
+    assert stderr == ("config error: .metric: unexpected character "
+                      "'\u00b2' (at offset 1)\n")
+
+
 def test_grid_count_below_two_is_exit_two(tmp_path, capsys):
     path = write_config(tmp_path, {
         "family": "walker3", "metric_function": "t",

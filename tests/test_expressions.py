@@ -92,6 +92,17 @@ def test_syntax_error_offsets():
         parse_expression("x y", CHART)
 
 
+def test_a_digit_float_cannot_read_is_a_syntax_error():
+    # '²' passes str.isdigit but float() rejects it.
+    for source, offset in [("2²", 1), ("x + ²", 4), ("1e²", 0)]:
+        with pytest.raises(ExpressionSyntaxError) as info:
+            parse_expression(source, CHART)
+        assert info.value.offset == offset
+    # Decimal digits of other scripts are numbers, as float() reads them.
+    assert str(parse_expression("\u0663*x", CHART)) == "3*x"
+    assert str(parse_expression("1.\u0665", CHART)) == "1.5"
+
+
 def test_duplicate_chart_names_rejected():
     with pytest.raises(ValueError):
         parse_expression("x", ("x", "x"))

@@ -85,7 +85,29 @@ def test_singular_metric_is_rejected():
     chart = ("x",)
     m = MetricField.from_rows(chart, [["x"]], "+")
     with pytest.raises(SingularMetricError):
-        metric_at(m, (1e-13,))
+        metric_at(m, (0.0,))
+
+
+def test_a_small_multiple_of_the_identity_is_not_singular():
+    # det = 1e-16, but g is as well conditioned as the identity.
+    chart = ("a", "b", "c", "d")
+    m = MetricField.from_rows(
+        chart, [[1e-4 if i == j else 0.0 for j in range(4)] for i in range(4)],
+        "++++")
+    data = metric_at(m, (0.0, 0.0, 0.0, 0.0))
+    assert np.array_equal(data.g_inv, 1e4 * np.eye(4))
+
+
+def test_an_ill_conditioned_metric_is_singular_at_any_scale():
+    # det = 1e5, condition number about 4e11.
+    m = MetricField.from_rows(("x", "y"), [[1e8, 1e8], [1e8, 1e8 + 1e-3]], "++")
+    with pytest.raises(SingularMetricError,
+                       match=r"^metric is singular at \[0.0, 0.0\] \(det = "):
+        metric_at(m, (0.0, 0.0))
+    scaled = MetricField.from_rows(("x", "y"), [["1e-8", "1e-8"],
+                                                ["1e-8", "1e-8 + 1e-19"]], "++")
+    with pytest.raises(SingularMetricError):
+        metric_at(scaled, (0.0, 0.0))
 
 
 def test_signature_mismatch_is_rejected():
