@@ -10,10 +10,13 @@ The pipeline has four stages:
   2. Strict config reading.  Every key is checked by name and type;
      unknown or misplaced keys fail the run with exit code 2 and a
      message naming the offending field.  Nothing is silently ignored.
-  3. Family assembly.  The "family" key selects one of custom, warped,
-     grw, static, walker3 or walker4; each family knows its default
-     sampling grid and how to build its metric (and, for construct,
-     its potential).
+  3. Family assembly.  The "family" key selects one entry of the
+     family table (custom, warped, grw, static, walker3, walker4).  An
+     entry holds the family's assembler, which reads its keys into a
+     job (metric, chart, default sampling grid, spec), and its
+     construction, if it has one (grw, walker3, walker4), with the
+     constants that construction reads.  verify reads only lambda and
+     mu; any other constant fails the run.
   4. Output.  Reports are CSV with a fixed schema line, a header row,
      and %.12e floats in lexicographic grid order, so identical jobs
      produce byte-identical files.  Verification prints a single
@@ -30,7 +33,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field as dataclass_field
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,6 +48,8 @@ from .expressions import ScalarField, parse_expression
 from .families import (
     GRWSpec,
     StaticSpec,
+    WALKER3_CHART,
+    WALKER4_CHART,
     Walker3Construction,
     Walker3Spec,
     Walker4Spec,
@@ -59,7 +64,7 @@ from .families import (
 )
 from .grids import grid_points
 from .metrics import MetricField, flat_metric, metric_at, sphere_metric
-from .soliton import LambdaEstimate, PointGeometry, classify, point_geometry
+from .soliton import classify, point_geometry
 
 __all__ = ["main"]
 
@@ -139,6 +144,10 @@ def _parse_field(source: Any, chart: tuple[str, ...], where: str) -> ScalarField
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _take_field(cfg: dict, key: str, chart: tuple[str, ...]) -> ScalarField:
+    return _parse_field(_take(cfg, key, "", required=True), chart, key)
+
+
 def _metric_from_config(obj: Any, path: str) -> MetricField:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path} must be an object")
@@ -166,8 +175,14 @@ def _metric_from_config(obj: Any, path: str) -> MetricField:
         raise ConfigError(f"{path}.metric: {exc}") from exc
 
 
-def _fiber_from_config(obj: Any, path: str) -> tuple[MetricField, dict[str, Range]]:
-    """Fiber metric plus its default sampling ranges."""
+def _unit_ranges(names: Sequence[str]) -> dict[str, Range]:
+    return {name: (-1.0, 1.0, DEFAULT_COUNT) for name in names}
+
+
+def _fiber_from_config(cfg: dict) -> tuple[MetricField, dict[str, Range]]:
+    """The required fiber's metric plus its default sampling ranges."""
+    path = "fiber"
+    obj = _take(cfg, path, "", required=True)
     if not isinstance(obj, dict):
         raise ConfigError(f"{path} must be an object")
     obj = dict(obj)
@@ -177,9 +192,7 @@ def _fiber_from_config(obj: Any, path: str) -> tuple[MetricField, dict[str, Rang
             _take(obj, "chart", path, required=True), f"{path}.chart"
         )
         _reject_unknown(obj, path)
-        metric = flat_metric(chart)
-        defaults = {name: (-1.0, 1.0, DEFAULT_COUNT) for name in chart}
-        return metric, defaults
+        return flat_metric(chart), _unit_ranges(chart)
     if kind == "sphere":
         radius = _as_number(_take(obj, "radius", path, default=1.0),
                             f"{path}.radius")
@@ -216,17 +229,18 @@ def _constants_from_config(obj: Any, path: str) -> dict[str, float]:
     return out
 
 
-def _grid_from_config(obj: Any, path: str,
-                      chart: tuple[str, ...]) -> dict[str, Range]:
-    if obj is None:
-        return {}
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path} must be an object")
-    out: dict[str, Range] = {}
-    for name, spec in obj.items():
+def _ranges_from_config(obj: Any, chart: tuple[str, ...],
+                        defaults: dict[str, Range],
+                        override_count: int | None) -> dict[str, Range]:
+    """Each chart coordinate's range: its grid entry, else the family
+    default; --grid replaces every count."""
+    if obj is not None and not isinstance(obj, dict):
+        raise ConfigError("grid must be an object")
+    given: dict[str, Range] = {}
+    for name, spec in (obj or {}).items():
         if name not in chart:
-            raise ConfigError(f"{path}.{name} does not name a chart coordinate")
-        where = f"{path}.{name}"
+            raise ConfigError(f"grid.{name} does not name a chart coordinate")
+        where = f"grid.{name}"
         if not isinstance(spec, list) or len(spec) != 3:
             raise ConfigError(f"{where} must be [min, max, count]")
         lo = _as_number(spec[0], f"{where}[0]")
@@ -236,17 +250,11 @@ def _grid_from_config(obj: Any, path: str,
             raise ConfigError(f"{where}: min must be below max")
         if count < 2:
             raise ConfigError(f"{where}: count must be at least 2")
-        out[name] = (lo, hi, count)
-    return out
-
-
-def _resolve_ranges(chart: tuple[str, ...], cfg_grid: dict[str, Range],
-                    defaults: dict[str, Range],
-                    override_count: int | None) -> dict[str, Range]:
+        given[name] = (lo, hi, count)
     ranges: dict[str, Range] = {}
     for name in chart:
-        if name in cfg_grid:
-            ranges[name] = cfg_grid[name]
+        if name in given:
+            ranges[name] = given[name]
         elif name in defaults:
             ranges[name] = defaults[name]
         else:
@@ -266,20 +274,38 @@ def _resolve_ranges(chart: tuple[str, ...], cfg_grid: dict[str, Range],
 
 @dataclass
 class _Job:
-    family: str
+    """A validated job; the family's assembler fills in the metric (None
+    where the construction derives it), chart, default ranges and spec."""
+
+    family: _Family
     command: str
-    metric: MetricField | None
-    defaults: dict[str, Range]
     constants: dict[str, float]
-    grid_cfg: dict[str, Range]
     tolerance: float
     potential_src: str | None
-    extras: dict = dataclass_field(default_factory=dict)
+    metric: MetricField | None = None
+    chart: tuple[str, ...] = ()
+    defaults: dict[str, Range] = dataclass_field(default_factory=dict)
+    spec: Any = None
+    ranges: dict[str, Range] = dataclass_field(default_factory=dict)
 
 
-def _build_job(cfg: dict, command: str, tol_flag: float | None) -> _Job:
+class _Family(NamedTuple):
+    """A family's assembler, which reads its keys into a job, and its
+    construction (None if it has none) with the constants it reads."""
+
+    assemble: Callable[[dict, _Job], None]
+    construct: Callable[[_Job, argparse.Namespace], int] | None = None
+    construct_reads: tuple[str, ...] = ()
+
+
+VERIFY_READS = ("lambda", "mu")
+WALKER4_CONSTANTS = ("c0", "c1", "c2", "c3", "t0")
+
+
+def _build_job(cfg: dict, command: str, tol_flag: float | None,
+               grid_flag: int | None) -> _Job:
     cfg = dict(cfg)
-    family = _as_str(_take(cfg, "family", "", required=True), "family")
+    name = _as_str(_take(cfg, "family", "", required=True), "family")
     constants = _constants_from_config(cfg.get("constants"), "constants")
     if command == "curvature":
         for key in ("tolerance", "potential", "constants"):
@@ -302,35 +328,33 @@ def _build_job(cfg: dict, command: str, tol_flag: float | None) -> _Job:
         raise ConfigError("construct derives the potential; remove 'potential'")
     grid_raw = _take(cfg, "grid", "")
 
-    builders = {
-        "custom": _assemble_custom,
-        "warped": _assemble_warped,
-        "grw": _assemble_grw,
-        "static": _assemble_static,
-        "walker3": _assemble_walker3,
-        "walker4": _assemble_walker4,
-    }
-    if family not in builders:
+    if name not in _FAMILIES:
         raise ConfigError(
-            f"family must be one of {', '.join(sorted(builders))}, not {family!r}"
+            f"family must be one of {', '.join(sorted(_FAMILIES))}, not {name!r}"
         )
-    job = _Job(family, command, None, {}, constants, {}, tolerance,
-               potential_src)
+    family = _FAMILIES[name]
+    if command == "construct" and family.construct is None:
+        raise ConfigError(f"family {name!r} has no construction")
+    reads = family.construct_reads if command == "construct" else VERIFY_READS
+    for key in constants:
+        if key not in reads:
+            raise ConfigError(
+                f"{command} on family {name!r} does not read 'constants.{key}'"
+            )
+    job = _Job(family, command, constants, tolerance, potential_src)
     try:
-        builders[family](cfg, job)
-    except ConfigError:
-        raise
+        family.assemble(cfg, job)
     except (ExpressionSyntaxError, UnknownVariableError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     _reject_unknown(cfg, "")
-    chart = job.metric.chart if job.metric is not None else job.extras["chart"]
-    job.grid_cfg = _grid_from_config(grid_raw, "grid", chart)
+    if job.metric is not None:
+        job.chart = job.metric.chart
+    job.ranges = _ranges_from_config(grid_raw, job.chart, job.defaults,
+                                     grid_flag)
     return job
 
 
 def _assemble_custom(cfg: dict, job: _Job) -> None:
-    if job.command == "construct":
-        raise ConfigError("family 'custom' has no construction")
     job.metric = _metric_from_config(
         {
             "chart": _take(cfg, "chart", "", required=True),
@@ -342,19 +366,11 @@ def _assemble_custom(cfg: dict, job: _Job) -> None:
 
 
 def _assemble_warped(cfg: dict, job: _Job) -> None:
-    if job.command == "construct":
-        raise ConfigError("family 'warped' has no construction")
     base = _metric_from_config(_take(cfg, "base", "", required=True), "base")
-    fiber, fiber_defaults = _fiber_from_config(
-        _take(cfg, "fiber", "", required=True), "fiber"
-    )
-    warping = _parse_field(
-        _take(cfg, "warping", "", required=True), base.chart, "warping"
-    )
-    spec = WarpedProductSpec(base, fiber, warping)
-    job.metric = assemble_warped_metric(spec)
-    job.defaults = dict(fiber_defaults)
-    job.extras["spec"] = spec
+    fiber, job.defaults = _fiber_from_config(cfg)
+    warping = _take_field(cfg, "warping", base.chart)
+    job.spec = WarpedProductSpec(base, fiber, warping)
+    job.metric = assemble_warped_metric(job.spec)
 
 
 def _assemble_grw(cfg: dict, job: _Job) -> None:
@@ -366,84 +382,126 @@ def _assemble_grw(cfg: dict, job: _Job) -> None:
     hi = _as_number(interval_raw[1], "interval[1]")
     if not lo < hi:
         raise ConfigError("interval: min must be below max")
-    fiber, fiber_defaults = _fiber_from_config(
-        _take(cfg, "fiber", "", required=True), "fiber"
-    )
-    warping = _parse_field(
-        _take(cfg, "warping", "", required=True), (time_var,), "warping"
-    )
-    spec = GRWSpec(warping, fiber, (lo, hi))
-    job.metric = assemble_warped_metric(spec)
+    fiber, fiber_defaults = _fiber_from_config(cfg)
+    warping = _take_field(cfg, "warping", (time_var,))
+    job.spec = GRWSpec(warping, fiber, (lo, hi))
+    job.metric = assemble_warped_metric(job.spec)
     job.defaults = {time_var: (lo, hi, DEFAULT_COUNT), **fiber_defaults}
-    job.extras["spec"] = spec
 
 
 def _assemble_static(cfg: dict, job: _Job) -> None:
-    if job.command == "construct":
-        raise ConfigError("family 'static' has no construction")
     time_var = _as_str(_take(cfg, "time_var", "", default="t"), "time_var")
-    fiber, fiber_defaults = _fiber_from_config(
-        _take(cfg, "fiber", "", required=True), "fiber"
-    )
-    lapse = _parse_field(
-        _take(cfg, "lapse", "", required=True), fiber.chart, "lapse"
-    )
-    spec = StaticSpec(lapse, fiber, time_var)
-    job.metric = assemble_warped_metric(spec)
-    job.defaults = {time_var: (-1.0, 1.0, DEFAULT_COUNT), **fiber_defaults}
-    job.extras["spec"] = spec
-
-
-WALKER_DEFAULTS3 = {name: (-1.0, 1.0, DEFAULT_COUNT) for name in ("t", "x", "y")}
-WALKER_DEFAULTS4 = {
-    name: (-1.0, 1.0, DEFAULT_COUNT) for name in ("x", "y", "z", "t")
-}
+    fiber, fiber_defaults = _fiber_from_config(cfg)
+    lapse = _take_field(cfg, "lapse", fiber.chart)
+    job.spec = StaticSpec(lapse, fiber, time_var)
+    job.metric = assemble_warped_metric(job.spec)
+    job.defaults = {**_unit_ranges((time_var,)), **fiber_defaults}
 
 
 def _assemble_walker3(cfg: dict, job: _Job) -> None:
-    job.defaults = dict(WALKER_DEFAULTS3)
+    job.defaults = _unit_ranges(WALKER3_CHART)
     if job.command == "construct":
         if "metric_function" in cfg:
             raise ConfigError(
                 "construct derives the metric function; remove 'metric_function'"
             )
-        eta = _parse_field(
-            _take(cfg, "eta", "", required=True), ("y",), "eta"
-        )
-        zeta = _parse_field(
-            _take(cfg, "zeta", "", required=True), ("x", "y"), "zeta"
-        )
-        job.extras["construction"] = Walker3Construction(
+        eta = _take_field(cfg, "eta", ("y",))
+        zeta = _take_field(cfg, "zeta", ("x", "y"))
+        job.spec = Walker3Construction(
             job.constants.get("kappa", 0.0), eta, zeta
         )
-        job.extras["chart"] = ("t", "x", "y")
+        job.chart = WALKER3_CHART
         return
-    q = _parse_field(
-        _take(cfg, "metric_function", "", required=True),
-        ("t", "x", "y"),
-        "metric_function",
-    )
-    spec = Walker3Spec(q)
-    job.metric = walker3_metric(spec)
-    job.extras["spec"] = spec
+    q = _take_field(cfg, "metric_function", WALKER3_CHART)
+    job.spec = Walker3Spec(q)
+    job.metric = walker3_metric(job.spec)
 
 
 def _assemble_walker4(cfg: dict, job: _Job) -> None:
-    warping = _parse_field(
-        _take(cfg, "warping", "", required=True), ("t",), "warping"
+    warping = _take_field(cfg, "warping", ("t",))
+    coupling = {key: value for key, value in job.constants.items()
+                if key in WALKER4_CONSTANTS}
+    job.spec = Walker4Spec(warping, **coupling)
+    job.metric = walker4_metric(job.spec)
+    job.defaults = _unit_ranges(WALKER4_CHART)
+
+
+def _construct_walker3(job: _Job, args: argparse.Namespace) -> int:
+    y_lo, y_hi, y_count = job.ranges["y"]
+    check = np.linspace(y_lo, y_hi, max(y_count, 9))
+    f, q = walker3_construct(
+        job.spec, paper_literal=args.paper_literal, check_points=check
     )
-    c = job.constants
-    spec = Walker4Spec(
-        warping,
-        c.get("c0", 0.0),
-        c.get("c1", 0.0),
-        c.get("c2", 0.0),
-        c.get("c3", 0.0),
-        c.get("t0", 0.0),
+    comments = [f"#f={f}", f"#metric_function={q}"]
+    return _check_grid(job, args.out, walker3_metric(Walker3Spec(q)), f,
+                       comments, {"f": f, "metric_function": q},
+                       ["residual_max"])
+
+
+def _construct_walker4(job: _Job, args: argparse.Namespace) -> int:
+    spec = job.spec
+    t_lo, t_hi, _ = job.ranges["t"]
+    interval = (min(t_lo, spec.t0) - 0.5, max(t_hi, spec.t0) + 0.5)
+    f, _ = walker4_construct(
+        spec, paper_literal=args.paper_literal, interval=interval
     )
-    job.metric = walker4_metric(spec)
-    job.defaults = dict(WALKER_DEFAULTS4)
-    job.extras["spec"] = spec
+    comments = [
+        f"#f={f}",
+        f"#tprofile_slope=0.5*(({spec.warping})*({spec.c0:.12g}*t"
+        f"+{spec.c1:.12g})+{spec.c0:.12g}*I(t))",
+    ]
+    return _check_grid(job, args.out, job.metric, f, comments, {"f": f},
+                       ["residual_max"])
+
+
+def _construct_grw(job: _Job, args: argparse.Namespace) -> int:
+    if args.paper_literal:
+        raise ConfigError("--paper-literal has no variant for family 'grw'")
+    spec = job.spec
+    if "alpha" not in job.constants:
+        raise ConfigError("missing required key 'constants.alpha'")
+    alpha = job.constants["alpha"]
+    t0 = job.constants.get("t0", spec.interval[0])
+    time_var = spec.time_var
+    t_lo, t_hi, t_count = job.ranges[time_var]
+    potential = grw_potential_field(spec, alpha, t0)
+    fiber_names = [name for name in job.chart if name != time_var]
+    fiber_point = [job.ranges[name][0] for name in fiber_names]
+    t_samples = np.linspace(t_lo, t_hi, t_count)
+    samples = grw_samples(spec, job.metric, potential, t_samples, fiber_point)
+    lam_values = np.array([sample.lambda_map() for sample in samples])
+    lam_hat = float(lam_values.mean())
+    lam = job.constants.get("lambda", lam_hat)
+    spread = float(np.max(np.abs(lam_values - lam_hat)))
+    rows = []
+    worst = 0.0
+    worst_t = t_samples[0]
+    for t, sample in zip(t_samples, samples):
+        r1, r2, r3 = sample.residual(lam)
+        size = max(abs(r1), abs(r2), abs(r3))
+        if size > worst:
+            worst, worst_t = size, t
+        rows.append([t, potential((t,)), r1, r2, r3])
+    comments = [
+        f"#potential_slope=({_fmt(alpha)})/({spec.warping})",
+        f"#t0={_fmt(t0)}",
+    ]
+    header = [time_var, "potential", "r1", "r2", "r3"]
+    code = _verdict(lam, spread, worst, [worst_t], job.tolerance)
+    _emit_csv(args.out, comments, header, rows)
+    return code
+
+
+_FAMILIES = {
+    "custom": _Family(_assemble_custom),
+    "warped": _Family(_assemble_warped),
+    "grw": _Family(_assemble_grw, _construct_grw, ("lambda", "alpha", "t0")),
+    "static": _Family(_assemble_static),
+    "walker3": _Family(_assemble_walker3, _construct_walker3,
+                       VERIFY_READS + ("kappa",)),
+    "walker4": _Family(_assemble_walker4, _construct_walker4,
+                       VERIFY_READS + WALKER4_CONSTANTS),
+}
 
 
 # =====================================================================
@@ -477,10 +535,9 @@ def _emit_csv(out_path: str | None, comments: Sequence[str],
 
 
 def _cmd_curvature(cfg: dict, args: argparse.Namespace) -> int:
-    job = _build_job(cfg, "curvature", None)
-    chart = job.metric.chart
-    ranges = _resolve_ranges(chart, job.grid_cfg, job.defaults, args.grid)
-    pts = grid_points(chart, ranges)
+    job = _build_job(cfg, "curvature", None, args.grid)
+    chart = job.chart
+    pts = grid_points(chart, job.ranges)
     n = len(chart)
     header = list(chart) + ["tau"] + [
         f"ricci_{chart[i]}_{chart[j]}" for i in range(n) for j in range(i, n)
@@ -503,130 +560,49 @@ def _verdict(lam: float, spread: float, worst: float,
     return 0 if passed else 1
 
 
-def _check(job: _Job,
-           geometry: PointGeometry) -> tuple[LambdaEstimate, np.ndarray, int]:
-    """Check the soliton equation with the job's constants and print the
-    verdict.  Returns the lambda estimate, the largest residual entry
-    at each point, and the exit code."""
+def _check_grid(job: _Job, out: str | None, metric: MetricField,
+                potential: ScalarField, comments: Sequence[str],
+                fields: Mapping[str, ScalarField],
+                columns: Sequence[str]) -> int:
+    """Check the soliton equation on the job's grid, print the verdict
+    and write one row per point: the point, ``fields`` evaluated there,
+    then ``columns`` (residual_max, tau, lap_potential, lambda_point)."""
+    pts = grid_points(job.chart, job.ranges)
+    geometry = point_geometry(metric, potential, pts)
     mu = job.constants.get("mu", 0.0)
     estimate = geometry.lambda_estimate(mu)
     lam = job.constants.get("lambda", estimate.value)
     report = geometry.residual_report(lam, mu, job.tolerance)
     code = _verdict(lam, estimate.spread, report.max_abs, report.worst_point,
                     job.tolerance)
-    return estimate, np.abs(report.residual_grids).max(axis=(1, 2)), code
+    computed = {
+        "residual_max": np.abs(report.residual_grids).max(axis=(1, 2)),
+        "tau": geometry.scal,
+        "lap_potential": geometry.lap,
+        "lambda_point": estimate.samples,
+    }
+    rows = np.column_stack(
+        [pts]
+        + [[fn(p) for p in pts] for fn in fields.values()]
+        + [computed[name] for name in columns]
+    )
+    header = list(job.chart) + list(fields) + list(columns)
+    _emit_csv(out, comments, header, rows)
+    return code
 
 
 def _cmd_verify(cfg: dict, args: argparse.Namespace) -> int:
-    job = _build_job(cfg, "verify", args.tol)
+    job = _build_job(cfg, "verify", args.tol, args.grid)
     if job.potential_src is None:
         raise ConfigError("missing required key 'potential'")
-    chart = job.metric.chart
-    potential = _parse_field(job.potential_src, chart, "potential")
-    ranges = _resolve_ranges(chart, job.grid_cfg, job.defaults, args.grid)
-    pts = grid_points(chart, ranges)
-    geometry = point_geometry(job.metric, potential, pts)
-    estimate, residual_max, code = _check(job, geometry)
-    rows = [
-        list(p) + [residual_max[i], geometry.scal[i], geometry.lap[i],
-                   estimate.samples[i]]
-        for i, p in enumerate(pts)
-    ]
-    header = list(chart) + ["residual_max", "tau", "lap_potential", "lambda_point"]
-    _emit_csv(args.out, [], header, rows)
-    return code
-
-
-def _construct_walker3(job: _Job, args: argparse.Namespace) -> int:
-    construction = job.extras["construction"]
-    chart = ("t", "x", "y")
-    ranges = _resolve_ranges(chart, job.grid_cfg, job.defaults, args.grid)
-    y_lo, y_hi, y_count = ranges["y"]
-    check = np.linspace(y_lo, y_hi, max(y_count, 9))
-    f, q = walker3_construct(
-        construction, paper_literal=args.paper_literal, check_points=check
-    )
-    metric = walker3_metric(Walker3Spec(q))
-    pts = grid_points(chart, ranges)
-    comments = [f"#f={f}", f"#metric_function={q}"]
-    _, residual_max, code = _check(job, point_geometry(metric, f, pts))
-    rows = [list(p) + [f(p), q(p), residual_max[i]] for i, p in enumerate(pts)]
-    header = list(chart) + ["f", "metric_function", "residual_max"]
-    _emit_csv(args.out, comments, header, rows)
-    return code
-
-
-def _construct_walker4(job: _Job, args: argparse.Namespace) -> int:
-    spec = job.extras["spec"]
-    chart = ("x", "y", "z", "t")
-    ranges = _resolve_ranges(chart, job.grid_cfg, job.defaults, args.grid)
-    t_lo, t_hi, _ = ranges["t"]
-    interval = (min(t_lo, spec.t0) - 0.5, max(t_hi, spec.t0) + 0.5)
-    f, profile = walker4_construct(
-        spec, paper_literal=args.paper_literal, interval=interval
-    )
-    pts = grid_points(chart, ranges)
-    comments = [
-        f"#f={f}",
-        f"#tprofile_slope=0.5*(({spec.warping})*({spec.c0:.12g}*t"
-        f"+{spec.c1:.12g})+{spec.c0:.12g}*I(t))",
-    ]
-    _, residual_max, code = _check(job, point_geometry(job.metric, f, pts))
-    rows = [list(p) + [f(p), residual_max[i]] for i, p in enumerate(pts)]
-    header = list(chart) + ["f", "residual_max"]
-    _emit_csv(args.out, comments, header, rows)
-    return code
-
-
-def _construct_grw(job: _Job, args: argparse.Namespace) -> int:
-    spec = job.extras["spec"]
-    if "alpha" not in job.constants:
-        raise ConfigError("missing required key 'constants.alpha'")
-    alpha = job.constants["alpha"]
-    t0 = job.constants.get("t0", spec.interval[0])
-    chart = job.metric.chart
-    ranges = _resolve_ranges(chart, job.grid_cfg, job.defaults, args.grid)
-    time_var = spec.time_var
-    t_lo, t_hi, t_count = ranges[time_var]
-    potential = grw_potential_field(spec, alpha, t0)
-    fiber_names = [name for name in chart if name != time_var]
-    fiber_point = [ranges[name][0] for name in fiber_names]
-    t_samples = np.linspace(t_lo, t_hi, t_count)
-    samples = grw_samples(spec, job.metric, potential, t_samples, fiber_point)
-    lam_values = np.array([sample.lambda_map() for sample in samples])
-    lam_hat = float(lam_values.mean())
-    lam = job.constants.get("lambda", lam_hat)
-    spread = float(np.max(np.abs(lam_values - lam_hat)))
-    rows = []
-    worst = 0.0
-    worst_t = t_samples[0]
-    for t, sample in zip(t_samples, samples):
-        r1, r2, r3 = sample.residual(lam)
-        size = max(abs(r1), abs(r2), abs(r3))
-        if size > worst:
-            worst, worst_t = size, t
-        rows.append([t, potential((t,)), r1, r2, r3])
-    comments = [
-        f"#potential_slope=({_fmt(alpha)})/({spec.warping})",
-        f"#t0={_fmt(t0)}",
-    ]
-    header = [time_var, "potential", "r1", "r2", "r3"]
-    code = _verdict(lam, spread, worst, [worst_t], job.tolerance)
-    _emit_csv(args.out, comments, header, rows)
-    return code
+    potential = _parse_field(job.potential_src, job.chart, "potential")
+    return _check_grid(job, args.out, job.metric, potential, [], {},
+                       ["residual_max", "tau", "lap_potential", "lambda_point"])
 
 
 def _cmd_construct(cfg: dict, args: argparse.Namespace) -> int:
-    job = _build_job(cfg, "construct", args.tol)
-    if job.family == "walker3":
-        return _construct_walker3(job, args)
-    if job.family == "walker4":
-        return _construct_walker4(job, args)
-    if job.family == "grw":
-        if args.paper_literal:
-            raise ConfigError("--paper-literal has no variant for family 'grw'")
-        return _construct_grw(job, args)
-    raise ConfigError(f"family {job.family!r} has no construction")
+    job = _build_job(cfg, "construct", args.tol, args.grid)
+    return job.family.construct(job, args)
 
 
 # =====================================================================

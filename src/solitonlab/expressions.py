@@ -448,6 +448,9 @@ def _compile(root: Node, chart: Sequence[str]) -> Callable[..., float]:
         return local
 
     out = visit(root)
+    # visit refers to itself through its closure; dropping the name
+    # breaks that cycle, so the source lines and maps die with this call.
+    del visit
     lines.append(f"    if not _isfinite({out}):")
     lines.append("        raise DomainError('expression evaluated to a non-finite value')")
     lines.append(f"    return {out}")

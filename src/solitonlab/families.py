@@ -284,8 +284,17 @@ def _static_metric(spec: StaticSpec) -> MetricField:
 # Cosmological family: quadrature potential and equation system
 # =====================================================================
 
-def _field_scalar(fn: ScalarField) -> Callable[[float], float]:
-    return fn.compiled
+def _reciprocal_warping(spec: GRWSpec) -> Callable[[float], float]:
+    """The integrand 1/warping; raises where the warping is not positive."""
+    w = spec.warping.compiled
+
+    def integrand(u: float) -> float:
+        wu = w(u)
+        if wu <= 0.0:
+            raise NonPositiveWarpingError(f"warping is not positive at [{u}]")
+        return 1.0 / wu
+
+    return integrand
 
 
 def grw_potential(spec: GRWSpec, alpha: float, t0: float, t: float,
@@ -293,15 +302,14 @@ def grw_potential(spec: GRWSpec, alpha: float, t0: float, t: float,
     """alpha * integral of 1/warping from t0 to t, zero at t0.
 
     Positivity of the warping is checked on 9 samples between the
-    limits before integrating.
+    limits before integrating, and at every quadrature sample.
     """
     lo, hi = min(t0, t), max(t0, t)
     if lo < hi:
         _check_positive(
             spec.warping, np.linspace(lo, hi, 9).reshape(-1, 1), "warping"
         )
-    w = _field_scalar(spec.warping)
-    return alpha * adaptive_simpson(lambda u: 1.0 / w(u), t0, t, tol=tol)
+    return alpha * adaptive_simpson(_reciprocal_warping(spec), t0, t, tol=tol)
 
 
 def grw_potential_field(spec: GRWSpec, alpha: float, t0: float,
@@ -312,12 +320,13 @@ def grw_potential_field(spec: GRWSpec, alpha: float, t0: float,
     callables use the defining relation (slope alpha / warping), so
     jets of this field carry no quadrature noise.
     """
-    w = _field_scalar(spec.warping)
-    dw = _field_scalar(spec.warping.diff(spec.time_var))
+    w = spec.warping.compiled
+    dw = spec.warping.diff(spec.time_var).compiled
+    reciprocal = _reciprocal_warping(spec)
 
     @lru_cache(maxsize=None)
     def value(tv: float) -> float:
-        return alpha * adaptive_simpson(lambda u: 1.0 / w(u), t0, tv, tol=tol)
+        return alpha * adaptive_simpson(reciprocal, t0, tv, tol=tol)
 
     def deriv(tv: float) -> float:
         return alpha / w(tv)
@@ -720,8 +729,8 @@ def walker4_construct(spec: Walker4Spec,
     ``paper_literal=True`` swaps the y coefficient for (c0 z + c1);
     that variant fails the family's own system when c0 != 0.
     """
-    w = _field_scalar(spec.warping)
-    w_t = _field_scalar(spec.warping.diff("t"))
+    w = spec.warping.compiled
+    w_t = spec.warping.diff("t").compiled
     c0, c1 = spec.c0, spec.c1
     t0 = spec.t0
 

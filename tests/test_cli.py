@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from solitonlab.cli import main
+from solitonlab.cli import CONSTANT_KEYS, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -319,3 +319,80 @@ def test_curvature_rejects_constants(tmp_path, capsys):
     assert code == 2
     assert stdout == ""
     assert "'constants'" in stderr
+
+
+FLAT_XYZ = {"type": "flat", "chart": ["x1", "x2", "x3"]}
+
+# One runnable job per command and family, without constants (the grw
+# construction requires alpha), and the constants each one reads.
+JOBS = {
+    ("verify", "custom"): {
+        "chart": ["x", "y"], "metric": [["1", "0"], ["0", "1"]],
+        "signature": "++", "potential": "x",
+        "grid": {"x": [0.0, 1.0, 2], "y": [0.0, 1.0, 2]},
+    },
+    ("verify", "warped"): {
+        "base": {"chart": ["r"], "metric": [["1"]], "signature": "+"},
+        "fiber": {"type": "flat", "chart": ["x"]}, "warping": "r",
+        "potential": "r", "grid": {"r": [1.0, 2.0, 2]},
+    },
+    ("verify", "grw"): {
+        "warping": "t", "interval": [1.0, 2.0], "fiber": FLAT_XYZ,
+        "potential": "-6*ln(t)",
+    },
+    ("verify", "static"): {
+        "lapse": "exp(x2)", "fiber": {"type": "flat", "chart": ["x1", "x2"]},
+        "potential": "x1",
+    },
+    ("verify", "walker3"): {"metric_function": "t", "potential": "x"},
+    ("verify", "walker4"): {"warping": "1", "potential": "y*t"},
+    ("construct", "grw"): {
+        "warping": "t", "interval": [1.0, 2.0], "fiber": FLAT_XYZ,
+        "constants": {"alpha": 6.0},
+    },
+    ("construct", "walker3"): {"eta": "exp(y)", "zeta": "0"},
+    ("construct", "walker4"): {"warping": "1"},
+}
+READS = {
+    ("verify", family): {"lambda", "mu"}
+    for family in ("custom", "warped", "grw", "static", "walker3", "walker4")
+}
+READS["construct", "grw"] = {"lambda", "alpha", "t0"}
+READS["construct", "walker3"] = {"lambda", "mu", "kappa"}
+READS["construct", "walker4"] = {"lambda", "mu", "c0", "c1", "c2", "c3", "t0"}
+
+
+@pytest.mark.parametrize("key", CONSTANT_KEYS)
+@pytest.mark.parametrize("command, family", sorted(JOBS))
+def test_a_constant_is_accepted_only_where_the_command_reads_it(
+        tmp_path, capsys, command, family, key):
+    cfg = {"family": family, **JOBS[command, family]}
+    cfg["constants"] = {**cfg.get("constants", {}), key: 1.0}
+    code, stdout, stderr = run(
+        capsys, command, write_config(tmp_path, cfg), "--grid", "2",
+        "--out", str(tmp_path / "report.csv"),
+    )
+    if key in READS[command, family]:
+        assert code in (0, 1), stderr
+        assert stderr == ""
+    else:
+        assert code == 2
+        assert stdout == ""
+        assert f"'constants.{key}'" in stderr
+
+
+@pytest.mark.parametrize("warping, t0", [("t", -1.0), ("t*t - 0.25", 0.0),
+                                         ("t", -2.0)])
+def test_grw_construction_over_a_non_positive_warping_is_exit_three(
+        tmp_path, capsys, warping, t0):
+    path = write_config(tmp_path, {
+        "family": "grw", "warping": warping, "interval": [1.0, 2.0],
+        "fiber": FLAT_XYZ, "constants": {"alpha": 6.0, "t0": t0},
+    })
+    code, stdout, stderr = run(
+        capsys, "construct", path, "--out", str(tmp_path / "grw.csv"),
+    )
+    assert code == 3
+    assert stdout == ""
+    assert stderr.startswith("numeric error: warping is not positive at ")
+    assert "Traceback" not in stderr

@@ -7,6 +7,7 @@ on random trees, bit for bit and error for error, is evidence rather
 than a restatement.
 """
 
+import gc
 import math
 import struct
 import sys
@@ -198,3 +199,16 @@ def test_evaluate_with_a_missing_variable_raises():
 def test_signed_zero_constant_keeps_its_sign():
     assert struct.pack("<d", ScalarField(CHART, Const(-0.0))((1.0, 1.0))) \
         == struct.pack("<d", -0.0)
+
+
+def test_a_dropped_compile_leaves_nothing_for_the_cyclic_collector():
+    gc.disable()
+    try:
+        gc.collect()
+        field = parse_expression("sin(x)*exp(y)/(2+x)", CHART)
+        fn = field.compiled
+        assert fn(0.5, 0.25) == field((0.5, 0.25))
+        del fn, field
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
