@@ -8,8 +8,9 @@ The pipeline has four stages:
      also take --tol, and construct alone takes --paper-literal, for
      the walker3 and walker4 families.
   2. Strict config reading.  Every key is checked by name and type;
-     unknown or misplaced keys fail the run with exit code 2 and a
-     message naming the offending field.  Nothing is silently ignored.
+     unknown, misplaced or repeated keys and non-finite numbers fail
+     the run with exit code 2 and a message naming the offending
+     field.  Nothing is silently ignored.
   3. Family assembly.  The "family" key selects one entry of the
      family table (custom, warped, grw, static, walker3, walker4).  An
      entry holds the family's assembler, which reads its keys into a
@@ -31,13 +32,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .curvature import curvature_from
+from .curvature import curvature_over
 from .errors import (
     ConfigError,
     ExpressionSyntaxError,
@@ -63,7 +65,7 @@ from .families import (
     walker4_metric,
 )
 from .grids import grid_points
-from .metrics import MetricField, flat_metric, metric_at, sphere_metric
+from .metrics import MetricField, flat_metric, sphere_metric
 from .soliton import classify, point_geometry
 
 __all__ = ["main"]
@@ -81,9 +83,17 @@ Range = tuple[float, float, int]
 # =====================================================================
 
 def _load_config(path: str) -> dict:
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+        obj: dict = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{path} repeats the key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -113,6 +123,8 @@ def _take(obj: dict, key: str, path: str, required: bool = False,
 def _as_number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite")
     return float(value)
 
 
@@ -318,7 +330,7 @@ def _build_job(cfg: dict, command: str, tol_flag: float | None,
         _take(cfg, "tolerance", "", default=DEFAULT_TOLERANCE), "tolerance"
     )
     if tol_flag is not None:
-        tolerance = tol_flag
+        tolerance = _as_number(tol_flag, "--tol")
     if tolerance <= 0.0:
         raise ConfigError("tolerance must be positive")
     potential_src = _take(cfg, "potential", "")
@@ -535,6 +547,9 @@ def _emit_csv(out_path: str | None, comments: Sequence[str],
 
 
 def _cmd_curvature(cfg: dict, args: argparse.Namespace) -> int:
+    """Write the scalar curvature and the upper triangle of Ricci at
+    every grid point.  The metric and its curvature are computed once
+    per distinct metric point (curvature_over)."""
     job = _build_job(cfg, "curvature", None, args.grid)
     chart = job.chart
     pts = grid_points(chart, job.ranges)
@@ -542,7 +557,7 @@ def _cmd_curvature(cfg: dict, args: argparse.Namespace) -> int:
     header = list(chart) + ["tau"] + [
         f"ricci_{chart[i]}_{chart[j]}" for i in range(n) for j in range(i, n)
     ]
-    curv = curvature_from(metric_at(job.metric, pts))
+    curv = curvature_over(job.metric, pts)
     upper = np.triu_indices(n)
     rows = np.column_stack([pts, curv.scalar, curv.ricci[:, upper[0], upper[1]]])
     _emit_csv(args.out, [], header, rows)

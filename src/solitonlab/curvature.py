@@ -15,6 +15,8 @@ ricci[j, k].  Every contraction is a leading-axis ('...') einsum, so
 the same code serves the data of one point and metric data stacked
 over P points (see metrics.metric_at), which adds a leading point axis
 to every array and turns the scalar curvature into a (P,) array.
+curvature_over runs metric_at -> curvature_from over a grid once per
+distinct metric point and hands every grid point its group's results.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import eval_jet2
+from .errors import SolitonLabError
 from .expressions import ScalarField
 from .metrics import MetricAtPoint, MetricField, metric_at
 
@@ -33,6 +36,8 @@ __all__ = [
     "christoffel",
     "curvature_from",
     "curvature_at",
+    "GridCurvature",
+    "curvature_over",
     "covariant_hessian",
     "covariant_hessian_from",
     "gradient_and_norm",
@@ -103,6 +108,47 @@ def curvature_from(data: MetricAtPoint) -> CurvatureAtPoint:
 
 def curvature_at(metric: MetricField, point: Sequence[float]) -> CurvatureAtPoint:
     return curvature_from(metric_at(metric, point))
+
+
+@dataclass(frozen=True, eq=False)
+class GridCurvature:
+    """g, g_inv, gamma, ricci and the scalar curvature over a (P, n)
+    stack of points, each with a leading point axis."""
+
+    g: np.ndarray
+    g_inv: np.ndarray
+    gamma: np.ndarray
+    ricci: np.ndarray
+    scalar: np.ndarray
+
+
+def curvature_over(metric: MetricField, points: np.ndarray) -> GridCurvature:
+    """metric_at -> curvature_from once per distinct metric point of a
+    (P, n) float64 stack; every point gets the results of its group.
+
+    Two points are one metric point when the coordinates the metric
+    reads (MetricField.read_axes) have the same float64 bits, so 0.0
+    and -0.0 stay apart, as in the jet walk's keys.  A group is
+    represented by its first point in stack order.  Each row goes
+    through the arithmetic it would meet in the full stack, so the
+    results have the same bits.  An error at a representative names
+    that point and carries its stack index: no earlier point fails,
+    since each earlier point's group has an earlier representative.
+    """
+    bits = points[:, metric.read_axes].view(np.uint64).tolist()
+    groups: dict[tuple[int, ...], int] = {}
+    of = np.fromiter((groups.setdefault(key, len(groups))
+                      for key in map(tuple, bits)), np.intp, len(bits))
+    first = np.unique(of, return_index=True)[1]
+    try:
+        curv = curvature_from(metric_at(metric, points[first]))
+    except SolitonLabError as exc:
+        if exc.index is not None:
+            exc.index = int(first[exc.index])
+        raise
+    data = curv.metric_data
+    return GridCurvature(data.g[of], data.g_inv[of], curv.gamma[of],
+                         curv.ricci[of], curv.scalar[of])
 
 
 def covariant_hessian_from(gradient: np.ndarray, hessian: np.ndarray,

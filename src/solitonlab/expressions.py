@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from typing import Callable, Mapping, Sequence, Union
 
@@ -691,15 +691,21 @@ class ScalarField:
     requires identical charts.  The field is compiled into a Python
     function on its first evaluation and keeps that function; its
     values and errors are those of walking the tree node by node.
+    ``reads`` holds the names of the chart coordinates the tree reads,
+    found by the chart check at construction.
     """
 
     chart: tuple[str, ...]
     root: Node
+    reads: frozenset[str] = dataclass_field(init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self) -> None:
-        loose = free_variables(self.root) - set(self.chart)
+        reads = free_variables(self.root)
+        loose = reads - set(self.chart)
         if loose:
             raise UnknownVariableError(sorted(loose)[0])
+        object.__setattr__(self, "reads", reads)
 
     # -- evaluation ---------------------------------------------------
 

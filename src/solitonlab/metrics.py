@@ -11,12 +11,16 @@ jet walk over the whole stack (autodiff.walk_jets), so a subtree
 shared by several components, such as the warping factor of a warped
 product, is differentiated once per grid.  A matrix counts as singular
 where its smallest |eigenvalue| is a tiny fraction of its largest, a
-test that does not change when g is scaled.
+test that does not change when g is scaled.  read_axes names the chart
+coordinates the components read; the metric is a function of these
+alone, which lets a grid share one evaluation among points that agree
+on them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -86,6 +90,15 @@ class MetricField:
 
     def component(self, i: int, j: int) -> ScalarField:
         return self.components[i][j]
+
+    @cached_property
+    def read_axes(self) -> tuple[int, ...]:
+        """Chart positions of the coordinates some component reads, in
+        chart order.  The metric, and all that is derived from it, is a
+        function of these coordinates alone."""
+        names = frozenset().union(*(f.reads for row in self.components
+                                    for f in row))
+        return tuple(k for k, name in enumerate(self.chart) if name in names)
 
     @staticmethod
     def from_rows(
@@ -191,7 +204,9 @@ def metric_at(metric: MetricField, point: Sequence[float]) -> MetricAtPoint:
     (P, n) array of points: one value-numbered jet walk over all
     components for the whole stack, then det, eigvalsh and inv on the
     stacked matrices.  A singular or wrongly signed matrix names its
-    first point in grid order."""
+    first point in grid order.  Every point of the stack is evaluated;
+    curvature.curvature_over passes only one point per distinct value
+    of the coordinates the metric reads (MetricField.read_axes)."""
     n = metric.dimension
     p = np.asarray(point, dtype=float)
     if p.ndim not in (1, 2) or p.shape[-1] != n or p.size == 0:

@@ -21,7 +21,9 @@ and, with no soliton assumption at all, the two hessians satisfy
 theta_check exposes both facts as residual matrices.  The module also
 provides lambda inference from the traced equation, classification and
 residual summaries over point sets.  All of them, and every reduced
-system in ``families``, read the one geometry pass, point_geometry.
+system in ``families``, read the one geometry pass, point_geometry,
+which computes the metric and its curvature once per distinct metric
+point.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import eval_jet2
-from .curvature import covariant_hessian_from, curvature_from
+from .curvature import covariant_hessian_from, curvature_from, curvature_over
 from .errors import in_grid_order
 from .expressions import Const, ScalarField, mul, neg
 from .expressions import call as _call
@@ -132,20 +134,21 @@ class PointGeometry:
 
 def _geometry(metric: MetricField, potential: ScalarField,
               points: np.ndarray) -> PointGeometry:
-    data = metric_at(metric, points)
-    curv = curvature_from(data)
+    curv = curvature_over(metric, points)
     jet = eval_jet2(potential, points)
     hess = covariant_hessian_from(jet.gradient, jet.hessian, curv.gamma)
-    lap = np.einsum("...ij,...ij->...", data.g_inv, hess)
-    return PointGeometry(points, data.g, data.g_inv, curv.scalar,
+    lap = np.einsum("...ij,...ij->...", curv.g_inv, hess)
+    return PointGeometry(points, curv.g, curv.g_inv, curv.scalar,
                          jet.gradient, hess, lap)
 
 
 def point_geometry(metric: MetricField, potential: ScalarField,
                    points: Sequence[Sequence[float]]) -> PointGeometry:
-    """metric_at -> curvature_from -> potential jet, each once over the
-    whole stack of points.  An error names the first bad point in grid
-    order, whichever stage finds it."""
+    """metric_at -> curvature_from once per distinct metric point of the
+    stack (curvature_over), then the potential's jet once over all the
+    points.  The results have the bits of a pass without that sharing.
+    An error names the first bad point in grid order, whichever stage
+    finds it."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 0:
         raise ValueError("the geometry pass needs at least one point")

@@ -396,3 +396,54 @@ def test_grw_construction_over_a_non_positive_warping_is_exit_three(
     assert stdout == ""
     assert stderr.startswith("numeric error: warping is not positive at ")
     assert "Traceback" not in stderr
+
+
+def _static_verify(**changes):
+    cfg = json.loads((CONFIGS / "static_verify.json").read_text())
+    return {**cfg, **changes}
+
+
+@pytest.mark.parametrize("cfg, flags, message", [
+    (_static_verify(tolerance=float("nan")), [], "tolerance must be finite"),
+    (_static_verify(), ["--tol", "nan"], "--tol must be finite"),
+    (_static_verify(potential="x1 + 5*x2"), ["--tol", "inf"],
+     "--tol must be finite"),
+    (_static_verify(constants={"lambda": float("nan")}), [],
+     "constants.lambda must be finite"),
+    (_static_verify(grid={"x1": [-1.0, float("inf"), 3]}), [],
+     "grid.x1[1] must be finite"),
+    ({"family": "grw", "warping": "t", "interval": [1.0, float("inf")],
+      "fiber": {"type": "flat", "chart": ["x"]}, "potential": "t"}, [],
+     "interval[1] must be finite"),
+    (_static_verify(fiber={"type": "sphere", "radius": float("-inf")},
+                    potential="u"), [], "fiber.radius must be finite"),
+])
+def test_a_non_finite_number_is_exit_two(tmp_path, capsys, cfg, flags,
+                                         message):
+    out = tmp_path / "report.csv"
+    code, stdout, stderr = run(capsys, "verify", write_config(tmp_path, cfg),
+                               *flags, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"family": "static", "lapse": "exp(x2)", "fiber": {"type": "flat", '
+     '"chart": ["x1", "x2"]}, "potential": "x1", "potential": "x1 + 5*x2", '
+     '"constants": {"lambda": -2.0}}', "potential"),
+    ('{"family": "static", "lapse": "exp(x2)", "fiber": {"type": "flat", '
+     '"chart": ["x1", "x2"]}, "potential": "x1", '
+     '"constants": {"lambda": -2.0, "lambda": 3.0}}', "lambda"),
+    ('{"family": "static", "lapse": "exp(x2)", "potential": "x1", "fiber": '
+     '{"type": "flat", "chart": ["x1", "x2"], "type": "flat"}}', "type"),
+], ids=["top-level", "in-constants", "in-fiber"])
+def test_a_repeated_key_is_exit_two(tmp_path, capsys, text, key):
+    path = tmp_path / "job.json"
+    path.write_text(text, encoding="utf-8")
+    code, stdout, stderr = run(capsys, "verify", str(path),
+                               "--out", str(tmp_path / "report.csv"))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"config error: {path} repeats the key '{key}'\n"
