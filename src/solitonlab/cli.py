@@ -20,8 +20,8 @@ The pipeline has four stages:
      mu; any other constant fails the run.
   4. Output.  Reports are CSV with a fixed schema line, a header row,
      and %.12e floats in lexicographic grid order, so identical jobs
-     produce byte-identical files.  Verification prints a single
-     PASS/FAIL line on stdout.
+     produce byte-identical files.  Every check ends in a LambdaEstimate
+     and a ResidualReport, from which _verdict prints one PASS/FAIL line.
 
 Exit codes: 0 verified or completed, 1 a residual or constancy check
 failed, 2 bad configuration or arguments, 3 a numeric failure such as
@@ -66,7 +66,7 @@ from .families import (
 )
 from .grids import grid_points
 from .metrics import MetricField, flat_metric, sphere_metric
-from .soliton import classify, point_geometry
+from .soliton import LambdaEstimate, ResidualReport, classify, point_geometry
 
 __all__ = ["main"]
 
@@ -481,25 +481,18 @@ def _construct_grw(job: _Job, args: argparse.Namespace) -> int:
     fiber_point = [job.ranges[name][0] for name in fiber_names]
     t_samples = np.linspace(t_lo, t_hi, t_count)
     samples = grw_samples(spec, job.metric, potential, t_samples, fiber_point)
-    lam_values = np.array([sample.lambda_map() for sample in samples])
-    lam_hat = float(lam_values.mean())
-    lam = job.constants.get("lambda", lam_hat)
-    spread = float(np.max(np.abs(lam_values - lam_hat)))
-    rows = []
-    worst = 0.0
-    worst_t = t_samples[0]
-    for t, sample in zip(t_samples, samples):
-        r1, r2, r3 = sample.residual(lam)
-        size = max(abs(r1), abs(r2), abs(r3))
-        if size > worst:
-            worst, worst_t = size, t
-        rows.append([t, potential((t,)), r1, r2, r3])
+    estimate = LambdaEstimate.of(samples.lambda_map())
+    lam = job.constants.get("lambda", estimate.value)
+    residual = samples.residual(lam)
+    report = ResidualReport.of(t_samples[:, None], residual, job.tolerance)
+    rows = np.column_stack([t_samples, [potential((t,)) for t in t_samples],
+                            residual])
     comments = [
         f"#potential_slope=({_fmt(alpha)})/({spec.warping})",
         f"#t0={_fmt(t0)}",
     ]
     header = [time_var, "potential", "r1", "r2", "r3"]
-    code = _verdict(lam, spread, worst, [worst_t], job.tolerance)
+    code = _verdict(lam, estimate, report, job.tolerance)
     _emit_csv(args.out, comments, header, rows)
     return code
 
@@ -524,17 +517,11 @@ def _fmt(value: float) -> str:
     return "%.12e" % float(value)
 
 
-def _fmt_point(point: Sequence[float]) -> str:
-    return "(" + ", ".join("%.6g" % float(c) for c in point) + ")"
-
-
 def _emit_csv(out_path: str | None, comments: Sequence[str],
-              header: Sequence[str], rows: Sequence[Sequence[float]]) -> None:
-    lines = ["#schema=1"]
-    lines.extend(comments)
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(cell) for cell in row))
+              header: Sequence[str], rows: np.ndarray) -> None:
+    row_format = ",".join(["%.12e"] * len(header))
+    lines = ["#schema=1", *comments, ",".join(header),
+             *(row_format % tuple(row) for row in rows.tolist())]
     text = "\n".join(lines) + "\n"
     if out_path is None:
         sys.stdout.write(text)
@@ -564,14 +551,15 @@ def _cmd_curvature(cfg: dict, args: argparse.Namespace) -> int:
     return 0
 
 
-def _verdict(lam: float, spread: float, worst: float,
-             worst_point: Sequence[float], tolerance: float) -> int:
+def _verdict(lam: float, estimate: LambdaEstimate, report: ResidualReport,
+             tolerance: float) -> int:
     """Print the PASS/FAIL line and return the exit code."""
-    passed = worst <= tolerance and spread <= tolerance
+    passed = report.passed and estimate.spread <= tolerance
     if passed:
         print(f"PASS lambda={_fmt(lam)} class={classify(lam, tolerance)}")
     else:
-        print(f"FAIL max_residual={_fmt(worst)} at {_fmt_point(worst_point)}")
+        point = ", ".join("%.6g" % c for c in report.worst_point.tolist())
+        print(f"FAIL max_residual={_fmt(report.max_abs)} at ({point})")
     return 0 if passed else 1
 
 
@@ -588,10 +576,9 @@ def _check_grid(job: _Job, out: str | None, metric: MetricField,
     estimate = geometry.lambda_estimate(mu)
     lam = job.constants.get("lambda", estimate.value)
     report = geometry.residual_report(lam, mu, job.tolerance)
-    code = _verdict(lam, estimate.spread, report.max_abs, report.worst_point,
-                    job.tolerance)
+    code = _verdict(lam, estimate, report, job.tolerance)
     computed = {
-        "residual_max": np.abs(report.residual_grids).max(axis=(1, 2)),
+        "residual_max": report.per_point,
         "tau": geometry.scal,
         "lap_potential": geometry.lap,
         "lambda_point": estimate.samples,
@@ -673,6 +660,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SolitonLabError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        print("config error: an expression or a JSON value nests too deeply",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

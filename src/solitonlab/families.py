@@ -68,7 +68,7 @@ __all__ = [
     "assemble_warped_metric",
     "grw_potential",
     "grw_potential_field",
-    "GRWSample",
+    "GRWSamples",
     "grw_samples",
     "grw_system_residual",
     "grw_lambda_map",
@@ -87,6 +87,9 @@ __all__ = [
     "LaplacianReport",
     "laplacian_report",
 ]
+
+QUADRATURE_TOL = 1e-10  # of each adaptive quadrature behind a potential
+PROFILE_KNOTS = 33  # points of the walker4 profile's quadrature table
 
 
 # =====================================================================
@@ -298,7 +301,7 @@ def _reciprocal_warping(spec: GRWSpec) -> Callable[[float], float]:
 
 
 def grw_potential(spec: GRWSpec, alpha: float, t0: float, t: float,
-                  tol: float = 1e-10) -> float:
+                  tol: float = QUADRATURE_TOL) -> float:
     """alpha * integral of 1/warping from t0 to t, zero at t0.
 
     Positivity of the warping is checked on 9 samples between the
@@ -312,8 +315,7 @@ def grw_potential(spec: GRWSpec, alpha: float, t0: float, t: float,
     return alpha * adaptive_simpson(_reciprocal_warping(spec), t0, t, tol=tol)
 
 
-def grw_potential_field(spec: GRWSpec, alpha: float, t0: float,
-                        tol: float = 1e-10) -> ScalarField:
+def grw_potential_field(spec: GRWSpec, alpha: float, t0: float) -> ScalarField:
     """The quadrature potential as a scalar field on the time chart.
 
     The value is integrated on demand; the first and second derivative
@@ -326,7 +328,7 @@ def grw_potential_field(spec: GRWSpec, alpha: float, t0: float,
 
     @lru_cache(maxsize=None)
     def value(tv: float) -> float:
-        return alpha * adaptive_simpson(reciprocal, t0, tv, tol=tol)
+        return alpha * adaptive_simpson(reciprocal, t0, tv, tol=QUADRATURE_TOL)
 
     def deriv(tv: float) -> float:
         return alpha / w(tv)
@@ -340,33 +342,35 @@ def grw_potential_field(spec: GRWSpec, alpha: float, t0: float,
     return ScalarField((spec.time_var,), node)
 
 
-class GRWSample(NamedTuple):
-    """The reduced cosmological system at one time: scalar curvature of
-    the product metric, phi', phi'', the warping w and w'."""
+class GRWSamples(NamedTuple):
+    """The reduced cosmological system at T times as (T,) arrays: scalar
+    curvature of the product metric, phi', phi'', the warping w and w'.
+    residual(lam) stacks grw_system_residual's r1, r2, r3 as (T, 3)."""
 
-    scal: float
-    d1: float
-    d2: float
-    w: float
-    dw: float
+    scal: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    w: np.ndarray
+    dw: np.ndarray
 
-    def lambda_map(self) -> float:
+    def lambda_map(self) -> np.ndarray:
         return self.scal - self.dw * self.d1 / self.w
 
-    def residual(self, lam: float) -> tuple[float, float, float]:
-        r1 = self.d2 + (self.scal - lam)
-        r2 = self.dw * self.d1 - (self.scal - lam) * self.w
-        r3 = self.w * self.d2 + self.dw * self.d1
-        return r1, r2, r3
+    def residual(self, lam: float) -> np.ndarray:
+        shifted = self.scal - lam
+        return np.column_stack([self.d2 + shifted,
+                                self.dw * self.d1 - shifted * self.w,
+                                self.w * self.d2 + self.dw * self.d1])
 
 
 def grw_samples(spec: GRWSpec, metric: MetricField, potential: ScalarField,
                 times: Sequence[float],
                 fiber_point: Sequence[float] | None = None,
-                ) -> list[GRWSample]:
-    """The reduced system at each time on ``metric``, the product metric
-    of ``spec``, which the caller assembles once.  The warping must be
-    positive at every time; the fiber point defaults to the origin.
+                ) -> GRWSamples:
+    """The reduced system at every time, as (T,) arrays, on ``metric``,
+    the product metric of ``spec``, which the caller assembles once.
+    The warping must be positive at every time; the fiber point
+    defaults to the origin.
 
     One geometry pass over the points (t, fiber_point) gives scal,
     phi' and phi''; Gamma^k_tt vanishes on -dt^2 + w^2 g_F, so the
@@ -375,12 +379,12 @@ def grw_samples(spec: GRWSpec, metric: MetricField, potential: ScalarField,
     _check_positive(spec.warping, np.reshape(times, (-1, 1)), "warping")
     if fiber_point is None:
         fiber_point = np.zeros(spec.fiber.dimension)
-    points = [[t, *fiber_point] for t in times]
+    points = np.column_stack([times, np.tile(fiber_point, (len(times), 1))])
     geometry = point_geometry(metric, potential.with_chart(metric.chart), points)
     jet_w = eval_jet2(spec.warping, np.reshape(times, (-1, 1)))
-    columns = (geometry.scal, geometry.dphi[:, 0], geometry.hess[:, 0, 0],
-               jet_w.value, jet_w.gradient[:, 0])
-    return [GRWSample(*row) for row in zip(*(c.tolist() for c in columns))]
+    return GRWSamples(geometry.scal, geometry.dphi[:, 0],
+                      geometry.hess[:, 0, 0], jet_w.value,
+                      jet_w.gradient[:, 0])
 
 
 def grw_system_residual(spec: GRWSpec, potential: ScalarField, lam: float,
@@ -397,7 +401,8 @@ def grw_system_residual(spec: GRWSpec, potential: ScalarField, lam: float,
     (t, fiber_point); the fiber point defaults to the origin.
     """
     metric = assemble_warped_metric(spec, check_points=[[t]])
-    return grw_samples(spec, metric, potential, [t], fiber_point)[0].residual(lam)
+    samples = grw_samples(spec, metric, potential, [t], fiber_point)
+    return tuple(samples.residual(lam)[0].tolist())
 
 
 def grw_lambda_map(spec: GRWSpec, potential: ScalarField, t: float,
@@ -406,7 +411,8 @@ def grw_lambda_map(spec: GRWSpec, potential: ScalarField, t: float,
     time t: scal - w' phi' / w.  Constancy over t is what makes the
     construction consistent."""
     metric = assemble_warped_metric(spec, check_points=[[t]])
-    return grw_samples(spec, metric, potential, [t], fiber_point)[0].lambda_map()
+    samples = grw_samples(spec, metric, potential, [t], fiber_point)
+    return float(samples.lambda_map()[0])
 
 
 # =====================================================================
@@ -711,8 +717,6 @@ def _pchip(knots: Sequence[float],
 def walker4_construct(spec: Walker4Spec,
                       paper_literal: bool = False,
                       interval: tuple[float, float] = (-1.5, 1.5),
-                      knots: int = 33,
-                      tol: float = 1e-10,
                       ) -> tuple[ScalarField, QuadratureProfile]:
     """Potential of the explicit 4d structure, with its time profile.
 
@@ -720,11 +724,11 @@ def walker4_construct(spec: Walker4Spec,
 
     where the profile solves 2 tpart' = w(t) (c0 t + c1) + c0 I(t) with
     I the running integral of the warping from t0.  The profile value
-    is a cumulative quadrature table on ``knots`` points of
-    ``interval`` with monotone cubic interpolation (PCHIP: Fritsch &
-    Carlson's slopes, Moler's ``pchiptx`` end rule); its first and
-    second derivatives come from the defining relation, so jets of f
-    carry no interpolation noise.
+    is a cumulative quadrature table on PROFILE_KNOTS equally spaced
+    points of ``interval`` with monotone cubic interpolation (PCHIP:
+    Fritsch & Carlson's slopes, Moler's ``pchiptx`` end rule); its first
+    and second derivatives come from the defining relation, so jets of
+    f carry no interpolation noise.
 
     ``paper_literal=True`` swaps the y coefficient for (c0 z + c1);
     that variant fails the family's own system when c0 != 0.
@@ -736,7 +740,7 @@ def walker4_construct(spec: Walker4Spec,
 
     @lru_cache(maxsize=None)
     def running(tv: float) -> float:
-        return adaptive_simpson(w, t0, tv, tol=tol)
+        return adaptive_simpson(w, t0, tv, tol=QUADRATURE_TOL)
 
     def slope(tv: float) -> float:
         return 0.5 * (w(tv) * (c0 * tv + c1) + c0 * running(tv))
@@ -747,12 +751,12 @@ def walker4_construct(spec: Walker4Spec,
     lo, hi = interval
     if not lo < hi:
         raise ValueError(f"empty interval {interval}")
-    grid = np.linspace(lo, hi, int(knots))
+    grid = np.linspace(lo, hi, PROFILE_KNOTS)
     table = np.empty_like(grid)
-    table[0] = adaptive_simpson(slope, t0, grid[0], tol=tol)
+    table[0] = adaptive_simpson(slope, t0, grid[0], tol=QUADRATURE_TOL)
     for i in range(1, len(grid)):
         table[i] = table[i - 1] + adaptive_simpson(
-            slope, grid[i - 1], grid[i], tol=tol
+            slope, grid[i - 1], grid[i], tol=QUADRATURE_TOL
         )
     spline = _pchip(grid, table)
 

@@ -141,9 +141,6 @@ class MetricField:
                 fields[j][i] = fields[i][j]
         return MetricField(chart_t, tuple(tuple(r) for r in fields), sig)
 
-    def at(self, point: Sequence[float]) -> "MetricAtPoint":
-        return metric_at(self, point)
-
 
 @dataclass(frozen=True, eq=False)
 class MetricAtPoint:

@@ -108,28 +108,13 @@ class PointGeometry:
         """See infer_lambda."""
         norm2 = np.einsum("...ij,...i,...j->...", self.g_inv, self.dphi,
                           self.dphi)
-        samples = self.scal - (self.lap - mu * norm2) / self.g.shape[1]
-        value = float(samples.mean())
-        spread = float(np.max(np.abs(samples - value)))
-        return LambdaEstimate(value, spread, samples)
+        return LambdaEstimate.of(
+            self.scal - (self.lap - mu * norm2) / self.g.shape[1])
 
     def residual_report(self, lam: float, mu: float,
                         tol: float) -> ResidualReport:
         """See residual_report."""
-        if tol <= 0.0:
-            raise ValueError("tolerance must be positive")
-        grids = self.residuals(lam, mu)
-        per_point = np.abs(grids).max(axis=(1, 2))
-        worst = int(np.argmax(per_point))
-        max_abs = float(per_point[worst])
-        return ResidualReport(
-            points=self.points,
-            residual_grids=grids,
-            max_abs=max_abs,
-            mean_abs=float(per_point.mean()),
-            passed=max_abs <= tol,
-            worst_point=self.points[worst].copy(),
-        )
+        return ResidualReport.of(self.points, self.residuals(lam, mu), tol)
 
 
 def _geometry(metric: MetricField, potential: ScalarField,
@@ -237,6 +222,12 @@ class LambdaEstimate:
     spread: float
     samples: np.ndarray
 
+    @classmethod
+    def of(cls, samples: np.ndarray) -> LambdaEstimate:
+        """The samples' mean and their largest |deviation| from it."""
+        value = float(samples.mean())
+        return cls(value, float(np.max(np.abs(samples - value))), samples)
+
 
 def infer_lambda(metric: MetricField, potential: ScalarField,
                  points: Sequence[Sequence[float]],
@@ -268,10 +259,25 @@ def classify(lam: float, tol: float = 1e-8) -> str:
 class ResidualReport:
     points: np.ndarray
     residual_grids: np.ndarray
+    per_point: np.ndarray
     max_abs: float
     mean_abs: float
     passed: bool
     worst_point: np.ndarray
+
+    @classmethod
+    def of(cls, points: np.ndarray, grids: np.ndarray,
+           tol: float) -> ResidualReport:
+        """Each point's largest |entry| over the trailing axes of the
+        stacked residuals (``per_point``), and the first worst point."""
+        if tol <= 0.0:
+            raise ValueError("tolerance must be positive")
+        per_point = np.abs(grids).max(axis=tuple(range(1, grids.ndim)))
+        worst = int(np.argmax(per_point))
+        max_abs = float(per_point[worst])
+        return cls(points, grids, per_point, max_abs,
+                   float(per_point.mean()), max_abs <= tol,
+                   points[worst].copy())
 
 
 def residual_report(metric: MetricField, soliton: SolitonData,

@@ -129,6 +129,17 @@ def test_ln_and_sqrt_at_zero_in_both_evaluators():
         eval_jet2(sqrt_u, (0.0, 1.0, 1.0))
 
 
+def test_sqrt_jet_matches_finite_differences_at_positive_arguments():
+    f = parse_expression("sqrt(1 + u*u + v)", CHART)
+    for p in ([0.3, -0.2, 0.0], [-1.1, 0.7, 0.5], [0.0, -0.5, 1.0]):
+        jet = eval_jet2(f, p)
+        assert jet.value == np.sqrt(1.0 + p[0] * p[0] + p[1])
+        fd = finite_diff_jet2(f, p, h=1e-4)
+        err = max(np.abs(fd.gradient - jet.gradient).max(),
+                  np.abs(fd.hessian - jet.hessian).max())
+        assert err <= 1e-6
+
+
 def test_fractional_powers_at_zero_in_both_evaluators():
     # 0^c = 0 for c > 0, but a derivative of u^c is infinite at 0 for
     # fractional c below 2; above 2 the whole jet vanishes there.

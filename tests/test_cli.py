@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, report format, determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -447,3 +448,102 @@ def test_a_repeated_key_is_exit_two(tmp_path, capsys, text, key):
     assert code == 2
     assert stdout == ""
     assert stderr == f"config error: {path} repeats the key '{key}'\n"
+
+
+def test_a_grw_construction_with_a_wrong_lambda_fails_at_its_worst_time(
+        tmp_path, capsys):
+    # The construction's constant is 0; with lambda = 1 the residuals
+    # are r1 = -1, r2 = t and r3 = 0, so the worst time is t = 2.  The
+    # digest pins the report's bytes.
+    cfg = json.loads((CONFIGS / "grw_construct.json").read_text())
+    cfg["constants"]["lambda"] = 1.0
+    out = tmp_path / "grw.csv"
+    code, stdout, stderr = run(capsys, "construct",
+                               write_config(tmp_path, cfg), "--out", str(out))
+    assert code == 1
+    assert stdout == "FAIL max_residual=2.000000000000e+00 at (2)\n"
+    assert stderr == ""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "9080c8f51a7b1723265a3b5930da239d441b3b58c4f72b6e0010d69cbf071feb")
+
+
+def test_a_static_curvature_job_over_a_sphere_fiber(tmp_path, capsys):
+    out = tmp_path / "sphere.csv"
+    path = write_config(tmp_path, {
+        "family": "static", "lapse": "1",
+        "fiber": {"type": "sphere", "radius": 2},
+    })
+    code, _, stderr = run(capsys, "curvature", path, "--out", str(out))
+    assert code == 0, stderr
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[1].split(",")[:4] == ["t", "u", "v", "tau"]
+    # -dt^2 + g_S2(r): the scalar curvature is the sphere's, 2/r^2.
+    taus = [float(line.split(",")[3]) for line in lines[2:]]
+    assert len(taus) == 125
+    assert all(abs(tau - 0.5) < 1e-10 for tau in taus)
+
+
+def test_a_custom_fiber_reports_as_the_flat_fiber_it_spells_out(tmp_path,
+                                                                 capsys):
+    flat = tmp_path / "flat.csv"
+    code, flat_stdout, _ = run(capsys, "verify",
+                               f"{CONFIGS}/static_verify.json",
+                               "--out", str(flat))
+    assert code == 0
+    custom = tmp_path / "custom.csv"
+    path = write_config(tmp_path, _static_verify(
+        fiber={"type": "custom", "chart": ["x1", "x2"],
+               "metric": [["1", "0"], ["0", "1"]], "signature": "++"},
+        grid={"x1": [-1, 1, 5], "x2": [-1, 1, 5]},
+    ))
+    code, stdout, stderr = run(capsys, "verify", path, "--out", str(custom))
+    assert code == 0, stderr
+    assert stdout == flat_stdout
+    assert custom.read_bytes() == flat.read_bytes()
+
+
+@pytest.mark.parametrize("fiber, message", [
+    ({"type": "sphere", "radius": 0}, "fiber.radius must be positive"),
+    ({"type": "sphere", "chart": ["u", "v", "w"]},
+     "fiber.chart must name exactly two angles"),
+    ({"type": "torus"}, "fiber.type must be flat, sphere or custom, not 'torus'"),
+])
+def test_a_bad_fiber_is_exit_two(tmp_path, capsys, fiber, message):
+    out = tmp_path / "report.csv"
+    path = write_config(tmp_path, _static_verify(fiber=fiber, potential="u"))
+    code, stdout, stderr = run(capsys, "verify", path, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"config error: {message}\n"
+    assert not out.exists()
+
+
+LONG_SUM = "+".join(["x"] * 5000)
+DEEP_NESTING = "config error: an expression or a JSON value nests too deeply\n"
+
+
+@pytest.mark.parametrize("changes", [
+    {"potential": LONG_SUM},
+    {"metric": [["1+" + LONG_SUM, "0"], ["0", "1"]],
+     "grid": {"x": [1.0, 2.0, 2], "y": [0.0, 1.0, 2]}},
+], ids=["potential", "metric-entry"])
+def test_an_expression_nested_too_deeply_is_exit_two(tmp_path, capsys,
+                                                     changes):
+    cfg = {"family": "custom", **JOBS["verify", "custom"], **changes}
+    out = tmp_path / "report.csv"
+    code, stdout, stderr = run(capsys, "verify", write_config(tmp_path, cfg),
+                               "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == DEEP_NESTING
+    assert not out.exists()
+
+
+def test_a_config_nested_too_deeply_is_exit_two(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text('{"family": "custom", "chart": ' + "[" * 100000
+                    + "]" * 100000 + "}", encoding="utf-8")
+    code, stdout, stderr = run(capsys, "verify", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == DEEP_NESTING

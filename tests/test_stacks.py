@@ -80,6 +80,12 @@ def _warped():
     return metric, parse_expression("x*u + exp(0.3*v)", metric.chart), points
 
 
+def _sqrt():
+    metric = flat_metric(("x", "y"))
+    points = grid_points(metric.chart, {"x": (-1.0, 1.0, 3), "y": (-0.5, 1.0, 3)})
+    return metric, parse_expression("sqrt(1 + x*x + y)", metric.chart), points
+
+
 def _grw():
     warping = parse_expression("1 + t^2/2", ("t",))
     spec = GRWSpec(warping, flat_metric(("x1", "x2", "x3")), (1.0, 2.0))
@@ -120,6 +126,7 @@ CASES = {
     "deep-3d": _deep_3d,
     "sphere": _sphere,
     "flat": _flat,
+    "sqrt": _sqrt,
     "warped": _warped,
     "grw": _grw,
     "static": _static,
