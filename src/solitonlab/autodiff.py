@@ -14,10 +14,11 @@ as their scalar forms do, and constant powers and External profiles,
 whose array forms would not, are evaluated point by point.
 
 walk_jets evaluates the jets of several fields on one chart, such as
-the components of a metric, by value numbering (Griewank and Walther,
-ch. 5-6): each structurally distinct subtree becomes one entry of a
-tape and is evaluated once, however many components and places within
-them it appears in.  A node's key is its kind, its payload and the
+the components of a metric, in two steps.  It first numbers their
+trees by value numbering (Griewank and Walther, ch. 5-6): each
+structurally distinct subtree becomes one entry of a tape and is
+evaluated once, however many components and places within them it
+appears in.  A node's key is its kind, its payload and the
 numbers of its children, that is the identities of their jets, so
 equal keys mean equal computations on equal inputs.  Constants and
 exponents enter the key by their float64 bits, not by ==: 0.0 == -0.0,
@@ -27,7 +28,18 @@ computations whose results could differ merge.  Variables and
 functions are keyed by name, and an External profile only by its own
 identity, since two profiles with one name may wrap different
 callables.  A merged subtree therefore has the bits a second walk of
-it would give.  eval_jet2 is the walk of one field.
+it would give.
+
+It then evaluates the tape level by level (level scheduling of the
+forward-mode graph).  An entry's level is one more than the highest
+level of its children, so the entries of one level depend only on
+lower ones, and those of one level and one kind go through their rule
+together: one numpy call per step of the rule for the whole batch, not
+one per entry.  Every rule is elementwise arithmetic or a ufunc, so
+stacking entries changes no bits.  The jets live in one slot buffer,
+one row per jet with the point axis last, and a row is reused once the
+last user of its jet has run, so the buffer holds only the jets live
+at once.  eval_jet2 is the walk of one field.
 
 finite_diff_jet2 computes the same triple at one point from
 central-difference stencils on plain evaluations and shares no
@@ -49,16 +61,21 @@ Domain rules, shared with plain evaluation where a value exists:
               derivative of x^c is infinite at 0.  For fractional
               c > 2 the jet at 0 is (0, 0, 0).
 
-Over a stack, a DomainError names its first bad point in grid order,
-as a loop over the points would meet it: "ln of a non-positive
-argument at [0.0, 1.0]".
+Over a stack, a walk fails at the first point where any check fails,
+and names the check that a walk of that point alone meets first, as a
+loop over the points would: "ln of a non-positive argument at [0.0,
+1.0]".  The checks are each entry's domain check and each field's
+check for finite entries, which sits where the field's entries end on
+the tape.  The batched walk finds that point and that check from the
+masks of its checks in one pass.  Points past it, or failed upstream
+of a power or profile, are not passed to that power or profile.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,74 +111,291 @@ class Jet2:
     hessian: np.ndarray
 
 
-def _fail_at(bad: np.ndarray, message: str, points: np.ndarray) -> None:
-    """DomainError naming the first point where ``bad`` holds, if any."""
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DomainError(f"{message} at {points[i].tolist()}", index=i)
+# Entries times points per batch.  A batch's temporaries are a few
+# arrays of its own jets (the hessian terms are (entries, n*n, P)
+# each) on top of the slot buffer, so a batch takes at most
+# max(1, BATCH_POINTS // P) entries.  That is 16 on the 36 points of a
+# deep 3d metric job, enough to spread numpy's per-call cost over a
+# wide level while the temporaries stay a fraction of the buffer, and
+# 1 on grids of BATCH_POINTS points or more, where each call is large
+# enough already.
+BATCH_POINTS = 576
 
 
-def _pointwise(terms: Callable[[float], Sequence[float]], values: np.ndarray,
-               points: np.ndarray) -> np.ndarray:
-    """``terms(x)`` for each value, called point by point; returns one
-    column per term.  A DomainError names its point."""
+class _Batch(NamedTuple):
+    """Tape entries of one level and one kind, with the slot-buffer
+    rows of their jets (``out``) and of each operand's jets (``args``):
+    a slice where the rows are consecutive, so that they are read and
+    written as views, else an index array."""
+
+    kind: type
+    nodes: list[Node]
+    entries: list[int]
+    out: slice | np.ndarray
+    args: list[slice | np.ndarray]
+
+
+def _rows(slots: list[int]) -> slice | np.ndarray:
+    """Rows ``slots`` of the slot buffer: a slice if they are
+    consecutive, else an index array."""
+    first = slots[0]
+    if slots[-1] - first == len(slots) - 1 and (
+            len(slots) < 3 or slots == list(range(first, first + len(slots)))):
+        return slice(first, first + len(slots))
+    return np.array(slots)
+
+
+def _schedule(tape: list[tuple[Node, tuple[int, ...]]], roots: list[int],
+              points: int) -> tuple[list[_Batch], list[int], int]:
+    """The tape in batches, the slot of each entry's jet, and the
+    number of slots.
+
+    An entry's level is 1 + the highest level of its children (0 for a
+    leaf), so a batch reads only jets of lower levels.  A batch holds
+    entries of one level and one kind, as many as BATCH_POINTS allows
+    over ``points`` points; Call entries
+    are grouped by function name too, and each Pow or External entry,
+    which is evaluated point by point, is a batch of its own.  Batches
+    run level by level, and within a level in the order of their
+    groups' first tape entries.  A slot is freed once the last user of
+    its jet has run and is reused by a later batch, so there are as
+    many slots as jets live at once at the peak.
+    """
+    levels: list[int] = []
+    uses = [0] * len(tape)
+    groups: list[dict] = [{}]
+    for k, (node, args) in enumerate(tape):
+        level = 0
+        for a in args:
+            uses[a] += 1
+            if levels[a] >= level:
+                level = levels[a] + 1
+        levels.append(level)
+        if level == len(groups):
+            groups.append({})
+        kind = type(node)
+        if kind is Call:
+            kind = node.func
+        elif kind is Pow or kind is External:
+            kind = k
+        group = groups[level].get(kind)
+        if group is None:
+            groups[level][kind] = [k]
+        else:
+            group.append(k)
+    for k in roots:
+        uses[k] += 1
+    width = max(1, BATCH_POINTS // max(points, 1))
+    slot = [0] * len(tape)
+    free: list[int] = []
+    size = 0
+    batches = []
+    for level in groups:
+        for group in level.values():
+            for start in range(0, len(group), width):
+                entries = group[start:start + width]
+                outs = []
+                for k in entries:
+                    if free:
+                        slot[k] = free.pop()
+                    else:
+                        slot[k] = size
+                        size += 1
+                    outs.append(slot[k])
+                if len(outs) > 1:
+                    # Free rows in order are more often consecutive.
+                    outs.sort()
+                    for k, s in zip(entries, outs):
+                        slot[k] = s
+                nodes = [tape[k][0] for k in entries]
+                kids = [tape[k][1] for k in entries]
+                batches.append(_Batch(
+                    type(nodes[0]), nodes, entries, _rows(outs),
+                    [_rows([slot[c[i]] for c in kids])
+                     for i in range(len(kids[0]))]))
+                for c in kids:
+                    for a in c:
+                        uses[a] -= 1
+                        if not uses[a]:
+                            free.append(slot[a])
+    return batches, slot, size
+
+
+class _Walk:
+    """The state of one walk: its points, its slot buffer and its first
+    failing check.
+
+    A slot holds one jet with the point axis last, (1 + n + n*n, P):
+    the value, the gradient, then the hessian row by row.  Every step
+    of a rule then runs along contiguous runs of P values, however
+    many entries its batch holds and however the gradient and hessian
+    terms broadcast.
+
+    A check of tape entry k sits at position 2k, the finiteness check
+    of a field whose tape ends before entry e at 2e - 1, so positions
+    follow tape order.  Of all failing checks, the walk reports the one
+    at the first point, and at that point the first in tape order, by
+    keeping the least (point, position).  That is the failure a walk
+    point by point meets first.  A rule still runs at the points where
+    its check fails.  What it computes there, and downstream from
+    there, can only fail checks later in tape order at those points,
+    and the walk fails in any case.
+    """
+
+    def __init__(self, points: np.ndarray, chart: Sequence[str],
+                 size: int) -> None:
+        p, n = points.shape
+        self.points = points
+        self.n = n
+        self.chart = chart
+        # Zeros, since a leaf writes only its nonzero entries: level 0
+        # runs before any slot is freed, so its slots are fresh.
+        self.jets = np.zeros((size, 1 + n + n * n, p))
+        self.failure: tuple[int, int, str, bool] | None = None
+
+    def fail(self, point: int, position: int, message: str,
+             located: bool = True) -> None:
+        """Record a check that fails first at ``point``.  A located
+        message is completed with the point's coordinates."""
+        if self.failure is None or (point, position) < self.failure[:2]:
+            self.failure = (point, position, message, located)
+
+    def check(self, bad: np.ndarray, entries: list[int], message: str) -> None:
+        """Record the checks of ``entries`` that fail where ``bad``
+        (B, P) holds."""
+        if bad.any():
+            for b in np.flatnonzero(bad.any(axis=1)).tolist():
+                self.fail(int(bad[b].argmax()), 2 * entries[b], message)
+
+    def open_points(self, position: int) -> int:
+        """How many leading points can still fail first at a check at
+        ``position``: those before the first failing point, and that
+        point too if its failure comes later in tape order.  The
+        others either failed upstream, so that their values are not
+        the true ones, or cannot change which failure is reported."""
+        if self.failure is None:
+            return len(self.points)
+        point, first = self.failure[:2]
+        return point + (position < first)
+
+
+def _parts(jets: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value (B, P), gradient (B, n, P) and hessian (B, n*n, P) views
+    of stacked jets (B, 1 + n + n*n, P)."""
+    return jets[:, 0], jets[:, 1:n + 1], jets[:, n + 1:]
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i b_j of gradients (B, n, P), as hessian rows (B, n*n, P)."""
+    out = a[:, :, None] * b[:, None, :]
+    return out.reshape(len(a), -1, out.shape[-1])
+
+
+def _chain(u: np.ndarray, f0: np.ndarray, f1: np.ndarray, f2: np.ndarray,
+           out: np.ndarray, n: int) -> None:
+    """Jets of F(u) into ``out``, given F, F', F'' (B, P) at u's values."""
+    _, g, h = _parts(u, n)
+    value, gradient, hessian = _parts(out, n)
+    value[...] = f0
+    f1, f2 = f1[:, None], f2[:, None]
+    np.multiply(f1, g, out=gradient)
+    np.add(f1 * h, f2 * _outer(g, g), out=hessian)
+
+
+def _mul_rule(batch: _Batch, walk: _Walk, out: np.ndarray, a: np.ndarray,
+              b: np.ndarray) -> None:
+    n = walk.n
+    a_value, ga, ha = _parts(a, n)
+    b_value, gb, hb = _parts(b, n)
+    value, gradient, hessian = _parts(out, n)
+    cross = _outer(ga, gb) + _outer(gb, ga)
+    av, bv = a_value[:, None], b_value[:, None]
+    np.multiply(a_value, b_value, out=value)
+    np.add(av * gb, bv * ga, out=gradient)
+    np.add(av * hb + bv * ha, cross, out=hessian)
+
+
+def _const_rule(batch: _Batch, walk: _Walk, out: np.ndarray) -> None:
+    out[:, 0] = np.array([float(node.value) for node in batch.nodes])[:, None]
+
+
+def _var_rule(batch: _Batch, walk: _Walk, out: np.ndarray) -> None:
+    for jet, node in zip(out, batch.nodes):
+        axis = walk.chart.index(node.name)
+        jet[0] = walk.points[:, axis]
+        jet[1 + axis] = 1.0
+
+
+def _neg_rule(batch: _Batch, walk: _Walk, out: np.ndarray, u: np.ndarray) -> None:
+    np.negative(u, out=out)
+
+
+def _add_rule(batch: _Batch, walk: _Walk, out: np.ndarray, a: np.ndarray,
+              b: np.ndarray) -> None:
+    np.add(a, b, out=out)
+
+
+def _sub_rule(batch: _Batch, walk: _Walk, out: np.ndarray, a: np.ndarray,
+              b: np.ndarray) -> None:
+    np.subtract(a, b, out=out)
+
+
+def _div_rule(batch: _Batch, walk: _Walk, out: np.ndarray, num: np.ndarray,
+              den: np.ndarray) -> None:
+    x = den[:, 0]
+    walk.check(x == 0.0, batch.entries, "division by zero")
+    w = 1.0 / x
+    recip = np.empty_like(den)
+    _chain(den, w, -w * w, 2.0 * w * w * w, recip, walk.n)
+    _mul_rule(batch, walk, out, num, recip)
+
+
+def _call_rule(batch: _Batch, walk: _Walk, out: np.ndarray, u: np.ndarray) -> None:
+    func = batch.nodes[0].func
+    x = u[:, 0]
+    n = walk.n
+    if func == "exp":
+        walk.check(x > EXP_ARG_MAX, batch.entries, "overflow in exp")
+        e = np.exp(x)
+        _chain(u, e, e, e, out, n)
+    elif func == "ln":
+        walk.check(x <= 0.0, batch.entries, "ln of a non-positive argument")
+        _chain(u, np.log(x), 1.0 / x, -1.0 / (x * x), out, n)
+    elif func == "sin":
+        s, c = np.sin(x), np.cos(x)
+        _chain(u, s, c, -s, out, n)
+    elif func == "cos":
+        s, c = np.sin(x), np.cos(x)
+        _chain(u, c, -s, -c, out, n)
+    elif func == "sqrt":
+        walk.check(x <= 0.0, batch.entries, "sqrt jet needs a positive argument")
+        r = np.sqrt(x)
+        _chain(u, r, 0.5 / r, -0.25 / (x * r), out, n)
+    else:
+        raise ValueError(f"unsupported function '{func}'")
+
+
+def _pointwise(terms: Callable[[float], Sequence[float]], u: np.ndarray,
+               walk: _Walk, k: int) -> np.ndarray:
+    """``terms(x)`` for each value of the one-entry batch ``u`` of tape
+    entry ``k``, called point by point; returns one (1, P) row per
+    term.  Only the open points (_Walk.open_points) are called, up to
+    the first that raises a DomainError; the others get zeros."""
     rows = []
-    for i, x in enumerate(values.tolist()):
+    for i, x in enumerate(u[0, 0, :walk.open_points(2 * k)].tolist()):
         try:
             rows.append(terms(x))
         except DomainError as exc:
-            raise DomainError(f"{exc} at {points[i].tolist()}", index=i) from None
-    return np.array(rows, dtype=float).T
+            walk.fail(i, 2 * k, str(exc))
+            break
+    columns = np.zeros((u.shape[-1], 3))
+    if rows:
+        columns[:len(rows)] = rows
+    return columns.T[:, None]
 
 
-def _chain(u: Jet2, f0: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> Jet2:
-    """Jet of F(u) given F, F', F'' at u.value."""
-    g = u.gradient
-    outer = g[:, :, None] * g[:, None, :]
-    return Jet2(f0, f1[:, None] * g,
-                f1[:, None, None] * u.hessian + f2[:, None, None] * outer)
-
-
-def _mul_jets(a: Jet2, b: Jet2) -> Jet2:
-    ga, gb = a.gradient, b.gradient
-    cross = ga[:, :, None] * gb[:, None, :] + gb[:, :, None] * ga[:, None, :]
-    av, bv = a.value[:, None], b.value[:, None]
-    return Jet2(
-        a.value * b.value,
-        av * gb + bv * ga,
-        av[:, :, None] * b.hessian + bv[:, :, None] * a.hessian + cross,
-    )
-
-
-def _recip_jet(b: Jet2, points: np.ndarray) -> Jet2:
-    _fail_at(b.value == 0.0, "division by zero", points)
-    w = 1.0 / b.value
-    return _chain(b, w, -w * w, 2.0 * w * w * w)
-
-
-def _call_jet(func: str, u: Jet2, points: np.ndarray) -> Jet2:
-    x = u.value
-    if func == "exp":
-        _fail_at(x > EXP_ARG_MAX, "overflow in exp", points)
-        e = np.exp(x)
-        return _chain(u, e, e, e)
-    if func == "ln":
-        _fail_at(x <= 0.0, "ln of a non-positive argument", points)
-        return _chain(u, np.log(x), 1.0 / x, -1.0 / (x * x))
-    if func == "sin":
-        s, c = np.sin(x), np.cos(x)
-        return _chain(u, s, c, -s)
-    if func == "cos":
-        s, c = np.sin(x), np.cos(x)
-        return _chain(u, c, -s, -c)
-    if func == "sqrt":
-        _fail_at(x <= 0.0, "sqrt jet needs a positive argument", points)
-        r = np.sqrt(x)
-        return _chain(u, r, 0.5 / r, -0.25 / (x * r))
-    raise ValueError(f"unsupported function '{func}'")
-
-
-def _pow_jet(u: Jet2, c: float, points: np.ndarray) -> Jet2:
+def _pow_rule(batch: _Batch, walk: _Walk, out: np.ndarray, u: np.ndarray) -> None:
+    c = batch.nodes[0].exponent
     blows_up_at_zero = c < 2.0 and not float(c).is_integer()
 
     def terms(x: float) -> tuple[float, float, float]:
@@ -170,51 +404,45 @@ def _pow_jet(u: Jet2, c: float, points: np.ndarray) -> Jet2:
             raise DomainError("fractional power jet needs a positive base")
         return f0, _pow_value(x, c - 1.0), _pow_value(x, c - 2.0)
 
-    f0, p1, p2 = _pointwise(terms, u.value, points)
-    return _chain(u, f0, c * p1, c * (c - 1.0) * p2)
+    f0, p1, p2 = _pointwise(terms, u, walk, batch.entries[0])
+    _chain(u, f0, c * p1, c * (c - 1.0) * p2, out, walk.n)
 
 
-def _external_jet(node: External, u: Jet2, points: np.ndarray) -> Jet2:
+def _external_rule(batch: _Batch, walk: _Walk, out: np.ndarray,
+                   u: np.ndarray) -> None:
+    node = batch.nodes[0]
     if len(node.funcs) < 3:
-        raise DomainError(f"profile '{node.name}' supplies no second derivative")
+        walk.fail(0, 2 * batch.entries[0],
+                  f"profile '{node.name}' supplies no second derivative",
+                  located=False)
+        out[...] = 0.0
+        return
     funcs = node.funcs[:3]
-    return _chain(u, *_pointwise(lambda x: [f(x) for f in funcs], u.value, points))
+    _chain(u, *_pointwise(lambda x: [f(x) for f in funcs], u, walk,
+                          batch.entries[0]), out, walk.n)
+
+
+_RULES = {
+    Const: _const_rule, Var: _var_rule, Neg: _neg_rule, Add: _add_rule,
+    Sub: _sub_rule, Mul: _mul_rule, Div: _div_rule, Call: _call_rule,
+    Pow: _pow_rule, External: _external_rule,
+}
+
+
+def _evaluate(batch: _Batch, walk: _Walk) -> None:
+    """The jets of one batch, written in place where its slots are
+    consecutive, else computed apart and scattered to its slots."""
+    jets = walk.jets
+    rule = _RULES[batch.kind]
+    if isinstance(batch.out, slice):
+        rule(batch, walk, jets[batch.out], *[jets[rows] for rows in batch.args])
+    else:
+        out = np.empty((len(batch.entries),) + jets.shape[1:])
+        rule(batch, walk, out, *[jets[rows] for rows in batch.args])
+        jets[batch.out] = out
 
 
 _float_bits = struct.Struct("<d").pack
-
-
-def _node_jet(node: Node, args: list[Jet2], index: Mapping[str, int],
-              points: np.ndarray) -> Jet2:
-    """Jet of ``node`` given the jets of its children."""
-    p, n = points.shape
-    if isinstance(node, Const):
-        return Jet2(np.full(p, float(node.value)), np.zeros((p, n)),
-                    np.zeros((p, n, n)))
-    if isinstance(node, Var):
-        k = index[node.name]
-        grad = np.zeros((p, n))
-        grad[:, k] = 1.0
-        return Jet2(points[:, k].copy(), grad, np.zeros((p, n, n)))
-    if isinstance(node, Neg):
-        (u,) = args
-        return Jet2(-u.value, -u.gradient, -u.hessian)
-    if isinstance(node, Add):
-        a, b = args
-        return Jet2(a.value + b.value, a.gradient + b.gradient, a.hessian + b.hessian)
-    if isinstance(node, Sub):
-        a, b = args
-        return Jet2(a.value - b.value, a.gradient - b.gradient, a.hessian - b.hessian)
-    if isinstance(node, Mul):
-        return _mul_jets(*args)
-    if isinstance(node, Div):
-        num, den = args
-        return _mul_jets(num, _recip_jet(den, points))
-    if isinstance(node, Pow):
-        return _pow_jet(args[0], node.exponent, points)
-    if isinstance(node, Call):
-        return _call_jet(node.func, args[0], points)
-    return _external_jet(node, args[0], points)
 
 
 def _number(node: Node, tape: list, by_id: dict[int, int],
@@ -271,12 +499,12 @@ def walk_jets(fields: Sequence[ScalarField], points: np.ndarray) -> list[Jet2]:
 
     The trees are first numbered into a tape: one entry per distinct
     subtree (see _number for its key), in the order a depth-first walk
-    of the fields meets them.  The tape is then evaluated in that
-    order, and a jet is dropped as soon as its last user is evaluated,
-    so only jets still to be used are held.  Each field's jet is
-    checked for finite entries where its walk ends.  Errors name the
-    first bad point of the stack; in_grid_order turns that into the
-    first bad point in grid order.
+    of the fields meets them.  The tape is then evaluated level by
+    level in batches (see _schedule), each through one pass of its
+    rule, into a slot buffer that holds only the jets still to be used.
+    Each field's jet is checked for finite entries.  An error names
+    the first point of the stack at which any check fails, and the
+    check that a walk of that point alone meets first (see _Walk).
     """
     chart = fields[0].chart
     if any(field.chart != chart for field in fields):
@@ -288,26 +516,41 @@ def walk_jets(fields: Sequence[ScalarField], points: np.ndarray) -> list[Jet2]:
     for field in fields:
         roots.append(_number(field.root, tape, by_id, by_key))
         ends.append(len(tape))
-    uses = [0] * len(tape)
-    for k in [a for _, args in tape for a in args] + roots:
-        uses[k] += 1
-    index = {name: i for i, name in enumerate(chart)}
-    jets: list[Jet2 | None] = [None] * len(tape)
-    checked = 0
-    for k, (node, args) in enumerate(tape):
-        jets[k] = _node_jet(node, [jets[a] for a in args], index, points)
-        for a in args:
-            uses[a] -= 1
-            if not uses[a]:
-                jets[a] = None
-        while checked < len(fields) and ends[checked] == k + 1:
-            jet = jets[roots[checked]]
-            finite = (np.isfinite(jet.value)
-                      & np.isfinite(jet.gradient).all(axis=1)
-                      & np.isfinite(jet.hessian).all(axis=(1, 2)))
-            _fail_at(~finite, "jet evaluation produced a non-finite value", points)
-            checked += 1
-    return [jets[k] for k in roots]
+    batches, slot, size = _schedule(tape, roots, len(points))
+    walk = _Walk(points, chart, size)
+    # A rule runs at every point, also where a check has failed or at
+    # points past the first that fails, so numpy's floating-point
+    # warnings would depend on the batching.  They are silenced: a
+    # non-finite jet fails the check below, which names its point.
+    with np.errstate(all="ignore"):
+        for batch in batches:
+            _evaluate(batch, walk)
+    # Fields that share a root share its jet, and its finiteness check
+    # is the one of the first such field, the earliest in tape order.
+    first_field: dict[int, int] = {}
+    for f, k in enumerate(roots):
+        first_field.setdefault(slot[k], f)
+    rows = list(first_field)
+    jets = walk.jets[_rows(rows)]
+    finite = np.isfinite(jets)
+    if not finite.all():
+        finite = finite.all(axis=1)
+        for r in np.flatnonzero(~finite.all(axis=1)).tolist():
+            walk.fail(int(finite[r].argmin()), 2 * ends[first_field[rows[r]]] - 1,
+                      "jet evaluation produced a non-finite value")
+    if walk.failure is not None:
+        point, _, message, located = walk.failure
+        if located:
+            raise DomainError(f"{message} at {points[point].tolist()}", index=point)
+        raise DomainError(message)
+    # Each jet as arrays of its own, C-ordered, point axis first.
+    p, n = points.shape
+    value, gradient, hessian = (part.swapaxes(1, -1).copy()
+                                for part in _parts(jets, n))
+    hessian = hessian.reshape(len(rows), p, n, n)
+    jet_of = {row: Jet2(value[r], gradient[r], hessian[r])
+              for r, row in enumerate(rows)}
+    return [jet_of[slot[k]] for k in roots]
 
 
 def eval_jet2(field: ScalarField, point: Sequence[float]) -> Jet2:

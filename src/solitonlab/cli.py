@@ -31,8 +31,10 @@ a singular metric or a quadrature breakdown.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
@@ -618,7 +620,19 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every
+    main call."""
+    # argparse reads a value that starts with '-' as an option unless
+    # it matches this (by default only plain decimals such as -1 or
+    # -.5), so `--tol -1e-3` or `--tol -inf` would stop with "expected
+    # one argument" before the tolerance checks.  Any negative number
+    # float() reads is a value here.
+    negative_number = re.compile(
+        r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$",
+        re.IGNORECASE,
+    )
     parser = argparse.ArgumentParser(
         prog="soliton-lab",
         description=(
@@ -634,6 +648,7 @@ def _build_parser() -> argparse.ArgumentParser:
     }
     for name, text in descriptions.items():
         cmd = sub.add_parser(name, help=text)
+        cmd._negative_number_matcher = negative_number
         cmd.add_argument("config", help="path to a JSON job file")
         cmd.add_argument("--out", help="write the CSV report to this path")
         if name != "curvature":

@@ -134,12 +134,25 @@ def curvature_over(metric: MetricField, points: np.ndarray) -> GridCurvature:
     results have the same bits.  An error at a representative names
     that point and carries its stack index: no earlier point fails,
     since each earlier point's group has an earlier representative.
+    Where every point is its own metric point, as on a grid over every
+    coordinate the metric reads, the stack goes through as it is.
     """
-    bits = points[:, metric.read_axes].view(np.uint64).tolist()
-    groups: dict[tuple[int, ...], int] = {}
-    of = np.fromiter((groups.setdefault(key, len(groups))
-                      for key in map(tuple, bits)), np.intp, len(bits))
-    first = np.unique(of, return_index=True)[1]
+    read = np.ascontiguousarray(points[:, metric.read_axes])
+    if read.shape[1]:
+        rows = read.view(np.dtype((np.void, read.itemsize * read.shape[1])))
+        _, first, of = np.unique(rows[:, 0], return_index=True, return_inverse=True)
+    else:
+        first, of = np.zeros(1, np.intp), np.zeros(len(points), np.intp)
+    if len(first) == len(points):
+        curv = curvature_from(metric_at(metric, points))
+        data = curv.metric_data
+        return GridCurvature(data.g, data.g_inv, curv.gamma, curv.ricci,
+                             curv.scalar)
+    # np.unique numbers the groups in the order of their bits; number
+    # them in stack order of their first points instead.
+    at = first[of]
+    first = np.sort(first)
+    of = np.searchsorted(first, at)
     try:
         curv = curvature_from(metric_at(metric, points[first]))
     except SolitonLabError as exc:

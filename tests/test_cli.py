@@ -9,6 +9,7 @@ import pytest
 from solitonlab.cli import CONSTANT_KEYS, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+USAGE_TEXTS = Path(__file__).resolve().parent / "cli_usage_texts.json"
 
 
 def run(capsys, *argv):
@@ -428,6 +429,33 @@ def test_a_non_finite_number_is_exit_two(tmp_path, capsys, cfg, flags,
     assert stdout == ""
     assert stderr == f"config error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value, message", [
+    ("-1e-3", "tolerance must be positive"),
+    ("-inf", "--tol must be finite"),
+])
+def test_a_negative_tol_value_reaches_the_tolerance_checks(tmp_path, capsys,
+                                                          value, message):
+    path = write_config(tmp_path, _static_verify())
+    out = tmp_path / "report.csv"
+    spaced = run(capsys, "verify", path, "--tol", value, "--out", str(out))
+    joined = run(capsys, "verify", path, f"--tol={value}", "--out", str(out))
+    assert spaced == joined == (2, "", f"config error: {message}\n")
+    assert not out.exists()
+
+
+def test_help_and_usage_errors_keep_their_text(capsys, monkeypatch):
+    # Recorded at 80 columns from the parser as it was built on every
+    # call; it is now built once, so each case runs twice in a row.
+    monkeypatch.setenv("COLUMNS", "80")
+    for case in json.loads(USAGE_TEXTS.read_text(encoding="utf-8")):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as caught:
+                main(case["argv"])
+            captured = capsys.readouterr()
+            assert (caught.value.code, captured.out, captured.err) == (
+                case["exit"], case["stdout"], case["stderr"]), case["argv"]
 
 
 @pytest.mark.parametrize("text, key", [

@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 from solitonlab import (
+    SingularMetricError,
     covariant_hessian,
     curvature_at,
+    curvature_from,
     flat_metric,
     gradient_and_norm,
     laplace_beltrami,
@@ -32,6 +34,7 @@ from solitonlab.families import (
     walker3_metric,
 )
 from solitonlab.autodiff import eval_jet2
+from solitonlab.curvature import curvature_over
 
 from conftest import fd_curvature
 
@@ -192,3 +195,35 @@ def test_laplacian_of_first_spherical_harmonic():
         data = metric_at(m, (0.9, 0.2))
         lap = laplace_beltrami(f, data)
         assert abs(lap + 2.0 / radius**2 * np.cos(0.9)) < 1e-12
+
+
+def _bits(array):
+    return np.asarray(array, dtype=float).view(np.uint64)
+
+
+def test_an_unshared_stack_gives_the_bits_of_one_full_stack_pass():
+    # Every point reads its own metric point, -0.0 against 0.0 too, so
+    # curvature_over passes the stack through as it is.
+    metric = MetricField.from_rows(("a", "b", "c"), [
+        ["2 + sin(a*b)", "0.3*cos(c)", "0"],
+        ["0.3*cos(c)", "3 + a*c", "0.1*b"],
+        ["0", "0.1*b", "2 + exp(-c*c)"],
+    ], "+++")
+    points = np.array([[0.0, 0.5, -0.3], [-0.0, 0.5, -0.3], [0.7, -0.2, 0.1],
+                       [0.7, -0.2, 0.4], [-0.6, 0.9, 0.0]])
+    data = metric_at(metric, points)
+    curv = curvature_from(data)
+    grid = curvature_over(metric, points)
+    for got, want in [(grid.g, data.g), (grid.g_inv, data.g_inv),
+                      (grid.gamma, curv.gamma), (grid.ricci, curv.ricci),
+                      (grid.scalar, curv.scalar)]:
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_an_unshared_stack_names_its_first_bad_point():
+    metric = MetricField.from_rows(("a", "b"), [["a", "0"], ["0", "1"]], "++")
+    points = np.array([[1.0, 0.0], [2.0, 1.0], [0.0, 2.0], [-0.0, 3.0]])
+    with pytest.raises(SingularMetricError) as caught:
+        curvature_over(metric, points)
+    assert caught.value.index == 2
+    assert str(caught.value).startswith("metric is singular at [0.0, 2.0]")

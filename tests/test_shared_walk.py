@@ -23,6 +23,7 @@ from solitonlab import (
     grid_points,
     metric_at,
 )
+from solitonlab import autodiff
 from solitonlab.autodiff import walk_jets
 from solitonlab.expressions import Add, Const, External, Pow, ScalarField, Var
 from solitonlab.metrics import MetricField
@@ -57,6 +58,20 @@ def _shared_3d():
     return metric, None, points
 
 
+def _evaluated_entries(monkeypatch):
+    """The tape entries the walks evaluate, one item per entry: the
+    entries of every batch that autodiff._evaluate runs."""
+    original = autodiff._evaluate
+    entries = []
+
+    def counted(batch, walk):
+        entries.extend(batch.entries)
+        return original(batch, walk)
+
+    monkeypatch.setattr(autodiff, "_evaluate", counted)
+    return entries
+
+
 def _subtrees(node):
     """Every subtree of ``node``, with repeats, by a walk of its own."""
     out = [node]
@@ -84,7 +99,7 @@ def test_the_shared_metric_builds_one_jet_per_distinct_subtree(monkeypatch):
     metric, _, points = _shared_3d()
     roots = [metric.components[i][j].root for i in range(3) for j in range(i, 3)]
     nodes = [s for root in roots for s in _subtrees(root)]
-    built = count_calls(monkeypatch, "autodiff", "_node_jet")
+    built = _evaluated_entries(monkeypatch)
     metric_at(metric, points)
     assert len(built) == len(set(nodes)) < len(nodes) // 2
 
@@ -178,7 +193,7 @@ def test_shared_jobs_parse_six_texts_and_build_one_jet_per_distinct_subtree(
             if job.facts["shared"]]
     assert len(jobs) == 6
     parses = count_calls(monkeypatch, "expressions", "parse_expression")
-    built = count_calls(monkeypatch, "autodiff", "_node_jet")
+    built = _evaluated_entries(monkeypatch)
     for job in jobs:
         config = job.config
         del parses[:], built[:]
