@@ -53,6 +53,9 @@ Domain rules, shared with plain evaluation where a value exists:
 
     exp(x)    DomainError for x > log(DBL_MAX) (EXP_ARG_MAX) in both
     ln(x)     DomainError for x <= 0 in both
+    sin(x),   plain evaluation raises DomainError for x = +-inf at the
+    cos(x)    call; the jet gives NaN there, which the check for finite
+              entries refuses
     sqrt(x)   plain evaluation accepts x >= 0 (sqrt(0) = 0); the jet
               needs x > 0, since the first derivative is infinite at 0
     x^c       c a constant.  Both refuse x = 0 for c < 0 and x < 0 for
@@ -79,7 +82,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, in_grid_order
+from .errors import DomainError
 from .expressions import (
     Add,
     Call,
@@ -561,7 +564,7 @@ def eval_jet2(field: ScalarField, point: Sequence[float]) -> Jet2:
         raise ValueError(
             f"point has shape {p.shape}, chart has {len(field.chart)} names"
         )
-    jet = in_grid_order(lambda q: walk_jets([field], q)[0], np.atleast_2d(p))
+    jet = walk_jets([field], np.atleast_2d(p))[0]
     if p.ndim == 2:
         return jet
     return Jet2(float(jet.value[0]), jet.gradient[0], jet.hessian[0])

@@ -13,8 +13,10 @@ This module is the foundation of the package.  It provides:
      compiled, on its first evaluation, into a Python function of the
      chart coordinates whose values and errors are those of a
      node-by-node walk;
-  5. a recursive-descent parser for the grammar below, reporting the
-     character offset of any failure;
+  5. a parser for the grammar below: one compiled regular expression
+     splits the source into (kind, text, offset) tuples, and a
+     recursive descent, with unary, power and atom in one rule, reads
+     them by index.  Any failure reports its character offset;
   6. a precedence-aware pretty printer whose output re-parses to an
      equivalent tree;
   7. ScalarField, the chart-aware wrapper the rest of the package
@@ -37,6 +39,8 @@ supplied chart is an UnknownVariableError.
 from __future__ import annotations
 
 import math
+import operator
+import re
 import sys
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
@@ -259,27 +263,34 @@ def pow_(base: Node, exponent: float) -> Node:
     return Pow(base, exponent)
 
 
-_CALL_TABLE: dict[str, Callable[[float], float]] = {
-    "exp": math.exp,
-    "ln": math.log,
-    "sin": math.sin,
-    "cos": math.cos,
-    "sqrt": math.sqrt,
+# Each primitive with its domain guard, read by _call_value (which
+# constant folding uses) and by the code _compile emits, so both raise
+# the same DomainError at the same node.  A guard (comparison, bound,
+# message) refuses x before the call when `x <comparison> bound`.  sin
+# and cos have no comparison: math raises ValueError for them only on
+# an infinite argument, and that becomes DomainError(message).
+_CALLS: dict[str, tuple[Callable[[float], float], str, float, str]] = {
+    "exp": (math.exp, ">", EXP_ARG_MAX, "overflow in exp"),
+    "ln": (math.log, "<=", 0.0, "ln of a non-positive argument"),
+    "sin": (math.sin, "", 0.0, "sin of an infinite argument"),
+    "cos": (math.cos, "", 0.0, "cos of an infinite argument"),
+    "sqrt": (math.sqrt, "<", 0.0, "sqrt of a negative argument"),
 }
+_COMPARISONS = {">": operator.gt, "<=": operator.le, "<": operator.lt}
 
 
 def _call_value(func: str, x: float) -> float:
-    if func == "exp" and x > EXP_ARG_MAX:
-        raise DomainError("overflow in exp")
-    if func == "ln" and x <= 0.0:
-        raise DomainError("ln of a non-positive argument")
-    if func == "sqrt" and x < 0.0:
-        raise DomainError("sqrt of a negative argument")
-    return _CALL_TABLE[func](x)
+    fn, comparison, bound, message = _CALLS[func]
+    if comparison and _COMPARISONS[comparison](x, bound):
+        raise DomainError(message)
+    try:
+        return fn(x)
+    except ValueError:
+        raise DomainError(message) from None
 
 
 def call(func: str, arg: Node) -> Node:
-    if func not in _CALL_TABLE:
+    if func not in _CALLS:
         raise ValueError(f"unsupported function '{func}'")
     if isinstance(arg, Const):
         return Const(_call_value(func, arg.value))
@@ -392,17 +403,20 @@ def _compile(root: Node, chart: Sequence[str]) -> Callable[..., float]:
     The generated body holds one local per distinct node (shared
     subtrees are keyed by identity), assigned in the order of a
     depth-first walk with a quotient's denominator before its
-    numerator.  Values and errors are therefore those of evaluating
-    the tree node by node.  Only generated names, operators and
-    function-name literals enter the source; constants, exponents and
-    profile callables are bound through the scope dict, so every float
-    keeps its exact bits.
+    numerator.  A call is emitted as its guard from _CALLS followed by
+    a direct call of the math function: exp, ln and sqrt compare their
+    argument with the guard's bound first, and sin and cos turn the
+    ValueError of an infinite argument into the guard's DomainError.
+    Values and errors are therefore those of evaluating the tree node
+    by node with _call_value.  Only generated names, operators and
+    function names enter the source; constants, exponents, guard bounds
+    and profile callables are bound through the scope dict, so every
+    float keeps its exact bits.
     """
     params = [f"x{i}" for i in range(len(chart))]
     param_of = dict(zip(chart, params))
     scope: dict[str, object] = {
         "DomainError": DomainError,
-        "_call_value": _call_value,
         "_isfinite": math.isfinite,
         "_pow_value": _pow_value,
     }
@@ -437,7 +451,20 @@ def _compile(root: Node, chart: Sequence[str]) -> Callable[..., float]:
         elif isinstance(node, Pow):
             expr = f"_pow_value({visit(node.base)}, {bind(node.exponent)})"
         elif isinstance(node, Call):
-            expr = f"_call_value({node.func!r}, {visit(node.arg)})"
+            f = "_" + node.func
+            fn, comparison, bound, message = _CALLS[node.func]
+            scope.update({f: fn, f + "_bound": bound, f + "_error": message})
+            arg = visit(node.arg)
+            local = local_of[key] = f"v{len(local_of)}"
+            if comparison:
+                lines.extend([f"    if {arg} {comparison} {f}_bound:",
+                              f"        raise DomainError({f}_error)",
+                              f"    {local} = {f}({arg})"])
+            else:
+                lines.extend(["    try:", f"        {local} = {f}({arg})",
+                              "    except ValueError:",
+                              f"        raise DomainError({f}_error) from None"])
+            return local
         elif isinstance(node, External):
             expr = f"float({bind(node.funcs[0])}({visit(node.arg)}))"
         else:
@@ -525,154 +552,126 @@ def format_expression(node: Node) -> str:
 # Parser
 # =====================================================================
 
-_OPERATOR_CHARS = set("+-*/^()")
+# One token per match, after any whitespace.  \d is str.isdecimal, the
+# digits float() reads, and \w is str.isalnum or '_'.  A number whose
+# 'e' starts no exponent is malformed; only a whole mantissa can be
+# followed by an 'e', so that alternative never takes part of a number.
+# An identifier starts with \w minus \d, which still holds '²' and '½';
+# _tokenize refuses those.
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<malformed>(?:\d+\.?\d*|\.\d+)[eE](?![+-]?\d))
+  | (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<op>[-+*/^()])
+  | (?P<end>\Z)
+  | (?P<other>.)
+)""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'num' | 'ident' | 'op' | 'end'
-    text: str
-    offset: int
-
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPERATOR_CHARS:
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        # isdecimal is the set of digits float() reads; isdigit would
-        # also take superscripts such as '²'.
-        if ch.isdecimal() or (ch == "." and i + 1 < n and source[i + 1].isdecimal()):
-            start = i
-            while i < n and source[i].isdecimal():
-                i += 1
-            if i < n and source[i] == ".":
-                i += 1
-                while i < n and source[i].isdecimal():
-                    i += 1
-            if i < n and source[i] in "eE":
-                j = i + 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j < n and source[j].isdecimal():
-                    i = j
-                    while i < n and source[i].isdecimal():
-                        i += 1
-                else:
-                    raise ExpressionSyntaxError("malformed number", start)
-            tokens.append(_Token("num", source[start:i], start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            tokens.append(_Token("ident", source[start:i], start))
-            continue
-        raise ExpressionSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, offset) tuples of ``source``, the last of kind
+    'end'.  The kind is 'num', 'ident' or 'end', or an operator's own
+    character."""
+    tokens = []
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        text = match[kind]
+        offset = match.start(kind)
+        if kind == "op":
+            kind = text
+        elif kind == "malformed":
+            raise ExpressionSyntaxError("malformed number", offset)
+        elif kind == "other" or kind == "ident" and not (
+                text[0].isalpha() or text[0] == "_"):
+            raise ExpressionSyntaxError(f"unexpected character {text[0]!r}", offset)
+        tokens.append((kind, text, offset))
+        if kind == "end":
+            break
     return tokens
 
 
 class _Parser:
-    def __init__(self, source: str, chart: Sequence[str] | None) -> None:
+    """Recursive descent over the tokens of one source, read by index.
+
+    The smart constructors are called as the operands are read, left to
+    right, so the tree and any DomainError from folding constants are
+    those of building the tree in source order.
+    """
+
+    def __init__(self, source: str, chart: tuple[str, ...]) -> None:
         self.tokens = _tokenize(source)
         self.pos = 0
-        self.chart = None if chart is None else tuple(chart)
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, symbol: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != symbol:
-            raise ExpressionSyntaxError(f"expected '{symbol}'", tok.offset)
-        return self.advance()
+        self.chart = chart
 
     def parse(self) -> Node:
         node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExpressionSyntaxError(f"unexpected trailing input {tok.text!r}", tok.offset)
+        kind, text, offset = self.tokens[self.pos]
+        if kind != "end":
+            raise ExpressionSyntaxError(f"unexpected trailing input {text!r}", offset)
         return node
 
     def expr(self) -> Node:
         node = self.term()
         while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                rhs = self.term()
-                node = add(node, rhs) if tok.text == "+" else sub(node, rhs)
+            kind = self.tokens[self.pos][0]
+            if kind == "+":
+                self.pos += 1
+                node = add(node, self.term())
+            elif kind == "-":
+                self.pos += 1
+                node = sub(node, self.term())
             else:
                 return node
 
     def term(self) -> Node:
         node = self.unary()
         while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "*/":
-                self.advance()
-                rhs = self.unary()
-                node = mul(node, rhs) if tok.text == "*" else div(node, rhs)
+            kind = self.tokens[self.pos][0]
+            if kind == "*":
+                self.pos += 1
+                node = mul(node, self.unary())
+            elif kind == "/":
+                self.pos += 1
+                node = div(node, self.unary())
             else:
                 return node
 
     def unary(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
+        """The grammar's unary, power and atom rules in one."""
+        kind, text, offset = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "-":
             return neg(self.unary())
-        return self.power()
-
-    def power(self) -> Node:
-        base = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            expo = self.unary()
-            if not isinstance(expo, Const):
-                raise ExpressionSyntaxError("exponent must be a constant", tok.offset)
-            return pow_(base, expo.value)
-        return base
-
-    def atom(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return Const(float(tok.text))
-        if tok.kind == "ident":
-            self.advance()
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == "(":
-                if tok.text not in _CALL_TABLE:
-                    raise ExpressionSyntaxError(f"unknown function '{tok.text}'", tok.offset)
-                self.advance()
-                inner = self.expr()
-                self.expect_op(")")
-                return call(tok.text, inner)
-            if self.chart is not None and tok.text not in self.chart:
-                raise UnknownVariableError(tok.text, tok.offset)
-            return Var(tok.text)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        if tok.kind == "end":
-            raise ExpressionSyntaxError("unexpected end of input", tok.offset)
-        raise ExpressionSyntaxError(f"unexpected token {tok.text!r}", tok.offset)
+        if kind == "num":
+            node = Const(float(text))
+        elif kind == "(" or kind == "ident" and self.tokens[self.pos][0] == "(":
+            if kind == "ident":
+                if text not in _CALLS:
+                    raise ExpressionSyntaxError(f"unknown function '{text}'", offset)
+                self.pos += 1
+            node = self.expr()
+            close, _, at = self.tokens[self.pos]
+            if close != ")":
+                raise ExpressionSyntaxError("expected ')'", at)
+            self.pos += 1
+            if kind == "ident":
+                node = call(text, node)
+        elif kind == "ident":
+            if text not in self.chart:
+                raise UnknownVariableError(text, offset)
+            node = Var(text)
+        elif kind == "end":
+            raise ExpressionSyntaxError("unexpected end of input", offset)
+        else:
+            raise ExpressionSyntaxError(f"unexpected token {text!r}", offset)
+        kind, _, offset = self.tokens[self.pos]
+        if kind != "^":
+            return node
+        self.pos += 1
+        exponent = self.unary()
+        if not isinstance(exponent, Const):
+            raise ExpressionSyntaxError("exponent must be a constant", offset)
+        return pow_(node, exponent.value)
 
 
 # =====================================================================

@@ -400,6 +400,25 @@ def test_grw_construction_over_a_non_positive_warping_is_exit_three(
     assert "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("warping, func", [
+    ("2 + sin(t*1e308*10)", "sin"),
+    ("2 + sin(1e308*10)", "sin"),
+    ("2 + cos(t*1e308*10)", "cos"),
+])
+def test_sin_or_cos_of_an_infinite_argument_is_exit_three(tmp_path, capsys,
+                                                          warping, func):
+    path = write_config(tmp_path, {
+        "family": "grw", "warping": warping, "interval": [1.0, 2.0],
+        "fiber": FLAT_XYZ, "constants": {"alpha": 6.0, "t0": 1.0},
+    })
+    code, stdout, stderr = run(
+        capsys, "construct", path, "--out", str(tmp_path / "grw.csv"),
+    )
+    assert code == 3
+    assert stdout == ""
+    assert stderr == f"numeric error: {func} of an infinite argument\n"
+
+
 def _static_verify(**changes):
     cfg = json.loads((CONFIGS / "static_verify.json").read_text())
     return {**cfg, **changes}

@@ -1,8 +1,8 @@
 """The compiled scalar evaluator against an independent tree walker.
 
 reference() below walks the tree node by node with its own copy of the
-domain rules (division by zero, powers, exp/ln/sqrt, non-finite
-results).  It shares no code with solitonlab's evaluator, so agreement
+domain rules (division by zero, powers, exp/ln/sqrt, sin/cos of an
+infinite argument, non-finite results).  It shares no code with solitonlab's evaluator, so agreement
 on random trees, bit for bit and error for error, is evidence rather
 than a restatement.
 """
@@ -72,6 +72,8 @@ def _ref_call(func, x):
         if x < 0.0:
             raise DomainError("sqrt of a negative argument")
         return math.sqrt(x)
+    if math.isinf(x):
+        raise DomainError(f"{func} of an infinite argument")
     return {"sin": math.sin, "cos": math.cos}[func](x)
 
 
@@ -212,3 +214,15 @@ def test_a_dropped_compile_leaves_nothing_for_the_cyclic_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("func", ["sin", "cos"])
+@pytest.mark.parametrize("y", [10.0, -10.0])
+def test_sin_and_cos_of_an_infinite_argument_are_domain_errors(func, y):
+    root = Call(func, Mul(Var("x"), Var("y")))
+    expected = (DomainError, f"{func} of an infinite argument")
+    assert outcome(lambda: reference(root, {"x": 1e308, "y": y})) == expected
+    assert outcome(lambda: ScalarField(CHART, root)((1e308, y))) == expected
+    # Constant folding at parse time applies the same rule.
+    assert outcome(lambda: parse_expression(f"{func}(1e308*{y})", CHART)) \
+        == expected

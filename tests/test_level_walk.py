@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from solitonlab import DomainError, grid_points
+from solitonlab import DomainError, autodiff, grid_points
 from solitonlab.autodiff import walk_jets
 from solitonlab.errors import in_grid_order
 from solitonlab.expressions import (
@@ -345,6 +345,23 @@ def test_a_walk_fails_at_the_first_bad_point(roots, points, message, index):
         _batched(roots, points)
     assert (str(caught.value), caught.value.index) == (message, index)
     _assert_walks_agree(roots, points)
+
+
+def test_a_failing_eval_jet2_walks_once(monkeypatch):
+    calls = []
+
+    def counted(fields, points):
+        calls.append(len(points))
+        return walk_jets(fields, points)
+
+    monkeypatch.setattr(autodiff, "walk_jets", counted)
+    field = ScalarField(CHART, Add(Call("ln", X), Y))
+    points = np.array([[1.0, 0.0], [2.0, 1.0], [-1.0, 0.0], [0.0, 2.0]])
+    with pytest.raises(DomainError) as caught:
+        autodiff.eval_jet2(field, points)
+    assert str(caught.value) == "ln of a non-positive argument at [-1.0, 0.0]"
+    assert caught.value.index == 2
+    assert calls == [4]
 
 
 def test_a_profile_without_second_derivative_fails_unlocated():
