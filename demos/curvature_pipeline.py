@@ -7,7 +7,10 @@ Stages, in the order the library runs them:
   2. christoffel   builds the connection coefficients from that data;
   3. curvature_*   contracts them into the Riemann tensor, the Ricci
                    tensor, and the scalar curvature;
-  4. scalar tools  covariant hessian, gradient, Laplace-Beltrami.
+  4. point_geometry
+                   the one pass behind every check: per point the
+                   metric, the scalar curvature, and a potential's
+                   gradient, covariant hessian and Laplace-Beltrami.
 
 The demo checks each stage against closed forms: a round sphere, flat
 space in two signatures, and an expanding product metric whose scalar
@@ -24,9 +27,9 @@ from solitonlab import (
     curvature_at,
     covariant_hessian,
     flat_metric,
-    laplace_beltrami,
     metric_at,
     parse_expression,
+    point_geometry,
     sphere_metric,
 )
 
@@ -45,7 +48,7 @@ print(f"  |Ricci - g/r^2|  : "
       f"{np.max(np.abs(curv.ricci - curv.metric_data.g / radius**2)):.3e}")
 
 height = cos(coordinate_field(sphere.chart, "u"))
-lap = laplace_beltrami(height, curv.metric_data, curv.gamma)
+lap = point_geometry(sphere, height, [point]).lap[0]
 print(f"  Laplacian of cos(u): {lap:.12f}   "
       f"(expected {-2.0 / radius**2 * np.cos(point[0]):.12f})")
 print()

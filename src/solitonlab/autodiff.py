@@ -53,9 +53,8 @@ Domain rules, shared with plain evaluation where a value exists:
 
     exp(x)    DomainError for x > log(DBL_MAX) (EXP_ARG_MAX) in both
     ln(x)     DomainError for x <= 0 in both
-    sin(x),   plain evaluation raises DomainError for x = +-inf at the
-    cos(x)    call; the jet gives NaN there, which the check for finite
-              entries refuses
+    sin(x),   DomainError for x = +-inf in both, with plain
+    cos(x)    evaluation's message ("sin of an infinite argument")
     sqrt(x)   plain evaluation accepts x >= 0 (sqrt(0) = 0); the jet
               needs x > 0, since the first derivative is infinite at 0
     x^c       c a constant.  Both refuse x = 0 for c < 0 and x < 0 for
@@ -84,6 +83,7 @@ import numpy as np
 
 from .errors import DomainError
 from .expressions import (
+    _CALLS,
     Add,
     Call,
     Const,
@@ -365,9 +365,11 @@ def _call_rule(batch: _Batch, walk: _Walk, out: np.ndarray, u: np.ndarray) -> No
         walk.check(x <= 0.0, batch.entries, "ln of a non-positive argument")
         _chain(u, np.log(x), 1.0 / x, -1.0 / (x * x), out, n)
     elif func == "sin":
+        walk.check(np.isinf(x), batch.entries, _CALLS[func][3])
         s, c = np.sin(x), np.cos(x)
         _chain(u, s, c, -s, out, n)
     elif func == "cos":
+        walk.check(np.isinf(x), batch.entries, _CALLS[func][3])
         s, c = np.sin(x), np.cos(x)
         _chain(u, c, -s, -c, out, n)
     elif func == "sqrt":

@@ -17,6 +17,10 @@ over P points (see metrics.metric_at), which adds a leading point axis
 to every array and turns the scalar curvature into a (P,) array.
 curvature_over runs metric_at -> curvature_from over a grid once per
 distinct metric point and hands every grid point its group's results.
+Everything a potential adds on top (its gradient, covariant hessian
+and laplacian) comes from soliton.point_geometry, which reads
+curvature_over; curvature_at and covariant_hessian are the one-point
+views of the same formulas.
 """
 
 from __future__ import annotations
@@ -40,8 +44,6 @@ __all__ = [
     "curvature_over",
     "covariant_hessian",
     "covariant_hessian_from",
-    "gradient_and_norm",
-    "laplace_beltrami",
 ]
 
 
@@ -54,11 +56,6 @@ def _christoffel_parts(data: MetricAtPoint) -> tuple[np.ndarray, np.ndarray]:
         - np.einsum("...lij->...ijl", dg)
     )
     return T, 0.5 * np.einsum("...kl,...ijl->...kij", data.g_inv, T)
-
-
-def _scalar_or_stack(value: np.ndarray) -> float | np.ndarray:
-    """A float for the data of one point, the (P,) array for a stack."""
-    return float(value) if value.ndim == 0 else value
 
 
 def christoffel(data: MetricAtPoint) -> np.ndarray:
@@ -102,7 +99,9 @@ def curvature_from(data: MetricAtPoint) -> CurvatureAtPoint:
         - np.einsum("...ljm,...mik->...lkij", gamma, gamma)
     )
     ricci = np.einsum("...ijik->...jk", riemann)
-    scalar = _scalar_or_stack(np.einsum("...jk,...jk->...", ginv, ricci))
+    scalar = np.einsum("...jk,...jk->...", ginv, ricci)
+    if scalar.ndim == 0:
+        scalar = float(scalar)
     return CurvatureAtPoint(data, gamma, riemann, ricci, scalar)
 
 
@@ -171,28 +170,7 @@ def covariant_hessian_from(gradient: np.ndarray, hessian: np.ndarray,
     return hessian - np.einsum("...kij,...k->...ij", gamma, gradient)
 
 
-def covariant_hessian(field: ScalarField, data: MetricAtPoint,
-                      gamma: np.ndarray | None = None) -> np.ndarray:
+def covariant_hessian(field: ScalarField, data: MetricAtPoint) -> np.ndarray:
     """Hess(f)_ij = d_i d_j f - Gamma^k_ij d_k f at the evaluated point."""
-    if gamma is None:
-        gamma = christoffel(data)
     jet = eval_jet2(field, data.point)
-    return covariant_hessian_from(jet.gradient, jet.hessian, gamma)
-
-
-def gradient_and_norm(field: ScalarField, data: MetricAtPoint,
-                      ) -> tuple[np.ndarray, float | np.ndarray]:
-    """Raised gradient g^{ij} d_j f and squared length g^{ij} d_i f d_j f.
-
-    The squared length can be negative on an indefinite metric.
-    """
-    df = eval_jet2(field, data.point).gradient
-    raised = np.einsum("...ij,...j->...i", data.g_inv, df)
-    return raised, _scalar_or_stack(np.einsum("...i,...i->...", df, raised))
-
-
-def laplace_beltrami(field: ScalarField, data: MetricAtPoint,
-                     gamma: np.ndarray | None = None) -> float | np.ndarray:
-    """Metric trace of the covariant hessian."""
-    hess = covariant_hessian(field, data, gamma)
-    return _scalar_or_stack(np.einsum("...ij,...ij->...", data.g_inv, hess))
+    return covariant_hessian_from(jet.gradient, jet.hessian, christoffel(data))

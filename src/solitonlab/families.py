@@ -66,7 +66,6 @@ __all__ = [
     "Walker3Construction",
     "Walker4Spec",
     "assemble_warped_metric",
-    "grw_potential",
     "grw_potential_field",
     "GRWSamples",
     "grw_samples",
@@ -287,44 +286,23 @@ def _static_metric(spec: StaticSpec) -> MetricField:
 # Cosmological family: quadrature potential and equation system
 # =====================================================================
 
-def _reciprocal_warping(spec: GRWSpec) -> Callable[[float], float]:
-    """The integrand 1/warping; raises where the warping is not positive."""
-    w = spec.warping.compiled
+def grw_potential_field(spec: GRWSpec, alpha: float, t0: float) -> ScalarField:
+    """The quadrature potential as a scalar field on the time chart.
 
-    def integrand(u: float) -> float:
+    The value, alpha times the integral of 1/warping from t0, is
+    integrated on demand and raises NonPositiveWarpingError at a
+    quadrature sample where the warping is not positive.  The first and
+    second derivative callables use the defining relation (slope
+    alpha / warping), so jets of this field carry no quadrature noise.
+    """
+    w = spec.warping.compiled
+    dw = spec.warping.diff(spec.time_var).compiled
+
+    def reciprocal(u: float) -> float:
         wu = w(u)
         if wu <= 0.0:
             raise NonPositiveWarpingError(f"warping is not positive at [{u}]")
         return 1.0 / wu
-
-    return integrand
-
-
-def grw_potential(spec: GRWSpec, alpha: float, t0: float, t: float,
-                  tol: float = QUADRATURE_TOL) -> float:
-    """alpha * integral of 1/warping from t0 to t, zero at t0.
-
-    Positivity of the warping is checked on 9 samples between the
-    limits before integrating, and at every quadrature sample.
-    """
-    lo, hi = min(t0, t), max(t0, t)
-    if lo < hi:
-        _check_positive(
-            spec.warping, np.linspace(lo, hi, 9).reshape(-1, 1), "warping"
-        )
-    return alpha * adaptive_simpson(_reciprocal_warping(spec), t0, t, tol=tol)
-
-
-def grw_potential_field(spec: GRWSpec, alpha: float, t0: float) -> ScalarField:
-    """The quadrature potential as a scalar field on the time chart.
-
-    The value is integrated on demand; the first and second derivative
-    callables use the defining relation (slope alpha / warping), so
-    jets of this field carry no quadrature noise.
-    """
-    w = spec.warping.compiled
-    dw = spec.warping.diff(spec.time_var).compiled
-    reciprocal = _reciprocal_warping(spec)
 
     @lru_cache(maxsize=None)
     def value(tv: float) -> float:

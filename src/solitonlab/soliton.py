@@ -1,13 +1,12 @@
 """Verification of gradient Yamabe-type soliton structures.
 
-A metric g with potential phi and constant lam is checked against
+A metric g with potential phi and constants lam, mu is checked against
 
-    Hess(phi) = (scal - lam) g                      (plain residual)
-    Hess(phi) = (scal - lam) g + mu dphi (x) dphi   (coupled residual)
+    Hess(phi) = (scal - lam) g + mu dphi (x) dphi
 
-where scal is the scalar curvature.  The plain case is the mu = 0
-instance of the coupled one and runs through the same code path, so
-the two agree bit for bit.
+where scal is the scalar curvature.  The gradient Yamabe soliton is
+the mu = 0 case; it runs through the same code, gqy_residual with
+mu = 0.
 
 For mu = 1/m nonzero the substitution theta = exp(-phi/m) turns the
 coupled equation into
@@ -23,7 +22,8 @@ provides lambda inference from the traced equation, classification and
 residual summaries over point sets.  All of them, and every reduced
 system in ``families``, read the one geometry pass, point_geometry,
 which computes the metric and its curvature once per distinct metric
-point.
+point and the potential's gradient, covariant hessian and laplacian
+once per point.
 """
 
 from __future__ import annotations
@@ -35,17 +35,16 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import eval_jet2
-from .curvature import covariant_hessian_from, curvature_from, curvature_over
+from .curvature import covariant_hessian_from, curvature_over
 from .errors import in_grid_order
 from .expressions import Const, ScalarField, mul, neg
 from .expressions import call as _call
-from .metrics import MetricField, metric_at
+from .metrics import MetricField
 
 __all__ = [
     "SolitonData",
     "PointGeometry",
     "point_geometry",
-    "gys_residual",
     "gqy_residual",
     "theta_substitution",
     "ThetaCheck",
@@ -151,14 +150,6 @@ def gqy_residual(metric: MetricField, soliton: SolitonData,
     return geometry.residuals(soliton.lam, soliton.mu)[0]
 
 
-def gys_residual(metric: MetricField, soliton: SolitonData,
-                 point: Sequence[float]) -> np.ndarray:
-    """Plain-case residual; requires mu = 0 and shares the coupled path."""
-    if soliton.mu != 0.0:
-        raise ValueError("plain residual requires mu = 0")
-    return gqy_residual(metric, soliton, point)
-
-
 # ---------------------------------------------------------------------
 # Exponential substitution
 # ---------------------------------------------------------------------
@@ -191,23 +182,23 @@ def theta_check(metric: MetricField, soliton: SolitonData,
 
     The first vanishes exactly when the coupled equation holds; the
     second vanishes for every smooth potential, so it measures pure
-    numerical error of the two hessian routes.
+    numerical error of the two hessian routes.  Both come from two
+    geometry passes over the point, one for phi and one for theta;
+    theta's value is the plain evaluation of the field.
     """
     if soliton.mu == 0.0:
         raise ValueError("theta check needs a nonzero coupling")
     m = 1.0 / soliton.mu
     theta = theta_substitution(soliton.potential, soliton.mu)
-    data = metric_at(metric, point)
-    curv = curvature_from(data)
-    jet_phi = eval_jet2(soliton.potential, data.point)
-    jet_th = eval_jet2(theta, data.point)
-    hess_phi = covariant_hessian_from(jet_phi.gradient, jet_phi.hessian, curv.gamma)
-    hess_th = covariant_hessian_from(jet_th.gradient, jet_th.hessian, curv.gamma)
-    theta_res = hess_th + (jet_th.value / m) * (curv.scalar - soliton.lam) * data.g
+    phi = point_geometry(metric, soliton.potential, [point])
+    th = point_geometry(metric, theta, [point])
+    theta_value = theta(point)
+    hess_th = th.hess[0]
+    theta_res = hess_th + (theta_value / m) * (th.scal[0] - soliton.lam) * th.g[0]
     identity_res = (
-        hess_phi
-        - np.outer(jet_phi.gradient, jet_phi.gradient) / m
-        + (m / jet_th.value) * hess_th
+        phi.hess[0]
+        - np.outer(phi.dphi[0], phi.dphi[0]) / m
+        + (m / theta_value) * hess_th
     )
     return ThetaCheck(theta_res, identity_res)
 
@@ -270,7 +261,7 @@ class ResidualReport:
            tol: float) -> ResidualReport:
         """Each point's largest |entry| over the trailing axes of the
         stacked residuals (``per_point``), and the first worst point."""
-        if tol <= 0.0:
+        if not tol > 0.0:
             raise ValueError("tolerance must be positive")
         per_point = np.abs(grids).max(axis=tuple(range(1, grids.ndim)))
         worst = int(np.argmax(per_point))

@@ -18,16 +18,15 @@ from solitonlab import (
     SolitonData,
     constant_field,
     coordinate_field,
-    covariant_hessian,
     curvature_at,
     eval_jet2,
     exp as field_exp,
     finite_diff_jet2,
     flat_metric,
     infer_lambda,
-    laplace_beltrami,
     metric_at,
     parse_expression,
+    point_geometry,
     residual_report,
     sphere_metric,
     theta_check,
@@ -122,12 +121,12 @@ def test_criterion_3_closed_form_tables_match_the_generic_pipeline(capsys):
         spec = Walker3Spec(q)
         metric = walker3_metric(spec)
         p = rng.uniform(-1.0, 1.0, 3)
-        data = metric_at(metric, p)
+        geometry = point_geometry(metric, f, [p])
         hess_closed, lap_closed = walker3_closed_forms(spec, f, p)
         worst = max(
             worst,
-            np.abs(covariant_hessian(f, data) - hess_closed).max(),
-            abs(laplace_beltrami(f, data) - lap_closed),
+            np.abs(geometry.hess[0] - hess_closed).max(),
+            abs(geometry.lap[0] - lap_closed),
         )
         count3 += 1
     count4 = 0
@@ -138,12 +137,12 @@ def test_criterion_3_closed_form_tables_match_the_generic_pipeline(capsys):
                             bound=20.0)
         spec = Walker4Spec(warping)
         metric = walker4_metric(spec)
-        data = metric_at(metric, p)
+        geometry = point_geometry(metric, f, [p])
         hess_closed, lap_closed = walker4_closed_forms(spec, f, p)
         worst = max(
             worst,
-            np.abs(covariant_hessian(f, data) - hess_closed).max(),
-            abs(laplace_beltrami(f, data) - lap_closed),
+            np.abs(geometry.hess[0] - hess_closed).max(),
+            abs(geometry.lap[0] - lap_closed),
         )
         count4 += 1
     ok = worst <= 1e-9

@@ -162,6 +162,21 @@ def test_fractional_powers_at_zero_in_both_evaluators():
         eval_jet2(g, at_zero)
 
 
+@pytest.mark.parametrize("func", ["sin", "cos"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_sin_and_cos_of_an_infinite_argument_in_both_evaluators(func, sign):
+    # u*v overflows to +-inf before the call; the jet would carry NaN.
+    f = parse_expression(f"{func}(u*v) + w", CHART)
+    point = (1e308, 10.0 * sign, 0.0)
+    message = f"{func} of an infinite argument"
+    with pytest.raises(DomainError) as plain:
+        f(point)
+    assert str(plain.value) == message
+    with pytest.raises(DomainError) as jet:
+        eval_jet2(f, point)
+    assert str(jet.value) == f"{message} at {list(point)}"
+
+
 def test_power_overflow_is_a_domain_error_in_both_evaluators():
     f = parse_expression("u^3", CHART)
     with pytest.raises(DomainError, match="overflow in power"):

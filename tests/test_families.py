@@ -19,6 +19,7 @@ from solitonlab import (
     NonPositiveEtaPrimeError,
     NonPositiveWarpingError,
     SolitonData,
+    adaptive_simpson,
     christoffel,
     constant_field,
     coordinate_field,
@@ -28,9 +29,9 @@ from solitonlab import (
     exp as field_exp,
     flat_metric,
     infer_lambda,
-    laplace_beltrami,
     metric_at,
     parse_expression,
+    point_geometry,
     residual_report,
     sphere_metric,
     theta_substitution,
@@ -46,7 +47,6 @@ from solitonlab.families import (
     WarpedProductSpec,
     assemble_warped_metric,
     grw_lambda_map,
-    grw_potential,
     grw_potential_field,
     grw_system_residual,
     laplacian_report,
@@ -131,11 +131,11 @@ def test_potential_against_hand_integrals():
     const = GRWSpec(
         constant_field(("t",), 2.0), flat_metric(("p",)), (0.0, 3.0)
     )
-    assert abs(grw_potential(const, 4.0, 0.0, 3.0) - 6.0) < 1e-10
+    assert abs(grw_potential_field(const, 4.0, 0.0)((3.0,)) - 6.0) < 1e-10
 
     linear = _grw_linear()
     assert abs(
-        grw_potential(linear, -6.0, 1.0, 1.7) + 6.0 * np.log(1.7)
+        grw_potential_field(linear, -6.0, 1.0)((1.7,)) + 6.0 * np.log(1.7)
     ) < 1e-9
 
     expo = GRWSpec(
@@ -143,13 +143,14 @@ def test_potential_against_hand_integrals():
         (0.0, 2.0),
     )
     expected = 3.0 * (np.exp(-0.5) - np.exp(-1.5))
-    assert abs(grw_potential(expo, 3.0, 0.5, 1.5) - expected) < 1e-10
+    assert abs(grw_potential_field(expo, 3.0, 0.5)((1.5,)) - expected) < 1e-10
 
 
 def test_potential_vanishes_at_the_base_point_and_is_monotone():
     spec = _grw_linear()
-    assert grw_potential(spec, 5.0, 1.3, 1.3) == 0.0
-    values = [grw_potential(spec, 5.0, 1.0, t) for t in np.linspace(1.0, 2.0, 7)]
+    assert grw_potential_field(spec, 5.0, 1.3)((1.3,)) == 0.0
+    potential = grw_potential_field(spec, 5.0, 1.0)
+    values = [potential((t,)) for t in np.linspace(1.0, 2.0, 7)]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
@@ -158,16 +159,18 @@ def test_potential_rejects_warping_that_crosses_zero():
         parse_expression("t", ("t",)), flat_metric(("p",)), (1.0, 2.0)
     )
     with pytest.raises(NonPositiveWarpingError):
-        grw_potential(spec, 1.0, -1.0, 2.0)
+        grw_potential_field(spec, 1.0, -1.0)((2.0,))
 
 
 def test_potential_quadrature_convergence():
-    spec = GRWSpec(
-        parse_expression("1 + 0.5*sin(t)", ("t",)), flat_metric(("p",)),
-        (0.0, 6.0),
-    )
-    coarse = grw_potential(spec, 2.0, 0.0, 5.5, tol=1e-8)
-    fine = grw_potential(spec, 2.0, 0.0, 5.5, tol=1e-10)
+    # The potential alpha * integral of 1/warping at two tolerances.
+    warping = parse_expression("1 + 0.5*sin(t)", ("t",)).compiled
+
+    def reciprocal(t):
+        return 1.0 / warping(t)
+
+    coarse = 2.0 * adaptive_simpson(reciprocal, 0.0, 5.5, tol=1e-8)
+    fine = 2.0 * adaptive_simpson(reciprocal, 0.0, 5.5, tol=1e-10)
     assert abs(coarse - fine) < 1e-8
 
 
@@ -357,13 +360,13 @@ def test_walker3_closed_forms_match_the_generic_pipeline():
         spec = Walker3Spec(q)
         metric = walker3_metric(spec)
         for p in pts:
-            data = metric_at(metric, p)
+            geometry = point_geometry(metric, f, [p])
             hess_closed, lap_closed = walker3_closed_forms(spec, f, p)
             worst_h = max(
                 worst_h,
-                np.abs(covariant_hessian(f, data) - hess_closed).max(),
+                np.abs(geometry.hess[0] - hess_closed).max(),
             )
-            worst_l = max(worst_l, abs(laplace_beltrami(f, data) - lap_closed))
+            worst_l = max(worst_l, abs(geometry.lap[0] - lap_closed))
             checked += 1
     assert worst_h < 1e-9
     assert worst_l < 1e-9
@@ -477,15 +480,16 @@ def test_walker4_closed_forms_match_the_generic_pipeline():
         metric = walker4_metric(spec)
         for p in pts:
             try:
-                data = metric_at(metric, p)
+                metric_at(metric, p)
             except Exception:
                 break
+            geometry = point_geometry(metric, f, [p])
             hess_closed, lap_closed = walker4_closed_forms(spec, f, p)
             worst_h = max(
                 worst_h,
-                np.abs(covariant_hessian(f, data) - hess_closed).max(),
+                np.abs(geometry.hess[0] - hess_closed).max(),
             )
-            worst_l = max(worst_l, abs(laplace_beltrami(f, data) - lap_closed))
+            worst_l = max(worst_l, abs(geometry.lap[0] - lap_closed))
             checked += 1
     assert worst_h < 1e-9
     assert worst_l < 1e-9

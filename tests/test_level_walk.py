@@ -169,9 +169,11 @@ def _ref_entry(node, args, points):
         _ref_fail_at(x <= 0.0, "ln of a non-positive argument", points)
         return _ref_chain(u, np.log(x), 1.0 / x, -1.0 / (x * x))
     if node.func == "sin":
+        _ref_fail_at(np.isinf(x), "sin of an infinite argument", points)
         s, c = np.sin(x), np.cos(x)
         return _ref_chain(u, s, c, -s)
     if node.func == "cos":
+        _ref_fail_at(np.isinf(x), "cos of an infinite argument", points)
         s, c = np.sin(x), np.cos(x)
         return _ref_chain(u, c, -s, -c)
     _ref_fail_at(x <= 0.0, "sqrt jet needs a positive argument", points)

@@ -26,10 +26,10 @@ from solitonlab import (
     exp as field_exp,
     flat_metric,
     gqy_residual,
-    gys_residual,
     infer_lambda,
     ln as field_ln,
     parse_expression,
+    point_geometry,
     residual_report,
     sphere_metric,
     theta_check,
@@ -52,7 +52,7 @@ def test_certified_static_instance_has_zero_residual():
     metric, potential = _static_instance()
     soliton = SolitonData(potential, -2.0)
     for point in ([0.0, 0.3, -0.5], [0.4, -0.2, 0.8]):
-        res = gys_residual(metric, soliton, np.array(point))
+        res = gqy_residual(metric, soliton, np.array(point))
         assert np.abs(res).max() < 1e-13
 
 
@@ -60,28 +60,24 @@ def test_residual_is_invariant_under_potential_shifts():
     metric, potential = _static_instance()
     shifted = potential + 17.5
     p = np.array([0.1, 0.5, -0.3])
-    a = gys_residual(metric, SolitonData(potential, -2.0), p)
-    b = gys_residual(metric, SolitonData(shifted, -2.0), p)
+    a = gqy_residual(metric, SolitonData(potential, -2.0), p)
+    b = gqy_residual(metric, SolitonData(shifted, -2.0), p)
     assert np.abs(a - b).max() < 1e-12
-
-
-def test_gys_requires_vanishing_coupling():
-    metric, potential = _static_instance()
-    with pytest.raises(ValueError):
-        gys_residual(metric, SolitonData(potential, -2.0, mu=0.5), (0.0, 0.1, 0.2))
 
 
 def test_quasi_residual_with_zero_coupling_matches_plain_residual():
     metric, potential = _static_instance()
     p = np.array([0.2, -0.4, 0.6])
-    plain = gys_residual(metric, SolitonData(potential, -1.3), p)
-    quasi = gqy_residual(metric, SolitonData(potential, -1.3, mu=0.0), p)
+    lam = -1.3
+    geometry = point_geometry(metric, potential, [p])
+    plain = geometry.hess[0] - (geometry.scal[0] - lam) * geometry.g[0]
+    quasi = gqy_residual(metric, SolitonData(potential, lam, mu=0.0), p)
     assert np.array_equal(plain, quasi)
 
 
 def test_wrong_lambda_leaves_a_residual():
     metric, potential = _static_instance()
-    res = gys_residual(metric, SolitonData(potential, 0.0), (0.0, 0.3, -0.5))
+    res = gqy_residual(metric, SolitonData(potential, 0.0), (0.0, 0.3, -0.5))
     assert np.abs(res).max() > 0.1
 
 
@@ -116,6 +112,8 @@ def test_residual_report_invariants():
     assert bad.worst_point is not None
     with pytest.raises(ValueError):
         residual_report(metric, SolitonData(potential, -2.0), pts, tol=0.0)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        residual_report(metric, SolitonData(potential, -2.0), pts, tol=np.nan)
 
 
 def test_smallest_quasi_instance_and_substitution():
