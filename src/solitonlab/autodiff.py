@@ -16,19 +16,12 @@ whose array forms would not, are evaluated point by point.
 walk_jets evaluates the jets of several fields on one chart, such as
 the components of a metric, in two steps.  It first numbers their
 trees by value numbering (Griewank and Walther, ch. 5-6): each
-structurally distinct subtree becomes one entry of a tape and is
-evaluated once, however many components and places within them it
-appears in.  A node's key is its kind, its payload and the
-numbers of its children, that is the identities of their jets, so
-equal keys mean equal computations on equal inputs.  Constants and
-exponents enter the key by their float64 bits, not by ==: 0.0 == -0.0,
-yet their bits differ, and so can the bits of what is computed from
-them (0.0 + -0.0 is 0.0, -0.0 + -0.0 is -0.0).  Keyed by bits, no two
-computations whose results could differ merge.  Variables and
-functions are keyed by name, and an External profile only by its own
-identity, since two profiles with one name may wrap different
-callables.  A merged subtree therefore has the bits a second walk of
-it would give.
+distinct node becomes one entry of a tape and is evaluated once,
+however many components and places within them it appears in.  Nodes
+are interned by the identity rule in the expressions docstring, so a
+distinct node is a structurally distinct subtree, and the rule merges
+no two computations whose bits could differ: a subtree met twice has
+the bits a second walk of it would give.
 
 It then evaluates the tape level by level (level scheduling of the
 forward-mode graph).  An entry's level is one more than the highest
@@ -75,7 +68,6 @@ of a power or profile, are not passed to that power or profile.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -447,54 +439,16 @@ def _evaluate(batch: _Batch, walk: _Walk) -> None:
         jets[batch.out] = out
 
 
-_float_bits = struct.Struct("<d").pack
-
-
-def _number(node: Node, tape: list, by_id: dict[int, int],
-            by_key: dict[tuple, int]) -> int:
-    """The tape number of ``node``, appending its entry (after those of
-    its children) if no equal subtree is on the tape yet.
-
-    The key of a node is its kind, what it holds besides its children
-    (a constant or an exponent by its float64 bits, a variable or a
-    function by its name, an External by its own identity) and the
-    numbers of its children.
-    """
-    k = by_id.get(id(node))
-    if k is not None:
-        return k
-    if isinstance(node, (Add, Sub, Mul)):
-        args = (_number(node.left, tape, by_id, by_key),
-                _number(node.right, tape, by_id, by_key))
-        key = (type(node), *args)
-    elif isinstance(node, Call):
-        args = (_number(node.arg, tape, by_id, by_key),)
-        key = (Call, node.func, *args)
-    elif isinstance(node, Const):
+def _number(node: Node, tape: list, numbers: dict[Node, int]) -> int:
+    """The tape number of ``node``, appending its entry, after those of
+    its children, the first time the walk meets it."""
+    k = numbers.get(node)
+    if k is None:
         args = ()
-        key = (Const, _float_bits(node.value))
-    elif isinstance(node, Var):
-        args = ()
-        key = (Var, node.name)
-    elif isinstance(node, Div):
-        args = (_number(node.num, tape, by_id, by_key),
-                _number(node.den, tape, by_id, by_key))
-        key = (Div, *args)
-    elif isinstance(node, Neg):
-        args = (_number(node.arg, tape, by_id, by_key),)
-        key = (Neg, *args)
-    elif isinstance(node, Pow):
-        args = (_number(node.base, tape, by_id, by_key),)
-        key = (Pow, _float_bits(node.exponent), *args)
-    elif isinstance(node, External):
-        args = (_number(node.arg, tape, by_id, by_key),)
-        key = (External, id(node), *args)
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-    k = by_key.setdefault(key, len(tape))
-    if k == len(tape):
+        for kid in node.kids:
+            args += (_number(kid, tape, numbers),)
+        k = numbers[node] = len(tape)
         tape.append((node, args))
-    by_id[id(node)] = k
     return k
 
 
@@ -503,10 +457,10 @@ def walk_jets(fields: Sequence[ScalarField], points: np.ndarray) -> list[Jet2]:
     points, each structurally distinct subtree evaluated once.
 
     The trees are first numbered into a tape: one entry per distinct
-    subtree (see _number for its key), in the order a depth-first walk
-    of the fields meets them.  The tape is then evaluated level by
-    level in batches (see _schedule), each through one pass of its
-    rule, into a slot buffer that holds only the jets still to be used.
+    node, in the order a depth-first walk of the fields meets them.
+    The tape is then evaluated level by level in batches (see
+    _schedule), each through one pass of its rule, into a slot buffer
+    that holds only the jets still to be used.
     Each field's jet is checked for finite entries.  An error names
     the first point of the stack at which any check fails, and the
     check that a walk of that point alone meets first (see _Walk).
@@ -515,11 +469,10 @@ def walk_jets(fields: Sequence[ScalarField], points: np.ndarray) -> list[Jet2]:
     if any(field.chart != chart for field in fields):
         raise ValueError("fields of one walk must share a chart")
     tape: list[tuple[Node, tuple[int, ...]]] = []
-    by_id: dict[int, int] = {}
-    by_key: dict[tuple, int] = {}
+    numbers: dict[Node, int] = {}
     roots, ends = [], []
     for field in fields:
-        roots.append(_number(field.root, tape, by_id, by_key))
+        roots.append(_number(field.root, tape, numbers))
         ends.append(len(tape))
     batches, slot, size = _schedule(tape, roots, len(points))
     walk = _Walk(points, chart, size)

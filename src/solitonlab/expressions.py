@@ -5,7 +5,7 @@ This module is the foundation of the package.  It provides:
   1. a small immutable expression tree (constants, variables, the four
      arithmetic operations, negation, constant powers, the primitives
      exp / ln / sin / cos / sqrt, and opaque univariate profiles backed
-     by numeric callables);
+     by numeric callables) whose nodes are interned (below);
   2. smart constructors that fold the obvious algebraic identities so
      that derivatives stay readable;
   3. exact symbolic differentiation;
@@ -34,6 +34,20 @@ Exponents must fold to a constant at parse time.  The recognised
 function names are exp, ln, sin, cos, sqrt; any other identifier
 followed by '(' is a syntax error, and any identifier outside the
 supplied chart is an UnknownVariableError.
+
+Node identity.  Nodes are interned, or hash-consed (Filliatre and
+Conchon, "Type-Safe Modular Hash-Consing", 2006): a constructor returns
+the live node of its kind with the same fields, if there is one.  Child
+nodes count by identity, names by value, and a constant or an exponent
+by its float64 bits, not by ==, so 0.0 and -0.0 are two nodes (0.0 +
+-0.0 is 0.0, -0.0 + -0.0 is -0.0) and a NaN is one node per bit
+pattern: a node never stands for computations whose bits could differ.
+An External is never interned, since two profiles with one name may
+wrap different callables.  So equal trees are one object, and node
+equality and hashing are identity, O(1).  The intern table is weak: a
+node lives as long as something else holds it.  A node never changes
+after construction; it carries its child nodes (``kids``) and the
+names of the variables its tree reads (``reads``).
 """
 
 from __future__ import annotations
@@ -41,9 +55,11 @@ from __future__ import annotations
 import math
 import operator
 import re
+import struct
 import sys
-from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
+import weakref
+from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Callable, Mapping, Sequence, Union
 
 from .errors import DomainError, ExpressionSyntaxError, UnknownVariableError
@@ -70,7 +86,6 @@ __all__ = [
     "external",
     "differentiate",
     "evaluate",
-    "free_variables",
     "format_expression",
     "parse_expression",
     "ScalarField",
@@ -89,74 +104,133 @@ __all__ = [
 # Node types
 # =====================================================================
 
-@dataclass(frozen=True)
-class Const:
+_bits = struct.Struct("<d").pack
+
+
+# The live interned nodes by key (see Node identity above).
+_NODES: dict[tuple, weakref.ref] = {}
+
+
+def _forget(key: tuple, ref: weakref.ref, nodes: dict = _NODES) -> None:
+    # A dead node's entry goes, unless a newer node has taken its key.
+    if nodes.get(key) is ref:
+        del nodes[key]
+
+
+def _keep(node: Node, key: tuple, kids: tuple) -> None:
+    """Intern the new ``node``, with child nodes ``kids``, under ``key``.
+    A variable reads its name, another node what its one or two kids read."""
+    node.kids = kids
+    if kids:
+        node.reads = kids[0].reads | kids[-1].reads
+    else:
+        node.reads = frozenset((node.name,) if type(node) is Var else ())
+    _NODES[key] = weakref.ref(node, partial(_forget, key))
+
+
+class Node:
+    """An expression node (see Node identity above)."""
+
+    __slots__ = ("kids", "reads", "__weakref__")
+
+
+def _kind(cls: type) -> type:
+    """A kind of interned node: a dataclass for its field list and repr,
+    not for equality, with a constructor generated from its fields, as
+    dataclass generates __init__, so that it sets each field directly
+    (a loop over the fields costs about 1 us more per new node).  A
+    float field is stored as a float and keyed by its bits; the Node
+    fields are the kids."""
+    cls = dataclass(init=False, eq=False, slots=True)(cls)
+    names, types = cls.__match_args__, cls.__annotations__
+    floats = [n for n in names if types[n] == "float"]
+    key = ", ".join(f"_bits({n})" if n in floats else n for n in names)
+    kids = "".join(f"{n}, " for n in names if types[n] == "Node")
+    exec("\n".join([
+        f"def __new__(cls, {', '.join(names)}):",
+        *[f"    {n} = float({n})" for n in floats],
+        f"    key = (cls, {key})",
+        "    ref = _NODES.get(key)",
+        "    node = None if ref is None else ref()",
+        "    if node is None:",
+        "        node = object.__new__(cls)",
+        *[f"        node.{n} = {n}" for n in names],
+        f"        _keep(node, key, ({kids}))",
+        "    return node"]), globals(), scope := {})
+    cls.__new__ = staticmethod(scope["__new__"])
+    return cls
+
+
+@_kind
+class Const(Node):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+@_kind
+class Var(Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Node"
+@_kind
+class Neg(Node):
+    arg: Node
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "Node"
-    right: "Node"
+@_kind
+class Add(Node):
+    left: Node
+    right: Node
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Node"
-    right: "Node"
+@_kind
+class Sub(Node):
+    left: Node
+    right: Node
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Node"
-    right: "Node"
+@_kind
+class Mul(Node):
+    left: Node
+    right: Node
 
 
-@dataclass(frozen=True)
-class Div:
-    num: "Node"
-    den: "Node"
+@_kind
+class Div(Node):
+    num: Node
+    den: Node
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
+@_kind
+class Pow(Node):
+    base: Node
     exponent: float
 
 
-@dataclass(frozen=True)
-class Call:
+@_kind
+class Call(Node):
     func: str
-    arg: "Node"
+    arg: Node
 
 
-@dataclass(frozen=True, eq=False)
-class External:
+@dataclass(init=False, eq=False, slots=True)
+class External(Node):
     """Opaque univariate profile known only through callables.
 
     ``funcs`` holds the profile and its derivatives in order: value,
     first derivative, second derivative, ...  Differentiating shifts
     that tuple left; once it is exhausted no further derivative exists.
-    Identity-based equality: two External nodes are the same node only
-    if they are the same object.
     """
 
     name: str
     funcs: tuple[Callable[[float], float], ...]
-    arg: "Node"
+    arg: Node
 
+    def __new__(cls, name: str, funcs: tuple, arg: Node) -> Node:
+        node = object.__new__(cls)
+        node.name, node.funcs, node.arg = name, funcs, arg
+        node.kids, node.reads = (arg,), arg.reads
+        return node
 
-Node = Union[Const, Var, Neg, Add, Sub, Mul, Div, Pow, Call, External]
 
 FUNCTION_NAMES = ("exp", "ln", "sin", "cos", "sqrt")
 
@@ -194,8 +268,8 @@ def sub(left: Node, right: Node) -> Node:
         return left
     if _is_const(left, 0.0):
         return neg(right)
-    if left == right:
-        return Const(0.0)
+    if left is right:
+        return ZERO
     return Sub(left, right)
 
 
@@ -224,8 +298,8 @@ def div(num: Node, den: Node) -> Node:
         return Const(0.0)
     if _is_const(den, 1.0):
         return num
-    if num == den:
-        return Const(1.0)
+    if num is den:
+        return ONE
     return Div(num, den)
 
 
@@ -305,28 +379,6 @@ def external(
     if len(funcs) == 0:
         raise ValueError("external profile needs at least a value callable")
     return External(name, tuple(funcs), arg)
-
-
-# =====================================================================
-# Structural queries
-# =====================================================================
-
-def free_variables(node: Node) -> frozenset[str]:
-    if isinstance(node, Const):
-        return frozenset()
-    if isinstance(node, Var):
-        return frozenset((node.name,))
-    if isinstance(node, Neg):
-        return free_variables(node.arg)
-    if isinstance(node, (Add, Sub, Mul)):
-        return free_variables(node.left) | free_variables(node.right)
-    if isinstance(node, Div):
-        return free_variables(node.num) | free_variables(node.den)
-    if isinstance(node, Pow):
-        return free_variables(node.base)
-    if isinstance(node, (Call, External)):
-        return free_variables(node.arg)
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 # =====================================================================
@@ -421,7 +473,7 @@ def _compile(root: Node, chart: Sequence[str]) -> Callable[..., float]:
         "_pow_value": _pow_value,
     }
     lines = [f"    {p} = float({p})" for p in params]
-    local_of: dict[int, str] = {}
+    local_of: dict[Node, str] = {}
 
     def bind(value: object) -> str:
         name = f"k{len(scope)}"
@@ -429,9 +481,8 @@ def _compile(root: Node, chart: Sequence[str]) -> Callable[..., float]:
         return name
 
     def visit(node: Node) -> str:
-        key = id(node)
-        if key in local_of:
-            return local_of[key]
+        if node in local_of:
+            return local_of[node]
         if isinstance(node, Const):
             expr = bind(node.value)
         elif isinstance(node, Var):
@@ -455,7 +506,7 @@ def _compile(root: Node, chart: Sequence[str]) -> Callable[..., float]:
             fn, comparison, bound, message = _CALLS[node.func]
             scope.update({f: fn, f + "_bound": bound, f + "_error": message})
             arg = visit(node.arg)
-            local = local_of[key] = f"v{len(local_of)}"
+            local = local_of[node] = f"v{len(local_of)}"
             if comparison:
                 lines.extend([f"    if {arg} {comparison} {f}_bound:",
                               f"        raise DomainError({f}_error)",
@@ -471,7 +522,7 @@ def _compile(root: Node, chart: Sequence[str]) -> Callable[..., float]:
             raise TypeError(f"not an expression node: {node!r}")
         local = f"v{len(local_of)}"
         lines.append(f"    {local} = {expr}")
-        local_of[key] = local
+        local_of[node] = local
         return local
 
     out = visit(root)
@@ -690,21 +741,17 @@ class ScalarField:
     requires identical charts.  The field is compiled into a Python
     function on its first evaluation and keeps that function; its
     values and errors are those of walking the tree node by node.
-    ``reads`` holds the names of the chart coordinates the tree reads,
-    found by the chart check at construction.
+    Construction checks that the tree reads no name outside the chart
+    (``root.reads``).
     """
 
     chart: tuple[str, ...]
     root: Node
-    reads: frozenset[str] = dataclass_field(init=False, repr=False,
-                                            compare=False)
 
     def __post_init__(self) -> None:
-        reads = free_variables(self.root)
-        loose = reads - set(self.chart)
+        loose = self.root.reads.difference(self.chart)
         if loose:
             raise UnknownVariableError(sorted(loose)[0])
-        object.__setattr__(self, "reads", reads)
 
     # -- evaluation ---------------------------------------------------
 

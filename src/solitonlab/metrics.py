@@ -96,7 +96,7 @@ class MetricField:
         """Chart positions of the coordinates some component reads, in
         chart order.  The metric, and all that is derived from it, is a
         function of these coordinates alone."""
-        names = frozenset().union(*(f.reads for row in self.components
+        names = frozenset().union(*(f.root.reads for row in self.components
                                     for f in row))
         return tuple(k for k, name in enumerate(self.chart) if name in names)
 
@@ -109,8 +109,8 @@ class MetricField:
         """Metric from an n x n array of components: fields, numbers or
         expression texts.  Each distinct text is parsed once, so
         mirrored off-diagonal texts give one ScalarField.  The rows
-        must be symmetric: g_ij and g_ji are the same field, or fields
-        with equal trees; one object is stored per unordered pair."""
+        must be symmetric: g_ij and g_ji have one (interned) root, that
+        is equal trees; one field is stored per unordered pair."""
         chart_t = tuple(chart)
         n = len(chart_t)
         if len(rows) != n or any(len(r) != n for r in rows):
@@ -133,8 +133,7 @@ class MetricField:
         # Store one object per unordered pair so g_ij and g_ji cannot drift.
         for i in range(n):
             for j in range(i + 1, n):
-                a, b = fields[i][j], fields[j][i]
-                if a is not b and a.root != b.root:
+                if fields[i][j].root is not fields[j][i].root:
                     raise ValueError(
                         f"metric rows are not symmetric at ({i}, {j})"
                     )

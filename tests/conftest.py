@@ -5,7 +5,8 @@ curvature pipelines are never asked to confirm themselves:
 
   * random_field draws expression trees from a seeded generator and
     rejects any draw whose jets are undefined or wildly scaled on the
-    probe box.
+    probe box; random_metric_rows builds positive-definite,
+    non-diagonal metrics from such draws.
   * fd_curvature computes Christoffel symbols, Riemann, Ricci and the
     scalar curvature from plain finite differences of metric values,
     with explicit index loops.  It never touches the jet evaluator or
@@ -68,6 +69,25 @@ def random_field(rng, chart, points, depth=3, bound=100.0):
         ]
         if max(sizes) <= bound:
             return field, jets
+
+
+def random_metric_rows(rng, chart, points, depth=3, bound=5.0):
+    """The rows, as expression texts, of a random Riemannian metric
+    with no constant entry: 3 + 0.3*sin(E) on the diagonal and
+    0.3*sin(E) off it, each E its own random_field.  A row's
+    off-diagonal entries sum to at most 0.3 (n - 1), less than its
+    diagonal entry for n <= 9, so the matrix is positive definite at
+    every point."""
+    n = len(chart)
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            e = random_field(rng, chart, points, depth, bound)[0]
+            while not e.root.reads:
+                e = random_field(rng, chart, points, depth, bound)[0]
+            rows[i][j] = rows[j][i] = (f"3 + 0.3*sin({e})" if i == j
+                                       else f"0.3*sin({e})")
+    return rows
 
 
 def metric_values(metric, point):

@@ -35,7 +35,7 @@ from solitonlab.families import (
 from solitonlab.autodiff import eval_jet2
 from solitonlab.curvature import curvature_over
 
-from conftest import fd_curvature
+from conftest import fd_curvature, random_metric_rows
 
 
 def test_sphere_scalar_curvature():
@@ -136,11 +136,20 @@ def test_lorentzian_pipeline_matches_finite_difference_oracle():
 
 
 def test_riemann_symmetries_and_first_bianchi():
+    """On a walker3 metric and on random positive-definite non-diagonal
+    3d metrics."""
     q = parse_expression("t^2*y + 0.4*t*x^2 + 0.2*x*y^2", ("t", "x", "y"))
-    m = walker3_metric(Walker3Spec(q))
+    walker3 = walker3_metric(Walker3Spec(q))
     rng = np.random.default_rng(23)
-    for _ in range(5):
-        p = rng.uniform(-1.0, 1.0, 3)
+    cases = [(walker3, rng.uniform(-1.0, 1.0, 3)) for _ in range(5)]
+    chart = ("u", "v", "w")
+    for seed in (31, 32, 33):
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-1.0, 1.0, (4, 3))
+        rows = random_metric_rows(rng, chart, points)
+        m = MetricField.from_rows(chart, rows, "+++")
+        cases += [(m, p) for p in points]
+    for m, p in cases:
         curv = curvature_at(m, p)
         data = metric_at(m, p)
         lowered = np.einsum("la,akij->lkij", data.g, curv.riemann)

@@ -14,8 +14,10 @@ being frozen here):
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from solitonlab import (
+    MetricField,
     NonPositiveWarpingError,
     SolitonData,
     StaticSpec,
@@ -37,7 +39,7 @@ from solitonlab import (
     warped_conditions_check,
 )
 
-from conftest import random_field
+from conftest import random_field, random_metric_rows
 
 
 def _static_instance():
@@ -89,6 +91,37 @@ def test_infer_lambda_recovers_the_certified_value():
     assert abs(estimate.value + 2.0) < 1e-12
     assert estimate.spread < 1e-12
     assert len(estimate.samples) == len(pts)
+
+
+def _close(got, want):
+    """|got - want| <= 1e-9 max|want|, entrywise."""
+    return np.abs(np.asarray(got) - want).max() <= 1e-9 * np.abs(want).max()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3))
+def test_scaling_the_metric_keeps_the_hessian_and_divides_scal_and_lambda(
+        seed, c):
+    """g -> c g with c > 0 leaves the Christoffel symbols, hence the
+    covariant hessian, as they are, and divides the scalar curvature,
+    the laplacian and |dphi|^2, hence every lambda sample, by c."""
+    chart = ("u", "v", "w")
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-1.0, 1.0, (4, 3))
+    rows = random_metric_rows(rng, chart, points, depth=2)
+    potential = random_field(rng, chart, points)[0]
+    metric = MetricField.from_rows(chart, rows, "+++")
+    scaled = MetricField.from_rows(
+        chart, [[c * f for f in row] for row in metric.components], "+++")
+    plain = point_geometry(metric, potential, points)
+    geometry = point_geometry(scaled, potential, points)
+    assert _close(geometry.hess, plain.hess)
+    assert _close(c * geometry.scal, plain.scal)
+    want = plain.lambda_estimate(0.5)
+    got = geometry.lambda_estimate(0.5)
+    assert _close(c * got.samples, want.samples)
+    assert abs(c * got.value - want.value) \
+        <= 1e-9 * np.abs(want.samples).max()
 
 
 def test_classify_thresholds():
