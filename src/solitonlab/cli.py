@@ -585,9 +585,10 @@ def _check_grid(job: _Job, out: str | None, metric: MetricField,
         "lap_potential": geometry.lap,
         "lambda_point": estimate.samples,
     }
+    coordinates = pts.tolist()
     rows = np.column_stack(
         [pts]
-        + [[fn(p) for p in pts] for fn in fields.values()]
+        + [[fn(p) for p in coordinates] for fn in fields.values()]
         + [computed[name] for name in columns]
     )
     header = list(job.chart) + list(fields) + list(columns)

@@ -11,8 +11,8 @@ Conventions used throughout the package:
     Lap f        = g^{ij} Hess(f)_ij
 
 Array layouts match the formulas: gamma[k, i, j], riemann[l, k, i, j],
-ricci[j, k].  Every contraction is a leading-axis ('...') einsum, so
-the same code serves the data of one point and metric data stacked
+ricci[j, k].  Every contraction is an einsum over a '...' point axis,
+so the same code serves the data of one point and metric data stacked
 over P points (see metrics.metric_at), which adds a leading point axis
 to every array and turns the scalar curvature into a (P,) array.
 curvature_over runs metric_at -> curvature_from over a grid once per
@@ -21,11 +21,41 @@ Everything a potential adds on top (its gradient, covariant hessian
 and laplacian) comes from soliton.point_geometry, which reads
 curvature_over; curvature_at and covariant_hessian are the one-point
 views of the same formulas.
+
+Ricci without Riemann.  curvature_from forms only the n^3 entries of
+Riemann that Ricci reads, R^a_jak = d_a Gamma^a_kj - d_k Gamma^a_aj
++ Gamma^a_am Gamma^m_kj - Gamma^a_km Gamma^m_aj, each with the products
+and sums the full tensor applies to it, and sums them over a; neither
+d Gamma nor Riemann is formed.  CurvatureAtPoint.riemann forms the
+full tensor by the formulas above on first access, and Ricci is its
+trace bit for bit.
+
+Sum order.  np.einsum without ``optimize`` sums each output entry term
+by term.  Where the summed index is the last, contiguous axis of two
+operands it goes through a SIMD dot kernel whose order is fixed by the
+length of that axis.  Those contractions (gamma from g^-1 and T, both
+halves of d Gamma, the scalar curvature) run point first, with the
+summed axis last and contiguous in both operands; the order of the
+operands and the layout of the other axes do not change their bits.
+Every other contraction here (d_i g^{lm}, the Gamma Gamma products
+and the sum over a) adds its terms one at a time in index order, with
+the point axis first or last.  On stacks of at least POINT_LAST_MIN
+points they run with the point axis last, so that the inner loop runs
+over the points.  Each operand is copied to that layout once, and a result is
+copied back to C-contiguous point-first before a dot kernel reads it.
+tests/test_contraction_order.py guards these facts of numpy.
+
+Layouts that later sums read.  The scalar curvature's sum order
+follows Ricci's memory layout, which is the one the trace of the full
+tensor had: Ric_jk sits at [..., k, j] of a C-contiguous array, and
+ricci is the transposed view.  gamma is C-contiguous, which the sum of
+the covariant hessian reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -47,62 +77,124 @@ __all__ = [
 ]
 
 
-def _christoffel_parts(data: MetricAtPoint) -> tuple[np.ndarray, np.ndarray]:
+# Stacks of at least this many points run the contractions that sum
+# term by term with the point axis last; on smaller stacks the copies
+# cost more than the longer inner loop saves.
+POINT_LAST_MIN = 6
+
+
+def _point_last(a: np.ndarray) -> np.ndarray:
+    return a.transpose(*range(1, a.ndim), 0).copy()
+
+
+def _point_first(a: np.ndarray) -> np.ndarray:
+    return a.transpose(a.ndim - 1, *range(a.ndim - 1)).copy()
+
+
+def _lowered(dg: np.ndarray) -> np.ndarray:
     # T[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij with dg[k, i, j] = d_k g_ij.
-    dg = data.dg
-    T = (
-        np.einsum("...ijl->...ijl", dg)
-        + np.einsum("...jil->...ijl", dg)
-        - np.einsum("...lij->...ijl", dg)
-    )
-    return T, 0.5 * np.einsum("...kl,...ijl->...kij", data.g_inv, T)
+    T = dg + dg.swapaxes(-3, -2)
+    T -= np.einsum("...lij->...ijl", dg)
+    return T
+
+
+def _lowered_derivative(d2g: np.ndarray) -> np.ndarray:
+    # dT[i, j, k, m] = d_i (d_j g_km + d_k g_jm - d_m g_jk)
+    dT = d2g + d2g.swapaxes(-3, -2)
+    dT -= np.einsum("...imjk->...ijkm", d2g)
+    return dT
+
+
+def _christoffel_from(g_inv: np.ndarray, T: np.ndarray) -> np.ndarray:
+    gamma = np.einsum("...ijl,...kl->...kij", T, g_inv)
+    gamma *= 0.5
+    return gamma
 
 
 def christoffel(data: MetricAtPoint) -> np.ndarray:
     """Christoffel symbols gamma[k, i, j] at the evaluated point."""
-    return _christoffel_parts(data)[1]
+    return _christoffel_from(data.g_inv, _lowered(data.dg))
+
+
+def _inverse_derivative(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    # d_i g^{lm} = -g^{la} (d_i g_ab) g^{bm}
+    dginv = np.einsum("...la,...iab,...bm->...ilm", g_inv, dg, g_inv)
+    return np.negative(dginv, out=dginv)
 
 
 @dataclass(frozen=True, eq=False)
 class CurvatureAtPoint:
     """Christoffel symbols and curvature tensors at one point, or with
-    a leading point axis for stacked metric data."""
+    a leading point axis for stacked metric data.  ``riemann`` is
+    formed on first access."""
 
     metric_data: MetricAtPoint
     gamma: np.ndarray
-    riemann: np.ndarray
     ricci: np.ndarray
     scalar: float | np.ndarray
+
+    @cached_property
+    def riemann(self) -> np.ndarray:
+        """riemann[l, k, i, j] = R^l_kij, from the full dgamma[i, l, j, k]
+        = d_i gamma^l_jk; ``ricci`` is its trace over l and i."""
+        data = self.metric_data
+        ginv, gamma = data.g_inv, self.gamma
+        dginv = _inverse_derivative(ginv, data.dg)
+        dgamma = 0.5 * (
+            np.einsum("...ilm,...jkm->...iljk", dginv, _lowered(data.dg))
+            + np.einsum("...lm,...ijkm->...iljk", ginv,
+                        _lowered_derivative(data.d2g))
+        )
+        return (
+            np.einsum("...iljk->...lkij", dgamma)
+            - np.einsum("...jlik->...lkij", dgamma)
+            + np.einsum("...lim,...mjk->...lkij", gamma, gamma)
+            - np.einsum("...ljm,...mik->...lkij", gamma, gamma)
+        )
 
 
 def curvature_from(data: MetricAtPoint) -> CurvatureAtPoint:
     ginv = data.g_inv
-    d2g = data.d2g
-    T, gamma = _christoffel_parts(data)
-    # d_i g^{lm} = -g^{la} (d_i g_ab) g^{bm}
-    dginv = -np.einsum("...la,...iab,...bm->...ilm", ginv, data.dg, ginv)
-    # dT[i, j, k, m] = d_i (d_j g_km + d_k g_jm - d_m g_jk)
-    dT = (
-        np.einsum("...ijkm->...ijkm", d2g)
-        + np.einsum("...ikjm->...ijkm", d2g)
-        - np.einsum("...imjk->...ijkm", d2g)
-    )
-    # dgamma[i, l, j, k] = d_i gamma^l_jk
-    dgamma = 0.5 * (
-        np.einsum("...ilm,...jkm->...iljk", dginv, T)
-        + np.einsum("...lm,...ijkm->...iljk", ginv, dT)
-    )
-    riemann = (
-        np.einsum("...iljk->...lkij", dgamma)
-        - np.einsum("...jlik->...lkij", dgamma)
-        + np.einsum("...lim,...mjk->...lkij", gamma, gamma)
-        - np.einsum("...ljm,...mik->...lkij", gamma, gamma)
-    )
-    ricci = np.einsum("...ijik->...jk", riemann)
+    T = _lowered(data.dg)
+    gamma = _christoffel_from(ginv, T)
+    last = ginv.ndim == 3 and len(ginv) >= POINT_LAST_MIN
+    if last:
+        ginv_last = _point_last(ginv)
+        dginv = np.einsum("la...,iab...,bm...->ilm...", ginv_last,
+                          _point_last(data.dg), ginv_last)
+        dginv = _point_first(np.negative(dginv, out=dginv))
+    else:
+        dginv = _inverse_derivative(ginv, data.dg)
+    dT = _lowered_derivative(data.d2g)
+    # E[a, k, j] = R^a_jak, the entries of Riemann that Ricci sums:
+    # d_a Gamma^a_kj - d_k Gamma^a_aj + Gamma^a_am Gamma^m_kj
+    # - Gamma^a_km Gamma^m_aj, each term and each sum as the full tensor
+    # forms it, with d_i Gamma^l_jk = 1/2 (d_i g^{lm} T_jkm
+    # + g^{lm} dT_ijkm).  The copy of dT with its first two axes swapped
+    # lets g^{am} dT_kajm read dT in memory order.
+    E = np.einsum("...kjm,...aam->...akj", T, dginv)
+    E += np.einsum("...am,...akjm->...akj", ginv, dT)
+    E *= 0.5
+    d_k = np.einsum("...ajm,...kam->...akj", T, dginv)
+    d_k += np.einsum("...am,...akjm->...akj", ginv,
+                     dT.swapaxes(-4, -3).copy())
+    d_k *= 0.5
+    E -= d_k
+    if last:
+        gamma_last = _point_last(gamma)
+        E = _point_last(E)
+        E += np.einsum("aam...,mkj...->akj...", gamma_last, gamma_last)
+        E -= np.einsum("akm...,maj...->akj...", gamma_last, gamma_last)
+        ricci_kj = _point_first(np.einsum("akj...->kj...", E))
+    else:
+        E += np.einsum("...aam,...mkj->...akj", gamma, gamma)
+        E -= np.einsum("...akm,...maj->...akj", gamma, gamma)
+        ricci_kj = np.einsum("...akj->...kj", E)
+    ricci = np.swapaxes(ricci_kj, -1, -2)
     scalar = np.einsum("...jk,...jk->...", ginv, ricci)
     if scalar.ndim == 0:
         scalar = float(scalar)
-    return CurvatureAtPoint(data, gamma, riemann, ricci, scalar)
+    return CurvatureAtPoint(data, gamma, ricci, scalar)
 
 
 def curvature_at(metric: MetricField, point: Sequence[float]) -> CurvatureAtPoint:

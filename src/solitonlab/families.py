@@ -16,8 +16,10 @@ including the quadrature-backed profiles.  For general warped products
 it checks the base/fiber conditions a coupled soliton imposes.
 
 The reduced systems, the warped-product conditions and the laplacian
-report read their geometry from the one pass, soliton.point_geometry;
-the closed-form tables read jets only, so they stay independent of it.
+report read their geometry from the one pass, soliton.point_geometry,
+or from its halves, curvature_over and soliton.field_geometry, where
+two fields share a metric or only the curvature is wanted; the
+closed-form tables read jets only, so they stay independent of it.
 
 Two construction formulas circulate in slightly different forms; both
 variants are implemented.  The default is the one that satisfies the
@@ -37,6 +39,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 import numpy as np
 
 from .autodiff import eval_jet2
+from .curvature import curvature_over
 from .errors import (
     DomainError,
     NonPositiveEtaPrimeError,
@@ -56,7 +59,12 @@ from .expressions import (
 )
 from .metrics import MetricField
 from .quadrature import adaptive_simpson
-from .soliton import SolitonData, point_geometry, theta_substitution
+from .soliton import (
+    SolitonData,
+    field_geometry,
+    point_geometry,
+    theta_substitution,
+)
 
 __all__ = [
     "WarpedProductSpec",
@@ -215,11 +223,9 @@ def _check_positive(fn: ScalarField, points: Sequence[Sequence[float]] | None,
                     what: str) -> None:
     if points is None:
         return
-    for p in np.atleast_2d(np.asarray(points, dtype=float)):
+    for p in np.atleast_2d(np.asarray(points, dtype=float)).tolist():
         if fn(p) <= 0.0:
-            raise NonPositiveWarpingError(
-                f"{what} is not positive at {p.tolist()}"
-            )
+            raise NonPositiveWarpingError(f"{what} is not positive at {p}")
 
 
 def assemble_warped_metric(
@@ -407,9 +413,10 @@ def static_system_residual(spec: StaticSpec, potential: ScalarField,
         r3 = Lap_F(phi) - (s / lapse) g_F(grad phi, grad lapse)
 
     The potential lives on the fiber chart.  Everything is read from
-    two fiber passes, one for the potential and one for the lapse; the
-    static scalar curvature is scal_F - 2 Lap_F(lapse) / lapse (O'Neill,
-    Semi-Riemannian Geometry, 7.43, with a one-dimensional time fiber).
+    one curvature pass over the fiber point and the field halves of the
+    potential and the lapse on it; the static scalar curvature is
+    scal_F - 2 Lap_F(lapse) / lapse (O'Neill, Semi-Riemannian Geometry,
+    7.43, with a one-dimensional time fiber).
     """
     p = np.asarray(fiber_point, dtype=float)
     lapse_value = spec.lapse(p)
@@ -419,8 +426,10 @@ def static_system_residual(spec: StaticSpec, potential: ScalarField,
         )
     if potential.chart != spec.fiber.chart:
         raise ValueError("potential must live on the fiber chart")
-    phi = point_geometry(spec.fiber, potential, [p])
-    lapse = point_geometry(spec.fiber, spec.lapse, [p])
+    pts = p[None, :]
+    curv = curvature_over(spec.fiber, pts)
+    phi = field_geometry(curv, potential, pts)
+    lapse = field_geometry(curv, spec.lapse, pts)
     scal = float(phi.scal[0] - 2.0 * lapse.lap[0] / lapse_value)
     pairing = float(np.einsum("ij,i,j->", phi.g_inv[0], phi.dphi[0], lapse.dphi[0]))
     s = spec.fiber.dimension
@@ -834,9 +843,10 @@ def warped_conditions_check(
       4. the fiber scalar curvature is constant over fiber_points.
 
     Conditions 2 and 3 come from one pass of theta over the product
-    points (x, y0), y0 the first fiber point.  The base block of the
-    product's g, g^-1 and covariant hessian is the base data, because
-    Gamma^a_ij vanishes for a fiber index a and base indices i, j.
+    points (x, y0), y0 the first fiber point, and condition 4 from
+    curvature_over on the fiber.  The base block of the product's g,
+    g^-1 and covariant hessian is the base data, because Gamma^a_ij
+    vanishes for a fiber index a and base indices i, j.
     """
     if soliton.mu == 0.0:
         raise ValueError("warped conditions need a nonzero coupling")
@@ -871,8 +881,7 @@ def warped_conditions_check(
     ).max()
 
     # 4. fiber scalar-curvature constancy
-    fiber_scal = point_geometry(fiber, constant_field(fiber.chart, 0.0),
-                                fiber_pts).scal
+    fiber_scal = curvature_over(fiber, fiber_pts).scalar
     spread = float(np.max(np.abs(fiber_scal - fiber_scal.mean())))
 
     return WarpedConditions(

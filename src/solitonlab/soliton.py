@@ -22,8 +22,10 @@ provides lambda inference from the traced equation, classification and
 residual summaries over point sets.  All of them, and every reduced
 system in ``families``, read the one geometry pass, point_geometry,
 which computes the metric and its curvature once per distinct metric
-point and the potential's gradient, covariant hessian and laplacian
-once per point.
+point (curvature_over) and the potential's gradient, covariant hessian
+and laplacian once per point (field_geometry).  Checks of several
+fields on one metric run curvature_over once and field_geometry per
+field.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import eval_jet2
-from .curvature import covariant_hessian_from, curvature_over
+from .curvature import GridCurvature, covariant_hessian_from, curvature_over
 from .errors import in_grid_order
 from .expressions import Const, ScalarField, mul, neg
 from .expressions import call as _call
@@ -45,6 +47,7 @@ __all__ = [
     "SolitonData",
     "PointGeometry",
     "point_geometry",
+    "field_geometry",
     "gqy_residual",
     "theta_substitution",
     "ThetaCheck",
@@ -116,9 +119,12 @@ class PointGeometry:
         return ResidualReport.of(self.points, self.residuals(lam, mu), tol)
 
 
-def _geometry(metric: MetricField, potential: ScalarField,
-              points: np.ndarray) -> PointGeometry:
-    curv = curvature_over(metric, points)
+def field_geometry(curv: GridCurvature, potential: ScalarField,
+                   points: np.ndarray) -> PointGeometry:
+    """The field half of the pass: the potential's jet over a (P, n)
+    float64 stack, and its covariant hessian and laplacian on ``curv``,
+    the metric half that curvature_over gave for the same stack.  Any
+    number of fields on one metric can share one ``curv``."""
     jet = eval_jet2(potential, points)
     hess = covariant_hessian_from(jet.gradient, jet.hessian, curv.gamma)
     lap = np.einsum("...ij,...ij->...", curv.g_inv, hess)
@@ -129,14 +135,15 @@ def _geometry(metric: MetricField, potential: ScalarField,
 def point_geometry(metric: MetricField, potential: ScalarField,
                    points: Sequence[Sequence[float]]) -> PointGeometry:
     """metric_at -> curvature_from once per distinct metric point of the
-    stack (curvature_over), then the potential's jet once over all the
-    points.  The results have the bits of a pass without that sharing.
-    An error names the first bad point in grid order, whichever stage
+    stack (curvature_over), then field_geometry over all the points.
+    The results have the bits of a pass without that sharing.  An
+    error names the first bad point in grid order, whichever stage
     finds it."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 0:
         raise ValueError("the geometry pass needs at least one point")
-    return in_grid_order(lambda q: _geometry(metric, potential, q), pts)
+    return in_grid_order(
+        lambda q: field_geometry(curvature_over(metric, q), potential, q), pts)
 
 
 # ---------------------------------------------------------------------
@@ -182,16 +189,18 @@ def theta_check(metric: MetricField, soliton: SolitonData,
 
     The first vanishes exactly when the coupled equation holds; the
     second vanishes for every smooth potential, so it measures pure
-    numerical error of the two hessian routes.  Both come from two
-    geometry passes over the point, one for phi and one for theta;
-    theta's value is the plain evaluation of the field.
+    numerical error of the two hessian routes.  Both come from one
+    curvature pass over the point and the field halves of phi and
+    theta on it; theta's value is the plain evaluation of the field.
     """
     if soliton.mu == 0.0:
         raise ValueError("theta check needs a nonzero coupling")
     m = 1.0 / soliton.mu
     theta = theta_substitution(soliton.potential, soliton.mu)
-    phi = point_geometry(metric, soliton.potential, [point])
-    th = point_geometry(metric, theta, [point])
+    pts = np.array([point], dtype=float)
+    curv = curvature_over(metric, pts)
+    phi = field_geometry(curv, soliton.potential, pts)
+    th = field_geometry(curv, theta, pts)
     theta_value = theta(point)
     hess_th = th.hess[0]
     theta_res = hess_th + (theta_value / m) * (th.scal[0] - soliton.lam) * th.g[0]

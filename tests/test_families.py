@@ -83,19 +83,25 @@ def test_warped_product_assembly_values():
 
 
 def test_warped_assembly_rejects_non_positive_warping():
-    base = flat_metric(("t",), "+")
-    fiber = flat_metric(("p",))
-    warping = parse_expression("t", ("t",))
-    spec = WarpedProductSpec(base, fiber, warping)
-    with pytest.raises(NonPositiveWarpingError):
-        assemble_warped_metric(spec, check_points=[(-1.0,)])
+    cases = [
+        (("t",), "t", [(2.0,), (-1.0,)], "warping is not positive at [-1.0]"),
+        (("t", "s"), "t*s", [(1.0, 2.0), (1.0, -0.0), (-1.0, 1.0)],
+         "warping is not positive at [1.0, -0.0]"),
+    ]
+    for chart, source, points, message in cases:
+        spec = WarpedProductSpec(flat_metric(chart), flat_metric(("p",)),
+                                 parse_expression(source, chart))
+        with pytest.raises(NonPositiveWarpingError) as caught:
+            assemble_warped_metric(spec, check_points=points)
+        assert str(caught.value) == message
 
 
 def test_cosmological_assembly_checks_its_interval():
     warping = parse_expression("t", ("t",))
     spec = GRWSpec(warping, flat_metric(("p",)), (-1.0, 1.0))
-    with pytest.raises(NonPositiveWarpingError):
+    with pytest.raises(NonPositiveWarpingError) as caught:
         assemble_warped_metric(spec)
+    assert str(caught.value) == "warping is not positive at [-1.0]"
 
 
 def test_cosmological_spec_validation():

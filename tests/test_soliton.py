@@ -34,6 +34,7 @@ from solitonlab import (
     point_geometry,
     residual_report,
     sphere_metric,
+    static_system_residual,
     theta_check,
     theta_substitution,
     warped_conditions_check,
@@ -251,3 +252,57 @@ def test_soliton_data_validates_inputs():
         SolitonData(potential, float("nan"))
     with pytest.raises(ValueError):
         SolitonData(potential, 0.0, mu=float("inf"))
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def test_fields_sharing_one_curvature_pass_keep_the_bits_of_separate_passes():
+    # theta_check and static_system_residual run curvature_over once for
+    # two fields, and warped_conditions_check reads the fiber's scalar
+    # curvature from curvature_over alone.  Each must equal what a full
+    # point_geometry pass per field gives, bit for bit.
+    rng = np.random.default_rng(5)
+    chart = ("u", "v")
+    probes = rng.uniform(0.3, 1.2, (3, 2))
+    fiber = MetricField.from_rows(chart, random_metric_rows(rng, chart, probes),
+                                  "++")
+    lapse = parse_expression("2 + 0.5*sin(u*v)", chart)
+    spec = StaticSpec(lapse, fiber)
+    for point in probes:
+        field, _ = random_field(rng, chart, probes, depth=2, bound=20.0)
+        soliton = SolitonData(field, 0.4, mu=0.7)
+        m = 1.0 / soliton.mu
+        phi = point_geometry(fiber, field, [point])
+        th = point_geometry(fiber, theta_substitution(field, soliton.mu), [point])
+        theta_value = theta_substitution(field, soliton.mu)(point)
+        want_theta = (th.hess[0] + (theta_value / m)
+                      * (th.scal[0] - soliton.lam) * th.g[0])
+        want_identity = (phi.hess[0] - np.outer(phi.dphi[0], phi.dphi[0]) / m
+                         + (m / theta_value) * th.hess[0])
+        check = theta_check(fiber, soliton, point)
+        assert _bits(check.theta_residual) == _bits(want_theta)
+        assert _bits(check.identity_residual) == _bits(want_identity)
+
+        lap = point_geometry(fiber, lapse, [point])
+        lapse_value = lapse(point)
+        scal = float(phi.scal[0] - 2.0 * lap.lap[0] / lapse_value)
+        pairing = float(np.einsum("ij,i,j->", phi.g_inv[0], phi.dphi[0],
+                                  lap.dphi[0]))
+        want = (pairing - (scal - 0.4) * lapse_value,
+                phi.hess[0] - (scal - 0.4) * phi.g[0],
+                float(phi.lap[0]) - (2 / lapse_value) * pairing)
+        got = static_system_residual(spec, field, 0.4, point)
+        assert [_bits(x) for x in got] == [_bits(x) for x in want]
+
+    base = flat_metric(("t",), "+")
+    warping = field_exp(coordinate_field(("t",), "t"))
+    metric = assemble_warped_metric(WarpedProductSpec(base, fiber, warping))
+    potential = coordinate_field(("t",), "t").with_chart(metric.chart)
+    conditions = warped_conditions_check(
+        base, fiber, warping, SolitonData(potential, -7.0, mu=-1.0),
+        [(0.0,), (0.5,)], probes)
+    scal = point_geometry(fiber, parse_expression("0", chart), probes).scal
+    spread = float(np.max(np.abs(scal - scal.mean())))
+    assert _bits(conditions.fiber_scalar_spread) == _bits(spread)
