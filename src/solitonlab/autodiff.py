@@ -42,7 +42,8 @@ cross-check, not as a fallback.
 The hessian produced by eval_jet2 is symmetric bit-for-bit: every rule
 below fills H[i, j] and H[j, i] from the same commutative float sums.
 
-Domain rules, shared with plain evaluation where a value exists:
+Domain rules.  The jet of each primitive but sqrt reads its guard from
+_CALLS, the table plain evaluation reads, so both apply one rule:
 
     exp(x)    DomainError for x > log(DBL_MAX) (EXP_ARG_MAX) in both
     ln(x)     DomainError for x <= 0 in both
@@ -58,12 +59,12 @@ Domain rules, shared with plain evaluation where a value exists:
 
 Over a stack, a walk fails at the first point where any check fails,
 and names the check that a walk of that point alone meets first, as a
-loop over the points would: "ln of a non-positive argument at [0.0,
-1.0]".  The checks are each entry's domain check and each field's
-check for finite entries, which sits where the field's entries end on
-the tape.  The batched walk finds that point and that check from the
-masks of its checks in one pass.  Points past it, or failed upstream
-of a power or profile, are not passed to that power or profile.
+loop over the points would: "division by zero at [0.0, 1.0]".  The
+checks are each entry's domain check and each field's check for finite
+entries, which sits where the field's entries end on the tape.  The
+batched walk finds that point and that check from the masks of its
+checks in one pass.  Points past it, or failed upstream of a power or
+profile, are not passed to that power or profile.
 """
 
 from __future__ import annotations
@@ -76,11 +77,11 @@ import numpy as np
 from .errors import DomainError
 from .expressions import (
     _CALLS,
+    _COMPARISONS,
     Add,
     Call,
     Const,
     Div,
-    EXP_ARG_MAX,
     External,
     Mul,
     Neg,
@@ -140,52 +141,77 @@ def _rows(slots: list[int]) -> slice | np.ndarray:
     return np.array(slots)
 
 
-def _schedule(tape: list[tuple[Node, tuple[int, ...]]], roots: list[int],
-              points: int) -> tuple[list[_Batch], list[int], int]:
-    """The tape in batches, the slot of each entry's jet, and the
-    number of slots.
+class _Tape:
+    """The trees of one walk numbered into entries (node, tape numbers
+    of its children), one per distinct node, in the order a depth-first
+    walk meets them.  As each entry is appended, numbering also records
+    what _schedule reads of it: its level, 1 + the highest level of its
+    children (0 for a leaf); how many entries and fields use its jet;
+    and its group, the entries of one level and one kind in tape order.
+    Call entries are grouped by function name too, and each Pow or
+    External entry, which is evaluated point by point, is a group of
+    its own."""
 
-    An entry's level is 1 + the highest level of its children (0 for a
-    leaf), so a batch reads only jets of lower levels.  A batch holds
-    entries of one level and one kind, as many as BATCH_POINTS allows
-    over ``points`` points; Call entries
-    are grouped by function name too, and each Pow or External entry,
-    which is evaluated point by point, is a batch of its own.  Batches
-    run level by level, and within a level in the order of their
-    groups' first tape entries.  A slot is freed once the last user of
-    its jet has run and is reused by a later batch, so there are as
-    many slots as jets live at once at the peak.
-    """
-    levels: list[int] = []
-    uses = [0] * len(tape)
-    groups: list[dict] = [{}]
-    for k, (node, args) in enumerate(tape):
+    def __init__(self) -> None:
+        self.entries: list[tuple[Node, tuple[int, ...]]] = []
+        self.numbers: dict[Node, int] = {}
+        self.levels: list[int] = []
+        self.uses: list[int] = []
+        self.groups: list[dict] = [{}]
+
+    def number(self, node: Node) -> int:
+        """The tape number of ``node``, appending its entry, after those
+        of its children, the first time the walk meets it."""
+        k = self.numbers.get(node)
+        if k is not None:
+            return k
+        levels, uses = self.levels, self.uses
+        args = ()
         level = 0
-        for a in args:
+        for kid in node.kids:
+            a = self.number(kid)
+            args += (a,)
             uses[a] += 1
             if levels[a] >= level:
                 level = levels[a] + 1
+        k = self.numbers[node] = len(levels)
+        self.entries.append((node, args))
         levels.append(level)
-        if level == len(groups):
-            groups.append({})
+        uses.append(0)
+        if level == len(self.groups):
+            self.groups.append({})
         kind = type(node)
         if kind is Call:
             kind = node.func
         elif kind is Pow or kind is External:
             kind = k
-        group = groups[level].get(kind)
+        group = self.groups[level].get(kind)
         if group is None:
-            groups[level][kind] = [k]
+            self.groups[level][kind] = [k]
         else:
             group.append(k)
-    for k in roots:
-        uses[k] += 1
+        return k
+
+
+def _schedule(tape: _Tape, points: int) -> tuple[list[_Batch], list[int], int]:
+    """The tape in batches, the slot of each entry's jet, and the
+    number of slots.
+
+    A batch holds entries of one of the tape's groups, as many as
+    BATCH_POINTS allows over ``points`` points, so it reads only jets
+    of lower levels.  Batches run level by level, and within a level in
+    the order of their groups' first tape entries.  A slot is freed
+    once the last user of its jet has run (this uses up the tape's use
+    counts) and is reused by a later batch, so there are as many slots
+    as jets live at once at the peak.
+    """
+    uses = tape.uses
     width = max(1, BATCH_POINTS // max(points, 1))
-    slot = [0] * len(tape)
+    slot = [0] * len(tape.entries)
     free: list[int] = []
     size = 0
     batches = []
-    for level in groups:
+    for level in tape.groups:
         for group in level.values():
             for start in range(0, len(group), width):
                 entries = group[start:start + width]
@@ -202,8 +228,8 @@ def _schedule(tape: list[tuple[Node, tuple[int, ...]]], roots: list[int],
                     outs.sort()
                     for k, s in zip(entries, outs):
                         slot[k] = s
-                nodes = [tape[k][0] for k in entries]
-                kids = [tape[k][1] for k in entries]
+                nodes = [tape.entries[k][0] for k in entries]
+                kids = [tape.entries[k][1] for k in entries]
                 batches.append(_Batch(
                     type(nodes[0]), nodes, entries, _rows(outs),
                     [_rows([slot[c[i]] for c in kids])
@@ -349,27 +375,25 @@ def _call_rule(batch: _Batch, walk: _Walk, out: np.ndarray, u: np.ndarray) -> No
     func = batch.nodes[0].func
     x = u[:, 0]
     n = walk.n
+    comparison, bound, message = _CALLS[func][1:]
+    if func == "sqrt":
+        comparison, message = "<=", "sqrt jet needs a positive argument"
+    walk.check(_COMPARISONS[comparison](x, bound) if comparison else np.isinf(x),
+               batch.entries, message)
     if func == "exp":
-        walk.check(x > EXP_ARG_MAX, batch.entries, "overflow in exp")
         e = np.exp(x)
         _chain(u, e, e, e, out, n)
     elif func == "ln":
-        walk.check(x <= 0.0, batch.entries, "ln of a non-positive argument")
         _chain(u, np.log(x), 1.0 / x, -1.0 / (x * x), out, n)
     elif func == "sin":
-        walk.check(np.isinf(x), batch.entries, _CALLS[func][3])
         s, c = np.sin(x), np.cos(x)
         _chain(u, s, c, -s, out, n)
     elif func == "cos":
-        walk.check(np.isinf(x), batch.entries, _CALLS[func][3])
         s, c = np.sin(x), np.cos(x)
         _chain(u, c, -s, -c, out, n)
-    elif func == "sqrt":
-        walk.check(x <= 0.0, batch.entries, "sqrt jet needs a positive argument")
+    else:
         r = np.sqrt(x)
         _chain(u, r, 0.5 / r, -0.25 / (x * r), out, n)
-    else:
-        raise ValueError(f"unsupported function '{func}'")
 
 
 def _pointwise(terms: Callable[[float], Sequence[float]], u: np.ndarray,
@@ -439,19 +463,6 @@ def _evaluate(batch: _Batch, walk: _Walk) -> None:
         jets[batch.out] = out
 
 
-def _number(node: Node, tape: list, numbers: dict[Node, int]) -> int:
-    """The tape number of ``node``, appending its entry, after those of
-    its children, the first time the walk meets it."""
-    k = numbers.get(node)
-    if k is None:
-        args = ()
-        for kid in node.kids:
-            args += (_number(kid, tape, numbers),)
-        k = numbers[node] = len(tape)
-        tape.append((node, args))
-    return k
-
-
 def walk_jets(fields: Sequence[ScalarField], points: np.ndarray) -> list[Jet2]:
     """Jets of ``fields``, which share one chart, over a (P, n) stack of
     points, each structurally distinct subtree evaluated once.
@@ -468,13 +479,14 @@ def walk_jets(fields: Sequence[ScalarField], points: np.ndarray) -> list[Jet2]:
     chart = fields[0].chart
     if any(field.chart != chart for field in fields):
         raise ValueError("fields of one walk must share a chart")
-    tape: list[tuple[Node, tuple[int, ...]]] = []
-    numbers: dict[Node, int] = {}
+    tape = _Tape()
     roots, ends = [], []
     for field in fields:
-        roots.append(_number(field.root, tape, numbers))
-        ends.append(len(tape))
-    batches, slot, size = _schedule(tape, roots, len(points))
+        k = tape.number(field.root)
+        tape.uses[k] += 1
+        roots.append(k)
+        ends.append(len(tape.entries))
+    batches, slot, size = _schedule(tape, len(points))
     walk = _Walk(points, chart, size)
     # A rule runs at every point, also where a check has failed or at
     # points past the first that fails, so numpy's floating-point

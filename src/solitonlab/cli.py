@@ -98,6 +98,8 @@ def _load_config(path: str) -> dict:
             raw = json.load(handle, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -187,6 +189,18 @@ def _metric_from_config(obj: Any, path: str) -> MetricField:
         return MetricField.from_rows(chart, rows, signature)
     except (ExpressionSyntaxError, UnknownVariableError, ValueError) as exc:
         raise ConfigError(f"{path}.metric: {exc}") from exc
+
+
+def _sample(names: Sequence[str], ranges: Mapping[str, Range]) -> np.ndarray:
+    """grid_points over ``names``, each sampled by its range.  A count
+    is not capped up front: a grid that numpy refuses to allocate is a
+    ConfigError that names its counts."""
+    try:
+        return grid_points(names, ranges)
+    except (ValueError, MemoryError) as exc:
+        counts = " x ".join(str(ranges[name][2]) for name in names)
+        raise ConfigError(
+            f"cannot sample a grid of {counts} points: {exc}") from exc
 
 
 def _unit_ranges(names: Sequence[str]) -> dict[str, Range]:
@@ -442,7 +456,7 @@ def _assemble_walker4(cfg: dict, job: _Job) -> None:
 
 def _construct_walker3(job: _Job, args: argparse.Namespace) -> int:
     y_lo, y_hi, y_count = job.ranges["y"]
-    check = np.linspace(y_lo, y_hi, max(y_count, 9))
+    check = _sample(("y",), {"y": (y_lo, y_hi, max(y_count, 9))})[:, 0]
     f, q = walker3_construct(
         job.spec, paper_literal=args.paper_literal, check_points=check
     )
@@ -477,11 +491,10 @@ def _construct_grw(job: _Job, args: argparse.Namespace) -> int:
     alpha = job.constants["alpha"]
     t0 = job.constants.get("t0", spec.interval[0])
     time_var = spec.time_var
-    t_lo, t_hi, t_count = job.ranges[time_var]
     potential = grw_potential_field(spec, alpha, t0)
     fiber_names = [name for name in job.chart if name != time_var]
     fiber_point = [job.ranges[name][0] for name in fiber_names]
-    t_samples = np.linspace(t_lo, t_hi, t_count)
+    t_samples = _sample((time_var,), {time_var: job.ranges[time_var]})[:, 0]
     samples = grw_samples(spec, job.metric, potential, t_samples, fiber_point)
     estimate = LambdaEstimate.of(samples.lambda_map())
     lam = job.constants.get("lambda", estimate.value)
@@ -541,7 +554,7 @@ def _cmd_curvature(cfg: dict, args: argparse.Namespace) -> int:
     per distinct metric point (curvature_over)."""
     job = _build_job(cfg, "curvature", None, args.grid)
     chart = job.chart
-    pts = grid_points(chart, job.ranges)
+    pts = _sample(chart, job.ranges)
     n = len(chart)
     header = list(chart) + ["tau"] + [
         f"ricci_{chart[i]}_{chart[j]}" for i in range(n) for j in range(i, n)
@@ -572,7 +585,7 @@ def _check_grid(job: _Job, out: str | None, metric: MetricField,
     """Check the soliton equation on the job's grid, print the verdict
     and write one row per point: the point, ``fields`` evaluated there,
     then ``columns`` (residual_max, tau, lap_potential, lambda_point)."""
-    pts = grid_points(job.chart, job.ranges)
+    pts = _sample(job.chart, job.ranges)
     geometry = point_geometry(metric, potential, pts)
     mu = job.constants.get("mu", 0.0)
     estimate = geometry.lambda_estimate(mu)

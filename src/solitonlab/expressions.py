@@ -741,14 +741,16 @@ class ScalarField:
     requires identical charts.  The field is compiled into a Python
     function on its first evaluation and keeps that function; its
     values and errors are those of walking the tree node by node.
-    Construction checks that the tree reads no name outside the chart
-    (``root.reads``).
+    Construction checks that the chart names are distinct and that the
+    tree reads no name outside the chart (``root.reads``).
     """
 
     chart: tuple[str, ...]
     root: Node
 
     def __post_init__(self) -> None:
+        if len(set(self.chart)) != len(self.chart):
+            raise ValueError(f"chart has repeated names: {self.chart}")
         loose = self.root.reads.difference(self.chart)
         if loose:
             raise UnknownVariableError(sorted(loose)[0])
@@ -830,8 +832,6 @@ class ScalarField:
 
 def parse_expression(source: str, chart: Sequence[str]) -> ScalarField:
     chart_t = tuple(chart)
-    if len(set(chart_t)) != len(chart_t):
-        raise ValueError(f"chart has repeated names: {chart_t}")
     root = _Parser(source, chart_t).parse()
     return ScalarField(chart_t, root)
 
@@ -841,8 +841,6 @@ def constant_field(chart: Sequence[str], value: float) -> ScalarField:
 
 
 def coordinate_field(chart: Sequence[str], name: str) -> ScalarField:
-    if name not in chart:
-        raise UnknownVariableError(name)
     return ScalarField(tuple(chart), Var(name))
 
 

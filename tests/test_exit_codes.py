@@ -1,0 +1,252 @@
+"""The exit-code contract of soliton-lab, over mutations of the shipped
+configs.
+
+Every mutation is run through cli.main in-process.  The contract, from
+the cli docstring: main returns 0-3 and raises nothing; exit 1 comes
+only with a verdict line `FAIL ...` on stdout; exits 2 and 3 end
+stderr with one `config error: ...` or `numeric error: ...` line, and
+print no traceback.  A mutation that breaks the contract is an escape.
+
+The mutations, from each shipped config: delete each key (top level
+and one level down), give each top-level value another JSON type, add
+an unknown key, repeat a name in `chart`, `fiber.chart` or
+`base.chart`, set a grid count (in the config or by --grid) to 0, 1 or
+10**30, and write the file as bytes that are not UTF-8.  A count of
+10**30 fails before anything is allocated.
+
+Two repeated-chart configs broke the contract silently rather than
+with a traceback, so they have explicit tests below.
+"""
+
+import copy
+import json
+from pathlib import Path
+
+import pytest
+
+from solitonlab import cli
+from solitonlab.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+COMMANDS = {
+    "flat_curvature": "curvature",
+    "grw_construct": "construct",
+    "grw_gqy_verify": "verify",
+    "sphere_curvature": "curvature",
+    "static_verify": "verify",
+    "walker3_certified": "construct",
+    "walker3_ricci_flat_curvature": "curvature",
+    "walker4_certified": "construct",
+    "walker4_verify_fail": "verify",
+}
+
+# One value of each JSON type; a top-level value is replaced by each
+# one of another type.
+TYPED_VALUES = (None, True, 7, 2.5, "x", ["x"], {"x": 1})
+HUGE = 10 ** 30
+
+
+def _json_type(value):
+    if isinstance(value, bool) or value is None:
+        return type(value)
+    return float if isinstance(value, (int, float)) else type(value)
+
+
+def _repeat_first(chart):
+    return [chart[0], chart[0], *chart[2:]] if len(chart) > 1 else chart * 2
+
+
+def mutations(cfg):
+    """(label, file bytes, extra argv) for each mutation of ``cfg``."""
+    def as_bytes(obj):
+        return json.dumps(obj).encode("utf-8")
+
+    for key in cfg:
+        changed = copy.deepcopy(cfg)
+        del changed[key]
+        yield f"delete {key}", as_bytes(changed), []
+        if isinstance(cfg[key], dict):
+            for inner in cfg[key]:
+                changed = copy.deepcopy(cfg)
+                del changed[key][inner]
+                yield f"delete {key}.{inner}", as_bytes(changed), []
+        for value in TYPED_VALUES:
+            if _json_type(value) is not _json_type(cfg[key]):
+                changed = {**cfg, key: value}
+                yield f"{key} = {value!r}", as_bytes(changed), []
+    yield "unknown key", as_bytes({**cfg, "mystery": 1}), []
+    for path in (("chart",), ("fiber", "chart"), ("base", "chart")):
+        *outer, last = path
+        holder = cfg
+        for key in outer:
+            holder = holder.get(key, {})
+        if isinstance(holder.get(last), list):
+            changed = copy.deepcopy(cfg)
+            target = changed
+            for key in outer:
+                target = target[key]
+            target[last] = _repeat_first(target[last])
+            yield f"repeat a name in {'.'.join(path)}", as_bytes(changed), []
+    for count in (0, 1, HUGE):
+        for axis in cfg.get("grid", {}):
+            changed = copy.deepcopy(cfg)
+            changed["grid"][axis][2] = count
+            yield f"grid.{axis} count {count}", as_bytes(changed), []
+        yield f"--grid {count}", as_bytes(cfg), ["--grid", str(count)]
+    text = as_bytes(cfg)
+    yield "a byte 0xff", text[:1] + b"\xff" + text[1:], []
+    yield "latin-1 text", as_bytes({**cfg, "note": "@"}).replace(b"@", b"\xe9"), []
+
+
+def run_main(capsys, argv):
+    """main's exit code, stdout and stderr, or the exception it raised."""
+    try:
+        code = main(argv)
+    except (Exception, SystemExit) as exc:  # noqa: BLE001 - any raise escapes
+        capsys.readouterr()
+        return exc, "", ""
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def breach(code, stdout, stderr):
+    """How a run breaks the exit-code contract, or None."""
+    if isinstance(code, BaseException):
+        return f"raised {type(code).__name__}: {code}"
+    if code not in (0, 1, 2, 3):
+        return f"exit {code!r}"
+    if code == 1 and not stdout.startswith("FAIL "):
+        return f"exit 1 with stdout {stdout[:60]!r}"
+    if code in (2, 3):
+        prefix = "config error: " if code == 2 else "numeric error: "
+        lines = stderr.splitlines()
+        if len(lines) != 1 or not lines[0].startswith(prefix):
+            return f"exit {code} with stderr {stderr[-200:]!r}"
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_no_mutation_of_a_shipped_config_escapes_the_contract(
+        name, tmp_path, capsys):
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
+    path = tmp_path / "job.json"
+    out = tmp_path / "report.csv"
+    escapes = []
+    for label, data, flags in mutations(cfg):
+        path.write_bytes(data)
+        code, stdout, stderr = run_main(
+            capsys, [COMMANDS[name], str(path), "--out", str(out), *flags])
+        problem = breach(code, stdout, stderr)
+        if problem is not None:
+            escapes.append(f"{label}: {problem}")
+    assert escapes == []
+
+
+def _write(tmp_path, cfg):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return str(path)
+
+
+def _expect_config_error(capsys, argv, *texts):
+    code, stdout, stderr = run_main(capsys, argv)
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("config error: ") and stderr.count("\n") == 1
+    for text in texts:
+        assert text in stderr
+
+
+def test_a_numeric_custom_metric_over_a_repeated_chart_is_exit_two(
+        tmp_path, capsys):
+    # Numeric components become constant fields, which never pass the
+    # parser; this job used to write a CSV headed a,a,tau,...
+    path = _write(tmp_path, {
+        "family": "custom", "chart": ["a", "a"], "metric": [[1, 0], [0, 1]],
+        "signature": "++", "grid": {"a": [-1.0, 1.0, 3]},
+    })
+    _expect_config_error(capsys, ["curvature", path, "--out",
+                                  str(tmp_path / "r.csv")],
+                         "chart has repeated names: ('a', 'a')")
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_a_grw_construction_over_a_repeated_flat_fiber_is_exit_two(
+        tmp_path, capsys):
+    # The flat fiber is built from numbers; this job used to print a
+    # FAIL verdict with exit 1.
+    cfg = json.loads((CONFIGS / "grw_construct.json").read_text(encoding="utf-8"))
+    cfg["fiber"]["chart"] = ["x", "x"]
+    _expect_config_error(capsys, ["construct", _write(tmp_path, cfg)],
+                         "chart has repeated names: ('x', 'x')")
+
+
+@pytest.mark.parametrize("family", ["grw", "warped"])
+def test_verify_over_a_repeated_flat_fiber_is_exit_two(tmp_path, capsys,
+                                                       family):
+    if family == "grw":
+        cfg = json.loads((CONFIGS / "grw_gqy_verify.json").read_text(
+            encoding="utf-8"))
+    else:
+        cfg = {"family": "warped", "warping": "exp(s)", "potential": "s",
+               "base": {"chart": ["s"], "metric": [["1"]], "signature": "+"},
+               "fiber": {"type": "flat", "chart": ["x1", "x2"]},
+               "grid": {"s": [0.0, 1.0, 3]}}
+    cfg["fiber"]["chart"] = ["x", "x"]
+    _expect_config_error(capsys, ["verify", _write(tmp_path, cfg)],
+                         "chart has repeated names: ('x', 'x')")
+
+
+def test_a_repeated_base_chart_is_exit_two(tmp_path, capsys):
+    path = _write(tmp_path, {
+        "family": "warped", "warping": "1", "potential": "s",
+        "base": {"chart": ["s", "s"], "metric": [[1, 0], [0, 1]],
+                 "signature": "++"},
+        "fiber": {"type": "flat", "chart": ["x"]},
+        "grid": {"s": [0.0, 1.0, 3]},
+    })
+    _expect_config_error(capsys, ["verify", path],
+                         "chart has repeated names: ('s', 's')")
+
+
+def test_a_config_that_is_not_utf8_is_exit_two(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_bytes(b'{"family": "walker3", "metric_function": "t\xff"}')
+    _expect_config_error(capsys, ["curvature", str(path)],
+                         f"{path} is not valid UTF-8: ")
+
+
+@pytest.mark.parametrize("name, axis", [("flat_curvature", "a"),
+                                        ("sphere_curvature", "v")])
+def test_a_grid_count_numpy_cannot_allocate_is_exit_two(tmp_path, capsys,
+                                                        name, axis):
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
+    cfg["grid"][axis][2] = HUGE
+    _expect_config_error(capsys, ["curvature", _write(tmp_path, cfg)],
+                         "cannot sample a grid of ", str(HUGE))
+
+
+@pytest.mark.parametrize("name", ["flat_curvature", "static_verify",
+                                  "grw_construct", "walker3_certified"])
+def test_a_grid_that_numpy_runs_out_of_memory_for_is_exit_two(
+        tmp_path, capsys, monkeypatch, name):
+    # Each command samples its ranges through one helper, which turns
+    # numpy's MemoryError into a config error naming the counts.
+    def out_of_memory(names, ranges):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(cli, "grid_points", out_of_memory)
+    _expect_config_error(
+        capsys, [COMMANDS[name], str(CONFIGS / f"{name}.json"),
+                 "--grid", "7"],
+        "cannot sample a grid of ")
+
+
+def test_a_large_time_sample_count_still_constructs(tmp_path, capsys):
+    # Counts are not capped up front: the GRW construction samples only
+    # its time axis, so 2000 samples are cheap.
+    code, stdout, _ = run_main(capsys, [
+        "construct", str(CONFIGS / "grw_construct.json"), "--grid", "2000",
+        "--out", str(tmp_path / "grw.csv")])
+    assert code == 0 and stdout.startswith("PASS ")
+    assert len((tmp_path / "grw.csv").read_text().splitlines()) == 2000 + 4
