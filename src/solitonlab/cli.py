@@ -165,30 +165,33 @@ def _take_field(cfg: dict, key: str, chart: tuple[str, ...]) -> ScalarField:
 
 
 def _metric_from_config(obj: Any, path: str) -> MetricField:
+    """The metric of the keys chart, metric and signature of ``obj``,
+    whose errors name each key under ``path`` ("" at the top level)."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path} must be an object")
     obj = dict(obj)
-    chart = _as_chart(_take(obj, "chart", path, required=True), f"{path}.chart")
+    prefix = f"{path}." if path else ""
+    chart = _as_chart(_take(obj, "chart", path, required=True), f"{prefix}chart")
     rows = _take(obj, "metric", path, required=True)
     signature = _as_str(
-        _take(obj, "signature", path, required=True), f"{path}.signature"
+        _take(obj, "signature", path, required=True), f"{prefix}signature"
     )
     _reject_unknown(obj, path)
     n = len(chart)
     if not isinstance(rows, list) or len(rows) != n or any(
         not isinstance(r, list) or len(r) != n for r in rows
     ):
-        raise ConfigError(f"{path}.metric must be a {n}x{n} array of rows")
+        raise ConfigError(f"{prefix}metric must be a {n}x{n} array of rows")
     for i, row in enumerate(rows):
         for j, cell in enumerate(row):
             if isinstance(cell, bool) or not isinstance(cell, (int, float, str)):
                 raise ConfigError(
-                    f"{path}.metric[{i}][{j}] must be a number or expression"
+                    f"{prefix}metric[{i}][{j}] must be a number or expression"
                 )
     try:
         return MetricField.from_rows(chart, rows, signature)
     except (ExpressionSyntaxError, UnknownVariableError, ValueError) as exc:
-        raise ConfigError(f"{path}.metric: {exc}") from exc
+        raise ConfigError(f"{prefix}metric: {exc}") from exc
 
 
 def _sample(names: Sequence[str], ranges: Mapping[str, Range]) -> np.ndarray:
@@ -244,8 +247,6 @@ def _fiber_from_config(cfg: dict) -> tuple[MetricField, dict[str, Range]]:
 
 
 def _constants_from_config(obj: Any, path: str) -> dict[str, float]:
-    if obj is None:
-        return {}
     if not isinstance(obj, dict):
         raise ConfigError(f"{path} must be an object")
     obj = dict(obj)
@@ -262,10 +263,10 @@ def _ranges_from_config(obj: Any, chart: tuple[str, ...],
                         override_count: int | None) -> dict[str, Range]:
     """Each chart coordinate's range: its grid entry, else the family
     default; --grid replaces every count."""
-    if obj is not None and not isinstance(obj, dict):
+    if not isinstance(obj, dict):
         raise ConfigError("grid must be an object")
     given: dict[str, Range] = {}
-    for name, spec in (obj or {}).items():
+    for name, spec in obj.items():
         if name not in chart:
             raise ConfigError(f"grid.{name} does not name a chart coordinate")
         where = f"grid.{name}"
@@ -334,7 +335,7 @@ def _build_job(cfg: dict, command: str, tol_flag: float | None,
                grid_flag: int | None) -> _Job:
     cfg = dict(cfg)
     name = _as_str(_take(cfg, "family", "", required=True), "family")
-    constants = _constants_from_config(cfg.get("constants"), "constants")
+    constants = _constants_from_config(cfg.get("constants", {}), "constants")
     if command == "curvature":
         for key in ("tolerance", "potential", "constants"):
             if key in cfg:
@@ -354,7 +355,7 @@ def _build_job(cfg: dict, command: str, tol_flag: float | None,
         potential_src = _as_str(potential_src, "potential")
     if command == "construct" and potential_src is not None:
         raise ConfigError("construct derives the potential; remove 'potential'")
-    grid_raw = _take(cfg, "grid", "")
+    grid_raw = _take(cfg, "grid", "", default={})
 
     if name not in _FAMILIES:
         raise ConfigError(
@@ -491,10 +492,10 @@ def _construct_grw(job: _Job, args: argparse.Namespace) -> int:
     alpha = job.constants["alpha"]
     t0 = job.constants.get("t0", spec.interval[0])
     time_var = spec.time_var
-    potential = grw_potential_field(spec, alpha, t0)
     fiber_names = [name for name in job.chart if name != time_var]
     fiber_point = [job.ranges[name][0] for name in fiber_names]
     t_samples = _sample((time_var,), {time_var: job.ranges[time_var]})[:, 0]
+    potential = grw_potential_field(spec, alpha, t0, times=t_samples)
     samples = grw_samples(spec, job.metric, potential, t_samples, fiber_point)
     estimate = LambdaEstimate.of(samples.lambda_map())
     lam = job.constants.get("lambda", estimate.value)

@@ -12,7 +12,8 @@ This module is the foundation of the package.  It provides:
   4. plain float evaluation with explicit domain checking: a field is
      compiled, on its first evaluation, into a Python function of the
      chart coordinates whose values and errors are those of a
-     node-by-node walk;
+     node-by-node walk, and on request into a function over arrays of
+     coordinates with the same bits at every element;
   5. a parser for the grammar below: one compiled regular expression
      splits the source into (kind, text, offset) tuples, and a
      recursive descent, with unary, power and atom in one rule, reads
@@ -61,6 +62,8 @@ import weakref
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Mapping, Sequence, Union
+
+import numpy as np
 
 from .errors import DomainError, ExpressionSyntaxError, UnknownVariableError
 
@@ -449,7 +452,15 @@ def evaluate(node: Node, env: Mapping[str, float]) -> float:
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*"}
 
 
-def _compile(root: Node, chart: Sequence[str]) -> Callable[..., float]:
+def _map(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """``fn`` of each element of the float64 array ``x``, called once per
+    element, as an array of the shape of ``x``."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _compile(root: Node, chart: Sequence[str], arrays: bool = False,
+             ) -> Callable[..., float] | tuple[Callable[..., float],
+                                                Callable[..., np.ndarray]]:
     """A Python function of the chart coordinates that evaluates ``root``.
 
     The generated body holds one local per distinct node (shared
@@ -464,6 +475,20 @@ def _compile(root: Node, chart: Sequence[str]) -> Callable[..., float]:
     function names enter the source; constants, exponents, guard bounds
     and profile callables are bound through the scope dict, so every
     float keeps its exact bits.
+
+    With ``arrays``, the same walk also emits the field over arrays, and
+    the pair (scalar function, array function) is returned.  The array
+    function takes one array per coordinate, of one shape, and runs the
+    same locals in the same order with the same bound constants, each
+    constant as a float64 scalar: ``+ - * /`` and negation are numpy
+    operations, which round each element as the float operations do,
+    and every _CALLS function, _pow_value and External value is mapped
+    element by element through the scalar function itself (_map), so
+    each element has the scalar function's bits.  A guard raises its
+    DomainError if it fails at any element, so the array function
+    raises exactly when the scalar one raises at some point.  It runs
+    under np.errstate(all="ignore"): numpy warns where the float
+    operations are silent.
     """
     params = [f"x{i}" for i in range(len(chart))]
     param_of = dict(zip(chart, params))
@@ -471,9 +496,18 @@ def _compile(root: Node, chart: Sequence[str]) -> Callable[..., float]:
         "DomainError": DomainError,
         "_isfinite": math.isfinite,
         "_pow_value": _pow_value,
+        "_np": np,
+        "_map": _map,
     }
     lines = [f"    {p} = float({p})" for p in params]
+    many = [f"    {p} = _np.array({p}, dtype=float)" for p in params
+            ] + ["    with _np.errstate(all='ignore'):"] if arrays else []
     local_of: dict[Node, str] = {}
+
+    def emit(scalar: str, array: str | None = None) -> None:
+        lines.append("    " + scalar)
+        if arrays:
+            many.append("        " + (scalar if array is None else array))
 
     def bind(value: object) -> str:
         name = f"k{len(scope)}"
@@ -483,8 +517,10 @@ def _compile(root: Node, chart: Sequence[str]) -> Callable[..., float]:
     def visit(node: Node) -> str:
         if node in local_of:
             return local_of[node]
+        array = None
         if isinstance(node, Const):
             expr = bind(node.value)
+            array = f"_np.float64({expr})"
         elif isinstance(node, Var):
             if node.name not in param_of:
                 raise UnknownVariableError(node.name)
@@ -496,11 +532,13 @@ def _compile(root: Node, chart: Sequence[str]) -> Callable[..., float]:
             expr = f"{left} {_BINARY_OPS[type(node)]} {visit(node.right)}"
         elif isinstance(node, Div):
             den = visit(node.den)
-            lines.append(f"    if {den} == 0.0:")
-            lines.append("        raise DomainError('division by zero')")
+            emit(f"if {den} == 0.0:", f"if ({den} == 0.0).any():")
+            emit("    raise DomainError('division by zero')")
             expr = f"{visit(node.num)} / {den}"
         elif isinstance(node, Pow):
-            expr = f"_pow_value({visit(node.base)}, {bind(node.exponent)})"
+            base, exponent = visit(node.base), bind(node.exponent)
+            expr = f"_pow_value({base}, {exponent})"
+            array = f"_map(lambda v: _pow_value(v, {exponent}), {base})"
         elif isinstance(node, Call):
             f = "_" + node.func
             fn, comparison, bound, message = _CALLS[node.func]
@@ -508,20 +546,24 @@ def _compile(root: Node, chart: Sequence[str]) -> Callable[..., float]:
             arg = visit(node.arg)
             local = local_of[node] = f"v{len(local_of)}"
             if comparison:
-                lines.extend([f"    if {arg} {comparison} {f}_bound:",
-                              f"        raise DomainError({f}_error)",
-                              f"    {local} = {f}({arg})"])
+                emit(f"if {arg} {comparison} {f}_bound:",
+                     f"if ({arg} {comparison} {f}_bound).any():")
+                emit(f"    raise DomainError({f}_error)")
+                emit(f"{local} = {f}({arg})", f"{local} = _map({f}, {arg})")
             else:
-                lines.extend(["    try:", f"        {local} = {f}({arg})",
-                              "    except ValueError:",
-                              f"        raise DomainError({f}_error) from None"])
+                emit("try:")
+                emit(f"    {local} = {f}({arg})", f"    {local} = _map({f}, {arg})")
+                emit("except ValueError:")
+                emit(f"    raise DomainError({f}_error) from None")
             return local
         elif isinstance(node, External):
-            expr = f"float({bind(node.funcs[0])}({visit(node.arg)}))"
+            profile, arg = bind(node.funcs[0]), visit(node.arg)
+            expr = f"float({profile}({arg}))"
+            array = f"_map(lambda v: float({profile}(v)), {arg})"
         else:
             raise TypeError(f"not an expression node: {node!r}")
         local = f"v{len(local_of)}"
-        lines.append(f"    {local} = {expr}")
+        emit(f"{local} = {expr}", None if array is None else f"{local} = {array}")
         local_of[node] = local
         return local
 
@@ -529,12 +571,21 @@ def _compile(root: Node, chart: Sequence[str]) -> Callable[..., float]:
     # visit refers to itself through its closure; dropping the name
     # breaks that cycle, so the source lines and maps die with this call.
     del visit
-    lines.append(f"    if not _isfinite({out}):")
-    lines.append("        raise DomainError('expression evaluated to a non-finite value')")
-    lines.append(f"    return {out}")
-    exec("def field(" + ", ".join(params) + "):\n" + "\n".join(lines), scope)
-    # Taking the function out of its own globals leaves no reference
-    # cycle, so reference counting frees it along with its field.
+    emit(f"if not _isfinite({out}):", f"if not _np.isfinite({out}).all():")
+    emit("    raise DomainError('expression evaluated to a non-finite value')")
+    # A tree that reads no coordinate is a float64 scalar up to here.
+    shape = f"{params[0]}.shape" if params else "()"
+    emit(f"return {out}",
+         f"return {out}" if root.reads else f"return _np.full({shape}, {out})")
+    signature = "(" + ", ".join(params) + "):\n"
+    source = "def field" + signature + "\n".join(lines)
+    if arrays:
+        source += "\ndef field_over_arrays" + signature + "\n".join(many)
+    exec(source, scope)
+    # Taking the functions out of their own globals leaves no reference
+    # cycle, so reference counting frees them along with their field.
+    if arrays:
+        return scope.pop("field"), scope.pop("field_over_arrays")
     return scope.pop("field")
 
 
@@ -768,6 +819,17 @@ class ScalarField:
     def compiled(self) -> Callable[..., float]:
         """The field as a function taking one float per chart coordinate."""
         return _compile(self.root, self.chart)
+
+    @cached_property
+    def compiled_arrays(self) -> Callable[..., np.ndarray]:
+        """The field as a function taking one array per chart coordinate,
+        all of one shape: ``compiled`` at every element, bit for bit,
+        raising exactly when ``compiled`` raises at some element (see
+        _compile).  It is compiled in one walk with the scalar function,
+        which becomes ``compiled`` if that is not yet set."""
+        scalar, over_arrays = _compile(self.root, self.chart, arrays=True)
+        self.__dict__.setdefault("compiled", scalar)
+        return over_arrays
 
     # -- calculus -----------------------------------------------------
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -58,7 +57,7 @@ from .expressions import (
     neg,
 )
 from .metrics import MetricField
-from .quadrature import adaptive_simpson
+from .quadrature import _simpson_batch, _simpson_each, adaptive_simpson
 from .soliton import (
     SolitonData,
     field_geometry,
@@ -292,17 +291,26 @@ def _static_metric(spec: StaticSpec) -> MetricField:
 # Cosmological family: quadrature potential and equation system
 # =====================================================================
 
-def grw_potential_field(spec: GRWSpec, alpha: float, t0: float) -> ScalarField:
+def grw_potential_field(spec: GRWSpec, alpha: float, t0: float,
+                        times: Sequence[float] | None = None) -> ScalarField:
     """The quadrature potential as a scalar field on the time chart.
 
     The value, alpha times the integral of 1/warping from t0, is
     integrated on demand and raises NonPositiveWarpingError at a
-    quadrature sample where the warping is not positive.  The first and
-    second derivative callables use the defining relation (slope
-    alpha / warping), so jets of this field carry no quadrature noise.
+    quadrature sample where the warping is not positive.  Given
+    ``times``, the first value asked for integrates it and all of
+    ``times`` together, in one batch (quadrature._simpson_batch); if
+    the batch fails, values are integrated one at a time, as without
+    ``times``, so each value and error is the same either way.  Values
+    are kept per time, keyed as lru_cache keys them (0.0 == -0.0).  The
+    first and second derivative callables use the defining relation
+    (slope alpha / warping), so jets of this field carry no quadrature
+    noise.
     """
     w = spec.warping.compiled
     dw = spec.warping.diff(spec.time_var).compiled
+    pending = None if times is None else np.asarray(times, dtype=float).tolist()
+    values: dict[float, float] = {}
 
     def reciprocal(u: float) -> float:
         wu = w(u)
@@ -310,9 +318,31 @@ def grw_potential_field(spec: GRWSpec, alpha: float, t0: float) -> ScalarField:
             raise NonPositiveWarpingError(f"warping is not positive at [{u}]")
         return 1.0 / wu
 
-    @lru_cache(maxsize=None)
+    def reciprocals(u: np.ndarray) -> np.ndarray:
+        wu = spec.warping.compiled_arrays(u)
+        if (wu <= 0.0).any():
+            raise NonPositiveWarpingError("warping is not positive")
+        return 1.0 / wu
+
     def value(tv: float) -> float:
-        return alpha * adaptive_simpson(reciprocal, t0, tv, tol=QUADRATURE_TOL)
+        nonlocal pending
+        if tv in values:
+            return values[tv]
+        if pending is not None:
+            ends = list(dict.fromkeys([tv, *pending]))
+            pending = None
+            try:
+                integrals = _simpson_batch(reciprocals, [t0] * len(ends), ends,
+                                           tol=QUADRATURE_TOL)
+            except Exception:  # noqa: BLE001 - integrate one at a time
+                pass
+            else:
+                values.update((end, alpha * integral) for end, integral
+                              in zip(ends, integrals.tolist()))
+                return values[tv]
+        out = values[tv] = alpha * adaptive_simpson(reciprocal, t0, tv,
+                                                    tol=QUADRATURE_TOL)
+        return out
 
     def deriv(tv: float) -> float:
         return alpha / w(tv)
@@ -717,20 +747,45 @@ def walker4_construct(spec: Walker4Spec,
     and second derivatives come from the defining relation, so jets of
     f carry no interpolation noise.
 
+    The table's quadratures, from t0 to the first knot and between
+    knots, run as one batch (quadrature._simpson_each).  Each of its
+    levels evaluates the slope over arrays, which integrates the
+    running integrals it lacks in one nested batch; the scalar slope of
+    the jets reads the same integrals, kept per time as lru_cache keys
+    them (0.0 == -0.0).  If the batch fails, the table is the loop of
+    one quadrature at a time, with that loop's values and errors.
+
     ``paper_literal=True`` swaps the y coefficient for (c0 z + c1);
     that variant fails the family's own system when c0 != 0.
     """
+    # The array function first: one walk then compiles both (see
+    # ScalarField.compiled_arrays).
+    w_many = spec.warping.compiled_arrays
     w = spec.warping.compiled
     w_t = spec.warping.diff("t").compiled
     c0, c1 = spec.c0, spec.c1
     t0 = spec.t0
+    integrals: dict[float, float] = {}
 
-    @lru_cache(maxsize=None)
     def running(tv: float) -> float:
-        return adaptive_simpson(w, t0, tv, tol=QUADRATURE_TOL)
+        if tv not in integrals:
+            integrals[tv] = adaptive_simpson(w, t0, tv, tol=QUADRATURE_TOL)
+        return integrals[tv]
 
     def slope(tv: float) -> float:
         return 0.5 * (w(tv) * (c0 * tv + c1) + c0 * running(tv))
+
+    def slopes(ts: np.ndarray) -> np.ndarray:
+        """slope at every element of ts, the missing running integrals
+        integrated in one batch."""
+        keys = ts.tolist()
+        missing = [tv for tv in dict.fromkeys(keys) if tv not in integrals]
+        if missing:
+            batch = _simpson_batch(w_many, [t0] * len(missing), missing,
+                                   tol=QUADRATURE_TOL)
+            integrals.update(zip(missing, batch.tolist()))
+        run = np.fromiter(map(integrals.__getitem__, keys), float, len(keys))
+        return 0.5 * (w_many(ts) * (c0 * ts + c1) + c0 * run)
 
     def slope2(tv: float) -> float:
         return 0.5 * w_t(tv) * (c0 * tv + c1) + c0 * w(tv)
@@ -739,12 +794,12 @@ def walker4_construct(spec: Walker4Spec,
     if not lo < hi:
         raise ValueError(f"empty interval {interval}")
     grid = np.linspace(lo, hi, PROFILE_KNOTS)
+    pieces = _simpson_each(slopes, slope, [t0, *grid[:-1].tolist()],
+                           grid.tolist(), tol=QUADRATURE_TOL)
     table = np.empty_like(grid)
-    table[0] = adaptive_simpson(slope, t0, grid[0], tol=QUADRATURE_TOL)
+    table[0] = pieces[0]
     for i in range(1, len(grid)):
-        table[i] = table[i - 1] + adaptive_simpson(
-            slope, grid[i - 1], grid[i], tol=QUADRATURE_TOL
-        )
+        table[i] = table[i - 1] + pieces[i]
     spline = _pchip(grid, table)
 
     def value(tv: float) -> float:

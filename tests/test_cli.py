@@ -196,7 +196,7 @@ def test_a_superscript_digit_is_exit_two_with_its_offset(tmp_path, capsys):
     })
     code, _, stderr = run(capsys, "curvature", path)
     assert code == 2
-    assert stderr == ("config error: .metric: unexpected character "
+    assert stderr == ("config error: metric: unexpected character "
                       "'\u00b2' (at offset 1)\n")
 
 
@@ -594,3 +594,42 @@ def test_a_config_nested_too_deeply_is_exit_two(tmp_path, capsys):
     assert code == 2
     assert stdout == ""
     assert stderr == DEEP_NESTING
+
+
+@pytest.mark.parametrize("config, command", [
+    ("static_verify", "verify"),
+    ("grw_construct", "construct"),
+    ("walker3_certified", "construct"),
+    ("walker4_certified", "construct"),
+])
+@pytest.mark.parametrize("key", ["constants", "grid"])
+def test_a_null_constants_or_grid_is_exit_two(config, command, key, tmp_path,
+                                              capsys):
+    # null is a value of the wrong type, not an absent key: without the
+    # check, verify infers lambda and the constructs use their defaults.
+    cfg = json.loads((CONFIGS / f"{config}.json").read_text(encoding="utf-8"))
+    path = write_config(tmp_path, {**cfg, key: None})
+    code, stdout, stderr = run(capsys, command, path,
+                               "--out", str(tmp_path / "report.csv"))
+    assert (code, stdout) == (2, "")
+    assert stderr == f"config error: {key} must be an object\n"
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"chart": "x", "metric": [["1"]], "signature": "+"},
+     "chart must be a non-empty list of strings"),
+    ({"chart": ["x"], "metric": [["1"]], "signature": 1},
+     "signature must be a string"),
+    ({"chart": ["x"], "metric": [["1", "0"]], "signature": "+"},
+     "metric must be a 1x1 array of rows"),
+    ({"chart": ["x"], "metric": [[True]], "signature": "+"},
+     "metric[0][0] must be a number or expression"),
+    ({"chart": ["a", "a"], "metric": [[1, 0], [0, 1]], "signature": "++"},
+     "metric: chart has repeated names: ('a', 'a')"),
+])
+def test_custom_metric_errors_name_their_top_level_key(payload, message,
+                                                       tmp_path, capsys):
+    path = write_config(tmp_path, {"family": "custom", **payload})
+    code, _, stderr = run(capsys, "curvature", path)
+    assert code == 2
+    assert stderr == f"config error: {message}\n"

@@ -1,4 +1,5 @@
-"""The compiled scalar evaluator against an independent tree walker.
+"""The compiled scalar evaluator against an independent tree walker, and the
+array mode against the compiled field.
 
 reference() below walks the tree node by node with its own copy of the
 domain rules (division by zero, powers, exp/ln/sqrt, sin/cos of an
@@ -11,7 +12,9 @@ import gc
 import math
 import struct
 import sys
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -226,3 +229,80 @@ def test_sin_and_cos_of_an_infinite_argument_are_domain_errors(func, y):
     # Constant folding at parse time applies the same rule.
     assert outcome(lambda: parse_expression(f"{func}(1e308*{y})", CHART)) \
         == expected
+
+
+# The array mode (ScalarField.compiled_arrays) against the scalar one: at
+# every point the same bits, and an error exactly when the scalar field
+# raises at some point.  Any numpy warning fails the test.
+
+def _array_outcome(field, xs, ys):
+    """The array mode's float64 bytes at each point, or the type of what
+    it raised; any warning is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = field.compiled_arrays(np.array(xs), np.array(ys))
+        except (SolitonLabError, ArithmeticError, ValueError) as exc:
+            return type(exc)
+    assert values.shape == (len(xs),)
+    return [struct.pack("<d", v) for v in values.tolist()]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(trees(), st.lists(st.tuples(st.sampled_from(COORDINATES),
+                                   st.sampled_from(COORDINATES)),
+                         min_size=1, max_size=6))
+def test_the_array_mode_matches_the_compiled_field_at_every_point(root, points):
+    field = ScalarField(CHART, root)
+    scalar = [outcome(lambda p=p: field.compiled(*p)) for p in points]
+    got = _array_outcome(field, *zip(*points))
+    raised = {kind for kind, _ in scalar if kind is not float}
+    if not raised:
+        assert got == [value for _, value in scalar]
+    else:
+        assert got in raised
+        if all(issubclass(kind, SolitonLabError) for kind in raised):
+            assert issubclass(got, SolitonLabError)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, 2.5])
+def test_a_constant_field_over_arrays_has_the_shape_of_its_points(value):
+    field = ScalarField(CHART, Const(value))
+    out = field.compiled_arrays(np.array([1.0, 2.0, 3.0]), np.zeros(3))
+    assert out.tobytes() == np.full(3, value).tobytes()
+
+
+def test_the_array_mode_is_compiled_with_the_scalar_one():
+    # One walk gives both functions, and dropping them leaves no cycle.
+    gc.disable()
+    try:
+        gc.collect()
+        field = parse_expression("sin(x)*exp(y)/(2+x)", CHART)
+        over_arrays = field.compiled_arrays
+        assert "compiled" in field.__dict__
+        assert over_arrays(np.array([0.5]), np.array([0.25]))[0] \
+            == field((0.5, 0.25))
+        del over_arrays, field
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_the_array_mode_does_not_hand_back_its_argument():
+    xs = np.array([1.0, -0.0])
+    out = parse_expression("x", CHART).compiled_arrays(xs, xs)
+    assert out is not xs
+    assert out.tobytes() == xs.tobytes()
+
+
+def test_the_array_mode_maps_each_call_through_the_scalar_function():
+    seen = []
+
+    def profile(v):
+        seen.append(v)
+        return 2 * v
+
+    field = ScalarField(CHART, Add(External("p", (profile,), Var("x")), Var("y")))
+    out = field.compiled_arrays(np.array([1.5, -0.5]), np.array([1.0, 1.0]))
+    assert out.tolist() == [4.0, 0.0]
+    assert seen == [1.5, -0.5]
