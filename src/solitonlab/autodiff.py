@@ -10,8 +10,10 @@ Griewank and Walther, Evaluating Derivatives, 2nd ed.).  A single
 point (n,) is the P = 1 case of the same walk.  Each point's numbers
 are the ones a walk at that point alone would give, bit for bit:
 elementwise numpy arithmetic and the exp/ln/sin/cos/sqrt ufuncs round
-as their scalar forms do, and constant powers and External profiles,
-whose array forms would not, are evaluated point by point.
+as their scalar forms do, constant powers, whose array form would not,
+are evaluated point by point, and External profiles are called once
+over the points, as their contract gives each point its own bits (see
+expressions.external).
 
 walk_jets evaluates the jets of several fields on one chart, such as
 the components of a metric, in two steps.  It first numbers their
@@ -64,7 +66,9 @@ checks are each entry's domain check and each field's check for finite
 entries, which sits where the field's entries end on the tape.  The
 batched walk finds that point and that check from the masks of its
 checks in one pass.  Points past it, or failed upstream of a power or
-profile, are not passed to that power or profile.
+profile, are not passed to that power or profile.  A profile that
+raises over the points is called again one point at a time, so the
+point it fails at first, and its message there, are those of a loop.
 """
 
 from __future__ import annotations
@@ -91,6 +95,8 @@ from .expressions import (
     Sub,
     Var,
     _pow_value,
+    _profile_over,
+    _profile_value,
 )
 
 __all__ = ["Jet2", "eval_jet2", "finite_diff_jet2", "walk_jets"]
@@ -149,8 +155,8 @@ class _Tape:
     children (0 for a leaf); how many entries and fields use its jet;
     and its group, the entries of one level and one kind in tape order.
     Call entries are grouped by function name too, and each Pow or
-    External entry, which is evaluated point by point, is a group of
-    its own."""
+    External entry, which is evaluated with its own exponent or
+    callables, is a group of its own."""
 
     def __init__(self) -> None:
         self.entries: list[tuple[Node, tuple[int, ...]]] = []
@@ -431,16 +437,29 @@ def _pow_rule(batch: _Batch, walk: _Walk, out: np.ndarray, u: np.ndarray) -> Non
 
 def _external_rule(batch: _Batch, walk: _Walk, out: np.ndarray,
                    u: np.ndarray) -> None:
+    """Each of the profile's three callables is called once over the
+    open points (_Walk.open_points), the others getting zeros.  If any
+    call raises, the points are called one at a time instead
+    (_pointwise), so the first failing point and its message are those
+    of that loop."""
     node = batch.nodes[0]
+    k = batch.entries[0]
     if len(node.funcs) < 3:
-        walk.fail(0, 2 * batch.entries[0],
-                  f"profile '{node.name}' supplies no second derivative",
+        walk.fail(0, 2 * k, f"profile '{node.name}' supplies no second derivative",
                   located=False)
         out[...] = 0.0
         return
     funcs = node.funcs[:3]
-    _chain(u, *_pointwise(lambda x: [f(x) for f in funcs], u, walk,
-                          batch.entries[0]), out, walk.n)
+    x = u[0, 0, :walk.open_points(2 * k)]
+    terms = np.zeros((3, 1, u.shape[-1]))
+    try:
+        if len(x):
+            for row, f in zip(terms, funcs):
+                row[0, :len(x)] = _profile_over(node.name, f, x)
+    except Exception:  # noqa: BLE001 - the loop names the first failure
+        terms = _pointwise(
+            lambda t: [_profile_value(node.name, f, t) for f in funcs], u, walk, k)
+    _chain(u, *terms, out, walk.n)
 
 
 _RULES = {

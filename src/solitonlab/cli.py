@@ -501,7 +501,7 @@ def _construct_grw(job: _Job, args: argparse.Namespace) -> int:
     lam = job.constants.get("lambda", estimate.value)
     residual = samples.residual(lam)
     report = ResidualReport.of(t_samples[:, None], residual, job.tolerance)
-    rows = np.column_stack([t_samples, [potential((t,)) for t in t_samples],
+    rows = np.column_stack([t_samples, potential.at_points(t_samples[:, None]),
                             residual])
     comments = [
         f"#potential_slope=({_fmt(alpha)})/({spec.warping})",
@@ -599,10 +599,9 @@ def _check_grid(job: _Job, out: str | None, metric: MetricField,
         "lap_potential": geometry.lap,
         "lambda_point": estimate.samples,
     }
-    coordinates = pts.tolist()
     rows = np.column_stack(
         [pts]
-        + [[fn(p) for p in coordinates] for fn in fields.values()]
+        + [fn.at_points(pts) for fn in fields.values()]
         + [computed[name] for name in columns]
     )
     header = list(job.chart) + list(fields) + list(columns)

@@ -9,11 +9,13 @@ This module is the foundation of the package.  It provides:
   2. smart constructors that fold the obvious algebraic identities so
      that derivatives stay readable;
   3. exact symbolic differentiation;
-  4. plain float evaluation with explicit domain checking: a field is
-     compiled, on its first evaluation, into a Python function of the
-     chart coordinates whose values and errors are those of a
-     node-by-node walk, and on request into a function over arrays of
-     coordinates with the same bits at every element;
+  4. plain evaluation with explicit domain checking: a field is
+     compiled, on its first evaluation, into a list of steps, one per
+     distinct node, each with a float form and an array form.  A loop
+     over the float forms evaluates one point, with the values and
+     errors of a node-by-node walk; a loop over the array forms
+     evaluates arrays of points, with the same bits at every element.
+     An opaque profile maps an array of points to an array (external);
   5. a parser for the grammar below: one compiled regular expression
      splits the source into (kind, text, offset) tuples, and a
      recursive descent, with unary, power and atom in one rule, reads
@@ -61,7 +63,7 @@ import sys
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -220,12 +222,14 @@ class External(Node):
     """Opaque univariate profile known only through callables.
 
     ``funcs`` holds the profile and its derivatives in order: value,
-    first derivative, second derivative, ...  Differentiating shifts
-    that tuple left; once it is exhausted no further derivative exists.
+    first derivative, second derivative, ...  Each maps a 1-d float64
+    array to an array of the same shape (see external).  Differentiating
+    shifts that tuple left; once it is exhausted no further derivative
+    exists.
     """
 
     name: str
-    funcs: tuple[Callable[[float], float], ...]
+    funcs: tuple[Callable[[np.ndarray], np.ndarray], ...]
     arg: Node
 
     def __new__(cls, name: str, funcs: tuple, arg: Node) -> Node:
@@ -340,12 +344,13 @@ def pow_(base: Node, exponent: float) -> Node:
     return Pow(base, exponent)
 
 
-# Each primitive with its domain guard, read by _call_value (which
-# constant folding uses) and by the code _compile emits, so both raise
-# the same DomainError at the same node.  A guard (comparison, bound,
-# message) refuses x before the call when `x <comparison> bound`.  sin
-# and cos have no comparison: math raises ValueError for them only on
-# an infinite argument, and that becomes DomainError(message).
+# Each primitive with its domain guard.  _call_forms turns an entry into
+# the float and the array step of a compiled field (see _compile), and
+# constant folding calls the float step, so both raise the same
+# DomainError at the same node.  A guard (comparison, bound, message)
+# refuses x before the call when `x <comparison> bound`.  sin and cos
+# have no comparison: math raises ValueError for them only on an
+# infinite argument, and that becomes DomainError(message).
 _CALLS: dict[str, tuple[Callable[[float], float], str, float, str]] = {
     "exp": (math.exp, ">", EXP_ARG_MAX, "overflow in exp"),
     "ln": (math.log, "<=", 0.0, "ln of a non-positive argument"),
@@ -356,29 +361,67 @@ _CALLS: dict[str, tuple[Callable[[float], float], str, float, str]] = {
 _COMPARISONS = {">": operator.gt, "<=": operator.le, "<": operator.lt}
 
 
-def _call_value(func: str, x: float) -> float:
-    fn, comparison, bound, message = _CALLS[func]
-    if comparison and _COMPARISONS[comparison](x, bound):
-        raise DomainError(message)
-    try:
-        return fn(x)
-    except ValueError:
-        raise DomainError(message) from None
+def _map(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """``fn`` of each element of the float64 array ``x``, called once per
+    element, as an array of the shape of ``x``."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _call_forms(fn: Callable[[float], float], comparison: str, bound: float,
+                message: str) -> tuple[Callable, Callable]:
+    """The float and the array form of one _CALLS primitive, each its
+    guard followed by the call; the array form maps the math function
+    element by element."""
+    if comparison:
+        compare = _COMPARISONS[comparison]
+
+        def over_floats(x: float) -> float:
+            if compare(x, bound):
+                raise DomainError(message)
+            return fn(x)
+
+        def over_arrays(x: np.ndarray) -> np.ndarray:
+            if compare(x, bound).any():
+                raise DomainError(message)
+            return _map(fn, x)
+    else:
+        def over_floats(x: float) -> float:
+            try:
+                return fn(x)
+            except ValueError:
+                raise DomainError(message) from None
+
+        def over_arrays(x: np.ndarray) -> np.ndarray:
+            try:
+                return _map(fn, x)
+            except ValueError:
+                raise DomainError(message) from None
+
+    return over_floats, over_arrays
+
+
+_CALL_FORMS = {func: _call_forms(*entry) for func, entry in _CALLS.items()}
 
 
 def call(func: str, arg: Node) -> Node:
     if func not in _CALLS:
         raise ValueError(f"unsupported function '{func}'")
     if isinstance(arg, Const):
-        return Const(_call_value(func, arg.value))
+        return Const(_CALL_FORMS[func][0](arg.value))
     return Call(func, arg)
 
 
 def external(
     name: str,
-    funcs: Sequence[Callable[[float], float]],
+    funcs: Sequence[Callable[[np.ndarray], np.ndarray]],
     arg: Node,
 ) -> Node:
+    """An opaque profile of ``arg``: ``funcs`` are its value and its
+    derivatives, in order.  Each maps a 1-d float64 array of points to
+    the array of its values there, of the same shape, with the bits it
+    gives each point alone, and does not write to its argument.  A
+    compiled field calls it once over all the points it is given, and
+    on a one-element array for one point; so does the jet walk."""
     if len(funcs) == 0:
         raise ValueError("external profile needs at least a value callable")
     return External(name, tuple(funcs), arg)
@@ -446,147 +489,177 @@ def differentiate(node: Node, var: str) -> Node:
 
 def evaluate(node: Node, env: Mapping[str, float]) -> float:
     chart = tuple(env)
-    return _compile(node, chart)(*(env[name] for name in chart))
+    return _compile(node, chart)[0](*(env[name] for name in chart))
 
 
-_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*"}
+def _nonzero(x: float) -> float:
+    """A quotient's guard: its denominator, refused where it is zero."""
+    if x == 0.0:
+        raise DomainError("division by zero")
+    return x
 
 
-def _map(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    """``fn`` of each element of the float64 array ``x``, called once per
-    element, as an array of the shape of ``x``."""
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+def _nonzero_all(x: np.ndarray) -> np.ndarray:
+    if (x == 0.0).any():
+        raise DomainError("division by zero")
+    return x
 
 
-def _compile(root: Node, chart: Sequence[str], arrays: bool = False,
-             ) -> Callable[..., float] | tuple[Callable[..., float],
-                                                Callable[..., np.ndarray]]:
-    """A Python function of the chart coordinates that evaluates ``root``.
+def _profile_over(name: str, fn: Callable[[np.ndarray], np.ndarray],
+                  x: np.ndarray) -> np.ndarray:
+    """The profile ``fn`` over the elements of the array ``x``, in the
+    shape of ``x``, called once on them as a 1-d array (see external)."""
+    flat = np.ravel(x)
+    out = np.asarray(fn(flat), dtype=float)
+    if out.shape != flat.shape:
+        raise ValueError(f"profile '{name}' maps an array of shape "
+                         f"{flat.shape} to one of shape {out.shape}")
+    return out.reshape(np.shape(x))
 
-    The generated body holds one local per distinct node (shared
-    subtrees are keyed by identity), assigned in the order of a
-    depth-first walk with a quotient's denominator before its
-    numerator.  A call is emitted as its guard from _CALLS followed by
-    a direct call of the math function: exp, ln and sqrt compare their
-    argument with the guard's bound first, and sin and cos turn the
-    ValueError of an infinite argument into the guard's DomainError.
-    Values and errors are therefore those of evaluating the tree node
-    by node with _call_value.  Only generated names, operators and
-    function names enter the source; constants, exponents, guard bounds
-    and profile callables are bound through the scope dict, so every
-    float keeps its exact bits.
 
-    With ``arrays``, the same walk also emits the field over arrays, and
-    the pair (scalar function, array function) is returned.  The array
-    function takes one array per coordinate, of one shape, and runs the
-    same locals in the same order with the same bound constants, each
-    constant as a float64 scalar: ``+ - * /`` and negation are numpy
-    operations, which round each element as the float operations do,
-    and every _CALLS function, _pow_value and External value is mapped
-    element by element through the scalar function itself (_map), so
-    each element has the scalar function's bits.  A guard raises its
-    DomainError if it fails at any element, so the array function
-    raises exactly when the scalar one raises at some point.  It runs
-    under np.errstate(all="ignore"): numpy warns where the float
-    operations are silent.
+def _profile_value(name: str, fn: Callable[[np.ndarray], np.ndarray],
+                   x: float) -> float:
+    """The profile ``fn`` at one point, called on a one-element array."""
+    return float(_profile_over(name, fn, np.array([x]))[0])
+
+
+class _Step(NamedTuple):
+    """One step of a compiled field: ``scalar`` over floats and
+    ``array`` over arrays, of slot ``a`` and, unless it is None, slot
+    ``b``, written to slot ``out``."""
+
+    scalar: Callable
+    array: Callable
+    a: int
+    b: int | None
+    out: int
+
+
+class _Program(NamedTuple):
+    """A compiled field: its chart, its steps, and the slots after the
+    coordinates' own, as floats and as arrays: constants, and None where
+    a step writes."""
+
+    chart: tuple[str, ...]
+    steps: list[_Step]
+    floats: list[float | None]
+    arrays: list[np.float64 | None]
+
+
+_OPERATORS = {Neg: operator.neg, Add: operator.add, Sub: operator.sub,
+              Mul: operator.mul, Div: operator.truediv}
+
+
+def _emit(node: Node, program: _Program, slot_of: dict[Node, int]) -> int:
+    """The slot of ``node``, appending the steps of its subtree to
+    ``program`` the first time the walk meets it."""
+    k = slot_of.get(node)
+    if k is not None:
+        return k
+    kind = type(node)
+    if kind is Var:
+        if node.name not in program.chart:
+            raise UnknownVariableError(node.name)
+        k = slot_of[node] = program.chart.index(node.name)
+        return k
+    if kind is Div:
+        den = _emit(node.den, program, slot_of)
+        program.steps.append(_Step(_nonzero, _nonzero_all, den, None, den))
+        args = (_emit(node.num, program, slot_of), den)
+    else:
+        args = tuple(_emit(kid, program, slot_of) for kid in node.kids)
+    k = slot_of[node] = len(program.chart) + len(program.floats)
+    if kind is Const:
+        program.floats.append(node.value)
+        program.arrays.append(np.float64(node.value))
+        return k
+    program.floats.append(None)
+    program.arrays.append(None)
+    if kind in _OPERATORS:
+        scalar = array = _OPERATORS[kind]
+    elif kind is Pow:
+        scalar = partial(_pow_value, exponent=node.exponent)
+        array = partial(_map, scalar)
+    elif kind is Call:
+        scalar, array = _CALL_FORMS[node.func]
+    elif kind is External:
+        scalar = partial(_profile_value, node.name, node.funcs[0])
+        array = partial(_profile_over, node.name, node.funcs[0])
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    program.steps.append(_Step(scalar, array, args[0],
+                               args[1] if len(args) > 1 else None, k))
+    return k
+
+
+def _compile(root: Node, chart: Sequence[str],
+             ) -> tuple[Callable[..., float], Callable[..., np.ndarray]]:
+    """``root`` as a function of one float per chart coordinate, and as
+    a function of one array per coordinate, all of one shape: two loops
+    over one list of steps, compiled in one walk of the tree.
+
+    The walk gives one slot per distinct node (shared subtrees are
+    keyed by identity) after one per chart coordinate, which a variable
+    shares.  Constants are filled in ahead, and every other node is one
+    step, in depth-first order with a quotient's denominator, and its
+    guard, before its numerator.  A call's step is its guard from
+    _CALLS followed by the math function: exp, ln and sqrt compare
+    their argument with the guard's bound first, and sin and cos turn
+    the ValueError of an infinite argument into the guard's
+    DomainError.  Values and errors are therefore those of evaluating
+    the tree node by node, and constants, exponents and bounds keep
+    their exact bits.
+
+    The array function runs the same steps in the same order through
+    their array forms, each constant a float64 scalar: ``+ - * /`` and
+    negation are numpy operations, which round each element as the
+    float operations do, and every _CALLS function and _pow_value is
+    mapped element by element (_map), so each element has the float
+    form's bits.  An External profile is called once on all elements,
+    as a 1-d array; the float form calls it on a one-element array (see
+    external).  A guard raises its DomainError if it fails at any
+    element, so the array function raises exactly when the float one
+    raises at some point.  It runs under np.errstate(all="ignore"):
+    numpy warns where the float operations are silent.
+
+    Neither function refers to itself or to the other, so they die with
+    their field by reference counting.
     """
-    params = [f"x{i}" for i in range(len(chart))]
-    param_of = dict(zip(chart, params))
-    scope: dict[str, object] = {
-        "DomainError": DomainError,
-        "_isfinite": math.isfinite,
-        "_pow_value": _pow_value,
-        "_np": np,
-        "_map": _map,
-    }
-    lines = [f"    {p} = float({p})" for p in params]
-    many = [f"    {p} = _np.array({p}, dtype=float)" for p in params
-            ] + ["    with _np.errstate(all='ignore'):"] if arrays else []
-    local_of: dict[Node, str] = {}
+    program = _Program(tuple(chart), [], [], [])
+    out = _emit(root, program, {})
+    width = len(program.chart)
+    steps, floats, arrays = program.steps, program.floats, program.arrays
+    reads = bool(root.reads)
 
-    def emit(scalar: str, array: str | None = None) -> None:
-        lines.append("    " + scalar)
-        if arrays:
-            many.append("        " + (scalar if array is None else array))
+    def over_floats(*coordinates: float) -> float:
+        if len(coordinates) != width:
+            raise TypeError(f"field takes {width} coordinates, "
+                            f"got {len(coordinates)}")
+        v = [*map(float, coordinates), *floats]
+        for fn, _, a, b, k in steps:
+            v[k] = fn(v[a]) if b is None else fn(v[a], v[b])
+        value = v[out]
+        if not math.isfinite(value):
+            raise DomainError("expression evaluated to a non-finite value")
+        return value
 
-    def bind(value: object) -> str:
-        name = f"k{len(scope)}"
-        scope[name] = value
-        return name
+    def over_arrays(*coordinates: np.ndarray) -> np.ndarray:
+        if len(coordinates) != width:
+            raise TypeError(f"field takes {width} coordinates, "
+                            f"got {len(coordinates)}")
+        v = [*(np.array(c, dtype=float) for c in coordinates), *arrays]
+        with np.errstate(all="ignore"):
+            for _, fn, a, b, k in steps:
+                v[k] = fn(v[a]) if b is None else fn(v[a], v[b])
+        value = v[out]
+        if not np.isfinite(value).all():
+            raise DomainError("expression evaluated to a non-finite value")
+        if reads:
+            return value
+        # A tree that reads no coordinate is a float64 scalar up to here.
+        return np.full(v[0].shape if width else (), value)
 
-    def visit(node: Node) -> str:
-        if node in local_of:
-            return local_of[node]
-        array = None
-        if isinstance(node, Const):
-            expr = bind(node.value)
-            array = f"_np.float64({expr})"
-        elif isinstance(node, Var):
-            if node.name not in param_of:
-                raise UnknownVariableError(node.name)
-            expr = param_of[node.name]
-        elif isinstance(node, Neg):
-            expr = "-" + visit(node.arg)
-        elif isinstance(node, (Add, Sub, Mul)):
-            left = visit(node.left)
-            expr = f"{left} {_BINARY_OPS[type(node)]} {visit(node.right)}"
-        elif isinstance(node, Div):
-            den = visit(node.den)
-            emit(f"if {den} == 0.0:", f"if ({den} == 0.0).any():")
-            emit("    raise DomainError('division by zero')")
-            expr = f"{visit(node.num)} / {den}"
-        elif isinstance(node, Pow):
-            base, exponent = visit(node.base), bind(node.exponent)
-            expr = f"_pow_value({base}, {exponent})"
-            array = f"_map(lambda v: _pow_value(v, {exponent}), {base})"
-        elif isinstance(node, Call):
-            f = "_" + node.func
-            fn, comparison, bound, message = _CALLS[node.func]
-            scope.update({f: fn, f + "_bound": bound, f + "_error": message})
-            arg = visit(node.arg)
-            local = local_of[node] = f"v{len(local_of)}"
-            if comparison:
-                emit(f"if {arg} {comparison} {f}_bound:",
-                     f"if ({arg} {comparison} {f}_bound).any():")
-                emit(f"    raise DomainError({f}_error)")
-                emit(f"{local} = {f}({arg})", f"{local} = _map({f}, {arg})")
-            else:
-                emit("try:")
-                emit(f"    {local} = {f}({arg})", f"    {local} = _map({f}, {arg})")
-                emit("except ValueError:")
-                emit(f"    raise DomainError({f}_error) from None")
-            return local
-        elif isinstance(node, External):
-            profile, arg = bind(node.funcs[0]), visit(node.arg)
-            expr = f"float({profile}({arg}))"
-            array = f"_map(lambda v: float({profile}(v)), {arg})"
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
-        local = f"v{len(local_of)}"
-        emit(f"{local} = {expr}", None if array is None else f"{local} = {array}")
-        local_of[node] = local
-        return local
-
-    out = visit(root)
-    # visit refers to itself through its closure; dropping the name
-    # breaks that cycle, so the source lines and maps die with this call.
-    del visit
-    emit(f"if not _isfinite({out}):", f"if not _np.isfinite({out}).all():")
-    emit("    raise DomainError('expression evaluated to a non-finite value')")
-    # A tree that reads no coordinate is a float64 scalar up to here.
-    shape = f"{params[0]}.shape" if params else "()"
-    emit(f"return {out}",
-         f"return {out}" if root.reads else f"return _np.full({shape}, {out})")
-    signature = "(" + ", ".join(params) + "):\n"
-    source = "def field" + signature + "\n".join(lines)
-    if arrays:
-        source += "\ndef field_over_arrays" + signature + "\n".join(many)
-    exec(source, scope)
-    # Taking the functions out of their own globals leaves no reference
-    # cycle, so reference counting frees them along with their field.
-    if arrays:
-        return scope.pop("field"), scope.pop("field_over_arrays")
-    return scope.pop("field")
+    return over_floats, over_arrays
 
 
 # =====================================================================
@@ -789,11 +862,13 @@ class ScalarField:
 
     ``chart`` fixes the coordinate names and their order; evaluation
     takes points as sequences in that order.  Arithmetic between fields
-    requires identical charts.  The field is compiled into a Python
-    function on its first evaluation and keeps that function; its
-    values and errors are those of walking the tree node by node.
-    Construction checks that the chart names are distinct and that the
-    tree reads no name outside the chart (``root.reads``).
+    requires identical charts.  The field is compiled on its first
+    evaluation into a list of steps, which it keeps (see _compile):
+    ``compiled`` loops over them with floats, ``compiled_arrays`` with
+    arrays, and ``at_points`` evaluates a stack of points in one array
+    call.  Values and errors are those of walking the tree node by
+    node.  Construction checks that the chart names are distinct and
+    that the tree reads no name outside the chart (``root.reads``).
     """
 
     chart: tuple[str, ...]
@@ -815,21 +890,37 @@ class ScalarField:
             )
         return self.compiled(*point)
 
+    def _compile_both(self) -> tuple[Callable[..., float],
+                                     Callable[..., np.ndarray]]:
+        """Compile ``compiled`` and ``compiled_arrays`` in one walk and
+        keep both, whichever is asked for first."""
+        both = _compile(self.root, self.chart)
+        self.__dict__.update(compiled=both[0], compiled_arrays=both[1])
+        return both
+
     @cached_property
     def compiled(self) -> Callable[..., float]:
         """The field as a function taking one float per chart coordinate."""
-        return _compile(self.root, self.chart)
+        return self._compile_both()[0]
 
     @cached_property
     def compiled_arrays(self) -> Callable[..., np.ndarray]:
         """The field as a function taking one array per chart coordinate,
         all of one shape: ``compiled`` at every element, bit for bit,
-        raising exactly when ``compiled`` raises at some element (see
-        _compile).  It is compiled in one walk with the scalar function,
-        which becomes ``compiled`` if that is not yet set."""
-        scalar, over_arrays = _compile(self.root, self.chart, arrays=True)
-        self.__dict__.setdefault("compiled", scalar)
-        return over_arrays
+        raising exactly when ``compiled`` raises at some element.  It
+        loops over the steps of ``compiled`` (see _compile)."""
+        return self._compile_both()[1]
+
+    def at_points(self, points: np.ndarray) -> np.ndarray:
+        """The field at each row of a (P, n) stack of points, as (P,)
+        float64, from one call of ``compiled_arrays``.  Only if that
+        call raises are the rows evaluated one at a time, so an error is
+        the one a loop over the rows meets first."""
+        points = np.asarray(points, dtype=float)
+        try:
+            return self.compiled_arrays(*points.T)
+        except Exception:  # noqa: BLE001 - the loop raises the loop's error
+            return np.array([self.compiled(*row) for row in points.tolist()])
 
     # -- calculus -----------------------------------------------------
 

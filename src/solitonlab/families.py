@@ -55,6 +55,7 @@ from .expressions import (
     external,
     mul,
     neg,
+    _profile_value,
 )
 from .metrics import MetricField
 from .quadrature import _simpson_batch, _simpson_each, adaptive_simpson
@@ -220,10 +221,18 @@ AnyWarpedSpec = Union[WarpedProductSpec, GRWSpec, StaticSpec]
 
 def _check_positive(fn: ScalarField, points: Sequence[Sequence[float]] | None,
                     what: str) -> None:
+    """Raise NonPositiveWarpingError at the first point where ``fn`` is
+    not positive, or what ``fn`` raises there if that comes first."""
     if points is None:
         return
-    for p in np.atleast_2d(np.asarray(points, dtype=float)).tolist():
-        if fn(p) <= 0.0:
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    try:
+        values = fn.at_points(pts).tolist()
+    except Exception:  # noqa: BLE001 - the loop below meets the first failure
+        # fn fails at some point, and one before it may be non-positive.
+        values = (fn(p) for p in pts.tolist())
+    for p, value in zip(pts.tolist(), values):
+        if value <= 0.0:
             raise NonPositiveWarpingError(f"{what} is not positive at {p}")
 
 
@@ -291,6 +300,14 @@ def _static_metric(spec: StaticSpec) -> MetricField:
 # Cosmological family: quadrature potential and equation system
 # =====================================================================
 
+def _divisor(x: np.ndarray) -> np.ndarray:
+    """The divisor ``x``, refused, as float division refuses it, where
+    any element is zero."""
+    if not x.all():
+        raise ZeroDivisionError("float division by zero")
+    return x
+
+
 def grw_potential_field(spec: GRWSpec, alpha: float, t0: float,
                         times: Sequence[float] | None = None) -> ScalarField:
     """The quadrature potential as a scalar field on the time chart.
@@ -305,10 +322,15 @@ def grw_potential_field(spec: GRWSpec, alpha: float, t0: float,
     are kept per time, keyed as lru_cache keys them (0.0 == -0.0).  The
     first and second derivative callables use the defining relation
     (slope alpha / warping), so jets of this field carry no quadrature
-    noise.
+    noise.  The profile's callables take arrays of times (see
+    expressions.external): the value is read per time, in order, and
+    the derivatives come from the warping over arrays, each element
+    with the bits, and a one-element array with the errors, of the
+    float expressions alpha / w and -alpha w' / (w w).
     """
     w = spec.warping.compiled
-    dw = spec.warping.diff(spec.time_var).compiled
+    w_many = spec.warping.compiled_arrays
+    dw_many = spec.warping.diff(spec.time_var).compiled_arrays
     pending = None if times is None else np.asarray(times, dtype=float).tolist()
     values: dict[float, float] = {}
 
@@ -319,7 +341,7 @@ def grw_potential_field(spec: GRWSpec, alpha: float, t0: float,
         return 1.0 / wu
 
     def reciprocals(u: np.ndarray) -> np.ndarray:
-        wu = spec.warping.compiled_arrays(u)
+        wu = w_many(u)
         if (wu <= 0.0).any():
             raise NonPositiveWarpingError("warping is not positive")
         return 1.0 / wu
@@ -344,14 +366,17 @@ def grw_potential_field(spec: GRWSpec, alpha: float, t0: float,
                                                     tol=QUADRATURE_TOL)
         return out
 
-    def deriv(tv: float) -> float:
-        return alpha / w(tv)
+    def values_at(ts: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(value, ts.tolist()), float, len(ts))
 
-    def deriv2(tv: float) -> float:
-        wv = w(tv)
-        return -alpha * dw(tv) / (wv * wv)
+    def deriv(ts: np.ndarray) -> np.ndarray:
+        return alpha / _divisor(w_many(ts))
 
-    node = external("potential_profile", (value, deriv, deriv2),
+    def deriv2(ts: np.ndarray) -> np.ndarray:
+        wv = w_many(ts)
+        return -alpha * dw_many(ts) / _divisor(wv * wv)
+
+    node = external("potential_profile", (values_at, deriv, deriv2),
                     Var(spec.time_var))
     return ScalarField((spec.time_var,), node)
 
@@ -648,21 +673,23 @@ class QuadratureProfile:
     values with monotone cubic interpolation (PCHIP: Fritsch-Carlson
     interior slopes, Moler's one-sided end rule; see ``_pchip``), plus
     derivative callables taken from the defining relation rather than
-    from the table."""
+    from the table.  ``funcs`` take arrays of points, as
+    expressions.external takes them; the methods take one point, which
+    they pass as a one-element array."""
 
     name: str
-    funcs: tuple[Callable[[float], float], ...]
+    funcs: tuple[Callable[[np.ndarray], np.ndarray], ...]
     knots: np.ndarray
     values: np.ndarray
 
     def __call__(self, t: float) -> float:
-        return float(self.funcs[0](float(t)))
+        return _profile_value(self.name, self.funcs[0], float(t))
 
     def deriv(self, t: float) -> float:
-        return float(self.funcs[1](float(t)))
+        return _profile_value(self.name, self.funcs[1], float(t))
 
     def deriv2(self, t: float) -> float:
-        return float(self.funcs[2](float(t)))
+        return _profile_value(self.name, self.funcs[2], float(t))
 
 
 def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
@@ -750,19 +777,24 @@ def walker4_construct(spec: Walker4Spec,
     The table's quadratures, from t0 to the first knot and between
     knots, run as one batch (quadrature._simpson_each).  Each of its
     levels evaluates the slope over arrays, which integrates the
-    running integrals it lacks in one nested batch; the scalar slope of
-    the jets reads the same integrals, kept per time as lru_cache keys
-    them (0.0 == -0.0).  If the batch fails, the table is the loop of
-    one quadrature at a time, with that loop's values and errors.
+    running integrals it lacks in one nested batch, kept per time as
+    lru_cache keys them (0.0 == -0.0).  If the batch fails, the table
+    is the loop of one quadrature at a time, with that loop's values
+    and errors.
+
+    The profile's callables take arrays of times (see
+    expressions.external): the value maps the interpolant over them
+    element by element, the slope is the array slope of the table or,
+    if that fails, the loop of the float slope, and its derivative is
+    the warping over arrays.  Each element has the bits of the float
+    expressions, and a one-element array their errors.
 
     ``paper_literal=True`` swaps the y coefficient for (c0 z + c1);
     that variant fails the family's own system when c0 != 0.
     """
-    # The array function first: one walk then compiles both (see
-    # ScalarField.compiled_arrays).
     w_many = spec.warping.compiled_arrays
     w = spec.warping.compiled
-    w_t = spec.warping.diff("t").compiled
+    w_t_many = spec.warping.diff("t").compiled_arrays
     c0, c1 = spec.c0, spec.c1
     t0 = spec.t0
     integrals: dict[float, float] = {}
@@ -787,8 +819,15 @@ def walker4_construct(spec: Walker4Spec,
         run = np.fromiter(map(integrals.__getitem__, keys), float, len(keys))
         return 0.5 * (w_many(ts) * (c0 * ts + c1) + c0 * run)
 
-    def slope2(tv: float) -> float:
-        return 0.5 * w_t(tv) * (c0 * tv + c1) + c0 * w(tv)
+    def profile_slopes(ts: np.ndarray) -> np.ndarray:
+        """slopes, or, if that fails in any way, the loop of slope."""
+        try:
+            return slopes(ts)
+        except Exception:  # noqa: BLE001 - the loop raises the loop's error
+            return np.array([slope(tv) for tv in ts.tolist()])
+
+    def slope2(ts: np.ndarray) -> np.ndarray:
+        return 0.5 * w_t_many(ts) * (c0 * ts + c1) + c0 * w_many(ts)
 
     lo, hi = interval
     if not lo < hi:
@@ -809,7 +848,11 @@ def walker4_construct(spec: Walker4Spec,
             )
         return float(spline(tv))
 
-    profile = QuadratureProfile("tpart", (value, slope, slope2), grid, table)
+    def values_at(ts: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(value, ts.tolist()), float, len(ts))
+
+    profile = QuadratureProfile("tpart", (values_at, profile_slopes, slope2),
+                                grid, table)
     x, y, z, t = (Var(n) for n in WALKER4_CHART)
     y_coeff_var = z if paper_literal else t
     root = add(
@@ -925,7 +968,7 @@ def warped_conditions_check(
     theta = theta_substitution(soliton.potential, soliton.mu)
     full_pts = [np.concatenate([x, fiber_pts[0]]) for x in base_pts]
     geometry = point_geometry(metric, theta, full_pts)
-    theta_values = np.array([theta(p) for p in full_pts])
+    theta_values = theta.at_points(full_pts)
     jet_b = eval_jet2(warping, base_pts)
     rhs = (soliton.lam - geometry.scal) * theta_values / m
     pairing = np.einsum("pij,pi,pj->p", geometry.g_inv[:, :nb, :nb],

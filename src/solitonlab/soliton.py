@@ -201,7 +201,7 @@ def theta_check(metric: MetricField, soliton: SolitonData,
     curv = curvature_over(metric, pts)
     phi = field_geometry(curv, soliton.potential, pts)
     th = field_geometry(curv, theta, pts)
-    theta_value = theta(point)
+    theta_value = float(theta.at_points(pts)[0])
     hess_th = th.hess[0]
     theta_res = hess_th + (theta_value / m) * (th.scal[0] - soliton.lam) * th.g[0]
     identity_res = (

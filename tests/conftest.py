@@ -13,7 +13,8 @@ curvature pipelines are never asked to confirm themselves:
     the einsum pipeline.
 
 count_calls records the positional arguments of every call of one
-library function for the call-count tests.
+library function for the call-count tests.  elementwise turns a scalar
+function into a profile over arrays, as expressions.external takes it.
 """
 
 import sys
@@ -182,6 +183,15 @@ def fd_curvature(metric, point, h=1e-5):
         for k in range(n):
             scalar += g_inv[j, k] * ricci[j, k]
     return gamma, riemann, ricci, scalar
+
+
+def elementwise(fn):
+    """The scalar function ``fn`` as a profile: it maps a 1-d float64
+    array to the array of ``fn`` at each element, calling ``fn`` on the
+    elements in order."""
+    def over(xs):
+        return np.array([fn(x) for x in xs.tolist()], dtype=float)
+    return over
 
 
 def count_calls(monkeypatch, module_name, func_name):

@@ -39,12 +39,14 @@ from solitonlab.expressions import (
     evaluate,
 )
 
+from conftest import elementwise
+
 CHART = ("x", "y")
 CONSTANTS = (0.0, -0.0, 1.0, -1.0, 0.5, 3.0, -2.5, 1e-300, 1e308)
 COORDINATES = (0.0, -0.0, 1.0, -1.0, 0.25, 2.0, -3.0, 700.0, 1e300)
 EXPONENTS = (2.0, 3.0, -1.0, -2.0, 0.5, 1.5, -0.5, 0.0)
 FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt")
-PROFILES = (math.atan, math.acos, lambda v: 1)
+PROFILES = tuple(map(elementwise, (math.atan, math.acos, lambda v: 1)))
 
 
 def _ref_pow(base, exponent):
@@ -105,7 +107,7 @@ def _walk(node, env, memo):
     elif isinstance(node, Call):
         out = _ref_call(node.func, _walk(node.arg, env, memo))
     else:
-        out = float(node.funcs[0](_walk(node.arg, env, memo)))
+        out = float(node.funcs[0](np.array([_walk(node.arg, env, memo)]))[0])
     memo[id(node)] = out
     return out
 
@@ -182,7 +184,7 @@ def test_shared_external_is_called_once_per_evaluation():
         seen.append(v)
         return 2.0 * v
 
-    shared = External("p", (profile,), Var("x"))
+    shared = External("p", (elementwise(profile),), Var("x"))
     field = ScalarField(CHART, Mul(Add(shared, Var("y")), Neg(shared)))
     assert field((1.5, 1.0)) == -12.0
     assert seen == [1.5]
@@ -295,14 +297,28 @@ def test_the_array_mode_does_not_hand_back_its_argument():
     assert out.tobytes() == xs.tobytes()
 
 
-def test_the_array_mode_maps_each_call_through_the_scalar_function():
+def test_the_array_mode_calls_a_profile_once_with_the_whole_array():
     seen = []
 
     def profile(v):
-        seen.append(v)
+        seen.append(v.copy())
         return 2 * v
 
     field = ScalarField(CHART, Add(External("p", (profile,), Var("x")), Var("y")))
     out = field.compiled_arrays(np.array([1.5, -0.5]), np.array([1.0, 1.0]))
     assert out.tolist() == [4.0, 0.0]
-    assert seen == [1.5, -0.5]
+    assert [v.tolist() for v in seen] == [[1.5, -0.5]]
+    # One point is a one-element array.
+    assert field((0.25, 1.0)) == 1.5
+    assert [v.tolist() for v in seen[1:]] == [[0.25]]
+
+
+def test_a_profile_must_map_its_points_to_an_array_of_their_shape():
+    # A profile that returns a float, not an array, is refused by name.
+    field = ScalarField(CHART, Add(External("p", (lambda v: 2.0,), Var("x")),
+                                   Var("y")))
+    with pytest.raises(ValueError, match=r"'p' maps an array of shape \(2,\) "
+                                         r"to one of shape \(\)"):
+        field.compiled_arrays(np.array([1.0, 2.0]), np.zeros(2))
+    with pytest.raises(ValueError, match=r"'p' maps an array of shape \(1,\)"):
+        field((1.0, 0.0))

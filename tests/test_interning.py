@@ -13,7 +13,7 @@ import numpy as np
 from solitonlab import SolitonLabError, expressions, parse_expression
 from solitonlab.expressions import Add, Const, External, Mul, Sub, Var, sub
 
-from conftest import random_expression
+from conftest import elementwise, random_expression
 
 CHART = ("x", "y")
 
@@ -55,7 +55,7 @@ def test_a_nan_constant_is_one_node_per_bit_pattern():
 
 def test_two_externals_with_one_name_are_never_merged():
     x = Var("x")
-    funcs = (math.sin, math.cos)
+    funcs = (elementwise(math.sin), elementwise(math.cos))
     a, b = External("w", funcs, x), External("w", funcs, x)
     assert a is not b
     assert a.reads == {"x"}

@@ -39,6 +39,8 @@ from solitonlab.expressions import (
 )
 from solitonlab.metrics import MetricField
 
+from conftest import elementwise
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 
@@ -59,13 +61,21 @@ def _positive_only(t):
     return 1.0 / t
 
 
-PROFILES = (
+def _positive_only_over(ts):
+    """_positive_only as an array profile: it refuses the whole array if
+    any element is not positive, without naming one."""
+    if (ts <= 0.0).any():
+        raise DomainError("profile needs a positive argument")
+    return 1.0 / ts
+
+
+PROFILES = tuple((name, tuple(map(elementwise, funcs))) for name, funcs in (
     ("square", (lambda t: t * t, lambda t: 2.0 * t, lambda t: 2.0)),
     ("inverse", (_positive_only, lambda t: -1.0 / t / t,
                  lambda t: 2.0 / t / t / t)),
     ("flat", (lambda t: 1, lambda t: 0, lambda t: 0)),
     ("value-only", (math.atan,)),
-)
+))
 
 
 # ---------------------------------------------------------------------
@@ -158,9 +168,10 @@ def _ref_entry(node, args, points):
     if isinstance(node, External):
         if len(node.funcs) < 3:
             raise DomainError(f"profile '{node.name}' supplies no second derivative")
+        # A profile at one point is its callable on a one-element array.
         funcs = node.funcs[:3]
-        return _ref_chain(u, *_ref_pointwise(lambda t: [f(t) for f in funcs],
-                                             x, points))
+        return _ref_chain(u, *_ref_pointwise(
+            lambda t: [float(f(np.array([t]))[0]) for f in funcs], x, points))
     if node.func == "exp":
         _ref_fail_at(x > EXP_ARG_MAX, "overflow in exp", points)
         e = np.exp(x)
@@ -340,6 +351,12 @@ X, Y = Var("x"), Var("y")
     ([Mul(X, X), Call("exp", Y)],
      [[1.0, 8.0], [1e300, 0.0]],
      "jet evaluation produced a non-finite value at [1e+300, 0.0]", 1),
+    # An array profile refuses its batch, which fails at points 1 and 2;
+    # the points one at a time name point 1, before the ln at point 3.
+    ([Add(External("inverse-array", (_positive_only_over,) + PROFILES[1][1][1:],
+                   Sub(X, Const(1.0))), Call("ln", Y))],
+     [[2.0, 1.0], [0.5, 1.0], [1.0, 1.0], [3.0, -1.0]],
+     "profile needs a positive argument at [0.5, 1.0]", 1),
 ])
 def test_a_walk_fails_at_the_first_bad_point(roots, points, message, index):
     points = np.array(points)
@@ -383,8 +400,8 @@ def test_a_profile_below_a_failed_point_never_sees_it():
         seen.append(t)
         return t
 
-    profile = External("record", (record, lambda t: 1.0, lambda t: 0.0),
-                       Call("ln", X))
+    profile = External("record", tuple(map(elementwise, (
+        record, lambda t: 1.0, lambda t: 0.0))), Call("ln", X))
     points = np.array([[np.e, 0.0], [-1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(DomainError, match=r"ln of a non-positive argument at \[-1.0"):
         _batched([profile], points)

@@ -28,7 +28,7 @@ from solitonlab.autodiff import walk_jets
 from solitonlab.expressions import Add, Const, External, Pow, ScalarField, Var
 from solitonlab.metrics import MetricField
 
-from conftest import count_calls, random_field
+from conftest import count_calls, elementwise, random_field
 from test_stacks import CASES
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -140,7 +140,8 @@ def test_profiles_with_one_name_and_different_callables_do_not_merge():
     points = np.array([[0.5], [2.0]])
     square = (lambda t: t * t, lambda t: 2.0 * t, lambda t: 2.0)
     cube = (lambda t: t ** 3, lambda t: 3.0 * t * t, lambda t: 6.0 * t)
-    fields = [ScalarField(chart, External("w", funcs, Var("x")))
+    fields = [ScalarField(chart, External("w", tuple(map(elementwise, funcs)),
+                                          Var("x")))
               for funcs in (square, cube)]
     a, b = walk_jets(fields, points)
     assert np.array_equal(a.value, [0.25, 4.0])

@@ -1,10 +1,12 @@
-"""Shipped configs: byte-identical output, and the metric evaluated once
-per distinct metric point.
+"""Shipped configs: byte-identical output, the metric evaluated once per
+distinct metric point, and constructs that evaluate their fields over
+arrays, never point by point and never through generated code.
 
 The references in bench/shipped_refs.json were recorded from the code
 as first benchmarked; every refactor must reproduce them exactly.
 """
 
+import builtins
 import hashlib
 import json
 import sys
@@ -13,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from solitonlab import expressions, families
 from solitonlab.cli import main
 
 from conftest import count_calls
@@ -96,15 +99,59 @@ def test_grw_construct_assembles_its_product_metric_once(tmp_path, capsys,
     assert len(calls) == 1
 
 
-def test_walker4_construct_compiles_a_fixed_number_of_fields(tmp_path, capsys,
-                                                             monkeypatch):
-    config = str(ROOT / "configs" / "walker4_certified.json")
-    compiled = []
+def _count_scalar_evaluations(monkeypatch):
+    """From here on, count the calls of every compiled field's float
+    function and every profile call on a one-element array, and the
+    calls of the exec and compile builtins."""
+    counts = {"scalar": 0, "exec": 0, "compile": 0}
+
+    def counted(fn):
+        def wrapper(*args):
+            counts["scalar"] += 1
+            return fn(*args)
+        return wrapper
+
+    def counted_profile(fn):
+        def wrapper(xs):
+            counts["scalar"] += len(xs) == 1
+            return fn(xs)
+        return wrapper
+
+    compile_field = expressions._compile
+
+    def compile_counted(root, chart):
+        scalar, over_arrays = compile_field(root, chart)
+        return counted(scalar), over_arrays
+
+    external = families.external
+
+    def external_counted(name, funcs, arg):
+        return external(name, [counted_profile(f) for f in funcs], arg)
+
+    monkeypatch.setattr(expressions, "_compile", compile_counted)
+    monkeypatch.setattr(families, "external", external_counted)
+    for name in ("exec", "compile"):
+        original = getattr(builtins, name)
+
+        def builtin(*args, name=name, original=original, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(builtins, name, builtin)
+    return counts
+
+
+@pytest.mark.parametrize("config", ["grw_construct.json",
+                                    "walker4_certified.json"])
+def test_a_construct_makes_as_many_scalar_evaluations_on_any_grid(
+        config, tmp_path, capsys, monkeypatch):
+    seen = []
     for grid in ("3", "5"):
-        calls = count_calls(monkeypatch, "expressions", "_compile")
-        code = main(["construct", config, "--grid", grid,
-                     "--out", str(tmp_path / f"walker4_{grid}.csv")])
-        assert code == 0
-        compiled.append(len(calls))
+        counts = _count_scalar_evaluations(monkeypatch)
+        code = main(["construct", str(ROOT / "configs" / config),
+                     "--grid", grid, "--out", str(tmp_path / f"{grid}.csv")])
         monkeypatch.undo()
-    assert compiled[0] == compiled[1] <= 3
+        assert code == 0
+        assert (counts["exec"], counts["compile"]) == (0, 0)
+        seen.append(counts["scalar"])
+    assert seen[0] == seen[1]

@@ -1,0 +1,67 @@
+"""The first 16 verify-mixed benchmark jobs at seeds 1 and 401 against
+recorded references.
+
+tests/verify_refs.json holds, for each job, the exit code and the
+sha256 of its stdout and of its CSV report, recorded before scalar
+fields were evaluated over arrays on the construct and check paths.
+The cosmological jobs check their warping's positivity through
+`families._check_positive`, so these pin that path as the construct
+references pin the quadratures.  The benchmark files are only read.
+
+Record them again, from the repository root, with
+
+    PYTHONPATH=src python tests/test_verify_refs.py
+"""
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from test_construct_refs import run_job
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import workloads  # noqa: E402
+
+REFS_PATH = Path(__file__).resolve().parent / "verify_refs.json"
+SEEDS = (1, 401)
+COUNT = 16
+
+
+def _jobs():
+    return [(seed, job) for seed in SEEDS
+            for job in workloads.first_jobs("verify-mixed", seed, COUNT)]
+
+
+def record() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        return {f"{seed}/{job.name}": run_job(job, Path(tmp))
+                for seed, job in _jobs()}
+
+
+REFS = json.loads(REFS_PATH.read_text(encoding="utf-8")) \
+    if REFS_PATH.exists() else {}
+
+
+def test_the_references_cover_every_job():
+    assert sorted(REFS) == sorted(f"{seed}/{job.name}" for seed, job in _jobs())
+
+
+def test_the_references_hold_both_verdicts():
+    assert {ref["exit"] for ref in REFS.values()} == {0, 1}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_verify_jobs_reproduce_their_references(seed, tmp_path):
+    jobs = workloads.first_jobs("verify-mixed", seed, COUNT)
+    got = {f"{seed}/{job.name}": run_job(job, tmp_path) for job in jobs}
+    assert got == {key: REFS[key] for key in got}
+
+
+if __name__ == "__main__":
+    REFS_PATH.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n",
+                         encoding="utf-8")
