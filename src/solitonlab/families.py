@@ -58,7 +58,7 @@ from .expressions import (
     _profile_value,
 )
 from .metrics import MetricField
-from .quadrature import _simpson_batch, _simpson_each, adaptive_simpson
+from .quadrature import _simpson_batch
 from .soliton import (
     SolitonData,
     field_geometry,
@@ -316,55 +316,43 @@ def grw_potential_field(spec: GRWSpec, alpha: float, t0: float,
     integrated on demand and raises NonPositiveWarpingError at a
     quadrature sample where the warping is not positive.  Given
     ``times``, the first value asked for integrates it and all of
-    ``times`` together, in one batch (quadrature._simpson_batch); if
-    the batch fails, values are integrated one at a time, as without
-    ``times``, so each value and error is the same either way.  Values
-    are kept per time, keyed as lru_cache keys them (0.0 == -0.0).  The
-    first and second derivative callables use the defining relation
-    (slope alpha / warping), so jets of this field carry no quadrature
-    noise.  The profile's callables take arrays of times (see
+    ``times`` together, in one batch (quadrature._simpson_batch), which
+    keeps the values before a failure; only a time whose own quadrature
+    fails raises, so each value and error is the same either way.
+    Values are kept per time, keyed as lru_cache keys them
+    (0.0 == -0.0).  The first and second derivative callables use the
+    defining relation (slope alpha / warping), so jets of this field
+    carry no quadrature noise.  The profile's callables take arrays of times (see
     expressions.external): the value is read per time, in order, and
     the derivatives come from the warping over arrays, each element
     with the bits, and a one-element array with the errors, of the
     float expressions alpha / w and -alpha w' / (w w).
     """
-    w = spec.warping.compiled
     w_many = spec.warping.compiled_arrays
     dw_many = spec.warping.diff(spec.time_var).compiled_arrays
     pending = None if times is None else np.asarray(times, dtype=float).tolist()
     values: dict[float, float] = {}
 
-    def reciprocal(u: float) -> float:
-        wu = w(u)
-        if wu <= 0.0:
-            raise NonPositiveWarpingError(f"warping is not positive at [{u}]")
-        return 1.0 / wu
-
     def reciprocals(u: np.ndarray) -> np.ndarray:
         wu = w_many(u)
-        if (wu <= 0.0).any():
-            raise NonPositiveWarpingError("warping is not positive")
+        bad = wu <= 0.0
+        if bad.any():
+            raise NonPositiveWarpingError(
+                f"warping is not positive at [{float(u[bad][0])}]")
         return 1.0 / wu
 
     def value(tv: float) -> float:
         nonlocal pending
-        if tv in values:
-            return values[tv]
-        if pending is not None:
-            ends = list(dict.fromkeys([tv, *pending]))
+        if tv not in values:
+            ends = list(dict.fromkeys([tv, *(pending or ())]))
             pending = None
-            try:
-                integrals = _simpson_batch(reciprocals, [t0] * len(ends), ends,
-                                           tol=QUADRATURE_TOL)
-            except Exception:  # noqa: BLE001 - integrate one at a time
-                pass
-            else:
-                values.update((end, alpha * integral) for end, integral
-                              in zip(ends, integrals.tolist()))
-                return values[tv]
-        out = values[tv] = alpha * adaptive_simpson(reciprocal, t0, tv,
-                                                    tol=QUADRATURE_TOL)
-        return out
+            integrals, error = _simpson_batch(
+                reciprocals, [t0] * len(ends), ends, tol=QUADRATURE_TOL)
+            values.update((end, alpha * integral) for end, integral
+                          in zip(ends, integrals.tolist()))
+            if tv not in values:
+                raise error
+        return values[tv]
 
     def values_at(ts: np.ndarray) -> np.ndarray:
         return np.fromiter(map(value, ts.tolist()), float, len(ts))
@@ -775,56 +763,42 @@ def walker4_construct(spec: Walker4Spec,
     f carry no interpolation noise.
 
     The table's quadratures, from t0 to the first knot and between
-    knots, run as one batch (quadrature._simpson_each).  Each of its
-    levels evaluates the slope over arrays, which integrates the
-    running integrals it lacks in one nested batch, kept per time as
-    lru_cache keys them (0.0 == -0.0).  If the batch fails, the table
-    is the loop of one quadrature at a time, with that loop's values
-    and errors.
+    knots, run as one batch (quadrature._simpson_batch).  Each of its
+    array calls evaluates the slope over arrays: the warping at the
+    times, then the running integrals it lacks, in one nested batch,
+    kept per time as lru_cache keys them (0.0 == -0.0).  A nested batch
+    that fails keeps the integrals before its failure.  The batches
+    report the errors of the loop of one quadrature at a time, so the
+    table has that loop's values and errors.
 
     The profile's callables take arrays of times (see
     expressions.external): the value maps the interpolant over them
-    element by element, the slope is the array slope of the table or,
-    if that fails, the loop of the float slope, and its derivative is
-    the warping over arrays.  Each element has the bits of the float
-    expressions, and a one-element array their errors.
+    element by element, the slope is the table's array slope, and its
+    derivative is the warping over arrays.  Each element has the bits
+    of the float expressions, and a one-element array their errors.
 
     ``paper_literal=True`` swaps the y coefficient for (c0 z + c1);
     that variant fails the family's own system when c0 != 0.
     """
     w_many = spec.warping.compiled_arrays
-    w = spec.warping.compiled
     w_t_many = spec.warping.diff("t").compiled_arrays
     c0, c1 = spec.c0, spec.c1
     t0 = spec.t0
     integrals: dict[float, float] = {}
 
-    def running(tv: float) -> float:
-        if tv not in integrals:
-            integrals[tv] = adaptive_simpson(w, t0, tv, tol=QUADRATURE_TOL)
-        return integrals[tv]
-
-    def slope(tv: float) -> float:
-        return 0.5 * (w(tv) * (c0 * tv + c1) + c0 * running(tv))
-
     def slopes(ts: np.ndarray) -> np.ndarray:
-        """slope at every element of ts, the missing running integrals
-        integrated in one batch."""
+        """The slope at every element of ts: the warping there, then the
+        running integrals not yet known, integrated in one batch."""
+        w_ts = w_many(ts)
         keys = ts.tolist()
         missing = [tv for tv in dict.fromkeys(keys) if tv not in integrals]
-        if missing:
-            batch = _simpson_batch(w_many, [t0] * len(missing), missing,
-                                   tol=QUADRATURE_TOL)
-            integrals.update(zip(missing, batch.tolist()))
+        batch, error = _simpson_batch(w_many, [t0] * len(missing), missing,
+                                      tol=QUADRATURE_TOL)
+        integrals.update(zip(missing, batch.tolist()))
+        if error is not None:
+            raise error
         run = np.fromiter(map(integrals.__getitem__, keys), float, len(keys))
-        return 0.5 * (w_many(ts) * (c0 * ts + c1) + c0 * run)
-
-    def profile_slopes(ts: np.ndarray) -> np.ndarray:
-        """slopes, or, if that fails in any way, the loop of slope."""
-        try:
-            return slopes(ts)
-        except Exception:  # noqa: BLE001 - the loop raises the loop's error
-            return np.array([slope(tv) for tv in ts.tolist()])
+        return 0.5 * (w_ts * (c0 * ts + c1) + c0 * run)
 
     def slope2(ts: np.ndarray) -> np.ndarray:
         return 0.5 * w_t_many(ts) * (c0 * ts + c1) + c0 * w_many(ts)
@@ -833,8 +807,10 @@ def walker4_construct(spec: Walker4Spec,
     if not lo < hi:
         raise ValueError(f"empty interval {interval}")
     grid = np.linspace(lo, hi, PROFILE_KNOTS)
-    pieces = _simpson_each(slopes, slope, [t0, *grid[:-1].tolist()],
-                           grid.tolist(), tol=QUADRATURE_TOL)
+    pieces, error = _simpson_batch(slopes, [t0, *grid[:-1].tolist()],
+                                   grid.tolist(), tol=QUADRATURE_TOL)
+    if error is not None:
+        raise error
     table = np.empty_like(grid)
     table[0] = pieces[0]
     for i in range(1, len(grid)):
@@ -851,7 +827,7 @@ def walker4_construct(spec: Walker4Spec,
     def values_at(ts: np.ndarray) -> np.ndarray:
         return np.fromiter(map(value, ts.tolist()), float, len(ts))
 
-    profile = QuadratureProfile("tpart", (values_at, profile_slopes, slope2),
+    profile = QuadratureProfile("tpart", (values_at, slopes, slope2),
                                 grid, table)
     x, y, z, t = (Var(n) for n in WALKER4_CHART)
     y_coeff_var = z if paper_literal else t

@@ -7,21 +7,18 @@ the requested bound.  Written in-house so integration failures surface
 as a package error with a controlled depth limit rather than a
 library-specific warning.
 
-A private batched engine, _simpson_batch, integrates many intervals
-[a_i, b_i] at once, level by level: each level of bisection is one call
-of an array integrand at the quarter points of every live interval,
-with the arithmetic of the recursion done elementwise in numpy, which
-rounds each element as the float operations do.  Each interval's tree
-is then summed bottom-up in the recursion's own order, ``left + right +
-delta/15.0`` where an interval converges and ``sum(left child) +
-sum(right child)`` where it splits, so every integral has the float64
-bits adaptive_simpson gives on the same interval.  A level may hold at
-most WIDTH_PER_INTERVAL live intervals per interval of the input.  A
-batch that outgrows that bound, stalls, or whose integrand raises,
-fails as a whole, and its caller integrates one interval at a time
-through adaptive_simpson instead (_simpson_each does so in order), so
-values and errors are those of that loop.  In the spirit of
-errors.in_grid_order, the fast path never decides an error.
+A private batched engine, _simpson_batch, is the loop of
+adaptive_simpson over many intervals, with an integrand over arrays.
+It walks depth first over blocks of at most BLOCK intervals at one
+depth, one array call per block, doing the recursion's arithmetic
+elementwise in numpy, which rounds as the float operations do, and
+summing each integral bottom-up in the recursion's order: the bits are
+adaptive_simpson's.  Where a block's array call raises, its points are
+evaluated again one at a time in the recursion's order, and only the
+intervals before the first that raises are finished.  So, whatever
+BLOCK is, a batch reports the error the loop meets first, with the
+integrals before it: as in errors.in_grid_order, the fast path never
+decides an error.
 """
 
 from __future__ import annotations
@@ -35,13 +32,12 @@ from .errors import QuadratureFailureError
 
 __all__ = ["adaptive_simpson"]
 
-# Live intervals in one level of a batch, per interval of its input.
-# Over the first 96 construct benchmark jobs at seeds 1, 401 and 501 the
-# widest level holds 12.3 times its batch's intervals (444 from 36),
-# and the widest of all 684 (from 100 GRW t-samples); a batch that
-# outgrows five times that ratio is a runaway, left to the recursion
-# and its depth limit.
-WIDTH_PER_INTERVAL = 64
+# Intervals in one block of a batch; no value changes a bit or an
+# error.  The widest level of a construct benchmark batch holds 684
+# intervals (from 100 GRW t-samples), so it is one array call.  A batch
+# keeps, per level it is down, the sums of one block and at most one
+# block still to run: about 66 KB a level.
+BLOCK = 1024
 
 
 def _step(fn: Callable[[float], float], a: float, b: float,
@@ -82,100 +78,127 @@ def adaptive_simpson(fn: Callable[[float], float], a: float, b: float,
     return _step(fn, a, b, fa, fm, fb, whole, tol, max_depth)
 
 
-class _TooWide(Exception):
-    """A level of a batch would hold more than WIDTH_PER_INTERVAL
-    intervals per interval of its input."""
+def _evaluate(fn: Callable[[np.ndarray], np.ndarray], fine: np.ndarray,
+              rows: slice) -> tuple[np.ndarray, Exception | None]:
+    """``fine`` (see _block) with ``fn`` at the points ``rows`` of each
+    interval, from one array call; if that raises, from one point at a
+    time in the recursion's order, cut before the interval of the first
+    point that raises, whose error comes with it."""
+    x, f = fine
+    try:
+        f[rows] = fn(x[rows].ravel()).reshape(-1, fine.shape[2])
+        return fine, None
+    except Exception:  # noqa: BLE001 - found again one point at a time
+        pass
+    for i in range(fine.shape[2]):
+        for row in range(5)[rows]:
+            try:
+                f[row, i] = fn(x[row, i:i + 1])[0]
+            except Exception as exc:  # noqa: BLE001 - the loop's error
+                return fine[:, :, :i], exc
+    return fine, None
+
+
+def _block(fn: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray,
+           whole: np.ndarray | None, tol: float,
+           depth: int) -> tuple[np.ndarray, Exception | None]:
+    """The integrals of a block of intervals at one depth up to the
+    first error the recursion would meet in them, and that error or
+    None.  ``nodes`` holds each interval's a, m and b on axis 1, their
+    coordinates on row 0 and the integrand on row 1, and ``whole`` their
+    Simpson sums; for the roots of a batch, only the coordinates and
+    None."""
+    # Each interval as five points on axis 1: a, the left quarter point,
+    # m, the right quarter point and b.
+    fine = np.empty((2, 5, nodes.shape[-1]))
+    fine[:, 0::2] = nodes
+    error = None
+    if whole is None:
+        fine, error = _evaluate(fn, fine, slice(0, 5, 2))
+        if not fine.shape[2]:
+            return np.zeros(0), error
+        x, f = fine
+        whole = (x[4] - x[0]) * (f[0] + 4.0 * f[2] + f[4]) / 6.0
+    x, f = fine
+    x[1::2] = 0.5 * (x[:-1:2] + x[2::2])
+    fine, failed = _evaluate(fn, fine, slice(1, 5, 2))
+    if failed is not None:
+        error, whole = failed, whole[:fine.shape[2]]
+        x, f = fine
+    halves = (x[2::2] - x[:-1:2]) * (f[:-1:2] + 4.0 * f[1::2] + f[2::2]) / 6.0
+    both = halves[0] + halves[1]
+    delta = both - whole
+    sums = both + delta / 15.0
+    # Not `>`: a NaN delta splits, as it does in the recursion.
+    split = ~(np.abs(delta) <= 15.0 * tol)
+    count = np.count_nonzero(split)
+    if not count:
+        return sums, error
+    if depth <= 0:
+        i = int(np.argmax(split))
+        return sums[:i], QuadratureFailureError(
+            f"adaptive quadrature stalled on [{float(x[0, i])}, "
+            f"{float(x[4, i])}] (residual {abs(float(delta[i])):.3e})"
+        )
+    # The children of each split interval, left then right: [a, m] has
+    # the points on rows 0-2 and [m, b] those on rows 2-4, and each has
+    # its half of the Simpson sum as its whole.
+    kept = fine[:, :, split]
+    children = np.empty((2, 3, 2 * count))
+    children[:, :, 0::2] = kept[:, :3]
+    children[:, :, 1::2] = kept[:, 2:]
+    wholes = halves[:, split].T.ravel()
+    # The blocks to run, leftmost last, to be taken first.  Several are
+    # copies, each freed once it has run, so that a runaway keeps at
+    # most one block to run a level.
+    blocks, wholes = [children], [wholes]
+    if 2 * count > BLOCK:
+        starts = range(0, 2 * count, BLOCK)[::-1]
+        blocks = [children[:, :, lo:lo + BLOCK].copy() for lo in starts]
+        wholes = [wholes[0][lo:lo + BLOCK].copy() for lo in starts]
+    del nodes, whole, fine, x, f, halves, both, delta, kept, children
+    done = []
+    while blocks:
+        part, failed = _block(fn, blocks.pop(), wholes.pop(), 0.5 * tol,
+                              depth - 1)
+        done.append(part)
+        if failed is not None:
+            break
+    done = np.concatenate(done) if len(done) > 1 else done[0]
+    # A split interval's integral is its left child's plus its right
+    # child's; an interval whose children did not both finish did not.
+    if failed is None:
+        sums[split] = done[0::2] + done[1::2]
+        return sums, error
+    split = np.flatnonzero(split)
+    pairs = len(done) // 2
+    sums[split[:pairs]] = done[0:2 * pairs:2] + done[1:2 * pairs:2]
+    return sums[:split[pairs]], failed
 
 
 def _simpson_batch(fn: Callable[[np.ndarray], np.ndarray],
                    a: Sequence[float], b: Sequence[float],
-                   tol: float = 1e-10, max_depth: int = 40) -> np.ndarray:
-    """adaptive_simpson over each [a[i], b[i]], bit for bit, with one
-    call of the array integrand ``fn`` per level of bisection.
-
-    Raises what ``fn`` raises, QuadratureFailureError where an interval
-    stalls, and _TooWide past WIDTH_PER_INTERVAL live intervals per
-    interval of the input.  A level's intervals are kept in the
-    recursion's depth-first order, the left child of a split before its
-    right one, so the first stall reported is the first the recursion,
-    run over the intervals in order, would reach if the integrand raised
-    nowhere.
-    """
+                   tol: float = 1e-10, max_depth: int = 40,
+                   ) -> tuple[np.ndarray, Exception | None]:
+    """The loop of adaptive_simpson over each [a[i], b[i]]: the
+    integrals before the first interval that fails, bit for bit, and the
+    loop's error there, or None.  ``fn`` maps an array of points to
+    their values, each element as a one-element array would give it."""
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("integration limits must be finite")
-    out = np.zeros(len(a))
-    live = np.flatnonzero(a != b)
-    n = len(live)
-    if not n:
-        return out
-    widest = WIDTH_PER_INTERVAL * n
-    levels = []
-    depth = max_depth
+    if len(a) and not tol > 0.0:
+        return np.zeros(0), ValueError("tolerance must be positive")
+    finite = np.isfinite(a) & np.isfinite(b)
+    stop = len(a) if finite.all() else int(np.argmin(finite))
+    out = np.zeros(stop)
+    live = np.flatnonzero(a[:stop] != b[:stop])
     with np.errstate(all="ignore"):
-        # The live intervals on axis 2, each as five points on axis 1:
-        # a, the left quarter point, m, the right quarter point and b;
-        # their coordinates on axis 0, row 0, the integrand on row 1.
-        fine = np.empty((2, 5, n))
-        x, f = fine
-        x[0], x[4] = a[live], b[live]
-        x[2] = 0.5 * (x[0] + x[4])
-        f[0::2] = fn(x[0::2].ravel()).reshape(3, n)
-        whole = (x[4] - x[0]) * (f[0] + 4.0 * f[2] + f[4]) / 6.0
-        while True:
-            x[1::2] = 0.5 * (x[:-1:2] + x[2::2])
-            f[1::2] = fn(x[1::2].ravel()).reshape(2, n)
-            halves = (x[2::2] - x[:-1:2]) * (f[:-1:2] + 4.0 * f[1::2] + f[2::2]) / 6.0
-            both = halves[0] + halves[1]
-            delta = both - whole
-            # Not `>`: a NaN delta splits, as it does in the recursion.
-            split = ~(np.abs(delta) <= 15.0 * tol)
-            levels.append((both + delta / 15.0, split))
-            k = np.count_nonzero(split)
-            if not k:
-                break
-            if depth <= 0:
-                i = int(np.argmax(split))
-                raise QuadratureFailureError(
-                    f"adaptive quadrature stalled on [{float(x[0, i])}, "
-                    f"{float(x[4, i])}] (residual {abs(float(delta[i])):.3e})"
-                )
-            n = 2 * k
-            if n > widest:
-                raise _TooWide
-            # The children of each split interval, left then right: [a, m]
-            # has the points on rows 0-2 and [m, b] those on rows 2-4, and
-            # each has its half of the Simpson sum as its whole.
-            kept = fine[:, :, split]
-            fine = np.empty((2, 5, n))
-            fine[:, 0::2, 0::2] = kept[:, :3]
-            fine[:, 0::2, 1::2] = kept[:, 2:]
-            x, f = fine
-            whole = halves[:, split].T.ravel()
-            tol = 0.5 * tol
-            depth -= 1
-        # Bottom-up: a split interval's integral is its left child's
-        # plus its right child's, the children of level k being level
-        # k + 1 in pairs.
-        for level in range(len(levels) - 2, -1, -1):
-            sums, split = levels[level]
-            children = levels[level + 1][0]
-            sums[split] = children[0::2] + children[1::2]
-    out[live] = levels[0][0]
-    return out
-
-
-def _simpson_each(fn_many: Callable[[np.ndarray], np.ndarray],
-                  fn: Callable[[float], float],
-                  a: Sequence[float], b: Sequence[float],
-                  tol: float = 1e-10) -> list[float]:
-    """The integrals of ``fn`` over each [a[i], b[i]]: one batch over
-    ``fn_many``, the same integrand over arrays, or, if the batch fails
-    in any way, adaptive_simpson on each interval in order."""
-    try:
-        return _simpson_batch(fn_many, a, b, tol).tolist()
-    except Exception:  # noqa: BLE001 - the loop raises the loop's error
-        return [adaptive_simpson(fn, ai, bi, tol=tol) for ai, bi in zip(a, b)]
+        for lo in range(0, len(live), BLOCK):
+            roots = live[lo:lo + BLOCK]
+            x = np.array([a[roots], 0.5 * (a[roots] + b[roots]), b[roots]])
+            sums, error = _block(fn, x, None, tol, max_depth)
+            out[roots[:len(sums)]] = sums
+            if error is not None:
+                return out[:roots[len(sums)]], error
+    return out, None if stop == len(a) else ValueError(
+        "integration limits must be finite")

@@ -13,10 +13,13 @@ curvature pipelines are never asked to confirm themselves:
     the einsum pipeline.
 
 count_calls records the positional arguments of every call of one
-library function for the call-count tests.  elementwise turns a scalar
-function into a profile over arrays, as expressions.external takes it.
+library function for the call-count tests, and count_scalar_evaluations
+counts the point-by-point evaluations of compiled fields and profiles.
+elementwise turns a scalar function into a profile over arrays, as
+expressions.external takes it.
 """
 
+import builtins
 import sys
 
 import numpy as np
@@ -25,6 +28,8 @@ from solitonlab import (
     DomainError,
     SolitonLabError,
     eval_jet2,
+    expressions,
+    families,
     parse_expression,
 )
 
@@ -210,3 +215,45 @@ def count_calls(monkeypatch, module_name, func_name):
             if value is original:
                 monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+def count_scalar_evaluations(monkeypatch):
+    """From here on, count the calls of every compiled field's float
+    function and every profile call on a one-element array, and the
+    calls of the exec and compile builtins."""
+    counts = {"scalar": 0, "exec": 0, "compile": 0}
+
+    def counted(fn):
+        def wrapper(*args):
+            counts["scalar"] += 1
+            return fn(*args)
+        return wrapper
+
+    def counted_profile(fn):
+        def wrapper(xs):
+            counts["scalar"] += len(xs) == 1
+            return fn(xs)
+        return wrapper
+
+    compile_field = expressions._compile
+
+    def compile_counted(root, chart):
+        scalar, over_arrays = compile_field(root, chart)
+        return counted(scalar), over_arrays
+
+    external = families.external
+
+    def external_counted(name, funcs, arg):
+        return external(name, [counted_profile(f) for f in funcs], arg)
+
+    monkeypatch.setattr(expressions, "_compile", compile_counted)
+    monkeypatch.setattr(families, "external", external_counted)
+    for name in ("exec", "compile"):
+        original = getattr(builtins, name)
+
+        def builtin(*args, name=name, original=original, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(builtins, name, builtin)
+    return counts

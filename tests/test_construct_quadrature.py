@@ -1,13 +1,16 @@
 """The batched quadratures of the GRW potential and the walker4 profile.
 
-A construct integrates its quadratures together (quadrature._simpson_batch)
-and falls back to one adaptive_simpson call at a time if the batch fails.
-Either way every value has the bits, and every error the text, of the
-one-at-a-time loop: the values are checked here against that loop,
-written out with adaptive_simpson, and the errors against the messages
-the loop gives on four configs that fail inside a quadrature.
+A construct integrates its quadratures together, in batches
+(quadrature._simpson_batch), and never one adaptive_simpson call at a
+time.  A batch that fails keeps the values before its failure and
+reports the loop's own error, so every value has the bits, and every
+error the text, of the one-at-a-time loop: the values are checked here
+against that loop, written out with adaptive_simpson, and the errors
+against the messages the loop gives on four configs that fail inside a
+quadrature.
 """
 
+import hashlib
 import json
 import tracemalloc
 from pathlib import Path
@@ -17,8 +20,10 @@ import pytest
 
 from solitonlab import (
     GRWSpec,
+    NonPositiveWarpingError,
     Walker4Spec,
     adaptive_simpson,
+    families,
     flat_metric,
     grw_potential_field,
     parse_expression,
@@ -28,13 +33,13 @@ from solitonlab import (
 from solitonlab.cli import main
 from solitonlab.families import PROFILE_KNOTS, QUADRATURE_TOL
 
-from conftest import count_calls
+from conftest import count_calls, count_scalar_evaluations
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 WALKER4 = {"c0": 1, "c1": 1, "c2": 1, "c3": 1, "t0": 0}
 FAILURES = [
-    # a warping too large for the tolerance: a runaway batch, then the
-    # recursion's own stall
+    # a warping too large for the tolerance: the profile table's batch
+    # runs away until it meets the recursion's own stall
     ({"family": "walker4", "warping": "1e8 + sin(t)", "constants": WALKER4},
      ["--grid", "3"],
      "adaptive quadrature stalled on [-0.1422960605937078, "
@@ -72,26 +77,44 @@ def test_a_failing_quadrature_gives_the_error_of_the_loop(
         == (3, "", f"numeric error: {message}\n")
 
 
-def test_a_runaway_batch_stays_small_before_it_falls_back(
-        tmp_path, capsys, monkeypatch):
-    # The outer batch of the stalling walker4 table (the one the
-    # fallback replaces) with its nested batches, traced as it fails.
-    batch = quadrature._simpson_batch
-    peaks = []
+def test_a_runaway_batch_stays_small(tmp_path, capsys, monkeypatch):
+    # A walker4 table whose batch, and the running integrals nested in
+    # it, run away until a stall: each outermost batch call traced as it
+    # fails.  Its blocks fill up: some integrand call takes the quarter
+    # points of a whole block, and none more than the three points of
+    # each interval in a block of roots.  The stall case of FAILURES
+    # runs away the same way, but tracing every allocation of its 14
+    # million integrand evaluations makes it about ten times as slow.
+    batch = families._simpson_batch
+    peaks, sizes, depth = [], [], []
 
-    def traced(*args, **kwargs):
-        tracemalloc.start()
+    def sized(fn):
+        def over(xs):
+            sizes.append(xs.size)
+            return fn(xs)
+        return over
+
+    def traced(fn, *args, **kwargs):
+        if not depth:
+            tracemalloc.start()
+        depth.append(None)
         try:
-            return batch(*args, **kwargs)
-        except Exception:
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            raise
+            return batch(sized(fn), *args, **kwargs)
         finally:
-            tracemalloc.stop()
+            depth.pop()
+            if not depth:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
 
-    monkeypatch.setattr(quadrature, "_simpson_batch", traced)
-    config, flags, message = FAILURES[0]
-    assert _construct(tmp_path, capsys, config, flags)[0] == 3
+    monkeypatch.setattr(families, "_simpson_batch", traced)
+    config = {"family": "walker4", "warping": "1e12 + sin(t)",
+              "constants": WALKER4}
+    code, _, err = _construct(tmp_path, capsys, config, ["--grid", "3"])
+    assert (code, err) == (3, "numeric error: adaptive quadrature stalled on "
+                           "[-0.2331239244139059, -0.23312392441433225] "
+                           "(residual 5.551e-17)\n")
+    assert 2 * quadrature.BLOCK in sizes
+    assert max(sizes) <= 3 * quadrature.BLOCK
     assert len(peaks) == 1
     assert peaks[0] < 2_000_000
 
@@ -131,29 +154,31 @@ def test_the_grw_potential_integrates_its_times_in_one_batch(monkeypatch):
 def test_grw_values_are_kept_as_lru_cache_keeps_them(monkeypatch):
     # 0.0 and -0.0 are one key, taken by the first time asked for.
     spec = _grw("t + 2", (-1.0, 1.0))
-    for times in (None, [0.0, -0.0, 0.5]):
+    for times, ends in ((None, "[[-0.0]]"),
+                        ([0.0, -0.0, 0.5], "[[-0.0, 0.5]]")):
         value = _value(grw_potential_field(spec, 6.0, 0.75, times=times))
         batches = count_calls(monkeypatch, "quadrature", "_simpson_batch")
         loops = count_calls(monkeypatch, "quadrature", "adaptive_simpson")
         first = value(-0.0)
         assert value(0.0) == first
-        if times is None:
-            assert (len(batches), repr([args[2] for args in loops])) \
-                == (0, "[-0.0]")
-        else:
-            assert repr([list(args[2]) for args in batches]) == "[[-0.0, 0.5]]"
-            assert loops == []
+        assert repr([list(args[2]) for args in batches]) == ends
+        assert loops == []
         monkeypatch.undo()
         assert first == _grw_loop(spec, 6.0, 0.75, -0.0)
 
 
-def test_a_failed_grw_batch_integrates_one_time_at_a_time(monkeypatch):
+def test_a_failed_grw_batch_keeps_the_times_before_its_failure(monkeypatch):
     # The warping is negative from t = 0.7 on; only later times fail.
     spec = _grw("0.7 - t", (0.0, 0.5))
     value = _value(grw_potential_field(spec, 2.0, 0.0, times=[0.2, 0.9]))
+    batches = count_calls(monkeypatch, "quadrature", "_simpson_batch")
     loops = count_calls(monkeypatch, "quadrature", "adaptive_simpson")
     assert value(0.2) == _grw_loop(spec, 2.0, 0.0, 0.2)
-    assert [args[2] for args in loops] == [0.2]
+    with pytest.raises(NonPositiveWarpingError,
+                       match=r"^warping is not positive at \[0\.9\]$"):
+        value(0.9)
+    assert [list(args[2]) for args in batches] == [[0.2, 0.9], [0.9]]
+    assert loops == []
 
 
 def _walker4_table(spec, interval):
@@ -201,6 +226,22 @@ def test_a_construct_runs_its_quadratures_as_batches(tmp_path, capsys,
         code = main(["construct", str(CONFIGS / f"{name}.json"),
                      "--out", str(tmp_path / f"{name}.csv")])
         assert code == 0
-    # Only the walker4 jets ask for a running integral off the table, at
-    # most once for each of the 5 grid times.
-    assert len(loops) <= 5
+    assert loops == []
+
+
+def test_a_fast_growing_warping_stays_on_arrays(tmp_path, capsys,
+                                                monkeypatch):
+    # exp(3*t) over the walker4 table outgrows any bound on a level's
+    # width relative to its input; the batch walks it block by block.
+    # The CSV was recorded from the code that integrated it one
+    # adaptive_simpson call at a time.
+    config = {"family": "walker4", "warping": "exp(3*t)",
+              "constants": WALKER4}
+    loops = count_calls(monkeypatch, "quadrature", "adaptive_simpson")
+    counts = count_scalar_evaluations(monkeypatch)
+    code, out, err = _construct(tmp_path, capsys, config, ["--grid", "3"])
+    assert (code, out, err) == (
+        0, "PASS lambda=-1.000000000000e+00 class=expanding\n", "")
+    assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() \
+        == "de04063dda89d1bdc520c906f3b62edde0ee1e9cfdcb0ca124ea35bc4c63a655"
+    assert (loops, counts["scalar"]) == ([], 0)

@@ -1,16 +1,18 @@
 """Module layering: no solitonlab module imports a module above it.
 
-The order is expressions < autodiff < metrics < curvature < soliton <
-families < cli.  Imports inside functions count too, so a late import
-cannot hide a cycle.
+The order is errors < grids < quadrature < expressions < autodiff <
+metrics < curvature < soliton < families < cli.  So the quadrature
+engine cannot come to depend on fields or jets to find its errors.
+Imports inside functions count too, so a late import cannot hide a
+cycle.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "solitonlab"
-ORDER = ("expressions", "autodiff", "metrics", "curvature", "soliton",
-         "families", "cli")
+ORDER = ("errors", "grids", "quadrature", "expressions", "autodiff",
+         "metrics", "curvature", "soliton", "families", "cli")
 
 
 def _imports(path):
@@ -38,6 +40,7 @@ def test_no_module_imports_a_later_layer():
     edges = {(path.stem, name)
              for path in SRC.glob("*.py") for name in _imports(path)}
     assert ("soliton", "curvature") in edges
+    assert ("quadrature", "errors") in edges
     assert ("cli", "families") in edges
     upward = sorted(
         (module, name) for module, name in edges

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from solitonlab import QuadratureFailureError, adaptive_simpson, quadrature
+from solitonlab import (
+    DomainError,
+    QuadratureFailureError,
+    adaptive_simpson,
+    quadrature,
+)
 
 
 def test_known_integrals():
@@ -162,10 +167,12 @@ def test_a_forced_stall_matches_the_reference():
 
 
 # The batched engine (quadrature._simpson_batch) against the recursive
-# reference above: many intervals in one batch, with the integrand over
-# arrays applying the scalar one element by element, must give each
-# interval the reference's bits, or stall as the reference loop does.
+# reference above, run as a loop over the intervals: with the integrand
+# over arrays applying the scalar one element by element, a batch must
+# give the intervals before the loop's first error the reference's bits,
+# and that error, at any block width.
 
+BLOCKS = [1, 2, quadrature.BLOCK]
 LIMITS = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0]))
 ZERO_SIGNS = {
     # signed zeros only: every sum is decided by the order of the adds
@@ -178,13 +185,35 @@ def _elementwise(fn):
 
 
 def _reference_loop(fn, intervals, tol, depth):
-    """The bytes of each interval's integral, or the first stall's
-    message, from the reference run over the intervals in order."""
+    """The bytes of the integrals the reference gives, run over the
+    intervals in order, before it raises, and the type and message of
+    what it raises, or None."""
+    done = []
     try:
-        return b"".join(struct.pack("<d", _reference_simpson(fn, a, b, tol, depth))
-                        for a, b in intervals)
-    except QuadratureFailureError as exc:
-        return str(exc)
+        for a, b in intervals:
+            done.append(_reference_simpson(fn, a, b, tol, depth))
+    except Exception as exc:  # noqa: BLE001 - any error is compared
+        return np.array(done).tobytes(), (type(exc), str(exc))
+    return np.array(done).tobytes(), None
+
+
+def _sized(fn, sizes):
+    """_elementwise(fn), appending the size of each array it is given
+    to ``sizes``."""
+    over = _elementwise(fn)
+    return lambda xs: sizes.append(xs.size) or over(xs)
+
+
+def _batch(fn, intervals, tol, depth, block):
+    """_simpson_batch over the intervals at the given block width, in
+    _reference_loop's terms.  The integrand is never given no points."""
+    a, b = zip(*intervals)
+    sizes = []
+    with mock.patch.object(quadrature, "BLOCK", block):
+        done, error = quadrature._simpson_batch(_sized(fn, sizes), a, b, tol,
+                                                depth)
+    assert 0 not in sizes
+    return done.tobytes(), None if error is None else (type(error), str(error))
 
 
 @st.composite
@@ -207,24 +236,68 @@ def test_a_batch_matches_the_recursive_reference_bit_for_bit(
         kind, coefficients, intervals, tol, depth):
     fn = {**INTEGRANDS, **ZERO_SIGNS}[kind](coefficients)
     expected = _reference_loop(fn, intervals, tol, depth)
-    a, b = zip(*intervals)
-    # A width bound far above these batches: every batch runs to its end.
-    with mock.patch.object(quadrature, "WIDTH_PER_INTERVAL", 2 ** 16):
-        try:
-            got = quadrature._simpson_batch(_elementwise(fn), a, b, tol, depth)
-        except QuadratureFailureError as exc:
-            got = str(exc)
-        else:
-            got = got.tobytes()
-    assert got == expected
-    # With the bound, a batch that outgrows it falls back to the loop.
-    try:
-        each = quadrature._simpson_each(_elementwise(fn), fn, a, b, tol)
-    except QuadratureFailureError as exc:
-        each = str(exc)
-    else:
-        each = np.array(each).tobytes()
-    assert each == _reference_loop(fn, intervals, tol, 40)
+    for block in BLOCKS:
+        assert _batch(fn, intervals, tol, depth, block) == expected
+
+
+@st.composite
+def dyadic_batches(draw):
+    """Intervals from k/8 over a power of two, or of zero width, so that
+    the recursion's points land exactly on any k/64 inside an interval
+    it splits finely enough; some with other limits."""
+    intervals = []
+    for _ in range(draw(st.integers(1, 6))):
+        a = draw(st.integers(-32, 32)) / 8
+        width = draw(st.sampled_from([0.0, 0.125, 0.5, 1.0, 2.0, 4.0]))
+        b = a + draw(st.sampled_from([-1.0, 1.0])) * width
+        intervals.append(draw(st.one_of(st.just((a, b)),
+                                        st.tuples(LIMITS, LIMITS))))
+    return intervals
+
+
+def _failing(kind, where, frequency):
+    """An integrand that raises DomainError at the point ``where``, or
+    at every point past it, and is smooth elsewhere."""
+    def fn(x):
+        if x == where if kind == "point" else x > where:
+            raise DomainError(f"{kind} {where} reached at {x}")
+        return 1.0 + math.sin(frequency * x)
+    return fn
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(["point", "threshold"]), st.integers(-256, 256),
+       st.floats(0.5, 4.0), dyadic_batches(),
+       st.sampled_from([1e-3, 1e-6, 1e-10]), st.integers(0, 40))
+def test_a_failing_batch_reports_the_error_the_loop_meets_first(
+        kind, k, frequency, intervals, tol, depth):
+    fn = _failing(kind, k / 64, frequency)
+    expected = _reference_loop(fn, intervals, tol, depth)
+    for block in BLOCKS:
+        assert _batch(fn, intervals, tol, depth, block) == expected
+
+
+@pytest.mark.parametrize("intervals, depth, message", [
+    # the first interval stalls at depth 3; the second raises at its
+    # first point, in the first array call
+    ([(0.0, 0.9), (1.5, 2.0)], 3, "adaptive quadrature stalled on"),
+    # the first interval raises two levels down, at 0.25; the second at
+    # its midpoint, in the first array call
+    ([(-1.0, 1.0), (1.0, 2.0)], 40, "refused at 0.25"),
+    # the same two in the other order: the earlier interval's error
+    ([(1.0, 2.0), (-1.0, 1.0)], 40, "refused at 1.5"),
+])
+def test_an_earlier_interval_s_deeper_error_comes_first(intervals, depth,
+                                                        message):
+    def fn(x):
+        if x == 0.25 or x >= 1.5:
+            raise DomainError(f"refused at {x}")
+        return math.sin(7.0 * x + 0.3)
+
+    expected = _reference_loop(fn, intervals, 1e-13, depth)
+    assert expected[1][1].startswith(message)
+    for block in [*BLOCKS, 3, 16]:
+        assert _batch(fn, intervals, 1e-13, depth, block) == expected
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -237,50 +310,63 @@ def test_a_nan_delta_splits_until_the_batch_stalls(bad):
         return bad if x > 0.5 else 1.0
 
     expected = _reference_loop(fn, [(0.0, 1.0)], 1e-6, 5)
-    assert expected.startswith("adaptive quadrature stalled on")
-    assert "residual nan" in expected
+    assert expected[1][1].startswith("adaptive quadrature stalled on")
+    assert "residual nan" in expected[1][1]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(QuadratureFailureError) as exc:
-            quadrature._simpson_batch(_elementwise(fn), [0.0], [1.0], 1e-6, 5)
-    assert str(exc.value) == expected
+        for block in BLOCKS:
+            assert _batch(fn, [(0.0, 1.0)], 1e-6, 5, block) == expected
 
 
 def test_a_zero_width_interval_is_positive_zero_in_a_batch():
-    out = quadrature._simpson_batch(lambda xs: -np.ones_like(xs),
-                                    [0.0, -0.0, 1.0], [-0.0, 0.0, 2.0])
+    out, error = quadrature._simpson_batch(lambda xs: -np.ones_like(xs),
+                                           [0.0, -0.0, 1.0], [-0.0, 0.0, 2.0])
+    assert error is None
     assert out.tobytes() == np.array([0.0, 0.0, -1.0]).tobytes()
 
 
-def test_a_batch_wider_than_its_bound_falls_back_to_the_loop():
+def test_a_batch_has_the_same_bits_at_any_block():
     fn = INTEGRANDS["smooth"]((1.0, 1.0, 3.0))
-    a, b = [-4.0] * 8, [4.0, 3.0, 2.0, 1.0, -1.0, -2.0, -3.0, 3.5]
-    # At most 2 live intervals per input interval: 16 for these 8.
-    with mock.patch.object(quadrature, "WIDTH_PER_INTERVAL", 2):
-        with pytest.raises(quadrature._TooWide):
-            quadrature._simpson_batch(_elementwise(fn), a, b, 1e-10)
-        each = quadrature._simpson_each(_elementwise(fn), fn, a, b, 1e-10)
-    assert each == [adaptive_simpson(fn, ai, bi, 1e-10) for ai, bi in zip(a, b)]
+    intervals = list(zip([-4.0] * 8,
+                         [4.0, 3.0, 2.0, 1.0, -1.0, -2.0, -3.0, 3.5]))
+    expected = _reference_loop(fn, intervals, 1e-10, 40)
+    calls = {}
+    for block in [*BLOCKS, 3, 16]:
+        sizes = []
+        with mock.patch.object(quadrature, "BLOCK", block):
+            done, error = quadrature._simpson_batch(_sized(fn, sizes),
+                                                    *zip(*intervals), 1e-10)
+        assert (done.tobytes(), error) == expected
+        calls[block] = len(sizes)
+    # Narrower blocks take more array calls for the same points.
+    assert calls[1] > calls[2] > calls[3] > calls[16] > calls[quadrature.BLOCK]
 
 
 def test_a_long_batch_runs_as_one_with_the_same_bits():
-    # The width bound scales with the input, so a long list of intervals
-    # is one batch, as a GRW construct's t-samples on a fine grid are.
+    # A GRW construct's t-samples on a fine grid are one batch of many
+    # intervals; while its levels fit one block, each is one array call.
     fn = INTEGRANDS["smooth"]((1.0, 0.5, 0.7))
     rng = np.random.default_rng(7)
     a, b = rng.uniform(-1.5, 1.5, (2, 389))
     b[::9] = a[::9]
     expected = _reference_loop(fn, zip(a.tolist(), b.tolist()), 1e-10, 40)
-    got = quadrature._simpson_batch(_elementwise(fn), a, b, 1e-10)
-    assert got.tobytes() == expected
+    sizes = []
+    done, error = quadrature._simpson_batch(_sized(fn, sizes), a, b, 1e-10)
+    assert (done.tobytes(), error) == expected
+    assert max(sizes) <= 2 * quadrature.BLOCK
+    assert sizes[0] == 3 * np.count_nonzero(a != b)
 
 
-@pytest.mark.parametrize("a, b, tol, message", [
-    ([0.0], [1.0], 0.0, "tolerance must be positive"),
-    ([0.0], [1.0], float("nan"), "tolerance must be positive"),
-    ([0.0, float("inf")], [1.0, 1.0], 1e-10, "limits must be finite"),
-    ([0.0], [float("nan")], 1e-10, "limits must be finite"),
+@pytest.mark.parametrize("a, b, tol, message, done", [
+    ([0.0], [1.0], 0.0, "tolerance must be positive", 0),
+    ([0.0], [1.0], float("nan"), "tolerance must be positive", 0),
+    ([0.0, float("inf")], [1.0, 1.0], 1e-10, "limits must be finite", 1),
+    ([0.0], [float("nan")], 1e-10, "limits must be finite", 0),
 ])
-def test_a_batch_refuses_what_adaptive_simpson_refuses(a, b, tol, message):
-    with pytest.raises(ValueError, match=message):
-        quadrature._simpson_batch(np.sin, a, b, tol)
+def test_a_batch_refuses_what_adaptive_simpson_refuses(a, b, tol, message,
+                                                       done):
+    # As the loop does: the intervals before one it refuses are integrated.
+    out, error = quadrature._simpson_batch(np.sin, a, b, tol)
+    assert isinstance(error, ValueError) and message in str(error)
+    assert out.tobytes() == np.array([adaptive_simpson(np.sin, 0.0, 1.0)]
+                                     [:done]).tobytes()

@@ -6,7 +6,6 @@ The references in bench/shipped_refs.json were recorded from the code
 as first benchmarked; every refactor must reproduce them exactly.
 """
 
-import builtins
 import hashlib
 import json
 import sys
@@ -15,10 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from solitonlab import expressions, families
 from solitonlab.cli import main
 
-from conftest import count_calls
+from conftest import count_calls, count_scalar_evaluations
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
@@ -99,55 +97,13 @@ def test_grw_construct_assembles_its_product_metric_once(tmp_path, capsys,
     assert len(calls) == 1
 
 
-def _count_scalar_evaluations(monkeypatch):
-    """From here on, count the calls of every compiled field's float
-    function and every profile call on a one-element array, and the
-    calls of the exec and compile builtins."""
-    counts = {"scalar": 0, "exec": 0, "compile": 0}
-
-    def counted(fn):
-        def wrapper(*args):
-            counts["scalar"] += 1
-            return fn(*args)
-        return wrapper
-
-    def counted_profile(fn):
-        def wrapper(xs):
-            counts["scalar"] += len(xs) == 1
-            return fn(xs)
-        return wrapper
-
-    compile_field = expressions._compile
-
-    def compile_counted(root, chart):
-        scalar, over_arrays = compile_field(root, chart)
-        return counted(scalar), over_arrays
-
-    external = families.external
-
-    def external_counted(name, funcs, arg):
-        return external(name, [counted_profile(f) for f in funcs], arg)
-
-    monkeypatch.setattr(expressions, "_compile", compile_counted)
-    monkeypatch.setattr(families, "external", external_counted)
-    for name in ("exec", "compile"):
-        original = getattr(builtins, name)
-
-        def builtin(*args, name=name, original=original, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(builtins, name, builtin)
-    return counts
-
-
 @pytest.mark.parametrize("config", ["grw_construct.json",
                                     "walker4_certified.json"])
 def test_a_construct_makes_as_many_scalar_evaluations_on_any_grid(
         config, tmp_path, capsys, monkeypatch):
     seen = []
     for grid in ("3", "5"):
-        counts = _count_scalar_evaluations(monkeypatch)
+        counts = count_scalar_evaluations(monkeypatch)
         code = main(["construct", str(ROOT / "configs" / config),
                      "--grid", grid, "--out", str(tmp_path / f"{grid}.csv")])
         monkeypatch.undo()

@@ -12,9 +12,11 @@ being frozen here):
     exact quasi structure, used for the substitution checks.
 """
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from solitonlab import (
     MetricField,
@@ -39,6 +41,8 @@ from solitonlab import (
     theta_substitution,
     warped_conditions_check,
 )
+
+from solitonlab.curvature import curvature_over
 
 from conftest import random_field, random_metric_rows
 
@@ -123,6 +127,66 @@ def test_scaling_the_metric_keeps_the_hessian_and_divides_scal_and_lambda(
     assert _close(c * got.samples, want.samples)
     assert abs(c * got.value - want.value) \
         <= 1e-9 * np.abs(want.samples).max()
+
+
+def _pulled_back(text, chart, new_chart, A):
+    """The expression text with each chart coordinate x_i replaced by
+    (A y)_i over the new chart's coordinates y."""
+    rows = {name: "(" + " + ".join(f"({a!r})*{y}" for a, y in zip(row, new_chart))
+            + ")" for name, row in zip(chart, A.tolist())}
+    return re.sub(r"\b(" + "|".join(chart) + r")\b",
+                  lambda m: rows[m.group(1)], text)
+
+
+def _close_to(got, want, scale):
+    """|got - want| <= 1e-8 max|scale|, entrywise."""
+    return np.abs(got - want).max() <= 1e-8 * np.abs(scale).max()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=9))
+def test_a_linear_change_of_chart_maps_the_tensors_and_keeps_the_invariants(
+        seed, entries):
+    """Under x = A y, A constant and invertible, the pulled-back metric
+    is A^T g(A y) A and the potential phi(A y); g, Ric and Hess phi map
+    as A^T T A, and scal and every lambda sample stay as they are.  Both
+    charts go from expression texts through the whole pass."""
+    A = np.array(entries).reshape(3, 3)
+    assume(np.linalg.cond(A) < 20.0)
+    chart, new_chart = ("u", "v", "w"), ("y1", "y2", "y3")
+    rng = np.random.default_rng(seed)
+    ys = rng.uniform(-1.0, 1.0, (4, 3))
+    xs = ys @ A.T
+    rows = random_metric_rows(rng, chart, xs, depth=2)
+    potential = str(random_field(rng, chart, xs)[0])
+    texts = [[_pulled_back(text, chart, new_chart, A) for text in row]
+             for row in rows]
+    pulled = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            pulled[i][j] = pulled[j][i] = " + ".join(
+                f"({float(A[k, i] * A[l, j])!r})*({texts[k][l]})"
+                for k in range(3) for l in range(3))
+    metric = MetricField.from_rows(chart, rows, "+++")
+    metric_y = MetricField.from_rows(new_chart, pulled, "+++")
+    potential_y = _pulled_back(potential, chart, new_chart, A)
+
+    def mapped(t):
+        return np.einsum("ki,pkl,lj->pij", A, t, A)
+
+    curv = curvature_over(metric, xs)
+    curv_y = curvature_over(metric_y, ys)
+    assert _close_to(curv_y.g, mapped(curv.g), curv_y.g)
+    assert _close_to(curv_y.ricci, mapped(curv.ricci), curv_y.ricci)
+    assert _close_to(curv_y.scalar, curv.scalar, curv.scalar)
+    plain = point_geometry(metric, parse_expression(potential, chart), xs)
+    geometry = point_geometry(
+        metric_y, parse_expression(potential_y, new_chart), ys)
+    assert _close_to(geometry.hess, mapped(plain.hess), geometry.hess)
+    assert _close_to(geometry.scal, plain.scal, plain.scal)
+    want = plain.lambda_estimate(0.5).samples
+    assert _close_to(geometry.lambda_estimate(0.5).samples, want, want)
 
 
 def test_classify_thresholds():
