@@ -25,7 +25,11 @@ The pipeline has four stages:
 
 Exit codes: 0 verified or completed, 1 a residual or constancy check
 failed, 2 bad configuration or arguments, 3 a numeric failure such as
-a singular metric or a quadrature breakdown.
+a singular metric or a quadrature breakdown.  Exits 2 and 3 print one
+line to stderr, and exits 0 and 1 print nothing there: a command runs
+with numpy's floating-point warnings off, since a value past the float
+range either fails an expression's domain check or shows in the
+verdict and the report as inf or nan.
 """
 
 from __future__ import annotations
@@ -495,7 +499,7 @@ def _construct_grw(job: _Job, args: argparse.Namespace) -> int:
     fiber_names = [name for name in job.chart if name != time_var]
     fiber_point = [job.ranges[name][0] for name in fiber_names]
     t_samples = _sample((time_var,), {time_var: job.ranges[time_var]})[:, 0]
-    potential = grw_potential_field(spec, alpha, t0, times=t_samples)
+    potential = grw_potential_field(spec, alpha, t0)
     samples = grw_samples(spec, job.metric, potential, t_samples, fiber_point)
     estimate = LambdaEstimate.of(samples.lambda_map())
     lam = job.constants.get("lambda", estimate.value)
@@ -682,7 +686,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        return _COMMANDS[args.command](cfg, args)
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -10,12 +10,11 @@ This module is the foundation of the package.  It provides:
      that derivatives stay readable;
   3. exact symbolic differentiation;
   4. plain evaluation with explicit domain checking: a field is
-     compiled, on its first evaluation, into a list of steps, one per
-     distinct node, each with a float form and an array form.  A loop
-     over the float forms evaluates one point, with the values and
-     errors of a node-by-node walk; a loop over the array forms
-     evaluates arrays of points, with the same bits at every element.
-     An opaque profile maps an array of points to an array (external);
+     compiled, on its first evaluation, into a list of steps over
+     arrays of points, one per distinct node, with the bits and errors
+     at every element of a node-by-node walk of the tree at that point.
+     One point is a one-element array through the same steps.  An
+     opaque profile maps an array of points to an array (external);
   5. a parser for the grammar below: one compiled regular expression
      splits the source into (kind, text, offset) tuples, and a
      recursive descent, with unary, power and atom in one rule, reads
@@ -344,13 +343,13 @@ def pow_(base: Node, exponent: float) -> Node:
     return Pow(base, exponent)
 
 
-# Each primitive with its domain guard.  _call_forms turns an entry into
-# the float and the array step of a compiled field (see _compile), and
-# constant folding calls the float step, so both raise the same
-# DomainError at the same node.  A guard (comparison, bound, message)
-# refuses x before the call when `x <comparison> bound`.  sin and cos
-# have no comparison: math raises ValueError for them only on an
-# infinite argument, and that becomes DomainError(message).
+# Each primitive with its domain guard.  _call_step turns an entry into
+# the step of a compiled field (see _compile), and constant folding runs
+# that step on the constant, so both raise the same DomainError at the
+# same node.  A guard (comparison, bound, message) refuses x before the
+# call when `x <comparison> bound`.  sin and cos have no comparison:
+# math raises ValueError for them only on an infinite argument, and
+# that becomes DomainError(message).
 _CALLS: dict[str, tuple[Callable[[float], float], str, float, str]] = {
     "exp": (math.exp, ">", EXP_ARG_MAX, "overflow in exp"),
     "ln": (math.log, "<=", 0.0, "ln of a non-positive argument"),
@@ -367,47 +366,35 @@ def _map(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _call_forms(fn: Callable[[float], float], comparison: str, bound: float,
-                message: str) -> tuple[Callable, Callable]:
-    """The float and the array form of one _CALLS primitive, each its
-    guard followed by the call; the array form maps the math function
-    element by element."""
+def _call_step(fn: Callable[[float], float], comparison: str, bound: float,
+               message: str) -> Callable[[np.ndarray], np.ndarray]:
+    """The step of one _CALLS primitive: its guard, then the math
+    function mapped element by element."""
     if comparison:
         compare = _COMPARISONS[comparison]
 
-        def over_floats(x: float) -> float:
-            if compare(x, bound):
-                raise DomainError(message)
-            return fn(x)
-
-        def over_arrays(x: np.ndarray) -> np.ndarray:
+        def step(x: np.ndarray) -> np.ndarray:
             if compare(x, bound).any():
                 raise DomainError(message)
             return _map(fn, x)
     else:
-        def over_floats(x: float) -> float:
-            try:
-                return fn(x)
-            except ValueError:
-                raise DomainError(message) from None
-
-        def over_arrays(x: np.ndarray) -> np.ndarray:
+        def step(x: np.ndarray) -> np.ndarray:
             try:
                 return _map(fn, x)
             except ValueError:
                 raise DomainError(message) from None
 
-    return over_floats, over_arrays
+    return step
 
 
-_CALL_FORMS = {func: _call_forms(*entry) for func, entry in _CALLS.items()}
+_CALL_STEPS = {func: _call_step(*entry) for func, entry in _CALLS.items()}
 
 
 def call(func: str, arg: Node) -> Node:
     if func not in _CALLS:
         raise ValueError(f"unsupported function '{func}'")
     if isinstance(arg, Const):
-        return Const(_CALL_FORMS[func][0](arg.value))
+        return Const(_CALL_STEPS[func](np.float64(arg.value)))
     return Call(func, arg)
 
 
@@ -489,17 +476,17 @@ def differentiate(node: Node, var: str) -> Node:
 
 def evaluate(node: Node, env: Mapping[str, float]) -> float:
     chart = tuple(env)
-    return _compile(node, chart)[0](*(env[name] for name in chart))
+    return _at_point(_compile(node, chart), [env[name] for name in chart])
 
 
-def _nonzero(x: float) -> float:
-    """A quotient's guard: its denominator, refused where it is zero."""
-    if x == 0.0:
-        raise DomainError("division by zero")
-    return x
+def _at_point(fn: Callable[..., np.ndarray], coordinates: Sequence[float]) -> float:
+    """The compiled field ``fn`` at one point, each coordinate a
+    one-element array, as a float."""
+    return fn(*([c] for c in coordinates)).item()
 
 
 def _nonzero_all(x: np.ndarray) -> np.ndarray:
+    """A quotient's guard: its denominator, refused where it is zero."""
     if (x == 0.0).any():
         raise DomainError("division by zero")
     return x
@@ -524,12 +511,10 @@ def _profile_value(name: str, fn: Callable[[np.ndarray], np.ndarray],
 
 
 class _Step(NamedTuple):
-    """One step of a compiled field: ``scalar`` over floats and
-    ``array`` over arrays, of slot ``a`` and, unless it is None, slot
-    ``b``, written to slot ``out``."""
+    """One step of a compiled field: ``fn`` of slot ``a`` and, unless it
+    is None, slot ``b``, written to slot ``out``."""
 
-    scalar: Callable
-    array: Callable
+    fn: Callable
     a: int
     b: int | None
     out: int
@@ -537,13 +522,12 @@ class _Step(NamedTuple):
 
 class _Program(NamedTuple):
     """A compiled field: its chart, its steps, and the slots after the
-    coordinates' own, as floats and as arrays: constants, and None where
-    a step writes."""
+    coordinates' own: constants, as float64 scalars, and None where a
+    step writes."""
 
     chart: tuple[str, ...]
     steps: list[_Step]
-    floats: list[float | None]
-    arrays: list[np.float64 | None]
+    slots: list[np.float64 | None]
 
 
 _OPERATORS = {Neg: operator.neg, Add: operator.add, Sub: operator.sub,
@@ -564,92 +548,71 @@ def _emit(node: Node, program: _Program, slot_of: dict[Node, int]) -> int:
         return k
     if kind is Div:
         den = _emit(node.den, program, slot_of)
-        program.steps.append(_Step(_nonzero, _nonzero_all, den, None, den))
+        program.steps.append(_Step(_nonzero_all, den, None, den))
         args = (_emit(node.num, program, slot_of), den)
     else:
         args = tuple(_emit(kid, program, slot_of) for kid in node.kids)
-    k = slot_of[node] = len(program.chart) + len(program.floats)
+    k = slot_of[node] = len(program.chart) + len(program.slots)
     if kind is Const:
-        program.floats.append(node.value)
-        program.arrays.append(np.float64(node.value))
+        program.slots.append(np.float64(node.value))
         return k
-    program.floats.append(None)
-    program.arrays.append(None)
+    program.slots.append(None)
     if kind in _OPERATORS:
-        scalar = array = _OPERATORS[kind]
+        fn = _OPERATORS[kind]
     elif kind is Pow:
-        scalar = partial(_pow_value, exponent=node.exponent)
-        array = partial(_map, scalar)
+        fn = partial(_map, partial(_pow_value, exponent=node.exponent))
     elif kind is Call:
-        scalar, array = _CALL_FORMS[node.func]
+        fn = _CALL_STEPS[node.func]
     elif kind is External:
-        scalar = partial(_profile_value, node.name, node.funcs[0])
-        array = partial(_profile_over, node.name, node.funcs[0])
+        fn = partial(_profile_over, node.name, node.funcs[0])
     else:
         raise TypeError(f"not an expression node: {node!r}")
-    program.steps.append(_Step(scalar, array, args[0],
-                               args[1] if len(args) > 1 else None, k))
+    program.steps.append(_Step(fn, args[0], args[1] if len(args) > 1 else None, k))
     return k
 
 
-def _compile(root: Node, chart: Sequence[str],
-             ) -> tuple[Callable[..., float], Callable[..., np.ndarray]]:
-    """``root`` as a function of one float per chart coordinate, and as
-    a function of one array per coordinate, all of one shape: two loops
-    over one list of steps, compiled in one walk of the tree.
+def _compile(root: Node, chart: Sequence[str]) -> Callable[..., np.ndarray]:
+    """``root`` as a function of one array per chart coordinate, all of
+    one shape, compiled in one walk of the tree into a list of steps.
 
     The walk gives one slot per distinct node (shared subtrees are
     keyed by identity) after one per chart coordinate, which a variable
-    shares.  Constants are filled in ahead, and every other node is one
-    step, in depth-first order with a quotient's denominator, and its
-    guard, before its numerator.  A call's step is its guard from
-    _CALLS followed by the math function: exp, ln and sqrt compare
-    their argument with the guard's bound first, and sin and cos turn
-    the ValueError of an infinite argument into the guard's
-    DomainError.  Values and errors are therefore those of evaluating
-    the tree node by node, and constants, exponents and bounds keep
-    their exact bits.
+    shares.  Constants are filled in ahead, as float64 scalars, and
+    every other node is one step, in depth-first order with a
+    quotient's denominator, and its guard, before its numerator.  A
+    call's step is its guard from _CALLS followed by the math function:
+    exp, ln and sqrt compare their argument with the guard's bound
+    first, and sin and cos turn the ValueError of an infinite argument
+    into the guard's DomainError.  ``+ - * /`` and negation are numpy
+    operations, which round each element as the float operations do,
+    and every _CALLS function and _pow_value is mapped element by
+    element (_map), so each element has the bits of evaluating the tree
+    node by node at that point, and constants, exponents and bounds
+    keep their exact bits.  An External profile is called once on all
+    elements, as a 1-d array (see external).  A guard raises its
+    DomainError if it fails at any element, so the function raises
+    exactly when the node-by-node walk raises at some point, and, given
+    one point, with that walk's error.  It runs under
+    np.errstate(all="ignore"): numpy warns where the float operations
+    are silent.
 
-    The array function runs the same steps in the same order through
-    their array forms, each constant a float64 scalar: ``+ - * /`` and
-    negation are numpy operations, which round each element as the
-    float operations do, and every _CALLS function and _pow_value is
-    mapped element by element (_map), so each element has the float
-    form's bits.  An External profile is called once on all elements,
-    as a 1-d array; the float form calls it on a one-element array (see
-    external).  A guard raises its DomainError if it fails at any
-    element, so the array function raises exactly when the float one
-    raises at some point.  It runs under np.errstate(all="ignore"):
-    numpy warns where the float operations are silent.
-
-    Neither function refers to itself or to the other, so they die with
-    their field by reference counting.
+    One point is a one-element array per coordinate (_at_point).  The
+    function does not refer to itself, so it dies with its field by
+    reference counting.
     """
-    program = _Program(tuple(chart), [], [], [])
+    program = _Program(tuple(chart), [], [])
     out = _emit(root, program, {})
     width = len(program.chart)
-    steps, floats, arrays = program.steps, program.floats, program.arrays
+    steps, slots = program.steps, program.slots
     reads = bool(root.reads)
-
-    def over_floats(*coordinates: float) -> float:
-        if len(coordinates) != width:
-            raise TypeError(f"field takes {width} coordinates, "
-                            f"got {len(coordinates)}")
-        v = [*map(float, coordinates), *floats]
-        for fn, _, a, b, k in steps:
-            v[k] = fn(v[a]) if b is None else fn(v[a], v[b])
-        value = v[out]
-        if not math.isfinite(value):
-            raise DomainError("expression evaluated to a non-finite value")
-        return value
 
     def over_arrays(*coordinates: np.ndarray) -> np.ndarray:
         if len(coordinates) != width:
             raise TypeError(f"field takes {width} coordinates, "
                             f"got {len(coordinates)}")
-        v = [*(np.array(c, dtype=float) for c in coordinates), *arrays]
+        v = [*(np.array(c, dtype=float) for c in coordinates), *slots]
         with np.errstate(all="ignore"):
-            for _, fn, a, b, k in steps:
+            for fn, a, b, k in steps:
                 v[k] = fn(v[a]) if b is None else fn(v[a], v[b])
         value = v[out]
         if not np.isfinite(value).all():
@@ -659,7 +622,7 @@ def _compile(root: Node, chart: Sequence[str],
         # A tree that reads no coordinate is a float64 scalar up to here.
         return np.full(v[0].shape if width else (), value)
 
-    return over_floats, over_arrays
+    return over_arrays
 
 
 # =====================================================================
@@ -863,12 +826,13 @@ class ScalarField:
     ``chart`` fixes the coordinate names and their order; evaluation
     takes points as sequences in that order.  Arithmetic between fields
     requires identical charts.  The field is compiled on its first
-    evaluation into a list of steps, which it keeps (see _compile):
-    ``compiled`` loops over them with floats, ``compiled_arrays`` with
-    arrays, and ``at_points`` evaluates a stack of points in one array
-    call.  Values and errors are those of walking the tree node by
-    node.  Construction checks that the chart names are distinct and
-    that the tree reads no name outside the chart (``root.reads``).
+    evaluation into a list of steps over arrays, which it keeps as
+    ``compiled_arrays`` (see _compile).  ``at_points`` evaluates a
+    stack of points in one call of it, and calling the field evaluates
+    one point, as one-element arrays, through the same steps.  Values and
+    errors are those of walking the tree node by node.  Construction
+    checks that the chart names are distinct and that the tree reads no
+    name outside the chart (``root.reads``).
     """
 
     chart: tuple[str, ...]
@@ -888,28 +852,14 @@ class ScalarField:
             raise ValueError(
                 f"point has {len(point)} entries, chart has {len(self.chart)}"
             )
-        return self.compiled(*point)
-
-    def _compile_both(self) -> tuple[Callable[..., float],
-                                     Callable[..., np.ndarray]]:
-        """Compile ``compiled`` and ``compiled_arrays`` in one walk and
-        keep both, whichever is asked for first."""
-        both = _compile(self.root, self.chart)
-        self.__dict__.update(compiled=both[0], compiled_arrays=both[1])
-        return both
-
-    @cached_property
-    def compiled(self) -> Callable[..., float]:
-        """The field as a function taking one float per chart coordinate."""
-        return self._compile_both()[0]
+        return _at_point(self.compiled_arrays, point)
 
     @cached_property
     def compiled_arrays(self) -> Callable[..., np.ndarray]:
         """The field as a function taking one array per chart coordinate,
-        all of one shape: ``compiled`` at every element, bit for bit,
-        raising exactly when ``compiled`` raises at some element.  It
-        loops over the steps of ``compiled`` (see _compile)."""
-        return self._compile_both()[1]
+        all of one shape: at every element the bits of the node-by-node
+        walk, raising exactly when the walk raises at some element."""
+        return _compile(self.root, self.chart)
 
     def at_points(self, points: np.ndarray) -> np.ndarray:
         """The field at each row of a (P, n) stack of points, as (P,)
@@ -920,7 +870,8 @@ class ScalarField:
         try:
             return self.compiled_arrays(*points.T)
         except Exception:  # noqa: BLE001 - the loop raises the loop's error
-            return np.array([self.compiled(*row) for row in points.tolist()])
+            return np.array([_at_point(self.compiled_arrays, row)
+                             for row in points.tolist()])
 
     # -- calculus -----------------------------------------------------
 

@@ -308,30 +308,46 @@ def _divisor(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def grw_potential_field(spec: GRWSpec, alpha: float, t0: float,
-                        times: Sequence[float] | None = None) -> ScalarField:
+def _running_integrals(integrand: Callable[[np.ndarray], np.ndarray],
+                       t0: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The integrals of ``integrand`` from t0 to each element of an
+    array of times, kept per time as lru_cache keys them (0.0 == -0.0).
+    The times not yet known are integrated in order, in one batch
+    (quadrature._simpson_batch); a batch that fails keeps the integrals
+    before its failure and raises the error the loop of one quadrature
+    per time meets first."""
+    known: dict[float, float] = {}
+
+    def running(ts: np.ndarray) -> np.ndarray:
+        keys = ts.tolist()
+        missing = [tv for tv in dict.fromkeys(keys) if tv not in known]
+        batch, error = _simpson_batch(integrand, [t0] * len(missing), missing,
+                                      tol=QUADRATURE_TOL)
+        known.update(zip(missing, batch.tolist()))
+        if error is not None:
+            raise error
+        return np.fromiter(map(known.__getitem__, keys), float, len(keys))
+
+    return running
+
+
+def grw_potential_field(spec: GRWSpec, alpha: float, t0: float) -> ScalarField:
     """The quadrature potential as a scalar field on the time chart.
 
     The value, alpha times the integral of 1/warping from t0, is
-    integrated on demand and raises NonPositiveWarpingError at a
-    quadrature sample where the warping is not positive.  Given
-    ``times``, the first value asked for integrates it and all of
-    ``times`` together, in one batch (quadrature._simpson_batch), which
-    keeps the values before a failure; only a time whose own quadrature
-    fails raises, so each value and error is the same either way.
-    Values are kept per time, keyed as lru_cache keys them
-    (0.0 == -0.0).  The first and second derivative callables use the
-    defining relation (slope alpha / warping), so jets of this field
-    carry no quadrature noise.  The profile's callables take arrays of times (see
-    expressions.external): the value is read per time, in order, and
-    the derivatives come from the warping over arrays, each element
-    with the bits, and a one-element array with the errors, of the
-    float expressions alpha / w and -alpha w' / (w w).
+    integrated on demand, for all the times of one call at once
+    (_running_integrals), and raises NonPositiveWarpingError at a
+    quadrature sample where the warping is not positive.  The first and
+    second derivative callables use the defining relation (slope
+    alpha / warping), so jets of this field carry no quadrature noise.
+    The profile's callables take arrays of times (see
+    expressions.external), and the derivatives come from the warping
+    over arrays, each element with the bits, and a one-element array
+    with the errors, of the float expressions alpha / w and
+    -alpha w' / (w w).
     """
     w_many = spec.warping.compiled_arrays
     dw_many = spec.warping.diff(spec.time_var).compiled_arrays
-    pending = None if times is None else np.asarray(times, dtype=float).tolist()
-    values: dict[float, float] = {}
 
     def reciprocals(u: np.ndarray) -> np.ndarray:
         wu = w_many(u)
@@ -341,21 +357,10 @@ def grw_potential_field(spec: GRWSpec, alpha: float, t0: float,
                 f"warping is not positive at [{float(u[bad][0])}]")
         return 1.0 / wu
 
-    def value(tv: float) -> float:
-        nonlocal pending
-        if tv not in values:
-            ends = list(dict.fromkeys([tv, *(pending or ())]))
-            pending = None
-            integrals, error = _simpson_batch(
-                reciprocals, [t0] * len(ends), ends, tol=QUADRATURE_TOL)
-            values.update((end, alpha * integral) for end, integral
-                          in zip(ends, integrals.tolist()))
-            if tv not in values:
-                raise error
-        return values[tv]
+    running = _running_integrals(reciprocals, t0)
 
     def values_at(ts: np.ndarray) -> np.ndarray:
-        return np.fromiter(map(value, ts.tolist()), float, len(ts))
+        return alpha * running(ts)
 
     def deriv(ts: np.ndarray) -> np.ndarray:
         return alpha / _divisor(w_many(ts))
@@ -765,11 +770,10 @@ def walker4_construct(spec: Walker4Spec,
     The table's quadratures, from t0 to the first knot and between
     knots, run as one batch (quadrature._simpson_batch).  Each of its
     array calls evaluates the slope over arrays: the warping at the
-    times, then the running integrals it lacks, in one nested batch,
-    kept per time as lru_cache keys them (0.0 == -0.0).  A nested batch
-    that fails keeps the integrals before its failure.  The batches
-    report the errors of the loop of one quadrature at a time, so the
-    table has that loop's values and errors.
+    times, then the running integrals it lacks, in one nested batch
+    (_running_integrals).  The batches report the errors of the loop of
+    one quadrature at a time, so the table has that loop's values and
+    errors.
 
     The profile's callables take arrays of times (see
     expressions.external): the value maps the interpolant over them
@@ -783,22 +787,13 @@ def walker4_construct(spec: Walker4Spec,
     w_many = spec.warping.compiled_arrays
     w_t_many = spec.warping.diff("t").compiled_arrays
     c0, c1 = spec.c0, spec.c1
-    t0 = spec.t0
-    integrals: dict[float, float] = {}
+    running = _running_integrals(w_many, spec.t0)
 
     def slopes(ts: np.ndarray) -> np.ndarray:
         """The slope at every element of ts: the warping there, then the
-        running integrals not yet known, integrated in one batch."""
+        running integrals."""
         w_ts = w_many(ts)
-        keys = ts.tolist()
-        missing = [tv for tv in dict.fromkeys(keys) if tv not in integrals]
-        batch, error = _simpson_batch(w_many, [t0] * len(missing), missing,
-                                      tol=QUADRATURE_TOL)
-        integrals.update(zip(missing, batch.tolist()))
-        if error is not None:
-            raise error
-        run = np.fromiter(map(integrals.__getitem__, keys), float, len(keys))
-        return 0.5 * (w_ts * (c0 * ts + c1) + c0 * run)
+        return 0.5 * (w_ts * (c0 * ts + c1) + c0 * running(ts))
 
     def slope2(ts: np.ndarray) -> np.ndarray:
         return 0.5 * w_t_many(ts) * (c0 * ts + c1) + c0 * w_many(ts)
@@ -807,7 +802,7 @@ def walker4_construct(spec: Walker4Spec,
     if not lo < hi:
         raise ValueError(f"empty interval {interval}")
     grid = np.linspace(lo, hi, PROFILE_KNOTS)
-    pieces, error = _simpson_batch(slopes, [t0, *grid[:-1].tolist()],
+    pieces, error = _simpson_batch(slopes, [spec.t0, *grid[:-1].tolist()],
                                    grid.tolist(), tol=QUADRATURE_TOL)
     if error is not None:
         raise error

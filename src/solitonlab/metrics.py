@@ -170,7 +170,8 @@ def _metric_stack(metric: MetricField, points: np.ndarray) -> MetricAtPoint:
         g[:, i, j] = g[:, j, i] = jet.value
         dg[:, :, i, j] = dg[:, :, j, i] = jet.gradient
         d2g[:, :, :, i, j] = d2g[:, :, :, j, i] = jet.hessian
-    det = np.linalg.det(g)
+    with np.errstate(all="ignore"):  # a det past DBL_MAX is inf, not a warning
+        det = np.linalg.det(g)
     eigs = np.linalg.eigvalsh(g)
     size = np.abs(eigs)
     singular = size.min(axis=1) <= RCOND_CUTOFF * size.max(axis=1)

@@ -14,7 +14,7 @@ curvature pipelines are never asked to confirm themselves:
 
 count_calls records the positional arguments of every call of one
 library function for the call-count tests, and count_scalar_evaluations
-counts the point-by-point evaluations of compiled fields and profiles.
+counts the one-point evaluations of fields and profiles.
 elementwise turns a scalar function into a profile over arrays, as
 expressions.external takes it.
 """
@@ -218,16 +218,16 @@ def count_calls(monkeypatch, module_name, func_name):
 
 
 def count_scalar_evaluations(monkeypatch):
-    """From here on, count the calls of every compiled field's float
-    function and every profile call on a one-element array, and the
+    """From here on, count the one-point evaluations: every field at one
+    point (a ScalarField call, evaluate, or a row of the at_points
+    fallback) and every profile call on a one-element array, and the
     calls of the exec and compile builtins."""
     counts = {"scalar": 0, "exec": 0, "compile": 0}
+    at_point = expressions._at_point
 
-    def counted(fn):
-        def wrapper(*args):
-            counts["scalar"] += 1
-            return fn(*args)
-        return wrapper
+    def counted(fn, coordinates):
+        counts["scalar"] += 1
+        return at_point(fn, coordinates)
 
     def counted_profile(fn):
         def wrapper(xs):
@@ -235,18 +235,12 @@ def count_scalar_evaluations(monkeypatch):
             return fn(xs)
         return wrapper
 
-    compile_field = expressions._compile
-
-    def compile_counted(root, chart):
-        scalar, over_arrays = compile_field(root, chart)
-        return counted(scalar), over_arrays
-
     external = families.external
 
     def external_counted(name, funcs, arg):
         return external(name, [counted_profile(f) for f in funcs], arg)
 
-    monkeypatch.setattr(expressions, "_compile", compile_counted)
+    monkeypatch.setattr(expressions, "_at_point", counted)
     monkeypatch.setattr(families, "external", external_counted)
     for name in ("exec", "compile"):
         original = getattr(builtins, name)

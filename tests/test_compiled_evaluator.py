@@ -1,11 +1,11 @@
-"""The compiled scalar evaluator against an independent tree walker, and the
-array mode against the compiled field.
+"""The compiled field, over arrays and at one point, against an
+independent tree walker.
 
 reference() below walks the tree node by node with its own copy of the
 domain rules (division by zero, powers, exp/ln/sqrt, sin/cos of an
-infinite argument, non-finite results).  It shares no code with solitonlab's evaluator, so agreement
-on random trees, bit for bit and error for error, is evidence rather
-than a restatement.
+infinite argument, non-finite results).  It shares no code with
+solitonlab's evaluator, so agreement on random trees, bit for bit and
+error for error, is evidence rather than a restatement.
 """
 
 import gc
@@ -213,8 +213,8 @@ def test_a_dropped_compile_leaves_nothing_for_the_cyclic_collector():
     try:
         gc.collect()
         field = parse_expression("sin(x)*exp(y)/(2+x)", CHART)
-        fn = field.compiled
-        assert fn(0.5, 0.25) == field((0.5, 0.25))
+        fn = field.compiled_arrays
+        assert fn(np.array([0.5]), np.array([0.25]))[0] == field((0.5, 0.25))
         del fn, field
         assert gc.collect() == 0
     finally:
@@ -233,8 +233,8 @@ def test_sin_and_cos_of_an_infinite_argument_are_domain_errors(func, y):
         == expected
 
 
-# The array mode (ScalarField.compiled_arrays) against the scalar one: at
-# every point the same bits, and an error exactly when the scalar field
+# The array mode (ScalarField.compiled_arrays) against the reference
+# walk: at every point the same bits, and an error exactly when the walk
 # raises at some point.  Any numpy warning fails the test.
 
 def _array_outcome(field, xs, ys):
@@ -256,15 +256,45 @@ def _array_outcome(field, xs, ys):
                          min_size=1, max_size=6))
 def test_the_array_mode_matches_the_compiled_field_at_every_point(root, points):
     field = ScalarField(CHART, root)
-    scalar = [outcome(lambda p=p: field.compiled(*p)) for p in points]
+    walked = [outcome(lambda p=p: reference(root, dict(zip(CHART, p))))
+              for p in points]
     got = _array_outcome(field, *zip(*points))
-    raised = {kind for kind, _ in scalar if kind is not float}
+    raised = {kind for kind, _ in walked if kind is not float}
     if not raised:
-        assert got == [value for _, value in scalar]
+        assert got == [value for _, value in walked]
     else:
         assert got in raised
         if all(issubclass(kind, SolitonLabError) for kind in raised):
             assert issubclass(got, SolitonLabError)
+
+
+def _one_point_outcomes(field, x, y):
+    """A call of the field, a one-row at_points and the array mode on
+    one-element arrays, each as outcome() gives it."""
+    return [outcome(lambda: field((x, y))),
+            outcome(lambda: float(field.at_points([[x, y]])[0])),
+            outcome(lambda: float(field.compiled_arrays(np.array([x]),
+                                                        np.array([y]))[0]))]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(trees(), st.sampled_from(COORDINATES), st.sampled_from(COORDINATES))
+def test_one_point_has_the_bits_and_the_error_of_the_array_mode(root, x, y):
+    field = ScalarField(CHART, root)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call, row, arrays = _one_point_outcomes(field, x, y)
+    assert call == row == arrays
+
+
+@pytest.mark.parametrize("root, bits", [
+    (Const(-0.0), -0.0), (Const(2.5), 2.5), (Neg(Var("x")), -0.0),
+    (Mul(Var("x"), Const(-1.0)), -0.0), (Add(Var("y"), Const(-0.0)), 1.0)])
+def test_one_point_keeps_signed_zeros_and_constant_roots(root, bits):
+    field = ScalarField(CHART, root)
+    want = (float, struct.pack("<d", bits))
+    assert _one_point_outcomes(field, 0.0, 1.0) == [want] * 3
+    assert outcome(lambda: evaluate(root, {"x": 0.0, "y": 1.0})) == want
 
 
 @pytest.mark.parametrize("value", [0.0, -0.0, 2.5])
@@ -272,22 +302,6 @@ def test_a_constant_field_over_arrays_has_the_shape_of_its_points(value):
     field = ScalarField(CHART, Const(value))
     out = field.compiled_arrays(np.array([1.0, 2.0, 3.0]), np.zeros(3))
     assert out.tobytes() == np.full(3, value).tobytes()
-
-
-def test_the_array_mode_is_compiled_with_the_scalar_one():
-    # One walk gives both functions, and dropping them leaves no cycle.
-    gc.disable()
-    try:
-        gc.collect()
-        field = parse_expression("sin(x)*exp(y)/(2+x)", CHART)
-        over_arrays = field.compiled_arrays
-        assert "compiled" in field.__dict__
-        assert over_arrays(np.array([0.5]), np.array([0.25]))[0] \
-            == field((0.5, 0.25))
-        del over_arrays, field
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
 
 
 def test_the_array_mode_does_not_hand_back_its_argument():

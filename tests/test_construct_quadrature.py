@@ -124,66 +124,79 @@ def _grw(warping="t", interval=(0.9, 1.9)):
                    interval)
 
 
-def _value(potential):
-    """The potential's profile value at one time, through the array
-    contract of profiles: a one-element array."""
-    profile = potential.root.funcs[0]
-    return lambda tv: float(profile(np.array([tv]))[0])
+def _profile(potential):
+    """The potential's profile value, a function of an array of times."""
+    return potential.root.funcs[0]
 
 
 def _grw_loop(spec, alpha, t0, tv):
     """The potential as one quadrature per time, written out."""
-    w = spec.warping.compiled
-    return alpha * adaptive_simpson(lambda u: 1.0 / w(u), t0, tv,
+    return alpha * adaptive_simpson(lambda u: 1.0 / spec.warping((u,)), t0, tv,
                                     tol=QUADRATURE_TOL)
+
+
+def _ends(batches):
+    return [list(args[2]) for args in batches]
 
 
 def test_the_grw_potential_integrates_its_times_in_one_batch(monkeypatch):
     spec = _grw()
-    times = np.linspace(0.9, 1.9, 40)
-    value = _value(grw_potential_field(spec, 6.0, 1.37, times=times))
+    times = np.linspace(0.9, 1.9, 40)[::-1]
+    profile = _profile(grw_potential_field(spec, 6.0, 1.37))
     batches = count_calls(monkeypatch, "quadrature", "_simpson_batch")
     loops = count_calls(monkeypatch, "quadrature", "adaptive_simpson")
-    got = [value(tv) for tv in times[::-1].tolist()]
-    assert (len(batches), len(loops)) == (1, 0)
+    got = profile(times)
+    # Times already integrated are read back, not integrated again.
+    again = profile(times[::7])
+    assert _ends(batches) == [times.tolist(), []]
+    assert loops == []
     monkeypatch.undo()
-    expected = [_grw_loop(spec, 6.0, 1.37, tv) for tv in times[::-1].tolist()]
-    assert np.array(got).tobytes() == np.array(expected).tobytes()
+    expected = np.array([_grw_loop(spec, 6.0, 1.37, tv) for tv in times.tolist()])
+    assert got.tobytes() == expected.tobytes()
+    assert again.tobytes() == expected[::7].tobytes()
 
 
 def test_grw_values_are_kept_as_lru_cache_keeps_them(monkeypatch):
     # 0.0 and -0.0 are one key, taken by the first time asked for.
     spec = _grw("t + 2", (-1.0, 1.0))
-    for times, ends in ((None, "[[-0.0]]"),
-                        ([0.0, -0.0, 0.5], "[[-0.0, 0.5]]")):
-        value = _value(grw_potential_field(spec, 6.0, 0.75, times=times))
-        batches = count_calls(monkeypatch, "quadrature", "_simpson_batch")
-        loops = count_calls(monkeypatch, "quadrature", "adaptive_simpson")
-        first = value(-0.0)
-        assert value(0.0) == first
-        assert repr([list(args[2]) for args in batches]) == ends
-        assert loops == []
-        monkeypatch.undo()
-        assert first == _grw_loop(spec, 6.0, 0.75, -0.0)
+    profile = _profile(grw_potential_field(spec, 6.0, 0.75))
+    batches = count_calls(monkeypatch, "quadrature", "_simpson_batch")
+    loops = count_calls(monkeypatch, "quadrature", "adaptive_simpson")
+    first = profile(np.array([-0.0, 0.0, 0.5]))
+    second = profile(np.array([0.0]))
+    assert repr(_ends(batches)) == "[[-0.0, 0.5], []]"
+    assert loops == []
+    monkeypatch.undo()
+    zero = _grw_loop(spec, 6.0, 0.75, -0.0)
+    assert first.tobytes() == np.array(
+        [zero, zero, _grw_loop(spec, 6.0, 0.75, 0.5)]).tobytes()
+    assert second.tobytes() == np.array([zero]).tobytes()
 
 
 def test_a_failed_grw_batch_keeps_the_times_before_its_failure(monkeypatch):
-    # The warping is negative from t = 0.7 on; only later times fail.
+    # The warping is negative from t = 0.7 on; only the later time fails,
+    # with the loop's error, and the earlier one is kept.
     spec = _grw("0.7 - t", (0.0, 0.5))
-    value = _value(grw_potential_field(spec, 2.0, 0.0, times=[0.2, 0.9]))
+    profile = _profile(grw_potential_field(spec, 2.0, 0.0))
     batches = count_calls(monkeypatch, "quadrature", "_simpson_batch")
     loops = count_calls(monkeypatch, "quadrature", "adaptive_simpson")
-    assert value(0.2) == _grw_loop(spec, 2.0, 0.0, 0.2)
-    with pytest.raises(NonPositiveWarpingError,
-                       match=r"^warping is not positive at \[0\.9\]$"):
-        value(0.9)
-    assert [list(args[2]) for args in batches] == [[0.2, 0.9], [0.9]]
+    message = r"^warping is not positive at \[0\.9\]$"
+    with pytest.raises(NonPositiveWarpingError, match=message):
+        profile(np.array([0.2, 0.9]))
+    kept = profile(np.array([0.2]))
+    with pytest.raises(NonPositiveWarpingError, match=message):
+        profile(np.array([0.9]))
+    assert _ends(batches) == [[0.2, 0.9], [], [0.9]]
     assert loops == []
+    monkeypatch.undo()
+    assert kept.tolist() == [_grw_loop(spec, 2.0, 0.0, 0.2)]
 
 
 def _walker4_table(spec, interval):
     """The profile table as a loop of adaptive_simpson calls, written out."""
-    w = spec.warping.compiled
+    def w(tv):
+        return spec.warping((tv,))
+
     c0, c1, t0 = spec.c0, spec.c1, spec.t0
 
     def slope(tv):

@@ -16,16 +16,26 @@ an unknown key, repeat a name in `chart`, `fiber.chart` or
 
 Two repeated-chart configs broke the contract silently rather than
 with a traceback, so they have explicit tests below.
+
+A derandomized hypothesis fuzz runs random custom 2d `curvature` and
+`verify` jobs, each metric entry and potential an expression over the
+whole grammar, with every warning turned into an error, so a numpy
+warning is an escape too; exits 0 and 1 must leave stderr empty.
 """
 
+import contextlib
 import copy
+import io
 import json
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from solitonlab import cli
+from solitonlab import MetricField, SignatureMismatchError, cli, metric_at
 from solitonlab.cli import main
+from solitonlab.expressions import FUNCTION_NAMES as FUNCTIONS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -250,3 +260,104 @@ def test_a_large_time_sample_count_still_constructs(tmp_path, capsys):
         "--out", str(tmp_path / "grw.csv")])
     assert code == 0 and stdout.startswith("PASS ")
     assert len((tmp_path / "grw.csv").read_text().splitlines()) == 2000 + 4
+
+
+def _run_strict(argv):
+    """run_main's outcome with every warning turned into an error, so a
+    warning escapes main as an exception; stdout and stderr are caught
+    here rather than by a fixture, so hypothesis can call it."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except (Exception, SystemExit) as exc:  # noqa: BLE001 - an escape
+            return exc, "", ""
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_a_determinant_past_the_float_range_is_one_numeric_error(tmp_path):
+    # det = 1 - 1e616 overflows; numpy used to warn on stderr before the
+    # numeric error line.
+    path = _write(tmp_path, {
+        "family": "custom", "chart": ["x", "y"],
+        "metric": [["1", "1e308"], ["1e308", "1"]], "signature": "++",
+        "grid": {"x": [-1, 1, 2], "y": [-1, 1, 2]},
+    })
+    code, stdout, stderr = _run_strict(
+        ["curvature", path, "--out", str(tmp_path / "r.csv")])
+    assert (code, stdout) == (3, "")
+    assert stderr.startswith("numeric error: ") and stderr.count("\n") == 1
+
+
+def test_metric_data_past_the_float_range_raise_no_warning():
+    # The same metric through the library: its det is inf, and the
+    # eigenvalues alone name the failure.
+    metric = MetricField.from_rows(("x", "y"), [["1", "1e308"], ["1e308", "1"]],
+                                   "++")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SignatureMismatchError):
+            metric_at(metric, [[-1.0, -1.0], [1.0, 1.0]])
+
+
+# Random custom 2d jobs: each metric entry and the potential a random
+# expression over the whole grammar, constants up to 1e308.
+FUZZ_CHART = ("x", "y")
+FUZZ_NUMBERS = st.one_of(
+    st.sampled_from(["0", "1", "2", "0.5", "3.7", "1e-300", "1e308"]),
+    st.floats(0.0, 1e308).map(repr))
+
+
+def _fuzz_grow(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from(FUNCTIONS), inner).map(
+            lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(inner, st.sampled_from(["2", "3", "0.5", "1.5", "-1", "-0.5"])
+                  ).map(lambda t: f"({t[0]})^{t[1]}"),
+        inner.map(lambda e: f"-{e}"))
+
+
+FUZZ_EXPRESSIONS = st.recursive(
+    st.one_of(st.sampled_from(FUZZ_CHART), FUZZ_NUMBERS), _fuzz_grow,
+    max_leaves=6)
+
+
+@st.composite
+def fuzz_jobs(draw, command):
+    a, b, c = (draw(FUZZ_EXPRESSIONS) for _ in range(3))
+    cfg = {"family": "custom", "chart": list(FUZZ_CHART),
+           "metric": [[a, b], [b, c]], "signature": draw(
+               st.sampled_from(["++", "-+"])),
+           "grid": {"x": [-1, 1, 3], "y": [0.5, 2, 2]}}
+    if command == "verify":
+        cfg["potential"] = draw(FUZZ_EXPRESSIONS)
+        if draw(st.booleans()):
+            cfg["constants"] = {"lambda": draw(st.sampled_from([0, -2, 1e308])),
+                                "mu": draw(st.sampled_from([0, 0.5]))}
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["curvature", "verify"])
+def test_random_custom_jobs_keep_the_exit_code_contract(command,
+                                                        tmp_path_factory):
+    directory = tmp_path_factory.mktemp(command)
+    path, out = directory / "job.json", str(directory / "report.csv")
+
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(fuzz_jobs(command))
+    def run(cfg):
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        code, stdout, stderr = _run_strict([command, str(path), "--out", out])
+        assert breach(code, stdout, stderr) is None, cfg
+        if code in (0, 1):
+            assert stderr == "", cfg
+        if command == "verify" and code in (0, 1):
+            verdict = stdout.splitlines()[-1]
+            assert verdict.startswith("PASS " if code == 0 else "FAIL "), cfg
+
+    run()

@@ -170,10 +170,10 @@ def test_potential_rejects_warping_that_crosses_zero():
 
 def test_potential_quadrature_convergence():
     # The potential alpha * integral of 1/warping at two tolerances.
-    warping = parse_expression("1 + 0.5*sin(t)", ("t",)).compiled
+    warping = parse_expression("1 + 0.5*sin(t)", ("t",))
 
     def reciprocal(t):
-        return 1.0 / warping(t)
+        return 1.0 / warping((t,))
 
     coarse = 2.0 * adaptive_simpson(reciprocal, 0.0, 5.5, tol=1e-8)
     fine = 2.0 * adaptive_simpson(reciprocal, 0.0, 5.5, tol=1e-10)

@@ -84,7 +84,7 @@ def test_the_intern_table_is_weak():
         except SolitonLabError:
             continue
         # The compiled function and the derivative must not pin nodes.
-        field.compiled
+        field.compiled_arrays
         fields += [field, field.diff("x")]
     assert len(expressions._NODES) > start + 400
     del fields, field

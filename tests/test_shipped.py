@@ -1,6 +1,7 @@
-"""Shipped configs: byte-identical output, the metric evaluated once per
-distinct metric point, and constructs that evaluate their fields over
-arrays, never point by point and never through generated code.
+"""Shipped configs: byte-identical output, also with numpy's SIMD
+kernels off, the metric evaluated once per distinct metric point, and
+constructs that evaluate their fields over arrays, never point by point
+and never through generated code.
 
 The references in bench/shipped_refs.json were recorded from the code
 as first benchmarked; every refactor must reproduce them exactly.
@@ -8,6 +9,8 @@ as first benchmarked; every refactor must reproduce them exactly.
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,6 +43,40 @@ def test_shipped_config_reproduces_its_reference(ref, tmp_path, capsys,
     assert code == ref["exit"]
     assert stdout == ref["stdout"]
     assert hashlib.sha256(data).hexdigest() == ref["csv_sha256"]
+
+
+# Prints numpy's SIMD dispatch targets that are on: the CPU features
+# above its baseline that it picks kernels for at run time.
+ENABLED_TARGETS = """
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as umath
+print(" ".join(k for k in getattr(umath, "__cpu_dispatch__", [])
+               if umath.__cpu_features__.get(k)))
+"""
+
+
+def _enabled_targets(env=None):
+    return subprocess.run([sys.executable, "-c", ENABLED_TARGETS], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120).stdout.split()
+
+
+def test_the_references_hold_with_numpy_at_its_baseline():
+    # numpy's SIMD exp differs from libm's in the last bit at about one
+    # argument in twenty on an AVX-512 machine; the references must not
+    # depend on which kernels the machine gets.
+    targets = _enabled_targets()
+    if not targets:
+        pytest.skip("numpy dispatches to no SIMD target here")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+    assert _enabled_targets(env) == []
+    run = subprocess.run([sys.executable, str(ROOT / "bench" / "shipped.py")],
+                         cwd=ROOT, env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert f"{len(REFS)}/{len(REFS)} match the references" in run.stdout
 
 
 def test_verify_evaluates_the_metric_once_over_the_grid(tmp_path, capsys,
