@@ -81,7 +81,6 @@ import numpy as np
 from .errors import DomainError
 from .expressions import (
     _CALLS,
-    _COMPARISONS,
     Add,
     Call,
     Const,
@@ -381,11 +380,12 @@ def _call_rule(batch: _Batch, walk: _Walk, out: np.ndarray, u: np.ndarray) -> No
     func = batch.nodes[0].func
     x = u[:, 0]
     n = walk.n
-    comparison, bound, message = _CALLS[func][1:]
     if func == "sqrt":
-        comparison, message = "<=", "sqrt jet needs a positive argument"
-    walk.check(_COMPARISONS[comparison](x, bound) if comparison else np.isinf(x),
-               batch.entries, message)
+        refused, message = x <= 0.0, "sqrt jet needs a positive argument"
+    else:
+        _, refuses, message = _CALLS[func]
+        refused = refuses(x)
+    walk.check(refused, batch.entries, message)
     if func == "exp":
         e = np.exp(x)
         _chain(u, e, e, e, out, n)

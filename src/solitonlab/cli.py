@@ -488,6 +488,14 @@ def _construct_walker4(job: _Job, args: argparse.Namespace) -> int:
 
 
 def _construct_grw(job: _Job, args: argparse.Namespace) -> int:
+    """Check the reduced system r1-r3 at the grid's times, at every
+    fiber point of the grid that differs in the coordinates the fiber
+    metric reads, the others pinned at their first grid value: one
+    point for a flat fiber.  The system equals the soliton equation
+    only where the fiber's scalar curvature is constant, so the verdict
+    takes the worst of all of them and names it by t and those
+    coordinates.  Lambda and the CSV rows come from the first fiber
+    point."""
     if args.paper_literal:
         raise ConfigError("--paper-literal has no variant for family 'grw'")
     spec = job.spec
@@ -496,17 +504,25 @@ def _construct_grw(job: _Job, args: argparse.Namespace) -> int:
     alpha = job.constants["alpha"]
     t0 = job.constants.get("t0", spec.interval[0])
     time_var = spec.time_var
-    fiber_names = [name for name in job.chart if name != time_var]
-    fiber_point = [job.ranges[name][0] for name in fiber_names]
+    chart, read = spec.fiber.chart, list(spec.fiber.read_axes)
+    ranges = {name: (*job.ranges[name][:2], 1) for name in chart}
+    ranges.update((chart[k], job.ranges[chart[k]]) for k in read)
+    fiber_points = _sample(chart, ranges)
     t_samples = _sample((time_var,), {time_var: job.ranges[time_var]})[:, 0]
     potential = grw_potential_field(spec, alpha, t0)
-    samples = grw_samples(spec, job.metric, potential, t_samples, fiber_point)
-    estimate = LambdaEstimate.of(samples.lambda_map())
+    samples = [grw_samples(spec, job.metric, potential, t_samples, point)
+               for point in fiber_points]
+    estimate = LambdaEstimate.of(samples[0].lambda_map())
     lam = job.constants.get("lambda", estimate.value)
-    residual = samples.residual(lam)
-    report = ResidualReport.of(t_samples[:, None], residual, job.tolerance)
+    residuals = [sample.residual(lam) for sample in samples]
+    points = np.column_stack([
+        np.tile(t_samples, len(fiber_points)),
+        np.repeat(fiber_points[:, read], len(t_samples), axis=0),
+    ])
+    report = ResidualReport.of(points, np.concatenate(residuals),
+                               job.tolerance)
     rows = np.column_stack([t_samples, potential.at_points(t_samples[:, None]),
-                            residual])
+                            residuals[0]])
     comments = [
         f"#potential_slope=({_fmt(alpha)})/({spec.warping})",
         f"#t0={_fmt(t0)}",

@@ -343,46 +343,44 @@ def pow_(base: Node, exponent: float) -> Node:
     return Pow(base, exponent)
 
 
-# Each primitive with its domain guard.  _call_step turns an entry into
-# the step of a compiled field (see _compile), and constant folding runs
-# that step on the constant, so both raise the same DomainError at the
-# same node.  A guard (comparison, bound, message) refuses x before the
-# call when `x <comparison> bound`.  sin and cos have no comparison:
-# math raises ValueError for them only on an infinite argument, and
-# that becomes DomainError(message).
-_CALLS: dict[str, tuple[Callable[[float], float], str, float, str]] = {
-    "exp": (math.exp, ">", EXP_ARG_MAX, "overflow in exp"),
-    "ln": (math.log, "<=", 0.0, "ln of a non-positive argument"),
-    "sin": (math.sin, "", 0.0, "sin of an infinite argument"),
-    "cos": (math.cos, "", 0.0, "cos of an infinite argument"),
-    "sqrt": (math.sqrt, "<", 0.0, "sqrt of a negative argument"),
-}
-_COMPARISONS = {">": operator.gt, "<=": operator.le, "<": operator.lt}
-
-
 def _map(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     """``fn`` of each element of the float64 array ``x``, called once per
     element, as an array of the shape of ``x``."""
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _call_step(fn: Callable[[float], float], comparison: str, bound: float,
-               message: str) -> Callable[[np.ndarray], np.ndarray]:
-    """The step of one _CALLS primitive: its guard, then the math
-    function mapped element by element."""
-    if comparison:
-        compare = _COMPARISONS[comparison]
+_Array = Callable[[np.ndarray], np.ndarray]
 
-        def step(x: np.ndarray) -> np.ndarray:
-            if compare(x, bound).any():
-                raise DomainError(message)
-            return _map(fn, x)
-    else:
-        def step(x: np.ndarray) -> np.ndarray:
-            try:
-                return _map(fn, x)
-            except ValueError:
-                raise DomainError(message) from None
+# Each primitive over arrays, with its domain guard: (function, refuses,
+# message), where refuses(x) marks the arguments the primitive refuses
+# with DomainError(message) before it is called.  _call_step turns an
+# entry into the step of a compiled field (see _compile), and constant
+# folding runs that step on the constant, so both raise the same
+# DomainError at the same node; the jet walk reads the same guards
+# (autodiff._call_rule).  sin, cos and sqrt are numpy's ufuncs, one call
+# an array: they give math.sin, math.cos and math.sqrt's bits on every
+# argument the guards let through (tests/test_ufunc_bits.py).  exp and
+# ln map math.exp and math.log element by element: numpy's exp and log
+# may dispatch to SIMD kernels that differ from libm in the last bit.
+_CALLS: dict[str, tuple[_Array, _Array, str]] = {
+    "exp": (partial(_map, math.exp), lambda x: x > EXP_ARG_MAX,
+            "overflow in exp"),
+    "ln": (partial(_map, math.log), lambda x: x <= 0.0,
+           "ln of a non-positive argument"),
+    "sin": (np.sin, np.isinf, "sin of an infinite argument"),
+    "cos": (np.cos, np.isinf, "cos of an infinite argument"),
+    "sqrt": (np.sqrt, lambda x: x < 0.0, "sqrt of a negative argument"),
+}
+
+
+def _call_step(fn: _Array, refuses: _Array, message: str) -> _Array:
+    """The step of one _CALLS primitive: its guard over the whole array,
+    then the primitive.  A guard counts the arguments it refuses
+    (np.count_nonzero costs a third of ndarray.any on small arrays)."""
+    def step(x: np.ndarray) -> np.ndarray:
+        if np.count_nonzero(refuses(x)):
+            raise DomainError(message)
+        return fn(x)
 
     return step
 
@@ -487,7 +485,7 @@ def _at_point(fn: Callable[..., np.ndarray], coordinates: Sequence[float]) -> fl
 
 def _nonzero_all(x: np.ndarray) -> np.ndarray:
     """A quotient's guard: its denominator, refused where it is zero."""
-    if (x == 0.0).any():
+    if np.count_nonzero(x == 0.0):
         raise DomainError("division by zero")
     return x
 
@@ -580,16 +578,14 @@ def _compile(root: Node, chart: Sequence[str]) -> Callable[..., np.ndarray]:
     shares.  Constants are filled in ahead, as float64 scalars, and
     every other node is one step, in depth-first order with a
     quotient's denominator, and its guard, before its numerator.  A
-    call's step is its guard from _CALLS followed by the math function:
-    exp, ln and sqrt compare their argument with the guard's bound
-    first, and sin and cos turn the ValueError of an infinite argument
-    into the guard's DomainError.  ``+ - * /`` and negation are numpy
-    operations, which round each element as the float operations do,
-    and every _CALLS function and _pow_value is mapped element by
-    element (_map), so each element has the bits of evaluating the tree
-    node by node at that point, and constants, exponents and bounds
-    keep their exact bits.  An External profile is called once on all
-    elements, as a 1-d array (see external).  A guard raises its
+    call's step is its guard from _CALLS over the whole array, then the
+    primitive.  ``+ - * /``, negation, sin, cos and sqrt are numpy
+    operations, which round each element as the float operations and
+    math's functions do, and exp, ln and _pow_value are mapped element
+    by element (_map), so each element has the bits of evaluating the
+    tree node by node at that point, and constants, exponents and
+    bounds keep their exact bits.  An External profile is called once
+    on all elements, as a 1-d array (see external).  A guard raises its
     DomainError if it fails at any element, so the function raises
     exactly when the node-by-node walk raises at some point, and, given
     one point, with that walk's error.  It runs under
@@ -615,7 +611,7 @@ def _compile(root: Node, chart: Sequence[str]) -> Callable[..., np.ndarray]:
             for fn, a, b, k in steps:
                 v[k] = fn(v[a]) if b is None else fn(v[a], v[b])
         value = v[out]
-        if not np.isfinite(value).all():
+        if np.count_nonzero(np.isfinite(value)) != np.size(value):
             raise DomainError("expression evaluated to a non-finite value")
         if reads:
             return value

@@ -312,21 +312,33 @@ def _running_integrals(integrand: Callable[[np.ndarray], np.ndarray],
                        t0: float) -> Callable[[np.ndarray], np.ndarray]:
     """The integrals of ``integrand`` from t0 to each element of an
     array of times, kept per time as lru_cache keys them (0.0 == -0.0).
-    The times not yet known are integrated in order, in one batch
-    (quadrature._simpson_batch); a batch that fails keeps the integrals
-    before its failure and raises the error the loop of one quadrature
-    per time meets first."""
-    known: dict[float, float] = {}
+    The times not yet known are integrated in order of first appearance,
+    in one batch (quadrature._simpson_batch); a batch that fails keeps
+    the integrals before its failure and raises the error the loop of
+    one quadrature per time meets first.  The known times are kept
+    sorted, with their integrals, and found by binary search; a NaN
+    after them ends every search on an entry and equals no time, so a
+    time that is not finite is never known and fails in its batch."""
+    keys = values = np.full(1, np.nan)
 
     def running(ts: np.ndarray) -> np.ndarray:
-        keys = ts.tolist()
-        missing = [tv for tv in dict.fromkeys(keys) if tv not in known]
-        batch, error = _simpson_batch(integrand, [t0] * len(missing), missing,
-                                      tol=QUADRATURE_TOL)
-        known.update(zip(missing, batch.tolist()))
+        nonlocal keys, values
+        order = ts.argsort(kind="stable")
+        ordered = ts[order]
+        # The first of each run of equal times, if it is not known.
+        fresh = keys[keys.searchsorted(ordered)] != ordered
+        fresh[1:] &= ordered[1:] != ordered[:-1]
+        missing = ts[np.sort(order[fresh])]
+        batch, error = _simpson_batch(integrand, np.full(len(missing), t0),
+                                      missing, tol=QUADRATURE_TOL)
+        if len(batch):
+            keys = np.concatenate((keys, missing[:len(batch)]))
+            values = np.concatenate((values, batch))
+            order = keys.argsort()
+            keys, values = keys[order], values[order]
         if error is not None:
             raise error
-        return np.fromiter(map(known.__getitem__, keys), float, len(keys))
+        return values[keys.searchsorted(ts)]
 
     return running
 

@@ -13,9 +13,15 @@ It walks depth first over blocks of at most BLOCK intervals at one
 depth, one array call per block, doing the recursion's arithmetic
 elementwise in numpy, which rounds as the float operations do, and
 summing each integral bottom-up in the recursion's order: the bits are
-adaptive_simpson's.  Where a block's array call raises, its points are
-evaluated again one at a time in the recursion's order, and only the
-intervals before the first that raises are finished.  So, whatever
+adaptive_simpson's.  A level of a block is a fixed, small number of
+numpy calls on contiguous rows: it lays each interval's points out as
+the starts, the midpoints and the ends of its two halves (see _block),
+so the quarter points are computed and evaluated as one contiguous
+pair of rows, and the children of the intervals that split are taken
+by columns.
+Where a block's array call raises, its points are evaluated again one
+at a time in the recursion's order, and only the intervals before the
+first that raises are finished.  So, whatever
 BLOCK is, a batch reports the error the loop meets first, with the
 integrals before it: as in errors.in_grid_order, the fast path never
 decides an error.
@@ -78,76 +84,73 @@ def adaptive_simpson(fn: Callable[[float], float], a: float, b: float,
     return _step(fn, a, b, fa, fm, fb, whole, tol, max_depth)
 
 
-def _evaluate(fn: Callable[[np.ndarray], np.ndarray], fine: np.ndarray,
-              rows: slice) -> tuple[np.ndarray, Exception | None]:
-    """``fine`` (see _block) with ``fn`` at the points ``rows`` of each
-    interval, from one array call; if that raises, from one point at a
-    time in the recursion's order, cut before the interval of the first
-    point that raises, whose error comes with it."""
-    x, f = fine
+def _evaluate(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+              ) -> tuple[np.ndarray, Exception | None]:
+    """``fn`` at the points ``x``, one row a kind of point and one
+    column an interval, from one array call; if that raises, from one
+    point at a time in the recursion's order, cut before the interval
+    of the first point that raises, whose error comes with it."""
     try:
-        f[rows] = fn(x[rows].ravel()).reshape(-1, fine.shape[2])
-        return fine, None
+        return fn(x.ravel()).reshape(x.shape), None
     except Exception:  # noqa: BLE001 - found again one point at a time
         pass
-    for i in range(fine.shape[2]):
-        for row in range(5)[rows]:
+    f = np.empty_like(x)
+    for i in range(x.shape[1]):
+        for row in range(x.shape[0]):
             try:
                 f[row, i] = fn(x[row, i:i + 1])[0]
             except Exception as exc:  # noqa: BLE001 - the loop's error
-                return fine[:, :, :i], exc
-    return fine, None
+                return f[:, :i], exc
+    return f, None
 
 
 def _block(fn: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray,
-           whole: np.ndarray | None, tol: float,
+           whole: np.ndarray, tol: float,
            depth: int) -> tuple[np.ndarray, Exception | None]:
     """The integrals of a block of intervals at one depth up to the
     first error the recursion would meet in them, and that error or
     None.  ``nodes`` holds each interval's a, m and b on axis 1, their
     coordinates on row 0 and the integrand on row 1, and ``whole`` their
-    Simpson sums; for the roots of a batch, only the coordinates and
-    None."""
-    # Each interval as five points on axis 1: a, the left quarter point,
-    # m, the right quarter point and b.
-    fine = np.empty((2, 5, nodes.shape[-1]))
-    fine[:, 0::2] = nodes
-    error = None
-    if whole is None:
-        fine, error = _evaluate(fn, fine, slice(0, 5, 2))
-        if not fine.shape[2]:
-            return np.zeros(0), error
-        x, f = fine
-        whole = (x[4] - x[0]) * (f[0] + 4.0 * f[2] + f[4]) / 6.0
+    Simpson sums."""
+    # Each interval as six points on axis 1: the starts (a, m), the
+    # midpoints (the quarter points, m until they are computed) and the
+    # ends (m, b) of its two halves, so that each kind of point is one
+    # contiguous pair of rows.
+    fine = nodes.take((0, 1, 1, 1, 1, 2), axis=1)
     x, f = fine
-    x[1::2] = 0.5 * (x[:-1:2] + x[2::2])
-    fine, failed = _evaluate(fn, fine, slice(1, 5, 2))
-    if failed is not None:
-        error, whole = failed, whole[:fine.shape[2]]
+    quarters = x[2:4]
+    np.add(x[:2], x[4:], out=quarters)
+    quarters *= 0.5
+    values, error = _evaluate(fn, quarters)
+    if error is not None:
+        fine, whole = fine[:, :, :values.shape[1]], whole[:values.shape[1]]
         x, f = fine
-    halves = (x[2::2] - x[:-1:2]) * (f[:-1:2] + 4.0 * f[1::2] + f[2::2]) / 6.0
+    f[2:4] = values
+    halves = (x[4:] - x[:2]) * (f[:2] + 4.0 * f[2:4] + f[4:]) / 6.0
     both = halves[0] + halves[1]
     delta = both - whole
     sums = both + delta / 15.0
     # Not `>`: a NaN delta splits, as it does in the recursion.
     split = ~(np.abs(delta) <= 15.0 * tol)
-    count = np.count_nonzero(split)
+    cols = split.nonzero()[0]
+    count = len(cols)
     if not count:
         return sums, error
     if depth <= 0:
-        i = int(np.argmax(split))
+        i = cols[0]
         return sums[:i], QuadratureFailureError(
             f"adaptive quadrature stalled on [{float(x[0, i])}, "
-            f"{float(x[4, i])}] (residual {abs(float(delta[i])):.3e})"
+            f"{float(x[5, i])}] (residual {abs(float(delta[i])):.3e})"
         )
-    # The children of each split interval, left then right: [a, m] has
-    # the points on rows 0-2 and [m, b] those on rows 2-4, and each has
-    # its half of the Simpson sum as its whole.
-    kept = fine[:, :, split]
-    children = np.empty((2, 3, 2 * count))
-    children[:, :, 0::2] = kept[:, :3]
-    children[:, :, 1::2] = kept[:, 2:]
-    wholes = halves[:, split].T.ravel()
+    # The children of each split interval, left then right: half s of
+    # an interval has row s of each pair as its a, m and b, and its half
+    # of the Simpson sum as its whole.
+    kept = fine.take(cols, axis=2).reshape(2, 3, 2, count)
+    children = np.empty((2, 3, count, 2))
+    children[..., 0] = kept[:, :, 0]
+    children[..., 1] = kept[:, :, 1]
+    children = children.reshape(2, 3, 2 * count)
+    wholes = halves.T.take(cols, axis=0).ravel()
     # The blocks to run, leftmost last, to be taken first.  Several are
     # copies, each freed once it has run, so that a runaway keeps at
     # most one block to run a level.
@@ -156,7 +159,8 @@ def _block(fn: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray,
         starts = range(0, 2 * count, BLOCK)[::-1]
         blocks = [children[:, :, lo:lo + BLOCK].copy() for lo in starts]
         wholes = [wholes[0][lo:lo + BLOCK].copy() for lo in starts]
-    del nodes, whole, fine, x, f, halves, both, delta, kept, children
+    del nodes, whole, fine, x, f, quarters, values, halves, both, delta
+    del cols, kept, children
     done = []
     while blocks:
         part, failed = _block(fn, blocks.pop(), wholes.pop(), 0.5 * tol,
@@ -195,8 +199,15 @@ def _simpson_batch(fn: Callable[[np.ndarray], np.ndarray],
     with np.errstate(all="ignore"):
         for lo in range(0, len(live), BLOCK):
             roots = live[lo:lo + BLOCK]
-            x = np.array([a[roots], 0.5 * (a[roots] + b[roots]), b[roots]])
-            sums, error = _block(fn, x, None, tol, max_depth)
+            nodes = np.array([a[roots], 0.5 * (a[roots] + b[roots]), b[roots]])
+            values, error = _evaluate(fn, nodes)
+            sums = np.zeros(0)
+            if values.shape[1]:
+                nodes = np.array([nodes[:, :values.shape[1]], values])
+                x, f = nodes
+                whole = (x[2] - x[0]) * (f[0] + 4.0 * f[1] + f[2]) / 6.0
+                sums, failed = _block(fn, nodes, whole, tol, max_depth)
+                error = error if failed is None else failed
             out[roots[:len(sums)]] = sums
             if error is not None:
                 return out[:roots[len(sums)]], error

@@ -400,6 +400,47 @@ def test_grw_construction_over_a_non_positive_warping_is_exit_three(
     assert "Traceback" not in stderr
 
 
+# A GRW job whose fiber has non-constant scalar curvature, -2/(2 + u^2):
+# alpha makes lambda 0 at u = 1 only, so the reduced system holds at
+# the first fiber point and fails at the others.
+CURVED_FIBER = {
+    "family": "grw", "warping": "t", "interval": [1.0, 2.0],
+    "fiber": {"type": "custom", "chart": ["u", "v"],
+              "metric": [["1", "0"], ["0", "(2 + u^2)^2"]],
+              "signature": "++"},
+    "grid": {"t": [1.0, 2.0, 5], "u": [1.0, 2.0, 3], "v": [0.0, 1.0, 3]},
+    "constants": {"alpha": 0.6666666666666666, "t0": 1.0},
+}
+
+
+def test_grw_construction_checks_every_fiber_point_its_fiber_reads(
+        tmp_path, capsys):
+    # verify FAILs this soliton off u = 1; so does construct, which names
+    # the worst point by t and u, the coordinate the fiber metric reads.
+    code, stdout, stderr = run(
+        capsys, "construct", write_config(tmp_path, CURVED_FIBER),
+        "--out", str(tmp_path / "curved.csv"))
+    assert (code, stdout, stderr) == (
+        1, "FAIL max_residual=6.666666666667e-01 at (1, 2)\n", "")
+    # The rows come from the first fiber point: the CSV is the one
+    # recorded when construct checked that point alone, and PASSed.
+    assert hashlib.sha256((tmp_path / "curved.csv").read_bytes()).hexdigest() \
+        == "b7989f629c367f00418db054f82ac1969311b4693805f64effbe37b77be73aed"
+
+
+def test_grw_construction_over_a_sphere_fiber_still_passes(tmp_path, capsys):
+    # de Sitter space, -dt^2 + cosh(t)^2 g_S2, with a constant potential.
+    path = write_config(tmp_path, {
+        "family": "grw", "warping": "(exp(t) + exp(0 - t))/2",
+        "interval": [1.0, 2.0], "fiber": {"type": "sphere"},
+        "constants": {"alpha": 0.0, "t0": 1.0},
+    })
+    code, stdout, stderr = run(capsys, "construct", path,
+                               "--out", str(tmp_path / "sphere.csv"))
+    assert (code, stdout, stderr) == (
+        0, "PASS lambda=6.000000000000e+00 class=shrinking\n", "")
+
+
 @pytest.mark.parametrize("warping, func", [
     ("2 + sin(t*1e308*10)", "sin"),
     ("2 + sin(1e308*10)", "sin"),

@@ -7,22 +7,28 @@ reports the loop's own error, so every value has the bits, and every
 error the text, of the one-at-a-time loop: the values are checked here
 against that loop, written out with adaptive_simpson, and the errors
 against the messages the loop gives on four configs that fail inside a
-quadrature.
+quadrature.  The running-integral memo, which keeps its times in sorted
+arrays, is checked against a dict keyed by time, and one benchmark
+walker4 job against the work, array calls and levels, recorded before
+its quadrature was made cheaper.
 """
 
 import hashlib
 import json
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from solitonlab import (
     GRWSpec,
     NonPositiveWarpingError,
     Walker4Spec,
     adaptive_simpson,
+    cli,
     families,
     flat_metric,
     grw_potential_field,
@@ -35,7 +41,12 @@ from solitonlab.families import PROFILE_KNOTS, QUADRATURE_TOL
 
 from conftest import count_calls, count_scalar_evaluations
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+sys.path.insert(0, str(ROOT / "bench"))
+
+import workloads  # noqa: E402
+
 WALKER4 = {"c0": 1, "c1": 1, "c2": 1, "c3": 1, "t0": 0}
 FAILURES = [
     # a warping too large for the tolerance: the profile table's batch
@@ -136,7 +147,8 @@ def _grw_loop(spec, alpha, t0, tv):
 
 
 def _ends(batches):
-    return [list(args[2]) for args in batches]
+    """The upper limits of each batch call, as lists of floats."""
+    return [np.asarray(args[2]).tolist() for args in batches]
 
 
 def test_the_grw_potential_integrates_its_times_in_one_batch(monkeypatch):
@@ -190,6 +202,70 @@ def test_a_failed_grw_batch_keeps_the_times_before_its_failure(monkeypatch):
     assert loops == []
     monkeypatch.undo()
     assert kept.tolist() == [_grw_loop(spec, 2.0, 0.0, 0.2)]
+
+
+def _dict_memo(integrand, t0, batch):
+    """The running-integral memo as a dict keyed by time, as lru_cache
+    keys it: the rules families._running_integrals keeps with arrays."""
+    known = {}
+
+    def running(ts):
+        keys = ts.tolist()
+        missing = [tv for tv in dict.fromkeys(keys) if tv not in known]
+        done, error = batch(integrand, [t0] * len(missing), missing,
+                            tol=QUADRATURE_TOL)
+        known.update(zip(missing, done.tolist()))
+        if error is not None:
+            raise error
+        return np.fromiter(map(known.__getitem__, keys), float, len(keys))
+
+    return running
+
+
+def _refused_past_two(u):
+    if (u > 2.0).any():
+        raise NonPositiveWarpingError(f"past two at [{float(u[u > 2.0][0])}]")
+    return 1.0 + u * u
+
+
+MEMO_TIMES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.25, 1.5, 2.5, -2.5,
+                              1e-300, float("nan"), float("inf"),
+                              float("-inf")])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.lists(MEMO_TIMES, max_size=6), min_size=1, max_size=4))
+def test_the_memo_keeps_the_rules_of_a_dict_keyed_by_time(calls):
+    # Each call's values, bit for bit, or its error, and the limits of
+    # every batch, in order: 0.0 and -0.0 one key, taken by the first
+    # time asked for; the missing times in order of first appearance; a
+    # failed batch keeps its finished prefix; a time that is not finite
+    # fails in its batch.
+    def outcomes(make):
+        limits = []
+
+        def batch(fn, a, b, **kwargs):
+            limits.append(np.asarray(b, dtype=float).tobytes())
+            return quadrature._simpson_batch(fn, a, b, **kwargs)
+
+        running = make(batch)
+        seen = []
+        for times in calls:
+            try:
+                seen.append(running(np.array(times, dtype=float)).tobytes())
+            except Exception as exc:  # noqa: BLE001 - any error is compared
+                seen.append((type(exc), str(exc)))
+        return seen, limits
+
+    expected = outcomes(lambda batch: _dict_memo(_refused_past_two, 0.25,
+                                                 batch))
+    with pytest.MonkeyPatch.context() as patch:
+        def arrays(batch):
+            patch.setattr(families, "_simpson_batch", batch)
+            return families._running_integrals(_refused_past_two, 0.25)
+
+        got = outcomes(arrays)
+    assert got == expected
 
 
 def _walker4_table(spec, interval):
@@ -258,3 +334,38 @@ def test_a_fast_growing_warping_stays_on_arrays(tmp_path, capsys,
     assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() \
         == "de04063dda89d1bdc520c906f3b62edde0ee1e9cfdcb0ca124ea35bc4c63a655"
     assert (loops, counts["scalar"]) == ([], 0)
+
+
+def test_the_walker4_quadrature_does_the_recorded_work(tmp_path, capsys,
+                                                       monkeypatch):
+    # The first walker4 job of the construct benchmark at seed 401, with
+    # the warping's array calls and the levels of the batches counted.
+    # Recorded from the code before sin, cos and sqrt were numpy ufuncs
+    # and before a level and the running-integral memo were made leaner:
+    # those change the cost of the work, never the work.
+    job = next(job for job in workloads.first_jobs("construct-quad", 401, 8)
+               if job.kind == "walker4_construct")
+    sizes, levels = [], []
+    construct, block = cli.walker4_construct, quadrature._block
+
+    def counted_construct(spec, *args, **kwargs):
+        warping = spec.warping.compiled_arrays
+
+        def counted(*coordinates):
+            sizes.append(coordinates[0].size)
+            return warping(*coordinates)
+
+        spec.warping.__dict__["compiled_arrays"] = counted
+        return construct(spec, *args, **kwargs)
+
+    def counted_block(*args):
+        levels.append(None)
+        return block(*args)
+
+    monkeypatch.setattr(cli, "walker4_construct", counted_construct)
+    monkeypatch.setattr(quadrature, "_block", counted_block)
+    config = workloads.write_job(job, tmp_path)
+    assert main(job.argv(str(config), str(tmp_path / "out.csv"))) == 0
+    assert (len(sizes), sum(sizes), len(levels)) == (70, 15245, 58)
+    assert hashlib.sha256(repr(sizes).encode()).hexdigest() \
+        == "f7a32637552afc627965f1889678361c9a117d7e803a125d2d1419e47edda9bf"

@@ -19,7 +19,8 @@ with a traceback, so they have explicit tests below.
 
 A derandomized hypothesis fuzz runs random custom 2d `curvature` and
 `verify` jobs, each metric entry and potential an expression over the
-whole grammar, with every warning turned into an error, so a numpy
+whole grammar, and random GRW constructions, whose warping is such an
+expression in t, with every warning turned into an error, so a numpy
 warning is an escape too; exits 0 and 1 must leave stderr empty.
 """
 
@@ -361,3 +362,65 @@ def test_random_custom_jobs_keep_the_exit_code_contract(command,
             assert verdict.startswith("PASS " if code == 0 else "FAIL "), cfg
 
     run()
+
+
+# Random GRW constructions: the warping a random expression in t over
+# the whole grammar, so that its sin, cos and sqrt guards run inside the
+# batched quadratures of the potential, on arrays and, where an array
+# call raises, one point at a time.  Most such expressions are not
+# positive somewhere on the interval, so most are wrapped in a form that
+# is positive where it is finite.
+FUZZ_WARPINGS = st.tuples(
+    st.sampled_from(["{}", "2 + {}", "({})^2 + 0.5", "exp({})"]),
+    st.recursive(st.one_of(st.just("t"), FUZZ_NUMBERS), _fuzz_grow,
+                 max_leaves=5),
+).map(lambda t: t[0].format(t[1]))
+
+
+@st.composite
+def fuzz_constructions(draw):
+    return {"family": "grw", "warping": draw(FUZZ_WARPINGS),
+            "interval": [1.0, 2.0], "fiber": {"type": "flat", "chart": ["x"]},
+            "constants": {"alpha": draw(st.sampled_from([6.0, -0.5, 1e308])),
+                          "t0": draw(st.sampled_from([1.0, 1.25, 2.0]))}}
+
+
+def test_random_grw_constructions_keep_the_exit_code_contract(
+        tmp_path_factory):
+    directory = tmp_path_factory.mktemp("construct")
+    path, out = directory / "job.json", str(directory / "report.csv")
+
+    @settings(derandomize=True, max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(fuzz_constructions())
+    def run(cfg):
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        code, stdout, stderr = _run_strict(
+            ["construct", str(path), "--out", out, "--grid", "3"])
+        assert breach(code, stdout, stderr) is None, cfg
+        if code in (0, 1):
+            assert stderr == "", cfg
+            verdict = stdout.splitlines()[-1]
+            assert verdict.startswith("PASS " if code == 0 else "FAIL "), cfg
+
+    run()
+
+
+@pytest.mark.parametrize("warping, message", [
+    ("2 + sin(1e100*exp(1400*(1.5 - t)))", "sin of an infinite argument"),
+    ("2 + cos(1e100*exp(1400*(1.5 - t)))", "cos of an infinite argument"),
+    ("sqrt(t - 1.5)", "sqrt of a negative argument"),
+])
+def test_a_guard_inside_the_potential_quadrature_is_one_numeric_error(
+        tmp_path, capsys, warping, message):
+    # Each warping and its jets are finite on the grid's times, from 1.6,
+    # and fail only at points below 1.5 that the quadrature from t0 = 1
+    # samples for the potential's jet at the first grid point.
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({
+        "family": "grw", "warping": warping, "interval": [1.6, 2.0],
+        "fiber": {"type": "flat", "chart": ["x"]},
+        "constants": {"alpha": 6.0, "t0": 1.0}}), encoding="utf-8")
+    assert _run_strict(["construct", str(path), "--out",
+                        str(tmp_path / "out.csv"), "--grid", "3"]) \
+        == (3, "", f"numeric error: {message} at [1.6, -1.0]\n")

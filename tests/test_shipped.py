@@ -63,10 +63,25 @@ def _enabled_targets(env=None):
                           timeout=120).stdout.split()
 
 
+# Runs the construct and verify benchmark jobs of tests/construct_refs.json
+# and tests/verify_refs.json, and prints, per file, the keys whose exit
+# code or sha256 differ from the reference.
+CHECK_TEST_REFS = f"""
+import sys
+sys.path[:0] = [{str(ROOT / "src")!r}, {str(ROOT / "tests")!r}]
+import test_construct_refs, test_verify_refs
+for module in (test_construct_refs, test_verify_refs):
+    got = module.record()
+    print(module.REFS_PATH.name, len(got), len(module.REFS),
+          sorted(key for key in module.REFS if got.get(key) != module.REFS[key]))
+"""
+
+
 def test_the_references_hold_with_numpy_at_its_baseline():
     # numpy's SIMD exp differs from libm's in the last bit at about one
     # argument in twenty on an AVX-512 machine; the references must not
-    # depend on which kernels the machine gets.
+    # depend on which kernels the machine gets.  The shipped configs run
+    # no sin warping; the construct references do.
     targets = _enabled_targets()
     if not targets:
         pytest.skip("numpy dispatches to no SIMD target here")
@@ -77,6 +92,11 @@ def test_the_references_hold_with_numpy_at_its_baseline():
                          timeout=300)
     assert run.returncode == 0, run.stdout + run.stderr
     assert f"{len(REFS)}/{len(REFS)} match the references" in run.stdout
+    run = subprocess.run([sys.executable, "-c", CHECK_TEST_REFS], cwd=ROOT,
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.split("\n")[:2] == ["construct_refs.json 32 32 []",
+                                           "verify_refs.json 32 32 []"]
 
 
 def test_verify_evaluates_the_metric_once_over_the_grid(tmp_path, capsys,
