@@ -510,19 +510,18 @@ def _construct_grw(job: _Job, args: argparse.Namespace) -> int:
     fiber_points = _sample(chart, ranges)
     t_samples = _sample((time_var,), {time_var: job.ranges[time_var]})[:, 0]
     potential = grw_potential_field(spec, alpha, t0)
-    samples = [grw_samples(spec, job.metric, potential, t_samples, point)
-               for point in fiber_points]
-    estimate = LambdaEstimate.of(samples[0].lambda_map())
+    samples = grw_samples(spec, job.metric, potential, t_samples, fiber_points)
+    count = len(t_samples)
+    estimate = LambdaEstimate.of(samples.lambda_map()[:count])
     lam = job.constants.get("lambda", estimate.value)
-    residuals = [sample.residual(lam) for sample in samples]
+    residual = samples.residual(lam)
     points = np.column_stack([
         np.tile(t_samples, len(fiber_points)),
-        np.repeat(fiber_points[:, read], len(t_samples), axis=0),
+        np.repeat(fiber_points[:, read], count, axis=0),
     ])
-    report = ResidualReport.of(points, np.concatenate(residuals),
-                               job.tolerance)
+    report = ResidualReport.of(points, residual, job.tolerance)
     rows = np.column_stack([t_samples, potential.at_points(t_samples[:, None]),
-                            residuals[0]])
+                            residual[:count]])
     comments = [
         f"#potential_slope=({_fmt(alpha)})/({spec.warping})",
         f"#t0={_fmt(t0)}",

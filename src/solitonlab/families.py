@@ -312,33 +312,21 @@ def _running_integrals(integrand: Callable[[np.ndarray], np.ndarray],
                        t0: float) -> Callable[[np.ndarray], np.ndarray]:
     """The integrals of ``integrand`` from t0 to each element of an
     array of times, kept per time as lru_cache keys them (0.0 == -0.0).
-    The times not yet known are integrated in order of first appearance,
-    in one batch (quadrature._simpson_batch); a batch that fails keeps
-    the integrals before its failure and raises the error the loop of
-    one quadrature per time meets first.  The known times are kept
-    sorted, with their integrals, and found by binary search; a NaN
-    after them ends every search on an entry and equals no time, so a
-    time that is not finite is never known and fails in its batch."""
-    keys = values = np.full(1, np.nan)
+    The times not yet known are integrated in order, in one batch
+    (quadrature._simpson_batch); a batch that fails keeps the integrals
+    before its failure and raises the error the loop of one quadrature
+    per time meets first."""
+    known: dict[float, float] = {}
 
     def running(ts: np.ndarray) -> np.ndarray:
-        nonlocal keys, values
-        order = ts.argsort(kind="stable")
-        ordered = ts[order]
-        # The first of each run of equal times, if it is not known.
-        fresh = keys[keys.searchsorted(ordered)] != ordered
-        fresh[1:] &= ordered[1:] != ordered[:-1]
-        missing = ts[np.sort(order[fresh])]
-        batch, error = _simpson_batch(integrand, np.full(len(missing), t0),
-                                      missing, tol=QUADRATURE_TOL)
-        if len(batch):
-            keys = np.concatenate((keys, missing[:len(batch)]))
-            values = np.concatenate((values, batch))
-            order = keys.argsort()
-            keys, values = keys[order], values[order]
+        keys = ts.tolist()
+        missing = [tv for tv in dict.fromkeys(keys) if tv not in known]
+        batch, error = _simpson_batch(integrand, [t0] * len(missing), missing,
+                                      tol=QUADRATURE_TOL)
+        known.update(zip(missing, batch.tolist()))
         if error is not None:
             raise error
-        return values[keys.searchsorted(ts)]
+        return np.fromiter(map(known.__getitem__, keys), float, len(keys))
 
     return running
 
@@ -387,9 +375,10 @@ def grw_potential_field(spec: GRWSpec, alpha: float, t0: float) -> ScalarField:
 
 
 class GRWSamples(NamedTuple):
-    """The reduced cosmological system at T times as (T,) arrays: scalar
-    curvature of the product metric, phi', phi'', the warping w and w'.
-    residual(lam) stacks grw_system_residual's r1, r2, r3 as (T, 3)."""
+    """The reduced cosmological system at N samples as (N,) arrays:
+    scalar curvature of the product metric, phi', phi'', the warping w
+    and w'.  residual(lam) stacks grw_system_residual's r1, r2, r3 as
+    (N, 3)."""
 
     scal: np.ndarray
     d1: np.ndarray
@@ -409,26 +398,31 @@ class GRWSamples(NamedTuple):
 
 def grw_samples(spec: GRWSpec, metric: MetricField, potential: ScalarField,
                 times: Sequence[float],
-                fiber_point: Sequence[float] | None = None,
+                fiber_points: Sequence[Sequence[float]] | None = None,
                 ) -> GRWSamples:
-    """The reduced system at every time, as (T,) arrays, on ``metric``,
-    the product metric of ``spec``, which the caller assembles once.
-    The warping must be positive at every time; the fiber point
-    defaults to the origin.
+    """The reduced system at every time and each of P fiber points, on
+    ``metric``, the product metric of ``spec``, which the caller
+    assembles once: (P*T,) arrays, the T times of the first fiber point
+    first.  The warping must be positive at every time; the fiber
+    points, P rows of fiber coordinates, default to the origin alone.
 
-    One geometry pass over the points (t, fiber_point) gives scal,
+    One geometry pass over the points (t, fiber point) gives scal,
     phi' and phi''; Gamma^k_tt vanishes on -dt^2 + w^2 g_F, so the
-    covariant tt entry is the plain second derivative.
+    covariant tt entry is the plain second derivative.  The warping
+    and its jet are taken once over the times.
     """
-    _check_positive(spec.warping, np.reshape(times, (-1, 1)), "warping")
-    if fiber_point is None:
-        fiber_point = np.zeros(spec.fiber.dimension)
-    points = np.column_stack([times, np.tile(fiber_point, (len(times), 1))])
+    times = np.asarray(times, dtype=float)
+    _check_positive(spec.warping, times[:, None], "warping")
+    if fiber_points is None:
+        fiber_points = np.zeros((1, spec.fiber.dimension))
+    count = len(fiber_points)
+    points = np.column_stack([np.tile(times, count),
+                              np.repeat(fiber_points, len(times), axis=0)])
     geometry = point_geometry(metric, potential.with_chart(metric.chart), points)
-    jet_w = eval_jet2(spec.warping, np.reshape(times, (-1, 1)))
+    jet_w = eval_jet2(spec.warping, times[:, None])
     return GRWSamples(geometry.scal, geometry.dphi[:, 0],
-                      geometry.hess[:, 0, 0], jet_w.value,
-                      jet_w.gradient[:, 0])
+                      geometry.hess[:, 0, 0], np.tile(jet_w.value, count),
+                      np.tile(jet_w.gradient[:, 0], count))
 
 
 def grw_system_residual(spec: GRWSpec, potential: ScalarField, lam: float,
@@ -445,7 +439,8 @@ def grw_system_residual(spec: GRWSpec, potential: ScalarField, lam: float,
     (t, fiber_point); the fiber point defaults to the origin.
     """
     metric = assemble_warped_metric(spec, check_points=[[t]])
-    samples = grw_samples(spec, metric, potential, [t], fiber_point)
+    samples = grw_samples(spec, metric, potential, [t],
+                          None if fiber_point is None else [fiber_point])
     return tuple(samples.residual(lam)[0].tolist())
 
 
@@ -455,7 +450,8 @@ def grw_lambda_map(spec: GRWSpec, potential: ScalarField, t: float,
     time t: scal - w' phi' / w.  Constancy over t is what makes the
     construction consistent."""
     metric = assemble_warped_metric(spec, check_points=[[t]])
-    samples = grw_samples(spec, metric, potential, [t], fiber_point)
+    samples = grw_samples(spec, metric, potential, [t],
+                          None if fiber_point is None else [fiber_point])
     return float(samples.lambda_map()[0])
 
 

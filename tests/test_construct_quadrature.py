@@ -7,10 +7,9 @@ reports the loop's own error, so every value has the bits, and every
 error the text, of the one-at-a-time loop: the values are checked here
 against that loop, written out with adaptive_simpson, and the errors
 against the messages the loop gives on four configs that fail inside a
-quadrature.  The running-integral memo, which keeps its times in sorted
-arrays, is checked against a dict keyed by time, and one benchmark
-walker4 job against the work, array calls and levels, recorded before
-its quadrature was made cheaper.
+quadrature.  One benchmark walker4 job is checked against the work,
+array calls and levels, recorded before its quadrature was made
+cheaper.
 """
 
 import hashlib
@@ -21,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from solitonlab import (
     GRWSpec,
@@ -147,8 +145,7 @@ def _grw_loop(spec, alpha, t0, tv):
 
 
 def _ends(batches):
-    """The upper limits of each batch call, as lists of floats."""
-    return [np.asarray(args[2]).tolist() for args in batches]
+    return [list(args[2]) for args in batches]
 
 
 def test_the_grw_potential_integrates_its_times_in_one_batch(monkeypatch):
@@ -202,70 +199,6 @@ def test_a_failed_grw_batch_keeps_the_times_before_its_failure(monkeypatch):
     assert loops == []
     monkeypatch.undo()
     assert kept.tolist() == [_grw_loop(spec, 2.0, 0.0, 0.2)]
-
-
-def _dict_memo(integrand, t0, batch):
-    """The running-integral memo as a dict keyed by time, as lru_cache
-    keys it: the rules families._running_integrals keeps with arrays."""
-    known = {}
-
-    def running(ts):
-        keys = ts.tolist()
-        missing = [tv for tv in dict.fromkeys(keys) if tv not in known]
-        done, error = batch(integrand, [t0] * len(missing), missing,
-                            tol=QUADRATURE_TOL)
-        known.update(zip(missing, done.tolist()))
-        if error is not None:
-            raise error
-        return np.fromiter(map(known.__getitem__, keys), float, len(keys))
-
-    return running
-
-
-def _refused_past_two(u):
-    if (u > 2.0).any():
-        raise NonPositiveWarpingError(f"past two at [{float(u[u > 2.0][0])}]")
-    return 1.0 + u * u
-
-
-MEMO_TIMES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.25, 1.5, 2.5, -2.5,
-                              1e-300, float("nan"), float("inf"),
-                              float("-inf")])
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(st.lists(st.lists(MEMO_TIMES, max_size=6), min_size=1, max_size=4))
-def test_the_memo_keeps_the_rules_of_a_dict_keyed_by_time(calls):
-    # Each call's values, bit for bit, or its error, and the limits of
-    # every batch, in order: 0.0 and -0.0 one key, taken by the first
-    # time asked for; the missing times in order of first appearance; a
-    # failed batch keeps its finished prefix; a time that is not finite
-    # fails in its batch.
-    def outcomes(make):
-        limits = []
-
-        def batch(fn, a, b, **kwargs):
-            limits.append(np.asarray(b, dtype=float).tobytes())
-            return quadrature._simpson_batch(fn, a, b, **kwargs)
-
-        running = make(batch)
-        seen = []
-        for times in calls:
-            try:
-                seen.append(running(np.array(times, dtype=float)).tobytes())
-            except Exception as exc:  # noqa: BLE001 - any error is compared
-                seen.append((type(exc), str(exc)))
-        return seen, limits
-
-    expected = outcomes(lambda batch: _dict_memo(_refused_past_two, 0.25,
-                                                 batch))
-    with pytest.MonkeyPatch.context() as patch:
-        def arrays(batch):
-            patch.setattr(families, "_simpson_batch", batch)
-            return families._running_integrals(_refused_past_two, 0.25)
-
-        got = outcomes(arrays)
-    assert got == expected
 
 
 def _walker4_table(spec, interval):
@@ -341,8 +274,8 @@ def test_the_walker4_quadrature_does_the_recorded_work(tmp_path, capsys,
     # The first walker4 job of the construct benchmark at seed 401, with
     # the warping's array calls and the levels of the batches counted.
     # Recorded from the code before sin, cos and sqrt were numpy ufuncs
-    # and before a level and the running-integral memo were made leaner:
-    # those change the cost of the work, never the work.
+    # and before a level was made leaner: those change the cost of the
+    # work, never the work.
     job = next(job for job in workloads.first_jobs("construct-quad", 401, 8)
                if job.kind == "walker4_construct")
     sizes, levels = [], []
