@@ -20,8 +20,11 @@ The pipeline has four stages:
      mu; any other constant fails the run.
   4. Output.  Reports are CSV with a fixed schema line, a header row,
      and %.12e floats in lexicographic grid order, so identical jobs
-     produce byte-identical files.  Every check ends in a LambdaEstimate
-     and a ResidualReport, from which _verdict prints one PASS/FAIL line.
+     produce byte-identical files.  A report is computed and formatted
+     once per distinct point of the coordinates its fields read
+     (grids.distinct_points, _emit_csv).  Every check ends in a
+     LambdaEstimate and a ResidualReport over all the grid points, from
+     which _verdict prints one PASS/FAIL line.
 
 Exit codes: 0 verified or completed, 1 a residual or constancy check
 failed, 2 bad configuration or arguments, 3 a numeric failure such as
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
@@ -45,7 +49,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .curvature import curvature_over
+from .curvature import curvature_from
 from .errors import (
     ConfigError,
     ExpressionSyntaxError,
@@ -70,8 +74,8 @@ from .families import (
     walker4_construct,
     walker4_metric,
 )
-from .grids import grid_points
-from .metrics import MetricField, flat_metric, sphere_metric
+from .grids import distinct_points, grid_axes, grid_points
+from .metrics import MetricField, flat_metric, metric_at, sphere_metric
 from .soliton import LambdaEstimate, ResidualReport, classify, point_geometry
 
 __all__ = ["main"]
@@ -198,12 +202,12 @@ def _metric_from_config(obj: Any, path: str) -> MetricField:
         raise ConfigError(f"{prefix}metric: {exc}") from exc
 
 
-def _sample(names: Sequence[str], ranges: Mapping[str, Range]) -> np.ndarray:
-    """grid_points over ``names``, each sampled by its range.  A count
-    is not capped up front: a grid that numpy refuses to allocate is a
-    ConfigError that names its counts."""
+def _sample(names: Sequence[str], ranges: Mapping[str, Range]) -> tuple:
+    """grid_axes and grid_points over ``names``, each sampled by its
+    range.  A count is not capped up front: a grid that numpy refuses to
+    allocate is a ConfigError that names its counts."""
     try:
-        return grid_points(names, ranges)
+        return grid_axes(names, ranges), grid_points(names, ranges)
     except (ValueError, MemoryError) as exc:
         counts = " x ".join(str(ranges[name][2]) for name in names)
         raise ConfigError(
@@ -461,7 +465,7 @@ def _assemble_walker4(cfg: dict, job: _Job) -> None:
 
 def _construct_walker3(job: _Job, args: argparse.Namespace) -> int:
     y_lo, y_hi, y_count = job.ranges["y"]
-    check = _sample(("y",), {"y": (y_lo, y_hi, max(y_count, 9))})[:, 0]
+    (check,), _ = _sample(("y",), {"y": (y_lo, y_hi, max(y_count, 9))})
     f, q = walker3_construct(
         job.spec, paper_literal=args.paper_literal, check_points=check
     )
@@ -507,8 +511,8 @@ def _construct_grw(job: _Job, args: argparse.Namespace) -> int:
     chart, read = spec.fiber.chart, list(spec.fiber.read_axes)
     ranges = {name: (*job.ranges[name][:2], 1) for name in chart}
     ranges.update((chart[k], job.ranges[chart[k]]) for k in read)
-    fiber_points = _sample(chart, ranges)
-    t_samples = _sample((time_var,), {time_var: job.ranges[time_var]})[:, 0]
+    _, fiber_points = _sample(chart, ranges)
+    (t_samples,), _ = _sample((time_var,), {time_var: job.ranges[time_var]})
     potential = grw_potential_field(spec, alpha, t0)
     samples = grw_samples(spec, job.metric, potential, t_samples, fiber_points)
     count = len(t_samples)
@@ -520,15 +524,15 @@ def _construct_grw(job: _Job, args: argparse.Namespace) -> int:
         np.repeat(fiber_points[:, read], count, axis=0),
     ])
     report = ResidualReport.of(points, residual, job.tolerance)
-    rows = np.column_stack([t_samples, potential.at_points(t_samples[:, None]),
-                            residual[:count]])
+    cells = np.column_stack([potential.at_points(t_samples[:, None]),
+                             residual[:count]])
     comments = [
         f"#potential_slope=({_fmt(alpha)})/({spec.warping})",
         f"#t0={_fmt(t0)}",
     ]
     header = [time_var, "potential", "r1", "r2", "r3"]
     code = _verdict(lam, estimate, report, job.tolerance)
-    _emit_csv(args.out, comments, header, rows)
+    _emit_csv(args.out, comments, header, [t_samples], cells)
     return code
 
 
@@ -553,11 +557,24 @@ def _fmt(value: float) -> str:
 
 
 def _emit_csv(out_path: str | None, comments: Sequence[str],
-              header: Sequence[str], rows: np.ndarray) -> None:
-    row_format = ",".join(["%.12e"] * len(header))
-    lines = ["#schema=1", *comments, ",".join(header),
-             *(row_format % tuple(row) for row in rows.tolist())]
-    text = "\n".join(lines) + "\n"
+              header: Sequence[str], axes: Sequence[np.ndarray],
+              cells: np.ndarray, of: np.ndarray | None = None) -> None:
+    """One row per point of the grid over ``axes``, first axis slowest:
+    its coordinates, then the row of ``cells`` that ``of`` picks (None:
+    row by row).  Each axis value and row of cells is formatted once."""
+    row_format = ",".join(["%.12e"] * cells.shape[1])
+    rows = [row_format % tuple(row) for row in cells.tolist()]
+    picked = rows if of is None else map(rows.__getitem__, of.tolist())
+    *outer, inner = [["%.12e," % value for value in axis.tolist()]
+                     for axis in axes]
+    points = [""]
+    for values in outer:
+        points = [point + value for point in points for value in values]
+    lines = ["#schema=1", *comments, ",".join(header)]
+    lines += [f"{point}{value}{row}" for (point, value), row
+              in zip(itertools.product(points, inner), picked)]
+    lines.append("")
+    text = "\n".join(lines)
     if out_path is None:
         sys.stdout.write(text)
         return
@@ -570,19 +587,20 @@ def _emit_csv(out_path: str | None, comments: Sequence[str],
 
 def _cmd_curvature(cfg: dict, args: argparse.Namespace) -> int:
     """Write the scalar curvature and the upper triangle of Ricci at
-    every grid point.  The metric and its curvature are computed once
-    per distinct metric point (curvature_over)."""
+    every grid point.  The metric and its curvature are computed and
+    formatted once per distinct metric point."""
     job = _build_job(cfg, "curvature", None, args.grid)
     chart = job.chart
-    pts = _sample(chart, job.ranges)
+    axes, pts = _sample(chart, job.ranges)
     n = len(chart)
     header = list(chart) + ["tau"] + [
         f"ricci_{chart[i]}_{chart[j]}" for i in range(n) for j in range(i, n)
     ]
-    curv = curvature_over(job.metric, pts)
+    groups = distinct_points(pts, job.metric.read_axes)
+    curv = groups.run(lambda q: curvature_from(metric_at(job.metric, q)))
     upper = np.triu_indices(n)
-    rows = np.column_stack([pts, curv.scalar, curv.ricci[:, upper[0], upper[1]]])
-    _emit_csv(args.out, [], header, rows)
+    cells = np.column_stack([curv.scalar, curv.ricci[:, upper[0], upper[1]]])
+    _emit_csv(args.out, [], header, axes, cells, groups.of)
     return 0
 
 
@@ -604,27 +622,33 @@ def _check_grid(job: _Job, out: str | None, metric: MetricField,
                 columns: Sequence[str]) -> int:
     """Check the soliton equation on the job's grid, print the verdict
     and write one row per point: the point, ``fields`` evaluated there,
-    then ``columns`` (residual_max, tau, lap_potential, lambda_point)."""
-    pts = _sample(job.chart, job.ranges)
-    geometry = point_geometry(metric, potential, pts)
+    then ``columns`` (residual_max, tau, lap_potential, lambda_point).
+    All but the verdict's mean and worst point run once per distinct
+    point of the coordinates the metric, the potential or a field reads."""
+    axes, pts = _sample(job.chart, job.ranges)
+    reads = potential.root.reads.union(*(fn.root.reads for fn in fields.values()))
+    groups = distinct_points(pts, sorted({*metric.read_axes,
+                                          *map(job.chart.index, reads)}))
+    geometry = groups.run(lambda q: point_geometry(metric, potential, q))
     mu = job.constants.get("mu", 0.0)
-    estimate = geometry.lambda_estimate(mu)
+    samples = geometry.lambda_estimate(mu).samples
+    estimate = LambdaEstimate.of(groups.gather(samples))
     lam = job.constants.get("lambda", estimate.value)
-    report = geometry.residual_report(lam, mu, job.tolerance)
+    residual_max = geometry.residual_report(lam, mu, job.tolerance).per_point
+    report = ResidualReport.of(pts, groups.gather(residual_max), job.tolerance)
     code = _verdict(lam, estimate, report, job.tolerance)
     computed = {
-        "residual_max": report.per_point,
+        "residual_max": residual_max,
         "tau": geometry.scal,
         "lap_potential": geometry.lap,
-        "lambda_point": estimate.samples,
+        "lambda_point": samples,
     }
-    rows = np.column_stack(
-        [pts]
-        + [fn.at_points(pts) for fn in fields.values()]
+    cells = np.column_stack(
+        [fn.at_points(groups.points) for fn in fields.values()]
         + [computed[name] for name in columns]
     )
     header = list(job.chart) + list(fields) + list(columns)
-    _emit_csv(out, comments, header, rows)
+    _emit_csv(out, comments, header, axes, cells, groups.of)
     return code
 
 

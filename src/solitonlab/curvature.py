@@ -61,8 +61,8 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import eval_jet2
-from .errors import SolitonLabError
 from .expressions import ScalarField
+from .grids import distinct_points
 from .metrics import MetricAtPoint, MetricField, metric_at
 
 __all__ = [
@@ -218,41 +218,16 @@ def curvature_over(metric: MetricField, points: np.ndarray) -> GridCurvature:
     (P, n) float64 stack; every point gets the results of its group.
 
     Two points are one metric point when the coordinates the metric
-    reads (MetricField.read_axes) have the same float64 bits, so 0.0
-    and -0.0 stay apart, as in the jet walk's keys.  A group is
-    represented by its first point in stack order.  Each row goes
-    through the arithmetic it would meet in the full stack, so the
-    results have the same bits.  An error at a representative names
-    that point and carries its stack index: no earlier point fails,
-    since each earlier point's group has an earlier representative.
-    Where every point is its own metric point, as on a grid over every
-    coordinate the metric reads, the stack goes through as it is.
+    reads (MetricField.read_axes) have the same float64 bits, as in the
+    jet walk's keys (grids.distinct_points).  Each row goes through the
+    arithmetic it would meet in the full stack, so the results have the
+    same bits.  An error names its point and carries its stack index.
     """
-    read = np.ascontiguousarray(points[:, metric.read_axes])
-    if read.shape[1]:
-        rows = read.view(np.dtype((np.void, read.itemsize * read.shape[1])))
-        _, first, of = np.unique(rows[:, 0], return_index=True, return_inverse=True)
-    else:
-        first, of = np.zeros(1, np.intp), np.zeros(len(points), np.intp)
-    if len(first) == len(points):
-        curv = curvature_from(metric_at(metric, points))
-        data = curv.metric_data
-        return GridCurvature(data.g, data.g_inv, curv.gamma, curv.ricci,
-                             curv.scalar)
-    # np.unique numbers the groups in the order of their bits; number
-    # them in stack order of their first points instead.
-    at = first[of]
-    first = np.sort(first)
-    of = np.searchsorted(first, at)
-    try:
-        curv = curvature_from(metric_at(metric, points[first]))
-    except SolitonLabError as exc:
-        if exc.index is not None:
-            exc.index = int(first[exc.index])
-        raise
+    groups = distinct_points(points, metric.read_axes)
+    curv = groups.run(lambda q: curvature_from(metric_at(metric, q)))
     data = curv.metric_data
-    return GridCurvature(data.g[of], data.g_inv[of], curv.gamma[of],
-                         curv.ricci[of], curv.scalar[of])
+    return GridCurvature(*map(groups.gather, (data.g, data.g_inv, curv.gamma,
+                                              curv.ricci, curv.scalar)))
 
 
 def covariant_hessian_from(gradient: np.ndarray, hessian: np.ndarray,

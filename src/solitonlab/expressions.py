@@ -480,7 +480,8 @@ def evaluate(node: Node, env: Mapping[str, float]) -> float:
 def _at_point(fn: Callable[..., np.ndarray], coordinates: Sequence[float]) -> float:
     """The compiled field ``fn`` at one point, each coordinate a
     one-element array, as a float."""
-    return fn(*([c] for c in coordinates)).item()
+    with np.errstate(all="ignore"):
+        return fn(*([c] for c in coordinates)).item()
 
 
 def _nonzero_all(x: np.ndarray) -> np.ndarray:
@@ -505,7 +506,8 @@ def _profile_over(name: str, fn: Callable[[np.ndarray], np.ndarray],
 def _profile_value(name: str, fn: Callable[[np.ndarray], np.ndarray],
                    x: float) -> float:
     """The profile ``fn`` at one point, called on a one-element array."""
-    return float(_profile_over(name, fn, np.array([x]))[0])
+    with np.errstate(all="ignore"):
+        return float(_profile_over(name, fn, np.array([x]))[0])
 
 
 class _Step(NamedTuple):
@@ -588,7 +590,8 @@ def _compile(root: Node, chart: Sequence[str]) -> Callable[..., np.ndarray]:
     on all elements, as a 1-d array (see external).  A guard raises its
     DomainError if it fails at any element, so the function raises
     exactly when the node-by-node walk raises at some point, and, given
-    one point, with that walk's error.  It runs under
+    one point, with that walk's error.  Its callers (at_points,
+    _at_point, the quadratures, the jet walk) run it under
     np.errstate(all="ignore"): numpy warns where the float operations
     are silent.
 
@@ -607,9 +610,8 @@ def _compile(root: Node, chart: Sequence[str]) -> Callable[..., np.ndarray]:
             raise TypeError(f"field takes {width} coordinates, "
                             f"got {len(coordinates)}")
         v = [*(np.array(c, dtype=float) for c in coordinates), *slots]
-        with np.errstate(all="ignore"):
-            for fn, a, b, k in steps:
-                v[k] = fn(v[a]) if b is None else fn(v[a], v[b])
+        for fn, a, b, k in steps:
+            v[k] = fn(v[a]) if b is None else fn(v[a], v[b])
         value = v[out]
         if np.count_nonzero(np.isfinite(value)) != np.size(value):
             raise DomainError("expression evaluated to a non-finite value")
@@ -864,7 +866,8 @@ class ScalarField:
         the one a loop over the rows meets first."""
         points = np.asarray(points, dtype=float)
         try:
-            return self.compiled_arrays(*points.T)
+            with np.errstate(all="ignore"):
+                return self.compiled_arrays(*points.T)
         except Exception:  # noqa: BLE001 - the loop raises the loop's error
             return np.array([_at_point(self.compiled_arrays, row)
                              for row in points.tolist()])

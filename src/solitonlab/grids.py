@@ -1,23 +1,26 @@
-"""Rectangular sample grids over a chart."""
+"""Rectangular sample grids over a chart, and the distinct points of a
+stack of points."""
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["grid_points"]
+from .errors import SolitonLabError
+
+__all__ = ["grid_axes", "grid_points", "DistinctPoints", "distinct_points"]
 
 
-def grid_points(
+def grid_axes(
     chart: Sequence[str],
     ranges: Mapping[str, tuple[float, float, int]],
-) -> np.ndarray:
-    """Cartesian grid as an (N, dim) array, rows in lexicographic order.
+) -> list[np.ndarray]:
+    """The values each chart coordinate takes on its grid, in chart order.
 
     ``ranges`` maps every chart name to (minimum, maximum, count); count
     must be at least 1, and a count of 1 pins the coordinate at the
-    minimum.  The first chart coordinate varies slowest.
+    minimum.
     """
     chart_t = tuple(chart)
     missing = [name for name in chart_t if name not in ranges]
@@ -36,5 +39,60 @@ def grid_points(
             axes.append(np.array([float(lo)]))
         else:
             axes.append(np.linspace(float(lo), float(hi), count))
-    mesh = np.meshgrid(*axes, indexing="ij")
+    return axes
+
+
+def grid_points(
+    chart: Sequence[str],
+    ranges: Mapping[str, tuple[float, float, int]],
+) -> np.ndarray:
+    """Cartesian grid of grid_axes as an (N, dim) array, rows in
+    lexicographic order: the first chart coordinate varies slowest."""
+    mesh = np.meshgrid(*grid_axes(chart, ranges), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+class DistinctPoints(NamedTuple):
+    """A stack's groups: each group's first point (``points``) and its
+    stack index (``first``), in stack order, and each point's group
+    (``of``), None where every point is its own and ``points`` is the
+    stack itself."""
+
+    points: np.ndarray
+    first: np.ndarray
+    of: np.ndarray | None
+
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """Per-group ``values`` (leading axis) handed to every point."""
+        return values if self.of is None else values[self.of]
+
+    def run(self, check: Callable[[np.ndarray], Any]) -> Any:
+        """``check`` over the groups' points, an error's ``index`` mapped
+        to the stack.  No earlier point fails first, since each earlier
+        point's group has an earlier first point."""
+        try:
+            return check(self.points)
+        except SolitonLabError as exc:
+            if exc.index is not None:
+                exc.index = int(self.first[exc.index])
+            raise
+
+
+def distinct_points(points: np.ndarray, axes: Sequence[int]) -> DistinctPoints:
+    """Group a (P, n) float64 stack by the float64 bits of the
+    coordinates at ``axes``, so 0.0 and -0.0 stay apart."""
+    read = np.ascontiguousarray(points[:, list(axes)])
+    if read.shape[1]:
+        rows = read.view(np.dtype((np.void, read.itemsize * read.shape[1])))
+        _, first, of = np.unique(rows[:, 0], return_index=True,
+                                 return_inverse=True)
+    else:
+        first = np.zeros(min(len(points), 1), np.intp)
+        of = np.zeros(len(points), np.intp)
+    if len(first) == len(points):
+        return DistinctPoints(points, np.arange(len(points)), None)
+    # np.unique numbers the groups in the order of their bits; number
+    # them in stack order of their first points instead.
+    at = first[of]
+    first = np.sort(first)
+    return DistinctPoints(points[first], first, np.searchsorted(first, at))

@@ -23,9 +23,9 @@ residual summaries over point sets.  All of them, and every reduced
 system in ``families``, read the one geometry pass, point_geometry,
 which computes the metric and its curvature once per distinct metric
 point (curvature_over) and the potential's gradient, covariant hessian
-and laplacian once per point (field_geometry).  Checks of several
-fields on one metric run curvature_over once and field_geometry per
-field.
+and laplacian once per point it is given (field_geometry).  Checks of
+several fields on one metric run curvature_over once and
+field_geometry per field.
 """
 
 from __future__ import annotations
@@ -136,7 +136,10 @@ def point_geometry(metric: MetricField, potential: ScalarField,
                    points: Sequence[Sequence[float]]) -> PointGeometry:
     """metric_at -> curvature_from once per distinct metric point of the
     stack (curvature_over), then field_geometry over all the points.
-    The results have the bits of a pass without that sharing.  An
+    The results have the bits of a pass without that sharing, so a
+    caller may pass one point per distinct point of the coordinates
+    the metric and the potential read, as the command line does
+    (grids.distinct_points), and hand each result to its group.  An
     error names the first bad point in grid order, whichever stage
     finds it."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -269,7 +272,8 @@ class ResidualReport:
     def of(cls, points: np.ndarray, grids: np.ndarray,
            tol: float) -> ResidualReport:
         """Each point's largest |entry| over the trailing axes of the
-        stacked residuals (``per_point``), and the first worst point."""
+        stacked residuals (``per_point``), and the first worst point.
+        A (P,) stack is read as the points' largest entries already."""
         if not tol > 0.0:
             raise ValueError("tolerance must be positive")
         per_point = np.abs(grids).max(axis=tuple(range(1, grids.ndim)))

@@ -235,12 +235,14 @@ def test_sin_and_cos_of_an_infinite_argument_are_domain_errors(func, y):
 
 # The array mode (ScalarField.compiled_arrays) against the reference
 # walk: at every point the same bits, and an error exactly when the walk
-# raises at some point.  Any numpy warning fails the test.
+# raises at some point.  The array mode runs under
+# np.errstate(all="ignore"), as its callers run it; any other warning
+# fails the test.
 
 def _array_outcome(field, xs, ys):
     """The array mode's float64 bytes at each point, or the type of what
     it raised; any warning is an error."""
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("error")
         try:
             values = field.compiled_arrays(np.array(xs), np.array(ys))
@@ -270,11 +272,16 @@ def test_the_array_mode_matches_the_compiled_field_at_every_point(root, points):
 
 def _one_point_outcomes(field, x, y):
     """A call of the field, a one-row at_points and the array mode on
-    one-element arrays, each as outcome() gives it."""
+    one-element arrays, each as outcome() gives it.  The first two are
+    entry points that silence numpy's warnings themselves; the array
+    mode runs under np.errstate(all="ignore"), as its callers run it."""
+    def arrays():
+        with np.errstate(all="ignore"):
+            return float(field.compiled_arrays(np.array([x]), np.array([y]))[0])
+
     return [outcome(lambda: field((x, y))),
             outcome(lambda: float(field.at_points([[x, y]])[0])),
-            outcome(lambda: float(field.compiled_arrays(np.array([x]),
-                                                        np.array([y]))[0]))]
+            outcome(arrays)]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -285,6 +292,28 @@ def test_one_point_has_the_bits_and_the_error_of_the_array_mode(root, x, y):
         warnings.simplefilter("error")
         call, row, arrays = _one_point_outcomes(field, x, y)
     assert call == row == arrays
+
+
+@pytest.mark.parametrize("call", [
+    lambda field: field((400.0, 1.0)),
+    lambda field: field.at_points([[1.0, 1.0], [400.0, 1.0]]),
+    lambda field: evaluate(field.root, {"x": 400.0, "y": 1.0}),
+], ids=["call", "at_points", "evaluate"])
+def test_an_entry_point_silences_numpy_outside_any_errstate(call):
+    # exp(400) is finite and its square overflows in numpy's multiply,
+    # which warns unless the entry point silences it; only the final
+    # finite check may speak.  With warnings as errors at_points would
+    # still raise the DomainError, from its one-row-at-a-time rerun, so
+    # the warnings are also recorded.
+    field = parse_expression("exp(x)*exp(x)*y", CHART)
+    assert np.geterr()["over"] == "warn"
+    for action in ("error", "always"):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter(action)
+            with pytest.raises(DomainError,
+                               match="expression evaluated to a non-finite value"):
+                call(field)
+        assert seen == []
 
 
 @pytest.mark.parametrize("root, bits", [

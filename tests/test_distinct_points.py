@@ -1,14 +1,19 @@
 """The metric and its curvature are computed once per distinct metric
-point (curvature.curvature_over).
+point (curvature.curvature_over), and a command line check once per
+distinct point of the coordinates the metric, the potential and the
+report's fields read (grids.distinct_points).
 
-Two points are one metric point when the coordinates the metric reads
-have the same float64 bits.  Sharing must not show: every field equals,
-bit for bit, a pass over the full stack without sharing.  np.array_equal
-counts 0.0 and -0.0 as equal, so the comparisons here are on the bits.
-Errors keep the point, message and exit code of a pass without sharing.
+Two points are one point when the coordinates read have the same
+float64 bits.  Sharing must not show: every field equals, bit for bit,
+a pass over the full stack without sharing, and a report has the bytes
+of one.  np.array_equal counts 0.0 and -0.0 as equal, so the
+comparisons here are on the bits.  Errors keep the point, message and
+exit code of a pass without sharing.
 """
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,12 +29,14 @@ from solitonlab import (
 )
 from solitonlab.cli import main
 from solitonlab.curvature import covariant_hessian_from, curvature_over
+from solitonlab.grids import distinct_points
 from solitonlab.metrics import MetricField
 from solitonlab.soliton import point_geometry
 
 from conftest import count_calls
 
 CHART = ("a", "b", "c")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 VALUES = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)
 
 
@@ -161,3 +168,143 @@ def test_an_error_carries_the_stack_index_of_its_point():
     with pytest.raises(DomainError) as caught:
         point_geometry(metric, parse_expression("1/x", metric.chart), points)
     assert caught.value.index == 2
+
+
+def test_distinct_points_keeps_stack_order_and_signed_zeros():
+    points = np.array([[1.0, 5.0], [0.0, 6.0], [-0.0, 7.0], [1.0, 8.0],
+                       [0.0, 9.0]])
+    groups = distinct_points(points, [0])
+    assert groups.first.tolist() == [0, 1, 2]
+    assert groups.of.tolist() == [0, 1, 2, 0, 1]
+    assert same_bits(groups.points, points[[0, 1, 2]])
+    assert same_bits(groups.gather(np.array([10.0, 20.0, 30.0])),
+                     [10.0, 20.0, 30.0, 10.0, 20.0])
+    # Every point its own group: the stack goes through as it is.
+    alone = distinct_points(points, [0, 1])
+    assert alone.points is points and alone.of is None
+    assert alone.gather(points) is points
+
+
+def test_an_error_over_the_groups_carries_the_stack_index():
+    points = np.array([[1.0, 5.0], [0.0, 6.0], [1.0, 7.0], [2.0, 8.0]])
+    groups = distinct_points(points, [0])
+
+    def check(q):
+        raise DomainError("bad", index=2)
+
+    with pytest.raises(DomainError, match="^bad$") as caught:
+        groups.run(check)
+    assert caught.value.index == 3
+
+
+# A check computes once per distinct point of the coordinates that the
+# metric, the potential and the report's fields read.  The outcomes
+# below (exit code, stdout, stderr, the CSV's sha256) were recorded
+# before the check grouped more than the metric; the walks count the
+# points at which the potential's jet is evaluated.
+
+def verify_job(tmp_path, monkeypatch, capsys, config, potential, *flags):
+    """Run verify on ``config``; return the exit code, stdout, stderr,
+    the CSV's sha256 (None if none was written) and the size of each
+    jet walk of ``potential`` alone."""
+    if isinstance(config, dict):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        config = path
+    walks = count_calls(monkeypatch, "autodiff", "walk_jets")
+    out = tmp_path / "report.csv"
+    code = main(["verify", str(config), "--out", str(out), *flags])
+    captured = capsys.readouterr()
+    digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+    sizes = [len(points) for fields, points in walks
+             if [field.root for field in fields] == [potential.root]]
+    return code, captured.out, captured.err, digest, sizes
+
+
+def custom_config(chart, metric, potential, grid, **extra):
+    return {"family": "custom", "chart": list(chart), "metric": metric,
+            "signature": "+" * len(chart), "potential": potential,
+            "grid": grid, **extra}
+
+
+def test_a_signed_zero_only_the_potential_reads_is_its_own_row_group(
+        tmp_path, monkeypatch, capsys):
+    # The metric reads x, the potential y, nothing reads z; y runs over
+    # -1, -0.5 and -0.0, so the 12 grid points are 6 distinct points.
+    chart = ("x", "y", "z")
+    config = custom_config(
+        chart, [["2 + x", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "y^3 + y", {"x": [-1.0, 1.0, 2], "y": [-1.0, -0.0, 3],
+                    "z": [-1.0, 1.0, 2]})
+    potential = parse_expression("y^3 + y", chart)
+    assert verify_job(tmp_path, monkeypatch, capsys, config, potential) == (
+        1, "FAIL max_residual=5.000000000000e+00 at (-1, -1, -1)\n", "",
+        "65cd80813255baff9a3f75081368b95be485f043e53933e51a3284c2604d8096",
+        [6])
+    rows = (tmp_path / "report.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[1] for row in rows[4:6]] == ["-0.000000000000e+00"] * 2
+    assert rows[4].split(",")[3:] != rows[2].split(",")[3:]
+
+
+def test_a_fail_in_a_later_group_names_its_first_grid_point(
+        tmp_path, monkeypatch, capsys):
+    # The potential reads x alone: groups start at grid points 0, 3 and
+    # 6, and the residual is largest in the last, at x = 1.
+    chart = ("x", "y")
+    config = custom_config(
+        chart, [["1", "0"], ["0", "1"]], "x^3 + 3*x^2",
+        {"x": [-1.0, 1.0, 3], "y": [-1.0, 1.0, 3]}, constants={"lambda": 0.0})
+    potential = parse_expression("x^3 + 3*x^2", chart)
+    assert verify_job(tmp_path, monkeypatch, capsys, config, potential) == (
+        1, "FAIL max_residual=1.200000000000e+01 at (1, -1)\n", "",
+        "c2945bf96d1c05a2e0e53976460976931737666e7b0ca84870629a79652540f7",
+        [3])
+
+
+def test_the_lambda_mean_is_taken_over_every_grid_point(
+        tmp_path, monkeypatch, capsys):
+    # The samples sum to rounding noise: their mean over the 3 distinct
+    # points reads -1.850371707709e-17, over the 21 grid points
+    # -2.114710523096e-17.
+    chart = ("x", "y")
+    potential = "-0.2*x^2 + 0.4/6*x^3 + 0.05*x^4"
+    config = custom_config(chart, [["1", "0"], ["0", "1"]], potential,
+                           {"x": [-1.0, 1.0, 3], "y": [-1.0, 1.0, 7]},
+                           tolerance=10.0)
+    assert verify_job(tmp_path, monkeypatch, capsys, config,
+                      parse_expression(potential, chart)) == (
+        0, "PASS lambda=-2.114710523096e-17 class=steady\n", "",
+        "63ec27667666ad15ad7d5308d70c332c3e8c413ca080d412e09bf8378bc90293",
+        [3])
+
+
+def test_a_potential_error_in_a_later_group_is_the_unshared_error(
+        tmp_path, monkeypatch, capsys):
+    # 1/x fails first at grid point 3, the first point of the second
+    # group; the pass then reruns the one group before it.
+    chart = ("x", "y")
+    config = custom_config(chart, [["1", "0"], ["0", "1"]], "1/x",
+                           {"x": [-1.0, 1.0, 3], "y": [-1.0, 1.0, 3]})
+    potential = parse_expression("1/x", chart)
+    assert verify_job(tmp_path, monkeypatch, capsys, config, potential) == (
+        3, "", "numeric error: division by zero at [0.0, -1.0]\n", None,
+        [3, 1])
+
+
+@pytest.mark.parametrize("name, grid, chart, potential, walked, digest", [
+    # The metric reads x2 and the potential x1: 40 x 40 of 40^3 points.
+    ("static_verify", "40", ("t", "x1", "x2"), "x1", [1600],
+     "49d751bd693fd1342c74ac09b469fe6f36ca1c489762ee2bdfe45a7597ee5a85"),
+    # Metric and potential read t alone: 20 of 20^4 points.
+    ("grw_gqy_verify", "20", ("t", "x1", "x2", "x3"), "-6*ln(t)", [20],
+     "2d93d36b0fe2a6ab722d6cf565da98e8d6214164954cdb846ec2f61c906bc04d"),
+])
+def test_a_large_grid_walks_the_potential_once_per_distinct_point(
+        tmp_path, monkeypatch, capsys, name, grid, chart, potential, walked,
+        digest):
+    config = CONFIGS / f"{name}.json"
+    code, out, err, got, sizes = verify_job(
+        tmp_path, monkeypatch, capsys, config,
+        parse_expression(potential, chart), "--grid", grid)
+    assert (code, err, got, sizes) == (0, "", digest, walked)
+    assert out.startswith("PASS ")
