@@ -74,7 +74,7 @@ from .families import (
     walker4_construct,
     walker4_metric,
 )
-from .grids import distinct_points, grid_axes, grid_points
+from .grids import distinct_points, grid_axes, mesh_points
 from .metrics import MetricField, flat_metric, metric_at, sphere_metric
 from .soliton import LambdaEstimate, ResidualReport, classify, point_geometry
 
@@ -203,11 +203,12 @@ def _metric_from_config(obj: Any, path: str) -> MetricField:
 
 
 def _sample(names: Sequence[str], ranges: Mapping[str, Range]) -> tuple:
-    """grid_axes and grid_points over ``names``, each sampled by its
-    range.  A count is not capped up front: a grid that numpy refuses to
-    allocate is a ConfigError that names its counts."""
+    """grid_axes over ``names``, each axis sampled once, and the points
+    they mesh.  A count is not capped up front: a grid that numpy refuses
+    to allocate is a ConfigError that names its counts."""
     try:
-        return grid_axes(names, ranges), grid_points(names, ranges)
+        axes = grid_axes(names, ranges)
+        return axes, mesh_points(axes)
     except (ValueError, MemoryError) as exc:
         counts = " x ".join(str(ranges[name][2]) for name in names)
         raise ConfigError(

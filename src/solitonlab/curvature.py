@@ -38,11 +38,11 @@ halves of d Gamma, the scalar curvature) run point first, with the
 summed axis last and contiguous in both operands; the order of the
 operands and the layout of the other axes do not change their bits.
 Every other contraction here (d_i g^{lm}, the Gamma Gamma products
-and the sum over a) adds its terms one at a time in index order, with
-the point axis first or last.  On stacks of at least POINT_LAST_MIN
-points they run with the point axis last, so that the inner loop runs
-over the points.  Each operand is copied to that layout once, and a result is
-copied back to C-contiguous point-first before a dot kernel reads it.
+and the sum over a) adds its terms one at a time in index order in any
+layout, so it runs with the point axis last on every stack, the inner
+loop over the points; one point runs as a stack of one.  Each operand
+is copied to that layout once, and a result is copied back to
+C-contiguous point-first before a dot kernel reads it.
 tests/test_contraction_order.py guards these facts of numpy.
 
 Layouts that later sums read.  The scalar curvature's sum order
@@ -75,12 +75,6 @@ __all__ = [
     "covariant_hessian",
     "covariant_hessian_from",
 ]
-
-
-# Stacks of at least this many points run the contractions that sum
-# term by term with the point axis last; on smaller stacks the copies
-# cost more than the longer inner loop saves.
-POINT_LAST_MIN = 6
 
 
 def _point_last(a: np.ndarray) -> np.ndarray:
@@ -154,18 +148,16 @@ class CurvatureAtPoint:
 
 
 def curvature_from(data: MetricAtPoint) -> CurvatureAtPoint:
-    ginv = data.g_inv
-    T = _lowered(data.dg)
+    one = data.g_inv.ndim == 2
+    ginv, dg, d2g = (a[None] if one else a
+                     for a in (data.g_inv, data.dg, data.d2g))
+    T = _lowered(dg)
     gamma = _christoffel_from(ginv, T)
-    last = ginv.ndim == 3 and len(ginv) >= POINT_LAST_MIN
-    if last:
-        ginv_last = _point_last(ginv)
-        dginv = np.einsum("la...,iab...,bm...->ilm...", ginv_last,
-                          _point_last(data.dg), ginv_last)
-        dginv = _point_first(np.negative(dginv, out=dginv))
-    else:
-        dginv = _inverse_derivative(ginv, data.dg)
-    dT = _lowered_derivative(data.d2g)
+    ginv_last = _point_last(ginv)
+    dginv = np.einsum("la...,iab...,bm...->ilm...", ginv_last,
+                      _point_last(dg), ginv_last)
+    dginv = _point_first(np.negative(dginv, out=dginv))
+    dT = _lowered_derivative(d2g)
     # E[a, k, j] = R^a_jak, the entries of Riemann that Ricci sums:
     # d_a Gamma^a_kj - d_k Gamma^a_aj + Gamma^a_am Gamma^m_kj
     # - Gamma^a_km Gamma^m_aj, each term and each sum as the full tensor
@@ -180,20 +172,15 @@ def curvature_from(data: MetricAtPoint) -> CurvatureAtPoint:
                      dT.swapaxes(-4, -3).copy())
     d_k *= 0.5
     E -= d_k
-    if last:
-        gamma_last = _point_last(gamma)
-        E = _point_last(E)
-        E += np.einsum("aam...,mkj...->akj...", gamma_last, gamma_last)
-        E -= np.einsum("akm...,maj...->akj...", gamma_last, gamma_last)
-        ricci_kj = _point_first(np.einsum("akj...->kj...", E))
-    else:
-        E += np.einsum("...aam,...mkj->...akj", gamma, gamma)
-        E -= np.einsum("...akm,...maj->...akj", gamma, gamma)
-        ricci_kj = np.einsum("...akj->...kj", E)
+    gamma_last = _point_last(gamma)
+    E = _point_last(E)
+    E += np.einsum("aam...,mkj...->akj...", gamma_last, gamma_last)
+    E -= np.einsum("akm...,maj...->akj...", gamma_last, gamma_last)
+    ricci_kj = _point_first(np.einsum("akj...->kj...", E))
     ricci = np.swapaxes(ricci_kj, -1, -2)
     scalar = np.einsum("...jk,...jk->...", ginv, ricci)
-    if scalar.ndim == 0:
-        scalar = float(scalar)
+    if one:
+        return CurvatureAtPoint(data, gamma[0], ricci[0], float(scalar[0]))
     return CurvatureAtPoint(data, gamma, ricci, scalar)
 
 

@@ -78,7 +78,7 @@ class NonPositiveEtaPrimeError(SolitonLabError):
 
 class QuadratureFailureError(SolitonLabError):
     """Adaptive quadrature hit its depth limit before reaching the
-    requested tolerance."""
+    requested tolerance, or its subdivision left the float range."""
 
 
 class ConfigError(SolitonLabError):

@@ -43,6 +43,7 @@ from .errors import (
     DomainError,
     NonPositiveEtaPrimeError,
     NonPositiveWarpingError,
+    QuadratureFailureError,
 )
 from .expressions import (
     Const,
@@ -315,7 +316,8 @@ def _running_integrals(integrand: Callable[[np.ndarray], np.ndarray],
     The times not yet known are integrated in order, in one batch
     (quadrature._simpson_batch); a batch that fails keeps the integrals
     before its failure and raises the error the loop of one quadrature
-    per time meets first."""
+    per time meets first, save that a time that is not finite (an outer
+    subdivision that overflowed) is a QuadratureFailureError."""
     known: dict[float, float] = {}
 
     def running(ts: np.ndarray) -> np.ndarray:
@@ -324,6 +326,9 @@ def _running_integrals(integrand: Callable[[np.ndarray], np.ndarray],
         batch, error = _simpson_batch(integrand, [t0] * len(missing), missing,
                                       tol=QUADRATURE_TOL)
         known.update(zip(missing, batch.tolist()))
+        if isinstance(error, ValueError):
+            error = QuadratureFailureError(
+                f"running integral from {t0} to a non-finite time")
         if error is not None:
             raise error
         return np.fromiter(map(known.__getitem__, keys), float, len(keys))

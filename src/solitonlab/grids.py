@@ -9,7 +9,8 @@ import numpy as np
 
 from .errors import SolitonLabError
 
-__all__ = ["grid_axes", "grid_points", "DistinctPoints", "distinct_points"]
+__all__ = ["grid_axes", "grid_points", "mesh_points", "DistinctPoints",
+           "distinct_points"]
 
 
 def grid_axes(
@@ -48,7 +49,13 @@ def grid_points(
 ) -> np.ndarray:
     """Cartesian grid of grid_axes as an (N, dim) array, rows in
     lexicographic order: the first chart coordinate varies slowest."""
-    mesh = np.meshgrid(*grid_axes(chart, ranges), indexing="ij")
+    return mesh_points(grid_axes(chart, ranges))
+
+
+def mesh_points(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """The cartesian product of ``axes`` as an (N, dim) array, rows in
+    lexicographic order: the first axis varies slowest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
@@ -80,19 +87,18 @@ class DistinctPoints(NamedTuple):
 
 def distinct_points(points: np.ndarray, axes: Sequence[int]) -> DistinctPoints:
     """Group a (P, n) float64 stack by the float64 bits of the
-    coordinates at ``axes``, so 0.0 and -0.0 stay apart."""
-    read = np.ascontiguousarray(points[:, list(axes)])
-    if read.shape[1]:
-        rows = read.view(np.dtype((np.void, read.itemsize * read.shape[1])))
-        _, first, of = np.unique(rows[:, 0], return_index=True,
-                                 return_inverse=True)
-    else:
-        first = np.zeros(min(len(points), 1), np.intp)
-        of = np.zeros(len(points), np.intp)
-    if len(first) == len(points):
+    coordinates at ``axes``: 0.0 and -0.0 stay apart, as do NaN bits."""
+    read = np.ascontiguousarray(points[:, list(axes)]).view(np.uint64)
+    # Stable: each run of equal keys starts at its group's first point.
+    order = np.lexsort(read.T) if read.shape[1] else np.arange(len(read))
+    keys = read[order]
+    new = np.ones(len(keys), bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    starts = order[new]
+    if len(starts) == len(points):
         return DistinctPoints(points, np.arange(len(points)), None)
-    # np.unique numbers the groups in the order of their bits; number
-    # them in stack order of their first points instead.
-    at = first[of]
-    first = np.sort(first)
-    return DistinctPoints(points[first], first, np.searchsorted(first, at))
+    # Number the groups in stack order of their first points.
+    first = np.sort(starts)
+    of = np.empty(len(points), np.intp)
+    of[order] = np.searchsorted(first, starts)[np.cumsum(new) - 1]
+    return DistinctPoints(points[first], first, of)

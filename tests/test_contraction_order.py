@@ -15,8 +15,8 @@ the bytes of a CSV report.
 import numpy as np
 import pytest
 
-# The contractions that curvature_from runs with the point axis last
-# on stacks of at least curvature.POINT_LAST_MIN points, in their
+# The contractions that curvature_from runs with the point axis last,
+# on every stack and on one point as a stack of one, in their
 # point-first form.
 POINT_LAST = [
     "...la,...iab,...bm->...ilm",
@@ -35,7 +35,7 @@ REWRITTEN = [
     ("...am,...kajm->...akj", "...am,...akjm->...akj", "copy"),
 ]
 
-SIZES = [(n, p) for n in (2, 3, 4, 5) for p in (6, 17, 150)]
+SIZES = [(n, p) for n in (2, 3, 4, 5) for p in (1, 2, 3, 4, 5, 6, 17, 150)]
 
 
 def _stack(rng, p, n, rank):

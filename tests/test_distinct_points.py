@@ -185,6 +185,46 @@ def test_distinct_points_keeps_stack_order_and_signed_zeros():
     assert alone.gather(points) is points
 
 
+def dict_groups(points, axes):
+    """The groups of a stack by a plain dict keyed by the bytes of the
+    read coordinates: each group's first stack index, and each point's
+    group."""
+    numbers, first, of = {}, [], []
+    for index, row in enumerate(points[:, axes]):
+        key = row.tobytes()
+        if key not in numbers:
+            numbers[key] = len(first)
+            first.append(index)
+        of.append(numbers[key])
+    return first, of
+
+
+# 0.0 and -0.0, and NaNs with four different bit patterns, among
+# ordinary values.
+GROUPING_VALUES = np.array(
+    [0.0, -0.0, 1.5, -2.0, np.inf, np.nan, -np.nan]
+    + [np.array(bits, np.uint64).view(float)
+       for bits in (0x7FF0000000000001, 0x7FF8000000000123)])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_distinct_points_groups_as_a_dict_of_row_bytes(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    rows = GROUPING_VALUES[rng.integers(0, len(GROUPING_VALUES), (8, n))]
+    points = rows[rng.integers(0, len(rows), int(rng.integers(1, 40)))]
+    for axes in ([], [0], list(range(n)), list(range(n))[::-1],
+                 sorted(set(rng.integers(0, n, 2).tolist()))):
+        first, of = dict_groups(points, axes)
+        groups = distinct_points(points, axes)
+        assert groups.first.tolist() == first
+        if len(first) == len(points):
+            assert groups.points is points and groups.of is None
+        else:
+            assert groups.of.tolist() == of
+            assert groups.points.tobytes() == points[first].tobytes()
+
+
 def test_an_error_over_the_groups_carries_the_stack_index():
     points = np.array([[1.0, 5.0], [0.0, 6.0], [1.0, 7.0], [2.0, 8.0]])
     groups = distinct_points(points, [0])

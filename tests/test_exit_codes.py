@@ -19,9 +19,11 @@ with a traceback, so they have explicit tests below.
 
 A derandomized hypothesis fuzz runs random custom 2d `curvature` and
 `verify` jobs, each metric entry and potential an expression over the
-whole grammar, and random GRW constructions, whose warping is such an
-expression in t, with every warning turned into an error, so a numpy
-warning is an escape too; exits 0 and 1 must leave stderr empty.
+whole grammar; random GRW constructions, whose warping is such an
+expression in t; static `verify` jobs with such a lapse; and walker3
+and walker4 constructions with random eta, zeta and warping and random
+constants.  Every warning is turned into an error, so a numpy warning
+is an escape too; exits 0 and 1 must leave stderr empty.
 """
 
 import contextlib
@@ -242,11 +244,12 @@ def test_a_grid_count_numpy_cannot_allocate_is_exit_two(tmp_path, capsys,
 def test_a_grid_that_numpy_runs_out_of_memory_for_is_exit_two(
         tmp_path, capsys, monkeypatch, name):
     # Each command samples its ranges through one helper, which turns
-    # numpy's MemoryError into a config error naming the counts.
-    def out_of_memory(names, ranges):
+    # numpy's MemoryError from meshing the axes into a config error
+    # naming the counts.
+    def out_of_memory(axes):
         raise MemoryError("Unable to allocate")
 
-    monkeypatch.setattr(cli, "grid_points", out_of_memory)
+    monkeypatch.setattr(cli, "mesh_points", out_of_memory)
     _expect_config_error(
         capsys, [COMMANDS[name], str(CONFIGS / f"{name}.json"),
                  "--grid", "7"],
@@ -370,11 +373,15 @@ def test_random_custom_jobs_keep_the_exit_code_contract(command,
 # call raises, one point at a time.  Most such expressions are not
 # positive somewhere on the interval, so most are wrapped in a form that
 # is positive where it is finite.
-FUZZ_WARPINGS = st.tuples(
-    st.sampled_from(["{}", "2 + {}", "({})^2 + 0.5", "exp({})"]),
-    st.recursive(st.one_of(st.just("t"), FUZZ_NUMBERS), _fuzz_grow,
-                 max_leaves=5),
-).map(lambda t: t[0].format(t[1]))
+def positive_expressions(leaves):
+    return st.tuples(
+        st.sampled_from(["{}", "2 + {}", "({})^2 + 0.5", "exp({})"]),
+        st.recursive(st.one_of(leaves, FUZZ_NUMBERS), _fuzz_grow,
+                     max_leaves=5),
+    ).map(lambda t: t[0].format(t[1]))
+
+
+FUZZ_WARPINGS = positive_expressions(st.just("t"))
 
 
 @st.composite
@@ -394,14 +401,82 @@ def test_random_grw_constructions_keep_the_exit_code_contract(
               suppress_health_check=[HealthCheck.too_slow])
     @given(fuzz_constructions())
     def run(cfg):
-        path.write_text(json.dumps(cfg), encoding="utf-8")
-        code, stdout, stderr = _run_strict(
-            ["construct", str(path), "--out", out, "--grid", "3"])
-        assert breach(code, stdout, stderr) is None, cfg
-        if code in (0, 1):
-            assert stderr == "", cfg
-            verdict = stdout.splitlines()[-1]
-            assert verdict.startswith("PASS " if code == 0 else "FAIL "), cfg
+        assert_verdict_contract(path, cfg, ["construct", str(path), "--out",
+                                            out, "--grid", "3"])
+
+    run()
+
+
+def assert_verdict_contract(path, cfg, argv):
+    """Write ``cfg`` to ``path``, run ``argv`` with warnings as errors and
+    assert the contract for a command that prints a verdict: exits 0
+    and 1 leave stderr empty and end stdout with PASS or FAIL."""
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    code, stdout, stderr = _run_strict(argv)
+    assert breach(code, stdout, stderr) is None, cfg
+    if code in (0, 1):
+        assert stderr == "", cfg
+        verdict = stdout.splitlines()[-1]
+        assert verdict.startswith("PASS " if code == 0 else "FAIL "), cfg
+
+
+# Random static, walker3 and walker4 jobs.  The static lapse and the
+# walker4 warping are positive where finite, as the GRW warpings are;
+# the walker3 profiles range over the whole grammar, and every constant
+# over FUZZ_NUMBERS with signs.
+FUZZ_CONSTANTS = st.one_of(FUZZ_NUMBERS.map(float),
+                           FUZZ_NUMBERS.map(lambda x: -float(x)))
+
+
+def expressions_in(*names):
+    return st.recursive(st.one_of(st.sampled_from(names), FUZZ_NUMBERS),
+                        _fuzz_grow, max_leaves=5)
+
+
+FUZZ_STATIC = st.fixed_dictionaries({
+    "family": st.just("static"),
+    "lapse": positive_expressions(st.sampled_from(["x1", "x2"])),
+    "fiber": st.just({"type": "flat", "chart": ["x1", "x2"]}),
+    "potential": st.just("x1"),
+    "constants": st.fixed_dictionaries(
+        {"lambda": st.sampled_from([-2.0, 0.0])}),
+})
+FUZZ_WALKER3 = st.fixed_dictionaries({
+    "family": st.just("walker3"),
+    "eta": expressions_in("y"),
+    "zeta": expressions_in("x", "y"),
+    "constants": st.fixed_dictionaries({"kappa": FUZZ_CONSTANTS}),
+})
+FUZZ_WALKER4 = st.fixed_dictionaries({
+    "family": st.just("walker4"),
+    "warping": FUZZ_WARPINGS,
+    "constants": st.fixed_dictionaries(
+        {name: FUZZ_CONSTANTS for name in ("c0", "c1", "c2", "c3", "t0")}),
+})
+
+# (command, strategy, examples): each family's share of tier-1 is about
+# a second.  A walker4 t0 far from the grid makes its quadratures stall,
+# each in under a second.
+FUZZ_FAMILIES = {
+    "static": ("verify", FUZZ_STATIC, 100),
+    "walker3": ("construct", FUZZ_WALKER3, 100),
+    "walker4": ("construct", FUZZ_WALKER4, 30),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FUZZ_FAMILIES))
+def test_random_family_jobs_keep_the_exit_code_contract(family,
+                                                        tmp_path_factory):
+    command, jobs, examples = FUZZ_FAMILIES[family]
+    directory = tmp_path_factory.mktemp(family)
+    path, out = directory / "job.json", str(directory / "report.csv")
+
+    @settings(derandomize=True, max_examples=examples, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(jobs)
+    def run(cfg):
+        assert_verdict_contract(path, cfg, [command, str(path), "--out", out,
+                                            "--grid", "3"])
 
     run()
 
@@ -424,3 +499,20 @@ def test_a_guard_inside_the_potential_quadrature_is_one_numeric_error(
     assert _run_strict(["construct", str(path), "--out",
                         str(tmp_path / "out.csv"), "--grid", "3"]) \
         == (3, "", f"numeric error: {message} at [1.6, -1.0]\n")
+
+
+def test_a_walker4_t0_near_the_float_range_is_one_numeric_error(tmp_path):
+    # The profile table's quadratures from t0 halve intervals whose ends
+    # sum past the float range, and the running integral of the warping
+    # is then asked for at -inf; that used to escape main as a bare
+    # ValueError.
+    t0 = -9.131139732633985e+307
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({
+        "family": "walker4", "warping": "0",
+        "constants": {"c0": 0.0, "c1": 0.0, "c2": 0.0, "c3": 0.0, "t0": t0}}),
+        encoding="utf-8")
+    assert _run_strict(["construct", str(path), "--out",
+                        str(tmp_path / "out.csv"), "--grid", "3"]) == (
+        3, "", f"numeric error: running integral from {t0!r} to a non-finite "
+        "time\n")
