@@ -46,7 +46,10 @@ from .errors import (
     QuadratureFailureError,
 )
 from .expressions import (
+    Add,
     Const,
+    Div,
+    Mul,
     ScalarField,
     Var,
     add,
@@ -301,14 +304,6 @@ def _static_metric(spec: StaticSpec) -> MetricField:
 # Cosmological family: quadrature potential and equation system
 # =====================================================================
 
-def _divisor(x: np.ndarray) -> np.ndarray:
-    """The divisor ``x``, refused, as float division refuses it, where
-    any element is zero."""
-    if not x.all():
-        raise ZeroDivisionError("float division by zero")
-    return x
-
-
 def _running_integrals(integrand: Callable[[np.ndarray], np.ndarray],
                        t0: float) -> Callable[[np.ndarray], np.ndarray]:
     """The integrals of ``integrand`` from t0 to each element of an
@@ -343,16 +338,20 @@ def grw_potential_field(spec: GRWSpec, alpha: float, t0: float) -> ScalarField:
     integrated on demand, for all the times of one call at once
     (_running_integrals), and raises NonPositiveWarpingError at a
     quadrature sample where the warping is not positive.  The first and
-    second derivative callables use the defining relation (slope
-    alpha / warping), so jets of this field carry no quadrature noise.
-    The profile's callables take arrays of times (see
-    expressions.external), and the derivatives come from the warping
-    over arrays, each element with the bits, and a one-element array
-    with the errors, of the float expressions alpha / w and
-    -alpha w' / (w w).
+    second derivatives use the defining relation (slope alpha /
+    warping), so jets of this field carry no quadrature noise.  The
+    profile's callables take arrays of times (see expressions.external).
+    The derivatives are compiled fields of the warping w, alpha / w and
+    (-alpha w') / (w w), built from the node kinds, which do not fold,
+    so each element is the float expression's and a zero of the
+    divisor fails at the compiler's guard.
     """
     w_many = spec.warping.compiled_arrays
-    dw_many = spec.warping.diff(spec.time_var).compiled_arrays
+    time = (spec.time_var,)
+    w, dw = spec.warping.root, spec.warping.diff(spec.time_var).root
+    deriv = ScalarField(time, Div(Const(alpha), w)).compiled_arrays
+    deriv2 = ScalarField(
+        time, Div(Mul(Const(-alpha), dw), Mul(w, w))).compiled_arrays
 
     def reciprocals(u: np.ndarray) -> np.ndarray:
         wu = w_many(u)
@@ -367,16 +366,9 @@ def grw_potential_field(spec: GRWSpec, alpha: float, t0: float) -> ScalarField:
     def values_at(ts: np.ndarray) -> np.ndarray:
         return alpha * running(ts)
 
-    def deriv(ts: np.ndarray) -> np.ndarray:
-        return alpha / _divisor(w_many(ts))
-
-    def deriv2(ts: np.ndarray) -> np.ndarray:
-        wv = w_many(ts)
-        return -alpha * dw_many(ts) / _divisor(wv * wv)
-
     node = external("potential_profile", (values_at, deriv, deriv2),
                     Var(spec.time_var))
-    return ScalarField((spec.time_var,), node)
+    return ScalarField(time, node)
 
 
 class GRWSamples(NamedTuple):
@@ -790,15 +782,16 @@ def walker4_construct(spec: Walker4Spec,
 
     The profile's callables take arrays of times (see
     expressions.external): the value maps the interpolant over them
-    element by element, the slope is the table's array slope, and its
-    derivative is the warping over arrays.  Each element has the bits
-    of the float expressions, and a one-element array their errors.
+    element by element, and the slope is the table's array slope.  The
+    slope's derivative is a compiled field of the warping w,
+    (0.5 w') (c0 t + c1) + c0 w, built from the node kinds, which do not
+    fold (c0 = 0 keeps the sign of c0 w), so each element is the float
+    expression's.
 
     ``paper_literal=True`` swaps the y coefficient for (c0 z + c1);
     that variant fails the family's own system when c0 != 0.
     """
     w_many = spec.warping.compiled_arrays
-    w_t_many = spec.warping.diff("t").compiled_arrays
     c0, c1 = spec.c0, spec.c1
     running = _running_integrals(w_many, spec.t0)
 
@@ -808,8 +801,10 @@ def walker4_construct(spec: Walker4Spec,
         w_ts = w_many(ts)
         return 0.5 * (w_ts * (c0 * ts + c1) + c0 * running(ts))
 
-    def slope2(ts: np.ndarray) -> np.ndarray:
-        return 0.5 * w_t_many(ts) * (c0 * ts + c1) + c0 * w_many(ts)
+    slope2 = ScalarField(("t",), Add(
+        Mul(Mul(Const(0.5), spec.warping.diff("t").root),
+            Add(Mul(Const(c0), Var("t")), Const(c1))),
+        Mul(Const(c0), spec.warping.root))).compiled_arrays
 
     lo, hi = interval
     if not lo < hi:
@@ -819,10 +814,8 @@ def walker4_construct(spec: Walker4Spec,
                                    grid.tolist(), tol=QUADRATURE_TOL)
     if error is not None:
         raise error
-    table = np.empty_like(grid)
-    table[0] = pieces[0]
-    for i in range(1, len(grid)):
-        table[i] = table[i - 1] + pieces[i]
+    # Each entry adds its piece to the one before, as a loop would.
+    table = np.cumsum(pieces)
     spline = _pchip(grid, table)
 
     def value(tv: float) -> float:

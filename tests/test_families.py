@@ -37,6 +37,7 @@ from solitonlab import (
     theta_substitution,
 )
 from solitonlab.curvature import covariant_hessian_from
+from solitonlab.expressions import Add, ScalarField, Var, external
 from solitonlab.families import (
     GRWSpec,
     StaticSpec,
@@ -166,6 +167,18 @@ def test_potential_rejects_warping_that_crosses_zero():
     )
     with pytest.raises(NonPositiveWarpingError):
         grw_potential_field(spec, 1.0, -1.0)((2.0,))
+
+
+def test_a_zero_of_the_warping_fails_the_derivatives_as_a_domain_error():
+    # The derivatives divide by the warping, unchecked where it is not
+    # sampled for positivity; a zero there is the package's error.
+    spec = GRWSpec(parse_expression("t - 1", ("t",)), flat_metric(("x",)),
+                   (0.5, 2.0))
+    slope = grw_potential_field(spec, 2.0, 1.5).diff("t")
+    with pytest.raises(DomainError, match="division by zero"):
+        slope((1.0,))
+    with pytest.raises(DomainError, match="division by zero"):
+        slope.diff("t")((1.0,))
 
 
 def test_potential_quadrature_convergence():
@@ -650,3 +663,69 @@ def test_warped_conditions_on_a_curved_base_match_a_base_chart_reference():
     for item in dataclasses.fields(WarpedConditions):
         assert abs(getattr(got, item.name) - getattr(want, item.name)) < 1e-10, item.name
     assert want.pairing_gap > 0.01 and want.base_hessian_gap > 0.01
+
+
+# ---------------------------------------------------------------
+# the profiles' derivative fields against the closures they replaced
+# ---------------------------------------------------------------
+
+def _same_bits(funcs, closures, ts):
+    # The derivatives themselves, where a folded zero would show its sign;
+    # the jets' sums can lose it.
+    for got, want in zip(funcs, closures):
+        assert got(ts).tobytes() == want(ts).tobytes()
+
+
+def _same_jets(field, reference, points):
+    got, want = eval_jet2(field, points), eval_jet2(reference, points)
+    for part in ("value", "gradient", "hessian"):
+        assert getattr(got, part).tobytes() == getattr(want, part).tobytes(), part
+
+
+@pytest.mark.parametrize("warping", ["t", "2", "1 + 0.3*sin(t)", "exp(0.5*t)", "t^2"])
+def test_grw_derivative_fields_give_the_closure_bits(warping):
+    spec = GRWSpec(parse_expression(warping, ("t",)), flat_metric(("x",)),
+                   (0.5, 2.0))
+    w_many = spec.warping.compiled_arrays
+    dw_many = spec.warping.diff("t").compiled_arrays
+    points = np.linspace(0.5, 2.0, 7)[:, None]
+    for alpha in (0.0, 1.0, -1.0, 6.0, 0.37):
+        potential = grw_potential_field(spec, alpha, 0.5)
+
+        def deriv(ts, alpha=alpha):
+            return alpha / w_many(ts)
+
+        def deriv2(ts, alpha=alpha):
+            wv = w_many(ts)
+            return -alpha * dw_many(ts) / (wv * wv)
+
+        reference = ScalarField(("t",), external(
+            "potential_profile", (potential.root.funcs[0], deriv, deriv2),
+            Var("t")))
+        _same_bits(potential.root.funcs[1:], (deriv, deriv2), points[:, 0])
+        _same_jets(potential, reference, points)
+
+
+@pytest.mark.parametrize("paper_literal", [False, True])
+@pytest.mark.parametrize("warping", ["1 + 0.3*sin(t)", "2", "-1 + 0.2*t", "t", "0"])
+def test_walker4_slope_derivative_field_gives_the_closure_bits(warping,
+                                                               paper_literal):
+    w = parse_expression(warping, ("t",))
+    w_many, w_t_many = w.compiled_arrays, w.diff("t").compiled_arrays
+    rng = np.random.default_rng(101)
+    points = np.column_stack([rng.uniform(-1.0, 1.0, (11, 3)),
+                              [-1.0, -0.7, -0.3, -0.0, 0.0, 0.1, 0.4, 0.7,
+                               1.0, 1.2, 1.4]])
+    for c0 in (0.0, -0.0, 1.0, -1.0, 0.7):
+        for c1 in (0.0, -0.0, 1.0, -1.0, 0.7):
+
+            def slope2(ts, c0=c0, c1=c1):
+                return 0.5 * w_t_many(ts) * (c0 * ts + c1) + c0 * w_many(ts)
+
+            spec = Walker4Spec(w, c0, c1, 0.25, -0.5, 0.1)
+            f, profile = walker4_construct(spec, paper_literal)
+            assert type(f.root) is Add
+            reference = ScalarField(f.chart, Add(f.root.left, external(
+                profile.name, (*profile.funcs[:2], slope2), Var("t"))))
+            _same_bits(profile.funcs[2:], (slope2,), points[:, 3])
+            _same_jets(f, reference, points)
