@@ -125,14 +125,13 @@ BATCH_POINTS = 576
 
 class _Batch(NamedTuple):
     """Tape entries of one level and one kind, with the slot-buffer
-    rows of their jets (``out``) and of each operand's jets (``args``):
-    a slice where the rows are consecutive, so that they are read and
-    written as views, else an index array."""
+    rows of their jets (``out``), one consecutive run, and of each
+    operand's jets (``args``): a slice where the rows are consecutive,
+    so that they are read as views, else an index array."""
 
     kind: type
-    nodes: list[Node]
     entries: list[int]
-    out: slice | np.ndarray
+    out: slice
     args: list[slice | np.ndarray]
 
 
@@ -147,42 +146,44 @@ def _rows(slots: list[int]) -> slice | np.ndarray:
 
 
 class _Tape:
-    """The trees of one walk numbered into entries (node, tape numbers
-    of its children), one per distinct node, in the order a depth-first
-    walk meets them.  As each entry is appended, numbering also records
-    what _schedule reads of it: its level, 1 + the highest level of its
-    children (0 for a leaf); how many entries and fields use its jet;
-    and its group, the entries of one level and one kind in tape order.
+    """The trees of one walk numbered into entries, one per distinct
+    node, in the order a depth-first walk meets them: the entry's node
+    and the tape numbers of its children (``args``).  As each entry is
+    appended, numbering also records what _schedule reads of it: its
+    level, 1 + the highest level of its children (0 for a leaf), and
+    its group, the entries of one level and one kind in tape order.
     Call entries are grouped by function name too, and each Pow or
     External entry, which is evaluated with its own exponent or
     callables, is a group of its own."""
 
     def __init__(self) -> None:
-        self.entries: list[tuple[Node, tuple[int, ...]]] = []
+        self.nodes: list[Node] = []
+        self.args: list[tuple[int, ...]] = []
         self.numbers: dict[Node, int] = {}
         self.levels: list[int] = []
-        self.uses: list[int] = []
         self.groups: list[dict] = [{}]
 
     def number(self, node: Node) -> int:
         """The tape number of ``node``, appending its entry, after those
         of its children, the first time the walk meets it."""
         k = self.numbers.get(node)
-        if k is not None:
-            return k
-        levels, uses = self.levels, self.uses
+        return self._append(node) if k is None else k
+
+    def _append(self, node: Node) -> int:
+        numbers, levels = self.numbers, self.levels
         args = ()
         level = 0
         for kid in node.kids:
-            a = self.number(kid)
+            a = numbers.get(kid)
+            if a is None:
+                a = self._append(kid)
             args += (a,)
-            uses[a] += 1
             if levels[a] >= level:
                 level = levels[a] + 1
-        k = self.numbers[node] = len(levels)
-        self.entries.append((node, args))
+        k = numbers[node] = len(levels)
+        self.nodes.append(node)
+        self.args.append(args)
         levels.append(level)
-        uses.append(0)
         if level == len(self.groups):
             self.groups.append({})
         kind = type(node)
@@ -198,52 +199,81 @@ class _Tape:
         return k
 
 
-def _schedule(tape: _Tape, points: int) -> tuple[list[_Batch], list[int], int]:
+def _first_run(free: int, m: int, size: int) -> int:
+    """The first of the lowest ``m`` consecutive rows set in the bit
+    mask ``free`` of the ``size`` rows of the slot buffer; else the
+    first of the free rows at its top, with which the run grows it."""
+    runs, k = free, 1
+    while k < m:
+        # A bit of runs is set where k free rows start; then k + s.
+        s = min(k, m - k)
+        runs &= runs >> s
+        k += s
+    if runs:
+        return (runs & -runs).bit_length() - 1
+    return (~free & ((1 << size) - 1)).bit_length()
+
+
+def _schedule(tape: _Tape, roots: list[int],
+              points: int) -> tuple[list[_Batch], dict[int, int], int]:
     """The tape in batches, the slot of each entry's jet, and the
     number of slots.
 
     A batch holds entries of one of the tape's groups, as many as
     BATCH_POINTS allows over ``points`` points, so it reads only jets
     of lower levels.  Batches run level by level, and within a level in
-    the order of their groups' first tape entries.  A slot is freed
-    once the last user of its jet has run (this uses up the tape's use
-    counts) and is reused by a later batch, so there are as many slots
-    as jets live at once at the peak.
+    the order of their groups' first tape entries.  The plan is made in
+    two passes over the batches:
+
+    - top down, each group is ordered by when its entries' jets are
+      last read, and each jet is set to die at its last reader.  The
+      jets one batch reads, and those read last together, then sit
+      side by side;
+    - bottom up, each batch's jets get one run of consecutive slots,
+      the lowest free one once the slots of the jets that die at the
+      batch are freed.  A rule writes its batch in place, and it may
+      write over the operands it reads: each rule reads the parts of
+      its operands that a part of its jets depends on before it
+      writes that part.  The roots' jets never die, so there are
+      about as many slots as jets live at once at the peak.
     """
-    uses = tape.uses
+    args = tape.args
     width = max(1, BATCH_POINTS // max(points, 1))
-    slot = [0] * len(tape.entries)
-    free: list[int] = []
-    size = 0
-    batches = []
-    for level in tape.groups:
+    position = len(args)
+    last = [-1] * position
+    for k in roots:
+        last[k] = position
+    plan = []
+    for level in reversed(tape.groups):
+        batches = []
         for group in level.values():
-            for start in range(0, len(group), width):
-                entries = group[start:start + width]
-                outs = []
-                for k in entries:
-                    if free:
-                        slot[k] = free.pop()
-                    else:
-                        slot[k] = size
-                        size += 1
-                    outs.append(slot[k])
-                if len(outs) > 1:
-                    # Free rows in order are more often consecutive.
-                    outs.sort()
-                    for k, s in zip(entries, outs):
-                        slot[k] = s
-                nodes = [tape.entries[k][0] for k in entries]
-                kids = [tape.entries[k][1] for k in entries]
-                batches.append(_Batch(
-                    type(nodes[0]), nodes, entries, _rows(outs),
-                    [_rows([slot[c[i]] for c in kids])
-                     for i in range(len(kids[0]))]))
-                for c in kids:
-                    for a in c:
-                        uses[a] -= 1
-                        if not uses[a]:
-                            free.append(slot[a])
+            group.sort(key=last.__getitem__)
+            batches += [group[start:start + width]
+                        for start in range(0, len(group), width)]
+        for batch in reversed(batches):
+            dying = []
+            for k in reversed(batch):
+                position -= 1
+                for a in args[k]:
+                    if last[a] < 0:
+                        last[a] = position
+                        dying.append(a)
+            plan.append((batch, dying))
+    slot: dict[int, int] = {}
+    free = size = 0
+    batches = []
+    for batch, dying in reversed(plan):
+        for a in dying:
+            free |= 1 << slot[a]
+        m = len(batch)
+        start = _first_run(free, m, size)
+        free &= ~(((1 << m) - 1) << start)
+        size = max(size, start + m)
+        slot.update(zip(batch, range(start, start + m)))
+        batches.append(_Batch(
+            type(tape.nodes[batch[0]]), batch, slice(start, start + m),
+            [_rows(list(map(slot.__getitem__, column)))
+             for column in zip(*map(args.__getitem__, batch))]))
     return batches, slot, size
 
 
@@ -269,11 +299,12 @@ class _Walk:
     """
 
     def __init__(self, points: np.ndarray, chart: Sequence[str],
-                 size: int) -> None:
+                 nodes: list[Node], size: int) -> None:
         p, n = points.shape
         self.points = points
         self.n = n
         self.chart = chart
+        self.nodes = nodes
         # Zeros, since a leaf writes only its nonzero entries: level 0
         # runs before any slot is freed, so its slots are fresh.
         self.jets = np.zeros((size, 1 + n + n * n, p))
@@ -312,42 +343,44 @@ def _parts(jets: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a_i b_j of gradients (B, n, P), as hessian rows (B, n*n, P)."""
-    out = a[:, :, None] * b[:, None, :]
-    return out.reshape(len(a), -1, out.shape[-1])
+    """a_i b_j of gradients (B, n, P), as (B, n, n, P)."""
+    return a[:, :, None] * b[:, None, :]
 
 
 def _chain(u: np.ndarray, f0: np.ndarray, f1: np.ndarray, f2: np.ndarray,
            out: np.ndarray, n: int) -> None:
-    """Jets of F(u) into ``out``, given F, F', F'' (B, P) at u's values."""
-    _, g, h = _parts(u, n)
-    value, gradient, hessian = _parts(out, n)
-    value[...] = f0
-    f1, f2 = f1[:, None], f2[:, None]
-    np.multiply(f1, g, out=gradient)
-    np.add(f1 * h, f2 * _outer(g, g), out=hessian)
+    """Jets of F(u) into ``out``, given F, F', F'' (B, P) at u's values:
+    F' u_i and F' u_ij + F'' u_i u_j, F' times u's gradient and hessian
+    in one product."""
+    g = u[:, 1:n + 1]
+    terms = f1[:, None] * u[:, 1:]
+    curved = _outer(g, g)
+    curved *= f2[:, None, None]
+    terms[:, n:] += curved.reshape(terms[:, n:].shape)
+    out[:, 1:] = terms
+    out[:, 0] = f0
 
 
 def _mul_rule(batch: _Batch, walk: _Walk, out: np.ndarray, a: np.ndarray,
               b: np.ndarray) -> None:
+    """(ab)_i = a b_i + b a_i and (ab)_ij = a b_ij + b a_ij + (a_i b_j
+    + a_j b_i), the first two terms of both in one pass over the
+    gradient and the hessian."""
     n = walk.n
-    a_value, ga, ha = _parts(a, n)
-    b_value, gb, hb = _parts(b, n)
-    value, gradient, hessian = _parts(out, n)
-    cross = _outer(ga, gb) + _outer(gb, ga)
-    av, bv = a_value[:, None], b_value[:, None]
-    np.multiply(a_value, b_value, out=value)
-    np.add(av * gb, bv * ga, out=gradient)
-    np.add(av * hb + bv * ha, cross, out=hessian)
+    terms = a[:, :1] * b[:, 1:] + b[:, :1] * a[:, 1:]
+    ab = _outer(a[:, 1:n + 1], b[:, 1:n + 1])
+    terms[:, n:] += (ab + ab.swapaxes(1, 2)).reshape(terms[:, n:].shape)
+    out[:, 1:] = terms
+    np.multiply(a[:, 0], b[:, 0], out=out[:, 0])
 
 
 def _const_rule(batch: _Batch, walk: _Walk, out: np.ndarray) -> None:
-    out[:, 0] = np.array([float(node.value) for node in batch.nodes])[:, None]
+    out[:, 0] = np.array([walk.nodes[k].value for k in batch.entries])[:, None]
 
 
 def _var_rule(batch: _Batch, walk: _Walk, out: np.ndarray) -> None:
-    for jet, node in zip(out, batch.nodes):
-        axis = walk.chart.index(node.name)
+    for jet, k in zip(out, batch.entries):
+        axis = walk.chart.index(walk.nodes[k].name)
         jet[0] = walk.points[:, axis]
         jet[1 + axis] = 1.0
 
@@ -377,7 +410,7 @@ def _div_rule(batch: _Batch, walk: _Walk, out: np.ndarray, num: np.ndarray,
 
 
 def _call_rule(batch: _Batch, walk: _Walk, out: np.ndarray, u: np.ndarray) -> None:
-    func = batch.nodes[0].func
+    func = walk.nodes[batch.entries[0]].func
     x = u[:, 0]
     n = walk.n
     if func == "sqrt":
@@ -422,7 +455,7 @@ def _pointwise(terms: Callable[[float], Sequence[float]], u: np.ndarray,
 
 
 def _pow_rule(batch: _Batch, walk: _Walk, out: np.ndarray, u: np.ndarray) -> None:
-    c = batch.nodes[0].exponent
+    c = walk.nodes[batch.entries[0]].exponent
     blows_up_at_zero = c < 2.0 and not float(c).is_integer()
 
     def terms(x: float) -> tuple[float, float, float]:
@@ -442,8 +475,8 @@ def _external_rule(batch: _Batch, walk: _Walk, out: np.ndarray,
     call raises, the points are called one at a time instead
     (_pointwise), so the first failing point and its message are those
     of that loop."""
-    node = batch.nodes[0]
     k = batch.entries[0]
+    node = walk.nodes[k]
     if len(node.funcs) < 3:
         walk.fail(0, 2 * k, f"profile '{node.name}' supplies no second derivative",
                   located=False)
@@ -470,16 +503,10 @@ _RULES = {
 
 
 def _evaluate(batch: _Batch, walk: _Walk) -> None:
-    """The jets of one batch, written in place where its slots are
-    consecutive, else computed apart and scattered to its slots."""
+    """The jets of one batch, written in place to its run of slots."""
     jets = walk.jets
-    rule = _RULES[batch.kind]
-    if isinstance(batch.out, slice):
-        rule(batch, walk, jets[batch.out], *[jets[rows] for rows in batch.args])
-    else:
-        out = np.empty((len(batch.entries),) + jets.shape[1:])
-        rule(batch, walk, out, *[jets[rows] for rows in batch.args])
-        jets[batch.out] = out
+    _RULES[batch.kind](batch, walk, jets[batch.out],
+                       *[jets[rows] for rows in batch.args])
 
 
 def walk_jets(fields: Sequence[ScalarField], points: np.ndarray) -> list[Jet2]:
@@ -501,12 +528,10 @@ def walk_jets(fields: Sequence[ScalarField], points: np.ndarray) -> list[Jet2]:
     tape = _Tape()
     roots, ends = [], []
     for field in fields:
-        k = tape.number(field.root)
-        tape.uses[k] += 1
-        roots.append(k)
-        ends.append(len(tape.entries))
-    batches, slot, size = _schedule(tape, len(points))
-    walk = _Walk(points, chart, size)
+        roots.append(tape.number(field.root))
+        ends.append(len(tape.args))
+    batches, slot, size = _schedule(tape, roots, len(points))
+    walk = _Walk(points, chart, tape.nodes, size)
     # A rule runs at every point, also where a check has failed or at
     # points past the first that fails, so numpy's floating-point
     # warnings would depend on the batching.  They are silenced: a

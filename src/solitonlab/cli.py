@@ -628,9 +628,13 @@ def _check_grid(job: _Job, out: str | None, metric: MetricField,
     point of the coordinates the metric, the potential or a field reads."""
     axes, pts = _sample(job.chart, job.ranges)
     reads = potential.root.reads.union(*(fn.root.reads for fn in fields.values()))
-    groups = distinct_points(pts, sorted({*metric.read_axes,
-                                          *map(job.chart.index, reads)}))
-    geometry = groups.run(lambda q: point_geometry(metric, potential, q))
+    union = {*metric.read_axes, *map(job.chart.index, reads)}
+    groups = distinct_points(pts, sorted(union))
+    # Where the metric reads every axis of the union, as in every
+    # cosmological check, each group is a metric point of its own.
+    distinct = len(union) == len(metric.read_axes)
+    geometry = groups.run(
+        lambda q: point_geometry(metric, potential, q, distinct=distinct))
     mu = job.constants.get("mu", 0.0)
     samples = geometry.lambda_estimate(mu).samples
     estimate = LambdaEstimate.of(groups.gather(samples))

@@ -62,7 +62,7 @@ import numpy as np
 
 from .autodiff import eval_jet2
 from .expressions import ScalarField
-from .grids import distinct_points
+from .grids import DistinctPoints, distinct_points
 from .metrics import MetricAtPoint, MetricField, metric_at
 
 __all__ = [
@@ -200,17 +200,22 @@ class GridCurvature:
     scalar: np.ndarray
 
 
-def curvature_over(metric: MetricField, points: np.ndarray) -> GridCurvature:
+def curvature_over(metric: MetricField, points: np.ndarray, *,
+                   distinct: bool = False) -> GridCurvature:
     """metric_at -> curvature_from once per distinct metric point of a
     (P, n) float64 stack; every point gets the results of its group.
 
     Two points are one metric point when the coordinates the metric
     reads (MetricField.read_axes) have the same float64 bits, as in the
-    jet walk's keys (grids.distinct_points).  Each row goes through the
-    arithmetic it would meet in the full stack, so the results have the
-    same bits.  An error names its point and carries its stack index.
+    jet walk's keys (grids.distinct_points).  A caller whose points are
+    already one per distinct value of those coordinates, or of more,
+    says so with ``distinct``, and they are not grouped again.  Each
+    row goes through the arithmetic it would meet in the full stack, so
+    the results have the same bits.  An error names its point and
+    carries its stack index.
     """
-    groups = distinct_points(points, metric.read_axes)
+    groups = (DistinctPoints(points, np.arange(len(points)), None) if distinct
+              else distinct_points(points, metric.read_axes))
     curv = groups.run(lambda q: curvature_from(metric_at(metric, q)))
     data = curv.metric_data
     return GridCurvature(*map(groups.gather, (data.g, data.g_inv, curv.gamma,

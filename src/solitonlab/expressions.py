@@ -247,32 +247,31 @@ ZERO = Const(0.0)
 ONE = Const(1.0)
 
 
-def _is_const(node: Node, value: float | None = None) -> bool:
-    if not isinstance(node, Const):
-        return False
-    return value is None or node.value == value
-
-
 # =====================================================================
 # Smart constructors
 # =====================================================================
 
+# Each folds a constant operand by its value, read with ==, so -0.0
+# folds as 0.0 does and a NaN never folds as 0, 1 or -1.
+
 def add(left: Node, right: Node) -> Node:
-    if _is_const(left) and _is_const(right):
-        return Const(left.value + right.value)
-    if _is_const(left, 0.0):
-        return right
-    if _is_const(right, 0.0):
+    if type(left) is Const:
+        if type(right) is Const:
+            return Const(left.value + right.value)
+        if left.value == 0.0:
+            return right
+    elif type(right) is Const and right.value == 0.0:
         return left
     return Add(left, right)
 
 
 def sub(left: Node, right: Node) -> Node:
-    if _is_const(left) and _is_const(right):
-        return Const(left.value - right.value)
-    if _is_const(right, 0.0):
-        return left
-    if _is_const(left, 0.0):
+    if type(right) is Const:
+        if type(left) is Const:
+            return Const(left.value - right.value)
+        if right.value == 0.0:
+            return left
+    elif type(left) is Const and left.value == 0.0:
         return neg(right)
     if left is right:
         return ZERO
@@ -280,39 +279,42 @@ def sub(left: Node, right: Node) -> Node:
 
 
 def mul(left: Node, right: Node) -> Node:
-    if _is_const(left) and _is_const(right):
-        return Const(left.value * right.value)
-    if _is_const(left, 0.0) or _is_const(right, 0.0):
-        return Const(0.0)
-    if _is_const(left, 1.0):
-        return right
-    if _is_const(right, 1.0):
-        return left
-    if _is_const(left, -1.0):
-        return neg(right)
-    if _is_const(right, -1.0):
-        return neg(left)
+    if type(left) is Const:
+        if type(right) is Const:
+            return Const(left.value * right.value)
+        value, other = left.value, right
+    elif type(right) is Const:
+        value, other = right.value, left
+    else:
+        return Mul(left, right)
+    if value == 0.0:
+        return ZERO
+    if value == 1.0:
+        return other
+    if value == -1.0:
+        return neg(other)
     return Mul(left, right)
 
 
 def div(num: Node, den: Node) -> Node:
-    if _is_const(den, 0.0):
-        raise DomainError("division by the constant zero")
-    if _is_const(num) and _is_const(den):
-        return Const(num.value / den.value)
-    if _is_const(num, 0.0):
-        return Const(0.0)
-    if _is_const(den, 1.0):
-        return num
+    if type(den) is Const:
+        if den.value == 0.0:
+            raise DomainError("division by the constant zero")
+        if type(num) is Const:
+            return Const(num.value / den.value)
+        if den.value == 1.0:
+            return num
+    elif type(num) is Const and num.value == 0.0:
+        return ZERO
     if num is den:
         return ONE
     return Div(num, den)
 
 
 def neg(arg: Node) -> Node:
-    if isinstance(arg, Const):
+    if type(arg) is Const:
         return Const(-arg.value)
-    if isinstance(arg, Neg):
+    if type(arg) is Neg:
         return arg.arg
     return Neg(arg)
 
@@ -693,7 +695,8 @@ def format_expression(node: Node) -> str:
 # 'e' starts no exponent is malformed; only a whole mantissa can be
 # followed by an 'e', so that alternative never takes part of a number.
 # An identifier starts with \w minus \d, which still holds '²' and '½';
-# _tokenize refuses those.
+# _offsets refuses those.  findall gives a token as the tuple of the
+# groups: its text in the group of its kind, '' in the others.
 _TOKEN = re.compile(r"""\s*(?:
     (?P<malformed>(?:\d+\.?\d*|\.\d+)[eE](?![+-]?\d))
   | (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
@@ -702,112 +705,127 @@ _TOKEN = re.compile(r"""\s*(?:
   | (?P<end>\Z)
   | (?P<other>.)
 )""", re.VERBOSE | re.DOTALL)
+_NUM, _IDENT, _OP = 1, 2, 3
+
+# The binary operators: (binding, constructor), the tighter the higher.
+_SUM, _PRODUCT = 1, 2
+_BINARY = {"+": (_SUM, add), "-": (_SUM, sub), "*": (_PRODUCT, mul),
+           "/": (_PRODUCT, div)}
 
 
-def _tokenize(source: str) -> list[tuple[str, str, int]]:
-    """The (kind, text, offset) tuples of ``source``, the last of kind
-    'end'.  The kind is 'num', 'ident' or 'end', or an operator's own
-    character."""
-    tokens = []
+def _offsets(source: str) -> list[int]:
+    """The offset of each token of ``source``, the tokens findall gives.
+    Raises the error of the first match that is no token: a malformed
+    number, or a character that starts none."""
+    offsets = []
     for match in _TOKEN.finditer(source):
         kind = match.lastgroup
-        text = match[kind]
         offset = match.start(kind)
-        if kind == "op":
-            kind = text
-        elif kind == "malformed":
+        if kind == "malformed":
             raise ExpressionSyntaxError("malformed number", offset)
-        elif kind == "other" or kind == "ident" and not (
-                text[0].isalpha() or text[0] == "_"):
-            raise ExpressionSyntaxError(f"unexpected character {text[0]!r}", offset)
-        tokens.append((kind, text, offset))
-        if kind == "end":
-            break
-    return tokens
+        first = match[kind][:1]
+        if kind == "other" or kind == "ident" and not (
+                first.isalpha() or first == "_"):
+            raise ExpressionSyntaxError(f"unexpected character {first!r}", offset)
+        offsets.append(offset)
+    return offsets
+
+
+class _Failure(Exception):
+    """A parse error at token ``index``: ``error(text, offset)``, raised
+    by parse_expression once the failure has shown that the offset is
+    needed."""
+
+    def __init__(self, index: int, error: type, text: str) -> None:
+        super().__init__(text)
+        self.index, self.error, self.text = index, error, text
 
 
 class _Parser:
-    """Recursive descent over the tokens of one source, read by index.
+    """Precedence climbing over the findall tokens of one source, read
+    by index.
 
     The smart constructors are called as the operands are read, left to
     right, so the tree and any DomainError from folding constants are
-    those of building the tree in source order.
+    those of building the tree in source order.  A token that is none
+    (see _offsets) stops the parse where it stands, as does any other
+    error; parse_expression then raises the token's error first.
     """
 
-    def __init__(self, source: str, chart: tuple[str, ...]) -> None:
-        self.tokens = _tokenize(source)
+    __slots__ = ("tokens", "pos", "names")
+
+    def __init__(self, tokens: list[tuple[str, ...]], chart: tuple[str, ...]) -> None:
+        self.tokens = tokens
         self.pos = 0
-        self.chart = chart
+        # The chart names an identifier token can spell.
+        self.names = frozenset(
+            name for name in chart if name[:1].isalpha() or name[:1] == "_")
 
     def parse(self) -> Node:
-        node = self.expr()
-        kind, text, offset = self.tokens[self.pos]
-        if kind != "end":
-            raise ExpressionSyntaxError(f"unexpected trailing input {text!r}", offset)
+        node = self.expr(_SUM)
+        text = "".join(self.tokens[self.pos])
+        if text:  # only the end has no text
+            raise _Failure(self.pos, ExpressionSyntaxError,
+                           f"unexpected trailing input {text!r}")
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self, loosest: int) -> Node:
+        """Operands joined by binary operators binding at least as
+        tightly as ``loosest``, each operator's right side holding the
+        operators that bind more tightly than it."""
+        node = self.operand()
         while True:
-            kind = self.tokens[self.pos][0]
-            if kind == "+":
-                self.pos += 1
-                node = add(node, self.term())
-            elif kind == "-":
-                self.pos += 1
-                node = sub(node, self.term())
-            else:
+            op = _BINARY.get(self.tokens[self.pos][_OP])
+            if op is None or op[0] < loosest:
                 return node
-
-    def term(self) -> Node:
-        node = self.unary()
-        while True:
-            kind = self.tokens[self.pos][0]
-            if kind == "*":
-                self.pos += 1
-                node = mul(node, self.unary())
-            elif kind == "/":
-                self.pos += 1
-                node = div(node, self.unary())
-            else:
-                return node
-
-    def unary(self) -> Node:
-        """The grammar's unary, power and atom rules in one."""
-        kind, text, offset = self.tokens[self.pos]
-        self.pos += 1
-        if kind == "-":
-            return neg(self.unary())
-        if kind == "num":
-            node = Const(float(text))
-        elif kind == "(" or kind == "ident" and self.tokens[self.pos][0] == "(":
-            if kind == "ident":
-                if text not in _CALLS:
-                    raise ExpressionSyntaxError(f"unknown function '{text}'", offset)
-                self.pos += 1
-            node = self.expr()
-            close, _, at = self.tokens[self.pos]
-            if close != ")":
-                raise ExpressionSyntaxError("expected ')'", at)
+            binding, build = op
             self.pos += 1
-            if kind == "ident":
-                node = call(text, node)
-        elif kind == "ident":
-            if text not in self.chart:
-                raise UnknownVariableError(text, offset)
-            node = Var(text)
-        elif kind == "end":
-            raise ExpressionSyntaxError("unexpected end of input", offset)
-        else:
-            raise ExpressionSyntaxError(f"unexpected token {text!r}", offset)
-        kind, _, offset = self.tokens[self.pos]
-        if kind != "^":
-            return node
+            node = build(node, self.operand() if binding == _PRODUCT
+                         else self.expr(binding + 1))
+
+    def operand(self) -> Node:
+        """The grammar's unary, power and atom rules in one."""
+        tokens = self.tokens
+        token = tokens[self.pos]
         self.pos += 1
-        exponent = self.unary()
-        if not isinstance(exponent, Const):
-            raise ExpressionSyntaxError("exponent must be a constant", offset)
+        name, op = token[_IDENT], token[_OP]
+        if token[_NUM]:
+            node = Const(float(token[_NUM]))
+        elif name in self.names and tokens[self.pos][_OP] != "(":
+            node = Var(name)
+        elif op == "(" or name in _CALLS and tokens[self.pos][_OP] == "(":
+            self.pos += op != "("
+            node = self.expr(_SUM)
+            if tokens[self.pos][_OP] != ")":
+                raise _Failure(self.pos, ExpressionSyntaxError, "expected ')'")
+            self.pos += 1
+            if name:
+                node = call(name, node)
+        elif op == "-":
+            return neg(self.operand())
+        else:
+            raise self.unexpected(token)
+        if tokens[self.pos][_OP] != "^":
+            return node
+        at = self.pos
+        self.pos += 1
+        exponent = self.operand()
+        if type(exponent) is not Const:
+            raise _Failure(at, ExpressionSyntaxError, "exponent must be a constant")
         return pow_(node, exponent.value)
+
+    def unexpected(self, token: tuple[str, ...]) -> _Failure:
+        """The failure of an operand at ``token``, just read."""
+        at = self.pos - 1
+        if token[_IDENT]:
+            if self.tokens[self.pos][_OP] == "(":
+                return _Failure(at, ExpressionSyntaxError,
+                                f"unknown function '{token[_IDENT]}'")
+            return _Failure(at, UnknownVariableError, token[_IDENT])
+        if token[_OP]:
+            return _Failure(at, ExpressionSyntaxError,
+                            f"unexpected token {token[_OP]!r}")
+        return _Failure(at, ExpressionSyntaxError, "unexpected end of input")
 
 
 # =====================================================================
@@ -935,8 +953,17 @@ class ScalarField:
 
 def parse_expression(source: str, chart: Sequence[str]) -> ScalarField:
     chart_t = tuple(chart)
-    root = _Parser(source, chart_t).parse()
-    return ScalarField(chart_t, root)
+    try:
+        root = _Parser(_TOKEN.findall(source), chart_t).parse()
+    except Exception as exc:  # noqa: BLE001 - re-raised below
+        failure = exc
+    else:
+        return ScalarField(chart_t, root)
+    # A token error comes first, wherever the parse stopped.
+    offsets = _offsets(source)
+    if isinstance(failure, _Failure):
+        raise failure.error(failure.text, offsets[failure.index]) from None
+    raise failure
 
 
 def constant_field(chart: Sequence[str], value: float) -> ScalarField:

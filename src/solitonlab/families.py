@@ -186,7 +186,9 @@ class Walker3Spec:
 class Walker3Construction:
     """Ingredients of the explicit 3d potential: kappa scales the x
     part, eta(y) is the strictly increasing profile, zeta(x, y) the
-    free additive term of the metric function."""
+    additive term of the metric function.  zeta is free only where
+    kappa * d(zeta)/dx = 0: elsewhere the yy equation keeps
+    1/2 kappa d(zeta)/dx, and the structure is no soliton."""
 
     kappa: float
     eta: ScalarField
@@ -547,19 +549,23 @@ def walker3_closed_forms(spec: Walker3Spec, f: ScalarField,
 def walker3_pde_residual(spec: Walker3Spec, f: ScalarField,
                          point: Sequence[float]) -> np.ndarray:
     """The five reduced scalar equations of the 3d family, evaluated
-    as residuals in a fixed order."""
+    as residuals in a fixed order: the parts of Hess(f) = (scal - lam) g
+    free of lam, Hess_tt, Hess_tx, Hess_xy, Hess_xx - Hess_ty and
+    Hess_yy - q Hess_xx, each covariant entry as walker3_closed_forms
+    gives it."""
     jf = eval_jet2(f, point)
     jq = eval_jet2(spec.phi_metric, point)
     q = jq.value
-    q_t, q_x, _ = jq.gradient
-    f_t, _, f_y = jf.gradient
+    q_t, q_x, q_y = jq.gradient
+    f_t, f_x, f_y = jf.gradient
     H = jf.hessian
     return np.array([
         H[0, 0],
         H[0, 1],
         H[1, 2] - 0.5 * q_x * f_t,
         H[1, 1] - H[0, 2] + 0.5 * q_t * f_t,
-        H[2, 2] - H[1, 1] - 0.5 * q * q_t * f_t + 0.5 * q_t * f_y,
+        H[2, 2] - q * H[1, 1] - 0.5 * (q * q_t + q_y) * f_t
+        + 0.5 * q_x * f_x + 0.5 * q_t * f_y,
     ])
 
 

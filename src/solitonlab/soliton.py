@@ -133,20 +133,23 @@ def field_geometry(curv: GridCurvature, potential: ScalarField,
 
 
 def point_geometry(metric: MetricField, potential: ScalarField,
-                   points: Sequence[Sequence[float]]) -> PointGeometry:
+                   points: Sequence[Sequence[float]], *,
+                   distinct: bool = False) -> PointGeometry:
     """metric_at -> curvature_from once per distinct metric point of the
     stack (curvature_over), then field_geometry over all the points.
     The results have the bits of a pass without that sharing, so a
     caller may pass one point per distinct point of the coordinates
     the metric and the potential read, as the command line does
-    (grids.distinct_points), and hand each result to its group.  An
-    error names the first bad point in grid order, whichever stage
-    finds it."""
+    (grids.distinct_points), and hand each result to its group.  Where
+    those are all the coordinates the metric reads, each point is its
+    own metric point, and the caller says so with ``distinct`` (see
+    curvature_over).  An error names the first bad point in grid
+    order, whichever stage finds it."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 0:
         raise ValueError("the geometry pass needs at least one point")
-    return in_grid_order(
-        lambda q: field_geometry(curvature_over(metric, q), potential, q), pts)
+    return in_grid_order(lambda q: field_geometry(
+        curvature_over(metric, q, distinct=distinct), potential, q), pts)
 
 
 # ---------------------------------------------------------------------

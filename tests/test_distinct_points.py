@@ -348,3 +348,20 @@ def test_a_large_grid_walks_the_potential_once_per_distinct_point(
         parse_expression(potential, chart), "--grid", grid)
     assert (code, err, got, sizes) == (0, "", digest, walked)
     assert out.startswith("PASS ")
+
+
+@pytest.mark.parametrize("config, groupings", [
+    # The metric reads t, every axis the potential reads: the check's
+    # one grouping is the metric's too.
+    ("grw_gqy_verify", [[0]]),
+    # The metric reads x2 and the potential x1: the metric's groups of
+    # the check's groups join points that differ in x1.
+    ("static_verify", [[1, 2], [2]]),
+])
+def test_a_check_groups_by_the_metric_only_where_a_field_reads_more(
+        tmp_path, monkeypatch, capsys, config, groupings):
+    calls = count_calls(monkeypatch, "grids", "distinct_points")
+    code = main(["verify", str(CONFIGS / f"{config}.json"),
+                 "--out", str(tmp_path / "report.csv")])
+    assert code == 0
+    assert [list(axes) for _, axes in calls] == groupings

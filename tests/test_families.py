@@ -441,6 +441,17 @@ def test_walker3_construction_with_free_term():
     assert constancy.max_deviation < 1e-10
 
 
+def test_walker3_free_term_is_free_only_where_kappa_zeta_x_vanishes():
+    # With kappa = 1 and zeta = x the yy equation keeps 1/2 kappa zeta_x,
+    # the 0.5 the construct command reports.
+    eta = field_exp(coordinate_field(("y",), "y"))
+    zeta = coordinate_field(("x", "y"), "x")
+    f, q = walker3_construct(Walker3Construction(1.0, eta, zeta))
+    residual = walker3_pde_residual(Walker3Spec(q), f, (0.3, 0.2, -0.4))
+    assert np.abs(residual[:4]).max() < 1e-12
+    assert abs(residual[4] - 0.5) < 1e-12
+
+
 def test_walker3_literal_construction_fails_its_own_system():
     eta = field_exp(coordinate_field(("y",), "y"))
     zeta = constant_field(("x", "y"), 0.0)
