@@ -215,7 +215,7 @@ def _first_run(free: int, m: int, size: int) -> int:
 
 
 def _schedule(tape: _Tape, roots: list[int],
-              points: int) -> tuple[list[_Batch], dict[int, int], int]:
+              points: int) -> tuple[list[_Batch], list[int], int]:
     """The tape in batches, the slot of each entry's jet, and the
     number of slots.
 
@@ -259,7 +259,7 @@ def _schedule(tape: _Tape, roots: list[int],
                         last[a] = position
                         dying.append(a)
             plan.append((batch, dying))
-    slot: dict[int, int] = {}
+    slot = [0] * len(args)
     free = size = 0
     batches = []
     for batch, dying in reversed(plan):
@@ -268,12 +268,15 @@ def _schedule(tape: _Tape, roots: list[int],
         m = len(batch)
         start = _first_run(free, m, size)
         free &= ~(((1 << m) - 1) << start)
-        size = max(size, start + m)
-        slot.update(zip(batch, range(start, start + m)))
+        end = start + m
+        size = max(size, end)
+        for k in batch:
+            slot[k] = start
+            start += 1
+        kids = [args[k] for k in batch]
         batches.append(_Batch(
-            type(tape.nodes[batch[0]]), batch, slice(start, start + m),
-            [_rows(list(map(slot.__getitem__, column)))
-             for column in zip(*map(args.__getitem__, batch))]))
+            type(tape.nodes[batch[0]]), batch, slice(end - m, end),
+            [_rows([slot[c[i]] for c in kids]) for i in range(len(kids[0]))]))
     return batches, slot, size
 
 

@@ -111,25 +111,35 @@ __all__ = [
 _bits = struct.Struct("<d").pack
 
 
+class _Entry(weakref.ref):
+    """The table's reference to a live node, with the node's key."""
+
+    __slots__ = ("key",)
+
+
 # The live interned nodes by key (see Node identity above).
-_NODES: dict[tuple, weakref.ref] = {}
+_NODES: dict[tuple, _Entry] = {}
 
 
-def _forget(key: tuple, ref: weakref.ref, nodes: dict = _NODES) -> None:
+def _forget(ref: _Entry, nodes: dict = _NODES) -> None:
     # A dead node's entry goes, unless a newer node has taken its key.
-    if nodes.get(key) is ref:
-        del nodes[key]
+    if nodes.get(ref.key) is ref:
+        del nodes[ref.key]
 
 
 def _keep(node: Node, key: tuple, kids: tuple) -> None:
     """Intern the new ``node``, with child nodes ``kids``, under ``key``.
-    A variable reads its name, another node what its one or two kids read."""
+    A variable reads its name, another node what its one or two kids
+    read (one kid's set where it holds the other's)."""
     node.kids = kids
     if kids:
-        node.reads = kids[0].reads | kids[-1].reads
+        first, last = kids[0].reads, kids[-1].reads
+        node.reads = (first if last <= first else last if first <= last
+                      else first | last)
     else:
         node.reads = frozenset((node.name,) if type(node) is Var else ())
-    _NODES[key] = weakref.ref(node, partial(_forget, key))
+    ref = _NODES[key] = _Entry(node, _forget)
+    ref.key = key
 
 
 class Node:
@@ -695,17 +705,19 @@ def format_expression(node: Node) -> str:
 # 'e' starts no exponent is malformed; only a whole mantissa can be
 # followed by an 'e', so that alternative never takes part of a number.
 # An identifier starts with \w minus \d, which still holds '²' and '½';
-# _offsets refuses those.  findall gives a token as the tuple of the
-# groups: its text in the group of its kind, '' in the others.
+# _offsets refuses those.  No two alternatives but the two numbers
+# start with one character, so the commonest come first.  findall gives
+# a token as the tuple of the groups: its text in the group of its
+# kind, '' in the others.
 _TOKEN = re.compile(r"""\s*(?:
-    (?P<malformed>(?:\d+\.?\d*|\.\d+)[eE](?![+-]?\d))
-  | (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+    (?P<op>[-+*/^()])
   | (?P<ident>[^\W\d]\w*)
-  | (?P<op>[-+*/^()])
+  | (?P<malformed>(?:\d+\.?\d*|\.\d+)[eE](?![+-]?\d))
+  | (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
   | (?P<end>\Z)
   | (?P<other>.)
 )""", re.VERBOSE | re.DOTALL)
-_NUM, _IDENT, _OP = 1, 2, 3
+_OP, _IDENT, _NUM = 0, 1, 3
 
 # The binary operators: (binding, constructor), the tighter the higher.
 _SUM, _PRODUCT = 1, 2
