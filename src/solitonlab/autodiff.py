@@ -31,10 +31,12 @@ level of its children, so the entries of one level depend only on
 lower ones, and those of one level and one kind go through their rule
 together: one numpy call per step of the rule for the whole batch, not
 one per entry.  Every rule is elementwise arithmetic or a ufunc, so
-stacking entries changes no bits.  The jets live in one slot buffer,
-one row per jet with the point axis last, and a row is reused once the
-last user of its jet has run, so the buffer holds only the jets live
-at once.  eval_jet2 is the walk of one field.
+stacking entries, or ordering them, changes no bits.  The jets live in
+one slot buffer, one row per jet with the point axis last.  The
+schedule is planned batch by batch (_schedule): each batch's jets get
+one run of consecutive rows, which its rule writes in place, and a
+row is reused once the last reader of its jet has run, so the buffer
+holds only the jets live at once.  eval_jet2 is the walk of one field.
 
 finite_diff_jet2 computes the same triple at one point from
 central-difference stencils on plain evaluations and shares no
@@ -231,11 +233,13 @@ def _schedule(tape: _Tape, roots: list[int],
       side by side;
     - bottom up, each batch's jets get one run of consecutive slots,
       the lowest free one once the slots of the jets that die at the
-      batch are freed.  A rule writes its batch in place, and it may
-      write over the operands it reads: each rule reads the parts of
-      its operands that a part of its jets depends on before it
-      writes that part.  The roots' jets never die, so there are
-      about as many slots as jets live at once at the peak.
+      batch are freed.  A rule writes its batch in place, so it may
+      write over operands that it reads for the last time: each rule
+      reads all it needs of a part of its operands (value, gradient or
+      hessian) before it writes that part of its jets, and numpy reads
+      a ufunc's input that overlaps its output as if copied first.
+      The roots' jets never die, so there are about as many slots as
+      jets live at once at the peak.
     """
     args = tape.args
     width = max(1, BATCH_POINTS // max(points, 1))
@@ -281,8 +285,8 @@ def _schedule(tape: _Tape, roots: list[int],
 
 
 class _Walk:
-    """The state of one walk: its points, its slot buffer and its first
-    failing check.
+    """The state of one walk: its points, the tape's nodes, its slot
+    buffer and its first failing check.
 
     A slot holds one jet with the point axis last, (1 + n + n*n, P):
     the value, the gradient, then the hessian row by row.  Every step

@@ -15,10 +15,13 @@ This module is the foundation of the package.  It provides:
      at every element of a node-by-node walk of the tree at that point.
      One point is a one-element array through the same steps.  An
      opaque profile maps an array of points to an array (external);
-  5. a parser for the grammar below: one compiled regular expression
-     splits the source into (kind, text, offset) tuples, and a
-     recursive descent, with unary, power and atom in one rule, reads
-     them by index.  Any failure reports its character offset;
+  5. a parser for the grammar below: one findall pass of a compiled
+     regular expression gives each token as a tuple with its text in
+     the field of its kind, and precedence climbing reads them by
+     index, the binary operators by a table of bindings and unary,
+     power and atom in one rule.  Any failure reports its character
+     offset, which a second pass of the same pattern finds only once
+     the parse has failed;
   6. a precedence-aware pretty printer whose output re-parses to an
      equivalent tree;
   7. ScalarField, the chart-aware wrapper the rest of the package
@@ -66,7 +69,12 @@ from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, ExpressionSyntaxError, UnknownVariableError
+from .errors import (
+    DomainError,
+    ExpressionSyntaxError,
+    SolitonLabError,
+    UnknownVariableError,
+)
 
 __all__ = [
     "Node",
@@ -965,17 +973,18 @@ class ScalarField:
 
 def parse_expression(source: str, chart: Sequence[str]) -> ScalarField:
     chart_t = tuple(chart)
+    # A token's error comes first, wherever the parse stopped: _offsets
+    # raises it.
     try:
         root = _Parser(_TOKEN.findall(source), chart_t).parse()
-    except Exception as exc:  # noqa: BLE001 - re-raised below
-        failure = exc
+    except _Failure as failure:
+        index, error, text = failure.index, failure.error, failure.text
+    except (SolitonLabError, RecursionError):
+        _offsets(source)
+        raise
     else:
         return ScalarField(chart_t, root)
-    # A token error comes first, wherever the parse stopped.
-    offsets = _offsets(source)
-    if isinstance(failure, _Failure):
-        raise failure.error(failure.text, offsets[failure.index]) from None
-    raise failure
+    raise error(text, _offsets(source)[index])
 
 
 def constant_field(chart: Sequence[str], value: float) -> ScalarField:
