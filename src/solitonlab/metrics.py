@@ -161,17 +161,15 @@ class MetricAtPoint:
 
 def _metric_stack(metric: MetricField, points: np.ndarray) -> MetricAtPoint:
     p, n = points.shape
-    rows, cols = np.triu_indices(n)
-    jets = walk_jets([metric.components[i][j] for i, j in zip(rows, cols)],
-                     points)
-    # Each part of the components' jets, stacked along a last axis, to
-    # both places of each component.
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    jets = walk_jets([metric.components[i][j] for i, j in pairs], points)
     g = np.zeros((p, n, n))
     dg = np.zeros((p, n, n, n))
     d2g = np.zeros((p, n, n, n, n))
-    for full, part in ((g, "value"), (dg, "gradient"), (d2g, "hessian")):
-        stacked = np.stack([getattr(jet, part) for jet in jets], axis=-1)
-        full[..., rows, cols] = full[..., cols, rows] = stacked
+    for (i, j), jet in zip(pairs, jets):
+        g[:, i, j] = g[:, j, i] = jet.value
+        dg[:, :, i, j] = dg[:, :, j, i] = jet.gradient
+        d2g[:, :, :, i, j] = d2g[:, :, :, j, i] = jet.hessian
     with np.errstate(all="ignore"):  # a det past DBL_MAX is inf, not a warning
         det = np.linalg.det(g)
     eigs = np.linalg.eigvalsh(g)
