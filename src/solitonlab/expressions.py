@@ -814,7 +814,8 @@ class _Parser:
         elif name in self.names and tokens[self.pos][_OP] != "(":
             node = Var(name)
         elif op == "(" or name in _CALLS and tokens[self.pos][_OP] == "(":
-            self.pos += op != "("
+            if name:
+                self.pos += 1  # the '(' after the function's name
             node = self.expr(_SUM)
             if tokens[self.pos][_OP] != ")":
                 raise _Failure(self.pos, ExpressionSyntaxError, "expected ')'")
