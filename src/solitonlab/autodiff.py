@@ -75,7 +75,6 @@ point it fails at first, and its message there, are those of a loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -103,15 +102,28 @@ from .expressions import (
 __all__ = ["Jet2", "eval_jet2", "finite_diff_jet2", "walk_jets"]
 
 
-@dataclass(frozen=True, eq=False)
 class Jet2:
     """Value, gradient and hessian of a scalar field at one point
     (float, (n,), (n, n)), or stacked along a leading point axis
-    ((P,), (P, n), (P, n, n))."""
+    ((P,), (P, n), (P, n, n)).  Frozen; equal only to itself."""
 
-    value: float | np.ndarray
-    gradient: np.ndarray
-    hessian: np.ndarray
+    __slots__ = ("value", "gradient", "hessian")
+
+    def __init__(self, value: float | np.ndarray, gradient: np.ndarray,
+                 hessian: np.ndarray) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "gradient", gradient)
+        object.__setattr__(self, "hessian", hessian)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (f"Jet2(value={self.value!r}, gradient={self.gradient!r}, "
+                f"hessian={self.hessian!r})")
 
 
 # Entries times points per batch.  A batch's temporaries are a few

@@ -44,7 +44,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -310,21 +309,38 @@ def _ranges_from_config(obj: Any, chart: tuple[str, ...],
 # Stage 3: family assembly
 # =====================================================================
 
-@dataclass
 class _Job:
     """A validated job; the family's assembler fills in the metric (None
     where the construction derives it), chart, default ranges and spec."""
 
-    family: _Family
-    command: str
-    constants: dict[str, float]
-    tolerance: float
-    potential_src: str | None
-    metric: MetricField | None = None
-    chart: tuple[str, ...] = ()
-    defaults: dict[str, Range] = dataclass_field(default_factory=dict)
-    spec: Any = None
-    ranges: dict[str, Range] = dataclass_field(default_factory=dict)
+    __slots__ = ("family", "command", "constants", "tolerance",
+                 "potential_src", "metric", "chart", "defaults", "spec",
+                 "ranges")
+
+    def __init__(self, family: _Family, command: str,
+                 constants: dict[str, float], tolerance: float,
+                 potential_src: str | None, metric: MetricField | None = None,
+                 chart: tuple[str, ...] = (),
+                 defaults: dict[str, Range] | None = None, spec: Any = None,
+                 ranges: dict[str, Range] | None = None) -> None:
+        self.family = family
+        self.command = command
+        self.constants = constants
+        self.tolerance = tolerance
+        self.potential_src = potential_src
+        self.metric = metric
+        self.chart = chart
+        self.defaults = {} if defaults is None else defaults
+        self.spec = spec
+        self.ranges = {} if ranges is None else ranges
+
+    def __repr__(self) -> str:
+        return (f"_Job(family={self.family!r}, command={self.command!r}, "
+                f"constants={self.constants!r}, tolerance={self.tolerance!r}, "
+                f"potential_src={self.potential_src!r}, "
+                f"metric={self.metric!r}, chart={self.chart!r}, "
+                f"defaults={self.defaults!r}, spec={self.spec!r}, "
+                f"ranges={self.ranges!r})")
 
 
 class _Family(NamedTuple):

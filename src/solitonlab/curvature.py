@@ -54,7 +54,6 @@ the covariant hessian reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -116,16 +115,28 @@ def _inverse_derivative(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return np.negative(dginv, out=dginv)
 
 
-@dataclass(frozen=True, eq=False)
 class CurvatureAtPoint:
     """Christoffel symbols and curvature tensors at one point, or with
     a leading point axis for stacked metric data.  ``riemann`` is
-    formed on first access."""
+    formed on first access.  Frozen; equal only to itself."""
 
-    metric_data: MetricAtPoint
-    gamma: np.ndarray
-    ricci: np.ndarray
-    scalar: float | np.ndarray
+    def __init__(self, metric_data: MetricAtPoint, gamma: np.ndarray,
+                 ricci: np.ndarray, scalar: float | np.ndarray) -> None:
+        object.__setattr__(self, "metric_data", metric_data)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "ricci", ricci)
+        object.__setattr__(self, "scalar", scalar)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (f"CurvatureAtPoint(metric_data={self.metric_data!r}, "
+                f"gamma={self.gamma!r}, ricci={self.ricci!r}, "
+                f"scalar={self.scalar!r})")
 
     @cached_property
     def riemann(self) -> np.ndarray:
@@ -188,16 +199,31 @@ def curvature_at(metric: MetricField, point: Sequence[float]) -> CurvatureAtPoin
     return curvature_from(metric_at(metric, point))
 
 
-@dataclass(frozen=True, eq=False)
 class GridCurvature:
     """g, g_inv, gamma, ricci and the scalar curvature over a (P, n)
-    stack of points, each with a leading point axis."""
+    stack of points, each with a leading point axis.  Frozen; equal
+    only to itself."""
 
-    g: np.ndarray
-    g_inv: np.ndarray
-    gamma: np.ndarray
-    ricci: np.ndarray
-    scalar: np.ndarray
+    __slots__ = ("g", "g_inv", "gamma", "ricci", "scalar")
+
+    def __init__(self, g: np.ndarray, g_inv: np.ndarray, gamma: np.ndarray,
+                 ricci: np.ndarray, scalar: np.ndarray) -> None:
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "g_inv", g_inv)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "ricci", ricci)
+        object.__setattr__(self, "scalar", scalar)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (f"GridCurvature(g={self.g!r}, g_inv={self.g_inv!r}, "
+                f"gamma={self.gamma!r}, ricci={self.ricci!r}, "
+                f"scalar={self.scalar!r})")
 
 
 def curvature_over(metric: MetricField, points: np.ndarray, *,

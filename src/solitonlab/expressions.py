@@ -157,13 +157,17 @@ class Node:
 
 
 def _kind(cls: type) -> type:
-    """A kind of interned node: a dataclass for its field list and repr,
-    not for equality, with a constructor generated from its fields, as
-    dataclass generates __init__, so that it sets each field directly
-    (a loop over the fields costs about 1 us more per new node).  A
-    float field is stored as a float and keyed by its bits; the Node
-    fields are the kids."""
-    cls = dataclass(init=False, eq=False, slots=True)(cls)
+    """A kind of interned node.  It stays a dataclass, not for equality
+    but for its field list, which tree walkers read through
+    dataclasses.fields, and its repr; it declares its ``__slots__``, so
+    that dataclass need not rebuild it, and a docstring, so that
+    dataclass need not build one from inspect.signature.  Its
+    constructor is generated from its fields, as dataclass generates
+    __init__, so that it sets each field directly (a loop over the
+    fields costs about 1 us more per new node).  A float field is
+    stored as a float and keyed by its bits; the Node fields are the
+    kids."""
+    cls = dataclass(init=False, eq=False)(cls)
     names, types = cls.__match_args__, cls.__annotations__
     floats = [n for n in names if types[n] == "float"]
     key = ", ".join(f"_bits({n})" if n in floats else n for n in names)
@@ -185,56 +189,83 @@ def _kind(cls: type) -> type:
 
 @_kind
 class Const(Node):
+    """A constant, keyed by its float64 bits."""
+
+    __slots__ = ("value",)
     value: float
 
 
 @_kind
 class Var(Node):
+    """A chart coordinate, by name."""
+
+    __slots__ = ("name",)
     name: str
 
 
 @_kind
 class Neg(Node):
+    """-arg."""
+
+    __slots__ = ("arg",)
     arg: Node
 
 
 @_kind
 class Add(Node):
+    """left + right."""
+
+    __slots__ = ("left", "right")
     left: Node
     right: Node
 
 
 @_kind
 class Sub(Node):
+    """left - right."""
+
+    __slots__ = ("left", "right")
     left: Node
     right: Node
 
 
 @_kind
 class Mul(Node):
+    """left * right."""
+
+    __slots__ = ("left", "right")
     left: Node
     right: Node
 
 
 @_kind
 class Div(Node):
+    """num / den."""
+
+    __slots__ = ("num", "den")
     num: Node
     den: Node
 
 
 @_kind
 class Pow(Node):
+    """base ^ exponent, a constant exponent keyed by its float64 bits."""
+
+    __slots__ = ("base", "exponent")
     base: Node
     exponent: float
 
 
 @_kind
 class Call(Node):
+    """func(arg), func one of FUNCTION_NAMES."""
+
+    __slots__ = ("func", "arg")
     func: str
     arg: Node
 
 
-@dataclass(init=False, eq=False, slots=True)
+@dataclass(init=False, eq=False)
 class External(Node):
     """Opaque univariate profile known only through callables.
 
@@ -245,6 +276,7 @@ class External(Node):
     exists.
     """
 
+    __slots__ = ("name", "funcs", "arg")
     name: str
     funcs: tuple[Callable[[np.ndarray], np.ndarray], ...]
     arg: Node
@@ -856,7 +888,6 @@ class _Parser:
 FieldLike = Union["ScalarField", float, int, str]
 
 
-@dataclass(frozen=True)
 class ScalarField:
     """A scalar function of the chart coordinates.
 
@@ -869,18 +900,35 @@ class ScalarField:
     one point, as one-element arrays, through the same steps.  Values and
     errors are those of walking the tree node by node.  Construction
     checks that the chart names are distinct and that the tree reads no
-    name outside the chart (``root.reads``).
+    name outside the chart (``root.reads``).  A field is frozen, and
+    equal to a field of the same chart and root.
     """
 
-    chart: tuple[str, ...]
-    root: Node
-
-    def __post_init__(self) -> None:
-        if len(set(self.chart)) != len(self.chart):
-            raise ValueError(f"chart has repeated names: {self.chart}")
-        loose = self.root.reads.difference(self.chart)
+    def __init__(self, chart: tuple[str, ...], root: Node) -> None:
+        if len(set(chart)) != len(chart):
+            raise ValueError(f"chart has repeated names: {chart}")
+        loose = root.reads.difference(chart)
         if loose:
             raise UnknownVariableError(sorted(loose)[0])
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "root", root)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.chart, self.root) == (other.chart, other.root)
+
+    def __hash__(self) -> int:
+        return hash((self.chart, self.root))
+
+    def __repr__(self) -> str:
+        return f"ScalarField(chart={self.chart!r}, root={self.root!r})"
 
     # -- evaluation ---------------------------------------------------
 

@@ -32,7 +32,6 @@ literal 3d hessian yy-row, which drops two correction terms.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -107,115 +106,237 @@ PROFILE_KNOTS = 33  # points of the walker4 profile's quadrature table
 # Family specifications
 # =====================================================================
 
-@dataclass(frozen=True)
 class WarpedProductSpec:
     """Product of two metrics with the fiber scaled by warping^2.
 
     The warping lives on the base chart and must stay positive on the
-    region of interest.
+    region of interest.  A spec is frozen, and equal to a spec of equal
+    fields, as are the other specs.
     """
 
-    base: MetricField
-    fiber: MetricField
-    warping: ScalarField
+    __slots__ = ("base", "fiber", "warping")
 
-    def __post_init__(self) -> None:
-        if self.warping.chart != self.base.chart:
+    def __init__(self, base: MetricField, fiber: MetricField,
+                 warping: ScalarField) -> None:
+        if warping.chart != base.chart:
             raise ValueError("warping must live on the base chart")
-        if set(self.base.chart) & set(self.fiber.chart):
+        if set(base.chart) & set(fiber.chart):
             raise ValueError("base and fiber charts must not share names")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "fiber", fiber)
+        object.__setattr__(self, "warping", warping)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.base, self.fiber, self.warping)
+                == (other.base, other.fiber, other.warping))
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.fiber, self.warping))
+
+    def __repr__(self) -> str:
+        return (f"WarpedProductSpec(base={self.base!r}, fiber={self.fiber!r}, "
+                f"warping={self.warping!r})")
 
 
-@dataclass(frozen=True)
 class GRWSpec:
     """Cosmological warped product -dt^2 + warping(t)^2 g_F."""
 
-    warping: ScalarField
-    fiber: MetricField
-    interval: tuple[float, float]
+    __slots__ = ("warping", "fiber", "interval")
 
-    def __post_init__(self) -> None:
-        if len(self.warping.chart) != 1:
+    def __init__(self, warping: ScalarField, fiber: MetricField,
+                 interval: tuple[float, float]) -> None:
+        if len(warping.chart) != 1:
             raise ValueError("warping must live on a one-dimensional chart")
-        if self.time_var in self.fiber.chart:
+        if warping.chart[0] in fiber.chart:
             raise ValueError("fiber chart reuses the time coordinate")
-        if any(s != 1 for s in self.fiber.signature):
+        if any(s != 1 for s in fiber.signature):
             raise ValueError("fiber must be Riemannian")
-        lo, hi = self.interval
+        lo, hi = interval
         if not lo < hi:
-            raise ValueError(f"empty interval {self.interval}")
+            raise ValueError(f"empty interval {interval}")
+        object.__setattr__(self, "warping", warping)
+        object.__setattr__(self, "fiber", fiber)
+        object.__setattr__(self, "interval", interval)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.warping, self.fiber, self.interval)
+                == (other.warping, other.fiber, other.interval))
+
+    def __hash__(self) -> int:
+        return hash((self.warping, self.fiber, self.interval))
+
+    def __repr__(self) -> str:
+        return (f"GRWSpec(warping={self.warping!r}, fiber={self.fiber!r}, "
+                f"interval={self.interval!r})")
 
     @property
     def time_var(self) -> str:
         return self.warping.chart[0]
 
 
-@dataclass(frozen=True)
 class StaticSpec:
     """Static product -lapse(x)^2 dt^2 + g_F with the lapse on the fiber."""
 
-    lapse: ScalarField
-    fiber: MetricField
-    time_var: str = "t"
+    __slots__ = ("lapse", "fiber", "time_var")
 
-    def __post_init__(self) -> None:
-        if self.lapse.chart != self.fiber.chart:
+    def __init__(self, lapse: ScalarField, fiber: MetricField,
+                 time_var: str = "t") -> None:
+        if lapse.chart != fiber.chart:
             raise ValueError("lapse must live on the fiber chart")
-        if self.time_var in self.fiber.chart:
+        if time_var in fiber.chart:
             raise ValueError("fiber chart reuses the time coordinate")
-        if any(s != 1 for s in self.fiber.signature):
+        if any(s != 1 for s in fiber.signature):
             raise ValueError("fiber must be Riemannian")
+        object.__setattr__(self, "lapse", lapse)
+        object.__setattr__(self, "fiber", fiber)
+        object.__setattr__(self, "time_var", time_var)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.lapse, self.fiber, self.time_var)
+                == (other.lapse, other.fiber, other.time_var))
+
+    def __hash__(self) -> int:
+        return hash((self.lapse, self.fiber, self.time_var))
+
+    def __repr__(self) -> str:
+        return (f"StaticSpec(lapse={self.lapse!r}, fiber={self.fiber!r}, "
+                f"time_var={self.time_var!r})")
 
 
 WALKER3_CHART = ("t", "x", "y")
 WALKER4_CHART = ("x", "y", "z", "t")
 
 
-@dataclass(frozen=True)
 class Walker3Spec:
     """3d Lorentzian metric 2 dt dy + dx^2 + phi_metric dy^2."""
 
-    phi_metric: ScalarField
+    __slots__ = ("phi_metric",)
 
-    def __post_init__(self) -> None:
-        if self.phi_metric.chart != WALKER3_CHART:
+    def __init__(self, phi_metric: ScalarField) -> None:
+        if phi_metric.chart != WALKER3_CHART:
             raise ValueError(f"metric function must live on {WALKER3_CHART}")
+        object.__setattr__(self, "phi_metric", phi_metric)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.phi_metric == other.phi_metric
+
+    def __hash__(self) -> int:
+        return hash((self.phi_metric,))
+
+    def __repr__(self) -> str:
+        return f"Walker3Spec(phi_metric={self.phi_metric!r})"
 
 
-@dataclass(frozen=True)
 class Walker3Construction:
     """Ingredients of the explicit 3d potential: kappa scales the x
     part, eta(y) is the strictly increasing profile, zeta(x, y) the
     additive term of the metric function.  zeta is free only where
     kappa * d(zeta)/dx = 0: elsewhere the yy equation keeps
-    1/2 kappa d(zeta)/dx, and the structure is no soliton."""
+    1/2 kappa d(zeta)/dx, and the structure is no soliton.  Frozen,
+    and equal to a construction of equal fields."""
 
-    kappa: float
-    eta: ScalarField
-    zeta: ScalarField
+    __slots__ = ("kappa", "eta", "zeta")
 
-    def __post_init__(self) -> None:
-        if self.eta.chart != ("y",):
+    def __init__(self, kappa: float, eta: ScalarField,
+                 zeta: ScalarField) -> None:
+        if eta.chart != ("y",):
             raise ValueError("eta must live on the chart ('y',)")
-        if self.zeta.chart != ("x", "y"):
+        if zeta.chart != ("x", "y"):
             raise ValueError("zeta must live on the chart ('x', 'y')")
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "zeta", zeta)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kappa, self.eta, self.zeta)
+                == (other.kappa, other.eta, other.zeta))
+
+    def __hash__(self) -> int:
+        return hash((self.kappa, self.eta, self.zeta))
+
+    def __repr__(self) -> str:
+        return (f"Walker3Construction(kappa={self.kappa!r}, eta={self.eta!r}, "
+                f"zeta={self.zeta!r})")
 
 
-@dataclass(frozen=True)
 class Walker4Spec:
     """4d neutral metric 2 dx dz + 2 dy dt + warping(t) dt^2 with the
     four construction constants and the quadrature base point."""
 
-    warping: ScalarField
-    c0: float = 0.0
-    c1: float = 0.0
-    c2: float = 0.0
-    c3: float = 0.0
-    t0: float = 0.0
+    __slots__ = ("warping", "c0", "c1", "c2", "c3", "t0")
 
-    def __post_init__(self) -> None:
-        if self.warping.chart != ("t",):
+    def __init__(self, warping: ScalarField, c0: float = 0.0, c1: float = 0.0,
+                 c2: float = 0.0, c3: float = 0.0, t0: float = 0.0) -> None:
+        if warping.chart != ("t",):
             raise ValueError("warping must live on the chart ('t',)")
+        object.__setattr__(self, "warping", warping)
+        object.__setattr__(self, "c0", c0)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "c3", c3)
+        object.__setattr__(self, "t0", t0)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.warping, self.c0, self.c1, self.c2, self.c3, self.t0)
+                == (other.warping, other.c0, other.c1, other.c2, other.c3,
+                    other.t0))
+
+    def __hash__(self) -> int:
+        return hash((self.warping, self.c0, self.c1, self.c2, self.c3,
+                     self.t0))
+
+    def __repr__(self) -> str:
+        return (f"Walker4Spec(warping={self.warping!r}, c0={self.c0!r}, "
+                f"c1={self.c1!r}, c2={self.c2!r}, c3={self.c3!r}, "
+                f"t0={self.t0!r})")
 
 
 # =====================================================================
@@ -671,7 +792,6 @@ def walker4_pde_residual(spec: Walker4Spec, f: ScalarField,
     ])
 
 
-@dataclass(frozen=True, eq=False)
 class QuadratureProfile:
     """A function of one variable known through quadrature: tabulated
     values with monotone cubic interpolation (PCHIP: Fritsch-Carlson
@@ -679,12 +799,27 @@ class QuadratureProfile:
     derivative callables taken from the defining relation rather than
     from the table.  ``funcs`` take arrays of points, as
     expressions.external takes them; the methods take one point, which
-    they pass as a one-element array."""
+    they pass as a one-element array.  Frozen; equal only to itself."""
 
-    name: str
-    funcs: tuple[Callable[[np.ndarray], np.ndarray], ...]
-    knots: np.ndarray
-    values: np.ndarray
+    __slots__ = ("name", "funcs", "knots", "values")
+
+    def __init__(self, name: str,
+                 funcs: tuple[Callable[[np.ndarray], np.ndarray], ...],
+                 knots: np.ndarray, values: np.ndarray) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "funcs", funcs)
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (f"QuadratureProfile(name={self.name!r}, funcs={self.funcs!r}, "
+                f"knots={self.knots!r}, values={self.values!r})")
 
     def __call__(self, t: float) -> float:
         return _profile_value(self.name, self.funcs[0], float(t))
@@ -855,11 +990,27 @@ def walker4_construct(spec: Walker4Spec,
 # Laplacian constancy report
 # =====================================================================
 
-@dataclass(frozen=True, eq=False)
 class LaplacianReport:
-    values: np.ndarray
-    mean: float
-    max_deviation: float
+    """Laplacian samples, their mean and their largest |deviation| from
+    it.  Frozen; equal only to itself."""
+
+    __slots__ = ("values", "mean", "max_deviation")
+
+    def __init__(self, values: np.ndarray, mean: float,
+                 max_deviation: float) -> None:
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "max_deviation", max_deviation)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (f"LaplacianReport(values={self.values!r}, mean={self.mean!r}, "
+                f"max_deviation={self.max_deviation!r})")
 
 
 def laplacian_report(metric: MetricField, f: ScalarField,
@@ -875,7 +1026,6 @@ def laplacian_report(metric: MetricField, f: ScalarField,
 # Warped-product conditions
 # =====================================================================
 
-@dataclass(frozen=True, eq=False)
 class WarpedConditions:
     """Residuals of the base/fiber conditions a coupled soliton imposes
     on a warped product.
@@ -887,13 +1037,34 @@ class WarpedConditions:
     pairing_min_abs       smallest |g_B(grad theta, grad b)| seen, reported
                           so callers can judge the non-orthogonality
                           requirement at their sample points
+
+    Frozen; equal only to itself.
     """
 
-    fiber_dependence: float
-    pairing_gap: float
-    base_hessian_gap: float
-    fiber_scalar_spread: float
-    pairing_min_abs: float
+    __slots__ = ("fiber_dependence", "pairing_gap", "base_hessian_gap",
+                 "fiber_scalar_spread", "pairing_min_abs")
+
+    def __init__(self, fiber_dependence: float, pairing_gap: float,
+                 base_hessian_gap: float, fiber_scalar_spread: float,
+                 pairing_min_abs: float) -> None:
+        object.__setattr__(self, "fiber_dependence", fiber_dependence)
+        object.__setattr__(self, "pairing_gap", pairing_gap)
+        object.__setattr__(self, "base_hessian_gap", base_hessian_gap)
+        object.__setattr__(self, "fiber_scalar_spread", fiber_scalar_spread)
+        object.__setattr__(self, "pairing_min_abs", pairing_min_abs)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (f"WarpedConditions(fiber_dependence={self.fiber_dependence!r}, "
+                f"pairing_gap={self.pairing_gap!r}, "
+                f"base_hessian_gap={self.base_hessian_gap!r}, "
+                f"fiber_scalar_spread={self.fiber_scalar_spread!r}, "
+                f"pairing_min_abs={self.pairing_min_abs!r})")
 
     def max_gap(self) -> float:
         return max(

@@ -19,7 +19,6 @@ on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
 
@@ -76,13 +75,37 @@ def _as_field(chart: tuple[str, ...], value: ComponentLike) -> ScalarField:
     raise TypeError(f"cannot use {type(value).__name__} as a metric component")
 
 
-@dataclass(frozen=True)
 class MetricField:
-    """Symmetric matrix of scalar fields with a declared signature."""
+    """Symmetric matrix of scalar fields with a declared signature.
+    Frozen, and equal to a metric of the same chart, components and
+    signature."""
 
-    chart: tuple[str, ...]
-    components: tuple[tuple[ScalarField, ...], ...]
-    signature: tuple[int, ...]
+    def __init__(self, chart: tuple[str, ...],
+                 components: tuple[tuple[ScalarField, ...], ...],
+                 signature: tuple[int, ...]) -> None:
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "signature", signature)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.chart, self.components, self.signature)
+                == (other.chart, other.components, other.signature))
+
+    def __hash__(self) -> int:
+        return hash((self.chart, self.components, self.signature))
+
+    def __repr__(self) -> str:
+        return (f"MetricField(chart={self.chart!r}, "
+                f"components={self.components!r}, "
+                f"signature={self.signature!r})")
 
     @property
     def dimension(self) -> int:
@@ -141,7 +164,6 @@ class MetricField:
         return MetricField(chart_t, tuple(tuple(r) for r in fields), sig)
 
 
-@dataclass(frozen=True, eq=False)
 class MetricAtPoint:
     """Pointwise data of a metric: value, inverse, derivatives.
 
@@ -149,14 +171,31 @@ class MetricAtPoint:
     g_ij and ``d2g[k, l, i, j]`` the (k, l) second derivative.  Data
     for a stack of P points carries a leading point axis on every
     field: ``point`` (P, n), ``g`` (P, n, n), ..., ``det`` (P,).
+    Frozen; equal only to itself.
     """
 
-    point: np.ndarray
-    g: np.ndarray
-    g_inv: np.ndarray
-    dg: np.ndarray
-    d2g: np.ndarray
-    det: float | np.ndarray
+    __slots__ = ("point", "g", "g_inv", "dg", "d2g", "det")
+
+    def __init__(self, point: np.ndarray, g: np.ndarray, g_inv: np.ndarray,
+                 dg: np.ndarray, d2g: np.ndarray,
+                 det: float | np.ndarray) -> None:
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "g_inv", g_inv)
+        object.__setattr__(self, "dg", dg)
+        object.__setattr__(self, "d2g", d2g)
+        object.__setattr__(self, "det", det)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (f"MetricAtPoint(point={self.point!r}, g={self.g!r}, "
+                f"g_inv={self.g_inv!r}, dg={self.dg!r}, d2g={self.d2g!r}, "
+                f"det={self.det!r})")
 
 
 def _metric_stack(metric: MetricField, points: np.ndarray) -> MetricAtPoint:

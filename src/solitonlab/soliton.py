@@ -31,7 +31,6 @@ field_geometry per field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -60,44 +59,80 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class SolitonData:
     """Candidate soliton structure: potential, constant, coupling.
 
     mu = 0 is the plain gradient case; nonzero mu couples the squared
-    differential of the potential with strength mu = 1/m.
+    differential of the potential with strength mu = 1/m.  Frozen, and
+    equal to data of the same potential, constant and coupling.
     """
 
-    potential: ScalarField
-    lam: float
-    mu: float = 0.0
+    __slots__ = ("potential", "lam", "mu")
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.lam):
+    def __init__(self, potential: ScalarField, lam: float,
+                 mu: float = 0.0) -> None:
+        if not math.isfinite(lam):
             raise ValueError("soliton constant must be finite")
-        if not math.isfinite(self.mu):
+        if not math.isfinite(mu):
             raise ValueError("coupling must be finite")
+        object.__setattr__(self, "potential", potential)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "mu", mu)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.potential, self.lam, self.mu)
+                == (other.potential, other.lam, other.mu))
+
+    def __hash__(self) -> int:
+        return hash((self.potential, self.lam, self.mu))
+
+    def __repr__(self) -> str:
+        return (f"SolitonData(potential={self.potential!r}, "
+                f"lam={self.lam!r}, mu={self.mu!r})")
 
 
 # ---------------------------------------------------------------------
 # The geometry pass
 # ---------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class PointGeometry:
     """What the soliton equation needs at each point of a set: the
     metric and its inverse, the scalar curvature, and the potential's
     gradient, covariant hessian and laplacian, stacked along a leading
     point axis.  Riemann and the second metric derivatives are not
-    kept."""
+    kept.  Frozen; equal only to itself."""
 
-    points: np.ndarray
-    g: np.ndarray
-    g_inv: np.ndarray
-    scal: np.ndarray
-    dphi: np.ndarray
-    hess: np.ndarray
-    lap: np.ndarray
+    __slots__ = ("points", "g", "g_inv", "scal", "dphi", "hess", "lap")
+
+    def __init__(self, points: np.ndarray, g: np.ndarray, g_inv: np.ndarray,
+                 scal: np.ndarray, dphi: np.ndarray, hess: np.ndarray,
+                 lap: np.ndarray) -> None:
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "g_inv", g_inv)
+        object.__setattr__(self, "scal", scal)
+        object.__setattr__(self, "dphi", dphi)
+        object.__setattr__(self, "hess", hess)
+        object.__setattr__(self, "lap", lap)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (f"PointGeometry(points={self.points!r}, g={self.g!r}, "
+                f"g_inv={self.g_inv!r}, scal={self.scal!r}, "
+                f"dphi={self.dphi!r}, hess={self.hess!r}, lap={self.lap!r})")
 
     def residuals(self, lam: float, mu: float) -> np.ndarray:
         """Hess(phi) - (scal - lam) g - mu dphi (x) dphi at every point."""
@@ -177,13 +212,27 @@ def theta_substitution(potential: ScalarField, mu: float) -> ScalarField:
     )
 
 
-@dataclass(frozen=True, eq=False)
 class ThetaCheck:
     """Residual matrices of the substitution equation and of the
-    unconditional two-hessian identity."""
+    unconditional two-hessian identity.  Frozen; equal only to
+    itself."""
 
-    theta_residual: np.ndarray
-    identity_residual: np.ndarray
+    __slots__ = ("theta_residual", "identity_residual")
+
+    def __init__(self, theta_residual: np.ndarray,
+                 identity_residual: np.ndarray) -> None:
+        object.__setattr__(self, "theta_residual", theta_residual)
+        object.__setattr__(self, "identity_residual", identity_residual)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (f"ThetaCheck(theta_residual={self.theta_residual!r}, "
+                f"identity_residual={self.identity_residual!r})")
 
 
 def theta_check(metric: MetricField, soliton: SolitonData,
@@ -222,11 +271,27 @@ def theta_check(metric: MetricField, soliton: SolitonData,
 # Lambda inference and classification
 # ---------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class LambdaEstimate:
-    value: float
-    spread: float
-    samples: np.ndarray
+    """The mean of the lambda samples, their spread about it and the
+    samples.  Frozen; equal only to itself."""
+
+    __slots__ = ("value", "spread", "samples")
+
+    def __init__(self, value: float, spread: float,
+                 samples: np.ndarray) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "spread", spread)
+        object.__setattr__(self, "samples", samples)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (f"LambdaEstimate(value={self.value!r}, "
+                f"spread={self.spread!r}, samples={self.samples!r})")
 
     @classmethod
     def of(cls, samples: np.ndarray) -> LambdaEstimate:
@@ -261,15 +326,37 @@ def classify(lam: float, tol: float = 1e-8) -> str:
 # Residual summaries over point sets
 # ---------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class ResidualReport:
-    points: np.ndarray
-    residual_grids: np.ndarray
-    per_point: np.ndarray
-    max_abs: float
-    mean_abs: float
-    passed: bool
-    worst_point: np.ndarray
+    """The residuals at each point, each point's largest |entry|, their
+    largest and mean, whether the largest is within the tolerance, and
+    the first worst point.  Frozen; equal only to itself."""
+
+    __slots__ = ("points", "residual_grids", "per_point", "max_abs",
+                 "mean_abs", "passed", "worst_point")
+
+    def __init__(self, points: np.ndarray, residual_grids: np.ndarray,
+                 per_point: np.ndarray, max_abs: float, mean_abs: float,
+                 passed: bool, worst_point: np.ndarray) -> None:
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "residual_grids", residual_grids)
+        object.__setattr__(self, "per_point", per_point)
+        object.__setattr__(self, "max_abs", max_abs)
+        object.__setattr__(self, "mean_abs", mean_abs)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "worst_point", worst_point)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (f"ResidualReport(points={self.points!r}, "
+                f"residual_grids={self.residual_grids!r}, "
+                f"per_point={self.per_point!r}, max_abs={self.max_abs!r}, "
+                f"mean_abs={self.mean_abs!r}, passed={self.passed!r}, "
+                f"worst_point={self.worst_point!r})")
 
     @classmethod
     def of(cls, points: np.ndarray, grids: np.ndarray,
