@@ -153,18 +153,18 @@ class GRWSpec:
 
     def __init__(self, warping: ScalarField, fiber: MetricField,
                  interval: tuple[float, float]) -> None:
+        object.__setattr__(self, "warping", warping)
+        object.__setattr__(self, "fiber", fiber)
+        object.__setattr__(self, "interval", interval)
         if len(warping.chart) != 1:
             raise ValueError("warping must live on a one-dimensional chart")
-        if warping.chart[0] in fiber.chart:
+        if self.time_var in fiber.chart:
             raise ValueError("fiber chart reuses the time coordinate")
         if any(s != 1 for s in fiber.signature):
             raise ValueError("fiber must be Riemannian")
         lo, hi = interval
         if not lo < hi:
             raise ValueError(f"empty interval {interval}")
-        object.__setattr__(self, "warping", warping)
-        object.__setattr__(self, "fiber", fiber)
-        object.__setattr__(self, "interval", interval)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
