@@ -79,7 +79,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _Record
 from .expressions import (
     _CALLS,
     Add,
@@ -102,7 +102,7 @@ from .expressions import (
 __all__ = ["Jet2", "eval_jet2", "finite_diff_jet2", "walk_jets"]
 
 
-class Jet2:
+class Jet2(_Record):
     """Value, gradient and hessian of a scalar field at one point
     (float, (n,), (n, n)), or stacked along a leading point axis
     ((P,), (P, n), (P, n, n)).  Frozen; equal only to itself."""
@@ -114,16 +114,6 @@ class Jet2:
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "gradient", gradient)
         object.__setattr__(self, "hessian", hessian)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return (f"Jet2(value={self.value!r}, gradient={self.gradient!r}, "
-                f"hessian={self.hessian!r})")
 
 
 # Entries times points per batch.  A batch's temporaries are a few

@@ -60,6 +60,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import eval_jet2
+from .errors import _Record
 from .expressions import ScalarField
 from .grids import DistinctPoints, distinct_points
 from .metrics import MetricAtPoint, MetricField, metric_at
@@ -115,10 +116,12 @@ def _inverse_derivative(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return np.negative(dginv, out=dginv)
 
 
-class CurvatureAtPoint:
+class CurvatureAtPoint(_Record):
     """Christoffel symbols and curvature tensors at one point, or with
     a leading point axis for stacked metric data.  ``riemann`` is
     formed on first access.  Frozen; equal only to itself."""
+
+    _fields = ("metric_data", "gamma", "ricci", "scalar")
 
     def __init__(self, metric_data: MetricAtPoint, gamma: np.ndarray,
                  ricci: np.ndarray, scalar: float | np.ndarray) -> None:
@@ -126,17 +129,6 @@ class CurvatureAtPoint:
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "ricci", ricci)
         object.__setattr__(self, "scalar", scalar)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return (f"CurvatureAtPoint(metric_data={self.metric_data!r}, "
-                f"gamma={self.gamma!r}, ricci={self.ricci!r}, "
-                f"scalar={self.scalar!r})")
 
     @cached_property
     def riemann(self) -> np.ndarray:
@@ -199,7 +191,7 @@ def curvature_at(metric: MetricField, point: Sequence[float]) -> CurvatureAtPoin
     return curvature_from(metric_at(metric, point))
 
 
-class GridCurvature:
+class GridCurvature(_Record):
     """g, g_inv, gamma, ricci and the scalar curvature over a (P, n)
     stack of points, each with a leading point axis.  Frozen; equal
     only to itself."""
@@ -213,17 +205,6 @@ class GridCurvature:
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "ricci", ricci)
         object.__setattr__(self, "scalar", scalar)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return (f"GridCurvature(g={self.g!r}, g_inv={self.g_inv!r}, "
-                f"gamma={self.gamma!r}, ricci={self.ricci!r}, "
-                f"scalar={self.scalar!r})")
 
 
 def curvature_over(metric: MetricField, points: np.ndarray, *,

@@ -1,8 +1,13 @@
-"""Exception hierarchy for solitonlab.
+"""Exception hierarchy for solitonlab, and the base of its records.
 
 Every error raised deliberately by this package derives from
 SolitonLabError so callers can catch one type at a boundary (the CLI
 does exactly that to map failures onto exit codes).
+
+The frozen records of the other modules (specs, fields, per-point
+data, reports) derive from _Record, or from _ValueRecord when they are
+compared by value.  Both live here, in the bottom module, which every
+record module already imports.
 """
 
 from __future__ import annotations
@@ -101,3 +106,52 @@ def in_grid_order(run: Callable[[Sequence], _T], points: Sequence) -> _T:
         if exc.index:
             in_grid_order(run, points[:exc.index])
         raise
+
+
+class _Record:
+    """A frozen record, equal only to itself.
+
+    A record's fields, in order, are its ``__slots__``; a record that
+    keeps a ``__dict__`` for a cached_property names them in
+    ``_fields`` instead.  ``__init__`` sets each field once with
+    ``object.__setattr__``; after that, assigning or deleting any
+    attribute raises AttributeError.  The repr is
+    ``Name(field=value!r, ...)`` over the fields.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        if "__slots__" in cls.__dict__:
+            cls._fields = cls.__slots__
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+
+class _ValueRecord(_Record):
+    """A frozen record equal to a record of the same class whose fields
+    are equal, in order, and hashed as the tuple of its fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())

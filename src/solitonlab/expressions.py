@@ -74,6 +74,7 @@ from .errors import (
     ExpressionSyntaxError,
     SolitonLabError,
     UnknownVariableError,
+    _ValueRecord,
 )
 
 __all__ = [
@@ -888,7 +889,7 @@ class _Parser:
 FieldLike = Union["ScalarField", float, int, str]
 
 
-class ScalarField:
+class ScalarField(_ValueRecord):
     """A scalar function of the chart coordinates.
 
     ``chart`` fixes the coordinate names and their order; evaluation
@@ -904,6 +905,8 @@ class ScalarField:
     equal to a field of the same chart and root.
     """
 
+    _fields = ("chart", "root")
+
     def __init__(self, chart: tuple[str, ...], root: Node) -> None:
         if len(set(chart)) != len(chart):
             raise ValueError(f"chart has repeated names: {chart}")
@@ -912,23 +915,6 @@ class ScalarField:
             raise UnknownVariableError(sorted(loose)[0])
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "root", root)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.chart, self.root) == (other.chart, other.root)
-
-    def __hash__(self) -> int:
-        return hash((self.chart, self.root))
-
-    def __repr__(self) -> str:
-        return f"ScalarField(chart={self.chart!r}, root={self.root!r})"
 
     # -- evaluation ---------------------------------------------------
 

@@ -43,6 +43,8 @@ from .errors import (
     NonPositiveEtaPrimeError,
     NonPositiveWarpingError,
     QuadratureFailureError,
+    _Record,
+    _ValueRecord,
 )
 from .expressions import (
     Add,
@@ -106,7 +108,7 @@ PROFILE_KNOTS = 33  # points of the walker4 profile's quadrature table
 # Family specifications
 # =====================================================================
 
-class WarpedProductSpec:
+class WarpedProductSpec(_ValueRecord):
     """Product of two metrics with the fiber scaled by warping^2.
 
     The warping lives on the base chart and must stay positive on the
@@ -126,27 +128,8 @@ class WarpedProductSpec:
         object.__setattr__(self, "fiber", fiber)
         object.__setattr__(self, "warping", warping)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.base, self.fiber, self.warping)
-                == (other.base, other.fiber, other.warping))
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.fiber, self.warping))
-
-    def __repr__(self) -> str:
-        return (f"WarpedProductSpec(base={self.base!r}, fiber={self.fiber!r}, "
-                f"warping={self.warping!r})")
-
-
-class GRWSpec:
+class GRWSpec(_ValueRecord):
     """Cosmological warped product -dt^2 + warping(t)^2 g_F."""
 
     __slots__ = ("warping", "fiber", "interval")
@@ -166,31 +149,12 @@ class GRWSpec:
         if not lo < hi:
             raise ValueError(f"empty interval {interval}")
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.warping, self.fiber, self.interval)
-                == (other.warping, other.fiber, other.interval))
-
-    def __hash__(self) -> int:
-        return hash((self.warping, self.fiber, self.interval))
-
-    def __repr__(self) -> str:
-        return (f"GRWSpec(warping={self.warping!r}, fiber={self.fiber!r}, "
-                f"interval={self.interval!r})")
-
     @property
     def time_var(self) -> str:
         return self.warping.chart[0]
 
 
-class StaticSpec:
+class StaticSpec(_ValueRecord):
     """Static product -lapse(x)^2 dt^2 + g_F with the lapse on the fiber."""
 
     __slots__ = ("lapse", "fiber", "time_var")
@@ -207,31 +171,12 @@ class StaticSpec:
         object.__setattr__(self, "fiber", fiber)
         object.__setattr__(self, "time_var", time_var)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.lapse, self.fiber, self.time_var)
-                == (other.lapse, other.fiber, other.time_var))
-
-    def __hash__(self) -> int:
-        return hash((self.lapse, self.fiber, self.time_var))
-
-    def __repr__(self) -> str:
-        return (f"StaticSpec(lapse={self.lapse!r}, fiber={self.fiber!r}, "
-                f"time_var={self.time_var!r})")
-
 
 WALKER3_CHART = ("t", "x", "y")
 WALKER4_CHART = ("x", "y", "z", "t")
 
 
-class Walker3Spec:
+class Walker3Spec(_ValueRecord):
     """3d Lorentzian metric 2 dt dy + dx^2 + phi_metric dy^2."""
 
     __slots__ = ("phi_metric",)
@@ -241,25 +186,8 @@ class Walker3Spec:
             raise ValueError(f"metric function must live on {WALKER3_CHART}")
         object.__setattr__(self, "phi_metric", phi_metric)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.phi_metric == other.phi_metric
-
-    def __hash__(self) -> int:
-        return hash((self.phi_metric,))
-
-    def __repr__(self) -> str:
-        return f"Walker3Spec(phi_metric={self.phi_metric!r})"
-
-
-class Walker3Construction:
+class Walker3Construction(_ValueRecord):
     """Ingredients of the explicit 3d potential: kappa scales the x
     part, eta(y) is the strictly increasing profile, zeta(x, y) the
     additive term of the metric function.  zeta is free only where
@@ -279,27 +207,8 @@ class Walker3Construction:
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "zeta", zeta)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.kappa, self.eta, self.zeta)
-                == (other.kappa, other.eta, other.zeta))
-
-    def __hash__(self) -> int:
-        return hash((self.kappa, self.eta, self.zeta))
-
-    def __repr__(self) -> str:
-        return (f"Walker3Construction(kappa={self.kappa!r}, eta={self.eta!r}, "
-                f"zeta={self.zeta!r})")
-
-
-class Walker4Spec:
+class Walker4Spec(_ValueRecord):
     """4d neutral metric 2 dx dz + 2 dy dt + warping(t) dt^2 with the
     four construction constants and the quadrature base point."""
 
@@ -315,28 +224,6 @@ class Walker4Spec:
         object.__setattr__(self, "c2", c2)
         object.__setattr__(self, "c3", c3)
         object.__setattr__(self, "t0", t0)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.warping, self.c0, self.c1, self.c2, self.c3, self.t0)
-                == (other.warping, other.c0, other.c1, other.c2, other.c3,
-                    other.t0))
-
-    def __hash__(self) -> int:
-        return hash((self.warping, self.c0, self.c1, self.c2, self.c3,
-                     self.t0))
-
-    def __repr__(self) -> str:
-        return (f"Walker4Spec(warping={self.warping!r}, c0={self.c0!r}, "
-                f"c1={self.c1!r}, c2={self.c2!r}, c3={self.c3!r}, "
-                f"t0={self.t0!r})")
 
 
 # =====================================================================
@@ -792,7 +679,7 @@ def walker4_pde_residual(spec: Walker4Spec, f: ScalarField,
     ])
 
 
-class QuadratureProfile:
+class QuadratureProfile(_Record):
     """A function of one variable known through quadrature: tabulated
     values with monotone cubic interpolation (PCHIP: Fritsch-Carlson
     interior slopes, Moler's one-sided end rule; see ``_pchip``), plus
@@ -810,16 +697,6 @@ class QuadratureProfile:
         object.__setattr__(self, "funcs", funcs)
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return (f"QuadratureProfile(name={self.name!r}, funcs={self.funcs!r}, "
-                f"knots={self.knots!r}, values={self.values!r})")
 
     def __call__(self, t: float) -> float:
         return _profile_value(self.name, self.funcs[0], float(t))
@@ -990,7 +867,7 @@ def walker4_construct(spec: Walker4Spec,
 # Laplacian constancy report
 # =====================================================================
 
-class LaplacianReport:
+class LaplacianReport(_Record):
     """Laplacian samples, their mean and their largest |deviation| from
     it.  Frozen; equal only to itself."""
 
@@ -1001,16 +878,6 @@ class LaplacianReport:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "max_deviation", max_deviation)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return (f"LaplacianReport(values={self.values!r}, mean={self.mean!r}, "
-                f"max_deviation={self.max_deviation!r})")
 
 
 def laplacian_report(metric: MetricField, f: ScalarField,
@@ -1026,7 +893,7 @@ def laplacian_report(metric: MetricField, f: ScalarField,
 # Warped-product conditions
 # =====================================================================
 
-class WarpedConditions:
+class WarpedConditions(_Record):
     """Residuals of the base/fiber conditions a coupled soliton imposes
     on a warped product.
 
@@ -1052,19 +919,6 @@ class WarpedConditions:
         object.__setattr__(self, "base_hessian_gap", base_hessian_gap)
         object.__setattr__(self, "fiber_scalar_spread", fiber_scalar_spread)
         object.__setattr__(self, "pairing_min_abs", pairing_min_abs)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return (f"WarpedConditions(fiber_dependence={self.fiber_dependence!r}, "
-                f"pairing_gap={self.pairing_gap!r}, "
-                f"base_hessian_gap={self.base_hessian_gap!r}, "
-                f"fiber_scalar_spread={self.fiber_scalar_spread!r}, "
-                f"pairing_min_abs={self.pairing_min_abs!r})")
 
     def max_gap(self) -> float:
         return max(

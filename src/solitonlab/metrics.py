@@ -25,7 +25,13 @@ from typing import Sequence, Union
 import numpy as np
 
 from .autodiff import walk_jets
-from .errors import SignatureMismatchError, SingularMetricError, in_grid_order
+from .errors import (
+    SignatureMismatchError,
+    SingularMetricError,
+    _Record,
+    _ValueRecord,
+    in_grid_order,
+)
 from .expressions import ScalarField, constant_field, parse_expression
 
 __all__ = [
@@ -75,10 +81,12 @@ def _as_field(chart: tuple[str, ...], value: ComponentLike) -> ScalarField:
     raise TypeError(f"cannot use {type(value).__name__} as a metric component")
 
 
-class MetricField:
+class MetricField(_ValueRecord):
     """Symmetric matrix of scalar fields with a declared signature.
     Frozen, and equal to a metric of the same chart, components and
     signature."""
+
+    _fields = ("chart", "components", "signature")
 
     def __init__(self, chart: tuple[str, ...],
                  components: tuple[tuple[ScalarField, ...], ...],
@@ -86,26 +94,6 @@ class MetricField:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "signature", signature)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.chart, self.components, self.signature)
-                == (other.chart, other.components, other.signature))
-
-    def __hash__(self) -> int:
-        return hash((self.chart, self.components, self.signature))
-
-    def __repr__(self) -> str:
-        return (f"MetricField(chart={self.chart!r}, "
-                f"components={self.components!r}, "
-                f"signature={self.signature!r})")
 
     @property
     def dimension(self) -> int:
@@ -164,7 +152,7 @@ class MetricField:
         return MetricField(chart_t, tuple(tuple(r) for r in fields), sig)
 
 
-class MetricAtPoint:
+class MetricAtPoint(_Record):
     """Pointwise data of a metric: value, inverse, derivatives.
 
     Index layout: ``dg[k, i, j]`` is the k-th coordinate derivative of
@@ -185,17 +173,6 @@ class MetricAtPoint:
         object.__setattr__(self, "dg", dg)
         object.__setattr__(self, "d2g", d2g)
         object.__setattr__(self, "det", det)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return (f"MetricAtPoint(point={self.point!r}, g={self.g!r}, "
-                f"g_inv={self.g_inv!r}, dg={self.dg!r}, d2g={self.d2g!r}, "
-                f"det={self.det!r})")
 
 
 def _metric_stack(metric: MetricField, points: np.ndarray) -> MetricAtPoint:

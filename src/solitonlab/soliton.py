@@ -37,7 +37,7 @@ import numpy as np
 
 from .autodiff import eval_jet2
 from .curvature import GridCurvature, covariant_hessian_from, curvature_over
-from .errors import in_grid_order
+from .errors import _Record, _ValueRecord, in_grid_order
 from .expressions import Const, ScalarField, mul, neg
 from .expressions import call as _call
 from .metrics import MetricField
@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 
-class SolitonData:
+class SolitonData(_ValueRecord):
     """Candidate soliton structure: potential, constant, coupling.
 
     mu = 0 is the plain gradient case; nonzero mu couples the squared
@@ -79,31 +79,12 @@ class SolitonData:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.potential, self.lam, self.mu)
-                == (other.potential, other.lam, other.mu))
-
-    def __hash__(self) -> int:
-        return hash((self.potential, self.lam, self.mu))
-
-    def __repr__(self) -> str:
-        return (f"SolitonData(potential={self.potential!r}, "
-                f"lam={self.lam!r}, mu={self.mu!r})")
-
 
 # ---------------------------------------------------------------------
 # The geometry pass
 # ---------------------------------------------------------------------
 
-class PointGeometry:
+class PointGeometry(_Record):
     """What the soliton equation needs at each point of a set: the
     metric and its inverse, the scalar curvature, and the potential's
     gradient, covariant hessian and laplacian, stacked along a leading
@@ -122,17 +103,6 @@ class PointGeometry:
         object.__setattr__(self, "dphi", dphi)
         object.__setattr__(self, "hess", hess)
         object.__setattr__(self, "lap", lap)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return (f"PointGeometry(points={self.points!r}, g={self.g!r}, "
-                f"g_inv={self.g_inv!r}, scal={self.scal!r}, "
-                f"dphi={self.dphi!r}, hess={self.hess!r}, lap={self.lap!r})")
 
     def residuals(self, lam: float, mu: float) -> np.ndarray:
         """Hess(phi) - (scal - lam) g - mu dphi (x) dphi at every point."""
@@ -212,7 +182,7 @@ def theta_substitution(potential: ScalarField, mu: float) -> ScalarField:
     )
 
 
-class ThetaCheck:
+class ThetaCheck(_Record):
     """Residual matrices of the substitution equation and of the
     unconditional two-hessian identity.  Frozen; equal only to
     itself."""
@@ -223,16 +193,6 @@ class ThetaCheck:
                  identity_residual: np.ndarray) -> None:
         object.__setattr__(self, "theta_residual", theta_residual)
         object.__setattr__(self, "identity_residual", identity_residual)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return (f"ThetaCheck(theta_residual={self.theta_residual!r}, "
-                f"identity_residual={self.identity_residual!r})")
 
 
 def theta_check(metric: MetricField, soliton: SolitonData,
@@ -271,7 +231,7 @@ def theta_check(metric: MetricField, soliton: SolitonData,
 # Lambda inference and classification
 # ---------------------------------------------------------------------
 
-class LambdaEstimate:
+class LambdaEstimate(_Record):
     """The mean of the lambda samples, their spread about it and the
     samples.  Frozen; equal only to itself."""
 
@@ -282,16 +242,6 @@ class LambdaEstimate:
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "spread", spread)
         object.__setattr__(self, "samples", samples)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return (f"LambdaEstimate(value={self.value!r}, "
-                f"spread={self.spread!r}, samples={self.samples!r})")
 
     @classmethod
     def of(cls, samples: np.ndarray) -> LambdaEstimate:
@@ -326,7 +276,7 @@ def classify(lam: float, tol: float = 1e-8) -> str:
 # Residual summaries over point sets
 # ---------------------------------------------------------------------
 
-class ResidualReport:
+class ResidualReport(_Record):
     """The residuals at each point, each point's largest |entry|, their
     largest and mean, whether the largest is within the tolerance, and
     the first worst point.  Frozen; equal only to itself."""
@@ -344,19 +294,6 @@ class ResidualReport:
         object.__setattr__(self, "mean_abs", mean_abs)
         object.__setattr__(self, "passed", passed)
         object.__setattr__(self, "worst_point", worst_point)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return (f"ResidualReport(points={self.points!r}, "
-                f"residual_grids={self.residual_grids!r}, "
-                f"per_point={self.per_point!r}, max_abs={self.max_abs!r}, "
-                f"mean_abs={self.mean_abs!r}, passed={self.passed!r}, "
-                f"worst_point={self.worst_point!r})")
 
     @classmethod
     def of(cls, points: np.ndarray, grids: np.ndarray,

@@ -1,6 +1,6 @@
 """The exported names: every __all__ entry resolves, none repeats, and
 the package re-exports only what its submodules export (errors, which
-declares no __all__, exports every class it defines)."""
+declares no __all__, exports every public class)."""
 
 import importlib
 import pkgutil
