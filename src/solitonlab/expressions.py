@@ -16,12 +16,13 @@ This module is the foundation of the package.  It provides:
      One point is a one-element array through the same steps.  An
      opaque profile maps an array of points to an array (external);
   5. a parser for the grammar below: one findall pass of a compiled
-     regular expression gives each token as a tuple with its text in
-     the field of its kind, and precedence climbing reads them by
-     index, the binary operators by a table of bindings and unary,
-     power and atom in one rule.  Any failure reports its character
-     offset, which a second pass of the same pattern finds only once
-     the parse has failed;
+     regular expression gives each token as a plain string, the end
+     of the input as '', and precedence climbing reads them by index,
+     classing each token by its first character, the binary operators
+     by a table of bindings and unary, power and atom in one rule.  Any
+     failure reports its character offset, which a second pattern,
+     with one group per kind of token, finds only once the parse has
+     failed;
   6. a precedence-aware pretty printer whose output re-parses to an
      equivalent tree;
   7. ScalarField, the chart-aware wrapper the rest of the package
@@ -741,15 +742,24 @@ def format_expression(node: Node) -> str:
 # Parser
 # =====================================================================
 
-# One token per match, after any whitespace.  \d is str.isdecimal, the
-# digits float() reads, and \w is str.isalnum or '_'.  A number whose
-# 'e' starts no exponent is malformed; only a whole mantissa can be
-# followed by an 'e', so that alternative never takes part of a number.
-# An identifier starts with \w minus \d, which still holds '²' and '½';
-# _offsets refuses those.  No two alternatives but the two numbers
-# start with one character, so the commonest come first.  findall gives
-# a token as the tuple of the groups: its text in the group of its
-# kind, '' in the others.
+# One token per match, after any whitespace, as the text of the one
+# group, so findall gives the tokens as strings: an operator, an
+# identifier, a number, any other one character, or '' at the end.
+# \d is str.isdecimal, the digits float() reads, and \w is
+# str.isalnum or '_'.  An identifier starts with \w minus \d, which
+# still holds '²' and '½'.  No two alternatives but the two numbers
+# start with one character, so a token's first character gives its
+# kind, but for a lone '.', which starts no number; the commonest come
+# first.  A number whose 'e' starts no exponent is malformed; here it
+# is a number and then an identifier, which the grammar never accepts
+# after an operand, so the parse fails and _offsets refuses it first.
+_TOKEN_TEXT = re.compile(
+    r"\s*([-+*/^()]|[^\W\d]\w*|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|.?)",
+    re.DOTALL)
+
+# The same tokens, one group per kind, for _offsets, which runs only
+# once a parse has failed.  Only a whole mantissa can be followed by an
+# 'e', so the malformed alternative never takes part of a number.
 _TOKEN = re.compile(r"""\s*(?:
     (?P<op>[-+*/^()])
   | (?P<ident>[^\W\d]\w*)
@@ -758,7 +768,7 @@ _TOKEN = re.compile(r"""\s*(?:
   | (?P<end>\Z)
   | (?P<other>.)
 )""", re.VERBOSE | re.DOTALL)
-_OP, _IDENT, _NUM = 0, 1, 3
+_OPS = frozenset("-+*/^()")
 
 # The binary operators: (binding, constructor), the tighter the higher.
 _SUM, _PRODUCT = 1, 2
@@ -767,9 +777,9 @@ _BINARY = {"+": (_SUM, add), "-": (_SUM, sub), "*": (_PRODUCT, mul),
 
 
 def _offsets(source: str) -> list[int]:
-    """The offset of each token of ``source``, the tokens findall gives.
-    Raises the error of the first match that is no token: a malformed
-    number, or a character that starts none."""
+    """The offset of each token of ``source``, the tokens of
+    _TOKEN_TEXT.findall.  Raises the error of the first match that is
+    no token: a malformed number, or a character that starts none."""
     offsets = []
     for match in _TOKEN.finditer(source):
         kind = match.lastgroup
@@ -795,8 +805,8 @@ class _Failure(Exception):
 
 
 class _Parser:
-    """Precedence climbing over the findall tokens of one source, read
-    by index.
+    """Precedence climbing over the tokens of one source, the strings
+    _TOKEN_TEXT.findall gives, read by index.
 
     The smart constructors are called as the operands are read, left to
     right, so the tree and any DomainError from folding constants are
@@ -807,7 +817,7 @@ class _Parser:
 
     __slots__ = ("tokens", "pos", "names")
 
-    def __init__(self, tokens: list[tuple[str, ...]], chart: tuple[str, ...]) -> None:
+    def __init__(self, tokens: list[str], chart: tuple[str, ...]) -> None:
         self.tokens = tokens
         self.pos = 0
         # The chart names an identifier token can spell.
@@ -816,8 +826,8 @@ class _Parser:
 
     def parse(self) -> Node:
         node = self.expr(_SUM)
-        text = "".join(self.tokens[self.pos])
-        if text:  # only the end has no text
+        text = self.tokens[self.pos]
+        if text:  # only the end is ''
             raise _Failure(self.pos, ExpressionSyntaxError,
                            f"unexpected trailing input {text!r}")
         return node
@@ -828,7 +838,7 @@ class _Parser:
         operators that bind more tightly than it."""
         node = self.operand()
         while True:
-            op = _BINARY.get(self.tokens[self.pos][_OP])
+            op = _BINARY.get(self.tokens[self.pos])
             if op is None or op[0] < loosest:
                 return node
             binding, build = op
@@ -841,25 +851,25 @@ class _Parser:
         tokens = self.tokens
         token = tokens[self.pos]
         self.pos += 1
-        name, op = token[_IDENT], token[_OP]
-        if token[_NUM]:
-            node = Const(float(token[_NUM]))
-        elif name in self.names and tokens[self.pos][_OP] != "(":
-            node = Var(name)
-        elif op == "(" or name in _CALLS and tokens[self.pos][_OP] == "(":
-            if name:
+        first = token[:1]
+        if first.isdecimal() or first == "." and token != ".":
+            node = Const(float(token))
+        elif token in self.names and tokens[self.pos] != "(":
+            node = Var(token)
+        elif token == "(" or token in _CALLS and tokens[self.pos] == "(":
+            if token != "(":
                 self.pos += 1  # the '(' after the function's name
             node = self.expr(_SUM)
-            if tokens[self.pos][_OP] != ")":
+            if tokens[self.pos] != ")":
                 raise _Failure(self.pos, ExpressionSyntaxError, "expected ')'")
             self.pos += 1
-            if name:
-                node = call(name, node)
-        elif op == "-":
+            if token != "(":
+                node = call(token, node)
+        elif token == "-":
             return neg(self.operand())
         else:
             raise self.unexpected(token)
-        if tokens[self.pos][_OP] != "^":
+        if tokens[self.pos] != "^":
             return node
         at = self.pos
         self.pos += 1
@@ -868,17 +878,19 @@ class _Parser:
             raise _Failure(at, ExpressionSyntaxError, "exponent must be a constant")
         return pow_(node, exponent.value)
 
-    def unexpected(self, token: tuple[str, ...]) -> _Failure:
-        """The failure of an operand at ``token``, just read."""
+    def unexpected(self, token: str) -> _Failure:
+        """The failure of an operand at ``token``, just read: an
+        identifier, an operator, the end or a token that is none (whose
+        own error parse_expression raises first)."""
         at = self.pos - 1
-        if token[_IDENT]:
-            if self.tokens[self.pos][_OP] == "(":
+        if token[:1].isalnum() or token[:1] == "_":  # no number gets here
+            if self.tokens[self.pos] == "(":
                 return _Failure(at, ExpressionSyntaxError,
-                                f"unknown function '{token[_IDENT]}'")
-            return _Failure(at, UnknownVariableError, token[_IDENT])
-        if token[_OP]:
+                                f"unknown function '{token}'")
+            return _Failure(at, UnknownVariableError, token)
+        if token in _OPS:
             return _Failure(at, ExpressionSyntaxError,
-                            f"unexpected token {token[_OP]!r}")
+                            f"unexpected token {token!r}")
         return _Failure(at, ExpressionSyntaxError, "unexpected end of input")
 
 
@@ -1011,7 +1023,7 @@ def parse_expression(source: str, chart: Sequence[str]) -> ScalarField:
     # A token's error comes first, wherever the parse stopped: _offsets
     # raises it.
     try:
-        root = _Parser(_TOKEN.findall(source), chart_t).parse()
+        root = _Parser(_TOKEN_TEXT.findall(source), chart_t).parse()
     except _Failure as failure:
         index, error, text = failure.index, failure.error, failure.text
     except (SolitonLabError, RecursionError):

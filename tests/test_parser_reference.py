@@ -249,6 +249,15 @@ def test_parse_matches_the_char_by_char_reference(source):
     ("2ex", (ExpressionSyntaxError, "malformed number (at offset 0)", 0)),
     ("sin(1e308*10)", (DomainError, "sin of an infinite argument", None)),
     ("x +\u3000", (ExpressionSyntaxError, "unexpected end of input (at offset 4)", 4)),
+    # A second '.' starts a second number; a '.' that starts none is
+    # refused; a number read up to a letter is malformed, whatever the
+    # script of its digits; a ')' ends no number.
+    ("1.5.3", (ExpressionSyntaxError, "unexpected trailing input '.3' (at offset 3)", 3)),
+    (".e5", (ExpressionSyntaxError, "unexpected character '.' (at offset 0)", 0)),
+    ("2.5ex", (ExpressionSyntaxError, "malformed number (at offset 0)", 0)),
+    ("\u0663e", (ExpressionSyntaxError, "malformed number (at offset 0)", 0)),
+    ("x$", (ExpressionSyntaxError, "unexpected character '$' (at offset 1)", 1)),
+    ("(2)e", (ExpressionSyntaxError, "unexpected trailing input 'e' (at offset 3)", 3)),
 ])
 def test_chosen_errors(source, expected):
     assert _both(source) == (expected, expected)
