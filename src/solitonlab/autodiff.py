@@ -36,7 +36,12 @@ one slot buffer, one row per jet with the point axis last.  The
 schedule is planned batch by batch (_schedule): each batch's jets get
 one run of consecutive rows, which its rule writes in place, and a
 row is reused once the last reader of its jet has run, so the buffer
-holds only the jets live at once.  eval_jet2 is the walk of one field.
+holds only the jets live at once.  A rule may so write over the
+operands it reads for the last time.  It reads what it needs of them
+into temporaries first, then writes its jets' hessians and gradients,
+and their values last (_chain, _mul_rule); a rule of one numpy call
+(neg, add, sub) reads its input as if copied first.  eval_jet2 is the
+walk of one field.
 
 finite_diff_jet2 computes the same triple at one point from
 central-difference stencils on plain evaluations and shares no
@@ -175,15 +180,23 @@ class _Tape:
 
     def _append(self, node: Node) -> int:
         numbers, levels = self.numbers, self.levels
-        args = ()
-        level = 0
-        for kid in node.kids:
-            a = numbers.get(kid)
+        kids = node.kids
+        if kids:
+            a = numbers.get(kids[0])
             if a is None:
-                a = self._append(kid)
-            args += (a,)
-            if levels[a] >= level:
-                level = levels[a] + 1
+                a = self._append(kids[0])
+            level = levels[a] + 1
+            if len(kids) == 1:
+                args = (a,)
+            else:
+                b = numbers.get(kids[1])
+                if b is None:
+                    b = self._append(kids[1])
+                args = (a, b)
+                if levels[b] >= level:
+                    level = levels[b] + 1
+        else:
+            args, level = (), 0
         k = numbers[node] = len(levels)
         self.nodes.append(node)
         self.args.append(args)
@@ -237,11 +250,9 @@ def _schedule(tape: _Tape, roots: list[int],
       the lowest free one once the slots of the jets that die at the
       batch are freed.  A rule writes its batch in place, so it may
       write over operands that it reads for the last time: each rule
-      reads all it needs of a part of its operands (value, gradient or
-      hessian) before it writes that part of its jets, and numpy reads
-      a ufunc's input that overlaps its output as if copied first.
-      The roots' jets never die, so there are about as many slots as
-      jets live at once at the peak.
+      reads all it needs of its operands before it writes (see the
+      module docstring).  The roots' jets never die, so there are
+      about as many slots as jets live at once at the peak.
     """
     args = tape.args
     width = max(1, BATCH_POINTS // max(points, 1))
@@ -279,10 +290,16 @@ def _schedule(tape: _Tape, roots: list[int],
         for k in batch:
             slot[k] = start
             start += 1
-        kids = [args[k] for k in batch]
-        batches.append(_Batch(
-            type(tape.nodes[batch[0]]), batch, slice(end - m, end),
-            [_rows([slot[c[i]] for c in kids]) for i in range(len(kids[0]))]))
+        arity = len(args[batch[0]])
+        if arity == 2:
+            rows = [_rows([slot[args[k][0]] for k in batch]),
+                    _rows([slot[args[k][1]] for k in batch])]
+        elif arity == 1:
+            rows = [_rows([slot[args[k][0]] for k in batch])]
+        else:
+            rows = []
+        batches.append(_Batch(type(tape.nodes[batch[0]]), batch,
+                              slice(end - m, end), rows))
     return batches, slot, size
 
 
@@ -360,13 +377,17 @@ def _chain(u: np.ndarray, f0: np.ndarray, f1: np.ndarray, f2: np.ndarray,
            out: np.ndarray, n: int) -> None:
     """Jets of F(u) into ``out``, given F, F', F'' (B, P) at u's values:
     F' u_i and F' u_ij + F'' u_i u_j, F' times u's gradient and hessian
-    in one product."""
+    in one product.  Everything read of u goes into temporaries first;
+    then the hessian is written, as the sum of the two terms, the
+    gradient copied, and F written into the values.  So ``out`` may
+    overlap u."""
     g = u[:, 1:n + 1]
     terms = f1[:, None] * u[:, 1:]
     curved = _outer(g, g)
     curved *= f2[:, None, None]
-    terms[:, n:] += curved.reshape(terms[:, n:].shape)
-    out[:, 1:] = terms
+    hessian = out[:, n + 1:]
+    np.add(terms[:, n:], curved.reshape(hessian.shape), out=hessian)
+    out[:, 1:n + 1] = terms[:, :n]
     out[:, 0] = f0
 
 
@@ -374,12 +395,18 @@ def _mul_rule(batch: _Batch, walk: _Walk, out: np.ndarray, a: np.ndarray,
               b: np.ndarray) -> None:
     """(ab)_i = a b_i + b a_i and (ab)_ij = a b_ij + b a_ij + (a_i b_j
     + a_j b_i), the first two terms of both in one pass over the
-    gradient and the hessian."""
+    gradient and the hessian.  Everything read of a and b goes into
+    temporaries first; then the hessian is written, as the sum of its
+    terms, the gradient copied, and ab written into the values.  So
+    ``out`` may overlap a and b."""
     n = walk.n
-    terms = a[:, :1] * b[:, 1:] + b[:, :1] * a[:, 1:]
+    terms = a[:, :1] * b[:, 1:]
+    terms += b[:, :1] * a[:, 1:]
     ab = _outer(a[:, 1:n + 1], b[:, 1:n + 1])
-    terms[:, n:] += (ab + ab.swapaxes(1, 2)).reshape(terms[:, n:].shape)
-    out[:, 1:] = terms
+    hessian = out[:, n + 1:]
+    np.add(terms[:, n:], (ab + ab.swapaxes(1, 2)).reshape(hessian.shape),
+           out=hessian)
+    out[:, 1:n + 1] = terms[:, :n]
     np.multiply(a[:, 0], b[:, 0], out=out[:, 0])
 
 

@@ -257,3 +257,33 @@ def test_jets_match_finite_differences_on_generated_trees(source, point):
         np.abs(fd.hessian - jet.hessian).max(),
     )
     assert err <= 1e-8 + 1e-6 * scale
+
+
+@pytest.mark.parametrize("shift", [-2, -1, 0, 1, 2])
+def test_the_product_and_chain_rules_may_write_over_their_operands(shift):
+    """A batch's rows may be those of operands that die at it, or
+    overlap them shifted by a few rows: the rules give the bits they
+    give into fresh rows."""
+    from solitonlab.autodiff import _chain, _mul_rule
+
+    class Walk:
+        n = 3
+
+    rng = np.random.default_rng(7)
+    batch = 3
+    jets = rng.standard_normal((12, 1 + 3 + 9, 5))
+    a, b = jets[3:6], jets[7:10]
+    f0, f1, f2 = rng.standard_normal((3, batch, 5))
+    product, chained = np.empty((2, batch, 13, 5))
+    _mul_rule(None, Walk, product, a.copy(), b.copy())
+    _chain(a.copy(), f0, f1, f2, chained, 3)
+    for start, rule, expected in ((3, "mul", product), (7, "mul", product),
+                                  (3, "chain", chained)):
+        buffer = jets.copy()
+        a, b = buffer[3:6], buffer[7:10]
+        out = buffer[start + shift:start + shift + batch]
+        if rule == "mul":
+            _mul_rule(None, Walk, out, a, b)
+        else:
+            _chain(a, f0, f1, f2, out, 3)
+        assert out.tobytes() == expected.tobytes()
