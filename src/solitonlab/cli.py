@@ -24,7 +24,9 @@ The pipeline has four stages:
      once per distinct point of the coordinates its fields read
      (grids.distinct_points, _emit_csv).  Every check ends in a
      LambdaEstimate and a ResidualReport over all the grid points, from
-     which _verdict prints one PASS/FAIL line.
+     which _verdict forms one PASS/FAIL line.  The line goes to stdout
+     before a report written there and after one written to --out, so
+     a report that cannot be written prints no verdict.
 
 Exit codes: 0 verified or completed, 1 a residual or constancy check
 failed, 2 bad configuration or arguments, 3 a numeric failure such as
@@ -58,6 +60,7 @@ from .errors import (
     ExpressionSyntaxError,
     SolitonLabError,
     UnknownVariableError,
+    _Record,
 )
 from .expressions import ScalarField, parse_expression
 from .families import (
@@ -338,13 +341,8 @@ class _Job:
         self.spec = spec
         self.ranges = {} if ranges is None else ranges
 
-    def __repr__(self) -> str:
-        return (f"_Job(family={self.family!r}, command={self.command!r}, "
-                f"constants={self.constants!r}, tolerance={self.tolerance!r}, "
-                f"potential_src={self.potential_src!r}, "
-                f"metric={self.metric!r}, chart={self.chart!r}, "
-                f"defaults={self.defaults!r}, spec={self.spec!r}, "
-                f"ranges={self.ranges!r})")
+    _fields = __slots__
+    __repr__ = _Record.__repr__
 
 
 class _Family(NamedTuple):
@@ -552,8 +550,8 @@ def _construct_grw(job: _Job, args: argparse.Namespace) -> int:
         f"#t0={_fmt(t0)}",
     ]
     header = [time_var, "potential", "r1", "r2", "r3"]
-    code = _verdict(lam, estimate, report, job.tolerance)
-    _emit_csv(args.out, comments, header, [t_samples], cells)
+    code, verdict = _verdict(lam, estimate, report, job.tolerance)
+    _emit_csv(args.out, comments, header, [t_samples], cells, verdict=verdict)
     return code
 
 
@@ -579,10 +577,14 @@ def _fmt(value: float) -> str:
 
 def _emit_csv(out_path: str | None, comments: Sequence[str],
               header: Sequence[str], axes: Sequence[np.ndarray],
-              cells: np.ndarray, of: np.ndarray | None = None) -> None:
+              cells: np.ndarray, of: np.ndarray | None = None,
+              verdict: str = "") -> None:
     """One row per point of the grid over ``axes``, first axis slowest:
     its coordinates, then the row of ``cells`` that ``of`` picks (None:
-    row by row).  Each axis value and row of cells is formatted once."""
+    row by row).  Each axis value and row of cells is formatted once.
+    ``verdict`` goes to stdout before a report written there, and after
+    a report written to ``out_path``, so a report that cannot be
+    written prints no verdict."""
     row_format = ",".join(["%.12e"] * cells.shape[1])
     rows = [row_format % tuple(row) for row in cells.tolist()]
     picked = rows if of is None else map(rows.__getitem__, of.tolist())
@@ -597,13 +599,14 @@ def _emit_csv(out_path: str | None, comments: Sequence[str],
     lines.append("")
     text = "\n".join(lines)
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(verdict + text)
         return
     try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {out_path}: {exc}") from exc
+    sys.stdout.write(verdict)
 
 
 def _cmd_curvature(cfg: dict, args: argparse.Namespace) -> int:
@@ -626,15 +629,12 @@ def _cmd_curvature(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def _verdict(lam: float, estimate: LambdaEstimate, report: ResidualReport,
-             tolerance: float) -> int:
-    """Print the PASS/FAIL line and return the exit code."""
-    passed = report.passed and estimate.spread <= tolerance
-    if passed:
-        print(f"PASS lambda={_fmt(lam)} class={classify(lam, tolerance)}")
-    else:
-        point = ", ".join("%.6g" % c for c in report.worst_point.tolist())
-        print(f"FAIL max_residual={_fmt(report.max_abs)} at ({point})")
-    return 0 if passed else 1
+             tolerance: float) -> tuple[int, str]:
+    """The exit code and the PASS/FAIL line."""
+    if report.passed and estimate.spread <= tolerance:
+        return 0, f"PASS lambda={_fmt(lam)} class={classify(lam, tolerance)}\n"
+    point = ", ".join("%.6g" % c for c in report.worst_point.tolist())
+    return 1, f"FAIL max_residual={_fmt(report.max_abs)} at ({point})\n"
 
 
 def _check_grid(job: _Job, out: str | None, metric: MetricField,
@@ -661,7 +661,6 @@ def _check_grid(job: _Job, out: str | None, metric: MetricField,
     lam = job.constants.get("lambda", estimate.value)
     residual_max = geometry.residual_report(lam, mu, job.tolerance).per_point
     report = ResidualReport.of(pts, groups.gather(residual_max), job.tolerance)
-    code = _verdict(lam, estimate, report, job.tolerance)
     computed = {
         "residual_max": residual_max,
         "tau": geometry.scal,
@@ -673,7 +672,8 @@ def _check_grid(job: _Job, out: str | None, metric: MetricField,
         + [computed[name] for name in columns]
     )
     header = list(job.chart) + list(fields) + list(columns)
-    _emit_csv(out, comments, header, axes, cells, groups.of)
+    code, verdict = _verdict(lam, estimate, report, job.tolerance)
+    _emit_csv(out, comments, header, axes, cells, groups.of, verdict=verdict)
     return code
 
 

@@ -20,9 +20,8 @@ This module is the foundation of the package.  It provides:
      of the input as '', and precedence climbing reads them by index,
      classing each token by its first character, the binary operators
      by a table of bindings and unary, power and atom in one rule.  Any
-     failure reports its character offset, which a second pattern,
-     with one group per kind of token, finds only once the parse has
-     failed;
+     failure reports its character offset, which a walk over the same
+     pattern's matches finds only once the parse has failed;
   6. a precedence-aware pretty printer whose output re-parses to an
      equivalent tree;
   7. ScalarField, the chart-aware wrapper the rest of the package
@@ -290,8 +289,6 @@ class External(Node):
         return node
 
 
-FUNCTION_NAMES = ("exp", "ln", "sin", "cos", "sqrt")
-
 # exp(x) is finite exactly when x <= log(DBL_MAX); both evaluators cut here.
 EXP_ARG_MAX = math.log(sys.float_info.max)
 
@@ -425,6 +422,7 @@ _CALLS: dict[str, tuple[_Array, _Array, str]] = {
     "cos": (np.cos, np.isinf, "cos of an infinite argument"),
     "sqrt": (np.sqrt, lambda x: x < 0.0, "sqrt of a negative argument"),
 }
+FUNCTION_NAMES = tuple(_CALLS)
 
 
 def _call_step(fn: _Array, refuses: _Array, message: str) -> _Array:
@@ -756,18 +754,6 @@ def format_expression(node: Node) -> str:
 _TOKEN_TEXT = re.compile(
     r"\s*([-+*/^()]|[^\W\d]\w*|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|.?)",
     re.DOTALL)
-
-# The same tokens, one group per kind, for _offsets, which runs only
-# once a parse has failed.  Only a whole mantissa can be followed by an
-# 'e', so the malformed alternative never takes part of a number.
-_TOKEN = re.compile(r"""\s*(?:
-    (?P<op>[-+*/^()])
-  | (?P<ident>[^\W\d]\w*)
-  | (?P<malformed>(?:\d+\.?\d*|\.\d+)[eE](?![+-]?\d))
-  | (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-  | (?P<end>\Z)
-  | (?P<other>.)
-)""", re.VERBOSE | re.DOTALL)
 _OPS = frozenset("-+*/^()")
 
 # The binary operators: (binding, constructor), the tighter the higher.
@@ -778,16 +764,22 @@ _BINARY = {"+": (_SUM, add), "-": (_SUM, sub), "*": (_PRODUCT, mul),
 
 def _offsets(source: str) -> list[int]:
     """The offset of each token of ``source``, the tokens of
-    _TOKEN_TEXT.findall.  Raises the error of the first match that is
-    no token: a malformed number, or a character that starts none."""
+    _TOKEN_TEXT.findall, each classed by its first character as
+    _Parser.operand does.  Raises the error of the first token that is
+    none: a number with no exponent that an identifier starting with
+    'e' or 'E' follows with no space between (a malformed number), or
+    a character that starts no token."""
     offsets = []
-    for match in _TOKEN.finditer(source):
-        kind = match.lastgroup
-        offset = match.start(kind)
-        if kind == "malformed":
-            raise ExpressionSyntaxError("malformed number", offset)
-        first = match[kind][:1]
-        if kind == "other" or kind == "ident" and not (
+    bare_end = -1  # where the last number with no exponent ends
+    for match in _TOKEN_TEXT.finditer(source):
+        token = match[1]
+        offset, first = match.start(1), token[:1]
+        if offset == bare_end and first in ("e", "E"):
+            raise ExpressionSyntaxError("malformed number", offsets[-1])
+        if first.isdecimal() or first == "." and token != ".":
+            if "e" not in token and "E" not in token:
+                bare_end = match.end()
+        elif token and token not in _OPS and not (
                 first.isalpha() or first == "_"):
             raise ExpressionSyntaxError(f"unexpected character {first!r}", offset)
         offsets.append(offset)

@@ -229,6 +229,18 @@ def test_a_config_that_is_not_utf8_is_exit_two(tmp_path, capsys):
                          f"{path} is not valid UTF-8: ")
 
 
+@pytest.mark.parametrize("name", ["static_verify", "walker4_verify_fail",
+                                  "grw_construct", "walker4_certified"])
+def test_a_report_that_cannot_be_written_prints_no_verdict(name, tmp_path,
+                                                           capsys):
+    # The report is written before the verdict, so a passing verify, a
+    # failing one and both kinds of construction print nothing on stdout.
+    out = tmp_path / "missing" / "r.csv"
+    _expect_config_error(capsys, [COMMANDS[name], str(CONFIGS / f"{name}.json"),
+                                  "--out", str(out)], "cannot write")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("name, axis", [("flat_curvature", "a"),
                                         ("sphere_curvature", "v")])
 def test_a_grid_count_numpy_cannot_allocate_is_exit_two(tmp_path, capsys,

@@ -7,8 +7,16 @@ the same smart constructors, so agreement on random strings, tree for
 tree (node types, names and float64 bits) and error for error (type,
 message and offset), shows that the rewrite changed only how the
 source is scanned.
+
+_TOKEN and _offsets below are copies of the error path that found a
+failed parse's offsets with a second pattern, one group per kind of
+token.  expressions._offsets walks the matches of the one pattern the
+parser reads; on seeded random texts the two give the same offsets or
+the same error, type, message and offset.
 """
 
+import random
+import re
 import struct
 from dataclasses import dataclass
 
@@ -22,6 +30,7 @@ from solitonlab import (
     UnknownVariableError,
     parse_expression,
 )
+from solitonlab import expressions
 from solitonlab.expressions import (
     FUNCTION_NAMES,
     Call,
@@ -269,3 +278,84 @@ def test_decimal_digits_of_other_scripts_are_numbers():
     new, old = _both(" ٣.٥e١ * é")
     assert new == old
     assert new[1] == ("Const", struct.pack("<d", 35.0))
+
+
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<op>[-+*/^()])
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<malformed>(?:\d+\.?\d*|\.\d+)[eE](?![+-]?\d))
+  | (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+  | (?P<end>\Z)
+  | (?P<other>.)
+)""", re.VERBOSE | re.DOTALL)
+
+
+def _offsets(source: str) -> list[int]:
+    """The offset of each token of ``source``, the tokens of
+    _TOKEN_TEXT.findall.  Raises the error of the first match that is
+    no token: a malformed number, or a character that starts none."""
+    offsets = []
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        offset = match.start(kind)
+        if kind == "malformed":
+            raise ExpressionSyntaxError("malformed number", offset)
+        first = match[kind][:1]
+        if kind == "other" or kind == "ident" and not (
+                first.isalpha() or first == "_"):
+            raise ExpressionSyntaxError(f"unexpected character {first!r}", offset)
+        offsets.append(offset)
+    return offsets
+
+
+def _offsets_or_error(offsets, source):
+    try:
+        return offsets(source)
+    except ExpressionSyntaxError as exc:
+        return type(exc), str(exc), exc.offset
+
+
+# Number parts, operators, spaces (one beyond ASCII), letters, '_',
+# characters that start no token ('$', '#', '²', '½'), an Arabic-Indic
+# digit, and pieces that end a number where an 'e' may follow.
+TEXT_CHARS = "0123456789.eE+-*/^()  \t\u3000xyz_$\u00e9\u00b2\u0663\u00bd#"
+TEXT_PIECES = (*TEXT_CHARS, "1e", "2.5", ".5", "E+", "sin(", "1e5", "e-",
+               "2.", "٣e", "x2", "_e", "1.5e-3")
+ATOMS = ("x", "y", "é", "_a", "2", "2.5", ".5", "3.", "1e3", "1E-2", "٣")
+
+
+def _grammar_text(rng, depth):
+    """A random text of the grammar, up to ``depth`` operators deep."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice(ATOMS)
+    inner = _grammar_text(rng, depth - 1)
+    if roll < 0.45:
+        return f"{rng.choice(FUNCTION_NAMES)}({inner})"
+    if roll < 0.55:
+        return f"-{inner}"
+    if roll < 0.65:
+        return f"( {inner})"
+    if roll < 0.75:
+        return f"{inner}^{rng.choice(('2', '-1', '0.5', '1e0'))}"
+    op = rng.choice(("+", " - ", "*", "/ "))
+    return f"{inner}{op}{_grammar_text(rng, depth - 1)}"
+
+
+def _texts():
+    rng = random.Random(20261020)
+    for _ in range(100_000):
+        yield "".join(rng.choices(TEXT_PIECES, k=rng.randrange(1, 12)))
+    for _ in range(20_000):
+        text = _grammar_text(rng, 4)
+        at = rng.randrange(len(text) + 1)
+        yield text[:at] + rng.choice(TEXT_PIECES) + text[at:]
+
+
+def test_one_pattern_finds_the_offsets_and_errors_of_two():
+    mismatches = [
+        source for source in _texts()
+        if _offsets_or_error(expressions._offsets, source)
+        != _offsets_or_error(_offsets, source)
+    ]
+    assert mismatches == []
