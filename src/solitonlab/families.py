@@ -327,8 +327,13 @@ def _running_integrals(integrand: Callable[[np.ndarray], np.ndarray],
 
     def running(ts: np.ndarray) -> np.ndarray:
         keys = ts.tolist()
-        missing = [tv for tv in dict.fromkeys(keys) if tv not in known]
-        batch, error = _simpson_batch(integrand, [t0] * len(missing), missing,
+        new = dict.fromkeys(keys)
+        # Times all distinct and all new are integrated as they come, and
+        # the batch is their integrals.
+        fresh = len(new) == len(keys) and known.keys().isdisjoint(new)
+        missing = keys if fresh else [tv for tv in new if tv not in known]
+        batch, error = _simpson_batch(integrand, np.full(len(missing), t0),
+                                      ts if fresh else missing,
                                       tol=QUADRATURE_TOL)
         known.update(zip(missing, batch.tolist()))
         if isinstance(error, ValueError):
@@ -336,6 +341,8 @@ def _running_integrals(integrand: Callable[[np.ndarray], np.ndarray],
                 f"running integral from {t0} to a non-finite time")
         if error is not None:
             raise error
+        if fresh:
+            return batch
         return np.fromiter(map(known.__getitem__, keys), float, len(keys))
 
     return running

@@ -13,12 +13,14 @@ It walks depth first over blocks of at most BLOCK intervals at one
 depth, one array call per block, doing the recursion's arithmetic
 elementwise in numpy, which rounds as the float operations do, and
 summing each integral bottom-up in the recursion's order: the bits are
-adaptive_simpson's.  A level of a block is a fixed, small number of
-numpy calls on contiguous rows: it lays each interval's points out as
-the starts, the midpoints and the ends of its two halves (see _block),
-so the quarter points are computed and evaluated as one contiguous
-pair of rows, and the children of the intervals that split are taken
-by columns.
+adaptive_simpson's.  A block to run is seven rows, one column an
+interval: its a, m and b, the integrand there and its Simpson sum.  A
+level of a block is one call of _block and about twenty numpy calls:
+one take lays the rows out as pairs (see _LEVEL), so that the quarter
+points, the Simpson sums of the halves and the test are each a few
+ufunc calls on contiguous rows, the quarter points one array call, and
+one take of interleaved columns gives the seven rows of the children
+of the intervals that split.
 Where a block's array call raises, its points are evaluated again one
 at a time in the recursion's order, and only the intervals before the
 first that raises are finished.  So, whatever
@@ -85,53 +87,73 @@ def adaptive_simpson(fn: Callable[[float], float], a: float, b: float,
 
 
 def _evaluate(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-              ) -> tuple[np.ndarray, Exception | None]:
+              out: np.ndarray) -> tuple[int, Exception | None]:
     """``fn`` at the points ``x``, one row a kind of point and one
-    column an interval, from one array call; if that raises, from one
-    point at a time in the recursion's order, cut before the interval
-    of the first point that raises, whose error comes with it."""
+    column an interval, into ``out``, from one array call; if that
+    raises, from one point at a time in the recursion's order, cut
+    before the interval of the first point that raises.  The number of
+    intervals evaluated, and the error that cut them or None."""
     try:
-        return fn(x.ravel()).reshape(x.shape), None
+        values = fn(x.ravel()).reshape(x.shape)
     except Exception:  # noqa: BLE001 - found again one point at a time
-        pass
-    f = np.empty_like(x)
-    for i in range(x.shape[1]):
-        for row in range(x.shape[0]):
-            try:
-                f[row, i] = fn(x[row, i:i + 1])[0]
-            except Exception as exc:  # noqa: BLE001 - the loop's error
-                return f[:, :i], exc
-    return f, None
+        for i in range(x.shape[1]):
+            for row in range(x.shape[0]):
+                try:
+                    out[row, i] = fn(x[row, i:i + 1])[0]
+                except Exception as exc:  # noqa: BLE001 - the loop's error
+                    return i, exc
+        return x.shape[1], None
+    out[...] = values
+    return x.shape[1], None
+
+
+def _simpson(x0: np.ndarray, x2: np.ndarray, f0: np.ndarray, f1: np.ndarray,
+             f2: np.ndarray, out: np.ndarray) -> None:
+    """(x2 - x0) * (f0 + 4.0 * f1 + f2) / 6.0 into ``out``: the
+    expression's float operations in its order (+ and * commute
+    exactly)."""
+    np.multiply(f1, _FOUR, out)
+    np.add(f0, out, out)
+    out += f2
+    out *= x2 - x0
+    out /= _SIX
+
+
+# A level's rows, as pairs: the starts (a, m), the midpoints (the
+# quarter points, m until they are computed) and the ends (m, b) of each
+# interval's two halves, their integrand values likewise, and the
+# halves' Simpson sums; then the interval's own Simpson sum.  Taken
+# column by column, pair p is the rows of the children of the intervals
+# that split, left then right: a, m, b, their values, and the sum; a
+# block to run keeps these seven rows, one column an interval.
+_LEVEL = np.array([0, 1, 1, 1, 1, 2, 3, 4, 4, 4, 4, 5, 6, 6, 6])
+# The constants of the float operations as 0-d arrays, which a ufunc
+# takes as they are, where it converts a float on every call.
+_HALF, _FOUR, _SIX, _FIFTEEN = map(np.array, (0.5, 4.0, 6.0, 15.0))
 
 
 def _block(fn: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray,
-           whole: np.ndarray, tol: float,
-           depth: int) -> tuple[np.ndarray, Exception | None]:
+           tol: float, depth: int) -> tuple[np.ndarray, Exception | None]:
     """The integrals of a block of intervals at one depth up to the
     first error the recursion would meet in them, and that error or
-    None.  ``nodes`` holds each interval's a, m and b on axis 1, their
-    coordinates on row 0 and the integrand on row 1, and ``whole`` their
-    Simpson sums."""
-    # Each interval as six points on axis 1: the starts (a, m), the
-    # midpoints (the quarter points, m until they are computed) and the
-    # ends (m, b) of its two halves, so that each kind of point is one
-    # contiguous pair of rows.
-    fine = nodes.take((0, 1, 1, 1, 1, 2), axis=1)
-    x, f = fine
-    quarters = x[2:4]
-    np.add(x[:2], x[4:], out=quarters)
-    quarters *= 0.5
-    values, error = _evaluate(fn, quarters)
+    None.  ``nodes`` holds the block's seven rows (see _LEVEL)."""
+    level = nodes.take(_LEVEL, axis=0)
+    del nodes
+    quarters = level[2:4]
+    np.add(level[:2], level[4:6], quarters)
+    quarters *= _HALF
+    n, error = _evaluate(fn, quarters, level[8:10])
     if error is not None:
-        fine, whole = fine[:, :, :values.shape[1]], whole[:values.shape[1]]
-        x, f = fine
-    f[2:4] = values
-    halves = (x[4:] - x[:2]) * (f[:2] + 4.0 * f[2:4] + f[4:]) / 6.0
-    both = halves[0] + halves[1]
-    delta = both - whole
-    sums = both + delta / 15.0
+        level = level[:, :n]
+    _simpson(level[:2], level[4:6], level[6:8], level[8:10], level[10:12],
+             level[12:14])
+    both = level[12] + level[13]
+    delta = both - level[14]
+    sums = delta / _FIFTEEN
+    sums += both
+    np.abs(delta, delta)
     # Not `>`: a NaN delta splits, as it does in the recursion.
-    split = ~(np.abs(delta) <= 15.0 * tol)
+    split = ~(delta <= 15.0 * tol)
     cols = split.nonzero()[0]
     count = len(cols)
     if not count:
@@ -139,32 +161,26 @@ def _block(fn: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray,
     if depth <= 0:
         i = cols[0]
         return sums[:i], QuadratureFailureError(
-            f"adaptive quadrature stalled on [{float(x[0, i])}, "
-            f"{float(x[5, i])}] (residual {abs(float(delta[i])):.3e})"
+            f"adaptive quadrature stalled on [{float(level[0, i])}, "
+            f"{float(level[5, i])}] (residual {float(delta[i]):.3e})"
         )
-    # The children of each split interval, left then right: half s of
-    # an interval has row s of each pair as its a, m and b, and its half
-    # of the Simpson sum as its whole.
-    kept = fine.take(cols, axis=2).reshape(2, 3, 2, count)
-    children = np.empty((2, 3, count, 2))
-    children[..., 0] = kept[:, :, 0]
-    children[..., 1] = kept[:, :, 1]
-    children = children.reshape(2, 3, 2 * count)
-    wholes = halves.T.take(cols, axis=0).ravel()
+    # The children as one take of the columns cols and cols + n of each
+    # pair of rows, interleaved.
+    columns = np.empty(2 * count, cols.dtype)
+    columns[::2] = cols
+    np.add(cols, n, columns[1::2])
+    children = level[:14].reshape(7, 2 * n).take(columns, axis=1)
     # The blocks to run, leftmost last, to be taken first.  Several are
     # copies, each freed once it has run, so that a runaway keeps at
     # most one block to run a level.
-    blocks, wholes = [children], [wholes]
+    blocks = [children]
     if 2 * count > BLOCK:
         starts = range(0, 2 * count, BLOCK)[::-1]
-        blocks = [children[:, :, lo:lo + BLOCK].copy() for lo in starts]
-        wholes = [wholes[0][lo:lo + BLOCK].copy() for lo in starts]
-    del nodes, whole, fine, x, f, quarters, values, halves, both, delta
-    del cols, kept, children
+        blocks = [children[:, lo:lo + BLOCK].copy() for lo in starts]
+    del level, quarters, both, delta, cols, columns, children
     done = []
     while blocks:
-        part, failed = _block(fn, blocks.pop(), wholes.pop(), 0.5 * tol,
-                              depth - 1)
+        part, failed = _block(fn, blocks.pop(), 0.5 * tol, depth - 1)
         done.append(part)
         if failed is not None:
             break
@@ -188,28 +204,33 @@ def _simpson_batch(fn: Callable[[np.ndarray], np.ndarray],
     integrals before the first interval that fails, bit for bit, and the
     loop's error there, or None.  ``fn`` maps an array of points to
     their values, each element as a one-element array would give it."""
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    if len(a) and not tol > 0.0:
+    limits = np.array((a, b), dtype=float)
+    if limits.shape[1] and not tol > 0.0:
         return np.zeros(0), ValueError("tolerance must be positive")
-    finite = np.isfinite(a) & np.isfinite(b)
-    stop = len(a) if finite.all() else int(np.argmin(finite))
+    finite = np.isfinite(limits)
+    stop = limits.shape[1]
+    if np.count_nonzero(finite) != finite.size:
+        stop = int(np.argmin(finite.all(axis=0)))
     out = np.zeros(stop)
-    live = np.flatnonzero(a[:stop] != b[:stop])
+    live = (limits[0, :stop] != limits[1, :stop]).nonzero()[0]
     with np.errstate(all="ignore"):
         for lo in range(0, len(live), BLOCK):
             roots = live[lo:lo + BLOCK]
-            nodes = np.array([a[roots], 0.5 * (a[roots] + b[roots]), b[roots]])
-            values, error = _evaluate(fn, nodes)
+            nodes = np.empty((7, len(roots)))
+            x = nodes[:3]
+            limits.take(roots, axis=1, out=x[::2])
+            np.add(x[0], x[2], x[1])
+            x[1] *= _HALF
+            n, error = _evaluate(fn, x, nodes[3:6])
             sums = np.zeros(0)
-            if values.shape[1]:
-                nodes = np.array([nodes[:, :values.shape[1]], values])
-                x, f = nodes
-                whole = (x[2] - x[0]) * (f[0] + 4.0 * f[1] + f[2]) / 6.0
-                sums, failed = _block(fn, nodes, whole, tol, max_depth)
+            if n:
+                nodes = nodes[:, :n]
+                _simpson(nodes[0], nodes[2], nodes[3], nodes[4], nodes[5],
+                         nodes[6])
+                sums, failed = _block(fn, nodes, tol, max_depth)
                 error = error if failed is None else failed
             out[roots[:len(sums)]] = sums
             if error is not None:
                 return out[:roots[len(sums)]], error
-    return out, None if stop == len(a) else ValueError(
+    return out, None if stop == limits.shape[1] else ValueError(
         "integration limits must be finite")

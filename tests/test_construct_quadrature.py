@@ -7,9 +7,9 @@ reports the loop's own error, so every value has the bits, and every
 error the text, of the one-at-a-time loop: the values are checked here
 against that loop, written out with adaptive_simpson, and the errors
 against the messages the loop gives on four configs that fail inside a
-quadrature.  One benchmark walker4 job is checked against the work,
-array calls and levels, recorded before its quadrature was made
-cheaper.
+quadrature.  One benchmark walker4 job and one GRW job are checked
+against the work, array calls and levels, recorded before their
+quadrature was made cheaper.
 """
 
 import hashlib
@@ -307,3 +307,38 @@ def test_the_walker4_quadrature_does_the_recorded_work(tmp_path, capsys,
         == "384456762ed2f60cc1aa46bc7801fd57ee9d65182b2a76deaa4b89a37d1d09a9"
     assert hashlib.sha256(repr(sizes + [81]).encode()).hexdigest() \
         == "f7a32637552afc627965f1889678361c9a117d7e803a125d2d1419e47edda9bf"
+
+
+def test_the_grw_quadrature_does_the_recorded_work(tmp_path, capsys,
+                                                   monkeypatch):
+    # The first GRW job of the construct benchmark at seed 401, with the
+    # integrand's array calls of each batch and the levels counted.
+    # Recorded before a level was laid out as pairs of rows, which
+    # changes the cost of the work, never the work: one batch of its 100
+    # times, then one of none, which calls nothing.
+    job = next(job for job in workloads.first_jobs("construct-quad", 401, 8)
+               if job.kind == "grw_construct")
+    batches, sizes, levels = [], [], []
+    batch, block = families._simpson_batch, quadrature._block
+
+    def counted_batch(fn, a, b, *args, **kwargs):
+        batches.append(len(a))
+
+        def counted(xs):
+            sizes.append(xs.size)
+            return fn(xs)
+
+        return batch(counted, a, b, *args, **kwargs)
+
+    def counted_block(*args):
+        levels.append(None)
+        return block(*args)
+
+    monkeypatch.setattr(families, "_simpson_batch", counted_batch)
+    monkeypatch.setattr(quadrature, "_block", counted_block)
+    config = workloads.write_job(job, tmp_path)
+    assert main(job.argv(str(config), str(tmp_path / "out.csv"))) == 0
+    assert batches == [100, 0]
+    assert (len(sizes), sum(sizes), len(levels)) == (7, 3404, 6)
+    assert hashlib.sha256(repr(sizes).encode()).hexdigest() \
+        == "d97f00a8bd537e4aab490d31d1f6e31e6833c241e0639627aeb2e4692998ea7e"
