@@ -545,9 +545,10 @@ def _evaluate(batch: _Batch, walk: _Walk) -> None:
                        *[jets[rows] for rows in batch.args])
 
 
-def walk_jets(fields: Sequence[ScalarField], points: np.ndarray) -> list[Jet2]:
-    """Jets of ``fields``, which share one chart, over a (P, n) stack of
-    points, each structurally distinct subtree evaluated once.
+def _walk_rows(fields: Sequence[ScalarField], points: np.ndarray) -> np.ndarray:
+    """The jets of ``fields``, which share one chart, over a (P, n)
+    stack of points, as one row per field (len(fields), 1 + n + n*n, P)
+    laid out as a slot of the walk (see _Walk), point axis last.
 
     The trees are first numbered into a tape: one entry per distinct
     node, in the order a depth-first walk of the fields meets them.
@@ -593,14 +594,22 @@ def walk_jets(fields: Sequence[ScalarField], points: np.ndarray) -> list[Jet2]:
         if located:
             raise DomainError(f"{message} at {points[point].tolist()}", index=point)
         raise DomainError(message)
-    # Each jet as arrays of its own, C-ordered, point axis first.
+    if len(rows) == len(roots):
+        return jets
+    row_of = {row: r for r, row in enumerate(rows)}
+    return jets[[row_of[slot[k]] for k in roots]]
+
+
+def walk_jets(fields: Sequence[ScalarField], points: np.ndarray) -> list[Jet2]:
+    """Jets of ``fields``, which share one chart, over a (P, n) stack of
+    points, each structurally distinct subtree evaluated once: the rows
+    of _walk_rows, each jet as arrays of its own, C-ordered, point axis
+    first."""
     p, n = points.shape
     value, gradient, hessian = (part.swapaxes(1, -1).copy()
-                                for part in _parts(jets, n))
-    hessian = hessian.reshape(len(rows), p, n, n)
-    jet_of = {row: Jet2(value[r], gradient[r], hessian[r])
-              for r, row in enumerate(rows)}
-    return [jet_of[slot[k]] for k in roots]
+                                for part in _parts(_walk_rows(fields, points), n))
+    hessian = hessian.reshape(len(fields), p, n, n)
+    return [Jet2(value[r], gradient[r], hessian[r]) for r in range(len(fields))]
 
 
 def eval_jet2(field: ScalarField, point: Sequence[float]) -> Jet2:

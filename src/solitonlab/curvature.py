@@ -32,29 +32,44 @@ trace bit for bit.
 
 Sum order.  np.einsum without ``optimize`` sums each output entry term
 by term.  Where the summed index is the last, contiguous axis of two
-operands it goes through a SIMD dot kernel whose order is fixed by the
-length of that axis.  Those contractions (gamma from g^-1 and T, both
-halves of d Gamma, the scalar curvature) run point first, with the
-summed axis last and contiguous in both operands; the order of the
-operands and the layout of the other axes do not change their bits.
-Every other contraction here (d_i g^{lm}, the Gamma Gamma products
-and the sum over a) adds its terms one at a time in index order in any
-layout, so it runs with the point axis last on every stack, the inner
-loop over the points; one point runs as a stack of one.  Each operand
-is copied to that layout once, and a result is copied back to
-C-contiguous point-first before a dot kernel reads it.
-tests/test_contraction_order.py guards these facts of numpy.
+operands it goes through a SIMD dot kernel.  numpy's baseline float64
+kernel keeps two lanes, each starting from +0.0: lane 0 adds the
+products at the even positions of the summed axis and lane 1 those at
+the odd ones, each in index order, except that while eight or more
+terms remain each block of eight goes as the pairs (6, 7), (4, 5),
+(2, 3), (0, 1); the result is lane 0 plus lane 1.  Elsewhere einsum
+adds the terms one at a time in index order.  curvature_from runs
+every contraction with the point axis last, the inner loop over the
+points; one point runs as a stack of one.  The dot-kernel sums of the
+full-tensor formulas (gamma from g^-1 and T, and both halves of
+d_a Gamma and of d_k Gamma) keep that kernel's order: g^-1, T, d g^-1
+and dT are written into buffers whose summed axis has a zero pad
+column where n is odd (_summand), the axis is read as pairs (h, lane)
+in the kernel's order (_lanes), einsum adds over h, and the two lanes
+are added last (_dot).  A pad product is +0.0, as the kernel's
+zero-filled tail load gives.  d_i g^{lm}, the Gamma Gamma products and
+the sum over a are index-order sums.  The scalar curvature runs point
+first, as the trace of the full tensor did.
+tests/test_contraction_order.py guards these facts of numpy, and
+christoffel is the same gamma as curvature_from's.
 
-Layouts that later sums read.  The scalar curvature's sum order
-follows Ricci's memory layout, which is the one the trace of the full
-tensor had: Ric_jk sits at [..., k, j] of a C-contiguous array, and
-ricci is the transposed view.  gamma is C-contiguous, which the sum of
-the covariant hessian reads.
+Layouts.  metric_at hands dg and d2g over as point-first views of
+point-last arrays, which the pass reads back without a copy; other
+data is copied to point last.  A sum of three operands, such as
+d_i g^{lm}, adds its terms in an order that follows the operands'
+strides, so it reads operands whose point axis is last and contiguous
+and whose other axes are in C order, as it always has (g^-1 padded
+keeps that order).  CurvatureAtPoint.riemann runs point first, on
+C-contiguous copies of dg and d2g for the same reason.  The scalar
+curvature's sum order follows Ricci's memory layout, which is the one
+the trace of the full tensor had: Ric_jk sits at [..., k, j] of a
+C-contiguous array, and ricci is the transposed view.  gamma is
+C-contiguous, which the sum of the covariant hessian reads.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -77,12 +92,86 @@ __all__ = [
 ]
 
 
-def _point_last(a: np.ndarray) -> np.ndarray:
-    return a.transpose(*range(1, a.ndim), 0).copy()
+@cache
+def _kernel_order(n: int) -> np.ndarray | None:
+    """The pairs (2h, 2h + 1) of a summed axis of length n, padded to
+    even, in the order numpy's float64 dot kernel adds them: blocks of
+    four pairs from the top pair down while eight terms remain, then
+    one pair at a time.  None where that is index order (n < 8)."""
+    full = 4 * (n // 8)
+    if not full:
+        return None
+    order = np.array([b + r for b in range(0, full, 4) for r in (3, 2, 1, 0)]
+                     + list(range(full, (n + 1) // 2)))
+    order.flags.writeable = False
+    return order
 
 
-def _point_first(a: np.ndarray) -> np.ndarray:
-    return a.transpose(a.ndim - 1, *range(a.ndim - 1)).copy()
+def _summand(lead: tuple[int, ...], n: int, p: int) -> np.ndarray:
+    """A (*lead, n + n % 2, P) buffer for an operand summed over its
+    axis of length n, its pad column zero."""
+    buf = np.empty(lead + (n + n % 2, p))
+    if n % 2:
+        buf[..., n, :] = 0.0
+    return buf
+
+
+def _lanes(buf: np.ndarray, n: int) -> np.ndarray:
+    """The (..., m, P) buffer of an operand summed over m as (..., h,
+    lane, P), its pairs in the dot kernel's order."""
+    *lead, m, p = buf.shape
+    lanes = buf.reshape(*lead, m // 2, 2, p)
+    order = _kernel_order(n)
+    return lanes if order is None else lanes[..., order, :, :]
+
+
+def _dot(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot kernel's sum: lane 0 plus lane 1 of a point-last einsum
+    over (h, lane) whose output ends with the lane, then the points, so
+    that an inner loop runs over both lanes."""
+    lanes = np.einsum(spec, a, b)
+    return np.add(lanes[..., 0, :], lanes[..., 1, :])
+
+
+def _stack(data: MetricAtPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g^-1, dg and d2g with a leading point axis: one point is a stack
+    of one."""
+    if data.g_inv.ndim == 3:
+        return data.g_inv, data.dg, data.d2g
+    return data.g_inv[None], data.dg[None], data.d2g[None]
+
+
+def _front(ginv: np.ndarray, dg: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g^{lm} (l, m, P), d_k g_ij (k, i, j, P) and T_ijm = d_i g_jm
+    + d_j g_im - d_m g_ij (i, j, m, P), point last, from point-first
+    stacks; g^-1 and T in _summand buffers."""
+    p, n = ginv.shape[:2]
+    ginv_last = _summand((n,), n, p)
+    ginv_last[:, :n] = ginv.transpose(1, 2, 0)
+    dg = np.ascontiguousarray(dg.transpose(1, 2, 3, 0))
+    T = _summand((n, n), n, p)
+    T_n = T[:, :, :n]
+    np.add(dg, dg.swapaxes(0, 1), out=T_n)
+    np.subtract(T_n, dg.transpose(1, 2, 0, 3), out=T_n)
+    return ginv_last, dg, T
+
+
+def _christoffel(ginv: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """gamma[k, i, j, P] = 1/2 g^{kl} T_ijl from _front's buffers."""
+    n = len(ginv)
+    gamma = _dot("ijhc...,khc...->kijc...", _lanes(T, n), _lanes(ginv, n))
+    gamma *= 0.5
+    return gamma
+
+
+def christoffel(data: MetricAtPoint) -> np.ndarray:
+    """Christoffel symbols gamma[k, i, j] at the evaluated point, or
+    with a leading point axis."""
+    ginv, dg, _ = _stack(data)
+    ginv, _, T = _front(ginv, dg)
+    gamma = _christoffel(ginv, T).transpose(3, 0, 1, 2).copy()
+    return gamma[0] if data.g_inv.ndim == 2 else gamma
 
 
 def _lowered(dg: np.ndarray) -> np.ndarray:
@@ -97,23 +186,6 @@ def _lowered_derivative(d2g: np.ndarray) -> np.ndarray:
     dT = d2g + d2g.swapaxes(-3, -2)
     dT -= np.einsum("...imjk->...ijkm", d2g)
     return dT
-
-
-def _christoffel_from(g_inv: np.ndarray, T: np.ndarray) -> np.ndarray:
-    gamma = np.einsum("...ijl,...kl->...kij", T, g_inv)
-    gamma *= 0.5
-    return gamma
-
-
-def christoffel(data: MetricAtPoint) -> np.ndarray:
-    """Christoffel symbols gamma[k, i, j] at the evaluated point."""
-    return _christoffel_from(data.g_inv, _lowered(data.dg))
-
-
-def _inverse_derivative(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    # d_i g^{lm} = -g^{la} (d_i g_ab) g^{bm}
-    dginv = np.einsum("...la,...iab,...bm->...ilm", g_inv, dg, g_inv)
-    return np.negative(dginv, out=dginv)
 
 
 class CurvatureAtPoint(_Record):
@@ -136,11 +208,14 @@ class CurvatureAtPoint(_Record):
         = d_i gamma^l_jk; ``ricci`` is its trace over l and i."""
         data = self.metric_data
         ginv, gamma = data.g_inv, self.gamma
-        dginv = _inverse_derivative(ginv, data.dg)
+        # Point first and C-contiguous, as the sums below need: metric_at's
+        # dg and d2g are views of point-last arrays.
+        dg, d2g = map(np.ascontiguousarray, (data.dg, data.d2g))
+        dginv = np.einsum("...la,...iab,...bm->...ilm", ginv, dg, ginv)
+        np.negative(dginv, out=dginv)
         dgamma = 0.5 * (
-            np.einsum("...ilm,...jkm->...iljk", dginv, _lowered(data.dg))
-            + np.einsum("...lm,...ijkm->...iljk", ginv,
-                        _lowered_derivative(data.d2g))
+            np.einsum("...ilm,...jkm->...iljk", dginv, _lowered(dg))
+            + np.einsum("...lm,...ijkm->...iljk", ginv, _lowered_derivative(d2g))
         )
         return (
             np.einsum("...iljk->...lkij", dgamma)
@@ -151,38 +226,42 @@ class CurvatureAtPoint(_Record):
 
 
 def curvature_from(data: MetricAtPoint) -> CurvatureAtPoint:
-    one = data.g_inv.ndim == 2
-    ginv, dg, d2g = (a[None] if one else a
-                     for a in (data.g_inv, data.dg, data.d2g))
-    T = _lowered(dg)
-    gamma = _christoffel_from(ginv, T)
-    ginv_last = _point_last(ginv)
-    dginv = np.einsum("la...,iab...,bm...->ilm...", ginv_last,
-                      _point_last(dg), ginv_last)
-    dginv = _point_first(np.negative(dginv, out=dginv))
-    dT = _lowered_derivative(d2g)
+    g_inv, dg, d2g = _stack(data)
+    p, n = g_inv.shape[:2]
+    ginv, dg, T = _front(g_inv, dg)
+    gamma = _christoffel(ginv, T)
+    # d_i g^{lm} = -g^{la} (d_i g_ab) g^{bm}
+    dginv = _summand((n, n), n, p)
+    dginv_n = dginv[:, :, :n]
+    np.einsum("la...,iab...,bm...->ilm...", ginv[:, :n], dg, ginv[:, :n],
+              out=dginv_n)
+    np.negative(dginv_n, out=dginv_n)
+    # dT_ijkm = d_i (d_j g_km + d_k g_jm - d_m g_jk)
+    d2g = d2g.transpose(1, 2, 3, 4, 0)
+    dT = _summand((n, n, n), n, p)
+    dT_n = dT[:, :, :, :n]
+    np.add(d2g, d2g.swapaxes(1, 2), out=dT_n)
+    np.subtract(dT_n, d2g.transpose(0, 2, 3, 1, 4), out=dT_n)
+    ginv, T, dginv, dT = (_lanes(a, n) for a in (ginv, T, dginv, dT))
     # E[a, k, j] = R^a_jak, the entries of Riemann that Ricci sums:
     # d_a Gamma^a_kj - d_k Gamma^a_aj + Gamma^a_am Gamma^m_kj
     # - Gamma^a_km Gamma^m_aj, each term and each sum as the full tensor
     # forms it, with d_i Gamma^l_jk = 1/2 (d_i g^{lm} T_jkm
-    # + g^{lm} dT_ijkm).  The copy of dT with its first two axes swapped
-    # lets g^{am} dT_kajm read dT in memory order.
-    E = np.einsum("...kjm,...aam->...akj", T, dginv)
-    E += np.einsum("...am,...akjm->...akj", ginv, dT)
+    # + g^{lm} dT_ijkm).
+    E = _dot("kjhc...,aahc...->akjc...", T, dginv)
+    E += _dot("ahc...,akjhc...->akjc...", ginv, dT)
     E *= 0.5
-    d_k = np.einsum("...ajm,...kam->...akj", T, dginv)
-    d_k += np.einsum("...am,...akjm->...akj", ginv,
-                     dT.swapaxes(-4, -3).copy())
+    d_k = _dot("ajhc...,kahc...->akjc...", T, dginv)
+    d_k += _dot("ahc...,kajhc...->akjc...", ginv, dT)
     d_k *= 0.5
     E -= d_k
-    gamma_last = _point_last(gamma)
-    E = _point_last(E)
-    E += np.einsum("aam...,mkj...->akj...", gamma_last, gamma_last)
-    E -= np.einsum("akm...,maj...->akj...", gamma_last, gamma_last)
-    ricci_kj = _point_first(np.einsum("akj...->kj...", E))
+    E += np.einsum("aam...,mkj...->akj...", gamma, gamma)
+    E -= np.einsum("akm...,maj...->akj...", gamma, gamma)
+    ricci_kj = np.einsum("akj...->kj...", E).transpose(2, 0, 1).copy()
     ricci = np.swapaxes(ricci_kj, -1, -2)
-    scalar = np.einsum("...jk,...jk->...", ginv, ricci)
-    if one:
+    gamma = gamma.transpose(3, 0, 1, 2).copy()
+    scalar = np.einsum("...jk,...jk->...", g_inv, ricci)
+    if data.g_inv.ndim == 2:
         return CurvatureAtPoint(data, gamma[0], ricci[0], float(scalar[0]))
     return CurvatureAtPoint(data, gamma, ricci, scalar)
 

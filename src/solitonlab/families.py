@@ -806,8 +806,8 @@ def walker4_construct(spec: Walker4Spec,
     errors.
 
     The profile's callables take arrays of times (see
-    expressions.external): the value maps the interpolant over them
-    element by element, and the slope is the table's array slope.  The
+    expressions.external): the value maps the interpolant over the
+    distinct times, and the slope is the table's array slope.  The
     slope's derivative is a compiled field of the warping w,
     (0.5 w') (c0 t + c1) + c0 w, built from the node kinds, which do not
     fold (c0 = 0 keeps the sign of c0 w), so each element is the float
@@ -851,7 +851,12 @@ def walker4_construct(spec: Walker4Spec,
         return float(spline(tv))
 
     def values_at(ts: np.ndarray) -> np.ndarray:
-        return np.fromiter(map(value, ts.tolist()), float, len(ts))
+        # One spline call per distinct time, in order of first
+        # occurrence, so the first time outside the table raises first.
+        # 0.0 and -0.0 share a call: the spline's sums start from +0.0.
+        times = ts.tolist()
+        at = {tv: value(tv) for tv in dict.fromkeys(times)}
+        return np.fromiter(map(at.__getitem__, times), float, len(times))
 
     profile = QuadratureProfile("tpart", (values_at, slopes, slope2),
                                 grid, table)

@@ -7,24 +7,26 @@ coordinate derivatives of g, and the determinant, with hard failures
 on near-singular matrices and on signature disagreement.  Given a
 (P, n) stack of points it fills the same data with a leading point
 axis.  The n(n+1)/2 components are evaluated in one value-numbered
-jet walk over the whole stack (autodiff.walk_jets), so a subtree
-shared by several components, such as the warping factor of a warped
-product, is differentiated once per grid.  A matrix counts as singular
-where its smallest |eigenvalue| is a tiny fraction of its largest, a
-test that does not change when g is scaled.  read_axes names the chart
-coordinates the components read; the metric is a function of these
-alone, which lets a grid share one evaluation among points that agree
-on them.
+jet walk over the whole stack, so a subtree shared by several
+components, such as the warping factor of a warped product, is
+differentiated once per grid.  g, dg and d2g are gathered from the
+walk's rows, which hold the point axis last, in three fancy indexes;
+dg and d2g keep that layout, which curvature.curvature_from reads.  A
+matrix counts as singular where its smallest |eigenvalue| is a tiny
+fraction of its largest, a test that does not change when g is
+scaled.  read_axes names the chart coordinates the components read;
+the metric is a function of these alone, which lets a grid share one
+evaluation among points that agree on them.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence, Union
 
 import numpy as np
 
-from .autodiff import walk_jets
+from .autodiff import _walk_rows
 from .errors import (
     SignatureMismatchError,
     SingularMetricError,
@@ -158,7 +160,11 @@ class MetricAtPoint(_Record):
     Index layout: ``dg[k, i, j]`` is the k-th coordinate derivative of
     g_ij and ``d2g[k, l, i, j]`` the (k, l) second derivative.  Data
     for a stack of P points carries a leading point axis on every
-    field: ``point`` (P, n), ``g`` (P, n, n), ..., ``det`` (P,).
+    field: ``point`` (P, n), ``g`` (P, n, n), ..., ``det`` (P,).  From
+    metric_at, g and g_inv are C-contiguous, while dg and d2g are
+    point-first views of C-contiguous point-last arrays (k, i, j, P) and
+    (k, l, i, j, P): a sum whose order follows the strides of its
+    operands reads np.ascontiguousarray copies of them.
     Frozen; equal only to itself.
     """
 
@@ -175,17 +181,30 @@ class MetricAtPoint(_Record):
         object.__setattr__(self, "det", det)
 
 
+@cache
+def _gather_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index maps from the rows of a metric's walk, one per component
+    g_ij with i <= j in row-major order, to g_ij, to d_k g_ij at
+    [k, i, j] and to d_k d_l g_ij at [k, l, i, j]: the row of g_ij, and
+    the slot entry of its first and second derivatives."""
+    i, j = np.triu_indices(n)
+    pair = np.empty((n, n), dtype=np.intp)
+    pair[i, j] = pair[j, i] = np.arange(len(i))
+    k = np.arange(n)
+    maps = pair, 1 + k[:, None, None], (1 + n + n * k[:, None] + k)[..., None, None]
+    for a in maps:
+        a.flags.writeable = False
+    return maps
+
+
 def _metric_stack(metric: MetricField, points: np.ndarray) -> MetricAtPoint:
-    p, n = points.shape
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    jets = walk_jets([metric.components[i][j] for i, j in pairs], points)
-    g = np.zeros((p, n, n))
-    dg = np.zeros((p, n, n, n))
-    d2g = np.zeros((p, n, n, n, n))
-    for (i, j), jet in zip(pairs, jets):
-        g[:, i, j] = g[:, j, i] = jet.value
-        dg[:, :, i, j] = dg[:, :, j, i] = jet.gradient
-        d2g[:, :, :, i, j] = d2g[:, :, :, j, i] = jet.hessian
+    n = points.shape[1]
+    rows = _walk_rows([metric.components[i][j]
+                       for i in range(n) for j in range(i, n)], points)
+    pair, first, second = _gather_maps(n)
+    g = rows[pair, 0].transpose(2, 0, 1).copy()
+    dg = rows[pair, first]
+    d2g = rows[pair, second]
     with np.errstate(all="ignore"):  # a det past DBL_MAX is inf, not a warning
         det = np.linalg.det(g)
     eigs = np.linalg.eigvalsh(g)
@@ -209,17 +228,20 @@ def _metric_stack(metric: MetricField, points: np.ndarray) -> MetricAtPoint:
             f"positive directions, declared signature {metric.signature}",
             index=k,
         )
-    return MetricAtPoint(points, g, np.linalg.inv(g), dg, d2g, det)
+    return MetricAtPoint(points, g, np.linalg.inv(g), dg.transpose(3, 0, 1, 2),
+                         d2g.transpose(4, 0, 1, 2, 3), det)
 
 
 def metric_at(metric: MetricField, point: Sequence[float]) -> MetricAtPoint:
     """Metric data at ``point`` (n,), or stacked over the rows of a
     (P, n) array of points: one value-numbered jet walk over all
-    components for the whole stack, then det, eigvalsh and inv on the
-    stacked matrices.  A singular or wrongly signed matrix names its
-    first point in grid order.  Every point of the stack is evaluated;
-    curvature.curvature_over passes only one point per distinct value
-    of the coordinates the metric reads (MetricField.read_axes)."""
+    components for the whole stack, g, dg and d2g gathered from its
+    rows (see MetricAtPoint for their layouts), then det, eigvalsh and
+    inv on the stacked matrices.  A singular or wrongly signed matrix
+    names its first point in grid order.  Every point of the stack is
+    evaluated; curvature.curvature_over passes only one point per
+    distinct value of the coordinates the metric reads
+    (MetricField.read_axes)."""
     n = metric.dimension
     p = np.asarray(point, dtype=float)
     if p.ndim not in (1, 2) or p.shape[-1] != n or p.size == 0:

@@ -342,3 +342,57 @@ def test_the_grw_quadrature_does_the_recorded_work(tmp_path, capsys,
     assert (len(sizes), sum(sizes), len(levels)) == (7, 3404, 6)
     assert hashlib.sha256(repr(sizes).encode()).hexdigest() \
         == "d97f00a8bd537e4aab490d31d1f6e31e6833c241e0639627aeb2e4692998ea7e"
+
+
+def _counted_splines(monkeypatch):
+    """The times at which every spline built from here on is called."""
+    calls = []
+    pchip = families._pchip
+
+    def counted_pchip(*args):
+        spline = pchip(*args)
+
+        def counted(tv):
+            calls.append(tv)
+            return spline(tv)
+
+        return counted
+
+    monkeypatch.setattr(families, "_pchip", counted_pchip)
+    return calls
+
+
+def test_the_walker4_profile_calls_its_spline_once_per_distinct_time(
+        tmp_path, capsys, monkeypatch):
+    # The first walker4 job of the construct benchmark at seed 401: two
+    # value maps over its 81 grid points, each of 3 distinct times.  A
+    # map point by point made 162 calls.
+    job = next(job for job in workloads.first_jobs("construct-quad", 401, 8)
+               if job.kind == "walker4_construct")
+    calls = _counted_splines(monkeypatch)
+    config = workloads.write_job(job, tmp_path)
+    assert main(job.argv(str(config), str(tmp_path / "out.csv"))) == 0
+    assert len(calls) == 6 and len(set(calls)) == 3
+
+
+def test_the_walker4_profile_value_is_the_map_point_by_point(monkeypatch):
+    spec = Walker4Spec(parse_expression("1.02 + 0.3*sin(t)", ("t",)),
+                       c0=-0.95, c1=0.4, c2=1.0, c3=0.2, t0=0.01)
+    calls = _counted_splines(monkeypatch)
+    _, profile = walker4_construct(spec, interval=(-1.5, 1.5))
+    values_at = profile.funcs[0]
+    # Knots, ends and points between them, repeated, with both zeros
+    # (0.0 is a knot of the 81-knot table on (-1.5, 1.5)).
+    times = [0.0, -0.0, 0.7, -1.5, 1.5, 0.7, -0.0, 0.0, 1e-300, -1e-300,
+             profile.knots[17], 0.0375, -0.0]
+    ts = np.array(times)
+    calls.clear()
+    got = values_at(ts)
+    assert len(calls) == 8
+    calls.clear()
+    want = np.array([profile(tv) for tv in times])
+    assert len(calls) == len(times)
+    assert got.tobytes() == want.tobytes()
+    # The first time outside the table, in array order, is the one named.
+    with pytest.raises(families.DomainError, match=r"sampled at 2\.0,"):
+        values_at(np.array([0.0, 2.0, -2.0, 2.0]))

@@ -6,14 +6,18 @@ curvature_from sums only the n^3 entries of Riemann that Ricci reads,
 with some contractions run with the point axis last; gamma, Ricci, the
 scalar curvature and the on-demand Riemann must keep the reference's
 bits.  np.array_equal counts 0.0 and -0.0 as equal, so the comparisons
-are on tobytes, and the stacks hold exact zeros of both signs.
+are on tobytes, and the stacks hold exact zeros of both signs.  The
+data is drawn two ways: hand-built C-contiguous arrays, and metric_at
+on random component formulas, whose dg and d2g are point-first views
+of point-last arrays.  The reference reads C-contiguous copies, the
+layout its point-first sums are written for.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from solitonlab import curvature_from, point_geometry
+from solitonlab import christoffel, curvature_from, metric_at, point_geometry
 from solitonlab.curvature import CurvatureAtPoint, curvature_over
 from solitonlab.expressions import parse_expression
 from solitonlab.families import GRWSpec, assemble_warped_metric
@@ -23,8 +27,8 @@ from solitonlab.metrics import MetricAtPoint, MetricField, sphere_metric
 def _reference(data):
     """(gamma, riemann, ricci, scalar) by the full-tensor formulas."""
     ginv = data.g_inv
-    dg = data.dg
-    d2g = data.d2g
+    dg = np.ascontiguousarray(data.dg)
+    d2g = np.ascontiguousarray(data.d2g)
     T = (
         np.einsum("...ijl->...ijl", dg)
         + np.einsum("...jil->...ijl", dg)
@@ -69,16 +73,8 @@ def _draw_array(rng, shape, zeros):
     return x
 
 
-@st.composite
-def metric_stacks(draw):
-    """MetricAtPoint data of one point or of a stack of P points, with a
-    non-diagonal Riemannian or Lorentzian g and symmetric dg and d2g."""
-    n = draw(st.integers(2, 5))
-    points = draw(st.one_of(st.none(), st.integers(1, 150)))
-    lorentzian = draw(st.booleans())
-    zeros = draw(st.sampled_from([0.0, 0.1, 0.3]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    lead = () if points is None else (points,)
+def _drawn(rng, n, lead, lorentzian, zeros):
+    """Hand-built data: a non-diagonal g and symmetric dg and d2g."""
     basis = rng.normal(size=lead + (n, n)) + 2.0 * np.eye(n)
     signs = np.ones(n)
     if lorentzian:
@@ -94,6 +90,44 @@ def metric_stacks(draw):
                          0.0)
 
 
+def _walked(rng, n, lead, lorentzian, zeros):
+    """metric_at on random formulas: diagonal entries (+-)(2 + ...) and
+    off-diagonal ones below 0.1 on the box [-1, 1]^n, so g keeps the
+    signs of its diagonal; a share ``zeros`` of the off-diagonal
+    entries is the constant 0."""
+    chart = tuple(f"x{k}" for k in range(n))
+    rows = [[""] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a, b = (chart[k] for k in rng.integers(n, size=2))
+            c = rng.uniform(-0.1, 0.1)
+            term = f"({c:.6f})*{rng.choice(['sin', 'cos'])}({a})*{b}^2"
+            if i == j:
+                sign = "-" if lorentzian and i == 0 else ""
+                rows[i][i] = f"{sign}(2 + {term})"
+            else:
+                rows[i][j] = rows[j][i] = "0" if rng.random() < zeros else term
+    signature = ("-" if lorentzian else "+") + "+" * (n - 1)
+    metric = MetricField.from_rows(chart, rows, signature)
+    points = rng.uniform(-1.0, 1.0, size=lead + (n,))
+    return metric_at(metric, points)
+
+
+@st.composite
+def metric_stacks(draw):
+    """MetricAtPoint data of one point or of a stack of P points, with a
+    non-diagonal Riemannian or Lorentzian g, hand-built or from
+    metric_at."""
+    n = draw(st.integers(1, 9))
+    points = draw(st.one_of(st.none(), st.integers(1, 150)))
+    lorentzian = draw(st.booleans())
+    zeros = draw(st.sampled_from([0.0, 0.1, 0.3]))
+    build = draw(st.sampled_from([_drawn, _walked]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lead = () if points is None else (points,)
+    return build(rng, n, lead, lorentzian, zeros)
+
+
 @settings(max_examples=80, deadline=None)
 @given(metric_stacks())
 def test_the_contracted_pass_keeps_the_full_tensor_bits(data):
@@ -103,6 +137,7 @@ def test_the_contracted_pass_keeps_the_full_tensor_bits(data):
                       (curv.scalar, scalar), (curv.riemann, riemann)]:
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
     assert type(curv.scalar) is type(scalar)
+    assert christoffel(data).tobytes() == gamma.tobytes()
     # Later sums (the scalar curvature, the covariant hessian) follow
     # the memory layout of Ricci and gamma.
     assert curv.ricci.strides == ricci.strides
