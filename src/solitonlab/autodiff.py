@@ -114,12 +114,6 @@ class Jet2(_Record):
 
     __slots__ = ("value", "gradient", "hessian")
 
-    def __init__(self, value: float | np.ndarray, gradient: np.ndarray,
-                 hessian: np.ndarray) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "gradient", gradient)
-        object.__setattr__(self, "hessian", hessian)
-
 
 # Entries times points per batch.  A batch's temporaries are a few
 # arrays of its own jets (the hessian terms are (entries, n*n, P)

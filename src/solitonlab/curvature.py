@@ -190,17 +190,12 @@ def _lowered_derivative(d2g: np.ndarray) -> np.ndarray:
 
 class CurvatureAtPoint(_Record):
     """Christoffel symbols and curvature tensors at one point, or with
-    a leading point axis for stacked metric data.  ``riemann`` is
-    formed on first access.  Frozen; equal only to itself."""
+    a leading point axis for stacked metric data: ``metric_data`` (a
+    MetricAtPoint), ``gamma`` (n, n, n), ``ricci`` (n, n) and ``scalar``
+    a float, or (P,) for a stack.  ``riemann`` is formed on first
+    access.  Frozen; equal only to itself."""
 
     _fields = ("metric_data", "gamma", "ricci", "scalar")
-
-    def __init__(self, metric_data: MetricAtPoint, gamma: np.ndarray,
-                 ricci: np.ndarray, scalar: float | np.ndarray) -> None:
-        object.__setattr__(self, "metric_data", metric_data)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "ricci", ricci)
-        object.__setattr__(self, "scalar", scalar)
 
     @cached_property
     def riemann(self) -> np.ndarray:
@@ -276,14 +271,6 @@ class GridCurvature(_Record):
     only to itself."""
 
     __slots__ = ("g", "g_inv", "gamma", "ricci", "scalar")
-
-    def __init__(self, g: np.ndarray, g_inv: np.ndarray, gamma: np.ndarray,
-                 ricci: np.ndarray, scalar: np.ndarray) -> None:
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "g_inv", g_inv)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "ricci", ricci)
-        object.__setattr__(self, "scalar", scalar)
 
 
 def curvature_over(metric: MetricField, points: np.ndarray, *,

@@ -7,7 +7,9 @@ does exactly that to map failures onto exit codes).
 The frozen records of the other modules (specs, fields, per-point
 data, reports) derive from _Record, or from _ValueRecord when they are
 compared by value.  Both live here, in the bottom module, which every
-record module already imports.
+record module already imports.  The base also owns construction: a
+record names its fields once, and only _Record.__init__ writes them,
+so this is the one module that reaches past the frozen __setattr__.
 """
 
 from __future__ import annotations
@@ -108,15 +110,35 @@ def in_grid_order(run: Callable[[Sequence], _T], points: Sequence) -> _T:
         raise
 
 
+def _bind(name: str, fields: tuple, args: tuple, kwargs: dict) -> tuple:
+    """The values of ``fields``, in order, from a call of record class
+    ``name`` with ``args`` and ``kwargs``."""
+    if len(args) > len(fields):
+        raise TypeError(f"{name}() takes {len(fields)} fields, not {len(args)}")
+    rest = fields[len(args):]
+    for key in kwargs:
+        if key not in rest:
+            how = "a repeated" if key in fields else "an unknown"
+            raise TypeError(f"{name}() got {how} field {key!r}")
+    try:
+        return args + tuple([kwargs[key] for key in rest])
+    except KeyError as missing:
+        raise TypeError(f"{name}() is missing field {missing}") from None
+
+
 class _Record:
     """A frozen record, equal only to itself.
 
     A record's fields, in order, are its ``__slots__``; a record that
     keeps a ``__dict__`` for a cached_property names them in
-    ``_fields`` instead.  ``__init__`` sets each field once with
-    ``object.__setattr__``; after that, assigning or deleting any
-    attribute raises AttributeError.  The repr is
-    ``Name(field=value!r, ...)`` over the fields.
+    ``_fields`` instead.  Construction belongs to the base: ``__init__``
+    binds its positional and keyword arguments to the fields, raising
+    TypeError on a missing, unknown, repeated or extra one, and sets
+    each field once with ``object.__setattr__``.  A record whose
+    construction checks or defaults its fields writes its own
+    ``__init__`` and passes the fields on to this one.  After that,
+    assigning or deleting any attribute raises AttributeError.  The
+    repr is ``Name(field=value!r, ...)`` over the fields.
     """
 
     __slots__ = ()
@@ -126,6 +148,13 @@ class _Record:
         super().__init_subclass__(**kwargs)
         if "__slots__" in cls.__dict__:
             cls._fields = cls.__slots__
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = _bind(type(self).__qualname__, fields, args, kwargs)
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

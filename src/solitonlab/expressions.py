@@ -917,8 +917,7 @@ class ScalarField(_ValueRecord):
         loose = root.reads.difference(chart)
         if loose:
             raise UnknownVariableError(sorted(loose)[0])
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "root", root)
+        super().__init__(chart, root)
 
     # -- evaluation ---------------------------------------------------
 

@@ -124,9 +124,7 @@ class WarpedProductSpec(_ValueRecord):
             raise ValueError("warping must live on the base chart")
         if set(base.chart) & set(fiber.chart):
             raise ValueError("base and fiber charts must not share names")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "fiber", fiber)
-        object.__setattr__(self, "warping", warping)
+        super().__init__(base, fiber, warping)
 
 
 class GRWSpec(_ValueRecord):
@@ -136,9 +134,7 @@ class GRWSpec(_ValueRecord):
 
     def __init__(self, warping: ScalarField, fiber: MetricField,
                  interval: tuple[float, float]) -> None:
-        object.__setattr__(self, "warping", warping)
-        object.__setattr__(self, "fiber", fiber)
-        object.__setattr__(self, "interval", interval)
+        super().__init__(warping, fiber, interval)
         if len(warping.chart) != 1:
             raise ValueError("warping must live on a one-dimensional chart")
         if self.time_var in fiber.chart:
@@ -167,9 +163,7 @@ class StaticSpec(_ValueRecord):
             raise ValueError("fiber chart reuses the time coordinate")
         if any(s != 1 for s in fiber.signature):
             raise ValueError("fiber must be Riemannian")
-        object.__setattr__(self, "lapse", lapse)
-        object.__setattr__(self, "fiber", fiber)
-        object.__setattr__(self, "time_var", time_var)
+        super().__init__(lapse, fiber, time_var)
 
 
 WALKER3_CHART = ("t", "x", "y")
@@ -184,7 +178,7 @@ class Walker3Spec(_ValueRecord):
     def __init__(self, phi_metric: ScalarField) -> None:
         if phi_metric.chart != WALKER3_CHART:
             raise ValueError(f"metric function must live on {WALKER3_CHART}")
-        object.__setattr__(self, "phi_metric", phi_metric)
+        super().__init__(phi_metric)
 
 
 class Walker3Construction(_ValueRecord):
@@ -203,9 +197,7 @@ class Walker3Construction(_ValueRecord):
             raise ValueError("eta must live on the chart ('y',)")
         if zeta.chart != ("x", "y"):
             raise ValueError("zeta must live on the chart ('x', 'y')")
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "zeta", zeta)
+        super().__init__(kappa, eta, zeta)
 
 
 class Walker4Spec(_ValueRecord):
@@ -218,12 +210,7 @@ class Walker4Spec(_ValueRecord):
                  c2: float = 0.0, c3: float = 0.0, t0: float = 0.0) -> None:
         if warping.chart != ("t",):
             raise ValueError("warping must live on the chart ('t',)")
-        object.__setattr__(self, "warping", warping)
-        object.__setattr__(self, "c0", c0)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "c3", c3)
-        object.__setattr__(self, "t0", t0)
+        super().__init__(warping, c0, c1, c2, c3, t0)
 
 
 # =====================================================================
@@ -691,19 +678,13 @@ class QuadratureProfile(_Record):
     values with monotone cubic interpolation (PCHIP: Fritsch-Carlson
     interior slopes, Moler's one-sided end rule; see ``_pchip``), plus
     derivative callables taken from the defining relation rather than
-    from the table.  ``funcs`` take arrays of points, as
-    expressions.external takes them; the methods take one point, which
-    they pass as a one-element array.  Frozen; equal only to itself."""
+    from the table.  ``funcs`` are the function and its first two
+    derivatives, taking arrays of points as expressions.external takes
+    them, and ``knots`` and ``values`` are the table's arrays.  The
+    methods take one point, which they pass as a one-element array.
+    Frozen; equal only to itself."""
 
     __slots__ = ("name", "funcs", "knots", "values")
-
-    def __init__(self, name: str,
-                 funcs: tuple[Callable[[np.ndarray], np.ndarray], ...],
-                 knots: np.ndarray, values: np.ndarray) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "funcs", funcs)
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "values", values)
 
     def __call__(self, t: float) -> float:
         return _profile_value(self.name, self.funcs[0], float(t))
@@ -880,16 +861,10 @@ def walker4_construct(spec: Walker4Spec,
 # =====================================================================
 
 class LaplacianReport(_Record):
-    """Laplacian samples, their mean and their largest |deviation| from
-    it.  Frozen; equal only to itself."""
+    """Laplacian samples, (P,), their mean and their largest |deviation|
+    from it, both floats.  Frozen; equal only to itself."""
 
     __slots__ = ("values", "mean", "max_deviation")
-
-    def __init__(self, values: np.ndarray, mean: float,
-                 max_deviation: float) -> None:
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "max_deviation", max_deviation)
 
 
 def laplacian_report(metric: MetricField, f: ScalarField,
@@ -917,20 +892,11 @@ class WarpedConditions(_Record):
                           so callers can judge the non-orthogonality
                           requirement at their sample points
 
-    Frozen; equal only to itself.
+    Each is a float.  Frozen; equal only to itself.
     """
 
     __slots__ = ("fiber_dependence", "pairing_gap", "base_hessian_gap",
                  "fiber_scalar_spread", "pairing_min_abs")
-
-    def __init__(self, fiber_dependence: float, pairing_gap: float,
-                 base_hessian_gap: float, fiber_scalar_spread: float,
-                 pairing_min_abs: float) -> None:
-        object.__setattr__(self, "fiber_dependence", fiber_dependence)
-        object.__setattr__(self, "pairing_gap", pairing_gap)
-        object.__setattr__(self, "base_hessian_gap", base_hessian_gap)
-        object.__setattr__(self, "fiber_scalar_spread", fiber_scalar_spread)
-        object.__setattr__(self, "pairing_min_abs", pairing_min_abs)
 
     def max_gap(self) -> float:
         return max(

@@ -84,18 +84,12 @@ def _as_field(chart: tuple[str, ...], value: ComponentLike) -> ScalarField:
 
 
 class MetricField(_ValueRecord):
-    """Symmetric matrix of scalar fields with a declared signature.
+    """Symmetric matrix of scalar fields with a declared signature: a
+    tuple of n names, n tuples of n ScalarFields and n signs (-1 or 1).
     Frozen, and equal to a metric of the same chart, components and
     signature."""
 
     _fields = ("chart", "components", "signature")
-
-    def __init__(self, chart: tuple[str, ...],
-                 components: tuple[tuple[ScalarField, ...], ...],
-                 signature: tuple[int, ...]) -> None:
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "signature", signature)
 
     @property
     def dimension(self) -> int:
@@ -169,16 +163,6 @@ class MetricAtPoint(_Record):
     """
 
     __slots__ = ("point", "g", "g_inv", "dg", "d2g", "det")
-
-    def __init__(self, point: np.ndarray, g: np.ndarray, g_inv: np.ndarray,
-                 dg: np.ndarray, d2g: np.ndarray,
-                 det: float | np.ndarray) -> None:
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "g_inv", g_inv)
-        object.__setattr__(self, "dg", dg)
-        object.__setattr__(self, "d2g", d2g)
-        object.__setattr__(self, "det", det)
 
 
 @cache

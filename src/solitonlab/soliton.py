@@ -75,9 +75,7 @@ class SolitonData(_ValueRecord):
             raise ValueError("soliton constant must be finite")
         if not math.isfinite(mu):
             raise ValueError("coupling must be finite")
-        object.__setattr__(self, "potential", potential)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mu", mu)
+        super().__init__(potential, lam, mu)
 
 
 # ---------------------------------------------------------------------
@@ -92,17 +90,6 @@ class PointGeometry(_Record):
     kept.  Frozen; equal only to itself."""
 
     __slots__ = ("points", "g", "g_inv", "scal", "dphi", "hess", "lap")
-
-    def __init__(self, points: np.ndarray, g: np.ndarray, g_inv: np.ndarray,
-                 scal: np.ndarray, dphi: np.ndarray, hess: np.ndarray,
-                 lap: np.ndarray) -> None:
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "g_inv", g_inv)
-        object.__setattr__(self, "scal", scal)
-        object.__setattr__(self, "dphi", dphi)
-        object.__setattr__(self, "hess", hess)
-        object.__setattr__(self, "lap", lap)
 
     def residuals(self, lam: float, mu: float) -> np.ndarray:
         """Hess(phi) - (scal - lam) g - mu dphi (x) dphi at every point."""
@@ -183,16 +170,11 @@ def theta_substitution(potential: ScalarField, mu: float) -> ScalarField:
 
 
 class ThetaCheck(_Record):
-    """Residual matrices of the substitution equation and of the
-    unconditional two-hessian identity.  Frozen; equal only to
+    """Residual matrices, each (n, n), of the substitution equation and
+    of the unconditional two-hessian identity.  Frozen; equal only to
     itself."""
 
     __slots__ = ("theta_residual", "identity_residual")
-
-    def __init__(self, theta_residual: np.ndarray,
-                 identity_residual: np.ndarray) -> None:
-        object.__setattr__(self, "theta_residual", theta_residual)
-        object.__setattr__(self, "identity_residual", identity_residual)
 
 
 def theta_check(metric: MetricField, soliton: SolitonData,
@@ -232,16 +214,10 @@ def theta_check(metric: MetricField, soliton: SolitonData,
 # ---------------------------------------------------------------------
 
 class LambdaEstimate(_Record):
-    """The mean of the lambda samples, their spread about it and the
-    samples.  Frozen; equal only to itself."""
+    """The mean of the lambda samples, their spread about it (both
+    floats) and the (P,) samples.  Frozen; equal only to itself."""
 
     __slots__ = ("value", "spread", "samples")
-
-    def __init__(self, value: float, spread: float,
-                 samples: np.ndarray) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "spread", spread)
-        object.__setattr__(self, "samples", samples)
 
     @classmethod
     def of(cls, samples: np.ndarray) -> LambdaEstimate:
@@ -279,21 +255,11 @@ def classify(lam: float, tol: float = 1e-8) -> str:
 class ResidualReport(_Record):
     """The residuals at each point, each point's largest |entry|, their
     largest and mean, whether the largest is within the tolerance, and
-    the first worst point.  Frozen; equal only to itself."""
+    the first worst point (arrays, two floats and a bool).  Frozen;
+    equal only to itself."""
 
     __slots__ = ("points", "residual_grids", "per_point", "max_abs",
                  "mean_abs", "passed", "worst_point")
-
-    def __init__(self, points: np.ndarray, residual_grids: np.ndarray,
-                 per_point: np.ndarray, max_abs: float, mean_abs: float,
-                 passed: bool, worst_point: np.ndarray) -> None:
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "residual_grids", residual_grids)
-        object.__setattr__(self, "per_point", per_point)
-        object.__setattr__(self, "max_abs", max_abs)
-        object.__setattr__(self, "mean_abs", mean_abs)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "worst_point", worst_point)
 
     @classmethod
     def of(cls, points: np.ndarray, grids: np.ndarray,
