@@ -3,10 +3,11 @@ family 2 dx dz + 2 dy dt + w(t) dt^2.
 
 Every metric in this family is flat, so the defining tensor equation
 Hess(f) = (scal - lam) g collapses to Hess(f) = -lam g.  The potential
-is polynomial in x, y, z plus a pure time profile whose value comes
-from a cumulative quadrature table; the profile's derivatives come
-from its defining relation, not from differentiating the interpolant,
-so the verification below is noise free.
+is polynomial in x, y, z plus a pure time profile, 1/2 (c0 t + c1)
+times the running integral of the warping from t0, which is exact at
+any t; the profile's derivatives come from its defining relation, not
+from differentiating a quadrature, so the verification below is noise
+free.
 """
 
 import numpy as np

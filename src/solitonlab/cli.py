@@ -496,11 +496,7 @@ def _construct_walker3(job: _Job, args: argparse.Namespace) -> int:
 
 def _construct_walker4(job: _Job, args: argparse.Namespace) -> int:
     spec = job.spec
-    t_lo, t_hi, _ = job.ranges["t"]
-    interval = (min(t_lo, spec.t0) - 0.5, max(t_hi, spec.t0) + 0.5)
-    f, _ = walker4_construct(
-        spec, paper_literal=args.paper_literal, interval=interval
-    )
+    f, _ = walker4_construct(spec, paper_literal=args.paper_literal)
     comments = [
         f"#f={f}",
         f"#tprofile_slope=0.5*(({spec.warping})*({spec.c0:.12g}*t"

@@ -31,7 +31,6 @@ literal 3d hessian yy-row, which drops two correction terms.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -39,7 +38,6 @@ import numpy as np
 from .autodiff import eval_jet2
 from .curvature import curvature_over
 from .errors import (
-    DomainError,
     NonPositiveEtaPrimeError,
     NonPositiveWarpingError,
     QuadratureFailureError,
@@ -101,7 +99,6 @@ __all__ = [
 ]
 
 QUADRATURE_TOL = 1e-10  # of each adaptive quadrature behind a potential
-PROFILE_KNOTS = 33  # points of the walker4 profile's quadrature table
 
 
 # =====================================================================
@@ -308,8 +305,8 @@ def _running_integrals(integrand: Callable[[np.ndarray], np.ndarray],
     The times not yet known are integrated in order, in one batch
     (quadrature._simpson_batch); a batch that fails keeps the integrals
     before its failure and raises the error the loop of one quadrature
-    per time meets first, save that a time that is not finite (an outer
-    subdivision that overflowed) is a QuadratureFailureError."""
+    per time meets first, save that a time that is not finite (from a
+    grid sampled past the float range) is a QuadratureFailureError."""
     known: dict[float, float] = {}
 
     def running(ts: np.ndarray) -> np.ndarray:
@@ -674,17 +671,13 @@ def walker4_pde_residual(spec: Walker4Spec, f: ScalarField,
 
 
 class QuadratureProfile(_Record):
-    """A function of one variable known through quadrature: tabulated
-    values with monotone cubic interpolation (PCHIP: Fritsch-Carlson
-    interior slopes, Moler's one-sided end rule; see ``_pchip``), plus
-    derivative callables taken from the defining relation rather than
-    from the table.  ``funcs`` are the function and its first two
-    derivatives, taking arrays of points as expressions.external takes
-    them, and ``knots`` and ``values`` are the table's arrays.  The
-    methods take one point, which they pass as a one-element array.
-    Frozen; equal only to itself."""
+    """A function of one variable known through quadrature.  ``funcs``
+    are the function and its first two derivatives, taking arrays of
+    points as expressions.external takes them.  The methods take one
+    point, which they pass as a one-element array.  Frozen; equal only
+    to itself."""
 
-    __slots__ = ("name", "funcs", "knots", "values")
+    __slots__ = ("name", "funcs")
 
     def __call__(self, t: float) -> float:
         return _profile_value(self.name, self.funcs[0], float(t))
@@ -696,103 +689,26 @@ class QuadratureProfile(_Record):
         return _profile_value(self.name, self.funcs[2], float(t))
 
 
-def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
-    """Moler's one-sided three-point end slope (``pchiptx``), clipped so
-    the end interval keeps the shape of the data."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def _pchip(knots: Sequence[float],
-           values: Sequence[float]) -> Callable[[float], float]:
-    """Monotone piecewise cubic Hermite interpolant through the table.
-
-    Interior slopes are the weighted harmonic means of the adjacent
-    secants, zero where the secants change sign or vanish (Fritsch &
-    Carlson, SIAM J. Numer. Anal. 17, 1980; Fritsch & Butland, SIAM
-    J. Sci. Stat. Comput. 5, 1984); end slopes follow
-    ``_pchip_end_slope``; two knots give the secant line.  The slopes,
-    the cubic coefficients and the evaluation keep the operation order
-    of the reference interpolant in ``tests/test_pchip.py``, so the
-    values agree with it bit for bit.  The returned callable
-    extrapolates with the end cubics; interval i holds
-    knots[i] <= t < knots[i+1], the last one also its right end.
-    """
-    x = np.asarray(knots, dtype=np.float64)
-    y = np.asarray(values, dtype=np.float64)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise ValueError("pchip needs a 1-d table with one value per knot")
-    if len(x) < 2:
-        raise ValueError("pchip needs at least 2 knots")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("pchip knots and values must be finite")
-    h = np.diff(x)
-    if np.any(h <= 0):
-        raise ValueError("pchip knots must be strictly increasing")
-    m = (y[1:] - y[:-1]) / h
-    d = np.full_like(y, m[0])
-    if len(x) > 2:
-        w1 = 2 * h[1:] + h[:-1]
-        w2 = h[1:] + 2 * h[:-1]
-        flat = ((np.sign(m[1:]) != np.sign(m[:-1]))
-                | (m[1:] == 0) | (m[:-1] == 0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-            d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
-        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-    t = (d[:-1] + d[1:] - 2 * m) / h
-    coeffs = list(zip((t / h).tolist(), ((m - d[:-1]) / h - t).tolist(),
-                      d[:-1].tolist(), y[:-1].tolist()))
-    xs = x.tolist()
-    last = len(xs) - 2
-
-    def spline(tv: float) -> float:
-        i = min(max(bisect_right(xs, tv) - 1, 0), last)
-        c3, c2, c1, c0 = coeffs[i]
-        s = tv - xs[i]
-        # Power sums from +0.0, not Horner: the reference rounds, and
-        # signs a zero result, in this order.
-        return 0.0 + c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
-
-    return spline
-
-
-def walker4_construct(spec: Walker4Spec,
-                      paper_literal: bool = False,
-                      interval: tuple[float, float] = (-1.5, 1.5),
+def walker4_construct(spec: Walker4Spec, paper_literal: bool = False,
                       ) -> tuple[ScalarField, QuadratureProfile]:
     """Potential of the explicit 4d structure, with its time profile.
 
         f = x (c0 z + c2) + y (c0 t + c1) + c3 z + tpart(t)
 
     where the profile solves 2 tpart' = w(t) (c0 t + c1) + c0 I(t) with
-    I the running integral of the warping from t0.  The profile value
-    is a cumulative quadrature table on PROFILE_KNOTS equally spaced
-    points of ``interval`` with monotone cubic interpolation (PCHIP:
-    Fritsch & Carlson's slopes, Moler's ``pchiptx`` end rule); its first
-    and second derivatives come from the defining relation, so jets of
-    f carry no interpolation noise.
+    I the running integral of the warping from t0.  The right side is
+    the derivative of (c0 t + c1) I(t), and I(t0) = 0, so
 
-    The table's quadratures, from t0 to the first knot and between
-    knots, run as one batch (quadrature._simpson_batch).  Each of its
-    array calls evaluates the slope over arrays: the warping at the
-    times, then the running integrals it lacks, in one nested batch
-    (_running_integrals).  The batches report the errors of the loop of
-    one quadrature at a time, so the table has that loop's values and
-    errors.
+        tpart(t) = 1/2 (c0 t + c1) I(t)
 
-    The profile's callables take arrays of times (see
-    expressions.external): the value maps the interpolant over the
-    distinct times, and the slope is the table's array slope.  The
-    slope's derivative is a compiled field of the warping w,
-    (0.5 w') (c0 t + c1) + c0 w, built from the node kinds, which do not
-    fold (c0 = 0 keeps the sign of c0 w), so each element is the float
-    expression's.
+    exactly, at any t.  The value and the slope read one memo of running
+    integrals (_running_integrals): the times of a call that it lacks
+    are integrated in one batch, and a time is integrated once per
+    construction.  The slope's derivative is a compiled field of the
+    warping w, (0.5 w') (c0 t + c1) + c0 w, built from the node kinds,
+    which do not fold (c0 = 0 keeps the sign of c0 w), so each element
+    is the float expression's.  The profile's callables take arrays of
+    times (see expressions.external).
 
     ``paper_literal=True`` swaps the y coefficient for (c0 z + c1);
     that variant fails the family's own system when c0 != 0.
@@ -800,6 +716,9 @@ def walker4_construct(spec: Walker4Spec,
     w_many = spec.warping.compiled_arrays
     c0, c1 = spec.c0, spec.c1
     running = _running_integrals(w_many, spec.t0)
+
+    def values_at(ts: np.ndarray) -> np.ndarray:
+        return 0.5 * (c0 * ts + c1) * running(ts)
 
     def slopes(ts: np.ndarray) -> np.ndarray:
         """The slope at every element of ts: the warping there, then the
@@ -812,35 +731,7 @@ def walker4_construct(spec: Walker4Spec,
             Add(Mul(Const(c0), Var("t")), Const(c1))),
         Mul(Const(c0), spec.warping.root))).compiled_arrays
 
-    lo, hi = interval
-    if not lo < hi:
-        raise ValueError(f"empty interval {interval}")
-    grid = np.linspace(lo, hi, PROFILE_KNOTS)
-    pieces, error = _simpson_batch(slopes, [spec.t0, *grid[:-1].tolist()],
-                                   grid.tolist(), tol=QUADRATURE_TOL)
-    if error is not None:
-        raise error
-    # Each entry adds its piece to the one before, as a loop would.
-    table = np.cumsum(pieces)
-    spline = _pchip(grid, table)
-
-    def value(tv: float) -> float:
-        if tv < lo - 1e-9 or tv > hi + 1e-9:
-            raise DomainError(
-                f"profile sampled at {tv}, outside its table {interval}"
-            )
-        return float(spline(tv))
-
-    def values_at(ts: np.ndarray) -> np.ndarray:
-        # One spline call per distinct time, in order of first
-        # occurrence, so the first time outside the table raises first.
-        # 0.0 and -0.0 share a call: the spline's sums start from +0.0.
-        times = ts.tolist()
-        at = {tv: value(tv) for tv in dict.fromkeys(times)}
-        return np.fromiter(map(at.__getitem__, times), float, len(times))
-
-    profile = QuadratureProfile("tpart", (values_at, slopes, slope2),
-                                grid, table)
+    profile = QuadratureProfile("tpart", (values_at, slopes, slope2))
     x, y, z, t = (Var(n) for n in WALKER4_CHART)
     y_coeff_var = z if paper_literal else t
     root = add(

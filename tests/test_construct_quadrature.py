@@ -8,8 +8,9 @@ error the text, of the one-at-a-time loop: the values are checked here
 against that loop, written out with adaptive_simpson, and the errors
 against the messages the loop gives on four configs that fail inside a
 quadrature.  One benchmark walker4 job and one GRW job are checked
-against the work, array calls and levels, recorded before their
-quadrature was made cheaper.
+against their recorded work, array calls and levels.  The walker4
+profile, 1/2 (c0 t + c1) I(t) with I the running integral of the
+warping, is also checked against its closed form for w = a + b sin t.
 """
 
 import hashlib
@@ -24,6 +25,7 @@ import pytest
 from solitonlab import (
     GRWSpec,
     NonPositiveWarpingError,
+    SolitonLabError,
     Walker4Spec,
     adaptive_simpson,
     cli,
@@ -35,7 +37,7 @@ from solitonlab import (
     walker4_construct,
 )
 from solitonlab.cli import main
-from solitonlab.families import PROFILE_KNOTS, QUADRATURE_TOL
+from solitonlab.families import QUADRATURE_TOL
 
 from conftest import count_calls, count_scalar_evaluations
 
@@ -47,12 +49,14 @@ import workloads  # noqa: E402
 
 WALKER4 = {"c0": 1, "c1": 1, "c2": 1, "c3": 1, "t0": 0}
 FAILURES = [
-    # a warping too large for the tolerance: the profile table's batch
-    # runs away until it meets the recursion's own stall
-    ({"family": "walker4", "warping": "1e8 + sin(t)", "constants": WALKER4},
+    # a warping too large for the tolerance between the grid's times,
+    # where it is 1: the running integral's batch runs away until it
+    # meets the recursion's own stall
+    ({"family": "walker4", "warping": "1 + 1e8*t*t*(t*t - 1)^2",
+      "constants": WALKER4},
      ["--grid", "3"],
-     "adaptive quadrature stalled on [-0.1422960605937078, "
-     "-0.14229606059507205] (residual 6.776e-21)"),
+     "adaptive quadrature stalled on [-0.32733378966440796, "
+     "-0.32733378966531745] (residual 1.694e-21)"),
     # a warping that dips below zero between the checked samples
     ({"family": "grw", "warping": "(t - 1.55)^2 - 0.000001",
       "interval": [1, 2], "fiber": {"type": "flat", "chart": ["x"]},
@@ -63,9 +67,12 @@ FAILURES = [
       "fiber": {"type": "flat", "chart": ["x"]},
       "constants": {"alpha": 6, "t0": 0.5}},
      [], "warping is not positive at [0.5]"),
-    # a warping outside its domain on the profile table
-    ({"family": "walker4", "warping": "ln(t + 1.2)", "constants": WALKER4},
-     [], "ln of a non-positive argument"),
+    # a warping outside its domain between t0 and a grid time, but not
+    # at the grid's times: the grid point whose profile needs that
+    # integral is named
+    ({"family": "walker4", "warping": "ln(t*t - 0.01)",
+      "constants": {**WALKER4, "t0": 1}, "grid": {"t": [-1, 1, 2]}},
+     [], "ln of a non-positive argument at [-1.0, -1.0, -1.0, -1.0]"),
 ]
 
 
@@ -86,14 +93,28 @@ def test_a_failing_quadrature_gives_the_error_of_the_loop(
         == (3, "", f"numeric error: {message}\n")
 
 
+def test_a_walker4_failure_is_the_loop_of_running_integrals():
+    # The stall and the domain error of FAILURES are those of one
+    # adaptive_simpson call per distinct grid time, in grid order.
+    for config, _, message in (FAILURES[0], FAILURES[3]):
+        warping = parse_expression(config["warping"], ("t",))
+        t0 = config["constants"]["t0"]
+        lo, hi, count = config.get("grid", {}).get("t", [-1, 1, 3])
+        with pytest.raises(SolitonLabError) as caught:
+            for tv in np.linspace(lo, hi, count).tolist():
+                adaptive_simpson(lambda u: warping((u,)), t0, tv,
+                                 tol=QUADRATURE_TOL)
+        assert message.startswith(str(caught.value))
+
+
 def test_a_runaway_batch_stays_small(tmp_path, capsys, monkeypatch):
-    # A walker4 table whose batch, and the running integrals nested in
-    # it, run away until a stall: each outermost batch call traced as it
-    # fails.  Its blocks fill up: some integrand call takes the quarter
+    # A walker4 running integral whose batch runs away until a stall:
+    # each outermost batch call traced as it fails.  The jet walk calls
+    # the profile over the grid and, as that raises, once more at the
+    # first grid point (autodiff._external_rule), so the batch fails
+    # twice.  Its blocks fill up: some integrand call takes the quarter
     # points of a whole block, and none more than the three points of
-    # each interval in a block of roots.  The stall case of FAILURES
-    # runs away the same way, but tracing every allocation of its 14
-    # million integrand evaluations makes it about ten times as slow.
+    # each interval in a block of roots.
     batch = families._simpson_batch
     peaks, sizes, depth = [], [], []
 
@@ -116,16 +137,16 @@ def test_a_runaway_batch_stays_small(tmp_path, capsys, monkeypatch):
                 tracemalloc.stop()
 
     monkeypatch.setattr(families, "_simpson_batch", traced)
-    config = {"family": "walker4", "warping": "1e12 + sin(t)",
+    config = {"family": "walker4", "warping": "1 + 1e12*t*t*(t*t - 1)^2",
               "constants": WALKER4}
     code, _, err = _construct(tmp_path, capsys, config, ["--grid", "3"])
     assert (code, err) == (3, "numeric error: adaptive quadrature stalled on "
-                           "[-0.2331239244139059, -0.23312392441433225] "
-                           "(residual 5.551e-17)\n")
+                           "[-0.003081133007981407, -0.0030811330088909017] "
+                           "(residual 1.694e-21)\n")
     assert 2 * quadrature.BLOCK in sizes
     assert max(sizes) <= 3 * quadrature.BLOCK
-    assert len(peaks) == 1
-    assert peaks[0] < 2_000_000
+    assert len(peaks) == 2
+    assert max(peaks) < 2_000_000
 
 
 def _grw(warping="t", interval=(0.9, 1.9)):
@@ -201,44 +222,75 @@ def test_a_failed_grw_batch_keeps_the_times_before_its_failure(monkeypatch):
     assert kept.tolist() == [_grw_loop(spec, 2.0, 0.0, 0.2)]
 
 
-def _walker4_table(spec, interval):
-    """The profile table as a loop of adaptive_simpson calls, written out."""
+def _walker4_loop(spec):
+    """The profile and its slope as one quadrature per time, written out."""
     def w(tv):
         return spec.warping((tv,))
 
     c0, c1, t0 = spec.c0, spec.c1, spec.t0
 
+    def value(tv):
+        return 0.5 * (c0 * tv + c1) * adaptive_simpson(w, t0, tv,
+                                                       tol=QUADRATURE_TOL)
+
     def slope(tv):
         running = adaptive_simpson(w, t0, tv, tol=QUADRATURE_TOL)
         return 0.5 * (w(tv) * (c0 * tv + c1) + c0 * running)
 
-    grid = np.linspace(*interval, PROFILE_KNOTS)
-    table = np.empty_like(grid)
-    table[0] = adaptive_simpson(slope, t0, grid[0], tol=QUADRATURE_TOL)
-    for i in range(1, len(grid)):
-        table[i] = table[i - 1] + adaptive_simpson(
-            slope, grid[i - 1], grid[i], tol=QUADRATURE_TOL)
-    return grid, table, slope
+    return value, slope
+
+
+# Grid times, times between them, far outside any grid, and both zeros.
+TIMES = [-1.5, -0.7, -0.0, 0.0, 0.0375, 0.7, 1.5, -9.25, 31.0]
 
 
 @pytest.mark.parametrize("warping, t0", [("1.02 + 0.3*sin(t)", 0.01),
                                          ("exp(t/3)", -0.0)])
-def test_the_walker4_table_is_the_loop_of_quadratures(warping, t0,
-                                                      monkeypatch):
+def test_the_walker4_profile_is_the_loop_of_quadratures(warping, t0,
+                                                        monkeypatch):
     spec = Walker4Spec(parse_expression(warping, ("t",)), c0=-0.95, c1=0.4,
                        c2=1.0, c3=0.2, t0=t0)
     loops = count_calls(monkeypatch, "quadrature", "adaptive_simpson")
-    _, profile = walker4_construct(spec, interval=(-1.5, 1.5))
+    _, profile = walker4_construct(spec)
     assert loops == []
-    # The jets' slope reads the running integrals the batches left.
-    slopes = [profile.deriv(tv) for tv in profile.knots.tolist()]
+    values_at, slopes, _ = profile.funcs
+    got = values_at(np.array(TIMES))
+    # The slope reads the running integrals the value left.
+    batches = count_calls(monkeypatch, "quadrature", "_simpson_batch")
+    got_slopes = slopes(np.array(TIMES))
+    assert _ends(batches) == [[]]
     assert loops == []
     monkeypatch.undo()
-    grid, table, slope = _walker4_table(spec, (-1.5, 1.5))
-    assert profile.knots.tobytes() == grid.tobytes()
-    assert profile.values.tobytes() == table.tobytes()
-    assert np.array(slopes).tobytes() \
-        == np.array([slope(tv) for tv in grid.tolist()]).tobytes()
+    value, slope = _walker4_loop(spec)
+    assert got.tobytes() == np.array([value(tv) for tv in TIMES]).tobytes()
+    assert got_slopes.tobytes() \
+        == np.array([slope(tv) for tv in TIMES]).tobytes()
+
+
+@pytest.mark.parametrize("a, b, c0, c1, t0", [
+    (1.02, 0.3, -0.95, 0.4, 0.01),
+    (1.026, 0.307, 1.06, -0.188, -0.046),
+    (2.0, -1.5, 0.0, 2.0, 0.7),
+    (0.5, 0.25, 1.0, 1.0, -3.0),
+])
+def test_the_walker4_profile_is_its_closed_form(a, b, c0, c1, t0):
+    # For w = a + b sin t, I(t) = a (t - t0) - b (cos t - cos t0) and
+    # tpart = 1/2 (c0 t + c1) I(t), at any t: between grid times and far
+    # outside every grid.  The times keep clear of the zeros of tpart.
+    spec = Walker4Spec(parse_expression(f"{a} + {b}*sin(t)", ("t",)),
+                       c0=c0, c1=c1, c2=0.3, c3=-0.2, t0=t0)
+    values_at, slopes, _ = walker4_construct(spec)[1].funcs
+    ts = np.array([-40.0, -12.5, -2.3, -0.77, 0.123, 0.5, 1.37, 7.3, 25.0,
+                   100.0])
+    running = a * (ts - t0) - b * (np.cos(ts) - np.cos(t0))
+    np.testing.assert_allclose(values_at(ts), 0.5 * (c0 * ts + c1) * running,
+                               rtol=1e-12, atol=0.0)
+    # The value's derivative, by a fourth-order central difference, is
+    # the slope.
+    h = 1e-3
+    diff = (8.0 * (values_at(ts + h) - values_at(ts - h))
+            - (values_at(ts + 2 * h) - values_at(ts - 2 * h))) / (12.0 * h)
+    np.testing.assert_allclose(diff, slopes(ts), rtol=1e-9, atol=0.0)
 
 
 def test_a_construct_runs_its_quadratures_as_batches(tmp_path, capsys,
@@ -253,10 +305,9 @@ def test_a_construct_runs_its_quadratures_as_batches(tmp_path, capsys,
 
 def test_a_fast_growing_warping_stays_on_arrays(tmp_path, capsys,
                                                 monkeypatch):
-    # exp(3*t) over the walker4 table outgrows any bound on a level's
-    # width relative to its input; the batch walks it block by block.
-    # The CSV was recorded from the code that integrated it one
-    # adaptive_simpson call at a time.
+    # exp(3*t) integrated from 0 to -1 and to 1.  The f column is the
+    # closed form x (z + 1) + y (t + 1) + z + 1/2 (t + 1) (exp(3 t) - 1)/3
+    # to the CSV's digits.
     config = {"family": "walker4", "warping": "exp(3*t)",
               "constants": WALKER4}
     loops = count_calls(monkeypatch, "quadrature", "adaptive_simpson")
@@ -265,20 +316,24 @@ def test_a_fast_growing_warping_stays_on_arrays(tmp_path, capsys,
     assert (code, out, err) == (
         0, "PASS lambda=-1.000000000000e+00 class=expanding\n", "")
     assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() \
-        == "de04063dda89d1bdc520c906f3b62edde0ee1e9cfdcb0ca124ea35bc4c63a655"
+        == "1f85532579764e078dc8fdf5ea17a4f84635ef3b758e15c93c1f635a4ca819c5"
     assert (loops, counts["scalar"]) == ([], 0)
+    x, y, z, t, f, _ = np.loadtxt(tmp_path / "out.csv", delimiter=",",
+                                  skiprows=4).T
+    np.testing.assert_allclose(
+        f, x * (z + 1) + y * (t + 1) + z + (t + 1) * np.expm1(3 * t) / 6,
+        rtol=1e-12, atol=1e-12)
 
 
 def test_the_walker4_quadrature_does_the_recorded_work(tmp_path, capsys,
                                                        monkeypatch):
     # The first walker4 job of the construct benchmark at seed 401, with
-    # the warping's array calls and the levels of the batches counted.
-    # Recorded from the code before sin, cos and sqrt were numpy ufuncs
-    # and before a level was made leaner: those change the cost of the
-    # work, never the work.  The slope's derivative is now a compiled
-    # field of its own, so the one call that went is the last of that
-    # record, its 81 points from the jet walk; the quadrature's 69 calls
-    # and 58 levels are the recorded ones.
+    # the warping's array calls, the batches and their levels counted:
+    # one batch of its 3 distinct times, from the profile's value, and
+    # none for the slope, which reads the integrals the value left.
+    # The last array call is the slope's warping at the 81 grid points.
+    # The 33-knot table this job used to build made 69 calls of 15,164
+    # points in 58 levels.
     job = next(job for job in workloads.first_jobs("construct-quad", 401, 8)
                if job.kind == "walker4_construct")
     sizes, levels = [], []
@@ -300,13 +355,12 @@ def test_the_walker4_quadrature_does_the_recorded_work(tmp_path, capsys,
 
     monkeypatch.setattr(cli, "walker4_construct", counted_construct)
     monkeypatch.setattr(quadrature, "_block", counted_block)
+    batches = count_calls(monkeypatch, "quadrature", "_simpson_batch")
     config = workloads.write_job(job, tmp_path)
     assert main(job.argv(str(config), str(tmp_path / "out.csv"))) == 0
-    assert (len(sizes), sum(sizes), len(levels)) == (69, 15164, 58)
-    assert hashlib.sha256(repr(sizes).encode()).hexdigest() \
-        == "384456762ed2f60cc1aa46bc7801fd57ee9d65182b2a76deaa4b89a37d1d09a9"
-    assert hashlib.sha256(repr(sizes + [81]).encode()).hexdigest() \
-        == "f7a32637552afc627965f1889678361c9a117d7e803a125d2d1419e47edda9bf"
+    assert _ends(batches) == [[-1.0, 0.0, 1.0], [], []]
+    assert (len(sizes), sum(sizes), len(levels)) == (8, 216, 6)
+    assert sizes == [9, 6, 8, 16, 32, 60, 4, 81]
 
 
 def test_the_grw_quadrature_does_the_recorded_work(tmp_path, capsys,
@@ -344,55 +398,20 @@ def test_the_grw_quadrature_does_the_recorded_work(tmp_path, capsys,
         == "d97f00a8bd537e4aab490d31d1f6e31e6833c241e0639627aeb2e4692998ea7e"
 
 
-def _counted_splines(monkeypatch):
-    """The times at which every spline built from here on is called."""
-    calls = []
-    pchip = families._pchip
-
-    def counted_pchip(*args):
-        spline = pchip(*args)
-
-        def counted(tv):
-            calls.append(tv)
-            return spline(tv)
-
-        return counted
-
-    monkeypatch.setattr(families, "_pchip", counted_pchip)
-    return calls
-
-
-def test_the_walker4_profile_calls_its_spline_once_per_distinct_time(
-        tmp_path, capsys, monkeypatch):
-    # The first walker4 job of the construct benchmark at seed 401: two
-    # value maps over its 81 grid points, each of 3 distinct times.  A
-    # map point by point made 162 calls.
-    job = next(job for job in workloads.first_jobs("construct-quad", 401, 8)
-               if job.kind == "walker4_construct")
-    calls = _counted_splines(monkeypatch)
-    config = workloads.write_job(job, tmp_path)
-    assert main(job.argv(str(config), str(tmp_path / "out.csv"))) == 0
-    assert len(calls) == 6 and len(set(calls)) == 3
-
-
 def test_the_walker4_profile_value_is_the_map_point_by_point(monkeypatch):
     spec = Walker4Spec(parse_expression("1.02 + 0.3*sin(t)", ("t",)),
                        c0=-0.95, c1=0.4, c2=1.0, c3=0.2, t0=0.01)
-    calls = _counted_splines(monkeypatch)
-    _, profile = walker4_construct(spec, interval=(-1.5, 1.5))
+    _, profile = walker4_construct(spec)
     values_at = profile.funcs[0]
-    # Knots, ends and points between them, repeated, with both zeros
-    # (0.0 is a knot of the 81-knot table on (-1.5, 1.5)).
+    # Repeated times, both zeros, and times far from any grid.
     times = [0.0, -0.0, 0.7, -1.5, 1.5, 0.7, -0.0, 0.0, 1e-300, -1e-300,
-             profile.knots[17], 0.0375, -0.0]
-    ts = np.array(times)
-    calls.clear()
-    got = values_at(ts)
-    assert len(calls) == 8
-    calls.clear()
-    want = np.array([profile(tv) for tv in times])
-    assert len(calls) == len(times)
+             0.0375, -0.0, 12.5, -30.0]
+    batches = count_calls(monkeypatch, "quadrature", "_simpson_batch")
+    got = values_at(np.array(times))
+    # One batch of the distinct times, 0.0 and -0.0 one key (the first).
+    assert repr(_ends(batches)) \
+        == "[[0.0, 0.7, -1.5, 1.5, 1e-300, -1e-300, 0.0375, 12.5, -30.0]]"
+    monkeypatch.undo()
+    fresh = walker4_construct(spec)[1]
+    want = np.array([fresh(tv) for tv in times])
     assert got.tobytes() == want.tobytes()
-    # The first time outside the table, in array order, is the one named.
-    with pytest.raises(families.DomainError, match=r"sampled at 2\.0,"):
-        values_at(np.array([0.0, 2.0, -2.0, 2.0]))

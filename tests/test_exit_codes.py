@@ -28,6 +28,7 @@ is an escape too; exits 0 and 1 must leave stderr empty.
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import warnings
@@ -513,18 +514,33 @@ def test_a_guard_inside_the_potential_quadrature_is_one_numeric_error(
         == (3, "", f"numeric error: {message} at [1.6, -1.0]\n")
 
 
-def test_a_walker4_t0_near_the_float_range_is_one_numeric_error(tmp_path):
-    # The profile table's quadratures from t0 halve intervals whose ends
-    # sum past the float range, and the running integral of the warping
-    # is then asked for at -inf; that used to escape main as a bare
-    # ValueError.
+def test_a_walker4_t0_near_the_float_range_passes(tmp_path):
+    # The running integrals from t0 to the grid's times never sum two
+    # ends past the float range: with w = 0 every profile value is 0.
+    # (A table padded around t0 and the grid once asked for one at -inf.)
     t0 = -9.131139732633985e+307
     path = tmp_path / "job.json"
     path.write_text(json.dumps({
         "family": "walker4", "warping": "0",
         "constants": {"c0": 0.0, "c1": 0.0, "c2": 0.0, "c3": 0.0, "t0": t0}}),
         encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert _run_strict(["construct", str(path), "--out", str(out),
+                        "--grid", "3"]) == (
+        0, "PASS lambda=0.000000000000e+00 class=steady\n", "")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() \
+        == "8f31a2a7851577f5a8ddb4c13d1c4df7a427be0cc7430974e0e7bc118cc99b81"
+
+
+def test_a_walker4_grid_past_the_float_range_is_one_numeric_error(tmp_path):
+    # numpy's linspace over (-1.7e308, 1.7e308) gives t = nan and inf,
+    # and the running integral of the warping is then asked for at a
+    # time that is not finite.
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({
+        "family": "walker4", "warping": "1", "constants": {"c0": 1, "c1": 1},
+        "grid": {"t": [-1.7e308, 1.7e308, 3]}}), encoding="utf-8")
     assert _run_strict(["construct", str(path), "--out",
                         str(tmp_path / "out.csv"), "--grid", "3"]) == (
-        3, "", f"numeric error: running integral from {t0!r} to a non-finite "
+        3, "", "numeric error: running integral from 0.0 to a non-finite "
         "time\n")

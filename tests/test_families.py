@@ -539,8 +539,8 @@ def test_walker4_construction_certifies():
     assert constancy.max_deviation < 1e-12
     assert np.abs(walker4_pde_residual(spec, f, pts[0])).max() < 1e-12
     # unit warping, all constants one: the profile is t^2/2 + t/2
-    for t in profile.knots[::8]:
-        assert abs(profile(t) - (t * t / 2 + t / 2)) < 1e-9
+    for t in (-1.5, -0.75, 0.0, 0.3, 1.5):
+        assert abs(profile(t) - (t * t / 2 + t / 2)) < 1e-12
     assert abs(profile.deriv(0.3) - 0.8) < 1e-12
     assert abs(profile.deriv2(0.3) - 1.0) < 1e-12
 
@@ -597,11 +597,13 @@ def test_walker4_worked_equation_rows():
     assert abs(rows[9] + 0.5) < 1e-15
 
 
-def test_walker4_profile_rejects_sampling_outside_its_table():
+def test_walker4_profile_holds_far_from_any_grid():
+    # The profile is 1/2 (c0 t + c1) times the running integral, with no
+    # range of its own: here t^2/2 + t/2 at any t.
     spec = Walker4Spec(constant_field(("t",), 1.0), 1.0, 1.0, 1.0, 1.0, 0.0)
-    _, profile = walker4_construct(spec, interval=(-1.0, 1.0))
-    with pytest.raises(DomainError):
-        profile(2.0)
+    _, profile = walker4_construct(spec)
+    for t in (2.0, -7.5, 60.0):
+        assert abs(profile(t) - (t * t / 2 + t / 2)) < 1e-12 * t * t
 
 
 def test_laplacian_report_flags_non_constant_laplacians():
