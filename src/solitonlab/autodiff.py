@@ -11,9 +11,9 @@ point (n,) is the P = 1 case of the same walk.  Each point's numbers
 are the ones a walk at that point alone would give, bit for bit:
 elementwise numpy arithmetic and the exp/ln/sin/cos/sqrt ufuncs round
 as their scalar forms do, constant powers, whose array form would not,
-are evaluated point by point, and External profiles are called once
-over the points, as their contract gives each point its own bits (see
-expressions.external).
+are evaluated point by point, and an Integral reads its running
+integrals once over the points, each with the bits of its time alone
+(see expressions.Integral).
 
 walk_jets evaluates the jets of several fields on one chart, such as
 the components of a metric, in two steps.  It first numbers their
@@ -73,9 +73,10 @@ checks are each entry's domain check and each field's check for finite
 entries, which sits where the field's entries end on the tape.  The
 batched walk finds that point and that check from the masks of its
 checks in one pass.  Points past it, or failed upstream of a power or
-profile, are not passed to that power or profile.  A profile that
-raises over the points is called again one point at a time, so the
-point it fails at first, and its message there, are those of a loop.
+an integral, are not passed to that power or integral.  A running
+integral's DomainError names the first time whose integral fails (its
+``index``), so it fails at the point a loop would; any other error it
+raises leaves the walk as it is.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ from .expressions import (
     Call,
     Const,
     Div,
-    External,
+    Integral,
     Mul,
     Neg,
     Node,
@@ -100,8 +101,6 @@ from .expressions import (
     Sub,
     Var,
     _pow_value,
-    _profile_over,
-    _profile_value,
 )
 
 __all__ = ["Jet2", "eval_jet2", "finite_diff_jet2", "walk_jets"]
@@ -156,8 +155,8 @@ class _Tape:
     level, 1 + the highest level of its children (0 for a leaf), and
     its group, the entries of one level and one kind in tape order.
     Call entries are grouped by function name too, and each Pow or
-    External entry, which is evaluated with its own exponent or
-    callables, is a group of its own."""
+    Integral entry, which is evaluated with its own exponent or running
+    integrals, is a group of its own."""
 
     def __init__(self) -> None:
         self.nodes: list[Node] = []
@@ -200,7 +199,7 @@ class _Tape:
         kind = type(node)
         if kind is Call:
             kind = node.func
-        elif kind is Pow or kind is External:
+        elif kind is Pow or kind is Integral:
             kind = k
         group = self.groups[level].get(kind)
         if group is None:
@@ -498,37 +497,37 @@ def _pow_rule(batch: _Batch, walk: _Walk, out: np.ndarray, u: np.ndarray) -> Non
     _chain(u, f0, c * p1, c * (c - 1.0) * p2, out, walk.n)
 
 
-def _external_rule(batch: _Batch, walk: _Walk, out: np.ndarray,
+def _integral_rule(batch: _Batch, walk: _Walk, out: np.ndarray,
                    u: np.ndarray) -> None:
-    """Each of the profile's three callables is called once over the
-    open points (_Walk.open_points), the others getting zeros.  If any
-    call raises, the points are called one at a time instead
-    (_pointwise), so the first failing point and its message are those
-    of that loop."""
+    """The value is the running integrals at the open points
+    (_Walk.open_points) of the node's variable, zeros elsewhere; the
+    variable's gradient entry is the integrand's value, and its hessian
+    row and column the integrand's gradient.  A DomainError fails the
+    walk at the first time whose integral failed, and the points before
+    it, whose integrals the memo keeps, get their values."""
     k = batch.entries[0]
     node = walk.nodes[k]
-    if len(node.funcs) < 3:
-        walk.fail(0, 2 * k, f"profile '{node.name}' supplies no second derivative",
-                  located=False)
-        out[...] = 0.0
-        return
-    funcs = node.funcs[:3]
-    x = u[0, 0, :walk.open_points(2 * k)]
-    terms = np.zeros((3, 1, u.shape[-1]))
+    n = walk.n
+    axis = walk.chart.index(node.var)
+    times = walk.points[:walk.open_points(2 * k), axis]
+    value = np.zeros(u.shape[-1])
     try:
-        if len(x):
-            for row, f in zip(terms, funcs):
-                row[0, :len(x)] = _profile_over(node.name, f, x)
-    except Exception:  # noqa: BLE001 - the loop names the first failure
-        terms = _pointwise(
-            lambda t: [_profile_value(node.name, f, t) for f in funcs], u, walk, k)
-    _chain(u, *terms, out, walk.n)
+        value[:len(times)] = node.running(times)
+    except DomainError as exc:
+        walk.fail(exc.index, 2 * k, str(exc))
+        value[:exc.index] = node.running(times[:exc.index])
+    slope, curve = u[0, 0].copy(), u[0, 1:n + 1].copy()
+    out[...] = 0.0
+    hessian = out[0, n + 1:].reshape(n, n, -1)
+    hessian[axis] = hessian[:, axis] = curve
+    out[0, 1 + axis] = slope
+    out[0, 0] = value
 
 
 _RULES = {
     Const: _const_rule, Var: _var_rule, Neg: _neg_rule, Add: _add_rule,
     Sub: _sub_rule, Mul: _mul_rule, Div: _div_rule, Call: _call_rule,
-    Pow: _pow_rule, External: _external_rule,
+    Pow: _pow_rule, Integral: _integral_rule,
 }
 
 

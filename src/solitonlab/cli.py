@@ -211,9 +211,15 @@ def _metric_from_config(obj: Any, path: str) -> MetricField:
 def _sample(names: Sequence[str], ranges: Mapping[str, Range]) -> tuple:
     """grid_axes over ``names``, each axis sampled once, and the points
     they mesh.  A count is not capped up front: a grid that numpy refuses
-    to allocate is a ConfigError that names its counts."""
+    to allocate is a ConfigError that names its counts, and an axis with
+    a sample that is not finite (a range past the float range) one that
+    names the axis."""
     try:
         axes = grid_axes(names, ranges)
+        for name, axis in zip(names, axes):
+            if np.count_nonzero(np.isfinite(axis)) != axis.size:
+                raise ConfigError(
+                    f"grid.{name}: the range samples a non-finite value")
         return axes, mesh_points(axes)
     except (ValueError, MemoryError) as exc:
         counts = " x ".join(str(ranges[name][2]) for name in names)
@@ -496,7 +502,7 @@ def _construct_walker3(job: _Job, args: argparse.Namespace) -> int:
 
 def _construct_walker4(job: _Job, args: argparse.Namespace) -> int:
     spec = job.spec
-    f, _ = walker4_construct(spec, paper_literal=args.paper_literal)
+    f = walker4_construct(spec, paper_literal=args.paper_literal)
     comments = [
         f"#f={f}",
         f"#tprofile_slope=0.5*(({spec.warping})*({spec.c0:.12g}*t"

@@ -4,8 +4,8 @@ This module is the foundation of the package.  It provides:
 
   1. a small immutable expression tree (constants, variables, the four
      arithmetic operations, negation, constant powers, the primitives
-     exp / ln / sin / cos / sqrt, and opaque univariate profiles backed
-     by numeric callables) whose nodes are interned (below);
+     exp / ln / sin / cos / sqrt, and running integrals in one chart
+     variable) whose nodes are interned (below);
   2. smart constructors that fold the obvious algebraic identities so
      that derivatives stay readable;
   3. exact symbolic differentiation;
@@ -13,8 +13,9 @@ This module is the foundation of the package.  It provides:
      compiled, on its first evaluation, into a list of steps over
      arrays of points, one per distinct node, with the bits and errors
      at every element of a node-by-node walk of the tree at that point.
-     One point is a one-element array through the same steps.  An
-     opaque profile maps an array of points to an array (external);
+     One point is a one-element array through the same steps.  A
+     running integral reads its values from its memo, at the times of
+     its variable alone;
   5. a parser for the grammar below: one findall pass of a compiled
      regular expression gives each token as a plain string, the end
      of the input as '', and precedence climbing reads them by index,
@@ -23,7 +24,7 @@ This module is the foundation of the package.  It provides:
      failure reports its character offset, which a walk over the same
      pattern's matches finds only once the parse has failed;
   6. a precedence-aware pretty printer whose output re-parses to an
-     equivalent tree;
+     equivalent tree, save an integral, which has no syntax yet;
   7. ScalarField, the chart-aware wrapper the rest of the package
      consumes.
 
@@ -47,12 +48,13 @@ nodes count by identity, names by value, and a constant or an exponent
 by its float64 bits, not by ==, so 0.0 and -0.0 are two nodes (0.0 +
 -0.0 is 0.0, -0.0 + -0.0 is -0.0) and a NaN is one node per bit
 pattern: a node never stands for computations whose bits could differ.
-An External is never interned, since two profiles with one name may
-wrap different callables.  So equal trees are one object, and node
-equality and hashing are identity, O(1).  The intern table is weak: a
-node lives as long as something else holds it.  A node never changes
-after construction; it carries its child nodes (``kids``) and the
-names of the variables its tree reads (``reads``).
+An Integral is never interned, since it holds the memo of the family
+that built it, and two memos may integrate differently.  So equal
+trees are one object, and node equality and hashing are identity,
+O(1).  The intern table is weak: a node lives as long as something
+else holds it.  A node never changes after construction; it carries
+its child nodes (``kids``) and the names of the variables its tree
+reads (``reads``).
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ __all__ = [
     "Div",
     "Pow",
     "Call",
-    "External",
+    "Integral",
     "add",
     "sub",
     "mul",
@@ -96,7 +98,6 @@ __all__ = [
     "neg",
     "pow_",
     "call",
-    "external",
     "differentiate",
     "evaluate",
     "format_expression",
@@ -267,25 +268,33 @@ class Call(Node):
 
 
 @dataclass(init=False, eq=False)
-class External(Node):
-    """Opaque univariate profile known only through callables.
+class Integral(Node):
+    """The integral of ``integrand`` in the chart variable ``var`` from
+    ``t0``, whose derivative in ``var`` is ``integrand``, a node that
+    reads no other variable.
 
-    ``funcs`` holds the profile and its derivatives in order: value,
-    first derivative, second derivative, ...  Each maps a 1-d float64
-    array to an array of the same shape (see external).  Differentiating
-    shifts that tuple left; once it is exhausted no further derivative
-    exists.
+    Its values come from ``running``, which maps a float64 array of
+    times to the array of their integrals, of its shape, each with the
+    bits it gives that time alone, and raises the SolitonLabError of
+    the first time whose integral fails, with its ``index`` there
+    (families._running_integrals).  The node reads ``var`` alone.
     """
 
-    __slots__ = ("name", "funcs", "arg")
-    name: str
-    funcs: tuple[Callable[[np.ndarray], np.ndarray], ...]
-    arg: Node
+    __slots__ = ("integrand", "var", "t0", "running")
+    integrand: Node
+    var: str
+    t0: float
+    running: Callable[[np.ndarray], np.ndarray]
 
-    def __new__(cls, name: str, funcs: tuple, arg: Node) -> Node:
+    def __new__(cls, integrand: Node, var: str, t0: float,
+                running: Callable[[np.ndarray], np.ndarray]) -> Node:
+        if not integrand.reads <= {var}:
+            raise ValueError(f"an integrand in '{var}' reads "
+                             f"{sorted(integrand.reads - {var})[0]!r}")
         node = object.__new__(cls)
-        node.name, node.funcs, node.arg = name, funcs, arg
-        node.kids, node.reads = (arg,), arg.reads
+        node.integrand, node.var, node.t0 = integrand, var, float(t0)
+        node.running = running
+        node.kids, node.reads = (integrand,), frozenset((var,))
         return node
 
 
@@ -448,22 +457,6 @@ def call(func: str, arg: Node) -> Node:
     return Call(func, arg)
 
 
-def external(
-    name: str,
-    funcs: Sequence[Callable[[np.ndarray], np.ndarray]],
-    arg: Node,
-) -> Node:
-    """An opaque profile of ``arg``: ``funcs`` are its value and its
-    derivatives, in order.  Each maps a 1-d float64 array of points to
-    the array of its values there, of the same shape, with the bits it
-    gives each point alone, and does not write to its argument.  A
-    compiled field calls it once over all the points it is given, and
-    on a one-element array for one point; so does the jet walk."""
-    if len(funcs) == 0:
-        raise ValueError("external profile needs at least a value callable")
-    return External(name, tuple(funcs), arg)
-
-
 # =====================================================================
 # Differentiation
 # =====================================================================
@@ -510,13 +503,8 @@ def differentiate(node: Node, var: str) -> Node:
         else:  # pragma: no cover - constructor rejects other names
             raise ValueError(f"unsupported function '{node.func}'")
         return mul(outer, inner)
-    if isinstance(node, External):
-        if len(node.funcs) < 2:
-            raise DomainError(
-                f"profile '{node.name}' supplies no further derivatives"
-            )
-        inner = differentiate(node.arg, var)
-        return mul(External(node.name + "'", node.funcs[1:], node.arg), inner)
+    if isinstance(node, Integral):
+        return node.integrand if var == node.var else ZERO
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -541,25 +529,6 @@ def _nonzero_all(x: np.ndarray) -> np.ndarray:
     if np.count_nonzero(x == 0.0):
         raise DomainError("division by zero")
     return x
-
-
-def _profile_over(name: str, fn: Callable[[np.ndarray], np.ndarray],
-                  x: np.ndarray) -> np.ndarray:
-    """The profile ``fn`` over the elements of the array ``x``, in the
-    shape of ``x``, called once on them as a 1-d array (see external)."""
-    flat = np.ravel(x)
-    out = np.asarray(fn(flat), dtype=float)
-    if out.shape != flat.shape:
-        raise ValueError(f"profile '{name}' maps an array of shape "
-                         f"{flat.shape} to one of shape {out.shape}")
-    return out.reshape(np.shape(x))
-
-
-def _profile_value(name: str, fn: Callable[[np.ndarray], np.ndarray],
-                   x: float) -> float:
-    """The profile ``fn`` at one point, called on a one-element array."""
-    with np.errstate(all="ignore"):
-        return float(_profile_over(name, fn, np.array([x]))[0])
 
 
 class _Step(NamedTuple):
@@ -602,6 +571,8 @@ def _emit(node: Node, program: _Program, slot_of: dict[Node, int]) -> int:
         den = _emit(node.den, program, slot_of)
         program.steps.append(_Step(_nonzero_all, den, None, den))
         args = (_emit(node.num, program, slot_of), den)
+    elif kind is Integral:
+        args = (_emit(Var(node.var), program, slot_of),)
     else:
         args = tuple(_emit(kid, program, slot_of) for kid in node.kids)
     k = slot_of[node] = len(program.chart) + len(program.slots)
@@ -615,8 +586,8 @@ def _emit(node: Node, program: _Program, slot_of: dict[Node, int]) -> int:
         fn = partial(_map, partial(_pow_value, exponent=node.exponent))
     elif kind is Call:
         fn = _CALL_STEPS[node.func]
-    elif kind is External:
-        fn = partial(_profile_over, node.name, node.funcs[0])
+    elif kind is Integral:
+        fn = node.running
     else:
         raise TypeError(f"not an expression node: {node!r}")
     program.steps.append(_Step(fn, args[0], args[1] if len(args) > 1 else None, k))
@@ -638,14 +609,14 @@ def _compile(root: Node, chart: Sequence[str]) -> Callable[..., np.ndarray]:
     math's functions do, and exp, ln and _pow_value are mapped element
     by element (_map), so each element has the bits of evaluating the
     tree node by node at that point, and constants, exponents and
-    bounds keep their exact bits.  An External profile is called once
-    on all elements, as a 1-d array (see external).  A guard raises its
-    DomainError if it fails at any element, so the function raises
-    exactly when the node-by-node walk raises at some point, and, given
-    one point, with that walk's error.  Its callers (at_points,
-    _at_point, the quadratures, the jet walk) run it under
-    np.errstate(all="ignore"): numpy warns where the float operations
-    are silent.
+    bounds keep their exact bits.  An Integral's step is its running
+    integrals at its variable's elements, so its integrand is never
+    evaluated there.  A guard raises its DomainError if it fails at any
+    element, so the function raises exactly when the node-by-node walk
+    raises at some point, and, given one point, with that walk's error.
+    Its callers (at_points, _at_point, the quadratures, the jet walk)
+    run it under np.errstate(all="ignore"): numpy warns where the float
+    operations are silent.
 
     One point is a one-element array per coordinate (_at_point).  The
     function does not refer to itself, so it dies with its field by
@@ -731,8 +702,9 @@ def format_expression(node: Node) -> str:
         return f"{_wrap(node.base, _ATOM)}^{expo_text}"
     if isinstance(node, Call):
         return f"{node.func}({format_expression(node.arg)})"
-    if isinstance(node, External):
-        return f"{node.name}({format_expression(node.arg)})"
+    if isinstance(node, Integral):
+        return (f"integral({format_expression(node.integrand)}, {node.var}, "
+                f"{_fmt_number(node.t0)})")
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -11,9 +11,12 @@ Supported families over fixed charts:
 For each family this module provides the metric assembly, the reduced
 equation system its soliton condition induces, closed-form hessian and
 laplacian tables evaluated straight from jets (cross-checks for the
-generic curvature pipeline), and the explicit potential constructions,
-including the quadrature-backed profiles.  For general warped products
-it checks the base/fiber conditions a coupled soliton imposes.
+generic curvature pipeline), and the explicit potential constructions.
+The two quadrature-backed potentials are expression trees over one
+running integral (expressions.Integral), whose derivative is its
+integrand, so their jets need no hand-written slopes.  For general
+warped products it checks the base/fiber conditions a coupled soliton
+imposes.
 
 The reduced systems, the warped-product conditions and the laplacian
 report read their geometry from the one pass, soliton.point_geometry,
@@ -40,7 +43,6 @@ from .curvature import curvature_over
 from .errors import (
     NonPositiveEtaPrimeError,
     NonPositiveWarpingError,
-    QuadratureFailureError,
     _Record,
     _ValueRecord,
 )
@@ -48,6 +50,7 @@ from .expressions import (
     Add,
     Const,
     Div,
+    Integral,
     Mul,
     ScalarField,
     Var,
@@ -55,10 +58,8 @@ from .expressions import (
     call,
     constant_field,
     div,
-    external,
     mul,
     neg,
-    _profile_value,
 )
 from .metrics import MetricField
 from .quadrature import _simpson_batch
@@ -93,7 +94,6 @@ __all__ = [
     "walker4_closed_forms",
     "walker4_pde_residual",
     "walker4_construct",
-    "QuadratureProfile",
     "LaplacianReport",
     "laplacian_report",
 ]
@@ -301,58 +301,49 @@ def _static_metric(spec: StaticSpec) -> MetricField:
 def _running_integrals(integrand: Callable[[np.ndarray], np.ndarray],
                        t0: float) -> Callable[[np.ndarray], np.ndarray]:
     """The integrals of ``integrand`` from t0 to each element of an
-    array of times, kept per time as lru_cache keys them (0.0 == -0.0).
-    The times not yet known are integrated in order, in one batch
-    (quadrature._simpson_batch); a batch that fails keeps the integrals
-    before its failure and raises the error the loop of one quadrature
-    per time meets first, save that a time that is not finite (from a
-    grid sampled past the float range) is a QuadratureFailureError."""
+    array of times, as an array of its shape, kept per time as
+    lru_cache keys them (0.0 == -0.0).  The times not yet known are
+    integrated in order, in one batch (quadrature._simpson_batch); a
+    batch that fails keeps the integrals before its failure and raises
+    the error the loop of one quadrature per time meets first, its
+    ``index`` set to the position of the first time whose integral
+    failed."""
     known: dict[float, float] = {}
 
     def running(ts: np.ndarray) -> np.ndarray:
-        keys = ts.tolist()
+        keys = ts.ravel().tolist()
         new = dict.fromkeys(keys)
         # Times all distinct and all new are integrated as they come, and
         # the batch is their integrals.
         fresh = len(new) == len(keys) and known.keys().isdisjoint(new)
         missing = keys if fresh else [tv for tv in new if tv not in known]
-        batch, error = _simpson_batch(integrand, np.full(len(missing), t0),
-                                      ts if fresh else missing,
-                                      tol=QUADRATURE_TOL)
-        known.update(zip(missing, batch.tolist()))
-        if isinstance(error, ValueError):
-            error = QuadratureFailureError(
-                f"running integral from {t0} to a non-finite time")
-        if error is not None:
-            raise error
-        if fresh:
-            return batch
-        return np.fromiter(map(known.__getitem__, keys), float, len(keys))
+        if missing:
+            batch, error = _simpson_batch(integrand, np.full(len(missing), t0),
+                                          missing, tol=QUADRATURE_TOL)
+            known.update(zip(missing, batch.tolist()))
+            if error is not None:
+                error.index = keys.index(missing[len(batch)])
+                raise error
+            if fresh:
+                return batch.reshape(ts.shape)
+        values = np.fromiter(map(known.__getitem__, keys), float, len(keys))
+        return values.reshape(ts.shape)
 
     return running
 
 
 def grw_potential_field(spec: GRWSpec, alpha: float, t0: float) -> ScalarField:
-    """The quadrature potential as a scalar field on the time chart.
-
-    The value, alpha times the integral of 1/warping from t0, is
-    integrated on demand, for all the times of one call at once
-    (_running_integrals), and raises NonPositiveWarpingError at a
-    quadrature sample where the warping is not positive.  The first and
-    second derivatives use the defining relation (slope alpha /
-    warping), so jets of this field carry no quadrature noise.  The
-    profile's callables take arrays of times (see expressions.external).
-    The derivatives are compiled fields of the warping w, alpha / w and
-    (-alpha w') / (w w), built from the node kinds, which do not fold,
-    so each element is the float expression's and a zero of the
-    divisor fails at the compiler's guard.
+    """The quadrature potential as a scalar field on the time chart:
+    alpha times the integral of 1/warping from t0, the tree
+    Mul(Const(alpha), Integral(1/w, t, t0)) of node kinds that do not
+    fold, so each value is alpha times the integral, as a float
+    product, also for alpha = 0 or 1.  Its values are integrated
+    on demand, for all the times of one call at once
+    (_running_integrals), and raise NonPositiveWarpingError at a
+    quadrature sample where the warping is not positive.  Its jets
+    differentiate the tree, so they carry no quadrature noise.
     """
     w_many = spec.warping.compiled_arrays
-    time = (spec.time_var,)
-    w, dw = spec.warping.root, spec.warping.diff(spec.time_var).root
-    deriv = ScalarField(time, Div(Const(alpha), w)).compiled_arrays
-    deriv2 = ScalarField(
-        time, Div(Mul(Const(-alpha), dw), Mul(w, w))).compiled_arrays
 
     def reciprocals(u: np.ndarray) -> np.ndarray:
         wu = w_many(u)
@@ -362,14 +353,9 @@ def grw_potential_field(spec: GRWSpec, alpha: float, t0: float) -> ScalarField:
                 f"warping is not positive at [{float(u[bad][0])}]")
         return 1.0 / wu
 
-    running = _running_integrals(reciprocals, t0)
-
-    def values_at(ts: np.ndarray) -> np.ndarray:
-        return alpha * running(ts)
-
-    node = external("potential_profile", (values_at, deriv, deriv2),
-                    Var(spec.time_var))
-    return ScalarField(time, node)
+    integral = Integral(Div(Const(1.0), spec.warping.root), spec.time_var, t0,
+                        _running_integrals(reciprocals, t0))
+    return ScalarField((spec.time_var,), Mul(Const(alpha), integral))
 
 
 class GRWSamples(NamedTuple):
@@ -670,28 +656,9 @@ def walker4_pde_residual(spec: Walker4Spec, f: ScalarField,
     ])
 
 
-class QuadratureProfile(_Record):
-    """A function of one variable known through quadrature.  ``funcs``
-    are the function and its first two derivatives, taking arrays of
-    points as expressions.external takes them.  The methods take one
-    point, which they pass as a one-element array.  Frozen; equal only
-    to itself."""
-
-    __slots__ = ("name", "funcs")
-
-    def __call__(self, t: float) -> float:
-        return _profile_value(self.name, self.funcs[0], float(t))
-
-    def deriv(self, t: float) -> float:
-        return _profile_value(self.name, self.funcs[1], float(t))
-
-    def deriv2(self, t: float) -> float:
-        return _profile_value(self.name, self.funcs[2], float(t))
-
-
-def walker4_construct(spec: Walker4Spec, paper_literal: bool = False,
-                      ) -> tuple[ScalarField, QuadratureProfile]:
-    """Potential of the explicit 4d structure, with its time profile.
+def walker4_construct(spec: Walker4Spec,
+                      paper_literal: bool = False) -> ScalarField:
+    """Potential of the explicit 4d structure.
 
         f = x (c0 z + c2) + y (c0 t + c1) + c3 z + tpart(t)
 
@@ -701,50 +668,33 @@ def walker4_construct(spec: Walker4Spec, paper_literal: bool = False,
 
         tpart(t) = 1/2 (c0 t + c1) I(t)
 
-    exactly, at any t.  The value and the slope read one memo of running
-    integrals (_running_integrals): the times of a call that it lacks
-    are integrated in one batch, and a time is integrated once per
-    construction.  The slope's derivative is a compiled field of the
-    warping w, (0.5 w') (c0 t + c1) + c0 w, built from the node kinds,
-    which do not fold (c0 = 0 keeps the sign of c0 w), so each element
-    is the float expression's.  The profile's callables take arrays of
-    times (see expressions.external).
+    exactly, at any t: the tree 0.5*(c0*t + c1)*Integral(w, t, t0),
+    built from the node kinds, which do not fold (c0 = 0 keeps the
+    sign of 0*t), so each value is the float expression's.  Its values
+    read one memo of running integrals (_running_integrals): the times
+    of a call that it lacks are integrated in one batch, and a time is
+    integrated once per construction.
 
     ``paper_literal=True`` swaps the y coefficient for (c0 z + c1);
     that variant fails the family's own system when c0 != 0.
     """
-    w_many = spec.warping.compiled_arrays
-    c0, c1 = spec.c0, spec.c1
-    running = _running_integrals(w_many, spec.t0)
-
-    def values_at(ts: np.ndarray) -> np.ndarray:
-        return 0.5 * (c0 * ts + c1) * running(ts)
-
-    def slopes(ts: np.ndarray) -> np.ndarray:
-        """The slope at every element of ts: the warping there, then the
-        running integrals."""
-        w_ts = w_many(ts)
-        return 0.5 * (w_ts * (c0 * ts + c1) + c0 * running(ts))
-
-    slope2 = ScalarField(("t",), Add(
-        Mul(Mul(Const(0.5), spec.warping.diff("t").root),
-            Add(Mul(Const(c0), Var("t")), Const(c1))),
-        Mul(Const(c0), spec.warping.root))).compiled_arrays
-
-    profile = QuadratureProfile("tpart", (values_at, slopes, slope2))
+    c0, c1 = Const(spec.c0), Const(spec.c1)
     x, y, z, t = (Var(n) for n in WALKER4_CHART)
+    integral = Integral(spec.warping.root, "t", spec.t0, _running_integrals(
+        spec.warping.compiled_arrays, spec.t0))
+    tpart = Mul(Mul(Const(0.5), Add(Mul(c0, t), c1)), integral)
     y_coeff_var = z if paper_literal else t
     root = add(
         add(
             add(
-                mul(x, add(mul(Const(c0), z), Const(spec.c2))),
-                mul(y, add(mul(Const(c0), y_coeff_var), Const(c1))),
+                mul(x, add(mul(c0, z), Const(spec.c2))),
+                mul(y, add(mul(c0, y_coeff_var), c1)),
             ),
             mul(Const(spec.c3), z),
         ),
-        external(profile.name, profile.funcs, t),
+        tpart,
     )
-    return ScalarField(WALKER4_CHART, root), profile
+    return ScalarField(WALKER4_CHART, root)
 
 
 # =====================================================================

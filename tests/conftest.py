@@ -14,9 +14,9 @@ curvature pipelines are never asked to confirm themselves:
 
 count_calls records the positional arguments of every call of one
 library function for the call-count tests, and count_scalar_evaluations
-counts the one-point evaluations of fields and profiles.
-elementwise turns a scalar function into a profile over arrays, as
-expressions.external takes it.
+counts the one-point evaluations of fields and running integrals.
+elementwise turns a scalar function into a function over arrays, as
+an Integral's running integrals are.
 """
 
 import builtins
@@ -191,11 +191,19 @@ def fd_curvature(metric, point, h=1e-5):
 
 
 def elementwise(fn):
-    """The scalar function ``fn`` as a profile: it maps a 1-d float64
-    array to the array of ``fn`` at each element, calling ``fn`` on the
-    elements in order."""
+    """The scalar function ``fn`` as an Integral's running integrals: it
+    maps a float64 array to the array of ``fn`` at each element, of its
+    shape, calling ``fn`` on the elements in order.  A SolitonLabError
+    that ``fn`` raises gets the position of its element as its index."""
     def over(xs):
-        return np.array([fn(x) for x in xs.tolist()], dtype=float)
+        values = []
+        for i, x in enumerate(xs.ravel().tolist()):
+            try:
+                values.append(fn(x))
+            except SolitonLabError as exc:
+                exc.index = i
+                raise
+        return np.array(values, dtype=float).reshape(xs.shape)
     return over
 
 
@@ -220,8 +228,8 @@ def count_calls(monkeypatch, module_name, func_name):
 def count_scalar_evaluations(monkeypatch):
     """From here on, count the one-point evaluations: every field at one
     point (a ScalarField call, evaluate, or a row of the at_points
-    fallback) and every profile call on a one-element array, and the
-    calls of the exec and compile builtins."""
+    fallback) and every call of a family's running integrals on a
+    one-element array, and the calls of the exec and compile builtins."""
     counts = {"scalar": 0, "exec": 0, "compile": 0}
     at_point = expressions._at_point
 
@@ -229,19 +237,18 @@ def count_scalar_evaluations(monkeypatch):
         counts["scalar"] += 1
         return at_point(fn, coordinates)
 
-    def counted_profile(fn):
-        def wrapper(xs):
-            counts["scalar"] += len(xs) == 1
-            return fn(xs)
+    running_integrals = families._running_integrals
+
+    def counted_running(integrand, t0):
+        running = running_integrals(integrand, t0)
+
+        def wrapper(ts):
+            counts["scalar"] += ts.size == 1
+            return running(ts)
         return wrapper
 
-    external = families.external
-
-    def external_counted(name, funcs, arg):
-        return external(name, [counted_profile(f) for f in funcs], arg)
-
     monkeypatch.setattr(expressions, "_at_point", counted)
-    monkeypatch.setattr(families, "external", external_counted)
+    monkeypatch.setattr(families, "_running_integrals", counted_running)
     for name in ("exec", "compile"):
         original = getattr(builtins, name)
 

@@ -188,7 +188,7 @@ def test_criterion_4_3d_construction_certifies_and_literal_variant_fails(capsys)
 
 def test_criterion_5_4d_construction_certifies_and_literal_variant_fails(capsys):
     spec = Walker4Spec(constant_field(("t",), 1.0), 1.0, 1.0, 1.0, 1.0, 0.0)
-    f, _ = walker4_construct(spec)
+    f = walker4_construct(spec)
     metric = walker4_metric(spec)
     rng = np.random.default_rng(105)
     pts = rng.uniform(-1.0, 1.0, (20, 4))
@@ -201,7 +201,7 @@ def test_criterion_5_4d_construction_certifies_and_literal_variant_fails(capsys)
     degenerate = Walker4Spec(
         parse_expression("1 + 0.5*sin(t)", ("t",)), 0.0, 2.0, 0.7, 0.3, 0.0
     )
-    f0, _ = walker4_construct(degenerate)
+    f0 = walker4_construct(degenerate)
     metric0 = walker4_metric(degenerate)
     estimate0 = infer_lambda(metric0, f0, pts)
     report0 = residual_report(
@@ -209,7 +209,7 @@ def test_criterion_5_4d_construction_certifies_and_literal_variant_fails(capsys)
     )
     constancy0 = laplacian_report(metric0, f0, pts)
 
-    f_lit, _ = walker4_construct(spec, paper_literal=True)
+    f_lit = walker4_construct(spec, paper_literal=True)
     report_lit = residual_report(
         metric, SolitonData(f_lit, -1.0), [pts[0]], tol=1e-9
     )

@@ -39,3 +39,11 @@ def test_the_package_re_exports_only_submodule_exports():
 
 def test_the_geometry_pass_is_exported():
     assert solitonlab.point_geometry is solitonlab.soliton.point_geometry
+
+
+def test_a_running_integral_is_an_expression_node():
+    # The opaque profile node and its record are gone; no module
+    # exports them.
+    assert "Integral" in solitonlab.expressions.__all__
+    exported = {name for module in EXPORTING for name in module.__all__}
+    assert exported.isdisjoint({"External", "external", "QuadratureProfile"})

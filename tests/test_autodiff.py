@@ -6,14 +6,16 @@ finite_diff_jet2 samples plain values on a stencil.  Agreement between
 them is the core correctness check for every derivative downstream.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from solitonlab import DomainError, eval_jet2, finite_diff_jet2, parse_expression
-from solitonlab.expressions import EXP_ARG_MAX, External, ScalarField, Var
+from solitonlab.expressions import EXP_ARG_MAX, Call, Integral, Mul, ScalarField, Var
 
-from conftest import random_field
+from conftest import elementwise, random_field
 
 CHART = ("u", "v", "w")
 
@@ -185,27 +187,23 @@ def test_power_overflow_is_a_domain_error_in_both_evaluators():
         eval_jet2(f, (1.0e200, 1.0, 1.0))
 
 
-def test_external_node_requires_two_derivatives():
-    profile = External("prof", (np.sin, np.cos), Var("u"))
-    field = ScalarField(("u",), profile)
-    with pytest.raises(DomainError):
-        eval_jet2(field, (0.3,))
-
-
-def test_external_node_jets_use_supplied_derivatives():
-    profile = External(
-        "prof",
-        (np.sin, np.cos, lambda t: -np.sin(t)),
-        Var("u"),
-    )
-    field = ScalarField(("u",), profile)
-    jet = eval_jet2(field, (0.7,))
-    assert abs(jet.value - np.sin(0.7)) < 1e-15
-    assert abs(jet.gradient[0] - np.cos(0.7)) < 1e-15
-    assert abs(jet.hessian[0, 0] + np.sin(0.7)) < 1e-15
-    fd = finite_diff_jet2(field, (0.7,))
-    assert abs(fd.gradient[0] - jet.gradient[0]) < 1e-9
-    assert abs(fd.hessian[0, 0] - jet.hessian[0, 0]) < 1e-5
+def test_integral_node_jets_differentiate_its_integrand():
+    # sin(u) v, with sin(u) the integral of cos from 0: the u gradient
+    # entry is the integrand, the u hessian row its gradient.
+    integral = Integral(Call("cos", Var("u")), "u", 0.0, elementwise(math.sin))
+    field = ScalarField(("u", "v"), Mul(integral, Var("v")))
+    u, v = 0.7, -1.3
+    jet = eval_jet2(field, (u, v))
+    assert jet.value == math.sin(u) * v
+    np.testing.assert_allclose(jet.gradient, [math.cos(u) * v, math.sin(u)],
+                               rtol=1e-15)
+    np.testing.assert_allclose(
+        jet.hessian, [[-math.sin(u) * v, math.cos(u)], [math.cos(u), 0.0]],
+        rtol=1e-15)
+    assert jet.hessian.tobytes() == jet.hessian.T.tobytes()
+    fd = finite_diff_jet2(field, (u, v))
+    np.testing.assert_allclose(fd.gradient, jet.gradient, atol=1e-9)
+    np.testing.assert_allclose(fd.hessian, jet.hessian, atol=1e-5)
 
 
 def test_repeated_subtrees_are_evaluated_once():

@@ -29,7 +29,7 @@ from solitonlab.expressions import (
     Call,
     Const,
     Div,
-    External,
+    Integral,
     Mul,
     Neg,
     Pow,
@@ -107,7 +107,7 @@ def _walk(node, env, memo):
     elif isinstance(node, Call):
         out = _ref_call(node.func, _walk(node.arg, env, memo))
     else:
-        out = float(node.funcs[0](np.array([_walk(node.arg, env, memo)]))[0])
+        out = float(node.running(np.array([env[node.var]]))[0])
     memo[id(node)] = out
     return out
 
@@ -142,7 +142,8 @@ def trees(draw):
 
     for _ in range(draw(st.integers(1, 14))):
         kind = draw(st.sampled_from(
-            ("leaf", "neg", "add", "sub", "mul", "div", "pow", "call", "ext")))
+            ("leaf", "neg", "add", "sub", "mul", "div", "pow", "call",
+             "integral")))
         if kind == "leaf":
             node = draw(leaves)
         elif kind == "neg":
@@ -155,7 +156,11 @@ def trees(draw):
         elif kind == "call":
             node = Call(draw(st.sampled_from(FUNCTIONS)), operand())
         else:
-            node = External("p", (draw(st.sampled_from(PROFILES)),), operand())
+            # An integrand reads its integral's variable alone.
+            var = draw(st.sampled_from(CHART))
+            integrands = [n for n in pool if n.reads <= {var}] or [Const(1.0)]
+            node = Integral(draw(st.sampled_from(integrands)), var, 0.0,
+                            draw(st.sampled_from(PROFILES)))
         pool.append(node)
     return pool[-1]
 
@@ -177,19 +182,29 @@ def test_denominator_is_evaluated_before_numerator():
         field((-1.0, 2.0))
 
 
-def test_shared_external_is_called_once_per_evaluation():
+def test_a_shared_integral_is_read_once_per_evaluation():
     seen = []
 
-    def profile(v):
+    def running(v):
         seen.append(v)
         return 2.0 * v
 
-    shared = External("p", (elementwise(profile),), Var("x"))
+    shared = Integral(Const(2.0), "x", 0.0, elementwise(running))
     field = ScalarField(CHART, Mul(Add(shared, Var("y")), Neg(shared)))
     assert field((1.5, 1.0)) == -12.0
     assert seen == [1.5]
     assert field((0.5, 0.0)) == -1.0
     assert seen == [1.5, 0.5]
+
+
+def test_an_integral_never_evaluates_its_integrand():
+    # 1/x fails at x = 0, but the integral's value reads its running
+    # integrals alone.
+    integral = Integral(Div(Const(1.0), Var("x")), "x", 1.0,
+                        elementwise(lambda v: 3.0))
+    field = ScalarField(CHART, Add(integral, Var("y")))
+    assert field((0.0, 1.0)) == 4.0
+    assert field.compiled_arrays(np.zeros(2), np.ones(2)).tolist() == [4.0, 4.0]
 
 
 def test_non_finite_result_raises():
@@ -341,27 +356,18 @@ def test_the_array_mode_does_not_hand_back_its_argument():
 
 
 def test_the_array_mode_calls_a_profile_once_with_the_whole_array():
+    # The profile is an integral's running integrals.
     seen = []
 
-    def profile(v):
+    def running(v):
         seen.append(v.copy())
         return 2 * v
 
-    field = ScalarField(CHART, Add(External("p", (profile,), Var("x")), Var("y")))
+    field = ScalarField(CHART, Add(Integral(Const(2.0), "x", 0.0, running),
+                                   Var("y")))
     out = field.compiled_arrays(np.array([1.5, -0.5]), np.array([1.0, 1.0]))
     assert out.tolist() == [4.0, 0.0]
     assert [v.tolist() for v in seen] == [[1.5, -0.5]]
     # One point is a one-element array.
     assert field((0.25, 1.0)) == 1.5
     assert [v.tolist() for v in seen[1:]] == [[0.25]]
-
-
-def test_a_profile_must_map_its_points_to_an_array_of_their_shape():
-    # A profile that returns a float, not an array, is refused by name.
-    field = ScalarField(CHART, Add(External("p", (lambda v: 2.0,), Var("x")),
-                                   Var("y")))
-    with pytest.raises(ValueError, match=r"'p' maps an array of shape \(2,\) "
-                                         r"to one of shape \(\)"):
-        field.compiled_arrays(np.array([1.0, 2.0]), np.zeros(2))
-    with pytest.raises(ValueError, match=r"'p' maps an array of shape \(1,\)"):
-        field((1.0, 0.0))

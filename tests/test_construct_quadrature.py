@@ -29,6 +29,7 @@ from solitonlab import (
     Walker4Spec,
     adaptive_simpson,
     cli,
+    eval_jet2,
     families,
     flat_metric,
     grw_potential_field,
@@ -109,12 +110,11 @@ def test_a_walker4_failure_is_the_loop_of_running_integrals():
 
 def test_a_runaway_batch_stays_small(tmp_path, capsys, monkeypatch):
     # A walker4 running integral whose batch runs away until a stall:
-    # each outermost batch call traced as it fails.  The jet walk calls
-    # the profile over the grid and, as that raises, once more at the
-    # first grid point (autodiff._external_rule), so the batch fails
-    # twice.  Its blocks fill up: some integrand call takes the quarter
-    # points of a whole block, and none more than the three points of
-    # each interval in a block of roots.
+    # each outermost batch call traced as it fails.  The jet walk reads
+    # the running integrals once over the grid, and the stall leaves the
+    # walk, so the batch fails once.  Its blocks fill up: some integrand
+    # call takes the quarter points of a whole block, and none more than
+    # the three points of each interval in a block of roots.
     batch = families._simpson_batch
     peaks, sizes, depth = [], [], []
 
@@ -145,7 +145,7 @@ def test_a_runaway_batch_stays_small(tmp_path, capsys, monkeypatch):
                            "(residual 1.694e-21)\n")
     assert 2 * quadrature.BLOCK in sizes
     assert max(sizes) <= 3 * quadrature.BLOCK
-    assert len(peaks) == 2
+    assert len(peaks) == 1
     assert max(peaks) < 2_000_000
 
 
@@ -155,8 +155,8 @@ def _grw(warping="t", interval=(0.9, 1.9)):
 
 
 def _profile(potential):
-    """The potential's profile value, a function of an array of times."""
-    return potential.root.funcs[0]
+    """The GRW potential's values, a function of an array of times."""
+    return potential.compiled_arrays
 
 
 def _grw_loop(spec, alpha, t0, tv):
@@ -178,7 +178,7 @@ def test_the_grw_potential_integrates_its_times_in_one_batch(monkeypatch):
     got = profile(times)
     # Times already integrated are read back, not integrated again.
     again = profile(times[::7])
-    assert _ends(batches) == [times.tolist(), []]
+    assert _ends(batches) == [times.tolist()]
     assert loops == []
     monkeypatch.undo()
     expected = np.array([_grw_loop(spec, 6.0, 1.37, tv) for tv in times.tolist()])
@@ -194,7 +194,7 @@ def test_grw_values_are_kept_as_lru_cache_keeps_them(monkeypatch):
     loops = count_calls(monkeypatch, "quadrature", "adaptive_simpson")
     first = profile(np.array([-0.0, 0.0, 0.5]))
     second = profile(np.array([0.0]))
-    assert repr(_ends(batches)) == "[[-0.0, 0.5], []]"
+    assert repr(_ends(batches)) == "[[-0.0, 0.5]]"
     assert loops == []
     monkeypatch.undo()
     zero = _grw_loop(spec, 6.0, 0.75, -0.0)
@@ -205,18 +205,21 @@ def test_grw_values_are_kept_as_lru_cache_keeps_them(monkeypatch):
 
 def test_a_failed_grw_batch_keeps_the_times_before_its_failure(monkeypatch):
     # The warping is negative from t = 0.7 on; only the later time fails,
-    # with the loop's error, and the earlier one is kept.
+    # with the loop's error and the index of its first time, and the
+    # earlier one is kept.
     spec = _grw("0.7 - t", (0.0, 0.5))
     profile = _profile(grw_potential_field(spec, 2.0, 0.0))
     batches = count_calls(monkeypatch, "quadrature", "_simpson_batch")
     loops = count_calls(monkeypatch, "quadrature", "adaptive_simpson")
     message = r"^warping is not positive at \[0\.9\]$"
-    with pytest.raises(NonPositiveWarpingError, match=message):
-        profile(np.array([0.2, 0.9]))
+    with pytest.raises(NonPositiveWarpingError, match=message) as caught:
+        profile(np.array([0.2, 0.2, 0.9, 0.9]))
+    assert caught.value.index == 2
     kept = profile(np.array([0.2]))
-    with pytest.raises(NonPositiveWarpingError, match=message):
+    with pytest.raises(NonPositiveWarpingError, match=message) as caught:
         profile(np.array([0.9]))
-    assert _ends(batches) == [[0.2, 0.9], [], [0.9]]
+    assert caught.value.index == 0
+    assert _ends(batches) == [[0.2, 0.9], [0.9]]
     assert loops == []
     monkeypatch.undo()
     assert kept.tolist() == [_grw_loop(spec, 2.0, 0.0, 0.2)]
@@ -244,6 +247,16 @@ def _walker4_loop(spec):
 TIMES = [-1.5, -0.7, -0.0, 0.0, 0.0375, 0.7, 1.5, -9.25, 31.0]
 
 
+def _profile_of(f):
+    """The walker4 profile and its slope, f and its t derivative at
+    x = y = z = 0, as functions of an array of times."""
+    def at(ts):
+        return np.column_stack([np.zeros((len(ts), 3)), ts])
+
+    return (lambda ts: f.at_points(at(ts)),
+            lambda ts: eval_jet2(f, at(ts)).gradient[:, 3])
+
+
 @pytest.mark.parametrize("warping, t0", [("1.02 + 0.3*sin(t)", 0.01),
                                          ("exp(t/3)", -0.0)])
 def test_the_walker4_profile_is_the_loop_of_quadratures(warping, t0,
@@ -251,20 +264,20 @@ def test_the_walker4_profile_is_the_loop_of_quadratures(warping, t0,
     spec = Walker4Spec(parse_expression(warping, ("t",)), c0=-0.95, c1=0.4,
                        c2=1.0, c3=0.2, t0=t0)
     loops = count_calls(monkeypatch, "quadrature", "adaptive_simpson")
-    _, profile = walker4_construct(spec)
+    values_at, slopes = _profile_of(walker4_construct(spec))
     assert loops == []
-    values_at, slopes, _ = profile.funcs
     got = values_at(np.array(TIMES))
-    # The slope reads the running integrals the value left.
+    # The jet reads the running integrals the value left.
     batches = count_calls(monkeypatch, "quadrature", "_simpson_batch")
     got_slopes = slopes(np.array(TIMES))
-    assert _ends(batches) == [[]]
+    assert batches == []
     assert loops == []
     monkeypatch.undo()
     value, slope = _walker4_loop(spec)
     assert got.tobytes() == np.array([value(tv) for tv in TIMES]).tobytes()
-    assert got_slopes.tobytes() \
-        == np.array([slope(tv) for tv in TIMES]).tobytes()
+    # The jet differentiates the tree, whose sums round otherwise.
+    np.testing.assert_allclose(got_slopes, [slope(tv) for tv in TIMES],
+                               rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("a, b, c0, c1, t0", [
@@ -279,7 +292,7 @@ def test_the_walker4_profile_is_its_closed_form(a, b, c0, c1, t0):
     # outside every grid.  The times keep clear of the zeros of tpart.
     spec = Walker4Spec(parse_expression(f"{a} + {b}*sin(t)", ("t",)),
                        c0=c0, c1=c1, c2=0.3, c3=-0.2, t0=t0)
-    values_at, slopes, _ = walker4_construct(spec)[1].funcs
+    values_at, slopes = _profile_of(walker4_construct(spec))
     ts = np.array([-40.0, -12.5, -2.3, -0.77, 0.123, 0.5, 1.37, 7.3, 25.0,
                    100.0])
     running = a * (ts - t0) - b * (np.cos(ts) - np.cos(t0))
@@ -316,7 +329,7 @@ def test_a_fast_growing_warping_stays_on_arrays(tmp_path, capsys,
     assert (code, out, err) == (
         0, "PASS lambda=-1.000000000000e+00 class=expanding\n", "")
     assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() \
-        == "1f85532579764e078dc8fdf5ea17a4f84635ef3b758e15c93c1f635a4ca819c5"
+        == "9ef80642731c4898bbe3fd29203a8966587f893ead783c729d2f9f7d6ecba5d5"
     assert (loops, counts["scalar"]) == ([], 0)
     x, y, z, t, f, _ = np.loadtxt(tmp_path / "out.csv", delimiter=",",
                                   skiprows=4).T
@@ -329,11 +342,12 @@ def test_the_walker4_quadrature_does_the_recorded_work(tmp_path, capsys,
                                                        monkeypatch):
     # The first walker4 job of the construct benchmark at seed 401, with
     # the warping's array calls, the batches and their levels counted:
-    # one batch of its 3 distinct times, from the profile's value, and
-    # none for the slope, which reads the integrals the value left.
-    # The last array call is the slope's warping at the 81 grid points.
-    # The 33-knot table this job used to build made 69 calls of 15,164
-    # points in 58 levels.
+    # one batch of its 3 distinct times, from the jet walk, and none for
+    # the f column, which reads the integrals the walk left.  The jet
+    # walk takes the warping's jet as the integral's integrand, so the
+    # compiled warping runs only in the quadrature.  The 33-knot table
+    # this job used to build made 69 calls of 15,164 points in 58
+    # levels.
     job = next(job for job in workloads.first_jobs("construct-quad", 401, 8)
                if job.kind == "walker4_construct")
     sizes, levels = [], []
@@ -358,9 +372,9 @@ def test_the_walker4_quadrature_does_the_recorded_work(tmp_path, capsys,
     batches = count_calls(monkeypatch, "quadrature", "_simpson_batch")
     config = workloads.write_job(job, tmp_path)
     assert main(job.argv(str(config), str(tmp_path / "out.csv"))) == 0
-    assert _ends(batches) == [[-1.0, 0.0, 1.0], [], []]
-    assert (len(sizes), sum(sizes), len(levels)) == (8, 216, 6)
-    assert sizes == [9, 6, 8, 16, 32, 60, 4, 81]
+    assert _ends(batches) == [[-1.0, 0.0, 1.0]]
+    assert (len(sizes), sum(sizes), len(levels)) == (7, 135, 6)
+    assert sizes == [9, 6, 8, 16, 32, 60, 4]
 
 
 def test_the_grw_quadrature_does_the_recorded_work(tmp_path, capsys,
@@ -369,7 +383,7 @@ def test_the_grw_quadrature_does_the_recorded_work(tmp_path, capsys,
     # integrand's array calls of each batch and the levels counted.
     # Recorded before a level was laid out as pairs of rows, which
     # changes the cost of the work, never the work: one batch of its 100
-    # times, then one of none, which calls nothing.
+    # times; the times already integrated make none.
     job = next(job for job in workloads.first_jobs("construct-quad", 401, 8)
                if job.kind == "grw_construct")
     batches, sizes, levels = [], [], []
@@ -392,7 +406,7 @@ def test_the_grw_quadrature_does_the_recorded_work(tmp_path, capsys,
     monkeypatch.setattr(quadrature, "_block", counted_block)
     config = workloads.write_job(job, tmp_path)
     assert main(job.argv(str(config), str(tmp_path / "out.csv"))) == 0
-    assert batches == [100, 0]
+    assert batches == [100]
     assert (len(sizes), sum(sizes), len(levels)) == (7, 3404, 6)
     assert hashlib.sha256(repr(sizes).encode()).hexdigest() \
         == "d97f00a8bd537e4aab490d31d1f6e31e6833c241e0639627aeb2e4692998ea7e"
@@ -401,8 +415,7 @@ def test_the_grw_quadrature_does_the_recorded_work(tmp_path, capsys,
 def test_the_walker4_profile_value_is_the_map_point_by_point(monkeypatch):
     spec = Walker4Spec(parse_expression("1.02 + 0.3*sin(t)", ("t",)),
                        c0=-0.95, c1=0.4, c2=1.0, c3=0.2, t0=0.01)
-    _, profile = walker4_construct(spec)
-    values_at = profile.funcs[0]
+    values_at, _ = _profile_of(walker4_construct(spec))
     # Repeated times, both zeros, and times far from any grid.
     times = [0.0, -0.0, 0.7, -1.5, 1.5, 0.7, -0.0, 0.0, 1e-300, -1e-300,
              0.0375, -0.0, 12.5, -30.0]
@@ -412,6 +425,6 @@ def test_the_walker4_profile_value_is_the_map_point_by_point(monkeypatch):
     assert repr(_ends(batches)) \
         == "[[0.0, 0.7, -1.5, 1.5, 1e-300, -1e-300, 0.0375, 12.5, -30.0]]"
     monkeypatch.undo()
-    fresh = walker4_construct(spec)[1]
-    want = np.array([fresh(tv) for tv in times])
+    fresh = walker4_construct(spec)
+    want = np.array([fresh((0.0, 0.0, 0.0, tv)) for tv in times])
     assert got.tobytes() == want.tobytes()

@@ -5,7 +5,9 @@ tests/construct_refs.json holds, for each job, the exit code and the
 sha256 of its stdout and of its CSV report, recorded before the
 quadratures of a construct were batched; the CSVs of the walker4 jobs
 were recorded again when their profile became the exact
-1/2 (c0 t + c1) I(t).  The shipped references never
+1/2 (c0 t + c1) I(t), and every job again when both potentials became
+trees over an Integral node (the walker4 #f= line, and the noise digits
+of the GRW jobs' r1-r3 and verdict lambda).  The shipped references never
 run a sin warping or a narrow GRW interval, so these pin the integrals
 of both constructions, bit for bit.  The benchmark files are only read.
 

@@ -529,18 +529,29 @@ def test_a_walker4_t0_near_the_float_range_passes(tmp_path):
                         "--grid", "3"]) == (
         0, "PASS lambda=0.000000000000e+00 class=steady\n", "")
     assert hashlib.sha256(out.read_bytes()).hexdigest() \
-        == "8f31a2a7851577f5a8ddb4c13d1c4df7a427be0cc7430974e0e7bc118cc99b81"
+        == "fce764543d5ecb9cb19075f0fdacce140fbadf021d0e20e905fd68a6e728cd9f"
 
 
-def test_a_walker4_grid_past_the_float_range_is_one_numeric_error(tmp_path):
-    # numpy's linspace over (-1.7e308, 1.7e308) gives t = nan and inf,
-    # and the running integral of the warping is then asked for at a
-    # time that is not finite.
+@pytest.mark.parametrize("command, config", [
+    ("curvature", {"family": "custom", "chart": ["a"], "metric": [[1]],
+                   "signature": "+", "grid": {"a": [-1.7e308, 1.7e308, 3]}}),
+    ("construct", {"family": "walker4", "warping": "1",
+                   "constants": {"c0": 1, "c1": 1},
+                   "grid": {"t": [-1.7e308, 1.7e308, 3]}}),
+    ("construct", {"family": "grw", "warping": "2", "interval": [1, 2],
+                   "fiber": {"type": "flat", "chart": ["x"]},
+                   "constants": {"alpha": 1, "t0": 1},
+                   "grid": {"t": [-1.7e308, 1.7e308, 3]}}),
+], ids=["curvature", "walker4", "grw"])
+def test_a_grid_past_the_float_range_is_one_config_error(command, config,
+                                                         tmp_path):
+    # numpy's linspace over (-1.7e308, 1.7e308) gives nan and inf; the
+    # sampled axis is refused before anything is computed at them.
+    name = next(iter(config["grid"]))
     path = tmp_path / "job.json"
-    path.write_text(json.dumps({
-        "family": "walker4", "warping": "1", "constants": {"c0": 1, "c1": 1},
-        "grid": {"t": [-1.7e308, 1.7e308, 3]}}), encoding="utf-8")
-    assert _run_strict(["construct", str(path), "--out",
-                        str(tmp_path / "out.csv"), "--grid", "3"]) == (
-        3, "", "numeric error: running integral from 0.0 to a non-finite "
-        "time\n")
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert _run_strict([command, str(path), "--out", str(out)]) == (
+        2, "", f"config error: grid.{name}: the range samples a non-finite "
+        "value\n")
+    assert not out.exists()

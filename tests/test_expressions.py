@@ -22,6 +22,8 @@ from solitonlab import (
     sqrt,
 )
 
+from solitonlab.expressions import Const, Integral, Mul, Var, differentiate
+
 from conftest import random_expression
 
 CHART = ("x", "y")
@@ -208,6 +210,23 @@ def test_derivative_of_quotient():
     f = parse_expression("x / (y + 2)", CHART)
     dy = f.diff("y")
     assert abs(dy((3.0, 1.0)) - (-3.0 / 9.0)) < 1e-14
+
+
+def test_an_integral_differentiates_to_its_integrand():
+    # d/dx of the integral of x^2 from 1 is x^2, in x alone; the memo
+    # is not called.
+    integrand = parse_expression("x^2", CHART).root
+    node = Integral(integrand, "x", 1.0, None)
+    field = ScalarField(CHART, Mul(Var("y"), node))
+    assert field.diff("x").root is Mul(Var("y"), integrand)
+    assert field.diff("y").root is node
+    assert differentiate(node, "y") is Const(0.0)
+
+
+def test_an_integral_prints_as_a_call_of_its_integrand_variable_and_base():
+    node = Integral(parse_expression("1 + t^2", ("t",)).root, "t", -0.5, None)
+    field = ScalarField(("t",), Mul(Const(0.5), node))
+    assert str(field) == "0.5*integral(1 + t^2, t, -0.5)"
 
 
 def test_field_operators_match_parsing():

@@ -25,6 +25,7 @@ from solitonlab import (
     curvature_at,
     eval_jet2,
     exp as field_exp,
+    finite_diff_jet2,
     flat_metric,
     infer_lambda,
     metric_at,
@@ -35,7 +36,6 @@ from solitonlab import (
     theta_substitution,
 )
 from solitonlab.curvature import covariant_hessian_from
-from solitonlab.expressions import Add, ScalarField, Var, external
 from solitonlab.families import (
     GRWSpec,
     StaticSpec,
@@ -525,7 +525,7 @@ def test_walker4_closed_forms_match_the_generic_pipeline():
 
 def test_walker4_construction_certifies():
     spec = Walker4Spec(constant_field(("t",), 1.0), 1.0, 1.0, 1.0, 1.0, 0.0)
-    f, profile = walker4_construct(spec)
+    f = walker4_construct(spec)
     metric = walker4_metric(spec)
     rng = np.random.default_rng(83)
     pts = rng.uniform(-1.0, 1.0, (12, 4))
@@ -538,16 +538,18 @@ def test_walker4_construction_certifies():
     assert abs(constancy.mean - 4.0) < 1e-12
     assert constancy.max_deviation < 1e-12
     assert np.abs(walker4_pde_residual(spec, f, pts[0])).max() < 1e-12
-    # unit warping, all constants one: the profile is t^2/2 + t/2
+    # unit warping, all constants one: the profile, f at x = y = z = 0,
+    # is t^2/2 + t/2
     for t in (-1.5, -0.75, 0.0, 0.3, 1.5):
-        assert abs(profile(t) - (t * t / 2 + t / 2)) < 1e-12
-    assert abs(profile.deriv(0.3) - 0.8) < 1e-12
-    assert abs(profile.deriv2(0.3) - 1.0) < 1e-12
+        assert abs(f((0.0, 0.0, 0.0, t)) - (t * t / 2 + t / 2)) < 1e-12
+    jet = eval_jet2(f, (0.0, 0.0, 0.0, 0.3))
+    assert abs(jet.gradient[3] - 0.8) < 1e-12
+    assert abs(jet.hessian[3, 3] - 1.0) < 1e-12
 
 
 def test_walker4_degenerate_constant_gives_a_steady_structure():
     spec = Walker4Spec(constant_field(("t",), 1.0), 0.0, 2.0, 3.0, 0.5, 0.0)
-    f, profile = walker4_construct(spec)
+    f = walker4_construct(spec)
     metric = walker4_metric(spec)
     rng = np.random.default_rng(89)
     pts = rng.uniform(-1.0, 1.0, (8, 4))
@@ -556,14 +558,14 @@ def test_walker4_degenerate_constant_gives_a_steady_structure():
     constancy = laplacian_report(metric, f, pts)
     assert abs(constancy.mean) < 1e-12
     # profile reduces to (c1/2) * running integral of the warping
-    assert abs(profile(0.8) - 0.8) < 1e-9
+    assert abs(f((0.0, 0.0, 0.0, 0.8)) - 0.8) < 1e-9
 
 
 def test_walker4_construction_with_nonconstant_warping():
     spec = Walker4Spec(
         parse_expression("1 + 0.5*sin(t)", ("t",)), 1.0, -0.5, 0.7, 2.0, 0.2
     )
-    f, _ = walker4_construct(spec)
+    f = walker4_construct(spec)
     metric = walker4_metric(spec)
     rng = np.random.default_rng(97)
     pts = rng.uniform(-1.0, 1.0, (10, 4))
@@ -579,7 +581,7 @@ def test_walker4_construction_with_nonconstant_warping():
 
 def test_walker4_literal_construction_fails_its_own_system():
     spec = Walker4Spec(constant_field(("t",), 1.0), 1.0, 1.0, 1.0, 1.0, 0.0)
-    f, _ = walker4_construct(spec, paper_literal=True)
+    f = walker4_construct(spec, paper_literal=True)
     metric = walker4_metric(spec)
     pts = [np.array([0.3, -0.2, 0.5, 0.1])]
     report = residual_report(metric, SolitonData(f, -1.0), pts, tol=0.1)
@@ -601,9 +603,9 @@ def test_walker4_profile_holds_far_from_any_grid():
     # The profile is 1/2 (c0 t + c1) times the running integral, with no
     # range of its own: here t^2/2 + t/2 at any t.
     spec = Walker4Spec(constant_field(("t",), 1.0), 1.0, 1.0, 1.0, 1.0, 0.0)
-    _, profile = walker4_construct(spec)
+    f = walker4_construct(spec)
     for t in (2.0, -7.5, 60.0):
-        assert abs(profile(t) - (t * t / 2 + t / 2)) < 1e-12 * t * t
+        assert abs(f((0.0, 0.0, 0.0, t)) - (t * t / 2 + t / 2)) < 1e-12 * t * t
 
 
 def test_laplacian_report_flags_non_constant_laplacians():
@@ -677,66 +679,75 @@ def test_warped_conditions_on_a_curved_base_match_a_base_chart_reference():
 
 
 # ---------------------------------------------------------------
-# the profiles' derivative fields against the closures they replaced
+# the quadrature potentials' jets against their closed forms
 # ---------------------------------------------------------------
 
-def _same_bits(funcs, closures, ts):
-    # The derivatives themselves, where a folded zero would show its sign;
-    # the jets' sums can lose it.
-    for got, want in zip(funcs, closures):
-        assert got(ts).tobytes() == want(ts).tobytes()
-
-
-def _same_jets(field, reference, points):
-    got, want = eval_jet2(field, points), eval_jet2(reference, points)
-    for part in ("value", "gradient", "hessian"):
-        assert getattr(got, part).tobytes() == getattr(want, part).tobytes(), part
-
-
 @pytest.mark.parametrize("warping", ["t", "2", "1 + 0.3*sin(t)", "exp(0.5*t)", "t^2"])
-def test_grw_derivative_fields_give_the_closure_bits(warping):
+def test_grw_potential_jets_follow_the_defining_relation(warping):
+    # phi' = alpha / w and phi'' = -alpha w' / w^2, to rounding, from
+    # the tree alpha * Integral(1/w, t, t0), whose derivative is its
+    # integrand; and the finite differences of its values.
     spec = GRWSpec(parse_expression(warping, ("t",)), flat_metric(("x",)),
                    (0.5, 2.0))
-    w_many = spec.warping.compiled_arrays
-    dw_many = spec.warping.diff("t").compiled_arrays
-    points = np.linspace(0.5, 2.0, 7)[:, None]
+    w = spec.warping.compiled_arrays
+    dw = spec.warping.diff("t").compiled_arrays
+    ts = np.linspace(0.5, 2.0, 7)
     for alpha in (0.0, 1.0, -1.0, 6.0, 0.37):
         potential = grw_potential_field(spec, alpha, 0.5)
+        jet = eval_jet2(potential, ts[:, None])
+        np.testing.assert_allclose(jet.gradient[:, 0], alpha / w(ts),
+                                   rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(jet.hessian[:, 0, 0],
+                                   -alpha * dw(ts) / w(ts) ** 2,
+                                   rtol=1e-14, atol=0.0)
+        fd = finite_diff_jet2(potential, ts[3:4])
+        np.testing.assert_allclose(fd.gradient, jet.gradient[3], rtol=1e-8)
 
-        def deriv(ts, alpha=alpha):
-            return alpha / w_many(ts)
 
-        def deriv2(ts, alpha=alpha):
-            wv = w_many(ts)
-            return -alpha * dw_many(ts) / (wv * wv)
-
-        reference = ScalarField(("t",), external(
-            "potential_profile", (potential.root.funcs[0], deriv, deriv2),
-            Var("t")))
-        _same_bits(potential.root.funcs[1:], (deriv, deriv2), points[:, 0])
-        _same_jets(potential, reference, points)
+# Each 4d warping: w, w' and the running integral I from t0.
+WALKER4_WARPINGS = {
+    "1 + 0.3*sin(t)": (lambda t: 1.0 + 0.3 * np.sin(t),
+                       lambda t: 0.3 * np.cos(t),
+                       lambda t, t0: t - t0 - 0.3 * (np.cos(t) - np.cos(t0))),
+    "2": (lambda t: np.full_like(t, 2.0), np.zeros_like,
+          lambda t, t0: 2.0 * (t - t0)),
+    "-1 + 0.2*t": (lambda t: -1.0 + 0.2 * t, lambda t: np.full_like(t, 0.2),
+                   lambda t, t0: t0 - t + 0.1 * (t * t - t0 * t0)),
+    "t": (lambda t: t, np.ones_like, lambda t, t0: 0.5 * (t * t - t0 * t0)),
+    "0": (np.zeros_like, np.zeros_like, lambda t, t0: np.zeros_like(t)),
+}
 
 
 @pytest.mark.parametrize("paper_literal", [False, True])
-@pytest.mark.parametrize("warping", ["1 + 0.3*sin(t)", "2", "-1 + 0.2*t", "t", "0"])
-def test_walker4_slope_derivative_field_gives_the_closure_bits(warping,
-                                                               paper_literal):
-    w = parse_expression(warping, ("t",))
-    w_many, w_t_many = w.compiled_arrays, w.diff("t").compiled_arrays
+@pytest.mark.parametrize("warping", list(WALKER4_WARPINGS))
+def test_walker4_jets_are_the_closed_form(warping, paper_literal):
+    # f = x (c0 z + c2) + y (c0 u + c1) + c3 z + 1/2 (c0 t + c1) I(t),
+    # u = t (u = z for the literal variant), c2 = 0.25, c3 = -0.5.
+    w, dw, running = WALKER4_WARPINGS[warping]
     rng = np.random.default_rng(101)
     points = np.column_stack([rng.uniform(-1.0, 1.0, (11, 3)),
-                              [-1.0, -0.7, -0.3, -0.0, 0.0, 0.1, 0.4, 0.7,
-                               1.0, 1.2, 1.4]])
-    for c0 in (0.0, -0.0, 1.0, -1.0, 0.7):
-        for c1 in (0.0, -0.0, 1.0, -1.0, 0.7):
-
-            def slope2(ts, c0=c0, c1=c1):
-                return 0.5 * w_t_many(ts) * (c0 * ts + c1) + c0 * w_many(ts)
-
-            spec = Walker4Spec(w, c0, c1, 0.25, -0.5, 0.1)
-            f, profile = walker4_construct(spec, paper_literal)
-            assert type(f.root) is Add
-            reference = ScalarField(f.chart, Add(f.root.left, external(
-                profile.name, (*profile.funcs[:2], slope2), Var("t"))))
-            _same_bits(profile.funcs[2:], (slope2,), points[:, 3])
-            _same_jets(f, reference, points)
+                              np.linspace(-1.0, 1.4, 11)])
+    x, y, z, t = points.T
+    t0 = 0.1
+    integral = running(t, t0)
+    for c0 in (0.0, 1.0, -1.0, 0.7):
+        for c1 in (0.0, 1.0, -1.0, 0.7):
+            spec = Walker4Spec(parse_expression(warping, ("t",)), c0, c1,
+                               0.25, -0.5, t0)
+            jet = eval_jet2(walker4_construct(spec, paper_literal), points)
+            u = z if paper_literal else t
+            value = (x * (c0 * z + 0.25) + y * (c0 * u + c1) - 0.5 * z
+                     + 0.5 * (c0 * t + c1) * integral)
+            gradient = np.column_stack([
+                c0 * z + 0.25, c0 * u + c1,
+                c0 * x - 0.5 + (c0 * y if paper_literal else 0.0),
+                (0.0 if paper_literal else c0 * y) + 0.5 * c0 * integral
+                + 0.5 * (c0 * t + c1) * w(t)])
+            hessian = np.zeros((len(points), 4, 4))
+            hessian[:, 0, 2] = hessian[:, 2, 0] = c0
+            k = 2 if paper_literal else 3
+            hessian[:, 1, k] = hessian[:, k, 1] = c0
+            hessian[:, 3, 3] = c0 * w(t) + 0.5 * (c0 * t + c1) * dw(t)
+            for got, want in ((jet.value, value), (jet.gradient, gradient),
+                              (jet.hessian, hessian)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)

@@ -1,7 +1,7 @@
 """Interned expression nodes, by the identity rule of the expressions
 docstring: a constructor returns the live node of the same kind, the
 same payload and the same children, constants and exponents count by
-their float64 bits, an External is never interned, and the intern
+their float64 bits, an Integral is never interned, and the intern
 table holds its nodes weakly."""
 
 import gc
@@ -9,9 +9,10 @@ import math
 import struct
 
 import numpy as np
+import pytest
 
 from solitonlab import SolitonLabError, expressions, parse_expression
-from solitonlab.expressions import Add, Const, External, Mul, Sub, Var, sub
+from solitonlab.expressions import Add, Call, Const, Integral, Mul, Sub, Var, sub
 
 from conftest import elementwise, random_expression
 
@@ -53,15 +54,23 @@ def test_a_nan_constant_is_one_node_per_bit_pattern():
         == struct.pack("<Q", payload)
 
 
-def test_two_externals_with_one_name_are_never_merged():
+def test_two_integrals_of_one_integrand_are_never_merged():
+    # Each holds the memo of the family that built it.
     x = Var("x")
-    funcs = (elementwise(math.sin), elementwise(math.cos))
-    a, b = External("w", funcs, x), External("w", funcs, x)
+    running = elementwise(math.sin)
+    a = Integral(Call("cos", x), "x", 0.0, running)
+    b = Integral(Call("cos", x), "x", 0.0, running)
     assert a is not b
     assert a.reads == {"x"}
+    assert Integral(Const(1.0), "x", 0.0, running).reads == {"x"}
     assert Add(a, x) is Add(a, x)
     assert Add(a, x) is not Add(b, x)
     assert isinstance(sub(a, b), Sub)
+
+
+def test_an_integrand_reads_its_variable_alone():
+    with pytest.raises(ValueError, match="an integrand in 'x' reads 'y'"):
+        Integral(Mul(Var("x"), Var("y")), "x", 0.0, elementwise(math.sin))
 
 
 def test_parsing_one_text_twice_gives_one_root():

@@ -29,7 +29,7 @@ from solitonlab.expressions import (
     Call,
     Const,
     Div,
-    External,
+    Integral,
     Mul,
     Neg,
     Pow,
@@ -55,27 +55,18 @@ FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt")
 EXP_ARG_MAX = math.log(sys.float_info.max)
 
 
-def _positive_only(t):
-    if t <= 0.0:
+def _log_past_one(t):
+    """The integral of 1/(t - 1) from 2, refused where t - 1 is not
+    positive."""
+    if t <= 1.0:
         raise DomainError("profile needs a positive argument")
-    return 1.0 / t
+    return math.log(t - 1.0)
 
 
-def _positive_only_over(ts):
-    """_positive_only as an array profile: it refuses the whole array if
-    any element is not positive, without naming one."""
-    if (ts <= 0.0).any():
-        raise DomainError("profile needs a positive argument")
-    return 1.0 / ts
-
-
-PROFILES = tuple((name, tuple(map(elementwise, funcs))) for name, funcs in (
-    ("square", (lambda t: t * t, lambda t: 2.0 * t, lambda t: 2.0)),
-    ("inverse", (_positive_only, lambda t: -1.0 / t / t,
-                 lambda t: 2.0 / t / t / t)),
-    ("flat", (lambda t: 1, lambda t: 0, lambda t: 0)),
-    ("value-only", (math.atan,)),
-))
+# Running integrals, as an Integral reads them.  The walk takes the
+# integrand's jet for the derivatives, whatever it is.
+RUNNING = tuple(map(elementwise, (lambda t: t * t, _log_past_one,
+                                  lambda t: 1, math.atan)))
 
 
 # ---------------------------------------------------------------------
@@ -151,6 +142,21 @@ def _ref_entry(node, args, points):
         _ref_fail_at(den[0] == 0.0, "division by zero", points)
         w = 1.0 / den[0]
         return _ref_mul(num, _ref_chain(den, w, -w * w, 2.0 * w * w * w))
+    if isinstance(node, Integral):
+        # The running integrals at every point, the integrand's value as
+        # the variable's gradient entry, its gradient as that hessian
+        # row and column.
+        k = CHART.index(node.var)
+        try:
+            value = node.running(points[:, k].copy())
+        except DomainError as exc:
+            raise DomainError(f"{exc} at {points[exc.index].tolist()}",
+                              index=exc.index) from None
+        (slope, curve, _), = args
+        grad, hess = np.zeros((p, n)), np.zeros((p, n, n))
+        grad[:, k] = slope
+        hess[:, k, :] = hess[:, :, k] = curve
+        return value, grad, hess
     (u,) = args
     x = u[0]
     if isinstance(node, Pow):
@@ -165,13 +171,6 @@ def _ref_entry(node, args, points):
 
         f0, p1, p2 = _ref_pointwise(terms, x, points)
         return _ref_chain(u, f0, c * p1, c * (c - 1.0) * p2)
-    if isinstance(node, External):
-        if len(node.funcs) < 3:
-            raise DomainError(f"profile '{node.name}' supplies no second derivative")
-        # A profile at one point is its callable on a one-element array.
-        funcs = node.funcs[:3]
-        return _ref_chain(u, *_ref_pointwise(
-            lambda t: [float(f(np.array([t]))[0]) for f in funcs], x, points))
     if node.func == "exp":
         _ref_fail_at(x > EXP_ARG_MAX, "overflow in exp", points)
         e = np.exp(x)
@@ -211,9 +210,9 @@ def _ref_number(node, tape, by_id, by_key):
     elif isinstance(node, Pow):
         args = (_ref_number(node.base, tape, by_id, by_key),)
         key = (Pow, bits(node.exponent), *args)
-    elif isinstance(node, External):
-        args = (_ref_number(node.arg, tape, by_id, by_key),)
-        key = (External, id(node), *args)
+    elif isinstance(node, Integral):
+        args = (_ref_number(node.integrand, tape, by_id, by_key),)
+        key = (Integral, id(node), *args)
     else:
         args = (_ref_number(node.arg, tape, by_id, by_key),)
         key = (type(node), getattr(node, "func", None), *args)
@@ -287,7 +286,8 @@ def forests(draw):
 
     for _ in range(draw(st.integers(1, 16))):
         kind = draw(st.sampled_from(
-            ("leaf", "neg", "add", "sub", "mul", "div", "pow", "call", "ext")))
+            ("leaf", "neg", "add", "sub", "mul", "div", "pow", "call",
+             "integral")))
         if kind == "leaf":
             node = draw(leaves)
         elif kind == "neg":
@@ -300,8 +300,11 @@ def forests(draw):
         elif kind == "call":
             node = Call(draw(st.sampled_from(FUNCTIONS)), operand())
         else:
-            name, funcs = draw(st.sampled_from(PROFILES))
-            node = External(name, funcs, operand())
+            # An integrand reads its integral's variable alone.
+            var = draw(st.sampled_from(CHART))
+            integrands = [n for n in pool if n.reads <= {var}] or [Const(1.0)]
+            node = Integral(draw(st.sampled_from(integrands)), var, 0.0,
+                            draw(st.sampled_from(RUNNING)))
         pool.append(node)
     count = draw(st.integers(1, 3))
     return [pool[-1]] + [operand() for _ in range(count - 1)]
@@ -339,8 +342,8 @@ X, Y = Var("x"), Var("y")
     ([Call("exp", Pow(Sub(X, Const(2.0)), 0.5))],
      [[1.0, 0.0], [3.0, 0.0]],
      "fractional power of a negative base at [1.0, 0.0]", 0),
-    # A profile fails at point 2, a later field's ln at point 1.
-    ([External(*PROFILES[1], Sub(X, Const(1.0))), Call("ln", Y)],
+    # A running integral fails at point 2, a later field's ln at point 1.
+    ([Integral(Sub(X, Const(1.0)), "x", 2.0, RUNNING[1]), Call("ln", Y)],
      [[2.0, 1.0], [3.0, -1.0], [0.5, -1.0]],
      "ln of a non-positive argument at [3.0, -1.0]", 1),
     # The first field overflows at point 1; the second field's exp
@@ -351,12 +354,23 @@ X, Y = Var("x"), Var("y")
     ([Mul(X, X), Call("exp", Y)],
      [[1.0, 8.0], [1e300, 0.0]],
      "jet evaluation produced a non-finite value at [1e+300, 0.0]", 1),
-    # An array profile refuses its batch, which fails at points 1 and 2;
-    # the points one at a time name point 1, before the ln at point 3.
-    ([Add(External("inverse-array", (_positive_only_over,) + PROFILES[1][1][1:],
-                   Sub(X, Const(1.0))), Call("ln", Y))],
+    # A running integral that fails at points 1 and 2 names point 1,
+    # its error's index, before the ln at point 3.
+    ([Add(Integral(Div(Const(1.0), Sub(X, Const(1.0))), "x", 2.0,
+                   RUNNING[1]), Call("ln", Y))],
      [[2.0, 1.0], [0.5, 1.0], [1.0, 1.0], [3.0, -1.0]],
      "profile needs a positive argument at [0.5, 1.0]", 1),
+    # The integrand and the running integral both fail at point 1; the
+    # integrand comes first in tape order.
+    ([Integral(Div(Const(1.0), Sub(X, Const(1.0))), "x", 2.0, RUNNING[1])],
+     [[2.0, 1.0], [1.0, 1.0]],
+     "division by zero at [1.0, 1.0]", 1),
+    # The running integral fails at point 2; the ln above it reads the
+    # integrals of the points before it, which are positive.
+    ([Call("ln", Integral(Div(Const(1.0), Sub(X, Const(1.0))), "x", 2.0,
+                          RUNNING[1]))],
+     [[3.0, 0.0], [4.0, 0.0], [0.5, 0.0]],
+     "profile needs a positive argument at [0.5, 0.0]", 2),
 ])
 def test_a_walk_fails_at_the_first_bad_point(roots, points, message, index):
     points = np.array(points)
@@ -383,29 +397,20 @@ def test_a_failing_eval_jet2_walks_once(monkeypatch):
     assert calls == [4]
 
 
-def test_a_profile_without_second_derivative_fails_unlocated():
-    roots = [Add(Call("ln", X), External(*PROFILES[3], Y))]
-    points = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    with pytest.raises(DomainError) as caught:
-        _batched(roots, points)
-    assert str(caught.value) == "profile 'value-only' supplies no second derivative"
-    assert caught.value.index is None
-    _assert_walks_agree(roots, points)
-
-
 def test_a_profile_below_a_failed_point_never_sees_it():
+    # The running integrals of an integral whose integrand fails.
     seen = []
 
     def record(t):
         seen.append(t)
         return t
 
-    profile = External("record", tuple(map(elementwise, (
-        record, lambda t: 1.0, lambda t: 0.0))), Call("ln", X))
+    integral = Integral(Call("ln", X), "x", 0.0, elementwise(record))
     points = np.array([[np.e, 0.0], [-1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(DomainError, match=r"ln of a non-positive argument at \[-1.0"):
-        _batched([profile], points)
-    assert seen == [np.log(np.array([np.e]))[0]]
+        _batched([integral], points)
+    assert seen == [np.e]
+    _assert_walks_agree([integral], points)
 
 
 def test_a_failing_walk_raises_no_floating_point_warning():

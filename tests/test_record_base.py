@@ -20,7 +20,6 @@ from solitonlab.expressions import ScalarField
 from solitonlab.families import (
     GRWSpec,
     LaplacianReport,
-    QuadratureProfile,
     StaticSpec,
     Walker3Construction,
     Walker3Spec,
@@ -42,7 +41,7 @@ COMPARED = [WarpedProductSpec, GRWSpec, StaticSpec, Walker3Spec,
             SolitonData]
 BY_IDENTITY = [Jet2, MetricAtPoint, CurvatureAtPoint, GridCurvature,
                PointGeometry, ThetaCheck, LambdaEstimate, ResidualReport,
-               QuadratureProfile, LaplacianReport, WarpedConditions]
+               LaplacianReport, WarpedConditions]
 RECORDS = COMPARED + BY_IDENTITY
 DUNDERS = ("__setattr__", "__delattr__", "__repr__", "__eq__", "__hash__")
 

@@ -20,7 +20,6 @@ from solitonlab.expressions import ScalarField, Var, constant_field, parse_expre
 from solitonlab.families import (
     GRWSpec,
     LaplacianReport,
-    QuadratureProfile,
     StaticSpec,
     Walker3Construction,
     Walker3Spec,
@@ -93,8 +92,6 @@ BY_IDENTITY = [
     (ResidualReport, ("points", "residual_grids", "per_point", "max_abs",
                       "mean_abs", "passed", "worst_point"),
      (*_arrays((3, 2), (3, 2, 2), (3,)), 2.0, 1.0, False, *_arrays((2,)))),
-    (QuadratureProfile, ("name", "funcs"),
-     ("tpart", (np.sin, np.cos, np.negative))),
     (LaplacianReport, ("values", "mean", "max_deviation"),
      (*_arrays((3,)), 1.0, 1.0)),
     (WarpedConditions, ("fiber_dependence", "pairing_gap", "base_hessian_gap",

@@ -5,8 +5,8 @@ structurally distinct subtree is evaluated once.  That is an
 evaluation order only: every entry must equal, bit for bit, the jet
 of its component walked on its own, and errors must be those a walk
 per component, point by point, meets first.  Keys that are equal
-under == but differ in bits, and profiles that share a name, must not
-merge.
+under == but differ in bits, and integrals of one integrand from one
+base point, must not merge.
 """
 
 import math
@@ -25,7 +25,7 @@ from solitonlab import (
 )
 from solitonlab import autodiff
 from solitonlab.autodiff import walk_jets
-from solitonlab.expressions import Add, Const, External, Pow, ScalarField, Var
+from solitonlab.expressions import Add, Const, Integral, Pow, ScalarField, Var
 from solitonlab.metrics import MetricField
 
 from conftest import count_calls, elementwise, random_field
@@ -135,18 +135,15 @@ def test_exponents_equal_under_eq_but_not_in_bits_do_not_merge():
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def test_profiles_with_one_name_and_different_callables_do_not_merge():
+def test_integrals_with_one_integrand_and_different_memos_do_not_merge():
     chart = ("x",)
     points = np.array([[0.5], [2.0]])
-    square = (lambda t: t * t, lambda t: 2.0 * t, lambda t: 2.0)
-    cube = (lambda t: t ** 3, lambda t: 3.0 * t * t, lambda t: 6.0 * t)
-    fields = [ScalarField(chart, External("w", tuple(map(elementwise, funcs)),
-                                          Var("x")))
-              for funcs in (square, cube)]
+    fields = [ScalarField(chart, Integral(Var("x"), "x", 0.0, elementwise(fn)))
+              for fn in (lambda t: t * t, lambda t: t ** 3)]
     a, b = walk_jets(fields, points)
     assert np.array_equal(a.value, [0.25, 4.0])
     assert np.array_equal(b.value, [0.125, 8.0])
-    assert np.array_equal(b.hessian[:, 0, 0], [3.0, 12.0])
+    assert np.array_equal(b.gradient[:, 0], [0.5, 2.0])
 
 
 def _first_error_point_by_point(metric, points):

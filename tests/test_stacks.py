@@ -116,7 +116,7 @@ def _walker3():
 def _walker4():
     spec = Walker4Spec(parse_expression("1.1 + 0.3*sin(t)", ("t",)),
                        1.0, 1.0, 1.0, 1.0, 0.0)
-    f, _ = walker4_construct(spec)
+    f = walker4_construct(spec)
     metric = walker4_metric(spec)
     points = grid_points(metric.chart, {name: (-1.0, 1.0, 2) for name in metric.chart})
     return metric, f, points

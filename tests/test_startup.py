@@ -25,7 +25,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 NODE_KINDS = ["Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
-              "Call", "External"]
+              "Call", "Integral"]
 
 PROBE = """
 import dataclasses, inspect, json, sys
