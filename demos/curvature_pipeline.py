@@ -4,9 +4,12 @@ Stages, in the order the library runs them:
 
   1. metric_at     evaluates the metric, its inverse, and its first and
                    second coordinate derivatives at one point;
-  2. christoffel   builds the connection coefficients from that data;
-  3. curvature_*   contracts them into the Riemann tensor, the Ricci
-                   tensor, and the scalar curvature;
+  2. curvature_*   builds the connection coefficients from that data
+                   and contracts them into the Ricci tensor and the
+                   scalar curvature (the Riemann tensor on demand);
+  3. covariant_hessian
+                   subtracts the connection term from a function's
+                   coordinate hessian;
   4. point_geometry
                    the one pass behind every check: per point the
                    metric, the scalar curvature, and a potential's

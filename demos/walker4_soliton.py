@@ -21,8 +21,8 @@ from solitonlab import (
     curvature_at,
     eval_jet2,
     infer_lambda,
-    laplacian_report,
     parse_expression,
+    point_geometry,
     residual_report,
     walker4_construct,
     walker4_metric,
@@ -51,12 +51,12 @@ print(f"max |Riemann| over 12 random points: {flatness}")
 estimate = infer_lambda(metric, f, points)
 report = residual_report(metric, SolitonData(f, estimate.value), points,
                          tol=1e-9)
-lap = laplacian_report(metric, f, points)
+lap = point_geometry(metric, f, points).lap
 print(f"inferred lam = {estimate.value:.12f} ({classify(estimate.value)}),"
       f" spread {estimate.spread:.3e}")
 print(f"max residual {report.max_abs:.3e}  passed={report.passed}")
-print(f"Laplacian constant at {lap.mean:.12f}"
-      f" (deviation {lap.max_deviation:.3e})")
+print(f"Laplacian constant at {lap.mean():.12f}"
+      f" (deviation {np.max(np.abs(lap - lap.mean())):.3e})")
 print()
 
 # ----------------------------------------------------------------

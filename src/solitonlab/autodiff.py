@@ -43,11 +43,6 @@ and their values last (_chain, _mul_rule); a rule of one numpy call
 (neg, add, sub) reads its input as if copied first.  eval_jet2 is the
 walk of one field.
 
-finite_diff_jet2 computes the same triple at one point from
-central-difference stencils on plain evaluations and shares no
-differentiation code with the jet walk; it exists as an independent
-cross-check, not as a fallback.
-
 The hessian produced by eval_jet2 is symmetric bit-for-bit: every rule
 below fills H[i, j] and H[j, i] from the same commutative float sums.
 
@@ -103,7 +98,7 @@ from .expressions import (
     _pow_value,
 )
 
-__all__ = ["Jet2", "eval_jet2", "finite_diff_jet2", "walk_jets"]
+__all__ = ["Jet2", "eval_jet2", "walk_jets"]
 
 
 class Jet2(_Record):
@@ -618,51 +613,3 @@ def eval_jet2(field: ScalarField, point: Sequence[float]) -> Jet2:
         return jet
     return Jet2(float(jet.value[0]), jet.gradient[0], jet.hessian[0])
 
-
-def finite_diff_jet2(field: ScalarField, point: Sequence[float],
-                     h: float = 1e-5) -> Jet2:
-    """Central-difference jet, independent of the forward-mode walk.
-
-    Per-coordinate steps scale with the point, h_i = h * max(1, |p_i|),
-    and each step is snapped to the nearest representable offset so the
-    divisor matches the perturbation actually applied.
-    """
-    p = np.asarray(point, dtype=float)
-    n = len(field.chart)
-    if p.shape != (n,):
-        raise ValueError(
-            f"point has shape {p.shape}, chart has {n} names"
-        )
-    steps = np.empty(n)
-    for i in range(n):
-        raw = h * max(1.0, abs(p[i]))
-        bumped = p[i] + raw
-        steps[i] = bumped - p[i]
-        if steps[i] == 0.0:
-            raise DomainError("finite-difference step underflowed to zero")
-
-    def at(offset: np.ndarray) -> float:
-        return field(p + offset)
-
-    f0 = at(np.zeros(n))
-    grad = np.zeros(n)
-    hess = np.zeros((n, n))
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = steps[i]
-        fp, fm = at(ei), at(-ei)
-        grad[i] = (fp - fm) / (2.0 * steps[i])
-        hess[i, i] = (fp - 2.0 * f0 + fm) / (steps[i] * steps[i])
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = steps[i]
-            ej[j] = steps[j]
-            fpp = at(ei + ej)
-            fpm = at(ei - ej)
-            fmp = at(-ei + ej)
-            fmm = at(-ei - ej)
-            hess[i, j] = (fpp - fpm - fmp + fmm) / (4.0 * steps[i] * steps[j])
-            hess[j, i] = hess[i, j]
-    return Jet2(f0, grad, hess)

@@ -652,11 +652,7 @@ def _check_grid(job: _Job, out: str | None, metric: MetricField,
     reads = potential.root.reads.union(*(fn.root.reads for fn in fields.values()))
     union = {*metric.read_axes, *map(job.chart.index, reads)}
     groups = distinct_points(pts, sorted(union))
-    # Where the metric reads every axis of the union, as in every
-    # cosmological check, each group is a metric point of its own.
-    distinct = len(union) == len(metric.read_axes)
-    geometry = groups.run(
-        lambda q: point_geometry(metric, potential, q, distinct=distinct))
+    geometry = groups.run(lambda q: point_geometry(metric, potential, q))
     mu = job.constants.get("mu", 0.0)
     samples = geometry.lambda_estimate(mu).samples
     estimate = LambdaEstimate.of(groups.gather(samples))

@@ -19,8 +19,8 @@ curvature_over runs metric_at -> curvature_from over a grid once per
 distinct metric point and hands every grid point its group's results.
 Everything a potential adds on top (its gradient, covariant hessian
 and laplacian) comes from soliton.point_geometry, which reads
-curvature_over; curvature_at and covariant_hessian are the one-point
-views of the same formulas.
+curvature_over; curvature_at and covariant_hessian run curvature_from
+at one point.
 
 Ricci without Riemann.  curvature_from forms only the n^3 entries of
 Riemann that Ricci reads, R^a_jak = d_a Gamma^a_kj - d_k Gamma^a_aj
@@ -50,8 +50,7 @@ are added last (_dot).  A pad product is +0.0, as the kernel's
 zero-filled tail load gives.  d_i g^{lm}, the Gamma Gamma products and
 the sum over a are index-order sums.  The scalar curvature runs point
 first, as the trace of the full tensor did.
-tests/test_contraction_order.py guards these facts of numpy, and
-christoffel is the same gamma as curvature_from's.
+tests/test_contraction_order.py guards these facts of numpy.
 
 Layouts.  metric_at hands dg and d2g over as point-first views of
 point-last arrays, which the pass reads back without a copy; other
@@ -77,12 +76,11 @@ import numpy as np
 from .autodiff import eval_jet2
 from .errors import _Record
 from .expressions import ScalarField
-from .grids import DistinctPoints, distinct_points
+from .grids import distinct_points
 from .metrics import MetricAtPoint, MetricField, metric_at
 
 __all__ = [
     "CurvatureAtPoint",
-    "christoffel",
     "curvature_from",
     "curvature_at",
     "GridCurvature",
@@ -133,14 +131,6 @@ def _dot(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add(lanes[..., 0, :], lanes[..., 1, :])
 
 
-def _stack(data: MetricAtPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """g^-1, dg and d2g with a leading point axis: one point is a stack
-    of one."""
-    if data.g_inv.ndim == 3:
-        return data.g_inv, data.dg, data.d2g
-    return data.g_inv[None], data.dg[None], data.d2g[None]
-
-
 def _front(ginv: np.ndarray, dg: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """g^{lm} (l, m, P), d_k g_ij (k, i, j, P) and T_ijm = d_i g_jm
@@ -155,23 +145,6 @@ def _front(ginv: np.ndarray, dg: np.ndarray
     np.add(dg, dg.swapaxes(0, 1), out=T_n)
     np.subtract(T_n, dg.transpose(1, 2, 0, 3), out=T_n)
     return ginv_last, dg, T
-
-
-def _christoffel(ginv: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """gamma[k, i, j, P] = 1/2 g^{kl} T_ijl from _front's buffers."""
-    n = len(ginv)
-    gamma = _dot("ijhc...,khc...->kijc...", _lanes(T, n), _lanes(ginv, n))
-    gamma *= 0.5
-    return gamma
-
-
-def christoffel(data: MetricAtPoint) -> np.ndarray:
-    """Christoffel symbols gamma[k, i, j] at the evaluated point, or
-    with a leading point axis."""
-    ginv, dg, _ = _stack(data)
-    ginv, _, T = _front(ginv, dg)
-    gamma = _christoffel(ginv, T).transpose(3, 0, 1, 2).copy()
-    return gamma[0] if data.g_inv.ndim == 2 else gamma
 
 
 def _lowered(dg: np.ndarray) -> np.ndarray:
@@ -221,10 +194,15 @@ class CurvatureAtPoint(_Record):
 
 
 def curvature_from(data: MetricAtPoint) -> CurvatureAtPoint:
-    g_inv, dg, d2g = _stack(data)
+    # One point is a stack of one.
+    g_inv, dg, d2g = data.g_inv, data.dg, data.d2g
+    if g_inv.ndim == 2:
+        g_inv, dg, d2g = g_inv[None], dg[None], d2g[None]
     p, n = g_inv.shape[:2]
     ginv, dg, T = _front(g_inv, dg)
-    gamma = _christoffel(ginv, T)
+    # gamma[k, i, j, P] = 1/2 g^{kl} T_ijl
+    gamma = _dot("ijhc...,khc...->kijc...", _lanes(T, n), _lanes(ginv, n))
+    gamma *= 0.5
     # d_i g^{lm} = -g^{la} (d_i g_ab) g^{bm}
     dginv = _summand((n, n), n, p)
     dginv_n = dginv[:, :, :n]
@@ -273,22 +251,17 @@ class GridCurvature(_Record):
     __slots__ = ("g", "g_inv", "gamma", "ricci", "scalar")
 
 
-def curvature_over(metric: MetricField, points: np.ndarray, *,
-                   distinct: bool = False) -> GridCurvature:
+def curvature_over(metric: MetricField, points: np.ndarray) -> GridCurvature:
     """metric_at -> curvature_from once per distinct metric point of a
     (P, n) float64 stack; every point gets the results of its group.
 
     Two points are one metric point when the coordinates the metric
     reads (MetricField.read_axes) have the same float64 bits, as in the
-    jet walk's keys (grids.distinct_points).  A caller whose points are
-    already one per distinct value of those coordinates, or of more,
-    says so with ``distinct``, and they are not grouped again.  Each
-    row goes through the arithmetic it would meet in the full stack, so
-    the results have the same bits.  An error names its point and
-    carries its stack index.
+    jet walk's keys (grids.distinct_points).  Each row goes through the
+    arithmetic it would meet in the full stack, so the results have the
+    same bits.  An error names its point and carries its stack index.
     """
-    groups = (DistinctPoints(points, np.arange(len(points)), None) if distinct
-              else distinct_points(points, metric.read_axes))
+    groups = distinct_points(points, metric.read_axes)
     curv = groups.run(lambda q: curvature_from(metric_at(metric, q)))
     data = curv.metric_data
     return GridCurvature(*map(groups.gather, (data.g, data.g_inv, curv.gamma,
@@ -305,4 +278,5 @@ def covariant_hessian_from(gradient: np.ndarray, hessian: np.ndarray,
 def covariant_hessian(field: ScalarField, data: MetricAtPoint) -> np.ndarray:
     """Hess(f)_ij = d_i d_j f - Gamma^k_ij d_k f at the evaluated point."""
     jet = eval_jet2(field, data.point)
-    return covariant_hessian_from(jet.gradient, jet.hessian, christoffel(data))
+    return covariant_hessian_from(jet.gradient, jet.hessian,
+                                  curvature_from(data).gamma)

@@ -8,28 +8,24 @@ Supported families over fixed charts:
   * 3d null-parallel     2 dt dy + dx^2 + q(t,x,y) dy^2     chart (t, x, y)
   * 4d null-parallel     2 dx dz + 2 dy dt + w(t) dt^2      chart (x, y, z, t)
 
-For each family this module provides the metric assembly, the reduced
-equation system its soliton condition induces, closed-form hessian and
-laplacian tables evaluated straight from jets (cross-checks for the
-generic curvature pipeline), and the explicit potential constructions.
+For each family this module provides the metric assembly and the
+explicit potential constructions, and for the cosmological family the
+reduced equation system its soliton condition induces (grw_samples).
 The two quadrature-backed potentials are expression trees over one
 running integral (expressions.Integral), whose derivative is its
 integrand, so their jets need no hand-written slopes.  For general
 warped products it checks the base/fiber conditions a coupled soliton
 imposes.
 
-The reduced systems, the warped-product conditions and the laplacian
-report read their geometry from the one pass, soliton.point_geometry,
-or from its halves, curvature_over and soliton.field_geometry, where
-two fields share a metric or only the curvature is wanted; the
-closed-form tables read jets only, so they stay independent of it.
+The GRW system and the warped-product conditions read their geometry
+from the one pass, soliton.point_geometry, or from curvature_over
+where only the curvature is wanted.
 
 Two construction formulas circulate in slightly different forms; both
 variants are implemented.  The default is the one that satisfies the
 family's own equation system (derivative-corrected); the other is kept
 behind ``paper_literal=True`` so its nonzero residuals can be
-demonstrated rather than silently patched.  The same flag selects the
-literal 3d hessian yy-row, which drops two correction terms.
+demonstrated rather than silently patched.
 """
 
 from __future__ import annotations
@@ -65,7 +61,6 @@ from .metrics import MetricField
 from .quadrature import _simpson_batch
 from .soliton import (
     SolitonData,
-    field_geometry,
     point_geometry,
     theta_substitution,
 )
@@ -83,19 +78,12 @@ __all__ = [
     "grw_samples",
     "grw_system_residual",
     "grw_lambda_map",
-    "static_system_residual",
     "WarpedConditions",
     "warped_conditions_check",
     "walker3_metric",
-    "walker3_closed_forms",
-    "walker3_pde_residual",
     "walker3_construct",
     "walker4_metric",
-    "walker4_closed_forms",
-    "walker4_pde_residual",
     "walker4_construct",
-    "LaplacianReport",
-    "laplacian_report",
 ]
 
 QUADRATURE_TOL = 1e-10  # of each adaptive quadrature behind a potential
@@ -440,46 +428,6 @@ def grw_lambda_map(spec: GRWSpec, potential: ScalarField, t: float,
 
 
 # =====================================================================
-# Static family: equation system
-# =====================================================================
-
-def static_system_residual(spec: StaticSpec, potential: ScalarField,
-                           lam: float, fiber_point: Sequence[float],
-                           ) -> tuple[float, np.ndarray, float]:
-    """Residuals of the reduced static system at a fiber point.
-
-        r1 = g_F(grad phi, grad lapse) - (scal - lam) lapse
-        r2 = Hess_F(phi) - (scal - lam) g_F
-        r3 = Lap_F(phi) - (s / lapse) g_F(grad phi, grad lapse)
-
-    The potential lives on the fiber chart.  Everything is read from
-    one curvature pass over the fiber point and the field halves of the
-    potential and the lapse on it; the static scalar curvature is
-    scal_F - 2 Lap_F(lapse) / lapse (O'Neill, Semi-Riemannian Geometry,
-    7.43, with a one-dimensional time fiber).
-    """
-    p = np.asarray(fiber_point, dtype=float)
-    lapse_value = spec.lapse(p)
-    if lapse_value <= 0.0:
-        raise NonPositiveWarpingError(
-            f"lapse is not positive at {p.tolist()}"
-        )
-    if potential.chart != spec.fiber.chart:
-        raise ValueError("potential must live on the fiber chart")
-    pts = p[None, :]
-    curv = curvature_over(spec.fiber, pts)
-    phi = field_geometry(curv, potential, pts)
-    lapse = field_geometry(curv, spec.lapse, pts)
-    scal = float(phi.scal[0] - 2.0 * lapse.lap[0] / lapse_value)
-    pairing = float(np.einsum("ij,i,j->", phi.g_inv[0], phi.dphi[0], lapse.dphi[0]))
-    s = spec.fiber.dimension
-    r1 = pairing - (scal - lam) * lapse_value
-    r2 = phi.hess[0] - (scal - lam) * phi.g[0]
-    r3 = float(phi.lap[0]) - (s / lapse_value) * pairing
-    return r1, r2, r3
-
-
-# =====================================================================
 # 3d family
 # =====================================================================
 
@@ -494,64 +442,6 @@ def walker3_metric(spec: Walker3Spec) -> MetricField:
         [one, zero, q],
     ]
     return MetricField.from_rows(WALKER3_CHART, rows, "-++")
-
-
-def walker3_closed_forms(spec: Walker3Spec, f: ScalarField,
-                         point: Sequence[float],
-                         paper_literal: bool = False,
-                         ) -> tuple[np.ndarray, float]:
-    """Closed-form covariant hessian and laplacian of f, from jets only.
-
-    Index order (t, x, y).  The default yy entry carries the full
-    connection terms; ``paper_literal=True`` selects a variant that
-    drops -1/2 q_y f_t and +1/2 q_x f_x from it.
-    """
-    jf = eval_jet2(f, point)
-    jq = eval_jet2(spec.phi_metric, point)
-    q = jq.value
-    q_t, q_x, q_y = jq.gradient
-    f_t, f_x, f_y = jf.gradient
-    H = jf.hessian
-    hess = np.empty((3, 3))
-    hess[0, 0] = H[0, 0]
-    hess[0, 1] = hess[1, 0] = H[0, 1]
-    hess[0, 2] = hess[2, 0] = H[0, 2] - 0.5 * q_t * f_t
-    hess[1, 1] = H[1, 1]
-    hess[1, 2] = hess[2, 1] = H[1, 2] - 0.5 * q_x * f_t
-    if paper_literal:
-        hess[2, 2] = H[2, 2] - 0.5 * q * q_t * f_t + 0.5 * q_t * f_y
-    else:
-        hess[2, 2] = (
-            H[2, 2]
-            - 0.5 * (q * q_t + q_y) * f_t
-            + 0.5 * q_x * f_x
-            + 0.5 * q_t * f_y
-        )
-    lap = -q * H[0, 0] + 2.0 * H[0, 2] - q_t * f_t + H[1, 1]
-    return hess, lap
-
-
-def walker3_pde_residual(spec: Walker3Spec, f: ScalarField,
-                         point: Sequence[float]) -> np.ndarray:
-    """The five reduced scalar equations of the 3d family, evaluated
-    as residuals in a fixed order: the parts of Hess(f) = (scal - lam) g
-    free of lam, Hess_tt, Hess_tx, Hess_xy, Hess_xx - Hess_ty and
-    Hess_yy - q Hess_xx, each covariant entry as walker3_closed_forms
-    gives it."""
-    jf = eval_jet2(f, point)
-    jq = eval_jet2(spec.phi_metric, point)
-    q = jq.value
-    q_t, q_x, q_y = jq.gradient
-    f_t, f_x, f_y = jf.gradient
-    H = jf.hessian
-    return np.array([
-        H[0, 0],
-        H[0, 1],
-        H[1, 2] - 0.5 * q_x * f_t,
-        H[1, 1] - H[0, 2] + 0.5 * q_t * f_t,
-        H[2, 2] - q * H[1, 1] - 0.5 * (q * q_t + q_y) * f_t
-        + 0.5 * q_x * f_x + 0.5 * q_t * f_y,
-    ])
 
 
 def walker3_construct(construction: Walker3Construction,
@@ -612,50 +502,6 @@ def walker4_metric(spec: Walker4Spec) -> MetricField:
     return MetricField.from_rows(WALKER4_CHART, rows, "--++")
 
 
-def walker4_closed_forms(spec: Walker4Spec, f: ScalarField,
-                         point: Sequence[float],
-                         ) -> tuple[np.ndarray, float]:
-    """Closed-form covariant hessian and laplacian of f, from jets only.
-
-    Index order (x, y, z, t); the only connection correction sits in
-    the tt entry.
-    """
-    jf = eval_jet2(f, point)
-    jw = eval_jet2(spec.warping, (point[3],))
-    w = jw.value
-    w_t = float(jw.gradient[0])
-    hess = jf.hessian.copy()
-    hess[3, 3] = hess[3, 3] - 0.5 * w_t * jf.gradient[1]
-    lap = 2.0 * jf.hessian[0, 2] - w * jf.hessian[1, 1] + 2.0 * jf.hessian[1, 3]
-    return hess, lap
-
-
-def walker4_pde_residual(spec: Walker4Spec, f: ScalarField,
-                         point: Sequence[float]) -> np.ndarray:
-    """The ten reduced equations of the 4d family, in a fixed order:
-    seven vanishing second partials, the two quarter-laplacian
-    couplings, and the tt balance with its warping term."""
-    jf = eval_jet2(f, point)
-    jw = eval_jet2(spec.warping, (point[3],))
-    w = jw.value
-    w_t = float(jw.gradient[0])
-    H = jf.hessian
-    lap = 2.0 * H[0, 2] - w * H[1, 1] + 2.0 * H[1, 3]
-    quarter = 0.25 * lap
-    return np.array([
-        H[0, 0],
-        H[0, 1],
-        H[1, 1],
-        H[1, 2],
-        H[2, 2],
-        H[0, 3],
-        H[2, 3],
-        H[0, 2] - quarter,
-        H[1, 3] - quarter,
-        H[3, 3] - 0.5 * w_t * jf.gradient[1] - w * quarter,
-    ])
-
-
 def walker4_construct(spec: Walker4Spec,
                       paper_literal: bool = False) -> ScalarField:
     """Potential of the explicit 4d structure.
@@ -695,26 +541,6 @@ def walker4_construct(spec: Walker4Spec,
         tpart,
     )
     return ScalarField(WALKER4_CHART, root)
-
-
-# =====================================================================
-# Laplacian constancy report
-# =====================================================================
-
-class LaplacianReport(_Record):
-    """Laplacian samples, (P,), their mean and their largest |deviation|
-    from it, both floats.  Frozen; equal only to itself."""
-
-    __slots__ = ("values", "mean", "max_deviation")
-
-
-def laplacian_report(metric: MetricField, f: ScalarField,
-                     points: Sequence[Sequence[float]]) -> LaplacianReport:
-    """Laplacian of f sampled over points, with the spread about the
-    mean; the explicit constructions make it constant."""
-    values = point_geometry(metric, f, points).lap
-    mean = float(values.mean())
-    return LaplacianReport(values, mean, float(np.max(np.abs(values - mean))))
 
 
 # =====================================================================

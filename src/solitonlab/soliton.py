@@ -19,11 +19,11 @@ and, with no soliton assumption at all, the two hessians satisfy
 
 theta_check exposes both facts as residual matrices.  The module also
 provides lambda inference from the traced equation, classification and
-residual summaries over point sets.  All of them, and every reduced
-system in ``families``, read the one geometry pass, point_geometry,
-which computes the metric and its curvature once per distinct metric
-point (curvature_over) and the potential's gradient, covariant hessian
-and laplacian once per point it is given (field_geometry).  Checks of
+residual summaries over point sets.  All of them, and the checks in
+``families``, read the one geometry pass, point_geometry, which
+computes the metric and its curvature once per distinct metric point
+(curvature_over) and the potential's gradient, covariant hessian and
+laplacian once per point it is given (field_geometry).  Checks of
 several fields on one metric run curvature_over once and
 field_geometry per field.
 """
@@ -125,23 +125,20 @@ def field_geometry(curv: GridCurvature, potential: ScalarField,
 
 
 def point_geometry(metric: MetricField, potential: ScalarField,
-                   points: Sequence[Sequence[float]], *,
-                   distinct: bool = False) -> PointGeometry:
+                   points: Sequence[Sequence[float]]) -> PointGeometry:
     """metric_at -> curvature_from once per distinct metric point of the
     stack (curvature_over), then field_geometry over all the points.
     The results have the bits of a pass without that sharing, so a
     caller may pass one point per distinct point of the coordinates
     the metric and the potential read, as the command line does
-    (grids.distinct_points), and hand each result to its group.  Where
-    those are all the coordinates the metric reads, each point is its
-    own metric point, and the caller says so with ``distinct`` (see
-    curvature_over).  An error names the first bad point in grid
-    order, whichever stage finds it."""
+    (grids.distinct_points), and hand each result to its group.  An
+    error names the first bad point in grid order, whichever stage
+    finds it."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 0:
         raise ValueError("the geometry pass needs at least one point")
     return in_grid_order(lambda q: field_geometry(
-        curvature_over(metric, q, distinct=distinct), potential, q), pts)
+        curvature_over(metric, q), potential, q), pts)
 
 
 # ---------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Shared test helpers.
 
 Two independent oracles live here so the library's own derivative and
-curvature pipelines are never asked to confirm themselves:
+curvature pipelines are never asked to confirm themselves (the
+finite-difference jet and the walker closed-form tables are in
+jet_oracles.py):
 
   * random_field draws expression trees from a seeded generator and
     rejects any draw whose jets are undefined or wildly scaled on the
@@ -11,6 +13,10 @@ curvature pipelines are never asked to confirm themselves:
     scalar curvature from plain finite differences of metric values,
     with explicit index loops.  It never touches the jet evaluator or
     the einsum pipeline.
+
+static_system_residual is the static family's reduced system on the
+library's own curvature pass, checked against the tensor residual and
+against sympy.
 
 count_calls records the positional arguments of every call of one
 library function for the call-count tests, and count_scalar_evaluations
@@ -25,13 +31,15 @@ import sys
 import numpy as np
 
 from solitonlab import (
-    DomainError,
+    NonPositiveWarpingError,
     SolitonLabError,
     eval_jet2,
     expressions,
     families,
     parse_expression,
 )
+from solitonlab.curvature import curvature_over
+from solitonlab.soliton import field_geometry
 
 FUNCTIONS = ("exp", "sin", "cos")
 
@@ -188,6 +196,32 @@ def fd_curvature(metric, point, h=1e-5):
         for k in range(n):
             scalar += g_inv[j, k] * ricci[j, k]
     return gamma, riemann, ricci, scalar
+
+
+def static_system_residual(spec, potential, lam, fiber_point):
+    """The reduced static system at a fiber point, for a potential on
+    the fiber chart: r1 = g_F(grad phi, grad lapse) - (scal - lam) lapse,
+    r2 = Hess_F(phi) - (scal - lam) g_F and r3 = Lap_F(phi)
+    - (s / lapse) g_F(grad phi, grad lapse), from one curvature pass
+    over the fiber point, with scal = scal_F - 2 Lap_F(lapse) / lapse
+    (O'Neill, Semi-Riemannian Geometry, 7.43)."""
+    p = np.asarray(fiber_point, dtype=float)
+    lapse_value = spec.lapse(p)
+    if lapse_value <= 0.0:
+        raise NonPositiveWarpingError(f"lapse is not positive at {p.tolist()}")
+    if potential.chart != spec.fiber.chart:
+        raise ValueError("potential must live on the fiber chart")
+    pts = p[None, :]
+    curv = curvature_over(spec.fiber, pts)
+    phi = field_geometry(curv, potential, pts)
+    lapse = field_geometry(curv, spec.lapse, pts)
+    scal = float(phi.scal[0] - 2.0 * lapse.lap[0] / lapse_value)
+    pairing = float(np.einsum("ij,i,j->", phi.g_inv[0], phi.dphi[0], lapse.dphi[0]))
+    s = spec.fiber.dimension
+    r1 = pairing - (scal - lam) * lapse_value
+    r2 = phi.hess[0] - (scal - lam) * phi.g[0]
+    r3 = float(phi.lap[0]) - (s / lapse_value) * pairing
+    return r1, r2, r3
 
 
 def elementwise(fn):

@@ -8,20 +8,16 @@ under test except the quantities being checked.
 """
 
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from solitonlab import (
     SolitonData,
     constant_field,
     coordinate_field,
     curvature_at,
-    eval_jet2,
     exp as field_exp,
-    finite_diff_jet2,
     flat_metric,
     infer_lambda,
     metric_at,
@@ -42,17 +38,15 @@ from solitonlab.families import (
     assemble_warped_metric,
     grw_potential_field,
     grw_system_residual,
-    laplacian_report,
-    static_system_residual,
-    walker3_closed_forms,
     walker3_construct,
     walker3_metric,
-    walker4_closed_forms,
     walker4_construct,
     walker4_metric,
 )
 
-from conftest import random_field
+from conftest import random_field, static_system_residual
+from jet_oracles import (finite_diff_jet2, walker3_closed_forms,
+                         walker4_closed_forms)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -165,7 +159,7 @@ def test_criterion_4_3d_construction_certifies_and_literal_variant_fails(capsys)
     report = residual_report(
         metric, SolitonData(f, estimate.value), pts, tol=1e-9
     )
-    constancy = laplacian_report(metric, f, pts)
+    lap = point_geometry(metric, f, pts).lap
     f_lit, q_lit = walker3_construct(construction, paper_literal=True)
     metric_lit = walker3_metric(Walker3Spec(q_lit))
     report_lit = residual_report(
@@ -175,7 +169,7 @@ def test_criterion_4_3d_construction_certifies_and_literal_variant_fails(capsys)
     ok = (
         report.passed
         and estimate.spread <= 1e-9
-        and constancy.max_deviation <= 1e-9
+        and np.abs(lap - lap.mean()).max() <= 1e-9
         and report_lit.max_abs > 0.1
     )
     assert _verdict(
@@ -196,7 +190,7 @@ def test_criterion_5_4d_construction_certifies_and_literal_variant_fails(capsys)
     report = residual_report(
         metric, SolitonData(f, estimate.value), pts, tol=1e-9
     )
-    constancy = laplacian_report(metric, f, pts)
+    lap = point_geometry(metric, f, pts).lap
 
     degenerate = Walker4Spec(
         parse_expression("1 + 0.5*sin(t)", ("t",)), 0.0, 2.0, 0.7, 0.3, 0.0
@@ -207,7 +201,7 @@ def test_criterion_5_4d_construction_certifies_and_literal_variant_fails(capsys)
     report0 = residual_report(
         metric0, SolitonData(f0, estimate0.value), pts, tol=1e-9
     )
-    constancy0 = laplacian_report(metric0, f0, pts)
+    lap0 = point_geometry(metric0, f0, pts).lap
 
     f_lit = walker4_construct(spec, paper_literal=True)
     report_lit = residual_report(
@@ -215,19 +209,19 @@ def test_criterion_5_4d_construction_certifies_and_literal_variant_fails(capsys)
     )
     ok = (
         report.passed
-        and abs(constancy.mean - 4.0) <= 1e-9
-        and constancy.max_deviation <= 1e-9
+        and abs(lap.mean() - 4.0) <= 1e-9
+        and np.abs(lap - lap.mean()).max() <= 1e-9
         and abs(estimate.value + 1.0) <= 1e-9
         and report0.passed
-        and abs(constancy0.mean) <= 1e-9
+        and abs(lap0.mean()) <= 1e-9
         and abs(estimate0.value) <= 1e-9
         and report_lit.max_abs > 0.1
     )
     assert _verdict(
         capsys, 5, "4d construction certifies, literal form does not", ok
     ), (
-        f"laplacian {constancy.mean!r}, residual {report.max_abs:.3e}, "
-        f"degenerate laplacian {constancy0.mean!r}, "
+        f"laplacian {lap.mean()!r}, residual {report.max_abs:.3e}, "
+        f"degenerate laplacian {lap0.mean()!r}, "
         f"literal residual {report_lit.max_abs:.3e}"
     )
 

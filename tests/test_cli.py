@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from solitonlab.cli import CONSTANT_KEYS, main
+from solitonlab.cli import CONSTANT_KEYS, DEFAULT_TOLERANCE, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 USAGE_TEXTS = Path(__file__).resolve().parent / "cli_usage_texts.json"
@@ -676,3 +676,30 @@ def test_custom_metric_errors_name_their_top_level_key(payload, message,
     code, _, stderr = run(capsys, "curvature", path)
     assert code == 2
     assert stderr == f"config error: {message}\n"
+
+
+# -dt^2 + t^2 delta and phi = 6 ln t, t in [1, 2], no soliton (with
+# lambda = 0 its residual is 12), in the chart t = 1e-5 u, x = 1e-5 X
+# (so for y, z): every tensor entry is below the tolerance, and only the
+# spread of the pointwise lambda samples fails the check.
+SPREAD_ONLY = {
+    "family": "custom", "chart": ["u", "X", "Y", "Z"],
+    "metric": [["-1e-10", "0", "0", "0"], ["0", "1e-20*u^2", "0", "0"],
+               ["0", "0", "1e-20*u^2", "0"], ["0", "0", "0", "1e-20*u^2"]],
+    "signature": "-+++", "potential": "6*ln(1e-5*u)",
+    "grid": {"u": [1e5, 2e5, 5], "X": [-1, 1, 3], "Y": [-1, 1, 3],
+             "Z": [-1, 1, 3]},
+}
+
+
+@pytest.mark.parametrize("constants", [{}, {"lambda": 0.0}],
+                         ids=["inferred", "given"])
+def test_a_lambda_spread_alone_fails_the_verdict(tmp_path, capsys, constants):
+    path = write_config(tmp_path, {**SPREAD_ONLY, "constants": constants})
+    code, stdout, stderr = run(capsys, "verify", path, "--out",
+                               str(tmp_path / "spread.csv"))
+    assert code == 1
+    assert stdout.startswith("FAIL max_residual=")
+    residual = float(stdout.split("=")[1].split()[0])
+    assert 0.0 < residual < DEFAULT_TOLERANCE
+    assert stderr == ""

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from solitonlab import christoffel, curvature_from, metric_at, point_geometry
+from solitonlab import curvature_from, metric_at, point_geometry
 from solitonlab.curvature import CurvatureAtPoint, curvature_over
 from solitonlab.expressions import parse_expression
 from solitonlab.families import GRWSpec, assemble_warped_metric
@@ -137,7 +137,6 @@ def test_the_contracted_pass_keeps_the_full_tensor_bits(data):
                       (curv.scalar, scalar), (curv.riemann, riemann)]:
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
     assert type(curv.scalar) is type(scalar)
-    assert christoffel(data).tobytes() == gamma.tobytes()
     # Later sums (the scalar curvature, the covariant hessian) follow
     # the memory layout of Ricci and gamma.
     assert curv.ricci.strides == ricci.strides

@@ -352,16 +352,19 @@ def test_a_large_grid_walks_the_potential_once_per_distinct_point(
 
 @pytest.mark.parametrize("config, groupings", [
     # The metric reads t, every axis the potential reads: the check's
-    # one grouping is the metric's too.
-    ("grw_gqy_verify", [[0]]),
+    # groups are one per metric point already, and the metric's
+    # grouping of them joins none.
+    ("grw_gqy_verify", [([0], True), ([0], False)]),
     # The metric reads x2 and the potential x1: the metric's groups of
     # the check's groups join points that differ in x1.
-    ("static_verify", [[1, 2], [2]]),
+    ("static_verify", [([1, 2], True), ([2], True)]),
 ])
 def test_a_check_groups_by_the_metric_only_where_a_field_reads_more(
         tmp_path, monkeypatch, capsys, config, groupings):
+    # Each grouping's axes, and whether it joins any points.
     calls = count_calls(monkeypatch, "grids", "distinct_points")
     code = main(["verify", str(CONFIGS / f"{config}.json"),
                  "--out", str(tmp_path / "report.csv")])
     assert code == 0
-    assert [list(axes) for _, axes in calls] == groupings
+    assert [(list(axes), distinct_points(points, axes).of is not None)
+            for points, axes in calls] == groupings

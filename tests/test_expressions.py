@@ -15,14 +15,11 @@ from solitonlab import (
     constant_field,
     coordinate_field,
     exp,
-    format_expression,
-    ln,
     parse_expression,
-    sin,
-    sqrt,
 )
 
-from solitonlab.expressions import Const, Integral, Mul, Var, differentiate
+from solitonlab.expressions import (Const, Integral, Mul, Var, differentiate,
+                                    format_expression, ln, sin, sqrt)
 
 from conftest import random_expression
 

@@ -1,11 +1,11 @@
 """Metric families: assembly, reduced systems, closed forms and the
 explicit constructions.
 
-The closed-form hessian and laplacian tables are cross-validated
-against the generic covariant pipeline, which computes Christoffel
-symbols from metric jets and knows nothing about the families.  The
-quadrature-backed potentials are checked against hand-integrable
-warpings.
+The closed-form hessian and laplacian tables of tests/jet_oracles.py
+are cross-validated against the generic covariant pipeline, which
+computes Christoffel symbols from metric jets and knows nothing about
+the families.  The quadrature-backed potentials are checked against
+hand-integrable warpings.
 """
 
 import numpy as np
@@ -18,14 +18,13 @@ from solitonlab import (
     NonPositiveWarpingError,
     SolitonData,
     adaptive_simpson,
-    christoffel,
     constant_field,
     coordinate_field,
     covariant_hessian,
     curvature_at,
+    curvature_from,
     eval_jet2,
     exp as field_exp,
-    finite_diff_jet2,
     flat_metric,
     infer_lambda,
     metric_at,
@@ -48,20 +47,17 @@ from solitonlab.families import (
     grw_lambda_map,
     grw_potential_field,
     grw_system_residual,
-    laplacian_report,
-    static_system_residual,
-    walker3_closed_forms,
     walker3_construct,
     walker3_metric,
-    walker3_pde_residual,
-    walker4_closed_forms,
     walker4_construct,
     walker4_metric,
-    walker4_pde_residual,
     warped_conditions_check,
 )
 
-from conftest import count_calls, random_field
+from conftest import count_calls, random_field, static_system_residual
+from jet_oracles import (finite_diff_jet2, walker3_closed_forms,
+                         walker3_pde_residual, walker4_closed_forms,
+                         walker4_pde_residual)
 
 
 # ---------------------------------------------------------------
@@ -418,9 +414,9 @@ def test_walker3_construction_certifies():
     assert abs(estimate.value) < 1e-12
     assert estimate.spread < 1e-12
     assert np.abs(walker3_pde_residual(Walker3Spec(q), f, pts[0])).max() < 1e-12
-    constancy = laplacian_report(metric, f, pts)
-    assert abs(constancy.mean) < 1e-12
-    assert constancy.max_deviation < 1e-12
+    lap = point_geometry(metric, f, pts).lap
+    assert abs(lap.mean()) < 1e-12
+    assert np.abs(lap - lap.mean()).max() < 1e-12
 
 
 def test_walker3_construction_with_free_term():
@@ -435,8 +431,8 @@ def test_walker3_construction_with_free_term():
     pts = rng.uniform(-1.0, 1.0, (10, 3))
     report = residual_report(metric, SolitonData(f, 0.0), pts, tol=1e-9)
     assert report.passed
-    constancy = laplacian_report(metric, f, pts)
-    assert constancy.max_deviation < 1e-10
+    lap = point_geometry(metric, f, pts).lap
+    assert np.abs(lap - lap.mean()).max() < 1e-10
 
 
 def test_walker3_free_term_is_free_only_where_kappa_zeta_x_vanishes():
@@ -534,9 +530,9 @@ def test_walker4_construction_certifies():
     estimate = infer_lambda(metric, f, pts)
     assert abs(estimate.value + 1.0) < 1e-12
     assert estimate.spread < 1e-12
-    constancy = laplacian_report(metric, f, pts)
-    assert abs(constancy.mean - 4.0) < 1e-12
-    assert constancy.max_deviation < 1e-12
+    lap = point_geometry(metric, f, pts).lap
+    assert abs(lap.mean() - 4.0) < 1e-12
+    assert np.abs(lap - lap.mean()).max() < 1e-12
     assert np.abs(walker4_pde_residual(spec, f, pts[0])).max() < 1e-12
     # unit warping, all constants one: the profile, f at x = y = z = 0,
     # is t^2/2 + t/2
@@ -555,8 +551,8 @@ def test_walker4_degenerate_constant_gives_a_steady_structure():
     pts = rng.uniform(-1.0, 1.0, (8, 4))
     report = residual_report(metric, SolitonData(f, 0.0), pts, tol=1e-9)
     assert report.passed
-    constancy = laplacian_report(metric, f, pts)
-    assert abs(constancy.mean) < 1e-12
+    lap = point_geometry(metric, f, pts).lap
+    assert abs(lap.mean()) < 1e-12
     # profile reduces to (c1/2) * running integral of the warping
     assert abs(f((0.0, 0.0, 0.0, 0.8)) - 0.8) < 1e-9
 
@@ -575,8 +571,8 @@ def test_walker4_construction_with_nonconstant_warping():
     )
     assert report.passed
     assert estimate.spread < 1e-10
-    constancy = laplacian_report(metric, f, pts)
-    assert abs(constancy.mean - 4.0) < 1e-10
+    lap = point_geometry(metric, f, pts).lap
+    assert abs(lap.mean() - 4.0) < 1e-10
 
 
 def test_walker4_literal_construction_fails_its_own_system():
@@ -608,15 +604,15 @@ def test_walker4_profile_holds_far_from_any_grid():
         assert abs(f((0.0, 0.0, 0.0, t)) - (t * t / 2 + t / 2)) < 1e-12 * t * t
 
 
-def test_laplacian_report_flags_non_constant_laplacians():
+def test_the_laplacian_samples_flag_a_non_constant_laplacian():
     metric = flat_metric(("x", "y"))
     f = parse_expression("x^3", ("x", "y"))
-    report = laplacian_report(metric, f, [(0.0, 0.0), (1.0, 0.0)])
-    assert report.max_deviation > 1.0
+    lap = point_geometry(metric, f, [(0.0, 0.0), (1.0, 0.0)]).lap
+    assert np.abs(lap - lap.mean()).max() > 1.0
     g = parse_expression("x^2 + y^2", ("x", "y"))
-    report2 = laplacian_report(metric, g, [(0.0, 0.0), (1.0, 2.0)])
-    assert abs(report2.mean - 4.0) < 1e-12
-    assert report2.max_deviation < 1e-12
+    lap2 = point_geometry(metric, g, [(0.0, 0.0), (1.0, 2.0)]).lap
+    assert abs(lap2.mean() - 4.0) < 1e-12
+    assert np.abs(lap2 - lap2.mean()).max() < 1e-12
 
 
 # ---------------------------------------------------------------
@@ -649,7 +645,7 @@ def test_warped_conditions_on_a_curved_base_match_a_base_chart_reference():
         full = np.concatenate([x, fiber_pts[0]])
         scal = curvature_at(metric, full).scalar
         base_data = metric_at(base, x)
-        gamma_b = christoffel(base_data)
+        gamma_b = curvature_from(base_data).gamma
         assert np.abs(gamma_b).max() > 0.05
         jet_th = eval_jet2(theta, full)
         hess_th = covariant_hessian_from(jet_th.gradient[:2],

@@ -9,10 +9,10 @@ from solitonlab import (
     SingularMetricError,
     flat_metric,
     metric_at,
-    parse_signature,
     sphere_metric,
 )
 from solitonlab.families import Walker3Spec, walker3_metric
+from solitonlab.metrics import parse_signature
 from solitonlab.expressions import parse_expression
 
 from conftest import metric_values

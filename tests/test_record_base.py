@@ -19,7 +19,6 @@ from solitonlab.errors import _Record, _ValueRecord
 from solitonlab.expressions import ScalarField
 from solitonlab.families import (
     GRWSpec,
-    LaplacianReport,
     StaticSpec,
     Walker3Construction,
     Walker3Spec,
@@ -41,7 +40,7 @@ COMPARED = [WarpedProductSpec, GRWSpec, StaticSpec, Walker3Spec,
             SolitonData]
 BY_IDENTITY = [Jet2, MetricAtPoint, CurvatureAtPoint, GridCurvature,
                PointGeometry, ThetaCheck, LambdaEstimate, ResidualReport,
-               LaplacianReport, WarpedConditions]
+               WarpedConditions]
 RECORDS = COMPARED + BY_IDENTITY
 DUNDERS = ("__setattr__", "__delattr__", "__repr__", "__eq__", "__hash__")
 

@@ -19,7 +19,6 @@ from solitonlab.curvature import CurvatureAtPoint, GridCurvature
 from solitonlab.expressions import ScalarField, Var, constant_field, parse_expression
 from solitonlab.families import (
     GRWSpec,
-    LaplacianReport,
     StaticSpec,
     Walker3Construction,
     Walker3Spec,
@@ -92,8 +91,6 @@ BY_IDENTITY = [
     (ResidualReport, ("points", "residual_grids", "per_point", "max_abs",
                       "mean_abs", "passed", "worst_point"),
      (*_arrays((3, 2), (3, 2, 2), (3,)), 2.0, 1.0, False, *_arrays((2,)))),
-    (LaplacianReport, ("values", "mean", "max_deviation"),
-     (*_arrays((3,)), 1.0, 1.0)),
     (WarpedConditions, ("fiber_dependence", "pairing_gap", "base_hessian_gap",
                         "fiber_scalar_spread", "pairing_min_abs"),
      (0.0, 1e-12, 2e-12, 0.0, 0.3)),

@@ -28,15 +28,13 @@ from solitonlab.families import (
     Walker4Spec,
     WarpedProductSpec,
     assemble_warped_metric,
-    static_system_residual,
     walker3_metric,
-    walker3_pde_residual,
     walker4_metric,
-    walker4_pde_residual,
     warped_conditions_check,
 )
 
-from conftest import random_field, random_metric_rows
+from conftest import random_field, random_metric_rows, static_system_residual
+from jet_oracles import walker3_pde_residual, walker4_pde_residual
 
 INSTANCES = 6
 

@@ -31,20 +31,19 @@ from solitonlab import (
     flat_metric,
     gqy_residual,
     infer_lambda,
-    ln as field_ln,
     parse_expression,
     point_geometry,
     residual_report,
     sphere_metric,
-    static_system_residual,
     theta_check,
     theta_substitution,
     warped_conditions_check,
 )
 
 from solitonlab.curvature import curvature_over
+from solitonlab.expressions import ln as field_ln
 
-from conftest import random_field, random_metric_rows
+from conftest import random_field, random_metric_rows, static_system_residual
 
 
 def _static_instance():

@@ -29,7 +29,6 @@ from solitonlab import (
     grw_potential_field,
     metric_at,
     parse_expression,
-    sin,
     sphere_metric,
     walker3_construct,
     walker3_metric,
@@ -37,6 +36,7 @@ from solitonlab import (
     walker4_metric,
 )
 from solitonlab.cli import main
+from solitonlab.expressions import sin
 from solitonlab.metrics import MetricField
 from solitonlab.soliton import point_geometry
 

@@ -40,10 +40,10 @@ from solitonlab.families import (
     Walker3Spec,
     Walker4Spec,
     grw_system_residual,
-    static_system_residual,
-    walker3_pde_residual,
-    walker4_pde_residual,
 )
+
+from conftest import static_system_residual
+from jet_oracles import walker3_pde_residual, walker4_pde_residual
 
 sympy = pytest.importorskip("sympy")
 mpmath = pytest.importorskip("mpmath")
