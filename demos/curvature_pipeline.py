@@ -25,8 +25,6 @@ import numpy as np
 from solitonlab import (
     GRWSpec,
     assemble_warped_metric,
-    coordinate_field,
-    cos,
     curvature_at,
     covariant_hessian,
     flat_metric,
@@ -50,7 +48,7 @@ print(f"  scalar curvature : {curv.scalar:.12f}   (expected {2.0 / radius**2})")
 print(f"  |Ricci - g/r^2|  : "
       f"{np.max(np.abs(curv.ricci - curv.metric_data.g / radius**2)):.3e}")
 
-height = cos(coordinate_field(sphere.chart, "u"))
+height = parse_expression("cos(u)", sphere.chart)
 lap = point_geometry(sphere, height, [point]).lap[0]
 print(f"  Laplacian of cos(u): {lap:.12f}   "
       f"(expected {-2.0 / radius**2 * np.cos(point[0]):.12f})")

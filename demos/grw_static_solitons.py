@@ -28,14 +28,13 @@ from solitonlab import (
     flat_metric,
     gqy_residual,
     grid_points,
-    grw_lambda_map,
     grw_potential_field,
-    grw_system_residual,
     infer_lambda,
     parse_expression,
     point_geometry,
     residual_report,
 )
+from solitonlab.families import grw_samples
 
 spec = GRWSpec(
     warping=parse_expression("t", ("t",)),
@@ -87,11 +86,12 @@ print()
 # component equations vanish with lam equal to that constant.
 # ----------------------------------------------------------------
 rising = grw_potential_field(spec, alpha=6.0, t0=1.0)
-lams = [grw_lambda_map(spec, rising, t) for t in np.linspace(1.0, 2.0, 9)]
+samples = grw_samples(spec, metric, rising, np.linspace(1.0, 2.0, 9))
+lams = samples.lambda_map()
 lam_hat = float(np.mean(lams))
 print(f"reduced system, alpha = +6: forced constant {lam_hat:.3e},"
-      f" spread {max(abs(v - lam_hat) for v in lams):.3e}")
-r1, r2, r3 = grw_system_residual(spec, rising, lam_hat, 1.5)
+      f" spread {np.max(np.abs(lams - lam_hat)):.3e}")
+r1, r2, r3 = grw_samples(spec, metric, rising, [1.5]).residual(lam_hat)[0]
 print(f"component residuals at t = 1.5: {r1:.3e}, {r2:.3e}, {r3:.3e}")
 print()
 
@@ -114,9 +114,9 @@ sreport = residual_report(smetric, SolitonData(sfull, sestimate.value),
                           spoints, tol=1e-8)
 print(f"static product: lam = {sestimate.value:.12f}"
       f" ({classify(sestimate.value)}), max residual {sreport.max_abs:.3e}")
-lapse = static.lapse
-closed = -2.0 * (lapse.diff("x1").diff("x1") + lapse.diff("x2").diff("x2"))
-gap = (point_geometry(smetric, sfull, spoints).scal
-       - (closed / lapse).at_points(spoints[:, 1:]))
+fiber_points = spoints[:, 1:]
+closed = (-2.0 * point_geometry(static.fiber, static.lapse, fiber_points).lap
+          / static.lapse.at_points(fiber_points))
+gap = point_geometry(smetric, sfull, spoints).scal - closed
 print(f"scalar curvature against -2 Lap_F(lapse) / lapse:"
       f" {np.max(np.abs(gap)):.3e}")

@@ -60,13 +60,18 @@ print(f"Laplacian mean {lap.mean():.3e},"
 # Check 3: the five component equations of the family free of lam
 # (Hess_tt, Hess_tx, Hess_xy, Hess_xx - Hess_ty, Hess_yy - q Hess_xx),
 # written from coordinate derivatives without any tensor machinery.
+def at(field):
+    return field.at_points(points)
+
+
 f_t, f_x, f_y = (f.diff(v) for v in metric.chart)
-q_t, q_x, q_y = (q.diff(v) for v in metric.chart)
-rows = np.array([e.at_points(points) for e in (
-    f_t.diff("t"), f_t.diff("x"), f_x.diff("y") - 0.5 * q_x * f_t,
-    f_x.diff("x") - f_t.diff("y") + 0.5 * q_t * f_t,
-    f_y.diff("y") - q * f_x.diff("x") - 0.5 * (q * q_t + q_y) * f_t
-    + 0.5 * q_x * f_x + 0.5 * q_t * f_y)])
+q_t, q_x, q_y = (at(q.diff(v)) for v in metric.chart)
+qv, ft, fx, fy = at(q), at(f_t), at(f_x), at(f_y)
+rows = np.array([
+    at(f_t.diff("t")), at(f_t.diff("x")), at(f_x.diff("y")) - 0.5 * q_x * ft,
+    at(f_x.diff("x")) - at(f_t.diff("y")) + 0.5 * q_t * ft,
+    at(f_y.diff("y")) - qv * at(f_x.diff("x")) - 0.5 * (qv * q_t + q_y) * ft
+    + 0.5 * q_x * fx + 0.5 * q_t * fy])
 print(f"family component equations, max |row|: {np.max(np.abs(rows)):.3e}")
 print()
 

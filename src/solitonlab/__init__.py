@@ -24,9 +24,6 @@ from .errors import (
 from .expressions import (
     ScalarField,
     constant_field,
-    coordinate_field,
-    cos,
-    exp,
     parse_expression,
 )
 from .families import (
@@ -38,9 +35,7 @@ from .families import (
     WarpedConditions,
     WarpedProductSpec,
     assemble_warped_metric,
-    grw_lambda_map,
     grw_potential_field,
-    grw_system_residual,
     walker3_construct,
     walker3_metric,
     walker4_construct,
@@ -60,13 +55,11 @@ from .soliton import (
     LambdaEstimate,
     ResidualReport,
     SolitonData,
-    ThetaCheck,
     classify,
     gqy_residual,
     infer_lambda,
     point_geometry,
     residual_report,
-    theta_check,
     theta_substitution,
 )
 
@@ -91,9 +84,6 @@ __all__ = [
     "UnknownVariableError",
     "ScalarField",
     "constant_field",
-    "coordinate_field",
-    "cos",
-    "exp",
     "parse_expression",
     "GRWSpec",
     "StaticSpec",
@@ -102,9 +92,7 @@ __all__ = [
     "Walker4Spec",
     "WarpedProductSpec",
     "assemble_warped_metric",
-    "grw_lambda_map",
     "grw_potential_field",
-    "grw_system_residual",
     "walker3_construct",
     "walker3_metric",
     "walker4_construct",
@@ -119,14 +107,12 @@ __all__ = [
     "LambdaEstimate",
     "ResidualReport",
     "SolitonData",
-    "ThetaCheck",
     "WarpedConditions",
     "classify",
     "gqy_residual",
     "infer_lambda",
     "point_geometry",
     "residual_report",
-    "theta_check",
     "theta_substitution",
     "warped_conditions_check",
     "__version__",

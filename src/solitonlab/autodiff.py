@@ -322,14 +322,13 @@ class _Walk:
         # Zeros, since a leaf writes only its nonzero entries: level 0
         # runs before any slot is freed, so its slots are fresh.
         self.jets = np.zeros((size, 1 + n + n * n, p))
-        self.failure: tuple[int, int, str, bool] | None = None
+        self.failure: tuple[int, int, str] | None = None
 
-    def fail(self, point: int, position: int, message: str,
-             located: bool = True) -> None:
-        """Record a check that fails first at ``point``.  A located
-        message is completed with the point's coordinates."""
+    def fail(self, point: int, position: int, message: str) -> None:
+        """Record a check that fails first at ``point``; its message is
+        completed with the point's coordinates."""
         if self.failure is None or (point, position) < self.failure[:2]:
-            self.failure = (point, position, message, located)
+            self.failure = (point, position, message)
 
     def check(self, bad: np.ndarray, entries: list[int], message: str) -> None:
         """Record the checks of ``entries`` that fail where ``bad``
@@ -578,10 +577,8 @@ def _walk_rows(fields: Sequence[ScalarField], points: np.ndarray) -> np.ndarray:
             walk.fail(int(finite[r].argmin()), 2 * ends[first_field[rows[r]]] - 1,
                       "jet evaluation produced a non-finite value")
     if walk.failure is not None:
-        point, _, message, located = walk.failure
-        if located:
-            raise DomainError(f"{message} at {points[point].tolist()}", index=point)
-        raise DomainError(message)
+        point, _, message = walk.failure
+        raise DomainError(f"{message} at {points[point].tolist()}", index=point)
     if len(rows) == len(roots):
         return jets
     row_of = {row: r for r, row in enumerate(rows)}

@@ -67,7 +67,7 @@ import sys
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -104,12 +104,6 @@ __all__ = [
     "parse_expression",
     "ScalarField",
     "constant_field",
-    "coordinate_field",
-    "exp",
-    "ln",
-    "sin",
-    "cos",
-    "sqrt",
     "FUNCTION_NAMES",
 ]
 
@@ -862,15 +856,13 @@ class _Parser:
 # Chart-aware scalar fields
 # =====================================================================
 
-FieldLike = Union["ScalarField", float, int, str]
-
-
 class ScalarField(_ValueRecord):
     """A scalar function of the chart coordinates.
 
     ``chart`` fixes the coordinate names and their order; evaluation
-    takes points as sequences in that order.  Arithmetic between fields
-    requires identical charts.  The field is compiled on its first
+    takes points as sequences in that order.  A field has no arithmetic
+    of its own: a formula is parsed (parse_expression), or built from
+    roots with the smart constructors.  The field is compiled on its first
     evaluation into a list of steps over arrays, which it keeps as
     ``compiled_arrays`` (see _compile).  ``at_points`` evaluates a
     stack of points in one call of it, and calling the field evaluates
@@ -927,51 +919,6 @@ class ScalarField(_ValueRecord):
             raise UnknownVariableError(var)
         return ScalarField(self.chart, differentiate(self.root, var))
 
-    # -- combination --------------------------------------------------
-
-    def _coerce(self, other: FieldLike) -> Node:
-        if isinstance(other, ScalarField):
-            if other.chart != self.chart:
-                raise ValueError(
-                    f"chart mismatch: {self.chart} vs {other.chart}"
-                )
-            return other.root
-        if isinstance(other, (int, float)):
-            return Const(float(other))
-        if isinstance(other, str):
-            return parse_expression(other, self.chart).root
-        raise TypeError(f"cannot combine ScalarField with {type(other).__name__}")
-
-    def __add__(self, other: FieldLike) -> "ScalarField":
-        return ScalarField(self.chart, add(self.root, self._coerce(other)))
-
-    def __radd__(self, other: FieldLike) -> "ScalarField":
-        return ScalarField(self.chart, add(self._coerce(other), self.root))
-
-    def __sub__(self, other: FieldLike) -> "ScalarField":
-        return ScalarField(self.chart, sub(self.root, self._coerce(other)))
-
-    def __rsub__(self, other: FieldLike) -> "ScalarField":
-        return ScalarField(self.chart, sub(self._coerce(other), self.root))
-
-    def __mul__(self, other: FieldLike) -> "ScalarField":
-        return ScalarField(self.chart, mul(self.root, self._coerce(other)))
-
-    def __rmul__(self, other: FieldLike) -> "ScalarField":
-        return ScalarField(self.chart, mul(self._coerce(other), self.root))
-
-    def __truediv__(self, other: FieldLike) -> "ScalarField":
-        return ScalarField(self.chart, div(self.root, self._coerce(other)))
-
-    def __rtruediv__(self, other: FieldLike) -> "ScalarField":
-        return ScalarField(self.chart, div(self._coerce(other), self.root))
-
-    def __pow__(self, exponent: float) -> "ScalarField":
-        return ScalarField(self.chart, pow_(self.root, float(exponent)))
-
-    def __neg__(self) -> "ScalarField":
-        return ScalarField(self.chart, neg(self.root))
-
     # -- misc ---------------------------------------------------------
 
     def with_chart(self, chart: Sequence[str]) -> "ScalarField":
@@ -999,31 +946,3 @@ def parse_expression(source: str, chart: Sequence[str]) -> ScalarField:
 
 def constant_field(chart: Sequence[str], value: float) -> ScalarField:
     return ScalarField(tuple(chart), Const(float(value)))
-
-
-def coordinate_field(chart: Sequence[str], name: str) -> ScalarField:
-    return ScalarField(tuple(chart), Var(name))
-
-
-def _lift(func: str, field: ScalarField) -> ScalarField:
-    return ScalarField(field.chart, call(func, field.root))
-
-
-def exp(field: ScalarField) -> ScalarField:
-    return _lift("exp", field)
-
-
-def ln(field: ScalarField) -> ScalarField:
-    return _lift("ln", field)
-
-
-def sin(field: ScalarField) -> ScalarField:
-    return _lift("sin", field)
-
-
-def cos(field: ScalarField) -> ScalarField:
-    return _lift("cos", field)
-
-
-def sqrt(field: ScalarField) -> ScalarField:
-    return _lift("sqrt", field)

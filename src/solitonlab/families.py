@@ -1,4 +1,4 @@
-"""The four metric families and their explicit soliton constructions.
+"""The five metric families and their explicit soliton constructions.
 
 Supported families over fixed charts:
 
@@ -8,9 +8,10 @@ Supported families over fixed charts:
   * 3d null-parallel     2 dt dy + dx^2 + q(t,x,y) dy^2     chart (t, x, y)
   * 4d null-parallel     2 dx dz + 2 dy dt + w(t) dt^2      chart (x, y, z, t)
 
-For each family this module provides the metric assembly and the
-explicit potential constructions, and for the cosmological family the
-reduced equation system its soliton condition induces (grw_samples).
+For each family this module provides the metric assembly; the
+cosmological and the two null-parallel families have explicit potential
+constructions, and the cosmological family the reduced equation system
+its soliton condition induces, over many samples at once (grw_samples).
 The two quadrature-backed potentials are expression trees over one
 running integral (expressions.Integral), whose derivative is its
 integrand, so their jets need no hand-written slopes.  For general
@@ -76,8 +77,6 @@ __all__ = [
     "grw_potential_field",
     "GRWSamples",
     "grw_samples",
-    "grw_system_residual",
-    "grw_lambda_map",
     "WarpedConditions",
     "warped_conditions_check",
     "walker3_metric",
@@ -349,8 +348,15 @@ def grw_potential_field(spec: GRWSpec, alpha: float, t0: float) -> ScalarField:
 class GRWSamples(NamedTuple):
     """The reduced cosmological system at N samples as (N,) arrays:
     scalar curvature of the product metric, phi', phi'', the warping w
-    and w'.  residual(lam) stacks grw_system_residual's r1, r2, r3 as
-    (N, 3)."""
+    and w'.  residual(lam) stacks, as (N, 3),
+
+        r1 = phi'' + (scal - lam)
+        r2 = w' phi' - (scal - lam) w
+        r3 = w phi'' + w' phi'          (lam-free identity)
+
+    and lambda_map() is the constant the fiber equation forces at each
+    sample, scal - w' phi' / w, whose constancy makes a construction
+    consistent."""
 
     scal: np.ndarray
     d1: np.ndarray
@@ -395,36 +401,6 @@ def grw_samples(spec: GRWSpec, metric: MetricField, potential: ScalarField,
     return GRWSamples(geometry.scal, geometry.dphi[:, 0],
                       geometry.hess[:, 0, 0], np.tile(jet_w.value, count),
                       np.tile(jet_w.gradient[:, 0], count))
-
-
-def grw_system_residual(spec: GRWSpec, potential: ScalarField, lam: float,
-                        t: float,
-                        fiber_point: Sequence[float] | None = None,
-                        ) -> tuple[float, float, float]:
-    """Residuals of the reduced cosmological system at time t.
-
-        r1 = phi'' + (scal - lam)
-        r2 = w' phi' - (scal - lam) w
-        r3 = w phi'' + w' phi'          (lam-free identity)
-
-    The scalar curvature comes from the assembled product metric at
-    (t, fiber_point); the fiber point defaults to the origin.
-    """
-    metric = assemble_warped_metric(spec, check_points=[[t]])
-    samples = grw_samples(spec, metric, potential, [t],
-                          None if fiber_point is None else [fiber_point])
-    return tuple(samples.residual(lam)[0].tolist())
-
-
-def grw_lambda_map(spec: GRWSpec, potential: ScalarField, t: float,
-                   fiber_point: Sequence[float] | None = None) -> float:
-    """The constant the fiber equation of the reduced system forces at
-    time t: scal - w' phi' / w.  Constancy over t is what makes the
-    construction consistent."""
-    metric = assemble_warped_metric(spec, check_points=[[t]])
-    samples = grw_samples(spec, metric, potential, [t],
-                          None if fiber_point is None else [fiber_point])
-    return float(samples.lambda_map()[0])
 
 
 # =====================================================================

@@ -95,9 +95,6 @@ class MetricField(_ValueRecord):
     def dimension(self) -> int:
         return len(self.chart)
 
-    def component(self, i: int, j: int) -> ScalarField:
-        return self.components[i][j]
-
     @cached_property
     def read_axes(self) -> tuple[int, ...]:
         """Chart positions of the coordinates some component reads, in

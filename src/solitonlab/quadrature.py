@@ -7,14 +7,16 @@ the requested bound.  Written in-house so integration failures surface
 as a package error with a controlled depth limit rather than a
 library-specific warning.
 
-A private batched engine, _simpson_batch, is the loop of
-adaptive_simpson over many intervals, with an integrand over arrays.
-It walks depth first over blocks of at most BLOCK intervals at one
-depth, one array call per block, doing the recursion's arithmetic
-elementwise in numpy, which rounds as the float operations do, and
-summing each integral bottom-up in the recursion's order: the bits are
-adaptive_simpson's.  A block to run is seven rows, one column an
-interval: its a, m and b, the integrand there and its Simpson sum.  A
+A private batched engine, _simpson_batch, is the loop of the recursion
+over many intervals, with an integrand over arrays; adaptive_simpson is
+its batch of one interval.  It walks depth first over blocks of at most
+BLOCK intervals at one depth, one array call per block, doing the
+recursion's arithmetic elementwise in numpy, which rounds as the float
+operations do, and summing each integral bottom-up in the recursion's
+order: the bits are the recursion's.  The integrand is called level by
+level, at the recursion's points where it succeeds, and at those and
+possibly more where it fails.  A block to run is seven rows, one column
+an interval: its a, m and b, the integrand there and its Simpson sum.  A
 level of a block is one call of _block and about twenty numpy calls:
 one take lays the rows out as pairs (see _LEVEL), so that the quarter
 points, the Simpson sums of the halves and the test are each a few
@@ -26,12 +28,12 @@ at a time in the recursion's order, and only the intervals before the
 first that raises are finished.  So, whatever
 BLOCK is, a batch reports the error the loop meets first, with the
 integrals before it: as in errors.in_grid_order, the fast path never
-decides an error.
+decides an error.  The recursion itself is the tests' reference
+(tests/jet_oracles.py).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,42 +50,17 @@ __all__ = ["adaptive_simpson"]
 BLOCK = 1024
 
 
-def _step(fn: Callable[[float], float], a: float, b: float,
-          fa: float, fm: float, fb: float, whole: float,
-          tol: float, depth: int) -> float:
-    m = 0.5 * (a + b)
-    flm = fn(0.5 * (a + m))
-    frm = fn(0.5 * (m + b))
-    left = (m - a) * (fa + 4.0 * flm + fm) / 6.0
-    right = (b - m) * (fm + 4.0 * frm + fb) / 6.0
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise QuadratureFailureError(
-            f"adaptive quadrature stalled on [{a}, {b}] (residual {abs(delta):.3e})"
-        )
-    half = 0.5 * tol
-    return (
-        _step(fn, a, m, fa, flm, fm, left, half, depth - 1)
-        + _step(fn, m, b, fm, frm, fb, right, half, depth - 1)
-    )
-
-
 def adaptive_simpson(fn: Callable[[float], float], a: float, b: float,
                      tol: float = 1e-10, max_depth: int = 40) -> float:
-    """Integrate ``fn`` over finite [a, b] to absolute tolerance ``tol`` > 0."""
-    a = float(a)
-    b = float(b)
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("integration limits must be finite")
-    if a == b:
-        return 0.0
-    fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
-    whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
-    return _step(fn, a, b, fa, fm, fb, whole, tol, max_depth)
+    """Integrate ``fn`` over finite [a, b] to absolute tolerance ``tol``
+    > 0: the batch of the one interval, ``fn`` mapped over the elements
+    of each array in order."""
+    done, error = _simpson_batch(
+        lambda x: np.fromiter(map(fn, x.tolist()), float, x.size),
+        [a], [b], tol, max_depth)
+    if error is not None:
+        raise error
+    return float(done[0])
 
 
 def _evaluate(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
@@ -200,10 +177,12 @@ def _simpson_batch(fn: Callable[[np.ndarray], np.ndarray],
                    a: Sequence[float], b: Sequence[float],
                    tol: float = 1e-10, max_depth: int = 40,
                    ) -> tuple[np.ndarray, Exception | None]:
-    """The loop of adaptive_simpson over each [a[i], b[i]]: the
-    integrals before the first interval that fails, bit for bit, and the
-    loop's error there, or None.  ``fn`` maps an array of points to
-    their values, each element as a one-element array would give it."""
+    """The recursion over each [a[i], b[i]], run as a loop in order:
+    the integrals before the first interval that fails, bit for bit,
+    and the loop's error there, or None.  A limit that is not finite,
+    or ``tol`` <= 0, is the loop's ValueError.  ``fn`` maps an array of
+    points to their values, each element as a one-element array would
+    give it."""
     limits = np.array((a, b), dtype=float)
     if limits.shape[1] and not tol > 0.0:
         return np.zeros(0), ValueError("tolerance must be positive")

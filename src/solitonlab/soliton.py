@@ -8,24 +8,21 @@ where scal is the scalar curvature.  The gradient Yamabe soliton is
 the mu = 0 case; it runs through the same code, gqy_residual with
 mu = 0.
 
-For mu = 1/m nonzero the substitution theta = exp(-phi/m) turns the
-coupled equation into
+For mu = 1/m nonzero the substitution theta = exp(-phi/m)
+(theta_substitution) turns the coupled equation into
 
-    Hess(theta) = -(theta/m) (scal - lam) g
+    Hess(theta) = -(theta/m) (scal - lam) g,
 
-and, with no soliton assumption at all, the two hessians satisfy
-
-    Hess(phi) = (1/m) dphi (x) dphi - (m/theta) Hess(theta).
-
-theta_check exposes both facts as residual matrices.  The module also
-provides lambda inference from the traced equation, classification and
-residual summaries over point sets.  All of them, and the checks in
-``families``, read the one geometry pass, point_geometry, which
-computes the metric and its curvature once per distinct metric point
-(curvature_over) and the potential's gradient, covariant hessian and
-laplacian once per point it is given (field_geometry).  Checks of
-several fields on one metric run curvature_over once and
-field_geometry per field.
+whose residual is -(theta/m) times the coupled one, so only the coupled
+equation is checked; the warped-product conditions in ``families`` are
+stated in theta.  The module also provides lambda inference from the
+traced equation, classification and residual summaries over point sets.
+All of them, and the checks in ``families``, read the one geometry
+pass, point_geometry, which computes the metric and its curvature once
+per distinct metric point (curvature_over) and the potential's
+gradient, covariant hessian and laplacian once per point it is given
+(field_geometry).  A check of several fields on one metric can run
+curvature_over once and field_geometry per field.
 """
 
 from __future__ import annotations
@@ -49,8 +46,6 @@ __all__ = [
     "field_geometry",
     "gqy_residual",
     "theta_substitution",
-    "ThetaCheck",
-    "theta_check",
     "LambdaEstimate",
     "infer_lambda",
     "classify",
@@ -164,46 +159,6 @@ def theta_substitution(potential: ScalarField, mu: float) -> ScalarField:
         potential.chart,
         _call("exp", neg(mul(Const(float(mu)), potential.root))),
     )
-
-
-class ThetaCheck(_Record):
-    """Residual matrices, each (n, n), of the substitution equation and
-    of the unconditional two-hessian identity.  Frozen; equal only to
-    itself."""
-
-    __slots__ = ("theta_residual", "identity_residual")
-
-
-def theta_check(metric: MetricField, soliton: SolitonData,
-                point: Sequence[float]) -> ThetaCheck:
-    """Evaluate both theta-substitution residuals at one point.
-
-    theta_residual    = Hess(theta) + (theta/m)(scal - lam) g
-    identity_residual = Hess(phi) - (1/m) dphi (x) dphi + (m/theta) Hess(theta)
-
-    The first vanishes exactly when the coupled equation holds; the
-    second vanishes for every smooth potential, so it measures pure
-    numerical error of the two hessian routes.  Both come from one
-    curvature pass over the point and the field halves of phi and
-    theta on it; theta's value is the plain evaluation of the field.
-    """
-    if soliton.mu == 0.0:
-        raise ValueError("theta check needs a nonzero coupling")
-    m = 1.0 / soliton.mu
-    theta = theta_substitution(soliton.potential, soliton.mu)
-    pts = np.array([point], dtype=float)
-    curv = curvature_over(metric, pts)
-    phi = field_geometry(curv, soliton.potential, pts)
-    th = field_geometry(curv, theta, pts)
-    theta_value = float(theta.at_points(pts)[0])
-    hess_th = th.hess[0]
-    theta_res = hess_th + (theta_value / m) * (th.scal[0] - soliton.lam) * th.g[0]
-    identity_res = (
-        phi.hess[0]
-        - np.outer(phi.dphi[0], phi.dphi[0]) / m
-        + (m / theta_value) * hess_th
-    )
-    return ThetaCheck(theta_res, identity_res)
 
 
 # ---------------------------------------------------------------------

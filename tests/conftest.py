@@ -16,7 +16,8 @@ jet_oracles.py):
 
 static_system_residual is the static family's reduced system on the
 library's own curvature pass, checked against the tensor residual and
-against sympy.
+against sympy; theta_residuals is the exponential substitution's
+equation and two-hessian identity on two passes of the geometry.
 
 count_calls records the positional arguments of every call of one
 library function for the call-count tests, and count_scalar_evaluations
@@ -39,7 +40,8 @@ from solitonlab import (
     parse_expression,
 )
 from solitonlab.curvature import curvature_over
-from solitonlab.soliton import field_geometry
+from solitonlab.soliton import (field_geometry, point_geometry,
+                                theta_substitution)
 
 FUNCTIONS = ("exp", "sin", "cos")
 
@@ -222,6 +224,25 @@ def static_system_residual(spec, potential, lam, fiber_point):
     r2 = phi.hess[0] - (scal - lam) * phi.g[0]
     r3 = float(phi.lap[0]) - (s / lapse_value) * pairing
     return r1, r2, r3
+
+
+def theta_residuals(metric, soliton, points):
+    """The substitution theta = exp(-mu phi), m = 1/mu, at each of the
+    points, from two passes of point_geometry, one of phi and one of
+    theta: the residual of the substituted equation,
+    Hess(theta) + (theta/m)(scal - lam) g, and the two-hessian identity
+    Hess(phi) - (1/m) dphi (x) dphi + (m/theta) Hess(theta), which
+    vanishes for every smooth phi.  Each (P, n, n)."""
+    m = 1.0 / soliton.mu
+    theta = theta_substitution(soliton.potential, soliton.mu)
+    phi = point_geometry(metric, soliton.potential, points)
+    th = point_geometry(metric, theta, points)
+    value = theta.at_points(th.points)[:, None, None]
+    shifted = (th.scal - soliton.lam)[:, None, None]
+    substituted = th.hess + (value / m) * shifted * th.g
+    identity = (phi.hess - phi.dphi[:, :, None] * phi.dphi[:, None, :] / m
+                + (m / value) * th.hess)
+    return substituted, identity
 
 
 def elementwise(fn):

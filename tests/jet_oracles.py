@@ -6,15 +6,19 @@ walk.  The closed forms give the covariant hessian and laplacian of a
 potential on the 3d and 4d null-parallel families by hand-derived
 formulas over the jets of the potential and the metric function, never
 metric_at, curvature_from or the geometry pass; each family's reduced
-equations are combinations of its table's entries.  tests/test_layering.py
-holds this module to that.
+equations are combinations of its table's entries.  simpson_recursion
+is adaptive Simpson quadrature as the depth-first recursion over one
+interval, a point at a time, the reference of the batched engine
+quadrature.adaptive_simpson runs on.  tests/test_layering.py holds this
+module to that.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from solitonlab import DomainError, eval_jet2
+from solitonlab import DomainError, QuadratureFailureError, eval_jet2
 
 
 class FiniteDiffJet(NamedTuple):
@@ -103,3 +107,40 @@ def walker4_pde_residual(spec, f, point):
     return np.array([hess[0, 0], hess[0, 1], hess[1, 1], hess[1, 2],
                      hess[2, 2], hess[0, 3], hess[2, 3], hess[0, 2] - quarter,
                      hess[1, 3] - quarter, hess[3, 3] - w * quarter])
+
+
+def _step(fn, a, b, fa, fm, fb, whole, tol, depth):
+    m = 0.5 * (a + b)
+    flm = fn(0.5 * (a + m))
+    frm = fn(0.5 * (m + b))
+    left = (m - a) * (fa + 4.0 * flm + fm) / 6.0
+    right = (b - m) * (fm + 4.0 * frm + fb) / 6.0
+    delta = left + right - whole
+    if abs(delta) <= 15.0 * tol:
+        return left + right + delta / 15.0
+    if depth <= 0:
+        raise QuadratureFailureError(
+            f"adaptive quadrature stalled on [{a}, {b}] (residual {abs(delta):.3e})"
+        )
+    half = 0.5 * tol
+    return (
+        _step(fn, a, m, fa, flm, fm, left, half, depth - 1)
+        + _step(fn, m, b, fm, frm, fb, right, half, depth - 1)
+    )
+
+
+def simpson_recursion(fn, a, b, tol=1e-10, max_depth=40):
+    """Integrate ``fn`` over finite [a, b] to absolute tolerance ``tol``
+    > 0 by recursive bisection, calling ``fn`` at one float at a time,
+    depth first, left half first."""
+    a = float(a)
+    b = float(b)
+    if not tol > 0.0:
+        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("integration limits must be finite")
+    if a == b:
+        return 0.0
+    fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
+    whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
+    return _step(fn, a, b, fa, fm, fb, whole, tol, max_depth)

@@ -3,14 +3,15 @@ the package re-exports only what its submodules export (errors, which
 declares no __all__, exports every public class).  The package exports
 only what a src/ module other than its own, a demo, the README quick
 start or the tracer's TARGETS reads, and the classes such functions
-return; the names moved to tests/ are exported by no module."""
+return; the names moved to tests/, and the second implementations of
+field arithmetic, the theta check and GRW's reduced system, are
+exported by no module."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
 import re
-import sys
 import types
 from pathlib import Path
 
@@ -18,10 +19,10 @@ import pytest
 
 import solitonlab
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "bench"))
+from bench import tracer
 
-import tracer  # noqa: E402
+ROOT = Path(__file__).resolve().parent.parent
+
 
 MODULES = [solitonlab] + [
     importlib.import_module(f"solitonlab.{info.name}")
@@ -61,8 +62,6 @@ def test_a_running_integral_is_an_expression_node():
     assert "Integral" in solitonlab.expressions.__all__
     exported = {name for module in EXPORTING for name in module.__all__}
     assert exported.isdisjoint({"External", "external", "QuadratureProfile"})
-
-
 
 
 def _reads(source):
@@ -119,3 +118,19 @@ def test_the_names_moved_to_the_tests_are_exported_by_no_module():
         "laplacian_report", "static_system_residual", "walker3_closed_forms",
         "walker3_pde_residual", "walker4_closed_forms", "walker4_pde_residual",
     })
+
+
+def test_the_second_copies_are_exported_by_no_module():
+    # Each job has one implementation: a field is parsed or built from
+    # the smart constructors, the substitution's residual is a multiple
+    # of the soliton residual, and GRW's reduced system is grw_samples.
+    exported = {name for module in EXPORTING for name in module.__all__}
+    assert exported.isdisjoint({
+        "coordinate_field", "exp", "ln", "sin", "cos", "sqrt", "theta_check",
+        "ThetaCheck", "grw_system_residual", "grw_lambda_map",
+    })
+    arithmetic = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                  "__rmul__", "__truediv__", "__rtruediv__", "__pow__",
+                  "__neg__"}
+    assert [name for name in sorted(arithmetic)
+            if hasattr(solitonlab.ScalarField, name)] == []

@@ -209,8 +209,11 @@ def test_integral_node_jets_differentiate_its_integrand():
 
 
 def test_repeated_subtrees_are_evaluated_once():
-    x = parse_expression("exp(0.5*u)", ("u",))
-    shared = x * x + x * x
+    # Interning makes the four exp(0.5*u) one node, and the two
+    # products one node.
+    shared = parse_expression(
+        "exp(0.5*u)*exp(0.5*u) + exp(0.5*u)*exp(0.5*u)", ("u",))
+    assert shared.root.left is shared.root.right
     jet = eval_jet2(shared, (0.4,))
     e = np.exp(0.2)
     assert abs(jet.value - 2 * e * e) < 1e-14

@@ -10,18 +10,12 @@ test suite.
 
 import contextlib
 import io
-import sys
-from pathlib import Path
 
 import pytest
 
 from solitonlab.cli import main
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-sys.path.insert(0, str(BENCH))
-
-import oracles  # noqa: E402
-import workloads  # noqa: E402
+from bench import oracles, workloads
 
 
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))

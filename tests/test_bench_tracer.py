@@ -9,13 +9,8 @@ benchmark file is only read.
 
 import importlib
 import inspect
-import sys
-from pathlib import Path
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-sys.path.insert(0, str(BENCH))
-
-import tracer  # noqa: E402
+from bench import tracer
 
 
 def test_every_traced_target_resolves_to_a_function():

@@ -11,17 +11,16 @@ import contextlib
 import gc
 import io
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
 from solitonlab import cli
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "bench"))
+from bench import workloads
 
-import workloads  # noqa: E402
+ROOT = Path(__file__).resolve().parent.parent
+
 
 REFS = json.loads((ROOT / "bench" / "shipped_refs.json").read_text(encoding="utf-8"))
 CONFIG = str(ROOT / "configs" / "flat_curvature.json")

@@ -5,7 +5,8 @@ A construct integrates its quadratures together, in batches
 time.  A batch that fails keeps the values before its failure and
 reports the loop's own error, so every value has the bits, and every
 error the text, of the one-at-a-time loop: the values are checked here
-against that loop, written out with adaptive_simpson, and the errors
+against that loop, written out with the recursion the tests keep as
+their reference (jet_oracles.simpson_recursion), and the errors
 against the messages the loop gives on four configs that fail inside a
 quadrature.  One benchmark walker4 job and one GRW job are checked
 against their recorded work, array calls and levels.  The walker4
@@ -15,7 +16,6 @@ warping, is also checked against its closed form for w = a + b sin t.
 
 import hashlib
 import json
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -27,7 +27,6 @@ from solitonlab import (
     NonPositiveWarpingError,
     SolitonLabError,
     Walker4Spec,
-    adaptive_simpson,
     cli,
     eval_jet2,
     families,
@@ -41,12 +40,13 @@ from solitonlab.cli import main
 from solitonlab.families import QUADRATURE_TOL
 
 from conftest import count_calls, count_scalar_evaluations
+from jet_oracles import simpson_recursion
+
+from bench import workloads
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
-sys.path.insert(0, str(ROOT / "bench"))
 
-import workloads  # noqa: E402
 
 WALKER4 = {"c0": 1, "c1": 1, "c2": 1, "c3": 1, "t0": 0}
 FAILURES = [
@@ -96,15 +96,15 @@ def test_a_failing_quadrature_gives_the_error_of_the_loop(
 
 def test_a_walker4_failure_is_the_loop_of_running_integrals():
     # The stall and the domain error of FAILURES are those of one
-    # adaptive_simpson call per distinct grid time, in grid order.
+    # quadrature per distinct grid time, in grid order.
     for config, _, message in (FAILURES[0], FAILURES[3]):
         warping = parse_expression(config["warping"], ("t",))
         t0 = config["constants"]["t0"]
         lo, hi, count = config.get("grid", {}).get("t", [-1, 1, 3])
         with pytest.raises(SolitonLabError) as caught:
             for tv in np.linspace(lo, hi, count).tolist():
-                adaptive_simpson(lambda u: warping((u,)), t0, tv,
-                                 tol=QUADRATURE_TOL)
+                simpson_recursion(lambda u: warping((u,)), t0, tv,
+                                  tol=QUADRATURE_TOL)
         assert message.startswith(str(caught.value))
 
 
@@ -161,8 +161,8 @@ def _profile(potential):
 
 def _grw_loop(spec, alpha, t0, tv):
     """The potential as one quadrature per time, written out."""
-    return alpha * adaptive_simpson(lambda u: 1.0 / spec.warping((u,)), t0, tv,
-                                    tol=QUADRATURE_TOL)
+    return alpha * simpson_recursion(lambda u: 1.0 / spec.warping((u,)), t0,
+                                     tv, tol=QUADRATURE_TOL)
 
 
 def _ends(batches):
@@ -233,11 +233,11 @@ def _walker4_loop(spec):
     c0, c1, t0 = spec.c0, spec.c1, spec.t0
 
     def value(tv):
-        return 0.5 * (c0 * tv + c1) * adaptive_simpson(w, t0, tv,
-                                                       tol=QUADRATURE_TOL)
+        return 0.5 * (c0 * tv + c1) * simpson_recursion(w, t0, tv,
+                                                        tol=QUADRATURE_TOL)
 
     def slope(tv):
-        running = adaptive_simpson(w, t0, tv, tol=QUADRATURE_TOL)
+        running = simpson_recursion(w, t0, tv, tol=QUADRATURE_TOL)
         return 0.5 * (w(tv) * (c0 * tv + c1) + c0 * running)
 
     return value, slope

@@ -20,7 +20,6 @@ import contextlib
 import hashlib
 import io
 import json
-import sys
 import tempfile
 from pathlib import Path
 
@@ -28,10 +27,8 @@ import pytest
 
 from solitonlab.cli import main
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "bench"))
+from bench import workloads
 
-import workloads  # noqa: E402
 
 REFS_PATH = Path(__file__).resolve().parent / "construct_refs.json"
 SEEDS = (1, 401)

@@ -14,7 +14,6 @@ Record them again, from the repository root, with
 """
 
 import json
-import sys
 import tempfile
 from pathlib import Path
 
@@ -22,10 +21,8 @@ import pytest
 
 from test_construct_refs import run_job
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "bench"))
+from bench import workloads
 
-import workloads  # noqa: E402
 
 REFS_PATH = Path(__file__).resolve().parent / "curvature_refs.json"
 SEEDS = (1, 401)

@@ -13,13 +13,11 @@ from solitonlab import (
     SolitonLabError,
     UnknownVariableError,
     constant_field,
-    coordinate_field,
-    exp,
     parse_expression,
 )
 
 from solitonlab.expressions import (Const, Integral, Mul, Var, differentiate,
-                                    format_expression, ln, sin, sqrt)
+                                    format_expression)
 
 from conftest import random_expression
 
@@ -224,30 +222,6 @@ def test_an_integral_prints_as_a_call_of_its_integrand_variable_and_base():
     node = Integral(parse_expression("1 + t^2", ("t",)).root, "t", -0.5, None)
     field = ScalarField(("t",), Mul(Const(0.5), node))
     assert str(field) == "0.5*integral(1 + t^2, t, -0.5)"
-
-
-def test_field_operators_match_parsing():
-    x = coordinate_field(CHART, "x")
-    y = coordinate_field(CHART, "y")
-    built = (x + y) * 2.0 - x / (y + 3.0)
-    parsed = parse_expression("(x + y)*2 - x/(y + 3)", CHART)
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        p = rng.uniform(-1.0, 1.0, 2)
-        assert abs(built(p) - parsed(p)) < 1e-14
-    lifted = exp(x) + ln(y + 2.0) + sin(x) + sqrt(y + 2.0)
-    ref = parse_expression("exp(x) + ln(y + 2) + sin(x) + sqrt(y + 2)", CHART)
-    for _ in range(10):
-        p = rng.uniform(-1.0, 1.0, 2)
-        assert abs(lifted(p) - ref(p)) < 1e-14
-
-
-def test_string_operands_are_parsed_against_the_chart():
-    x = coordinate_field(CHART, "x")
-    f = x + "2*y"
-    assert f((1.0, 3.0)) == 7.0
-    with pytest.raises(UnknownVariableError):
-        x + "q"
 
 
 def test_with_chart_extends_and_validates():

@@ -19,12 +19,10 @@ from solitonlab import (
     SolitonData,
     adaptive_simpson,
     constant_field,
-    coordinate_field,
     covariant_hessian,
     curvature_at,
     curvature_from,
     eval_jet2,
-    exp as field_exp,
     flat_metric,
     infer_lambda,
     metric_at,
@@ -44,9 +42,8 @@ from solitonlab.families import (
     WarpedConditions,
     WarpedProductSpec,
     assemble_warped_metric,
-    grw_lambda_map,
     grw_potential_field,
-    grw_system_residual,
+    grw_samples,
     walker3_construct,
     walker3_metric,
     walker4_construct,
@@ -111,7 +108,7 @@ def test_cosmological_spec_validation():
 
 def test_static_assembly_values():
     fiber = flat_metric(("x1", "x2"))
-    lapse = field_exp(coordinate_field(("x1", "x2"), "x2"))
+    lapse = parse_expression("exp(x2)", ("x1", "x2"))
     metric = assemble_warped_metric(StaticSpec(lapse, fiber))
     data = metric_at(metric, (0.7, 0.1, 0.4))
     assert abs(data.g[0, 0] + np.exp(0.8)) < 1e-13
@@ -140,7 +137,7 @@ def test_potential_against_hand_integrals():
     ) < 1e-9
 
     expo = GRWSpec(
-        field_exp(coordinate_field(("t",), "t")), flat_metric(("p",)),
+        parse_expression("exp(t)", ("t",)), flat_metric(("p",)),
         (0.0, 2.0),
     )
     expected = 3.0 * (np.exp(-0.5) - np.exp(-1.5))
@@ -210,11 +207,12 @@ def test_lambda_free_identity_for_quadrature_potentials():
             parse_expression(source, ("t",)),
             flat_metric(("x1", "x2", "x3")), interval,
         )
+        metric = assemble_warped_metric(spec)
+        times = np.linspace(interval[0] + 0.2, interval[1] - 0.1, 4)
         for alpha in (-6.0, 0.5, 3.0):
             potential = grw_potential_field(spec, alpha, interval[0] + 0.1)
-            for t in np.linspace(interval[0] + 0.2, interval[1] - 0.1, 4):
-                _, _, r3 = grw_system_residual(spec, potential, 0.0, t)
-                assert abs(r3) < 1e-9
+            samples = grw_samples(spec, metric, potential, times)
+            assert np.abs(samples.residual(0.0)[:, 2]).max() < 1e-9
 
 
 def test_linear_warping_quasi_certification():
@@ -264,12 +262,14 @@ def test_perturbed_slope_breaks_constancy():
 
 def test_lambda_map_is_constant_for_the_matching_slope():
     spec = _grw_linear()
+    metric = assemble_warped_metric(spec)
     potential = grw_potential_field(spec, 6.0, 1.0)
-    values = [grw_lambda_map(spec, potential, t) for t in np.linspace(1.05, 1.95, 7)]
-    assert max(values) - min(values) < 1e-12
+    values = grw_samples(spec, metric, potential,
+                         np.linspace(1.05, 1.95, 7)).lambda_map()
+    assert values.max() - values.min() < 1e-12
     assert abs(values[0]) < 1e-12
-    r1, r2, r3 = grw_system_residual(spec, potential, 0.0, 1.4)
-    assert max(abs(r1), abs(r2), abs(r3)) < 1e-12
+    residual = grw_samples(spec, metric, potential, [1.4]).residual(0.0)
+    assert np.abs(residual).max() < 1e-12
 
 
 # ---------------------------------------------------------------
@@ -278,13 +278,13 @@ def test_lambda_map_is_constant_for_the_matching_slope():
 
 def _static_instance():
     fiber = flat_metric(("x1", "x2"))
-    lapse = field_exp(coordinate_field(("x1", "x2"), "x2"))
+    lapse = parse_expression("exp(x2)", ("x1", "x2"))
     return StaticSpec(lapse, fiber)
 
 
 def test_static_system_residuals_vanish_on_the_certified_instance():
     spec = _static_instance()
-    potential = coordinate_field(("x1", "x2"), "x1")
+    potential = parse_expression("x1", ("x1", "x2"))
     for point in ((0.3, -0.5), (-0.2, 0.4), (0.0, 0.0)):
         r1, r2, r3 = static_system_residual(spec, potential, -2.0, point)
         assert abs(r1) < 1e-13
@@ -294,7 +294,7 @@ def test_static_system_residuals_vanish_on_the_certified_instance():
 
 def test_static_system_detects_a_wrong_class_constant():
     spec = _static_instance()
-    potential = coordinate_field(("x1", "x2"), "x1")
+    potential = parse_expression("x1", ("x1", "x2"))
     r1, r2, r3 = static_system_residual(spec, potential, 1.0, (0.3, -0.5))
     assert abs(r1) > 0.1
     assert np.abs(r2).max() > 0.1
@@ -323,7 +323,7 @@ def test_static_trace_identity_on_arbitrary_data():
 def test_static_system_assembles_no_product_metric(monkeypatch):
     calls = count_calls(monkeypatch, "families", "assemble_warped_metric")
     spec = _static_instance()
-    potential = coordinate_field(("x1", "x2"), "x1")
+    potential = parse_expression("x1", ("x1", "x2"))
     for point in ((0.3, -0.5), (-0.2, 0.4)):
         static_system_residual(spec, potential, -2.0, point)
     assert len(calls) == 0
@@ -346,9 +346,9 @@ def test_static_scalar_curvature_matches_the_generic_pipeline():
 
 def test_static_system_rejects_non_positive_lapse():
     fiber = flat_metric(("x1", "x2"))
-    lapse = coordinate_field(("x1", "x2"), "x2")
+    lapse = parse_expression("x2", ("x1", "x2"))
     spec = StaticSpec(lapse, fiber)
-    potential = coordinate_field(("x1", "x2"), "x1")
+    potential = parse_expression("x1", ("x1", "x2"))
     with pytest.raises(NonPositiveWarpingError):
         static_system_residual(spec, potential, 0.0, (0.3, -0.5))
 
@@ -398,7 +398,7 @@ def test_walker3_literal_row_misses_two_terms():
 
 
 def test_walker3_construction_certifies():
-    eta = field_exp(coordinate_field(("y",), "y"))
+    eta = parse_expression("exp(y)", ("y",))
     zeta = constant_field(("x", "y"), 0.0)
     f, q = walker3_construct(
         Walker3Construction(1.0, eta, zeta),
@@ -438,8 +438,8 @@ def test_walker3_construction_with_free_term():
 def test_walker3_free_term_is_free_only_where_kappa_zeta_x_vanishes():
     # With kappa = 1 and zeta = x the yy equation keeps 1/2 kappa zeta_x,
     # the 0.5 the construct command reports.
-    eta = field_exp(coordinate_field(("y",), "y"))
-    zeta = coordinate_field(("x", "y"), "x")
+    eta = parse_expression("exp(y)", ("y",))
+    zeta = parse_expression("x", ("x", "y"))
     f, q = walker3_construct(Walker3Construction(1.0, eta, zeta))
     residual = walker3_pde_residual(Walker3Spec(q), f, (0.3, 0.2, -0.4))
     assert np.abs(residual[:4]).max() < 1e-12
@@ -447,7 +447,7 @@ def test_walker3_free_term_is_free_only_where_kappa_zeta_x_vanishes():
 
 
 def test_walker3_literal_construction_fails_its_own_system():
-    eta = field_exp(coordinate_field(("y",), "y"))
+    eta = parse_expression("exp(y)", ("y",))
     zeta = constant_field(("x", "y"), 0.0)
     f, q = walker3_construct(
         Walker3Construction(1.0, eta, zeta), paper_literal=True

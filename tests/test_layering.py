@@ -9,8 +9,11 @@ cycle.
 The oracles in tests/jet_oracles.py stay independent of what they check:
 they import from solitonlab.autodiff and solitonlab.errors only, never
 from metrics, curvature or soliton; the finite-difference jet reads no
-library function (plain evaluation calls the field it is given), and
-the closed forms read only eval_jet2.
+library function (plain evaluation calls the field it is given), the
+closed forms read only eval_jet2, and the Simpson recursion, the
+reference of the batched quadrature, reads only the error it raises on
+a stall.  The quadrature module imports only errors, so the engine's
+one-interval wrapper maps its integrand itself.
 """
 
 import ast
@@ -88,3 +91,13 @@ def test_each_oracle_reads_only_plain_evaluation_or_jets():
         "walker3_pde_residual", "walker4_pde_residual")}
     assert reads.pop("finite_diff_jet2") == {"DomainError"}
     assert all(names == {"eval_jet2"} for names in reads.values())
+
+
+def test_the_simpson_oracle_reads_only_the_stall_error():
+    reads = (_library_reads(jet_oracles.simpson_recursion)
+             | _library_reads(jet_oracles._step))
+    assert reads == {"QuadratureFailureError"}
+
+
+def test_the_quadrature_imports_only_errors():
+    assert _imports(SRC / "quadrature.py") == {"errors"}

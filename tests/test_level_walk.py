@@ -15,7 +15,6 @@ import struct
 import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,10 +40,8 @@ from solitonlab.metrics import MetricField
 
 from conftest import elementwise
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-sys.path.insert(0, str(BENCH))
+from bench import workloads
 
-import workloads  # noqa: E402
 
 CHART = ("x", "y")
 CONSTANTS = (0.0, -0.0, 1.0, -1.0, 0.5, 3.0, -2.5, 0.1, -1.7, 1e-300, 1e308)

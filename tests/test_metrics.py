@@ -32,8 +32,8 @@ def test_from_rows_accepts_numbers_strings_and_fields():
     chart = ("x", "y")
     f = parse_expression("x*y", chart)
     m = MetricField.from_rows(chart, [[1, "x*y"], [f, 2.0]], "++")
-    assert m.component(0, 1) is m.component(1, 0)
-    assert m.component(0, 1)((2.0, 3.0)) == 6.0
+    assert m.components[0][1] is m.components[1][0]
+    assert m.components[0][1]((2.0, 3.0)) == 6.0
 
 
 def test_from_rows_rejects_asymmetric_and_misshaped_input():

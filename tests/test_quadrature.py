@@ -1,5 +1,13 @@
 """Adaptive quadrature behavior and failure modes, and the batched
-engine against the recursion."""
+engine against the recursion.
+
+The recursion, one point at a time, is the tests' reference
+(jet_oracles.simpson_recursion); a private copy of it as it was before
+its step was inlined pins its work, point by point.  adaptive_simpson
+is the engine's batch of one interval: it gives the recursion's bits
+and errors, and calls its integrand level by level, at the recursion's
+points when it succeeds and at those and possibly more when it fails.
+"""
 
 import math
 import struct
@@ -16,6 +24,8 @@ from solitonlab import (
     adaptive_simpson,
     quadrature,
 )
+
+from jet_oracles import simpson_recursion
 
 
 def test_known_integrals():
@@ -79,8 +89,9 @@ def test_a_limit_that_is_not_finite_is_refused(a, b):
 
 
 # A private copy of the recursive quadrature as it was before its step
-# was inlined, to compare the inlined one with: bits, the sequence of
-# integrand arguments and the stall error must all be the same.
+# was inlined, to compare the reference's inlined one with: bits, the
+# sequence of integrand arguments and the stall error must all be the
+# same.
 
 def _simpson(fa, fm, fb, width):
     return width * (fa + 4.0 * fm + fb) / 6.0
@@ -153,21 +164,104 @@ def test_the_inlined_step_matches_the_recursive_reference(
         kind, coefficients, a, b, tol, depth):
     fn = INTEGRANDS[kind](coefficients)
     expected = _traced(_reference_simpson, fn, a, b, tol, depth)
-    assert _traced(adaptive_simpson, fn, a, b, tol, depth) == expected
+    assert _traced(simpson_recursion, fn, a, b, tol, depth) == expected
     if a != b:
         reversed_ = _traced(_reference_simpson, fn, b, a, tol, depth)
-        assert _traced(adaptive_simpson, fn, b, a, tol, depth) == reversed_
+        assert _traced(simpson_recursion, fn, b, a, tol, depth) == reversed_
 
 
 def test_a_forced_stall_matches_the_reference():
     fn = INTEGRANDS["kink"]((0.3, 1.0, 0.0))
     expected = _traced(_reference_simpson, fn, -1.0, 1.0, 1e-14, 3)
     assert isinstance(expected[0], tuple)
-    assert _traced(adaptive_simpson, fn, -1.0, 1.0, 1e-14, 3) == expected
+    assert _traced(simpson_recursion, fn, -1.0, 1.0, 1e-14, 3) == expected
+    assert _outcome(adaptive_simpson, fn, -1.0, 1.0, 1e-14, 3)[0] \
+        == expected[0]
 
 
-# The batched engine (quadrature._simpson_batch) against the recursive
-# reference above, run as a loop over the intervals: with the integrand
+# adaptive_simpson, the batch of one interval, against the reference:
+# the same bits or the same error, type and message, and the points the
+# reference calls its integrand at, in some order, and on a failure
+# possibly others too.
+
+def _outcome(quadrature_, fn, a, b, tol, depth):
+    """The bits of the integral, or the type and message of the error,
+    and the bits of every point ``fn`` was called at, sorted."""
+    seen = []
+
+    def counted(x):
+        seen.append(x)
+        return fn(x)
+
+    try:
+        result = struct.pack("<d", quadrature_(counted, a, b, tol, depth))
+    except Exception as exc:  # noqa: BLE001 - any error is compared
+        result = (type(exc), str(exc))
+    return result, sorted(struct.pack("<d", x) for x in seen)
+
+
+def _matches_the_reference(fn, a, b, tol, depth):
+    """adaptive_simpson against the reference on one case."""
+    expected, points = _outcome(simpson_recursion, fn, a, b, tol, depth)
+    got, got_points = _outcome(adaptive_simpson, fn, a, b, tol, depth)
+    assert got == expected
+    if isinstance(expected, tuple):
+        assert set(points) <= set(got_points)
+    else:
+        assert got_points == points
+
+
+def _raising(where, frequency):
+    """Smooth, but DomainError at every point past ``where``."""
+    def fn(x):
+        if x > where:
+            raise DomainError(f"refused past {where} at {x}")
+        return 1.0 + math.sin(frequency * x)
+    return fn
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(sorted({**INTEGRANDS, "raising": None})),
+       st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+       st.floats(-4.0, 4.0), st.one_of(st.floats(-4.0, 4.0),
+                                       st.sampled_from([0.0, -0.0])),
+       st.sampled_from([1e-3, 1e-6, 1e-10, 1e-13]), st.integers(0, 40))
+def test_adaptive_simpson_is_the_reference_bit_for_bit_and_error_for_error(
+        kind, coefficients, a, b, tol, depth):
+    fn = (_raising(coefficients[0], 1.0 + abs(coefficients[1]))
+          if kind == "raising" else INTEGRANDS[kind](coefficients))
+    _matches_the_reference(fn, a, b, tol, depth)
+    _matches_the_reference(fn, b, a, tol, depth)
+    _matches_the_reference(fn, a, a, tol, depth)
+
+
+@pytest.mark.parametrize("a, b, tol, depth", [
+    # a stall two levels down, and one at the first split
+    (-1.0, 1.0, 1e-14, 2),
+    (0.0, 3.0, 1e-14, 0),
+    # an integrand that raises, and its reversed interval
+    (-1.0, 1.0, 1e-10, 40),
+    (1.0, -1.0, 1e-10, 40),
+    # zero width, of either sign of zero
+    (0.5, 0.5, 1e-10, 40),
+    (0.0, -0.0, 1e-10, 40),
+    # limits that are not finite, and tolerances that are not positive
+    (0.0, float("inf"), 1e-10, 40),
+    (float("-inf"), 0.0, 1e-10, 40),
+    (float("nan"), 1.0, 1e-10, 40),
+    (0.0, 1.0, 0.0, 40),
+    (0.0, 1.0, -1e-10, 40),
+    (0.7, 0.7, float("nan"), 40),
+    (float("inf"), 1.0, 0.0, 40),
+])
+def test_adaptive_simpson_is_the_reference_on_its_edge_cases(a, b, tol, depth):
+    for fn in (INTEGRANDS["kink"]((0.3, 1.0, 0.0)), _raising(0.2, 7.0),
+               lambda x: math.sin(50.0 * x)):
+        _matches_the_reference(fn, a, b, tol, depth)
+
+
+# The batched engine (quadrature._simpson_batch) against the reference,
+# simpson_recursion, run as a loop over the intervals: with the integrand
 # over arrays applying the scalar one element by element, a batch must
 # give the intervals before the loop's first error the reference's bits,
 # and that error, at any block width.
@@ -191,7 +285,7 @@ def _reference_loop(fn, intervals, tol, depth):
     done = []
     try:
         for a, b in intervals:
-            done.append(_reference_simpson(fn, a, b, tol, depth))
+            done.append(simpson_recursion(fn, a, b, tol, depth))
     except Exception as exc:  # noqa: BLE001 - any error is compared
         return np.array(done).tobytes(), (type(exc), str(exc))
     return np.array(done).tobytes(), None
@@ -368,5 +462,5 @@ def test_a_batch_refuses_what_adaptive_simpson_refuses(a, b, tol, message,
     # As the loop does: the intervals before one it refuses are integrated.
     out, error = quadrature._simpson_batch(np.sin, a, b, tol)
     assert isinstance(error, ValueError) and message in str(error)
-    assert out.tobytes() == np.array([adaptive_simpson(np.sin, 0.0, 1.0)]
+    assert out.tobytes() == np.array([simpson_recursion(np.sin, 0.0, 1.0)]
                                      [:done]).tobytes()

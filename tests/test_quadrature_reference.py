@@ -126,7 +126,7 @@ def _simpson_batch(fn: Callable[[np.ndarray], np.ndarray],
                    a: Sequence[float], b: Sequence[float],
                    tol: float = 1e-10, max_depth: int = 40,
                    ) -> tuple[np.ndarray, Exception | None]:
-    """The loop of adaptive_simpson over each [a[i], b[i]]: the
+    """The loop of the recursion over each [a[i], b[i]]: the
     integrals before the first interval that fails, bit for bit, and the
     loop's error there, or None.  ``fn`` maps an array of points to
     their values, each element as a one-element array would give it."""

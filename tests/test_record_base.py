@@ -32,14 +32,13 @@ from solitonlab.soliton import (
     PointGeometry,
     ResidualReport,
     SolitonData,
-    ThetaCheck,
 )
 
 COMPARED = [WarpedProductSpec, GRWSpec, StaticSpec, Walker3Spec,
             Walker3Construction, Walker4Spec, ScalarField, MetricField,
             SolitonData]
 BY_IDENTITY = [Jet2, MetricAtPoint, CurvatureAtPoint, GridCurvature,
-               PointGeometry, ThetaCheck, LambdaEstimate, ResidualReport,
+               PointGeometry, LambdaEstimate, ResidualReport,
                WarpedConditions]
 RECORDS = COMPARED + BY_IDENTITY
 DUNDERS = ("__setattr__", "__delattr__", "__repr__", "__eq__", "__hash__")

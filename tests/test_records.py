@@ -32,7 +32,6 @@ from solitonlab.soliton import (
     PointGeometry,
     ResidualReport,
     SolitonData,
-    ThetaCheck,
 )
 
 
@@ -84,8 +83,6 @@ BY_IDENTITY = [
     (PointGeometry, ("points", "g", "g_inv", "scal", "dphi", "hess", "lap"),
      tuple(_arrays((3, 2), (3, 2, 2), (3, 2, 2), (3,), (3, 2), (3, 2, 2),
                    (3,)))),
-    (ThetaCheck, ("theta_residual", "identity_residual"),
-     tuple(_arrays((2, 2), (2, 2)))),
     (LambdaEstimate, ("value", "spread", "samples"),
      (1.0, 0.5, *_arrays((3,)))),
     (ResidualReport, ("points", "residual_grids", "per_point", "max_abs",

@@ -10,16 +10,11 @@ run, is checked against a search of every start.
 """
 
 import random
-import sys
-from pathlib import Path
 
 from solitonlab import autodiff, grid_points
 from solitonlab.metrics import MetricField
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-sys.path.insert(0, str(BENCH))
-
-import workloads  # noqa: E402
+from bench import workloads
 
 
 def _walk_schedules():

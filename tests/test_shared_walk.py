@@ -10,8 +10,6 @@ base point, must not merge.
 """
 
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,10 +29,7 @@ from solitonlab.metrics import MetricField
 from conftest import count_calls, elementwise, random_field
 from test_stacks import CASES
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-sys.path.insert(0, str(BENCH))
-
-import workloads  # noqa: E402
+from bench import workloads
 
 
 def _shared_3d():

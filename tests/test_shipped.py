@@ -30,10 +30,10 @@ from solitonlab.cli import main
 
 from conftest import count_calls, count_scalar_evaluations
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "bench"))
+from bench import workloads
 
-import workloads  # noqa: E402
+ROOT = Path(__file__).resolve().parent.parent
+
 
 MOVED = {
     ("construct", "configs/grw_construct.json"): {
@@ -91,9 +91,9 @@ def _enabled_targets(env=None):
 # keys whose exit code, stdout or sha256 differ from the reference.
 CHECK_TEST_REFS = f"""
 import sys
-sys.path[:0] = [{str(ROOT / "src")!r}, {str(ROOT / "tests")!r},
-                {str(ROOT / "bench")!r}]
-import shipped, test_shipped, test_construct_refs, test_verify_refs
+sys.path[:0] = [{str(ROOT / "src")!r}, {str(ROOT / "tests")!r}, {str(ROOT)!r}]
+import test_shipped, test_construct_refs, test_verify_refs
+from bench import shipped
 got = shipped.run_cases()
 print("shipped", len(got), len(test_shipped.REFS),
       [" ".join(ref["argv"]) for ref, run in zip(test_shipped.REFS, got)

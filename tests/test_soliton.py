@@ -26,8 +26,6 @@ from solitonlab import (
     WarpedProductSpec,
     assemble_warped_metric,
     classify,
-    coordinate_field,
-    exp as field_exp,
     flat_metric,
     gqy_residual,
     infer_lambda,
@@ -35,22 +33,22 @@ from solitonlab import (
     point_geometry,
     residual_report,
     sphere_metric,
-    theta_check,
     theta_substitution,
     warped_conditions_check,
 )
 
 from solitonlab.curvature import curvature_over
-from solitonlab.expressions import ln as field_ln
+from solitonlab.expressions import Const, ScalarField, mul
 
-from conftest import random_field, random_metric_rows, static_system_residual
+from conftest import (random_field, random_metric_rows, static_system_residual,
+                      theta_residuals)
 
 
 def _static_instance():
     fiber = flat_metric(("x1", "x2"))
-    lapse = field_exp(coordinate_field(("x1", "x2"), "x2"))
+    lapse = parse_expression("exp(x2)", ("x1", "x2"))
     metric = assemble_warped_metric(StaticSpec(lapse, fiber))
-    potential = coordinate_field(("x1", "x2"), "x1").with_chart(metric.chart)
+    potential = parse_expression("x1", metric.chart)
     return metric, potential
 
 
@@ -64,7 +62,7 @@ def test_certified_static_instance_has_zero_residual():
 
 def test_residual_is_invariant_under_potential_shifts():
     metric, potential = _static_instance()
-    shifted = potential + 17.5
+    shifted = parse_expression("x1 + 17.5", metric.chart)
     p = np.array([0.1, 0.5, -0.3])
     a = gqy_residual(metric, SolitonData(potential, -2.0), p)
     b = gqy_residual(metric, SolitonData(shifted, -2.0), p)
@@ -116,7 +114,8 @@ def test_scaling_the_metric_keeps_the_hessian_and_divides_scal_and_lambda(
     potential = random_field(rng, chart, points)[0]
     metric = MetricField.from_rows(chart, rows, "+++")
     scaled = MetricField.from_rows(
-        chart, [[c * f for f in row] for row in metric.components], "+++")
+        chart, [[ScalarField(chart, mul(Const(c), f.root)) for f in row]
+                for row in metric.components], "+++")
     plain = point_geometry(metric, potential, points)
     geometry = point_geometry(scaled, potential, points)
     assert _close(geometry.hess, plain.hess)
@@ -215,15 +214,17 @@ def test_residual_report_invariants():
 
 def test_smallest_quasi_instance_and_substitution():
     metric = flat_metric(("s",), "+")
-    potential = -field_ln(coordinate_field(("s",), "s"))
+    potential = parse_expression("-ln(s)", ("s",))
     soliton = SolitonData(potential, 0.0, mu=1.0)
     for s in (0.5, 1.0, 2.0):
         assert np.abs(gqy_residual(metric, soliton, (s,))).max() < 1e-13
-        check = theta_check(metric, soliton, (s,))
-        assert np.abs(check.theta_residual).max() < 1e-13
-        assert np.abs(check.identity_residual).max() < 1e-13
-    bad = theta_check(metric, SolitonData(potential, 1.0, mu=1.0), (1.5,))
-    assert np.abs(bad.theta_residual).max() > 0.1
+    substituted, identity = theta_residuals(metric, soliton,
+                                            [(0.5,), (1.0,), (2.0,)])
+    assert np.abs(substituted).max() < 1e-13
+    assert np.abs(identity).max() < 1e-13
+    bad, _ = theta_residuals(metric, SolitonData(potential, 1.0, mu=1.0),
+                             [(1.5,)])
+    assert np.abs(bad).max() > 0.1
 
 
 def test_substitution_identity_holds_for_arbitrary_fields():
@@ -236,20 +237,37 @@ def test_substitution_identity_holds_for_arbitrary_fields():
         mu = rng.uniform(0.2, 2.0) * rng.choice([-1.0, 1.0])
         lam = rng.uniform(-1.0, 1.0)
         soliton = SolitonData(field, lam, mu=mu)
-        for p in pts[:3]:
-            check = theta_check(metric, soliton, p)
-            worst = max(worst, np.abs(check.identity_residual).max())
+        _, identity = theta_residuals(metric, soliton, pts[:3])
+        worst = max(worst, np.abs(identity).max())
     assert worst < 1e-9
 
 
+@pytest.mark.parametrize("mu", [0.5, 1.7])
+def test_the_substituted_residual_is_minus_mu_theta_times_the_coupled_one(mu):
+    # Hess(theta) + mu theta (scal - lam) g = -mu theta R, with R the
+    # residual of the coupled equation: the substituted equation holds
+    # exactly where the coupled one does, so only R is checked.
+    metric = sphere_metric(2.0)
+    rng = np.random.default_rng(17)
+    pts = rng.uniform(0.4, 2.7, (6, 2))
+    for _ in range(10):
+        field, _ = random_field(rng, ("u", "v"), pts, depth=2, bound=20.0)
+        soliton = SolitonData(field, rng.uniform(-1.0, 1.0), mu=mu)
+        substituted, _ = theta_residuals(metric, soliton, pts)
+        residual = point_geometry(metric, field, pts).residuals(soliton.lam, mu)
+        theta = theta_substitution(field, mu).at_points(pts)[:, None, None]
+        assert np.abs(substituted + mu * theta * residual).max() \
+            <= 1e-12 * max(1.0, np.abs(residual).max())
+
+
 def test_substitution_requires_nonzero_coupling():
-    potential = coordinate_field(("s",), "s")
+    potential = parse_expression("s", ("s",))
     with pytest.raises(ValueError):
         theta_substitution(potential, 0.0)
 
 
 def test_substitution_value():
-    potential = coordinate_field(("s",), "s")
+    potential = parse_expression("s", ("s",))
     theta = theta_substitution(potential, 0.5)
     assert abs(theta((1.2,)) - np.exp(-0.6)) < 1e-15
 
@@ -257,10 +275,10 @@ def test_substitution_value():
 def _warped_quasi_instance():
     base = flat_metric(("t",), "+")
     fiber = flat_metric(("p", "q"))
-    warping = field_exp(coordinate_field(("t",), "t"))
+    warping = parse_expression("exp(t)", ("t",))
     spec = WarpedProductSpec(base, fiber, warping)
     metric = assemble_warped_metric(spec)
-    potential = coordinate_field(("t",), "t").with_chart(metric.chart)
+    potential = parse_expression("t", metric.chart)
     return base, fiber, warping, metric, potential
 
 
@@ -285,7 +303,7 @@ def test_warped_conditions_on_the_certified_instance():
 
 def test_warped_conditions_detect_fiber_dependence():
     base, fiber, warping, metric, potential = _warped_quasi_instance()
-    leaking = potential + coordinate_field(metric.chart, "p")
+    leaking = parse_expression("t + p", metric.chart)
     soliton = SolitonData(leaking, -7.0, mu=-1.0)
     conditions = warped_conditions_check(
         base, fiber, warping, soliton, [(0.0,), (0.5,)], [(0.3, -0.2)],
@@ -310,7 +328,7 @@ def test_warped_conditions_reject_zero_coupling_and_bad_warping():
 
 
 def test_soliton_data_validates_inputs():
-    potential = coordinate_field(("s",), "s")
+    potential = parse_expression("s", ("s",))
     with pytest.raises(ValueError):
         SolitonData(potential, float("nan"))
     with pytest.raises(ValueError):
@@ -322,10 +340,10 @@ def _bits(value):
 
 
 def test_fields_sharing_one_curvature_pass_keep_the_bits_of_separate_passes():
-    # theta_check and static_system_residual run curvature_over once for
-    # two fields, and warped_conditions_check reads the fiber's scalar
-    # curvature from curvature_over alone.  Each must equal what a full
-    # point_geometry pass per field gives, bit for bit.
+    # static_system_residual runs curvature_over once for two fields,
+    # and warped_conditions_check reads the fiber's scalar curvature from
+    # curvature_over alone.  Each must equal what a full point_geometry
+    # pass per field gives, bit for bit.
     rng = np.random.default_rng(5)
     chart = ("u", "v")
     probes = rng.uniform(0.3, 1.2, (3, 2))
@@ -335,19 +353,7 @@ def test_fields_sharing_one_curvature_pass_keep_the_bits_of_separate_passes():
     spec = StaticSpec(lapse, fiber)
     for point in probes:
         field, _ = random_field(rng, chart, probes, depth=2, bound=20.0)
-        soliton = SolitonData(field, 0.4, mu=0.7)
-        m = 1.0 / soliton.mu
         phi = point_geometry(fiber, field, [point])
-        th = point_geometry(fiber, theta_substitution(field, soliton.mu), [point])
-        theta_value = theta_substitution(field, soliton.mu)(point)
-        want_theta = (th.hess[0] + (theta_value / m)
-                      * (th.scal[0] - soliton.lam) * th.g[0])
-        want_identity = (phi.hess[0] - np.outer(phi.dphi[0], phi.dphi[0]) / m
-                         + (m / theta_value) * th.hess[0])
-        check = theta_check(fiber, soliton, point)
-        assert _bits(check.theta_residual) == _bits(want_theta)
-        assert _bits(check.identity_residual) == _bits(want_identity)
-
         lap = point_geometry(fiber, lapse, [point])
         lapse_value = lapse(point)
         scal = float(phi.scal[0] - 2.0 * lap.lap[0] / lapse_value)
@@ -360,9 +366,9 @@ def test_fields_sharing_one_curvature_pass_keep_the_bits_of_separate_passes():
         assert [_bits(x) for x in got] == [_bits(x) for x in want]
 
     base = flat_metric(("t",), "+")
-    warping = field_exp(coordinate_field(("t",), "t"))
+    warping = parse_expression("exp(t)", ("t",))
     metric = assemble_warped_metric(WarpedProductSpec(base, fiber, warping))
-    potential = coordinate_field(("t",), "t").with_chart(metric.chart)
+    potential = parse_expression("t", metric.chart)
     conditions = warped_conditions_check(
         base, fiber, warping, SolitonData(potential, -7.0, mu=-1.0),
         [(0.0,), (0.5,)], probes)

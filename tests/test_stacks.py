@@ -36,7 +36,7 @@ from solitonlab import (
     walker4_metric,
 )
 from solitonlab.cli import main
-from solitonlab.expressions import sin
+from solitonlab.expressions import Const, ScalarField, add, call, mul
 from solitonlab.metrics import MetricField
 from solitonlab.soliton import point_geometry
 
@@ -48,8 +48,9 @@ def _deep_3d():
     rng = np.random.default_rng(401)
     points = rng.uniform(-1.0, 1.0, (7, 3))
     entries = [random_field(rng, chart, points, depth=5)[0] for _ in range(6)]
-    diag = [3.0 + 0.3 * sin(e) for e in entries[:3]]
-    off = [0.3 * sin(e) for e in entries[3:]]
+    waves = [mul(Const(0.3), call("sin", e.root)) for e in entries]
+    diag = [ScalarField(chart, add(Const(3.0), w)) for w in waves[:3]]
+    off = [ScalarField(chart, w) for w in waves[3:]]
     metric = MetricField.from_rows(chart, [
         [diag[0], off[0], off[1]],
         [off[0], diag[1], off[2]],

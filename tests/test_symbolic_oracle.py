@@ -39,7 +39,8 @@ from solitonlab.families import (
     StaticSpec,
     Walker3Spec,
     Walker4Spec,
-    grw_system_residual,
+    assemble_warped_metric,
+    grw_samples,
 )
 
 from conftest import static_system_residual
@@ -301,7 +302,7 @@ def _static_case(rng):
 
 @functools.cache
 def _grw_case():
-    """grw_system_residual's r1, r2 and r3 on -dt^2 + w(t)^2 g_F with
+    """grw_samples' residual, r1, r2 and r3, on -dt^2 + w(t)^2 g_F with
     phi = phi(t), against the tensor residual R: R_tt is
     phi'' + (scal - lam), and R_xx = -w g_F,xx (w' phi' + (scal - lam) w),
     so the fiber equation is w' phi' + (scal - lam) w and the lambda-free
@@ -314,8 +315,9 @@ def _grw_case():
     spec = GRWSpec(parse_expression(warping, ("t",)),
                    MetricField.from_rows(("x", "y"), rows, "++"), (0.5, 2.0))
     potential = parse_expression(phi, ("t",))
-    reduced = [list(grw_system_residual(spec, potential, lam, t, (x, y)))
-               for t, x, y in points]
+    metric = assemble_warped_metric(spec)
+    reduced = [grw_samples(spec, metric, potential, [t], [(x, y)])
+               .residual(lam)[0].tolist() for t, x, y in points]
     symbols = _symbols(("t", "x", "y"))
     xs = list(symbols.values())
     w, fiber = _formula(warping, symbols), _matrix(rows, symbols)
