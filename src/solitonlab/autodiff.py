@@ -23,7 +23,14 @@ however many components and places within them it appears in.  Nodes
 are interned by the identity rule in the expressions docstring, so a
 distinct node is a structurally distinct subtree, and the rule merges
 no two computations whose bits could differ: a subtree met twice has
-the bits a second walk of it would give.
+the bits a second walk of it would give.  A node c u, u c, u / c (c
+nonzero), c + u, u + c, u - c or -u, c a constant and u not, is one
+entry a u + b that reads u alone, a linear elemental (Griewank and
+Walther, ch. 13), so a constant read only there takes no entry.  A
+scale adds b = -0.0, which leaves every float as it is, and a shift
+multiplies by a = 1.0, so the values keep the general rules' bits; of
+the derivatives a u_i and a u_ij, a zero may differ from theirs in
+sign (see _Tape).
 
 It then evaluates the tape level by level (level scheduling of the
 forward-mode graph).  An entry's level is one more than the highest
@@ -40,8 +47,8 @@ holds only the jets live at once.  A rule may so write over the
 operands it reads for the last time.  It reads what it needs of them
 into temporaries first, then writes its jets' hessians and gradients,
 and their values last (_chain, _mul_rule); a rule of one numpy call
-(neg, add, sub) reads its input as if copied first.  eval_jet2 is the
-walk of one field.
+(add, sub), or one that reads its input once (affine), reads it as if
+copied first.  eval_jet2 is the walk of one field.
 
 The hessian produced by eval_jet2 is symmetric bit-for-bit: every rule
 below fills H[i, j] and H[j, i] from the same commutative float sums.
@@ -142,19 +149,58 @@ def _rows(slots: list[int]) -> slice | np.ndarray:
     return np.array(slots)
 
 
+def _fold(node: Node) -> tuple[Node, float, float] | None:
+    """(u, a, b) if ``node``, a Neg or a node with one Const operand c
+    of two, is a u + b: c u or u c (a = c), u / c for c nonzero (a =
+    1.0 / c), c + u or u + c (b = c), u - c (b = -c) and -u (a = -1.0).
+    A scale has b = -0.0, a shift a = 1.0.  Else None: c - u and c / u
+    stay general."""
+    kind = type(node)
+    if kind is Neg:
+        return node.arg, -1.0, -0.0
+    u, c = node.kids
+    if type(u) is Const:
+        if kind is Sub or kind is Div:
+            return None
+        u, c = c, u
+    if kind is Mul:
+        return u, c.value, -0.0
+    if kind is Add:
+        return u, 1.0, c.value
+    if kind is Sub:
+        return u, 1.0, -c.value
+    if kind is Div and c.value != 0.0:
+        return u, 1.0 / c.value, -0.0
+    return None
+
+
 class _Tape:
     """The trees of one walk numbered into entries, one per distinct
-    node, in the order a depth-first walk meets them: the entry's node
-    and the tape numbers of its children (``args``).  As each entry is
-    appended, numbering also records what _schedule reads of it: its
-    level, 1 + the highest level of its children (0 for a leaf), and
-    its group, the entries of one level and one kind in tape order.
-    Call entries are grouped by function name too, and each Pow or
-    Integral entry, which is evaluated with its own exponent or running
-    integrals, is a group of its own."""
+    node, in the order a depth-first walk meets them: the entry's node,
+    or its pair (a, b) if it is affine, and the tape numbers of the
+    children it reads (``args``).  As each entry is appended, numbering
+    also records what _schedule reads of it: its level, 1 + the highest
+    level of its children (0 for a leaf), and its group, the entries of
+    one level and one kind in tape order.  Call entries are grouped by
+    function name too, and each Pow or Integral entry, which is
+    evaluated with its own exponent or running integrals, is a group of
+    its own.
+
+    A node that _fold takes for a u + b is an affine entry, the pair
+    (a, b), that reads u alone.  Its Const is numbered only if a
+    general entry, or a root, reads it too, so a constant read only as
+    a folded operand takes no slot, no batch and no gathered row.  The
+    fold's values have the general rules' bits: a scale's b = -0.0 is
+    the identity of + on every float (0.0 + -0.0 is 0.0), and a shift's
+    a = 1.0 that of *.  Its derivatives are a u_i and a u_ij, where the
+    general rules add the constant's zero derivatives times u's value,
+    or times 1/c's derivatives in u / c: a nonzero entry has the same
+    bits, a zero entry may differ in sign, and where those zeros meet
+    an infinite factor (u's value, or 1/c^2 past the largest float) the
+    general rules give NaN (inf * 0) and the fold a u_i."""
 
     def __init__(self) -> None:
-        self.nodes: list[Node] = []
+        self.nodes: list[Node | tuple[float, float]] = []
         self.args: list[tuple[int, ...]] = []
         self.numbers: dict[Node, int] = {}
         self.levels: list[int] = []
@@ -168,8 +214,13 @@ class _Tape:
 
     def _append(self, node: Node) -> int:
         numbers, levels = self.numbers, self.levels
-        kids = node.kids
+        entry, kids = node, node.kids
         if kids:
+            if (type(kids[0]) is Const) != (type(kids[-1]) is Const) \
+                    or type(node) is Neg:
+                fold = _fold(node)
+                if fold is not None:
+                    kids, entry = fold[:1], fold[1:]
             a = numbers.get(kids[0])
             if a is None:
                 a = self._append(kids[0])
@@ -186,12 +237,12 @@ class _Tape:
         else:
             args, level = (), 0
         k = numbers[node] = len(levels)
-        self.nodes.append(node)
+        self.nodes.append(entry)
         self.args.append(args)
         levels.append(level)
         if level == len(self.groups):
             self.groups.append({})
-        kind = type(node)
+        kind = type(entry)
         if kind is Call:
             kind = node.func
         elif kind is Pow or kind is Integral:
@@ -313,7 +364,7 @@ class _Walk:
     """
 
     def __init__(self, points: np.ndarray, chart: Sequence[str],
-                 nodes: list[Node], size: int) -> None:
+                 nodes: list[Node | tuple[float, float]], size: int) -> None:
         p, n = points.shape
         self.points = points
         self.n = n
@@ -408,8 +459,12 @@ def _var_rule(batch: _Batch, walk: _Walk, out: np.ndarray) -> None:
         jet[1 + axis] = 1.0
 
 
-def _neg_rule(batch: _Batch, walk: _Walk, out: np.ndarray, u: np.ndarray) -> None:
-    np.negative(u, out=out)
+def _affine_rule(batch: _Batch, walk: _Walk, out: np.ndarray,
+                 u: np.ndarray) -> None:
+    """a u + b: a times u's whole jet, then b added to the values."""
+    ab = np.array([walk.nodes[k] for k in batch.entries])
+    np.multiply(u, ab[:, :1, None], out=out)
+    out[:, 0] += ab[:, 1:]
 
 
 def _add_rule(batch: _Batch, walk: _Walk, out: np.ndarray, a: np.ndarray,
@@ -518,8 +573,9 @@ def _integral_rule(batch: _Batch, walk: _Walk, out: np.ndarray,
     out[0, 0] = value
 
 
+# An affine entry is its pair (a, b) (see _Tape), so its kind is tuple.
 _RULES = {
-    Const: _const_rule, Var: _var_rule, Neg: _neg_rule, Add: _add_rule,
+    Const: _const_rule, Var: _var_rule, tuple: _affine_rule, Add: _add_rule,
     Sub: _sub_rule, Mul: _mul_rule, Div: _div_rule, Call: _call_rule,
     Pow: _pow_rule, Integral: _integral_rule,
 }
